@@ -88,7 +88,13 @@ pub fn explain_anchor(
     anchor_cfg: &AnchorConfig,
 ) -> Result<Explanation> {
     let mut oracle = Oracle::new(system, config.threshold, config.max_interventions);
-    let initial_score = validate_inputs(&mut oracle, d_fail, d_pass, &dp_trace::Tracer::off())?;
+    let (initial_score, _) = validate_inputs(
+        &mut oracle,
+        d_fail,
+        d_pass,
+        Vec::new(),
+        &dp_trace::Tracer::off(),
+    )?;
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }

@@ -27,12 +27,14 @@ use crate::graph::PvtAttributeGraph;
 use crate::oracle::{CacheStats, Oracle, System, SystemFactory};
 use crate::pvt::Pvt;
 use crate::runtime::{
-    baseline_traced, decide_traced, intervene_traced, InterventionRuntime, ParOracle, Speculation,
+    baseline_traced, decide_traced, intervene_traced, InterventionRuntime, ParOracle, Speculated,
+    Speculation,
 };
 use dp_frame::DataFrame;
 use dp_trace::{DiagnosisSpan, Event, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Build the tracer `config.trace` asks for, surfacing sink setup
 /// failures (an unwritable JSONL path) as [`PrismError::Trace`]
@@ -72,13 +74,27 @@ pub(crate) fn set_discovery(exp: &mut Explanation, stats: DiscoveryStats) {
 }
 
 /// Validate the problem inputs (Definition 10 items 3–4): the passing
-/// dataset must pass and the failing dataset must fail.
+/// dataset must pass and the failing dataset must fail. Returns the
+/// failing score.
+///
+/// `first` holds the algorithm's first charged frames, if it planned
+/// any. The runtime then scores them together with both baselines as
+/// one opening batch ([`InterventionRuntime::score_opening`]) and
+/// returns the materialized frames, one result per job, for the
+/// caller to charge in serial order — a materialization error
+/// surfaces there, after validation, as in a serial run.
 pub(crate) fn validate_inputs(
     rt: &mut dyn InterventionRuntime,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
+    first: Vec<Speculation<'_>>,
     tracer: &Tracer,
-) -> Result<f64> {
+) -> Result<(f64, Vec<Result<Speculated>>)> {
+    let opened = if first.is_empty() {
+        Vec::new()
+    } else {
+        rt.score_opening([d_pass, d_fail], first)
+    };
     let pass_score = baseline_traced(rt, d_pass, tracer);
     if !rt.passes(pass_score) {
         return Err(PrismError::BadInput(format!(
@@ -93,7 +109,7 @@ pub(crate) fn validate_inputs(
             rt.threshold()
         )));
     }
-    Ok(fail_score)
+    Ok((fail_score, opened))
 }
 
 /// Make-Minimal (Alg 1 line 20): drop PVTs one at a time; keep the
@@ -329,6 +345,90 @@ pub fn explain_greedy_parallel_with_pvts(
     run_greedy(&mut rt, d_fail, d_pass, pvts, config, tracer)
 }
 
+/// One planned window of greedy picks: the next serial picks under
+/// the all-rejected hypothesis, their candidate datasets, and the RNG
+/// state a serial run holds once each pick is processed.
+struct Window<'a> {
+    plan: Vec<usize>,
+    jobs: Vec<Speculation<'a>>,
+    rng_states: Vec<StdRng>,
+}
+
+/// Lines 10–12, planned `width` picks ahead. The pick sequence is
+/// simulated under the hypothesis that every candidate is rejected —
+/// a rejection removes the pick from the graph but changes neither
+/// the dataset, the score, nor the benefit map, so removals on a
+/// clone reproduce the serial choices (including high-degree
+/// re-ranking and `max_by` tie-breaking) exactly. Each candidate is
+/// materialized against `current` with the exact RNG state a serial
+/// run would hold: stochastic transformations consume the stream and
+/// must advance it here, on the main thread; deterministic ones never
+/// touch it and are deferred to the runtime's workers.
+fn plan_window<'a>(
+    pvts: &'a [Pvt],
+    graph: &PvtAttributeGraph,
+    benefits: &BTreeMap<usize, f64>,
+    current: &'a DataFrame,
+    rng: &StdRng,
+    width: usize,
+    config: &PrismConfig,
+) -> Result<Window<'a>> {
+    let key = |id: usize| -> f64 {
+        if config.use_benefit {
+            benefits.get(&id).copied().unwrap_or(0.0)
+        } else {
+            // Ablation: O2/O3 off ranks in a seed-dependent arbitrary
+            // order — a Knuth-hash of the id, so the ablation
+            // measures uninformed search rather than a lucky id
+            // ordering.
+            (id as u64)
+                .wrapping_add(config.seed)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64
+        }
+    };
+    let mut sim_graph = graph.clone();
+    let mut plan: Vec<usize> = Vec::new();
+    while plan.len() < width && !sim_graph.is_empty() {
+        let hda = if config.use_high_degree {
+            sim_graph.high_degree_pvts()
+        } else {
+            sim_graph.pvt_ids()
+        };
+        let Some(&chosen_id) = hda.iter().max_by(|&&a, &&b| key(a).total_cmp(&key(b))) else {
+            break;
+        };
+        plan.push(chosen_id);
+        sim_graph.remove(chosen_id);
+    }
+    let mut plan_rng = rng.clone();
+    let mut jobs: Vec<Speculation<'a>> = Vec::with_capacity(plan.len());
+    let mut rng_states: Vec<StdRng> = Vec::with_capacity(plan.len());
+    for &id in &plan {
+        let pvt = pvts
+            .iter()
+            .find(|p| p.id == id)
+            .expect("graph only holds known ids");
+        if pvt.transform.is_deterministic() {
+            jobs.push(Speculation::Apply {
+                pvts: vec![pvt],
+                base: current,
+                rng: plan_rng.clone(),
+            });
+        } else {
+            let (frame, _) = pvt.apply(current, &mut plan_rng)?;
+            jobs.push(Speculation::Ready(frame));
+        }
+        // RNG state after applying candidates 0..=i — the state the
+        // serial run holds once candidate i is processed, kept or not.
+        rng_states.push(plan_rng.clone());
+    }
+    Ok(Window {
+        plan,
+        jobs,
+        rng_states,
+    })
+}
+
 /// Algorithm 1 lines 5–21 over an abstract runtime.
 pub(crate) fn run_greedy(
     rt: &mut dyn InterventionRuntime,
@@ -338,99 +438,68 @@ pub(crate) fn run_greedy(
     config: &PrismConfig,
     tracer: Tracer,
 ) -> Result<Explanation> {
-    let initial_score = validate_inputs(rt, d_fail, d_pass, &tracer)?;
-    if pvts.is_empty() {
-        return Err(PrismError::NoDiscriminativePvts);
-    }
+    let discovered = !pvts.is_empty();
     // Static L1–L9 analysis of the candidate set, before any oracle
     // query; `Lint::Prune` drops provably futile candidates here.
-    let (lint, pvts) =
-        crate::lint::lint_and_prune_traced(pvts, d_fail, config.lint, config.threshold, &tracer);
+    let (lint, pvts) = crate::lint::lint_and_prune(pvts, d_fail, config.lint, config.threshold);
+
+    // Lines 5–6: PVT–attribute graph and benefit scores.
+    let mut graph = PvtAttributeGraph::new(&pvts);
+    let mut benefits = benefit_scores(&pvts, d_fail);
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let width = rt.speculation_width().max(1);
+
+    // The opening: on a parallel runtime the first window of picks is
+    // scored together with the baselines. A window that fails to
+    // plan is left to the loop, which re-plans it and surfaces the
+    // error in its serial place.
+    let first = (width > 1 && !graph.is_empty())
+        .then(|| plan_window(&pvts, &graph, &benefits, d_fail, &rng, width, config).ok())
+        .flatten()
+        .filter(|w| !w.plan.is_empty());
+    let (first_jobs, first) = match first {
+        Some(w) => (w.jobs, Some((w.plan, w.rng_states))),
+        None => (Vec::new(), None),
+    };
+    let (initial_score, opened) = validate_inputs(rt, d_fail, d_pass, first_jobs, &tracer)?;
+    let mut opening = first.map(|(plan, rng_states)| (plan, opened, rng_states));
+    if !discovered {
+        return Err(PrismError::NoDiscriminativePvts);
+    }
+    crate::lint::emit_lint(&lint, &tracer);
     if pvts.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
     let mut trace = vec![TraceEvent::Discovered { n_pvts: pvts.len() }];
 
-    // Lines 5–6: PVT–attribute graph and benefit scores.
-    let mut graph = PvtAttributeGraph::new(&pvts);
-    let mut benefits = benefit_scores(&pvts, d_fail);
-
     // Lines 7–8.
     let mut selected: Vec<Pvt> = Vec::new();
     let mut current = d_fail.clone();
     let mut score = initial_score;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let width = rt.speculation_width().max(1);
 
     // Line 9: intervene until acceptable.
     while !rt.passes(score) && !graph.is_empty() && !rt.exhausted() {
-        // Lines 10–11, planned `width` picks ahead: simulate the
-        // serial pick sequence under the hypothesis that every
-        // candidate is rejected — a rejection removes the pick from
-        // the graph but changes neither the dataset, the score, nor
-        // the benefit map, so removals on a clone reproduce the
-        // serial choices (including high-degree re-ranking and
-        // `max_by` tie-breaking) exactly.
-        let key = |id: usize| -> f64 {
-            if config.use_benefit {
-                benefits.get(&id).copied().unwrap_or(0.0)
-            } else {
-                // Ablation: O2/O3 off ranks in a seed-dependent
-                // arbitrary order — a Knuth-hash of the id, so the
-                // ablation measures uninformed search rather than a
-                // lucky id ordering.
-                (id as u64)
-                    .wrapping_add(config.seed)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64
+        // Lines 10–12, batched: the opening already holds the first
+        // window's frames; later windows are scored here as cache
+        // warming.
+        let (plan, spec, rng_states) = match opening.take() {
+            Some((plan, opened, rng_states)) => (
+                plan,
+                opened.into_iter().collect::<Result<Vec<_>>>()?,
+                rng_states,
+            ),
+            None => {
+                let Window {
+                    plan,
+                    jobs,
+                    rng_states,
+                } = plan_window(&pvts, &graph, &benefits, &current, &rng, width, config)?;
+                if plan.is_empty() {
+                    break;
+                }
+                (plan, rt.speculate(jobs)?, rng_states)
             }
         };
-        let mut sim_graph = graph.clone();
-        let mut plan: Vec<usize> = Vec::new();
-        while plan.len() < width && !sim_graph.is_empty() {
-            let hda = if config.use_high_degree {
-                sim_graph.high_degree_pvts()
-            } else {
-                sim_graph.pvt_ids()
-            };
-            let Some(&chosen_id) = hda.iter().max_by(|&&a, &&b| key(a).total_cmp(&key(b))) else {
-                break;
-            };
-            plan.push(chosen_id);
-            sim_graph.remove(chosen_id);
-        }
-        if plan.is_empty() {
-            break;
-        }
-
-        // Line 12, batched: materialize each candidate against the
-        // *current* dataset with the exact RNG state a serial run
-        // would hold. Stochastic transformations consume the stream
-        // and must advance it on the main thread; deterministic ones
-        // never touch it and are deferred to the runtime's workers.
-        let mut plan_rng = rng.clone();
-        let mut jobs: Vec<Speculation<'_>> = Vec::with_capacity(plan.len());
-        let mut rng_states: Vec<StdRng> = Vec::with_capacity(plan.len());
-        for &id in &plan {
-            let pvt = pvts
-                .iter()
-                .find(|p| p.id == id)
-                .expect("graph only holds known ids");
-            if pvt.transform.is_deterministic() {
-                jobs.push(Speculation::Apply {
-                    pvts: vec![pvt],
-                    base: &current,
-                    rng: plan_rng.clone(),
-                });
-            } else {
-                let (frame, _) = pvt.apply(&current, &mut plan_rng)?;
-                jobs.push(Speculation::Ready(frame));
-            }
-            // RNG state after applying candidates 0..=i — the state
-            // the serial run holds once candidate i is processed,
-            // kept or not.
-            rng_states.push(plan_rng.clone());
-        }
-        let spec = rt.speculate(jobs)?;
 
         // Decision pass: replay the serial loop, charging exactly the
         // prefix a serial run would consume. A kept candidate changes

@@ -278,16 +278,28 @@ fn run_group_test(
     strategy: PartitionStrategy,
     tracer: Tracer,
 ) -> Result<Explanation> {
-    let initial_score = validate_inputs(rt, d_fail, d_pass, &tracer)?;
-    if pvt_vec.is_empty() {
-        return Err(PrismError::NoDiscriminativePvts);
-    }
+    let discovered = !pvt_vec.is_empty();
     // Static L1–L9 analysis of the candidate set, before any oracle
     // query; `Lint::Prune` drops provably futile candidates here
     // (each one would otherwise inflate the A3 composition and every
     // bisection probe containing it).
     let (lint, pvt_vec) =
-        crate::lint::lint_and_prune_traced(pvt_vec, d_fail, config.lint, config.threshold, &tracer);
+        crate::lint::lint_and_prune(pvt_vec, d_fail, config.lint, config.threshold);
+    let pvts: BTreeMap<usize, &Pvt> = pvt_vec.iter().map(|p| (p.id, p)).collect();
+    let all_ids: Vec<usize> = pvts.keys().copied().collect();
+
+    // The opening: on a parallel runtime the A3 composition below is
+    // scored together with the baselines.
+    let first = if rt.speculation_width() > 1 && !all_ids.is_empty() {
+        vec![apply_job(&pvts, config.seed, &all_ids, d_fail)]
+    } else {
+        Vec::new()
+    };
+    let (initial_score, mut opened) = validate_inputs(rt, d_fail, d_pass, first, &tracer)?;
+    if !discovered {
+        return Err(PrismError::NoDiscriminativePvts);
+    }
+    crate::lint::emit_lint(&lint, &tracer);
     if pvt_vec.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -295,12 +307,13 @@ fn run_group_test(
         n_pvts: pvt_vec.len(),
     }];
     let graph = PvtAttributeGraph::new(&pvt_vec);
-    let pvts: BTreeMap<usize, &Pvt> = pvt_vec.iter().map(|p| (p.id, p)).collect();
 
     // A3 applicability check: the full composition must reduce the
     // malfunction (see module docs).
-    let all_ids: Vec<usize> = pvts.keys().copied().collect();
-    let (full, _) = apply_ids(&pvts, &all_ids, d_fail, config.seed)?;
+    let full = match opened.pop() {
+        Some(speculated) => speculated?.frame,
+        None => apply_ids(&pvts, &all_ids, d_fail, config.seed)?.0,
+    };
     let full_score = intervene_traced(rt, &full, &tracer);
     trace.push(TraceEvent::Intervention {
         pvt_ids: all_ids.clone(),
@@ -412,14 +425,20 @@ fn apply_rng(seed: u64, sorted_ids: &[usize]) -> StdRng {
 }
 
 /// A synchronous materialize-and-score job for the composition of
-/// `ids` applied to `base` (the node's own half probes).
-fn sync_apply_job<'a>(ctx: &GtCtx<'_, 'a>, ids: &[usize], base: &'a DataFrame) -> Speculation<'a> {
+/// `ids` applied to `base` (the A3 composition, a node's own half
+/// probes): the job form of [`apply_ids`].
+fn apply_job<'a>(
+    pvts: &BTreeMap<usize, &'a Pvt>,
+    seed: u64,
+    ids: &[usize],
+    base: &'a DataFrame,
+) -> Speculation<'a> {
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
-    let rng = apply_rng(ctx.seed, &sorted);
+    let rng = apply_rng(seed, &sorted);
     let refs: Vec<&'a Pvt> = sorted
         .iter()
-        .filter_map(|id| ctx.pvts.get(id).copied())
+        .filter_map(|id| pvts.get(id).copied())
         .collect();
     Speculation::Apply {
         pvts: refs,
@@ -606,7 +625,10 @@ fn group_test_rec(
         } else {
             covered - 1
         };
-        let jobs = vec![sync_apply_job(ctx, &x1, &d), sync_apply_job(ctx, &x2, &d)];
+        let jobs = vec![
+            apply_job(ctx.pvts, ctx.seed, &x1, &d),
+            apply_job(ctx.pvts, ctx.seed, &x2, &d),
+        ];
         let spec = ctx.rt.speculate(jobs)?;
         let mut frames = spec.into_iter();
         let d1 = frames.next().expect("X1 job queued").frame;

@@ -305,17 +305,13 @@ pub fn lint_pvts(pvts: &[Pvt], d_fail: &DataFrame, tau: f64) -> Diagnostics {
     dp_lint::analyze(&d_fail.schema(), &state, tau, &facts, &edges)
 }
 
-/// [`lint_and_prune`] emitting a [`dp_trace::LintSpan`] event with
-/// the verdict counts (always emitted, `analyzed = false` under
-/// `Lint::Off`, so a trace records that the pass was skipped).
-pub(crate) fn lint_and_prune_traced(
-    pvts: Vec<Pvt>,
-    d_fail: &DataFrame,
-    mode: Lint,
-    tau: f64,
-    tracer: &dp_trace::Tracer,
-) -> (Diagnostics, Vec<Pvt>) {
-    let (diag, kept) = lint_and_prune(pvts, d_fail, mode, tau);
+/// Emit the [`dp_trace::LintSpan`] event of a [`lint_and_prune`] pass
+/// with the verdict counts (always emitted, `analyzed = false` under
+/// `Lint::Off`, so a trace records that the pass was skipped),
+/// followed by a [`dp_trace::LintFactSpan`] when the pass analyzed.
+/// Split from the pass itself so a run can lint before its opening
+/// batch and still emit the events after validating its inputs.
+pub(crate) fn emit_lint(diag: &Diagnostics, tracer: &dp_trace::Tracer) {
     tracer.emit(|| {
         dp_trace::Event::Lint(dp_trace::LintSpan {
             analyzed: diag.analyzed,
@@ -340,7 +336,6 @@ pub(crate) fn lint_and_prune_traced(
             })
         });
     }
-    (diag, kept)
 }
 
 /// Apply the configured lint policy: analyze (unless `Off`) and, under
@@ -807,13 +802,13 @@ mod tests {
     #[test]
     fn lint_fact_event_follows_lint_event() {
         let tracer = dp_trace::Tracer::collect();
-        let (_diag, _kept) = lint_and_prune_traced(
+        let (diag, _kept) = lint_and_prune(
             vec![domain_pvt(0), domain_pvt(1)],
             &d_fail(),
             Lint::Prune,
             0.2,
-            &tracer,
         );
+        emit_lint(&diag, &tracer);
         let records = tracer.finish();
         let lint_at = records
             .iter()
@@ -830,7 +825,8 @@ mod tests {
         }
         // Under Off no fact event is emitted.
         let tracer = dp_trace::Tracer::collect();
-        let _ = lint_and_prune_traced(vec![domain_pvt(0)], &d_fail(), Lint::Off, 0.2, &tracer);
+        let (diag, _kept) = lint_and_prune(vec![domain_pvt(0)], &d_fail(), Lint::Off, 0.2);
+        emit_lint(&diag, &tracer);
         assert!(!tracer
             .finish()
             .iter()

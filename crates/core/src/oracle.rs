@@ -513,16 +513,20 @@ impl<'a> Oracle<'a> {
 
     /// Malfunction score of a transformed dataset: one intervention
     /// (the system itself is only re-run when the exact dataset has
-    /// not been scored before).
+    /// not been scored before). Re-asking a free baseline is neither
+    /// charged nor counted as a cache hit.
     pub fn intervene(&mut self, df: &DataFrame) -> f64 {
         let fp = fingerprint(df);
-        if !self.free.contains(&fp) {
+        let charged = !self.free.contains(&fp);
+        if charged {
             self.interventions += 1;
         }
         if let Some(&score) = self.cache.get(&fp) {
-            self.hits += 1;
-            if self.warm.contains(&fp) {
-                self.warm_hits += 1;
+            if charged {
+                self.hits += 1;
+                if self.warm.contains(&fp) {
+                    self.warm_hits += 1;
+                }
             }
             self.last = QueryStat {
                 fingerprint: fp,

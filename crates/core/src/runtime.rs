@@ -27,12 +27,22 @@
 //! Deep group-testing lookahead instead queues **detached** jobs
 //! ([`InterventionRuntime::speculate_detached`]): fully owned
 //! [`DetachedSpeculation`]s drained FIFO by a persistent background
-//! pool while the serial replay keeps running. A frame still in
-//! flight when the replay asks for it is simply a cache miss (the
-//! replay scores it itself; the racing duplicate is harmless — same
-//! deterministic score, idempotent insert), and frontier frames the
-//! search never asks for are counted as *speculative waste*
-//! ([`CacheStats::speculative_waste`]).
+//! pool while the serial replay keeps running. A parallel diagnosis
+//! starts with one concurrent batch, the **opening**
+//! ([`InterventionRuntime::score_opening`]): the two free baselines on
+//! the pool and the algorithm's first charged frames on the sync
+//! workers, all scored at once before the replay validates the inputs.
+//!
+//! The shared fingerprint cache also tracks the frames being scored
+//! right now. A thread claims a fingerprint before it runs the system
+//! on it, so no frame is scored twice: a worker skips a frame that is
+//! already scored or claimed, and a replay query whose frame a worker
+//! is still scoring waits for that score (a cache hit) instead of
+//! evaluating it again. If the system panics mid-evaluation, the claim
+//! is released and the waiting query scores the frame itself, so a
+//! panic that always recurs surfaces on the caller as in a serial run.
+//! Frontier frames the search never asks for are counted as
+//! *speculative waste* ([`CacheStats::speculative_waste`]).
 //!
 //! Because all charging and all decisions flow through `intervene` in
 //! serial order, explanations, malfunction scores, and intervention
@@ -54,6 +64,7 @@ use dp_trace::{
     SampledQuerySpan, Tracer,
 };
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
@@ -200,9 +211,27 @@ pub trait InterventionRuntime {
     /// Queue owned cache-warming jobs to run **asynchronously**: the
     /// call returns immediately and worker threads materialize and
     /// score the jobs while the caller keeps replaying its serial
-    /// decisions. Serial runtimes (and `num_threads ≤ 1`) drop the
-    /// jobs unexecuted — a serial run would never have asked.
+    /// decisions. A worker skips a frame that is already scored or
+    /// being scored, and a charged query of a frame a worker is still
+    /// scoring waits for that score rather than scoring it again.
+    /// Serial runtimes (and `num_threads ≤ 1`) drop the jobs
+    /// unexecuted — a serial run would never have asked.
     fn speculate_detached(&mut self, jobs: Vec<DetachedSpeculation>);
+    /// Score the opening of a diagnosis as one batch: both baselines
+    /// (`[D_pass, D_fail]`, never charged) and `first`, the
+    /// algorithm's first charged frames. Returns one materialization
+    /// result per `first` job, in order. Nothing is charged: the
+    /// caller then validates the baselines and charges the frames in
+    /// serial order, and each query finds its score in the cache. The
+    /// default only materializes `first` — the serial behaviour,
+    /// where every query scores its own frame.
+    fn score_opening(
+        &mut self,
+        _baselines: [&DataFrame; 2],
+        first: Vec<Speculation<'_>>,
+    ) -> Vec<Result<Speculated>> {
+        first.into_iter().map(materialize).collect()
+    }
     /// How many candidates per batch are worth planning ahead (1 ⇒
     /// don't speculate: plan lazily exactly as the serial algorithm
     /// would).
@@ -402,15 +431,155 @@ impl InterventionRuntime for Oracle<'_> {
     }
 }
 
-/// Shared (worker-visible) cache state: fingerprint → score and the
-/// set of speculatively scored fingerprints no charged query has
-/// consumed yet (the speculative-waste numerator). Evaluation
-/// *counts* live outside the lock, in per-worker
-/// [`MetricsShard`]s, so workers never contend on the cache mutex
-/// just to bump a counter.
+/// The fingerprint cache shared by the caller and every worker, with
+/// the hand-off for frames being scored right now. Evaluation
+/// *counts* live outside the lock, in per-worker [`MetricsShard`]s,
+/// so workers never contend on the cache mutex just to bump a counter.
 struct SharedCache {
+    state: Mutex<CacheState>,
+    /// Signals waiters that a fingerprint left `inflight`.
+    settled: Condvar,
+}
+
+struct CacheState {
+    /// Fingerprint → score.
     map: HashMap<u64, f64>,
+    /// Speculatively scored fingerprints no query has consumed yet
+    /// (the speculative-waste numerator).
     unconsumed: HashSet<u64>,
+    /// Fingerprints a thread has claimed and is scoring right now.
+    inflight: HashSet<u64>,
+}
+
+/// What a replay query finds in the [`SharedCache`].
+enum Lookup {
+    /// Scored, possibly after waiting for an in-flight evaluation;
+    /// `speculative` when the query retired a speculative score from
+    /// the waste set.
+    Scored { score: f64, speculative: bool },
+    /// Neither scored nor in flight: the caller now holds the claim.
+    Claimed,
+}
+
+impl SharedCache {
+    fn new() -> Self {
+        SharedCache {
+            state: Mutex::new(CacheState {
+                map: HashMap::new(),
+                unconsumed: HashSet::new(),
+                inflight: HashSet::new(),
+            }),
+            settled: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
+        // Nothing panics while holding the lock (systems run outside
+        // it), so a poisoned state is still consistent.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Worker side: claim `fp` unless it is scored or being scored.
+    fn try_claim(&self, fp: u64) -> bool {
+        let mut state = self.lock();
+        !state.map.contains_key(&fp) && state.inflight.insert(fp)
+    }
+
+    /// Replay side: the score of `fp`, waiting for a worker that is
+    /// still scoring it. When no score exists or is coming, claim it.
+    fn lookup_or_claim(&self, fp: u64) -> Lookup {
+        let mut state = self.lock();
+        loop {
+            if let Some(&score) = state.map.get(&fp) {
+                let speculative = state.unconsumed.remove(&fp);
+                return Lookup::Scored { score, speculative };
+            }
+            if state.inflight.insert(fp) {
+                return Lookup::Claimed;
+            }
+            state = self.settled.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Whether `fp` is scored or being scored.
+    fn known(&self, fp: u64) -> bool {
+        let state = self.lock();
+        state.map.contains_key(&fp) || state.inflight.contains(&fp)
+    }
+
+    /// Release the claim on `fp`, recording its score if there is one
+    /// (`None`: the evaluation died), and wake every waiter.
+    fn release(&self, fp: u64, scored: Option<(f64, bool)>) {
+        let mut state = self.lock();
+        if let Some((score, speculative)) = scored {
+            state.map.insert(fp, score);
+            if speculative {
+                state.unconsumed.insert(fp);
+            }
+        }
+        state.inflight.remove(&fp);
+        drop(state);
+        self.settled.notify_all();
+    }
+}
+
+/// One evaluation's hold on shared state: the in-flight claim on the
+/// frame it scores and, for a detached job, its `pending` slot in the
+/// pool. Dropped without [`JobGuard::publish`] (the system or a
+/// transform panicked), it clears the claim and wakes the waiters, who
+/// then score the frame themselves. It releases the pool slot either
+/// way, so settling never waits for a job that died.
+struct JobGuard<'g> {
+    cache: &'g SharedCache,
+    claimed: Option<u64>,
+    pool: Option<&'g Pool>,
+}
+
+impl<'g> JobGuard<'g> {
+    fn new(cache: &'g SharedCache, claimed: Option<u64>, pool: Option<&'g Pool>) -> Self {
+        JobGuard {
+            cache,
+            claimed,
+            pool,
+        }
+    }
+
+    /// Record the claimed frame's score and release the claim.
+    fn publish(&mut self, score: f64, speculative: bool) {
+        if let Some(fp) = self.claimed.take() {
+            self.cache.release(fp, Some((score, speculative)));
+        }
+    }
+
+    /// Score `frame` on `system` into the cache as a speculative
+    /// entry, unless some thread has scored or claimed it already.
+    /// The evaluation count and latency go to the worker's `shard`.
+    fn speculate(&mut self, system: &mut dyn System, frame: &DataFrame, shard: &MetricsShard) {
+        let fp = crate::oracle::fingerprint(frame);
+        if !self.cache.try_claim(fp) {
+            return;
+        }
+        self.claimed = Some(fp);
+        let start = Instant::now();
+        let score = sanitize(system.malfunction(frame));
+        shard.record(start.elapsed().as_nanos() as u64);
+        self.publish(score, true);
+    }
+}
+
+impl Drop for JobGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(fp) = self.claimed.take() {
+            self.cache.release(fp, None);
+        }
+        if let Some(pool) = self.pool {
+            let mut state = pool.state.lock().unwrap_or_else(|e| e.into_inner());
+            state.pending -= 1;
+            if state.pending == 0 {
+                pool.idle.notify_all();
+            }
+        }
+    }
 }
 
 /// The detached-job pool shared between [`ParOracle`] and its
@@ -439,6 +608,34 @@ struct PoolState {
     /// terminated before any worker started them, so they cost
     /// nothing and are not waste.
     discarded: u64,
+}
+
+impl Pool {
+    /// Queue `jobs` and wake the workers. Under a `budget`, apply hard
+    /// backpressure: shed the *oldest* queued frames until in-flight
+    /// work fits the budget again. Oldest frames belong to the
+    /// shallowest (soonest-replayed) part of the frontier — the frames
+    /// the serial replay is most likely to reach before a worker
+    /// would, so shedding them costs the least cache warming. Jobs a
+    /// worker already started cannot be shed, so `pending` is bounded
+    /// by budget + worker count.
+    fn enqueue(&self, jobs: Vec<DetachedSpeculation>, budget: Option<usize>) {
+        let mut state = self.state.lock().expect("pool lock");
+        state.pending += jobs.len();
+        state.queue.extend(jobs);
+        if let Some(budget) = budget {
+            while state.pending > budget {
+                let Some(_dropped) = state.queue.pop_front() else {
+                    break;
+                };
+                state.pending -= 1;
+                state.shed += 1;
+            }
+        }
+        state.peak_pending = state.peak_pending.max(state.pending);
+        drop(state);
+        self.work.notify_all();
+    }
 }
 
 /// Parallel intervention runtime: an [`Oracle`]-equivalent whose
@@ -481,7 +678,7 @@ pub struct ParOracle<'a> {
     sync_shards: Vec<Arc<MetricsShard>>,
     /// One shard per detached-pool worker.
     pool_shards: Vec<Arc<MetricsShard>>,
-    cache: Arc<Mutex<SharedCache>>,
+    cache: Arc<SharedCache>,
     free: HashSet<u64>,
     /// Fingerprints seeded from a cross-run [`ScoreCache`] before the
     /// run started, for [`RunMetrics::warm_hits`] accounting. Seeded
@@ -526,10 +723,7 @@ impl<'a> ParOracle<'a> {
             last: QueryStat::default(),
             sync_shards: Vec::new(),
             pool_shards: Vec::new(),
-            cache: Arc::new(Mutex::new(SharedCache {
-                map: HashMap::new(),
-                unconsumed: HashSet::new(),
-            })),
+            cache: Arc::new(SharedCache::new()),
             free: HashSet::new(),
             warm: HashSet::new(),
             sampling: SampledDecider::new(OracleSampling::Off, 0),
@@ -588,7 +782,7 @@ impl<'a> ParOracle<'a> {
     ) -> Self {
         let rt = ParOracle::new(factory, threshold, budget, num_threads);
         {
-            let mut shared = rt.cache.lock().expect("cache lock");
+            let mut shared = rt.cache.lock();
             for (fp, score) in warm.iter() {
                 shared.map.insert(fp, score);
             }
@@ -604,7 +798,7 @@ impl<'a> ParOracle<'a> {
     /// is a quiescent, complete view.
     pub fn export_cache(&self) -> ScoreCache {
         self.settle_pool();
-        let shared = self.cache.lock().expect("cache lock");
+        let shared = self.cache.lock();
         let mut out = ScoreCache::new();
         for (&fp, &score) in &shared.map {
             out.insert(fp, score);
@@ -622,8 +816,8 @@ impl<'a> ParOracle<'a> {
     /// Spawn the persistent background pool on first use. Each worker
     /// owns its own [`System`] instance (built here, on the calling
     /// thread) and loops: pop a detached job, materialize it, score
-    /// the frame into the shared cache unless some other thread
-    /// already did, signal idle when the queue drains.
+    /// the frame into the shared cache unless some other thread has
+    /// scored or claimed it, signal idle when the queue drains.
     fn ensure_pool(&mut self) -> Arc<Pool> {
         if let Some(pool) = &self.pool {
             return Arc::clone(pool);
@@ -660,28 +854,10 @@ impl<'a> ParOracle<'a> {
                     }
                 };
                 let Some(mut job) = job else { return };
+                let mut guard = JobGuard::new(&cache, None, Some(&pool_ref));
                 let refs: Vec<&Pvt> = job.pvts.iter().collect();
                 if let Ok((frame, _)) = apply_composition(&refs, &job.base, &mut job.rng) {
-                    let fp = crate::oracle::fingerprint(&frame);
-                    let known = cache.lock().expect("cache lock").map.contains_key(&fp);
-                    if !known {
-                        // Score outside the lock; a racing duplicate
-                        // evaluation is harmless (same deterministic
-                        // score, idempotent insert). The evaluation
-                        // count and latency go to the worker's own
-                        // lock-free shard.
-                        let start = Instant::now();
-                        let score = sanitize(system.malfunction(&frame));
-                        shard.record(start.elapsed().as_nanos() as u64);
-                        let mut shared = cache.lock().expect("cache lock");
-                        shared.map.insert(fp, score);
-                        shared.unconsumed.insert(fp);
-                    }
-                }
-                let mut state = pool_ref.state.lock().expect("pool lock");
-                state.pending -= 1;
-                if state.pending == 0 {
-                    pool_ref.idle.notify_all();
+                    guard.speculate(system.as_mut(), &frame, &shard);
                 }
             }));
         }
@@ -707,47 +883,95 @@ impl<'a> ParOracle<'a> {
         }
     }
 
-    /// Score `df` through the shared cache on the primary worker,
-    /// without charging.
-    fn score(&mut self, fp: u64, df: &DataFrame) -> f64 {
-        {
-            let mut shared = self.cache.lock().expect("cache lock");
-            if let Some(&score) = shared.map.get(&fp) {
-                // A charged query consuming a speculatively scored
-                // frame retires it from the waste set — the lookahead
-                // guessed this query right.
-                let speculative_hit = shared.unconsumed.remove(&fp);
-                drop(shared);
-                if speculative_hit {
+    /// Score `df` (fingerprint `fp`) through the shared cache on the
+    /// primary worker. A frame a worker is still scoring is waited
+    /// for, never scored twice. Only a `charged` query counts as a
+    /// cache hit or miss: re-asking a free baseline is neither.
+    fn query(&mut self, fp: u64, df: &DataFrame, charged: bool) -> f64 {
+        let (score, cached, speculative_hit, latency_ns) = match self.cache.lookup_or_claim(fp) {
+            Lookup::Scored { score, speculative } => {
+                // Consuming a speculatively scored frame retires it
+                // from the waste set — the lookahead guessed right.
+                if speculative {
                     self.speculative_used += 1;
                 }
-                self.hits += 1;
-                if self.warm.contains(&fp) {
-                    self.warm_hits += 1;
+                if charged {
+                    self.hits += 1;
+                    if self.warm.contains(&fp) {
+                        self.warm_hits += 1;
+                    }
                 }
-                self.last = QueryStat {
-                    fingerprint: fp,
-                    cached: true,
-                    speculative_hit,
-                    latency_ns: None,
-                };
-                return score;
+                (score, true, speculative, None)
             }
-        }
-        self.misses += 1;
-        self.ensure_workers(1);
-        let start = Instant::now();
-        let score = sanitize(self.workers[0].malfunction(df));
-        let latency_ns = start.elapsed().as_nanos() as u64;
-        self.query_latency.record(latency_ns);
+            Lookup::Claimed => {
+                if charged {
+                    self.misses += 1;
+                }
+                self.ensure_workers(1);
+                let mut guard = JobGuard::new(&self.cache, Some(fp), None);
+                let start = Instant::now();
+                let score = sanitize(self.workers[0].malfunction(df));
+                let latency_ns = start.elapsed().as_nanos() as u64;
+                guard.publish(score, false);
+                // Baselines are free but their evaluations are real
+                // latency samples — often the only ones the adaptive
+                // controller has before the first cold node.
+                self.query_latency.record(latency_ns);
+                (score, false, false, Some(latency_ns))
+            }
+        };
         self.last = QueryStat {
             fingerprint: fp,
-            cached: false,
-            speculative_hit: false,
-            latency_ns: Some(latency_ns),
+            cached,
+            speculative_hit,
+            latency_ns,
         };
-        self.cache.lock().expect("cache lock").map.insert(fp, score);
         score
+    }
+
+    /// Materialize `jobs` and score them concurrently on up to
+    /// `num_threads` sync workers, one result per job in job order.
+    fn score_batch(&mut self, jobs: Vec<Speculation<'_>>) -> Vec<Result<Speculated>> {
+        let n_jobs = jobs.len();
+        let n_workers = self.num_threads.min(n_jobs);
+        self.ensure_workers(n_workers);
+        // Index-tagged pop queue (reversed so workers drain in job
+        // order) and one result slot per job; plain `Mutex` state
+        // keeps the crate `forbid(unsafe_code)`-clean.
+        let queue: Mutex<Vec<(usize, Speculation<'_>)>> =
+            Mutex::new(jobs.into_iter().enumerate().rev().collect());
+        let results: Vec<Mutex<Option<Result<Speculated>>>> =
+            (0..n_jobs).map(|_| Mutex::new(None)).collect();
+        let cache = &*self.cache;
+        let queue_ref = &queue;
+        let results_ref = &results;
+        std::thread::scope(|scope| {
+            for (worker, shard) in self
+                .workers
+                .iter_mut()
+                .zip(self.sync_shards.iter())
+                .take(n_workers)
+            {
+                scope.spawn(move || loop {
+                    let job = queue_ref.lock().expect("queue lock").pop();
+                    let Some((idx, job)) = job else { break };
+                    let mut guard = JobGuard::new(cache, None, None);
+                    let out = materialize(job);
+                    if let Ok(speculated) = &out {
+                        guard.speculate(worker.as_mut(), &speculated.frame, shard);
+                    }
+                    *results_ref[idx].lock().expect("result lock") = Some(out);
+                });
+            }
+        });
+        results
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result lock")
+                    .expect("every queued job produces a result")
+            })
+            .collect()
     }
 
     /// Mean observed cold-query latency so far: the main thread's
@@ -767,51 +991,28 @@ impl InterventionRuntime for ParOracle<'_> {
         let fp = crate::oracle::fingerprint(df);
         self.free.insert(fp);
         self.baseline_queries += 1;
-        // Baselines never count toward the hit/miss split either — the
+        // Baselines never count toward the hit/miss split — the
         // problem definition assumes the two baseline scores are known.
-        if let Some(&score) = self.cache.lock().expect("cache lock").map.get(&fp) {
-            self.last = QueryStat {
-                fingerprint: fp,
-                cached: true,
-                speculative_hit: false,
-                latency_ns: None,
-            };
-            return score;
-        }
-        self.ensure_workers(1);
-        let start = Instant::now();
-        let score = sanitize(self.workers[0].malfunction(df));
-        let latency_ns = start.elapsed().as_nanos() as u64;
-        // Baselines are free but their evaluations are real latency
-        // samples — often the only ones the adaptive controller has
-        // before the first cold node.
-        self.query_latency.record(latency_ns);
-        self.last = QueryStat {
-            fingerprint: fp,
-            cached: false,
-            speculative_hit: false,
-            latency_ns: Some(latency_ns),
-        };
-        self.cache.lock().expect("cache lock").map.insert(fp, score);
-        score
+        self.query(fp, df, false)
     }
 
     fn intervene(&mut self, df: &DataFrame) -> f64 {
         let fp = crate::oracle::fingerprint(df);
-        if !self.free.contains(&fp) {
+        let charged = !self.free.contains(&fp);
+        if charged {
             self.interventions += 1;
         }
-        self.score(fp, df)
+        self.query(fp, df, charged)
     }
 
     fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
         let fp = crate::oracle::fingerprint(df);
-        let known =
-            self.free.contains(&fp) || self.cache.lock().expect("cache lock").map.contains_key(&fp);
+        let known = self.free.contains(&fp) || self.cache.known(fp);
         let settled = if known {
-            // Speculation (or a warm start) already paid for the
-            // exact score — consume it through the normal charged
-            // path so hit/waste accounting stays truthful.
+            // Speculation (or a warm start) already paid — or is
+            // paying — for the exact score: consume it through the
+            // normal charged path so hit/waste accounting stays
+            // truthful.
             None
         } else {
             self.ensure_workers(1);
@@ -844,59 +1045,8 @@ impl InterventionRuntime for ParOracle<'_> {
             // never pre-score — identical work to the serial oracle.
             return jobs.into_iter().map(materialize).collect();
         }
-        let n_jobs = jobs.len();
-        let n_workers = self.num_threads.min(n_jobs);
-        self.ensure_workers(n_workers);
-        self.speculative_issued += n_jobs as u64;
-        // Index-tagged pop queue (reversed so workers drain in job
-        // order) and one result slot per job; plain `Mutex` state
-        // keeps the crate `forbid(unsafe_code)`-clean.
-        let queue: Mutex<Vec<(usize, Speculation<'_>)>> =
-            Mutex::new(jobs.into_iter().enumerate().rev().collect());
-        let results: Vec<Mutex<Option<Result<Speculated>>>> =
-            (0..n_jobs).map(|_| Mutex::new(None)).collect();
-        let cache = &self.cache;
-        let queue_ref = &queue;
-        let results_ref = &results;
-        std::thread::scope(|scope| {
-            for (worker, shard) in self
-                .workers
-                .iter_mut()
-                .zip(self.sync_shards.iter())
-                .take(n_workers)
-            {
-                scope.spawn(move || loop {
-                    let job = queue_ref.lock().expect("queue lock").pop();
-                    let Some((idx, job)) = job else { break };
-                    let out = materialize(job).inspect(|speculated| {
-                        let fp = crate::oracle::fingerprint(&speculated.frame);
-                        let known = cache.lock().expect("cache lock").map.contains_key(&fp);
-                        if !known {
-                            // Score outside the lock; a racing
-                            // duplicate evaluation is harmless (same
-                            // deterministic score, idempotent insert).
-                            // Count and latency go to the worker's
-                            // own lock-free shard.
-                            let start = Instant::now();
-                            let score = sanitize(worker.malfunction(&speculated.frame));
-                            shard.record(start.elapsed().as_nanos() as u64);
-                            let mut shared = cache.lock().expect("cache lock");
-                            shared.map.insert(fp, score);
-                            shared.unconsumed.insert(fp);
-                        }
-                    });
-                    *results_ref[idx].lock().expect("result lock") = Some(out);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result lock")
-                    .expect("every queued job produces a result")
-            })
-            .collect()
+        self.speculative_issued += jobs.len() as u64;
+        self.score_batch(jobs).into_iter().collect()
     }
 
     fn speculate_detached(&mut self, jobs: Vec<DetachedSpeculation>) {
@@ -905,29 +1055,32 @@ impl InterventionRuntime for ParOracle<'_> {
         }
         self.speculative_issued += jobs.len() as u64;
         let budget = self.effective_budget();
-        let pool = self.ensure_pool();
-        let mut state = pool.state.lock().expect("pool lock");
-        state.pending += jobs.len();
-        state.queue.extend(jobs);
-        // Hard backpressure: shed the *oldest* queued frames until
-        // in-flight work fits the budget again. Oldest frames belong
-        // to the shallowest (soonest-replayed) part of the frontier —
-        // the frames the serial replay is most likely to reach before
-        // a worker would, so shedding them costs the least cache
-        // warming. Jobs a worker already started cannot be shed, so
-        // `pending` is bounded by budget + worker count.
-        if let Some(budget) = budget {
-            while state.pending > budget {
-                let Some(_dropped) = state.queue.pop_front() else {
-                    break;
-                };
-                state.pending -= 1;
-                state.shed += 1;
-            }
+        self.ensure_pool().enqueue(jobs, budget);
+    }
+
+    /// The baselines go to the detached pool as owned copies and
+    /// `first` to the sync workers, so the whole opening is scored at
+    /// once on the instances the runtime already owns. The opening is
+    /// never shed: the replay consumes all of it.
+    fn score_opening(
+        &mut self,
+        baselines: [&DataFrame; 2],
+        first: Vec<Speculation<'_>>,
+    ) -> Vec<Result<Speculated>> {
+        if self.num_threads <= 1 {
+            return first.into_iter().map(materialize).collect();
         }
-        state.peak_pending = state.peak_pending.max(state.pending);
-        drop(state);
-        pool.work.notify_all();
+        let jobs: Vec<DetachedSpeculation> = baselines
+            .into_iter()
+            .map(|df| DetachedSpeculation {
+                pvts: Vec::new(),
+                base: Arc::new(df.clone()),
+                rng: StdRng::seed_from_u64(0),
+            })
+            .collect();
+        self.speculative_issued += (jobs.len() + first.len()) as u64;
+        self.ensure_pool().enqueue(jobs, None);
+        self.score_batch(first)
     }
 
     fn speculation_width(&self) -> usize {
@@ -1050,7 +1203,7 @@ impl InterventionRuntime for ParOracle<'_> {
             warm_hits: self.warm_hits,
             speculative_issued: self.speculative_issued,
             speculative_used: self.speculative_used,
-            speculative_wasted: self.cache.lock().expect("cache lock").unconsumed.len() as u64,
+            speculative_wasted: self.cache.lock().unconsumed.len() as u64,
             speculative_shed: shed,
             speculative_discarded: discarded,
             peak_inflight: peak,
@@ -1220,7 +1373,6 @@ mod tests {
 
     #[test]
     fn detached_jobs_score_into_the_cache_and_count_waste() {
-        use rand::SeedableRng;
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         let mut rt = ParOracle::new(&factory, 0.2, 100, 4);
         let frames: Vec<DataFrame> = (0..4).map(|i| df(&[i, i + 1])).collect();
@@ -1262,7 +1414,6 @@ mod tests {
 
     #[test]
     fn detached_jobs_are_dropped_on_serial_runtimes() {
-        use rand::SeedableRng;
         let counter = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&counter);
         let factory = move || {
@@ -1292,13 +1443,10 @@ mod tests {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
         let jobs: Vec<DetachedSpeculation> = (0..64)
-            .map(|i| {
-                use rand::SeedableRng;
-                DetachedSpeculation {
-                    pvts: Vec::new(),
-                    base: Arc::new(df(&[i, i + 1, i + 2])),
-                    rng: StdRng::seed_from_u64(0),
-                }
+            .map(|i| DetachedSpeculation {
+                pvts: Vec::new(),
+                base: Arc::new(df(&[i, i + 1, i + 2])),
+                rng: StdRng::seed_from_u64(0),
             })
             .collect();
         rt.speculate_detached(jobs);
@@ -1384,7 +1532,6 @@ mod tests {
 
     #[test]
     fn backpressure_sheds_oldest_and_bounds_inflight() {
-        use rand::SeedableRng;
         use std::sync::Arc as StdArc;
         // A slow oracle: each speculative evaluation blocks long
         // enough that the enqueue bursts outpace the workers.
@@ -1451,7 +1598,6 @@ mod tests {
 
     #[test]
     fn settle_after_termination_counts_discards_not_waste() {
-        use rand::SeedableRng;
         use std::sync::Arc as StdArc;
         // Satellite audit: frames still queued when the search
         // terminates (settle) were never evaluated — they must be
@@ -1552,6 +1698,133 @@ mod tests {
         let plan = rt.plan_speculation_depth(4);
         assert_eq!(plan.budget, Some(4));
         assert_eq!(plan.depth, 0, "{plan:?}");
+    }
+
+    fn detached(frame: &DataFrame) -> DetachedSpeculation {
+        DetachedSpeculation {
+            pvts: Vec::new(),
+            base: Arc::new(frame.clone()),
+            rng: StdRng::seed_from_u64(0),
+        }
+    }
+
+    #[test]
+    fn charged_query_waits_for_the_pool_worker_scoring_its_frame() {
+        use std::sync::mpsc;
+        use std::sync::Mutex as StdMutex;
+        // Evaluations counted per fingerprint, and a signal sent once
+        // an evaluation has started (its frame is claimed by then).
+        let evals: Arc<StdMutex<HashMap<u64, usize>>> = Arc::default();
+        let (started_tx, started) = mpsc::channel::<()>();
+        let (e2, tx) = (Arc::clone(&evals), StdMutex::new(started_tx));
+        let factory = move || {
+            let evals = Arc::clone(&e2);
+            let tx = tx.lock().unwrap().clone();
+            move |df: &DataFrame| {
+                *evals
+                    .lock()
+                    .unwrap()
+                    .entry(crate::oracle::fingerprint(df))
+                    .or_default() += 1;
+                let _ = tx.send(());
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                df.n_rows() as f64 / 10.0
+            }
+        };
+        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let frame = df(&[1, 2, 3]);
+        rt.speculate_detached(vec![detached(&frame)]);
+        started.recv().unwrap();
+        // The pool worker holds the frame: the charged query takes its
+        // score instead of evaluating the frame a second time.
+        assert_eq!(rt.intervene(&frame).to_bits(), 0.3f64.to_bits());
+        let q = rt.last_query();
+        assert!(q.cached && q.speculative_hit, "{q:?}");
+        let m = rt.run_metrics();
+        assert_eq!((m.cache_hits, m.cache_misses), (1, 0));
+        assert_eq!((m.speculative_evaluated, m.speculative_used), (1, 1));
+        let evals = evals.lock().unwrap();
+        assert_eq!(
+            *evals,
+            HashMap::from([(crate::oracle::fingerprint(&frame), 1)]),
+            "one evaluation per fingerprint"
+        );
+    }
+
+    #[test]
+    fn opening_scores_baselines_and_first_frames_uncharged() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c2 = Arc::clone(&calls);
+        let factory = move || {
+            let c = Arc::clone(&c2);
+            move |df: &DataFrame| {
+                c.fetch_add(1, Ordering::SeqCst);
+                df.n_rows() as f64 / 10.0
+            }
+        };
+        let (pass, fail, probe) = (df(&[1]), df(&[1, 2, 3, 4]), df(&[1, 2]));
+        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe.clone())]);
+        assert_eq!(opened.len(), 1);
+        assert_eq!(rt.interventions, 0, "the opening is free");
+        // The replay finds every score in the cache.
+        assert_eq!(rt.baseline(&pass).to_bits(), 0.1f64.to_bits());
+        assert_eq!(rt.baseline(&fail).to_bits(), 0.4f64.to_bits());
+        rt.intervene(&opened[0].as_ref().unwrap().frame);
+        let m = rt.run_metrics();
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "each frame scored once");
+        assert_eq!((m.charged_queries, m.cache_hits, m.cache_misses), (1, 1, 0));
+        assert_eq!(m.speculative_wasted, 0);
+        // Serial runtimes only materialize.
+        let mut rt = ParOracle::new(&factory, 0.2, 100, 1);
+        let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe)]);
+        assert_eq!(opened.len(), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn rerunning_a_free_baseline_is_neither_hit_nor_miss() {
+        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
+        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let base = df(&[1]);
+        rt.baseline(&base);
+        rt.intervene(&base);
+        rt.intervene(&df(&[1, 2]));
+        let m = rt.run_metrics();
+        assert_eq!(m.charged_queries, 1);
+        assert_eq!(m.cache_hits + m.cache_misses, m.charged_queries);
+    }
+
+    #[test]
+    fn a_panicking_pool_worker_cannot_wedge_settling() {
+        use std::sync::atomic::AtomicBool;
+        let poison = df(&[9, 9]);
+        let poison_fp = crate::oracle::fingerprint(&poison);
+        let panicked = Arc::new(AtomicBool::new(false));
+        let p2 = Arc::clone(&panicked);
+        let factory = move || {
+            let panicked = Arc::clone(&p2);
+            move |df: &DataFrame| {
+                if crate::oracle::fingerprint(df) == poison_fp {
+                    panicked.store(true, Ordering::SeqCst);
+                    panic!("system fails on one frame");
+                }
+                df.n_rows() as f64 / 10.0
+            }
+        };
+        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        rt.speculate_detached(vec![detached(&poison), detached(&df(&[1]))]);
+        while !panicked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The dead job released its pending slot and its claim.
+        let m = rt.run_metrics();
+        assert!(m.speculative_evaluated <= 1, "{m:?}");
+        // A later query scores the frame itself, and the panic recurs
+        // on the caller as it would in a serial run.
+        let again =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.intervene(&poison)));
+        assert!(again.is_err());
     }
 
     #[test]

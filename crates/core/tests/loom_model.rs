@@ -16,6 +16,10 @@
 //!    must retire the speculation from the waste set at most once.
 //! 3. **Drop with queued jobs** — dropping the runtime mid-burst must
 //!    shut workers down, rebalance `pending`, and join cleanly.
+//! 4. **In-flight hand-off** — a charged query of a frame a worker has
+//!    claimed waits on the cache condvar for the worker's score; a
+//!    lost wake-up hangs the waiter, and a missed claim scores the
+//!    frame twice.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p dataprism --test loom_model --release`
@@ -27,6 +31,7 @@ use dataprism::{InterventionRuntime, ParOracle};
 use dp_frame::{Column, DataFrame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn df(vals: &[i64]) -> DataFrame {
@@ -102,5 +107,33 @@ fn drop_with_queued_jobs_joins_cleanly() {
         // or not yet scheduled. Drop must discard the unstarted tail,
         // wake every waiter, and join without deadlock or panic.
         drop(rt);
+    });
+}
+
+#[test]
+fn inflight_handoff_scores_each_frame_once_without_lost_wakeups() {
+    loom::model(|| {
+        let evals = Arc::new(AtomicUsize::new(0));
+        let e2 = Arc::clone(&evals);
+        let factory = move || {
+            let evals = Arc::clone(&e2);
+            move |df: &DataFrame| {
+                evals.fetch_add(1, Ordering::SeqCst);
+                df.n_rows() as f64 / 10.0
+            }
+        };
+        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let frame = df(&[1, 2, 3]);
+        // The pool worker may claim the frame before, during or after
+        // the charged query: the query then waits for the worker's
+        // score, finds it, or scores the frame itself while the
+        // worker skips it.
+        rt.speculate_detached(vec![detached(&frame)]);
+        assert_eq!(rt.intervene(&frame), 0.3);
+        let stats = rt.cache_stats();
+        assert_eq!(evals.load(Ordering::SeqCst), 1, "one evaluation");
+        assert_eq!(stats.hits + stats.misses, 1);
+        assert_eq!(stats.speculative + stats.misses, 1);
+        assert_eq!(stats.speculative_waste, 0);
     });
 }

@@ -119,9 +119,12 @@ fn smoke_test() -> Result<(), String> {
     }
     let cold_misses = field_u64(&cold, "cache_misses").ok_or("cache_misses missing")?;
     let warm_misses = field_u64(&warm, "cache_misses").ok_or("cache_misses missing")?;
-    if warm_misses >= cold_misses {
+    // The cold run's own misses depend on how its speculation was
+    // scheduled (they can reach 0); the warm run must answer every
+    // charged query from the namespace whatever happened.
+    if warm_misses != 0 {
         return Err(format!(
-            "warm run did not get cheaper: {warm_misses} misses vs {cold_misses} cold"
+            "warm run still evaluated: {warm_misses} misses (cold: {cold_misses})"
         ));
     }
     println!(

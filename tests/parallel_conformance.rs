@@ -15,12 +15,15 @@
 
 use dataprism::report::markdown_report;
 use dataprism::{
-    explain_greedy, explain_greedy_parallel, explain_group_test, explain_group_test_parallel,
-    fingerprint, Explanation, PartitionStrategy, PrismConfig, Result, SpeculationMode, System,
-    SystemFactory,
+    discovery::discriminative_pvts, explain_greedy, explain_greedy_parallel,
+    explain_greedy_parallel_with_pvts, explain_group_test, explain_group_test_parallel,
+    explain_group_test_parallel_with_pvts, fingerprint, Explanation, PartitionStrategy,
+    PrismConfig, PrismError, Result, SpeculationMode, System, SystemFactory,
 };
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, synthetic, Scenario};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -92,6 +95,8 @@ fn assert_identical(
                 fingerprint(&p.repaired),
                 "{name}@{threads}: repaired dataset"
             );
+            assert_conserved(&format!("{name}/serial"), s);
+            assert_conserved(&format!("{name}@{threads}"), p);
         }
         (Err(se), Err(pe)) => {
             assert_eq!(se, pe, "{name}@{threads}: error value");
@@ -100,6 +105,17 @@ fn assert_identical(
             "{name}@{threads}: serial and parallel disagree on success: serial {s:?} vs parallel {p:?}"
         ),
     }
+}
+
+/// Every charged query is exactly one of a cache hit, a cache miss or
+/// a sampled decision; re-asking a free baseline is none of them.
+fn assert_conserved(label: &str, exp: &Explanation) {
+    let m = &exp.metrics;
+    assert_eq!(
+        m.cache_hits + m.cache_misses + m.sampled_queries,
+        m.charged_queries,
+        "{label}: hit/miss conservation {m:?}"
+    );
 }
 
 #[test]
@@ -466,4 +482,158 @@ fn thread_count_does_not_leak_into_config_dependent_validation() {
         errs.push(res.expect_err("τ = 0 must reject d_pass"));
     }
     assert!(errs.windows(2).all(|w| w[0] == w[1]), "{errs:?}");
+}
+
+#[test]
+fn bad_passing_dataset_is_reported_first_at_every_width() {
+    // The opening scores both baselines and the first charged frames
+    // at once, but validation still replays them in serial order. With
+    // the inputs swapped, both baselines are wrong, and the error must
+    // name the passing dataset at width 1 and width 2 alike. The
+    // candidates come from the unswapped inputs, so the width-2
+    // opening has frames to score.
+    let scenario = income::scenario_with_size(200, 7);
+    let pvts = discriminative_pvts(
+        &scenario.d_pass,
+        &scenario.d_fail,
+        &scenario.config.discovery,
+    );
+    assert!(!pvts.is_empty());
+    let (d_fail, d_pass) = (&scenario.d_pass, &scenario.d_fail);
+    for threads in [1, 2] {
+        let mut config = scenario.config.clone();
+        config.num_threads = threads;
+        let factory = scenario.factory.as_ref();
+        let runs = [
+            (
+                "grd",
+                explain_greedy_parallel_with_pvts(factory, d_fail, d_pass, pvts.clone(), &config),
+            ),
+            (
+                "gt",
+                explain_group_test_parallel_with_pvts(
+                    factory,
+                    d_fail,
+                    d_pass,
+                    pvts.clone(),
+                    &config,
+                    PartitionStrategy::MinBisection,
+                ),
+            ),
+        ];
+        for (algo, res) in runs {
+            match res {
+                Err(PrismError::BadInput(msg)) => assert!(
+                    msg.starts_with("passing dataset"),
+                    "{algo}@{threads}: {msg}"
+                ),
+                other => panic!("{algo}@{threads}: expected the D_pass BadInput, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Holds each of the first `n` system evaluations until all `n` have
+/// started, recording their fingerprints: a diagnosis gets past them
+/// only if they run concurrently.
+struct Gate {
+    n: usize,
+    arrived: Mutex<Vec<u64>>,
+    all_in: Condvar,
+    /// Set when an evaluation gave up waiting. The cap only keeps a
+    /// serial opening from hanging the suite; the test then fails.
+    gave_up: AtomicBool,
+}
+
+struct GatedFactory<'a> {
+    inner: &'a dyn SystemFactory,
+    gate: Arc<Gate>,
+}
+
+struct GatedSystem {
+    inner: Box<dyn System + Send>,
+    gate: Arc<Gate>,
+}
+
+impl System for GatedSystem {
+    fn malfunction(&mut self, df: &DataFrame) -> f64 {
+        let gate = &self.gate;
+        let mut arrived = gate.arrived.lock().unwrap();
+        if arrived.len() < gate.n {
+            arrived.push(fingerprint(df));
+            gate.all_in.notify_all();
+            let (guard, wait) = gate
+                .all_in
+                .wait_timeout_while(arrived, Duration::from_secs(30), |a| a.len() < gate.n)
+                .unwrap();
+            if wait.timed_out() {
+                gate.gave_up.store(true, Ordering::SeqCst);
+            }
+            arrived = guard;
+        }
+        drop(arrived);
+        self.inner.malfunction(df)
+    }
+}
+
+impl SystemFactory for GatedFactory<'_> {
+    fn build(&self) -> Box<dyn System + Send> {
+        Box::new(GatedSystem {
+            inner: self.inner.build(),
+            gate: Arc::clone(&self.gate),
+        })
+    }
+}
+
+#[test]
+fn group_test_opening_scores_baselines_and_a3_concurrently() {
+    // At width 2 the opening runs D_pass and D_fail on the pool and
+    // the A3 composition on a sync worker: the first three evaluations
+    // must all be in progress at once.
+    let mut scenario = income::scenario_with_size(200, 7);
+    let serial = explain_group_test(
+        scenario.system.as_mut(),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &scenario.config,
+        PartitionStrategy::MinBisection,
+    );
+    let gate = Arc::new(Gate {
+        n: 3,
+        arrived: Mutex::new(Vec::new()),
+        all_in: Condvar::new(),
+        gave_up: AtomicBool::new(false),
+    });
+    let gated = GatedFactory {
+        inner: scenario.factory.as_ref(),
+        gate: Arc::clone(&gate),
+    };
+    let mut config = scenario.config.clone();
+    config.num_threads = 2;
+    let par = explain_group_test_parallel(
+        &gated,
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &config,
+        PartitionStrategy::MinBisection,
+    );
+    assert!(
+        !gate.gave_up.load(Ordering::SeqCst),
+        "the opening's three evaluations did not overlap"
+    );
+    let arrived = gate.arrived.lock().unwrap().clone();
+    assert_eq!(arrived.len(), 3);
+    assert!(
+        arrived.contains(&fingerprint(&scenario.d_pass)),
+        "{arrived:?}"
+    );
+    assert!(
+        arrived.contains(&fingerprint(&scenario.d_fail)),
+        "{arrived:?}"
+    );
+    let mut distinct = arrived.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 3, "one evaluation per frame: {arrived:?}");
+    assert_identical(scenario.name, 2, &serial, &par);
 }

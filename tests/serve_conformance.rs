@@ -271,8 +271,10 @@ fn daemon_round_trip_matches_in_process_diagnosis() {
         field_u64(&cold, "charged_queries"),
         field_u64(&warm, "charged_queries")
     );
+    // Every charged query is answered from the namespace cache, however
+    // the cold run's speculation was scheduled.
     assert!(field_u64(&warm, "warm_hits").unwrap() > 0);
-    assert!(field_u64(&warm, "cache_misses").unwrap() < field_u64(&cold, "cache_misses").unwrap());
+    assert_eq!(field_u64(&warm, "cache_misses"), Some(0));
 
     // Trace-warm a *fresh* namespace over the wire, then diagnose:
     // first request already warm.
@@ -299,7 +301,7 @@ fn daemon_round_trip_matches_in_process_diagnosis() {
     assert!(is_ok(&first), "{first:?}");
     assert_eq!(field_u64(&first, "digest"), Some(expected.digest()));
     assert!(field_u64(&first, "warm_hits").unwrap() > 0);
-    assert!(field_u64(&first, "cache_misses").unwrap() < field_u64(&cold, "cache_misses").unwrap());
+    assert_eq!(field_u64(&first, "cache_misses"), Some(0));
 
     assert!(is_ok(&client.shutdown().unwrap()));
     server.join();
