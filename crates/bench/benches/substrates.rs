@@ -99,6 +99,24 @@ fn bench_min_bisection(c: &mut Criterion) {
             )
         });
     }
+    // Dense dependency graphs at Income's density: its 39 candidates
+    // share 5 attributes, so 69% of pairs are dependent. Group testing
+    // there splits nodes of 39, 20, 10, 5 and 2 candidates, and 64 is
+    // the local-search limit.
+    for k in [19usize, 39, 64] {
+        let mut rng = StdRng::seed_from_u64(8);
+        let items: Vec<usize> = (0..k).collect();
+        let edges: Vec<(usize, usize)> = (0..k)
+            .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
+            .filter(|_| rng.gen_bool(0.7))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("dense", k), &k, |bench, _| {
+            bench.iter_with_setup(
+                || StdRng::seed_from_u64(7),
+                |mut rng| min_bisection(&items, &edges, &mut rng),
+            )
+        });
+    }
     group.finish();
 }
 

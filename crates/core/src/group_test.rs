@@ -740,6 +740,10 @@ fn group_test_rec(
 /// local-search bisection are replaced by the attribute-grouped
 /// partitioner (same keep-dependent-PVTs-together objective, linear
 /// time) so group testing scales to the paper's 10⁵-PVT regime.
+/// Below it, [`min_bisection`] costs O(n²) to index the edges, O(1)
+/// per tried swap and O(n) per accepted one, so it would be cheap
+/// above 64 too. The limit stays because raising it would change the
+/// partitions, and so the results, of larger runs.
 const LOCAL_SEARCH_LIMIT: usize = 64;
 
 /// Bisect the candidate set. A pure function of `(ctx.seed,
