@@ -32,7 +32,7 @@
 use dataprism::{
     explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, ScoreCache,
 };
-use dp_bench::format_row;
+use dp_bench::{arg_value, format_row};
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_scenarios::{income, sensors, Scenario};
 use dp_trace::Tracer;
@@ -63,15 +63,6 @@ type Stream = (&'static str, Scenario, Box<dyn Fn(u64) -> Scenario>);
 
 fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
-}
-
-fn arg_value(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The in-control stream: interleaved halves of the registered

@@ -38,7 +38,7 @@ use dataprism::{
     explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, SpeculationMode, System,
     TraceConfig,
 };
-use dp_bench::format_row;
+use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
 use dp_scenarios::synthetic::{
     adversarial_rank, conjunctive_cause, single_cause, single_cause_with_rows, SyntheticScenario,
@@ -59,15 +59,6 @@ impl System for BlockingSystem {
         std::thread::sleep(self.query_cost);
         self.inner.malfunction(df)
     }
-}
-
-fn arg_value(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn run(
@@ -339,8 +330,8 @@ fn main() {
                     format!("{serial_s:.3}"),
                     "1.00x".into(),
                     serial.interventions.to_string(),
-                    serial.cache.speculative.to_string(),
-                    serial.cache.speculative_waste.to_string(),
+                    serial.metrics.speculative_evaluated.to_string(),
+                    serial.metrics.speculative_wasted.to_string(),
                 ],
                 &widths
             )
@@ -369,8 +360,8 @@ fn main() {
                         format!("{par_s:.3}"),
                         format!("{speedup:.2}x"),
                         par.interventions.to_string(),
-                        par.cache.speculative.to_string(),
-                        par.cache.speculative_waste.to_string(),
+                        par.metrics.speculative_evaluated.to_string(),
+                        par.metrics.speculative_wasted.to_string(),
                     ],
                     &widths
                 )

@@ -27,18 +27,9 @@ use dataprism::{
     explain_greedy_with_pvts, explain_group_test_with_pvts, fingerprint, Explanation, Lint,
     PartitionStrategy, PrismConfig, Profile, Pvt, Transform,
 };
-use dp_bench::format_row;
+use dp_bench::{arg_value, format_row};
 use dp_frame::{Column, DType, DataFrame};
 use std::collections::BTreeSet;
-
-fn arg_value(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One categorical label column carrying the real corruption plus
 /// `attrs` numeric junk-target columns, each deterministically filled
@@ -211,12 +202,12 @@ fn main() {
             "{algo}: repaired dataset"
         );
         assert_eq!(
-            pruned.cache.lint_subsumed,
-            2 * attrs,
+            pruned.metrics.lint_subsumed,
+            2 * attrs as u64,
             "{algo}: two duplicates merged per attribute"
         );
         assert_eq!(
-            pruned.cache.lint_pruned, attrs,
+            pruned.metrics.lint_pruned, attrs as u64,
             "{algo}: one unreachable candidate dropped per attribute"
         );
 

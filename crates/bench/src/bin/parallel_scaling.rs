@@ -28,7 +28,7 @@ use dataprism::{
     explain_greedy_parallel_with_pvts, explain_group_test_parallel_with_pvts, Explanation,
     PartitionStrategy, System,
 };
-use dp_bench::format_row;
+use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
 use dp_scenarios::synthetic::{adversarial_rank, single_cause, SyntheticScenario, SyntheticSystem};
 use std::time::{Duration, Instant};
@@ -47,15 +47,6 @@ impl System for BlockingSystem {
         std::thread::sleep(self.query_cost);
         self.inner.malfunction(df)
     }
-}
-
-fn arg_value(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn run(

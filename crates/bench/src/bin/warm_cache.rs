@@ -26,7 +26,7 @@ use dataprism::{
     explain_greedy_parallel_cached, Explanation, PrismConfig, ScoreCache, System, SystemFactory,
     TraceConfig,
 };
-use dp_bench::format_row;
+use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, income};
 use dp_trace::to_jsonl;
@@ -58,15 +58,6 @@ impl SystemFactory for BlockingFactory {
             query_cost: self.query_cost,
         })
     }
-}
-
-fn arg_value(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Actual system invocations a run paid for: charged misses plus

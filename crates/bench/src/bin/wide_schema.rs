@@ -21,18 +21,9 @@
 
 use dataprism::discovery::{discover_profiles_stats, discriminative_pvts_stats};
 use dataprism::{DiscoveryConfig, DiscoveryStats, Prefilter, Pvt};
-use dp_bench::format_row;
+use dp_bench::{arg_value, format_row};
 use dp_scenarios::wide::wide_schema;
 use std::time::Instant;
-
-fn arg_value(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn config(prefilter: Prefilter) -> DiscoveryConfig {
     DiscoveryConfig {

@@ -253,6 +253,32 @@ pub fn format_row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
+/// The value of flag `name` in `args` (`name <value>`), or `default`
+/// when the flag is absent. A flag with no value after it, or a value
+/// that is not a non-negative integer, is an error naming the flag.
+pub fn parse_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value '{value}' for {name}"))
+}
+
+/// [`parse_flag`] over this process's command line. On a missing or
+/// unparsable value it prints the problem and exits with status 2,
+/// so a typo never silently runs the default.
+pub fn arg_value(name: &str, default: usize) -> usize {
+    let args: Vec<String> = std::env::args().collect();
+    parse_flag(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +321,34 @@ mod tests {
                 "Anchor",
                 "GrpTest"
             ]
+        );
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        let argv = args(&["bin", "--smoke", "--threads", "4"]);
+        assert_eq!(parse_flag(&argv, "--threads", 8), Ok(4));
+        assert_eq!(parse_flag(&argv, "--rows", 8), Ok(8), "absent flag");
+        assert_eq!(
+            parse_flag(&args(&["bin", "--threads", "abc"]), "--threads", 8),
+            Err("invalid value 'abc' for --threads".to_string())
+        );
+        assert_eq!(
+            parse_flag(&args(&["bin", "--threads", "-1"]), "--threads", 8),
+            Err("invalid value '-1' for --threads".to_string())
+        );
+        assert_eq!(
+            parse_flag(&args(&["bin", "--threads"]), "--threads", 8),
+            Err("--threads needs a value".to_string()),
+            "trailing flag"
+        );
+        assert!(
+            parse_flag(&args(&["bin", "--threads", "--smoke"]), "--threads", 8).is_err(),
+            "another flag is not a value"
         );
     }
 }

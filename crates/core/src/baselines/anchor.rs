@@ -23,8 +23,9 @@ use crate::config::PrismConfig;
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::greedy::validate_inputs;
-use crate::oracle::{Oracle, System};
+use crate::oracle::System;
 use crate::pvt::{apply_composition, Pvt};
+use crate::runtime::Oracle;
 use dp_frame::DataFrame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -254,7 +255,6 @@ pub fn explain_anchor(
     Ok(Explanation {
         pvts,
         interventions: oracle.interventions,
-        cache: oracle.cache_stats(),
         discovery: Default::default(),
         lint: Default::default(),
         metrics: oracle.run_metrics(),

@@ -8,9 +8,8 @@
 //!
 //! Three ways entries get in:
 //!
-//! 1. **Export after a run** — [`crate::ParOracle::export_cache`] /
-//!    [`crate::Oracle::export_cache`] hand back everything the run
-//!    scored (charged *and* speculative).
+//! 1. **Export after a run** — [`crate::Oracle::export_cache`] hands
+//!    back everything the run scored (charged *and* speculative).
 //! 2. **Trace replay** — every charged query of a traced run is an
 //!    [`OracleQuerySpan`] carrying fingerprint and score in exact
 //!    encodings, so [`ScoreCache::warm_from_jsonl`] bootstraps the
@@ -24,6 +23,11 @@
 //! warm hit returns the identical `f64` bit pattern a cold
 //! evaluation would have produced — which is what makes cache-warm
 //! diagnoses bit-identical to cold ones (`tests/serve_conformance.rs`).
+//!
+//! The container itself stores any bit pattern, so a snapshot
+//! round-trips exactly. The runtime is what refuses a score outside
+//! `[0, 1]`: [`crate::Oracle::with_warm_cache`] skips such an entry
+//! and scores its frame cold.
 
 use dp_trace::{replay_oracle_queries, OracleQuerySpan, ParseError};
 use std::collections::HashMap;

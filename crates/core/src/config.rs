@@ -133,7 +133,7 @@ pub enum Lint {
     /// (certified no-ops, unsatisfiable typings, fixes that cannot
     /// move their profile), so each drop saves the oracle queries a
     /// run would have spent exploring it; the count is surfaced as
-    /// [`crate::CacheStats::lint_pruned`]. On candidates produced by
+    /// [`crate::RunMetrics::lint_pruned`]. On candidates produced by
     /// discovery the rules never fire (discriminative PVTs have
     /// positive violation and coverage by construction), so pruning
     /// is a bit-identical no-op there — `tests/lint_parity.rs`
@@ -257,7 +257,7 @@ pub struct PrismConfig {
     /// explanations, scores, traces, and intervention counts are
     /// bit-identical at every depth and thread count — only on wall
     /// clock and the speculative cache counters
-    /// ([`crate::CacheStats`]).
+    /// ([`crate::RunMetrics`]).
     pub gt_speculation_depth: usize,
     /// How the executor schedules speculative lookahead: fixed-depth
     /// [`SpeculationMode::Static`] (the default) or the

@@ -17,8 +17,9 @@
 use crate::config::PrismConfig;
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
-use crate::oracle::{Oracle, System};
+use crate::oracle::System;
 use crate::pvt::{apply_composition, Pvt};
+use crate::runtime::Oracle;
 use dp_frame::DataFrame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -257,7 +258,6 @@ pub fn explain_with_decision_tree(
                 return Ok(Explanation {
                     pvts: selected,
                     interventions: oracle.interventions,
-                    cache: oracle.cache_stats(),
                     discovery: Default::default(),
                     lint: Default::default(),
                     metrics: oracle.run_metrics(),
@@ -288,7 +288,6 @@ pub fn explain_with_decision_tree(
     Ok(Explanation {
         pvts: Vec::new(),
         interventions: oracle.interventions,
-        cache: oracle.cache_stats(),
         discovery: Default::default(),
         lint: Default::default(),
         metrics: oracle.run_metrics(),

@@ -2,7 +2,6 @@
 //! (Definition 10/11) plus an audit trail.
 
 use crate::discovery::DiscoveryStats;
-use crate::oracle::CacheStats;
 use crate::pvt::Pvt;
 use dp_frame::DataFrame;
 use dp_lint::Diagnostics;
@@ -59,18 +58,12 @@ pub struct Explanation {
     pub repaired: DataFrame,
     /// Ordered audit trail of the run.
     pub trace: Vec<TraceEvent>,
-    /// Oracle cache counters: how the fingerprint cache (and, in
-    /// parallel runs, speculative worker evaluations) served the
-    /// charged interventions. Unlike every other field, these vary
-    /// with `num_threads` — scheduling decides which queries become
-    /// hits.
-    pub cache: CacheStats,
     /// Pre-filter counters of the profile-discovery pairwise pass:
     /// how many pair tests the sketches screened out before the
     /// exact χ²/Pearson statistic ran. Zero when the run was given
     /// its PVTs directly (the `*_with_pvts` entry points skip
-    /// discovery). Unlike `cache`, these are identical for any
-    /// thread count.
+    /// discovery). Unlike the cache counters in `metrics`, these are
+    /// identical for any thread count.
     pub discovery: DiscoveryStats,
     /// Static-analysis findings over the candidate PVT set, produced
     /// before any oracle query (rules L1–L5 of `dp_lint`; see
@@ -82,8 +75,7 @@ pub struct Explanation {
     /// worker threads at settle ([`RunMetrics`]). The counts that
     /// matter to the paper (`charged_queries`, lint, prefilter) are
     /// thread-count invariant; cache/speculation splits and latencies
-    /// vary with scheduling. [`CacheStats`] (the `cache` field) is a
-    /// derived legacy view of this.
+    /// vary with scheduling.
     pub metrics: RunMetrics,
     /// The structured event stream of the run, when
     /// `PrismConfig::trace` was [`dp_trace::TraceConfig::Collect`]
@@ -216,7 +208,6 @@ mod tests {
             resolved: true,
             repaired: DataFrame::new(),
             trace: vec![TraceEvent::Discovered { n_pvts: 4 }],
-            cache: CacheStats::default(),
             discovery: DiscoveryStats::default(),
             lint: Diagnostics::default(),
             metrics: RunMetrics::default(),
@@ -237,7 +228,7 @@ mod tests {
         let a = dummy();
         // Counters that vary with scheduling must not move the digest.
         let mut b = dummy();
-        b.cache.hits = 99;
+        b.metrics.cache_hits = 99;
         b.metrics.cache_misses = 7;
         b.metrics.warm_hits = 7;
         assert_eq!(a.digest(), b.digest());

@@ -8,70 +8,36 @@
 //! score are kept and composed; the accumulated explanation is
 //! post-processed by Make-Minimal (Definition 11).
 //!
-//! The algorithm runs over an [`InterventionRuntime`]: the serial
-//! [`Oracle`] or the speculative [`crate::runtime::ParOracle`]. With
-//! a parallel runtime, each round plans the next `width` serial picks
-//! (by simulating the pick sequence under the all-rejected
-//! hypothesis — a rejection only removes the candidate from the
-//! graph), scores them concurrently as cache warming, and then
-//! charges interventions for exactly the prefix a serial run would
-//! consume. Results and intervention counts are identical for any
-//! thread count.
+//! The algorithm charges its queries through one [`Oracle`], over the
+//! caller's own system (width 1) or a [`SystemFactory`] at
+//! `num_threads`. At width > 1, each round plans the next `width`
+//! serial picks (by simulating the pick sequence under the
+//! all-rejected hypothesis — a rejection only removes the candidate
+//! from the graph), scores them concurrently as cache warming, and
+//! then charges interventions for exactly the prefix a serial run
+//! would consume. Results and intervention counts are identical for
+//! any thread count.
+//!
+//! This module also holds the setup every diagnosis shares
+//! (`diagnose`: tracer, runtime, discovery, warm cache) and the
+//! pieces both algorithms reuse: input validation, Make-Minimal and
+//! the run epilogue.
 
 use crate::benefit::benefit_scores;
+use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
 use crate::discovery::{discriminative_pvts_traced, DiscoveryStats};
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::graph::PvtAttributeGraph;
-use crate::oracle::{CacheStats, Oracle, System, SystemFactory};
+use crate::oracle::{System, SystemFactory};
 use crate::pvt::Pvt;
-use crate::runtime::{
-    baseline_traced, decide_traced, intervene_traced, InterventionRuntime, ParOracle, Speculated,
-    Speculation,
-};
+use crate::runtime::{Oracle, Source, Speculated, Speculation};
 use dp_frame::DataFrame;
 use dp_trace::{DiagnosisSpan, Event, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-
-/// Build the tracer `config.trace` asks for, surfacing sink setup
-/// failures (an unwritable JSONL path) as [`PrismError::Trace`]
-/// before any oracle query is spent.
-pub(crate) fn make_tracer(config: &PrismConfig) -> Result<Tracer> {
-    Tracer::from_config(&config.trace).map_err(|e| PrismError::Trace(e.to_string()))
-}
-
-/// Emit the run-opening [`Event::DiagnosisBegin`] record.
-pub(crate) fn emit_begin(
-    tracer: &Tracer,
-    algorithm: &str,
-    rt: &dyn InterventionRuntime,
-    config: &PrismConfig,
-    num_threads: usize,
-) {
-    tracer.emit(|| {
-        Event::DiagnosisBegin(DiagnosisSpan {
-            algorithm: algorithm.to_string(),
-            system: rt.system_name(),
-            seed: config.seed,
-            threshold: config.threshold,
-            num_threads,
-            speculation_depth: config.gt_speculation_depth,
-        })
-    });
-}
-
-/// Fold the discovery pre-filter counters into the explanation: the
-/// legacy `discovery` field and the `prefilter_*` members of
-/// [`dp_trace::RunMetrics`] report the same pass.
-pub(crate) fn set_discovery(exp: &mut Explanation, stats: DiscoveryStats) {
-    exp.metrics.prefilter_pairs = stats.pairs as u64;
-    exp.metrics.prefilter_screened = stats.screened() as u64;
-    exp.metrics.prefilter_exact = (stats.chi2_exact + stats.pearson_exact) as u64;
-    exp.discovery = stats;
-}
 
 /// Validate the problem inputs (Definition 10 items 3–4): the passing
 /// dataset must pass and the failing dataset must fail. Returns the
@@ -79,12 +45,12 @@ pub(crate) fn set_discovery(exp: &mut Explanation, stats: DiscoveryStats) {
 ///
 /// `first` holds the algorithm's first charged frames, if it planned
 /// any. The runtime then scores them together with both baselines as
-/// one opening batch ([`InterventionRuntime::score_opening`]) and
+/// one opening batch ([`Oracle::score_opening`]) and
 /// returns the materialized frames, one result per job, for the
 /// caller to charge in serial order — a materialization error
 /// surfaces there, after validation, as in a serial run.
 pub(crate) fn validate_inputs(
-    rt: &mut dyn InterventionRuntime,
+    rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
     first: Vec<Speculation<'_>>,
@@ -95,18 +61,18 @@ pub(crate) fn validate_inputs(
     } else {
         rt.score_opening([d_pass, d_fail], first)
     };
-    let pass_score = baseline_traced(rt, d_pass, tracer);
+    let pass_score = rt.baseline_traced(d_pass, tracer);
     if !rt.passes(pass_score) {
         return Err(PrismError::BadInput(format!(
             "passing dataset has malfunction {pass_score:.3} > τ = {:.3}",
-            rt.threshold()
+            rt.threshold
         )));
     }
-    let fail_score = baseline_traced(rt, d_fail, tracer);
+    let fail_score = rt.baseline_traced(d_fail, tracer);
     if rt.passes(fail_score) {
         return Err(PrismError::BadInput(format!(
             "failing dataset has malfunction {fail_score:.3} ≤ τ = {:.3}",
-            rt.threshold()
+            rt.threshold
         )));
     }
     Ok((fail_score, opened))
@@ -124,7 +90,7 @@ pub(crate) fn validate_inputs(
 /// window uncharged — exactly the serial consumption.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn make_minimal(
-    rt: &mut dyn InterventionRuntime,
+    rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     mut selected: Vec<Pvt>,
     repaired: DataFrame,
@@ -157,7 +123,7 @@ pub(crate) fn make_minimal(
             // A rejected drop consumes only the verdict, never the
             // score — the one call site where a confidence-bounded
             // sampled FAIL may settle without a full evaluation.
-            let (passed, s) = decide_traced(rt, &speculated.frame, tracer);
+            let (passed, s) = rt.decide_traced(&speculated.frame, tracer);
             if passed {
                 let s = s.expect("passing decisions always carry an exact score");
                 trace.push(TraceEvent::MinimalityDropped {
@@ -191,15 +157,7 @@ pub fn explain_greedy(
     d_pass: &DataFrame,
     config: &PrismConfig,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions)
-        .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "greedy", &oracle, config, 1);
-    // Lines 1–4: discriminative PVTs.
-    let (pvts, stats) = discriminative_pvts_traced(d_pass, d_fail, &config.discovery, 1, &tracer);
-    let mut exp = run_greedy(&mut oracle, d_fail, d_pass, pvts, config, tracer)?;
-    set_discovery(&mut exp, stats);
-    Ok(exp)
+    greedy(Source::Borrowed(system), d_fail, d_pass, None, config, None)
 }
 
 /// Algorithm 1 with a caller-supplied discriminative PVT set.
@@ -214,11 +172,8 @@ pub fn explain_greedy_with_pvts(
     pvts: Vec<Pvt>,
     config: &PrismConfig,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions)
-        .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "greedy", &oracle, config, 1);
-    run_greedy(&mut oracle, d_fail, d_pass, pvts, config, tracer)
+    let source = Source::Borrowed(system);
+    greedy(source, d_fail, d_pass, Some(pvts), config, None)
 }
 
 /// [`explain_greedy`] on the parallel runtime: profile discovery
@@ -231,26 +186,7 @@ pub fn explain_greedy_parallel(
     d_pass: &DataFrame,
     config: &PrismConfig,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::new(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
-    )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "greedy", &rt, config, config.num_threads);
-    let (pvts, stats) = discriminative_pvts_traced(
-        d_pass,
-        d_fail,
-        &config.discovery,
-        config.num_threads,
-        &tracer,
-    );
-    let mut exp = run_greedy(&mut rt, d_fail, d_pass, pvts, config, tracer)?;
-    set_discovery(&mut exp, stats);
-    Ok(exp)
+    greedy(Source::Factory(factory), d_fail, d_pass, None, config, None)
 }
 
 /// [`explain_greedy_parallel`] warm-started from — and exporting back
@@ -269,31 +205,10 @@ pub fn explain_greedy_parallel_cached(
     d_fail: &DataFrame,
     d_pass: &DataFrame,
     config: &PrismConfig,
-    cache: &mut crate::cache::ScoreCache,
+    cache: &mut ScoreCache,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::with_warm_cache(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
-        cache,
-    )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "greedy", &rt, config, config.num_threads);
-    let (pvts, stats) = discriminative_pvts_traced(
-        d_pass,
-        d_fail,
-        &config.discovery,
-        config.num_threads,
-        &tracer,
-    );
-    let result = run_greedy(&mut rt, d_fail, d_pass, pvts, config, tracer);
-    cache.absorb(&rt.export_cache());
-    let mut exp = result?;
-    set_discovery(&mut exp, stats);
-    Ok(exp)
+    let source = Source::Factory(factory);
+    greedy(source, d_fail, d_pass, None, config, Some(cache))
 }
 
 /// [`explain_greedy_parallel_cached`] with a caller-supplied
@@ -306,22 +221,10 @@ pub fn explain_greedy_parallel_cached_with_pvts(
     d_pass: &DataFrame,
     pvts: Vec<Pvt>,
     config: &PrismConfig,
-    cache: &mut crate::cache::ScoreCache,
+    cache: &mut ScoreCache,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::with_warm_cache(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
-        cache,
-    )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "greedy", &rt, config, config.num_threads);
-    let result = run_greedy(&mut rt, d_fail, d_pass, pvts, config, tracer);
-    cache.absorb(&rt.export_cache());
-    result
+    let source = Source::Factory(factory);
+    greedy(source, d_fail, d_pass, Some(pvts), config, Some(cache))
 }
 
 /// [`explain_greedy_with_pvts`] on the parallel runtime.
@@ -332,17 +235,88 @@ pub fn explain_greedy_parallel_with_pvts(
     pvts: Vec<Pvt>,
     config: &PrismConfig,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::new(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
+    let source = Source::Factory(factory);
+    greedy(source, d_fail, d_pass, Some(pvts), config, None)
+}
+
+/// The body of every `explain_greedy*` entry point.
+fn greedy(
+    source: Source<'_>,
+    d_fail: &DataFrame,
+    d_pass: &DataFrame,
+    candidates: Option<Vec<Pvt>>,
+    config: &PrismConfig,
+    cache: Option<&mut ScoreCache>,
+) -> Result<Explanation> {
+    let run =
+        |rt: &mut Oracle<'_>, pvts, tracer| run_greedy(rt, d_fail, d_pass, pvts, config, tracer);
+    diagnose(
+        "greedy", source, d_fail, d_pass, candidates, config, cache, run,
     )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "greedy", &rt, config, config.num_threads);
-    run_greedy(&mut rt, d_fail, d_pass, pvts, config, tracer)
+}
+
+/// The setup every diagnosis shares: build the tracer and the runtime
+/// over `source` (warm-started from `cache`), emit the opening event,
+/// discover the candidates unless they are given, `run` the
+/// algorithm, and absorb everything the run scored back into `cache`
+/// — on error too, so a failed run still pays its evaluations
+/// forward. A borrowed system runs at width 1, a factory at
+/// `config.num_threads`; discovery fans out to the same width.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn diagnose<'s>(
+    algorithm: &str,
+    source: Source<'s>,
+    d_fail: &DataFrame,
+    d_pass: &DataFrame,
+    candidates: Option<Vec<Pvt>>,
+    config: &PrismConfig,
+    cache: Option<&mut ScoreCache>,
+    run: impl FnOnce(&mut Oracle<'s>, Vec<Pvt>, Tracer) -> Result<Explanation>,
+) -> Result<Explanation> {
+    // A sink that cannot be set up (an unwritable JSONL path) fails
+    // before any oracle query is spent.
+    let tracer =
+        Tracer::from_config(&config.trace).map_err(|e| PrismError::Trace(e.to_string()))?;
+    let budget = config.max_interventions;
+    let mut rt = Oracle::from_source(source, config.threshold, budget, config.num_threads)
+        .with_speculation(config.speculation, config.speculation_budget)
+        .with_sampling(config.oracle_sampling, config.seed);
+    if let Some(cache) = cache.as_deref() {
+        rt = rt.with_warm_cache(cache);
+    }
+    let threads = rt.speculation_width();
+    tracer.emit(|| {
+        Event::DiagnosisBegin(DiagnosisSpan {
+            algorithm: algorithm.to_string(),
+            system: rt.system_name(),
+            seed: config.seed,
+            threshold: config.threshold,
+            num_threads: threads,
+            speculation_depth: config.gt_speculation_depth,
+        })
+    });
+    let (pvts, stats) = match candidates {
+        Some(pvts) => (pvts, None),
+        None => {
+            let (pvts, stats) =
+                discriminative_pvts_traced(d_pass, d_fail, &config.discovery, threads, &tracer);
+            (pvts, Some(stats))
+        }
+    };
+    let result = run(&mut rt, pvts, tracer);
+    if let Some(cache) = cache {
+        cache.absorb(&rt.export_cache());
+    }
+    let mut exp = result?;
+    if let Some(stats) = stats {
+        // The legacy `discovery` field and the `prefilter_*` metrics
+        // report the same pass.
+        exp.metrics.prefilter_pairs = stats.pairs as u64;
+        exp.metrics.prefilter_screened = stats.screened() as u64;
+        exp.metrics.prefilter_exact = (stats.chi2_exact + stats.pearson_exact) as u64;
+        exp.discovery = stats;
+    }
+    Ok(exp)
 }
 
 /// One planned window of greedy picks: the next serial picks under
@@ -429,9 +403,9 @@ fn plan_window<'a>(
     })
 }
 
-/// Algorithm 1 lines 5–21 over an abstract runtime.
-pub(crate) fn run_greedy(
-    rt: &mut dyn InterventionRuntime,
+/// Algorithm 1 lines 5–21.
+fn run_greedy(
+    rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
     pvts: Vec<Pvt>,
@@ -511,7 +485,7 @@ pub(crate) fn run_greedy(
             }
             let chosen_id = plan[i];
             let transformed = speculated.frame;
-            let new_score = intervene_traced(rt, &transformed, &tracer);
+            let new_score = rt.intervene_traced(&transformed, &tracer);
             let delta = score - new_score;
 
             // Line 13: mark explored.
@@ -570,7 +544,7 @@ pub(crate) fn run_greedy(
 
     if !rt.passes(score) && rt.exhausted() {
         return Err(PrismError::BudgetExhausted {
-            used: rt.interventions(),
+            used: rt.interventions,
             best_score: score,
         });
     }
@@ -588,11 +562,11 @@ pub(crate) fn run_greedy(
 }
 
 /// Shared run epilogue: emit [`Event::DiagnosisEnd`], merge worker
-/// metric shards, fold the lint counters into [`RunMetrics`], derive
-/// the legacy [`CacheStats`] view, and drain the tracer.
+/// metric shards, fold the lint counters into
+/// [`dp_trace::RunMetrics`], and drain the tracer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_run(
-    rt: &mut dyn InterventionRuntime,
+    rt: &mut Oracle<'_>,
     tracer: &Tracer,
     lint: dp_lint::Diagnostics,
     selected: Vec<Pvt>,
@@ -602,7 +576,7 @@ pub(crate) fn finish_run(
     trace: Vec<TraceEvent>,
 ) -> Result<Explanation> {
     let resolved = rt.passes(score);
-    let interventions = rt.interventions();
+    let interventions = rt.interventions;
     tracer.emit(|| Event::DiagnosisEnd {
         resolved,
         interventions,
@@ -615,7 +589,6 @@ pub(crate) fn finish_run(
     metrics.lint_pruned = lint.pruned.len() as u64;
     metrics.lint_subsumed = lint.subsumed.len() as u64;
     metrics.lint_unreachable = lint.unreachable_ids().len() as u64;
-    let cache = CacheStats::from_metrics(&metrics);
     let trace_records = tracer.finish();
     Ok(Explanation {
         pvts: selected,
@@ -625,7 +598,6 @@ pub(crate) fn finish_run(
         resolved,
         repaired: current,
         trace,
-        cache,
         discovery: DiscoveryStats::default(),
         lint,
         metrics,

@@ -19,24 +19,25 @@
 //! violated and the algorithm reports
 //! [`PrismError::AssumptionViolated`] (the "NA" cells of the paper's
 //! Fig 7, observed on the Cardiovascular study).
+//!
+//! Every probe is charged through one [`Oracle`]. At width > 1 a cold
+//! bisection node also pre-scores its two halves and a lookahead
+//! frontier of descendant probes on the runtime's workers; the serial
+//! replay charges the same queries either way.
 
 use crate::benefit::benefit_scores;
 use crate::bisection::{
     cut_size, min_bisection, partition_rng, random_bisection, stream_seed, APPLY_STREAM,
 };
+use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
-use crate::discovery::discriminative_pvts_traced;
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::graph::PvtAttributeGraph;
-use crate::greedy::{
-    emit_begin, finish_run, make_minimal, make_tracer, set_discovery, validate_inputs,
-};
-use crate::oracle::{Oracle, System, SystemFactory};
+use crate::greedy::{diagnose, finish_run, make_minimal, validate_inputs};
+use crate::oracle::{System, SystemFactory};
 use crate::pvt::{apply_composition, Pvt};
-use crate::runtime::{
-    intervene_traced, DetachedSpeculation, InterventionRuntime, ParOracle, Speculation,
-};
+use crate::runtime::{DetachedSpeculation, Oracle, Source, Speculation};
 use dp_frame::DataFrame;
 use dp_trace::{BisectionNodeSpan, Event, SpeculationPlanSpan, Tracer};
 use rand::rngs::StdRng;
@@ -62,10 +63,10 @@ pub enum PartitionStrategy {
     CommuteAware,
 }
 
-struct GtCtx<'o, 'p> {
+struct GtCtx<'o, 'r, 'p> {
     pvts: &'p BTreeMap<usize, &'p Pvt>,
     graph: &'p PvtAttributeGraph,
-    rt: &'o mut dyn InterventionRuntime,
+    rt: &'o mut Oracle<'r>,
     strategy: PartitionStrategy,
     seed_order: Vec<usize>,
     /// Run seed — every partition and composed application derives
@@ -97,24 +98,8 @@ pub fn explain_group_test(
     config: &PrismConfig,
     strategy: PartitionStrategy,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions)
-        .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "group_test", &oracle, config, 1);
-    // Lines 1–4 of Alg 2.
-    let (pvt_vec, stats) =
-        discriminative_pvts_traced(d_pass, d_fail, &config.discovery, 1, &tracer);
-    let mut exp = run_group_test(
-        &mut oracle,
-        d_fail,
-        d_pass,
-        pvt_vec,
-        config,
-        strategy,
-        tracer,
-    )?;
-    set_discovery(&mut exp, stats);
-    Ok(exp)
+    let source = Source::Borrowed(system);
+    group_test(source, d_fail, d_pass, None, config, strategy, None)
 }
 
 /// Algorithm 2 with a caller-supplied discriminative PVT set (see
@@ -127,18 +112,15 @@ pub fn explain_group_test_with_pvts(
     config: &PrismConfig,
     strategy: PartitionStrategy,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions)
-        .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "group_test", &oracle, config, 1);
-    run_group_test(
-        &mut oracle,
+    let source = Source::Borrowed(system);
+    group_test(
+        source,
         d_fail,
         d_pass,
-        pvt_vec,
+        Some(pvt_vec),
         config,
         strategy,
-        tracer,
+        None,
     )
 }
 
@@ -157,26 +139,8 @@ pub fn explain_group_test_parallel(
     config: &PrismConfig,
     strategy: PartitionStrategy,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::new(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
-    )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "group_test", &rt, config, config.num_threads);
-    let (pvt_vec, stats) = discriminative_pvts_traced(
-        d_pass,
-        d_fail,
-        &config.discovery,
-        config.num_threads,
-        &tracer,
-    );
-    let mut exp = run_group_test(&mut rt, d_fail, d_pass, pvt_vec, config, strategy, tracer)?;
-    set_discovery(&mut exp, stats);
-    Ok(exp)
+    let source = Source::Factory(factory);
+    group_test(source, d_fail, d_pass, None, config, strategy, None)
 }
 
 /// [`explain_group_test_parallel`] warm-started from — and exporting
@@ -190,31 +154,10 @@ pub fn explain_group_test_parallel_cached(
     d_pass: &DataFrame,
     config: &PrismConfig,
     strategy: PartitionStrategy,
-    cache: &mut crate::cache::ScoreCache,
+    cache: &mut ScoreCache,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::with_warm_cache(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
-        cache,
-    )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "group_test", &rt, config, config.num_threads);
-    let (pvt_vec, stats) = discriminative_pvts_traced(
-        d_pass,
-        d_fail,
-        &config.discovery,
-        config.num_threads,
-        &tracer,
-    );
-    let result = run_group_test(&mut rt, d_fail, d_pass, pvt_vec, config, strategy, tracer);
-    cache.absorb(&rt.export_cache());
-    let mut exp = result?;
-    set_discovery(&mut exp, stats);
-    Ok(exp)
+    let source = Source::Factory(factory);
+    group_test(source, d_fail, d_pass, None, config, strategy, Some(cache))
 }
 
 /// [`explain_group_test_parallel_cached`] with a caller-supplied
@@ -228,22 +171,18 @@ pub fn explain_group_test_parallel_cached_with_pvts(
     pvt_vec: Vec<Pvt>,
     config: &PrismConfig,
     strategy: PartitionStrategy,
-    cache: &mut crate::cache::ScoreCache,
+    cache: &mut ScoreCache,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::with_warm_cache(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
-        cache,
+    let source = Source::Factory(factory);
+    group_test(
+        source,
+        d_fail,
+        d_pass,
+        Some(pvt_vec),
+        config,
+        strategy,
+        Some(cache),
     )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "group_test", &rt, config, config.num_threads);
-    let result = run_group_test(&mut rt, d_fail, d_pass, pvt_vec, config, strategy, tracer);
-    cache.absorb(&rt.export_cache());
-    result
 }
 
 /// [`explain_group_test_with_pvts`] on the parallel runtime.
@@ -255,22 +194,46 @@ pub fn explain_group_test_parallel_with_pvts(
     config: &PrismConfig,
     strategy: PartitionStrategy,
 ) -> Result<Explanation> {
-    let tracer = make_tracer(config)?;
-    let mut rt = ParOracle::new(
-        factory,
-        config.threshold,
-        config.max_interventions,
-        config.num_threads,
+    let source = Source::Factory(factory);
+    group_test(
+        source,
+        d_fail,
+        d_pass,
+        Some(pvt_vec),
+        config,
+        strategy,
+        None,
     )
-    .with_speculation(config.speculation, config.speculation_budget)
-    .with_sampling(config.oracle_sampling, config.seed);
-    emit_begin(&tracer, "group_test", &rt, config, config.num_threads);
-    run_group_test(&mut rt, d_fail, d_pass, pvt_vec, config, strategy, tracer)
 }
 
-/// Algorithm 2 over an abstract runtime.
+/// The body of every `explain_group_test*` entry point.
+fn group_test(
+    source: Source<'_>,
+    d_fail: &DataFrame,
+    d_pass: &DataFrame,
+    candidates: Option<Vec<Pvt>>,
+    config: &PrismConfig,
+    strategy: PartitionStrategy,
+    cache: Option<&mut ScoreCache>,
+) -> Result<Explanation> {
+    let run = |rt: &mut Oracle<'_>, pvts, tracer| {
+        run_group_test(rt, d_fail, d_pass, pvts, config, strategy, tracer)
+    };
+    diagnose(
+        "group_test",
+        source,
+        d_fail,
+        d_pass,
+        candidates,
+        config,
+        cache,
+        run,
+    )
+}
+
+/// Algorithm 2.
 fn run_group_test(
-    rt: &mut dyn InterventionRuntime,
+    rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
     pvt_vec: Vec<Pvt>,
@@ -314,7 +277,7 @@ fn run_group_test(
         Some(speculated) => speculated?.frame,
         None => apply_ids(&pvts, &all_ids, d_fail, config.seed)?.0,
     };
-    let full_score = intervene_traced(rt, &full, &tracer);
+    let full_score = rt.intervene_traced(&full, &tracer);
     trace.push(TraceEvent::Intervention {
         pvt_ids: all_ids.clone(),
         before: initial_score,
@@ -356,7 +319,7 @@ fn run_group_test(
         None,
         &mut trace,
     )?;
-    let score = intervene_traced(ctx.rt, &repaired, &tracer);
+    let score = ctx.rt.intervene_traced(&repaired, &tracer);
 
     let selected: Vec<Pvt> = selected_ids
         .iter()
@@ -381,7 +344,7 @@ fn run_group_test(
 
     if !rt.passes(score) && rt.exhausted() {
         return Err(PrismError::BudgetExhausted {
-            used: rt.interventions(),
+            used: rt.interventions,
             best_score: score,
         });
     }
@@ -452,7 +415,7 @@ fn apply_job<'a>(
 /// cache-warming jobs, breadth-first (shallower probes are charged
 /// sooner, so they must leave the queue first) — the lookahead
 /// frontier of [`group_test_rec`]. The depth comes from the
-/// runtime's [`InterventionRuntime::plan_speculation_depth`]: the
+/// runtime's [`Oracle::plan_speculation_depth`]: the
 /// configured value under static speculation, a latency-driven
 /// choice under adaptive. Because partitioning and application both
 /// run on per-node derived streams, any descendant's candidate frame
@@ -461,7 +424,7 @@ fn apply_job<'a>(
 /// queries already warm (or in flight), and the rest is counted as
 /// speculative waste.
 fn plan_frontier(
-    ctx: &GtCtx<'_, '_>,
+    ctx: &GtCtx<'_, '_, '_>,
     x1: &[usize],
     x2: &[usize],
     base: &Arc<DataFrame>,
@@ -507,7 +470,7 @@ fn plan_frontier(
 /// its probes straight out of the fingerprint cache and defers
 /// planning to the first cold descendant.
 fn group_test_rec(
-    ctx: &mut GtCtx<'_, '_>,
+    ctx: &mut GtCtx<'_, '_, '_>,
     candidates: &[usize],
     d: DataFrame,
     score: Option<f64>,
@@ -575,7 +538,7 @@ fn group_test_rec(
     // Line 5: current malfunction.
     let m = match score {
         Some(s) => s,
-        None => intervene_traced(ctx.rt, &d, &ctx.tracer),
+        None => ctx.rt.intervene_traced(&d, &ctx.tracer),
     };
 
     // On a parallel runtime, a node not covered by an ancestor's
@@ -640,7 +603,7 @@ fn group_test_rec(
     };
 
     // Line 6: intervene with all of X1.
-    let s1 = intervene_traced(ctx.rt, &d1, &ctx.tracer);
+    let s1 = ctx.rt.intervene_traced(&d1, &ctx.tracer);
     let delta1 = m - s1;
     trace.push(TraceEvent::Intervention {
         pvt_ids: x1.clone(),
@@ -670,7 +633,7 @@ fn group_test_rec(
             Some(frame) => frame,
             None => apply_ids(ctx.pvts, &x2, &d, ctx.seed)?.0,
         };
-        s2 = intervene_traced(ctx.rt, &d2, &ctx.tracer);
+        s2 = ctx.rt.intervene_traced(&d2, &ctx.tracer);
         delta2 = m - s2;
         trace.push(TraceEvent::Intervention {
             pvt_ids: x2.clone(),
@@ -752,7 +715,7 @@ const LOCAL_SEARCH_LIMIT: usize = 64;
 /// sequential state — so the lookahead planner and the serial replay
 /// agree on every split, and `GrpTest` splits reproduce across
 /// thread counts.
-fn partition(ctx: &GtCtx<'_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<usize>) {
+fn partition(ctx: &GtCtx<'_, '_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let mut rng = partition_rng(ctx.seed, candidates);
     match ctx.strategy {
         PartitionStrategy::Random => random_bisection(candidates, &mut rng),
@@ -810,7 +773,7 @@ fn partition(ctx: &GtCtx<'_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<usiz
 /// commutation table (L8). Vacuously false for singletons (no pair to
 /// certify ⇒ no reordering freedom to exploit) and skipped above the
 /// local-search limit where the quadratic check would not pay off.
-fn all_pairs_commute(ctx: &GtCtx<'_, '_>, candidates: &[usize]) -> bool {
+fn all_pairs_commute(ctx: &GtCtx<'_, '_, '_>, candidates: &[usize]) -> bool {
     if candidates.len() < 2 || candidates.len() > LOCAL_SEARCH_LIMIT {
         return false;
     }
@@ -826,7 +789,7 @@ fn all_pairs_commute(ctx: &GtCtx<'_, '_>, candidates: &[usize]) -> bool {
 /// the smaller half group by group (largest groups first). Halves may
 /// differ by more than one element when groups are lumpy — acceptable
 /// for the adaptive recursion, which only needs both halves nonempty.
-fn grouped_bisection(ctx: &GtCtx<'_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<usize>) {
+fn grouped_bisection(ctx: &GtCtx<'_, '_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<usize>) {
     use std::collections::BTreeMap;
     let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for &id in candidates {

@@ -51,7 +51,7 @@
 //! | Profile discovery & discriminative PVTs (§4.1 step 1) | [`discovery`] |
 //! | PVT–attribute & dependency graphs (§4.2) | [`graph`] |
 //! | Benefit scores (§4.2) | [`benefit`] |
-//! | Malfunction oracle & intervention counting (Def 3) | [`oracle`] |
+//! | Malfunction oracle & intervention counting (Def 3) | [`oracle`], [`runtime`] |
 //! | Algorithm 1 (greedy) | [`greedy`] |
 //! | Algorithms 2–3 (group testing) + GrpTest baseline | [`group_test`] |
 //! | Algorithm 4 (min bisection, appendix A) | [`bisection`] |
@@ -106,11 +106,9 @@ pub use group_test::{
     explain_group_test_with_pvts, PartitionStrategy,
 };
 pub use lint::lint_pvts;
-pub use oracle::{fingerprint, fingerprint_reference, CacheStats, Oracle, System, SystemFactory};
+pub use oracle::{fingerprint, fingerprint_reference, System, SystemFactory};
 pub use profile::{DependenceKind, OutlierSpec, Profile};
 pub use pvt::Pvt;
-pub use runtime::{
-    par_map, InterventionRuntime, ParOracle, Speculated, Speculation, SpeculationPlan,
-};
+pub use runtime::{par_map, Oracle, Speculated, Speculation, SpeculationPlan};
 pub use transform::Transform;
 pub use violation::violation;

@@ -44,57 +44,42 @@ pub fn markdown_report(
         explanation.interventions,
         explanation.pvts.len()
     );
+    let m = &explanation.metrics;
     let _ = writeln!(
         out,
         "- oracle cache: **{} hit{} / {} miss{}**, {} speculative evaluation{} ({} wasted)",
-        explanation.cache.hits,
-        if explanation.cache.hits == 1 { "" } else { "s" },
-        explanation.cache.misses,
-        if explanation.cache.misses == 1 {
-            ""
-        } else {
-            "es"
-        },
-        explanation.cache.speculative,
-        if explanation.cache.speculative == 1 {
+        m.cache_hits,
+        if m.cache_hits == 1 { "" } else { "s" },
+        m.cache_misses,
+        if m.cache_misses == 1 { "" } else { "es" },
+        m.speculative_evaluated,
+        if m.speculative_evaluated == 1 {
             ""
         } else {
             "s"
         },
-        explanation.cache.speculative_waste,
+        m.speculative_wasted,
     );
-    let _ = writeln!(
-        out,
-        "- run metrics: **{}**",
-        explanation.metrics.summary_line()
-    );
+    let _ = writeln!(out, "- run metrics: **{}**", m.summary_line());
     let lint = &explanation.lint;
     if lint.analyzed {
         let _ = writeln!(
             out,
             "- lint: **{lint}**{}{}",
-            if explanation.cache.lint_pruned > 0 {
+            if m.lint_pruned > 0 {
                 format!(
                     " — {} candidate{} pruned before ranking",
-                    explanation.cache.lint_pruned,
-                    if explanation.cache.lint_pruned == 1 {
-                        ""
-                    } else {
-                        "s"
-                    }
+                    m.lint_pruned,
+                    if m.lint_pruned == 1 { "" } else { "s" }
                 )
             } else {
                 String::new()
             },
-            if explanation.cache.lint_subsumed > 0 {
+            if m.lint_subsumed > 0 {
                 format!(
                     " — {} candidate{} subsumed into equivalence-class representatives",
-                    explanation.cache.lint_subsumed,
-                    if explanation.cache.lint_subsumed == 1 {
-                        ""
-                    } else {
-                        "s"
-                    }
+                    m.lint_subsumed,
+                    if m.lint_subsumed == 1 { "" } else { "s" }
                 )
             } else {
                 String::new()
@@ -311,7 +296,6 @@ mod tests {
             resolved: false,
             repaired: fail.clone(),
             trace: Vec::new(),
-            cache: crate::oracle::CacheStats::default(),
             discovery: crate::discovery::DiscoveryStats::default(),
             lint: Default::default(),
             metrics: Default::default(),

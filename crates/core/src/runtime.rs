@@ -1,37 +1,50 @@
-//! The parallel intervention runtime.
+//! The intervention runtime: the [`Oracle`] every diagnosis charges
+//! its queries through.
+//!
+//! An [`Oracle`] wraps the system under diagnosis with the
+//! bookkeeping the paper's evaluation reports: every malfunction
+//! evaluation of a *transformed* dataset is an **intervention**, the
+//! currency of Fig 7 and Fig 9. The two problem-input baselines are
+//! free. Identical datasets are content-fingerprinted, so a repeated
+//! query (e.g. during Make-Minimal) is charged but never re-scored.
+//!
+//! The runtime draws its systems from one of two sources. A borrowed
+//! `&mut dyn System` ([`Oracle::new`]) runs at width 1: the calling
+//! thread scores each frame when it is charged, and no worker or pool
+//! ever starts. A [`SystemFactory`] ([`Oracle::parallel`]) builds one
+//! instance per worker thread, and the runtime then overlaps the
+//! expensive part of a search with its serial decisions.
 //!
 //! The paper's algorithms are strictly sequential: every decision
 //! (keep a PVT, recurse into a partition) depends on the score of the
-//! previous intervention. What *can* run concurrently is the
-//! expensive part — materializing candidate datasets and running the
-//! system under diagnosis on them. This module exploits that split
-//! with **speculation as cache warming**:
+//! previous intervention. What *can* run concurrently is materializing
+//! candidate datasets and running the system on them. The runtime
+//! exploits that split with **speculation as cache warming**:
 //!
 //! 1. An algorithm plans the next few candidate datasets a serial run
 //!    *might* query (under explicit hypotheses about its own
-//!    decisions) and hands them to
-//!    [`InterventionRuntime::speculate`].
-//! 2. A parallel runtime ([`ParOracle`]) materializes and scores them
-//!    on worker threads, each holding its own [`System`] instance
-//!    built by a [`SystemFactory`], into a shared, lock-guarded
-//!    fingerprint cache. **No interventions are charged.**
+//!    decisions) and hands them to [`Oracle::speculate`].
+//! 2. At width > 1 the runtime materializes and scores them on worker
+//!    threads, each holding its own [`System`] instance, into a
+//!    shared, lock-guarded fingerprint cache. **No interventions are
+//!    charged.** At width 1 it only materializes them.
 //! 3. The algorithm then replays its decisions exactly as a serial
 //!    run would, charging interventions one by one through
-//!    [`InterventionRuntime::intervene`]; queries the speculation
-//!    guessed right become cache hits. Candidates a serial run would
-//!    never have reached are simply discarded.
+//!    [`Oracle::intervene`]; queries the speculation guessed right
+//!    become cache hits. Candidates a serial run would never have
+//!    reached are simply discarded.
 //!
-//! Synchronous [`InterventionRuntime::speculate`] batches block until
-//! every job is scored — right for the handful of frames the caller
-//! consumes immediately (greedy plans, a GT node's own two halves).
-//! Deep group-testing lookahead instead queues **detached** jobs
-//! ([`InterventionRuntime::speculate_detached`]): fully owned
+//! Synchronous [`Oracle::speculate`] batches block until every job is
+//! scored — right for the handful of frames the caller consumes
+//! immediately (greedy plans, a GT node's own two halves). Deep
+//! group-testing lookahead instead queues **detached** jobs
+//! ([`Oracle::speculate_detached`]): fully owned
 //! [`DetachedSpeculation`]s drained FIFO by a persistent background
 //! pool while the serial replay keeps running. A parallel diagnosis
 //! starts with one concurrent batch, the **opening**
-//! ([`InterventionRuntime::score_opening`]): the two free baselines on
-//! the pool and the algorithm's first charged frames on the sync
-//! workers, all scored at once before the replay validates the inputs.
+//! ([`Oracle::score_opening`]): the two free baselines on the pool and
+//! the algorithm's first charged frames on the sync workers, all
+//! scored at once before the replay validates the inputs.
 //!
 //! The shared fingerprint cache also tracks the frames being scored
 //! right now. A thread claims a fingerprint before it runs the system
@@ -42,7 +55,7 @@
 //! is released and the waiting query scores the frame itself, so a
 //! panic that always recurs surfaces on the caller as in a serial run.
 //! Frontier frames the search never asks for are counted as
-//! *speculative waste* ([`CacheStats::speculative_waste`]).
+//! *speculative waste* ([`RunMetrics::speculative_wasted`]).
 //!
 //! Because all charging and all decisions flow through `intervene` in
 //! serial order, explanations, malfunction scores, and intervention
@@ -56,8 +69,9 @@
 use crate::cache::ScoreCache;
 use crate::config::{OracleSampling, SpeculationMode};
 use crate::error::Result;
-use crate::oracle::{sanitize, CacheStats, Oracle, SampledDecider, System, SystemFactory};
+use crate::oracle::{fingerprint, System, SystemFactory};
 use crate::pvt::{apply_composition, Pvt};
+use dp_frame::sample::stratified_sample_indices;
 use dp_frame::DataFrame;
 use dp_trace::{
     Event, LatencyHistogram, MetricsShard, OracleQuerySpan, QueryKind, QueryStat, RunMetrics,
@@ -128,8 +142,8 @@ fn materialize(job: Speculation<'_>) -> Result<Speculated> {
 ///
 /// Unlike [`Speculation`], nothing is borrowed and nothing is
 /// returned: the group-testing lookahead queues whole recursion-tree
-/// frontiers this way ([`InterventionRuntime::speculate_detached`])
-/// and keeps replaying while the pool drains them in the background.
+/// frontiers this way ([`Oracle::speculate_detached`]) and keeps
+/// replaying while the pool drains them in the background.
 /// A materialization error in a detached job is swallowed — if the
 /// serial decision path ever needs that frame, it re-materializes it
 /// on the main thread and surfaces the same deterministic error.
@@ -144,9 +158,9 @@ pub struct DetachedSpeculation {
 
 /// The speculation executor's decision for one cold bisection node:
 /// how many extra recursion levels to pre-score, and under what
-/// budget. Returned by
-/// [`InterventionRuntime::plan_speculation_depth`]; the group-testing
-/// recursion emits it as a `SpeculationPlan` trace event.
+/// budget. Returned by [`Oracle::plan_speculation_depth`]; the
+/// group-testing recursion emits it as a `SpeculationPlan` trace
+/// event.
 ///
 /// The plan only steers cache warming. Whatever depth it picks, the
 /// serial replay charges the identical query sequence, so
@@ -173,261 +187,149 @@ fn frontier_frames(depth: usize) -> usize {
         .map_or(usize::MAX, |v| v - 2)
 }
 
-/// The oracle abstraction the intervention algorithms run against.
+/// Clamp a malfunction score into `[0, 1]`; a NaN (a crashed or
+/// undefined measurement) is treated as extreme malfunction so it can
+/// never masquerade as "passes" (NaN comparisons are all false, which
+/// would otherwise poison the `m ≤ τ` checks).
+fn sanitize(score: f64) -> f64 {
+    if score.is_nan() {
+        1.0
+    } else {
+        score.clamp(0.0, 1.0)
+    }
+}
+
+/// Datasets smaller than this are never worth sampling: the first
+/// probe (64 rows) plus the Hoeffding band would cover most of the
+/// data anyway, so the full evaluation is both cheaper and exact.
+const MIN_SAMPLED_ROWS: usize = 128;
+
+/// First sample size of the doubling schedule.
+const INITIAL_SAMPLE_ROWS: usize = 64;
+
+/// Contiguous row-range strata the sampled oracle draws from, so a
+/// sample covers the whole index range even when rows are ordered.
+const SAMPLE_STRATA: usize = 16;
+
+/// The confidence-bounded sampled decision procedure behind
+/// [`Oracle::decide`].
 ///
-/// [`Oracle`] implements it serially (speculation only materializes,
-/// width 1); [`ParOracle`] scores speculations concurrently. The
-/// charged query sequence — and therefore every result the paper
-/// reports — must be identical under both.
-pub trait InterventionRuntime {
-    /// Score a baseline dataset (never charged; stays free forever).
-    fn baseline(&mut self, df: &DataFrame) -> f64;
-    /// Score a transformed dataset, charging one intervention (cached
-    /// or not — an intervention is the act of asking).
-    fn intervene(&mut self, df: &DataFrame) -> f64;
-    /// Decide whether a transformed dataset passes at τ, charging one
-    /// intervention. Returns the verdict plus the exact score when
-    /// one was computed — `None` only when a confidence-bounded
-    /// sampled decision settled without a full evaluation (possible
-    /// only under [`crate::PrismConfig::oracle_sampling`], and only
-    /// for FAIL verdicts: every passing decision carries its exact
-    /// score). The default always evaluates in full, so third-party
-    /// runtimes are parity-exact by construction.
-    fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
-        let score = self.intervene(df);
-        (self.passes(score), Some(score))
+/// `try_settle` estimates `m_S(D)` on growing stratified row samples
+/// and settles the pass/fail verdict at τ once a two-sided Hoeffding
+/// bound puts the estimate confidently on the FAIL side:
+/// `est − τ > ε(n)` with `ε(n) = sqrt(ln(2/δ) / 2n)`, `δ = 1 −
+/// confidence`. Only FAIL verdicts ever settle — every consumer of a
+/// *passing* decision reads the exact score (the greedy loop composes
+/// it, Make-Minimal adopts it, reports print it), so confident
+/// passes, boundary cases, and exhausted schedules all escalate to a
+/// full evaluation and stay bit-identical to an unsampled run.
+struct SampledDecider {
+    mode: OracleSampling,
+    seed: u64,
+    /// Verdicts already settled on a sample, by dataset fingerprint:
+    /// `(estimate, rows)` of the settling probe. A repeated query
+    /// reuses the verdict without re-scoring any rows.
+    settled: HashMap<u64, (f64, u64)>,
+    /// Charged queries settled on a sample.
+    sampled_queries: u64,
+    /// Eligible queries that escalated to a full evaluation.
+    escalations: u64,
+    /// Rows actually scored by sampled probes.
+    rows_touched: u64,
+    /// Record of the most recent settled decision, for span emission.
+    last: Option<SampledQuerySpan>,
+}
+
+impl SampledDecider {
+    fn new(mode: OracleSampling, seed: u64) -> Self {
+        SampledDecider {
+            mode,
+            seed,
+            settled: HashMap::new(),
+            sampled_queries: 0,
+            escalations: 0,
+            rows_touched: 0,
+            last: None,
+        }
     }
-    /// The sampled-decision record of the most recent
-    /// [`InterventionRuntime::decide`] that settled without an exact
-    /// score, for span emission. The default (`None`) is for runtimes
-    /// that never sample.
-    fn last_sampled_query(&self) -> Option<SampledQuerySpan> {
-        None
+
+    /// The configured confidence, clamped into a usable range
+    /// (δ must stay in `(0, 0.5]` for the bound to mean anything).
+    fn confidence(&self) -> Option<f64> {
+        match self.mode {
+            OracleSampling::Off => None,
+            OracleSampling::Bounded { confidence } => Some(confidence.clamp(0.5, 1.0 - 1e-9)),
+        }
     }
-    /// Materialize the given candidate datasets, and — in parallel
-    /// runtimes — score them into the fingerprint cache without
-    /// charging interventions.
-    fn speculate(&mut self, jobs: Vec<Speculation<'_>>) -> Result<Vec<Speculated>>;
-    /// Queue owned cache-warming jobs to run **asynchronously**: the
-    /// call returns immediately and worker threads materialize and
-    /// score the jobs while the caller keeps replaying its serial
-    /// decisions. A worker skips a frame that is already scored or
-    /// being scored, and a charged query of a frame a worker is still
-    /// scoring waits for that score rather than scoring it again.
-    /// Serial runtimes (and `num_threads ≤ 1`) drop the jobs
-    /// unexecuted — a serial run would never have asked.
-    fn speculate_detached(&mut self, jobs: Vec<DetachedSpeculation>);
-    /// Score the opening of a diagnosis as one batch: both baselines
-    /// (`[D_pass, D_fail]`, never charged) and `first`, the
-    /// algorithm's first charged frames. Returns one materialization
-    /// result per `first` job, in order. Nothing is charged: the
-    /// caller then validates the baselines and charges the frames in
-    /// serial order, and each query finds its score in the cache. The
-    /// default only materializes `first` — the serial behaviour,
-    /// where every query scores its own frame.
-    fn score_opening(
+
+    /// Try to settle `df`'s verdict at `threshold` on stratified row
+    /// samples scored by `eval`. Returns `Some(false)` for a
+    /// confident FAIL (never `Some(true)`: passing decisions must
+    /// carry exact scores); `None` means the caller must evaluate in
+    /// full — sampling off, dataset too small, or escalation.
+    fn try_settle(
         &mut self,
-        _baselines: [&DataFrame; 2],
-        first: Vec<Speculation<'_>>,
-    ) -> Vec<Result<Speculated>> {
-        first.into_iter().map(materialize).collect()
-    }
-    /// How many candidates per batch are worth planning ahead (1 ⇒
-    /// don't speculate: plan lazily exactly as the serial algorithm
-    /// would).
-    fn speculation_width(&self) -> usize;
-    /// Decide how deep to speculate at one cold group-testing node,
-    /// given the configured cap. The default — and the static
-    /// executor's behavior — is the cap itself; adaptive runtimes
-    /// read their live latency/waste metrics here. Must never exceed
-    /// `cap`, and must not affect charged queries (the plan only
-    /// steers cache warming).
-    fn plan_speculation_depth(&mut self, cap: usize) -> SpeculationPlan {
-        SpeculationPlan {
-            cap,
-            depth: cap,
-            budget: None,
-            mean_query_ns: None,
+        fp: u64,
+        df: &DataFrame,
+        threshold: f64,
+        eval: &mut dyn FnMut(&DataFrame) -> f64,
+    ) -> Option<bool> {
+        let confidence = self.confidence()?;
+        let total = df.n_rows();
+        if total < MIN_SAMPLED_ROWS {
+            return None;
         }
-    }
-    /// Whether a score is acceptable (`m ≤ τ`).
-    fn passes(&self, score: f64) -> bool;
-    /// Whether the intervention budget is exhausted.
-    fn exhausted(&self) -> bool;
-    /// Interventions charged so far.
-    fn interventions(&self) -> usize;
-    /// The acceptable-malfunction threshold `τ`.
-    fn threshold(&self) -> f64;
-    /// Cache counters accumulated so far.
-    fn cache_stats(&self) -> CacheStats;
-    /// Full run metrics accumulated so far (parallel runtimes settle
-    /// background speculation first and fold in per-worker shards).
-    /// The default derives what it can from [`CacheStats`] so
-    /// third-party runtimes keep compiling.
-    fn run_metrics(&self) -> RunMetrics {
-        let stats = self.cache_stats();
-        RunMetrics {
-            charged_queries: stats.interventions as u64,
-            cache_hits: stats.hits as u64,
-            cache_misses: stats.misses as u64,
-            speculative_evaluated: stats.speculative as u64,
-            speculative_wasted: stats.speculative_waste as u64,
-            lint_pruned: stats.lint_pruned as u64,
-            lint_subsumed: stats.lint_subsumed as u64,
-            ..RunMetrics::default()
+        if let Some(&(estimate, rows)) = self.settled.get(&fp) {
+            self.sampled_queries += 1;
+            self.last = Some(SampledQuerySpan {
+                fingerprint: fp,
+                estimate,
+                rows,
+                total_rows: total as u64,
+                confidence,
+            });
+            return Some(false);
         }
-    }
-    /// Cache behaviour of the most recent `baseline`/`intervene`
-    /// query, for span emission. The default (an empty stat) is for
-    /// third-party runtimes that don't track it.
-    fn last_query(&self) -> QueryStat {
-        QueryStat::default()
-    }
-    /// Name of the system under diagnosis.
-    fn system_name(&self) -> String;
-}
-
-/// Charge one intervention through `rt` and emit the matching
-/// [`OracleQuerySpan`] event. The span fields come from
-/// [`InterventionRuntime::last_query`], read only when a sink is
-/// attached.
-pub(crate) fn intervene_traced<R: InterventionRuntime + ?Sized>(
-    rt: &mut R,
-    df: &DataFrame,
-    tracer: &Tracer,
-) -> f64 {
-    let score = rt.intervene(df);
-    if tracer.enabled() {
-        let q = rt.last_query();
-        tracer.emit(|| {
-            Event::OracleQuery(OracleQuerySpan {
-                kind: QueryKind::Intervention,
-                fingerprint: q.fingerprint,
-                score,
-                cached: q.cached,
-                speculative_hit: q.speculative_hit,
-                latency_ns: q.latency_ns,
-            })
-        });
-    }
-    score
-}
-
-/// Decide one pass/fail verdict through `rt` and emit the matching
-/// event: an [`OracleQuerySpan`] when the decision computed an exact
-/// score, an [`Event::SampledQuery`] when it settled on a sample.
-pub(crate) fn decide_traced<R: InterventionRuntime + ?Sized>(
-    rt: &mut R,
-    df: &DataFrame,
-    tracer: &Tracer,
-) -> (bool, Option<f64>) {
-    let (passes, score) = rt.decide(df);
-    if tracer.enabled() {
-        match score {
-            Some(score) => {
-                let q = rt.last_query();
-                tracer.emit(|| {
-                    Event::OracleQuery(OracleQuerySpan {
-                        kind: QueryKind::Intervention,
-                        fingerprint: q.fingerprint,
-                        score,
-                        cached: q.cached,
-                        speculative_hit: q.speculative_hit,
-                        latency_ns: q.latency_ns,
-                    })
+        let delta = 1.0 - confidence;
+        // Deterministic per-dataset stream: the same frame samples the
+        // same rows in every run and on every runtime.
+        let mut rng = StdRng::seed_from_u64(self.seed ^ fp);
+        let mut n = INITIAL_SAMPLE_ROWS.min(total);
+        loop {
+            let idx = stratified_sample_indices(&mut rng, total, n, SAMPLE_STRATA)
+                .expect("sample size is bounded by the row count");
+            let sample = df.take(&idx).expect("sampled indices are in range");
+            let estimate = sanitize(eval(&sample));
+            self.rows_touched += n as u64;
+            let eps = ((2.0 / delta).ln() / (2.0 * n as f64)).sqrt();
+            if estimate - threshold > eps {
+                self.sampled_queries += 1;
+                self.settled.insert(fp, (estimate, n as u64));
+                self.last = Some(SampledQuerySpan {
+                    fingerprint: fp,
+                    estimate,
+                    rows: n as u64,
+                    total_rows: total as u64,
+                    confidence,
                 });
+                return Some(false);
             }
-            None => {
-                if let Some(span) = rt.last_sampled_query() {
-                    tracer.emit(|| Event::SampledQuery(span));
-                }
+            if threshold - estimate > eps {
+                // Confident PASS: the verdict is settled but the
+                // exact score is consumed downstream — escalate.
+                break;
+            }
+            if n * 2 <= total {
+                n *= 2;
+            } else {
+                // The estimate still sits inside the confidence band
+                // of τ with the schedule exhausted: the boundary case
+                // sampling must never decide.
+                break;
             }
         }
-    }
-    (passes, score)
-}
-
-/// Score a baseline through `rt` and emit the matching
-/// [`OracleQuerySpan`] event (kind [`QueryKind::Baseline`]).
-pub(crate) fn baseline_traced<R: InterventionRuntime + ?Sized>(
-    rt: &mut R,
-    df: &DataFrame,
-    tracer: &Tracer,
-) -> f64 {
-    let score = rt.baseline(df);
-    if tracer.enabled() {
-        let q = rt.last_query();
-        tracer.emit(|| {
-            Event::OracleQuery(OracleQuerySpan {
-                kind: QueryKind::Baseline,
-                fingerprint: q.fingerprint,
-                score,
-                cached: q.cached,
-                speculative_hit: q.speculative_hit,
-                latency_ns: q.latency_ns,
-            })
-        });
-    }
-    score
-}
-
-impl InterventionRuntime for Oracle<'_> {
-    fn baseline(&mut self, df: &DataFrame) -> f64 {
-        Oracle::baseline(self, df)
-    }
-
-    fn intervene(&mut self, df: &DataFrame) -> f64 {
-        Oracle::intervene(self, df)
-    }
-
-    fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
-        Oracle::decide(self, df)
-    }
-
-    fn last_sampled_query(&self) -> Option<SampledQuerySpan> {
-        Oracle::last_sampled_query(self)
-    }
-
-    fn speculate(&mut self, jobs: Vec<Speculation<'_>>) -> Result<Vec<Speculated>> {
-        jobs.into_iter().map(materialize).collect()
-    }
-
-    fn speculate_detached(&mut self, _jobs: Vec<DetachedSpeculation>) {}
-
-    fn speculation_width(&self) -> usize {
-        1
-    }
-
-    fn passes(&self, score: f64) -> bool {
-        Oracle::passes(self, score)
-    }
-
-    fn exhausted(&self) -> bool {
-        Oracle::exhausted(self)
-    }
-
-    fn interventions(&self) -> usize {
-        self.interventions
-    }
-
-    fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        Oracle::cache_stats(self)
-    }
-
-    fn run_metrics(&self) -> RunMetrics {
-        Oracle::run_metrics(self)
-    }
-
-    fn last_query(&self) -> QueryStat {
-        Oracle::last_query(self)
-    }
-
-    fn system_name(&self) -> String {
-        Oracle::system_name(self)
+        self.escalations += 1;
+        None
     }
 }
 
@@ -555,7 +457,7 @@ impl<'g> JobGuard<'g> {
     /// entry, unless some thread has scored or claimed it already.
     /// The evaluation count and latency go to the worker's `shard`.
     fn speculate(&mut self, system: &mut dyn System, frame: &DataFrame, shard: &MetricsShard) {
-        let fp = crate::oracle::fingerprint(frame);
+        let fp = fingerprint(frame);
         if !self.cache.try_claim(fp) {
             return;
         }
@@ -582,7 +484,7 @@ impl Drop for JobGuard<'_> {
     }
 }
 
-/// The detached-job pool shared between [`ParOracle`] and its
+/// The detached-job pool shared between an [`Oracle`] and its
 /// persistent background workers: a FIFO of owned jobs plus a count
 /// of jobs enqueued or in flight, so the runtime can wait for
 /// quiescence before reporting final cache counters.
@@ -638,24 +540,63 @@ impl Pool {
     }
 }
 
-/// Parallel intervention runtime: an [`Oracle`]-equivalent whose
-/// speculation batches are scored by `num_threads` worker threads
-/// (one independent [`System`] instance each, built lazily from the
-/// factory) into a shared fingerprint cache. Detached lookahead jobs
-/// ([`InterventionRuntime::speculate_detached`]) run on a persistent
-/// background pool of another `num_threads` workers that outlives
-/// individual calls, overlapping with the charged replay.
+/// Where a runtime gets the systems it runs.
+pub(crate) enum Source<'a> {
+    /// The caller's own instance. The runtime runs at width 1 on it
+    /// and never builds another.
+    Borrowed(&'a mut dyn System),
+    /// Builds one instance per worker thread, on first use.
+    Factory(&'a dyn SystemFactory),
+}
+
+impl Source<'_> {
+    /// The system the calling thread scores on: the borrowed instance,
+    /// or the first of the factory's sync `workers`.
+    fn primary<'s>(
+        &'s mut self,
+        workers: &'s mut Vec<Box<dyn System + Send>>,
+    ) -> &'s mut dyn System {
+        match self {
+            Source::Borrowed(system) => &mut **system,
+            Source::Factory(factory) => {
+                if workers.is_empty() {
+                    workers.push(factory.build());
+                }
+                workers[0].as_mut()
+            }
+        }
+    }
+}
+
+/// The intervention runtime: charges, caches and (optionally) samples
+/// every oracle query of a diagnosis, and at width > 1 scores
+/// speculation batches on `num_threads` sync workers (one independent
+/// [`System`] instance each, built lazily from the factory) into a
+/// shared fingerprint cache. Detached lookahead jobs
+/// ([`Oracle::speculate_detached`]) run on a persistent background
+/// pool of another `num_threads` workers that outlives individual
+/// calls, overlapping with the charged replay.
 ///
-/// With `num_threads ≤ 1` speculation degenerates to serial
-/// materialization with no pre-scoring — a true serial baseline.
-pub struct ParOracle<'a> {
-    factory: &'a dyn SystemFactory,
+/// At width 1 — a borrowed system, or a factory with
+/// `num_threads ≤ 1` — speculation degenerates to serial
+/// materialization with no pre-scoring and no pool: a true serial
+/// run.
+pub struct Oracle<'a> {
+    source: Source<'a>,
+    /// Factory-built sync workers; the first also scores the calling
+    /// thread's own queries. Always empty for a borrowed system.
     workers: Vec<Box<dyn System + Send>>,
     /// Acceptable-malfunction threshold `τ`.
     pub threshold: f64,
-    /// Interventions charged so far (thread-count invariant).
+    /// Interventions performed. Every [`Oracle::intervene`] query
+    /// counts — even when the content cache spares the recomputation
+    /// — because an intervention is the *act of asking the oracle*
+    /// about a transformed dataset (the metric of the paper's Fig 7
+    /// and Fig 9). Only the two problem-input baselines are free.
+    /// Invariant under the thread count.
     pub interventions: usize,
-    /// Hard intervention cap.
+    /// Hard cap; exceeding it surfaces as
+    /// [`crate::PrismError::BudgetExhausted`] in the algorithms.
     pub budget: usize,
     num_threads: usize,
     /// How the speculation executor schedules lookahead (static
@@ -687,7 +628,7 @@ pub struct ParOracle<'a> {
     warm: HashSet<u64>,
     /// The confidence-bounded sampled decision procedure (inert under
     /// [`OracleSampling::Off`], the default). Sample probes are
-    /// scored synchronously on the primary worker; on parallel runs
+    /// scored synchronously on the primary system; on parallel runs
     /// speculation usually pre-scores candidate frames into the
     /// shared cache first, making the sampler mostly a no-op there.
     sampling: SampledDecider,
@@ -695,22 +636,44 @@ pub struct ParOracle<'a> {
     pool_workers: Vec<pool_thread::JoinHandle<()>>,
 }
 
-impl<'a> ParOracle<'a> {
+impl<'a> Oracle<'a> {
+    /// Wrap the caller's `system` with threshold `τ` and an
+    /// intervention budget. Runs at width 1: every frame is scored on
+    /// `system` by the calling thread when it is charged.
+    pub fn new(system: &'a mut dyn System, threshold: f64, budget: usize) -> Self {
+        Oracle::from_source(Source::Borrowed(system), threshold, budget, 1)
+    }
+
     /// Wrap a system factory with threshold `τ`, an intervention
     /// budget, and a worker count.
-    pub fn new(
+    pub fn parallel(
         factory: &'a dyn SystemFactory,
         threshold: f64,
         budget: usize,
         num_threads: usize,
     ) -> Self {
-        ParOracle {
-            factory,
+        Oracle::from_source(Source::Factory(factory), threshold, budget, num_threads)
+    }
+
+    /// A runtime over `source`; a borrowed system always runs at
+    /// width 1.
+    pub(crate) fn from_source(
+        source: Source<'a>,
+        threshold: f64,
+        budget: usize,
+        num_threads: usize,
+    ) -> Self {
+        let num_threads = match source {
+            Source::Borrowed(_) => 1,
+            Source::Factory(_) => num_threads.max(1),
+        };
+        Oracle {
+            source,
             workers: Vec::new(),
             threshold,
             interventions: 0,
             budget,
-            num_threads: num_threads.max(1),
+            num_threads,
             speculation: SpeculationMode::Static,
             budget_override: None,
             hits: 0,
@@ -751,6 +714,34 @@ impl<'a> ParOracle<'a> {
         self
     }
 
+    /// Seed the fingerprint cache from a cross-run [`ScoreCache`]
+    /// (trace replay, snapshot, or a server-resident cache). Seeded
+    /// entries behave exactly like scores the run computed itself —
+    /// systems are deterministic, so the charged query sequence and
+    /// every result stay bit-for-bit identical to a cold run — but
+    /// they are *not* marked unconsumed (a warm start is not
+    /// speculation, so an unqueried seed is not waste), and charged
+    /// queries they answer are counted as [`RunMetrics::warm_hits`].
+    ///
+    /// A seed outside `[0, 1]` (NaN included) cannot be a score this
+    /// runtime computed, so it is skipped and its frame is scored
+    /// cold. Call before the first query; returns `self` for chaining.
+    pub fn with_warm_cache(mut self, warm: &ScoreCache) -> Self {
+        let mut shared = self.cache.lock();
+        // One allocation for the whole seed set: growing it entry by
+        // entry left freed blocks behind that slowed the daemon's later
+        // `ingest` requests by about 6% (perfbench serve_warm).
+        self.warm.reserve(warm.len());
+        for (fp, score) in warm.iter() {
+            if (0.0..=1.0).contains(&score) {
+                shared.map.insert(fp, score);
+                self.warm.insert(fp);
+            }
+        }
+        drop(shared);
+        self
+    }
+
     /// The in-flight frame bound actually in force: the caller's
     /// override if set, otherwise unbounded in Static mode and
     /// `8 × num_threads` (min 32) in Adaptive mode — enough frames to
@@ -762,34 +753,6 @@ impl<'a> ParOracle<'a> {
             (None, SpeculationMode::Adaptive) => Some((8 * self.num_threads).max(32)),
             (None, SpeculationMode::Static) => None,
         }
-    }
-
-    /// Like [`ParOracle::new`], but seed the shared fingerprint cache
-    /// from a cross-run [`ScoreCache`] (trace replay, snapshot, or a
-    /// server-resident cache). Seeded entries behave exactly like
-    /// scores the run computed itself — systems are deterministic, so
-    /// the charged query sequence and every result stay bit-for-bit
-    /// identical to a cold run — but they are *not* marked
-    /// unconsumed (a warm start is not speculation, so an unqueried
-    /// seed is not waste), and charged queries they answer are
-    /// counted as [`RunMetrics::warm_hits`].
-    pub fn with_warm_cache(
-        factory: &'a dyn SystemFactory,
-        threshold: f64,
-        budget: usize,
-        num_threads: usize,
-        warm: &ScoreCache,
-    ) -> Self {
-        let rt = ParOracle::new(factory, threshold, budget, num_threads);
-        {
-            let mut shared = rt.cache.lock();
-            for (fp, score) in warm.iter() {
-                shared.map.insert(fp, score);
-            }
-        }
-        let mut rt = rt;
-        rt.warm.extend(warm.iter().map(|(fp, _)| fp));
-        rt
     }
 
     /// Snapshot the shared fingerprint cache (seeded, charged, and
@@ -806,10 +769,13 @@ impl<'a> ParOracle<'a> {
         out
     }
 
-    fn ensure_workers(&mut self, n: usize) {
-        while self.workers.len() < n {
-            self.workers.push(self.factory.build());
-            self.sync_shards.push(Arc::new(MetricsShard::default()));
+    /// The factory, when this runtime scores frames ahead on more than
+    /// one thread. `None` means width 1: frames are only materialized,
+    /// and each is scored when it is charged.
+    fn pool_factory(&self) -> Option<&'a dyn SystemFactory> {
+        match self.source {
+            Source::Factory(factory) if self.num_threads > 1 => Some(factory),
+            _ => None,
         }
     }
 
@@ -818,7 +784,7 @@ impl<'a> ParOracle<'a> {
     /// thread) and loops: pop a detached job, materialize it, score
     /// the frame into the shared cache unless some other thread has
     /// scored or claimed it, signal idle when the queue drains.
-    fn ensure_pool(&mut self) -> Arc<Pool> {
+    fn ensure_pool(&mut self, factory: &dyn SystemFactory) -> Arc<Pool> {
         if let Some(pool) = &self.pool {
             return Arc::clone(pool);
         }
@@ -835,7 +801,7 @@ impl<'a> ParOracle<'a> {
             idle: Condvar::new(),
         });
         for _ in 0..self.num_threads {
-            let mut system = self.factory.build();
+            let mut system = factory.build();
             let pool_ref = Arc::clone(&pool);
             let cache = Arc::clone(&self.cache);
             let shard = Arc::new(MetricsShard::default());
@@ -884,7 +850,7 @@ impl<'a> ParOracle<'a> {
     }
 
     /// Score `df` (fingerprint `fp`) through the shared cache on the
-    /// primary worker. A frame a worker is still scoring is waited
+    /// primary system. A frame a worker is still scoring is waited
     /// for, never scored twice. Only a `charged` query counts as a
     /// cache hit or miss: re-asking a free baseline is neither.
     fn query(&mut self, fp: u64, df: &DataFrame, charged: bool) -> f64 {
@@ -907,10 +873,10 @@ impl<'a> ParOracle<'a> {
                 if charged {
                     self.misses += 1;
                 }
-                self.ensure_workers(1);
                 let mut guard = JobGuard::new(&self.cache, Some(fp), None);
+                let system = self.source.primary(&mut self.workers);
                 let start = Instant::now();
-                let score = sanitize(self.workers[0].malfunction(df));
+                let score = sanitize(system.malfunction(df));
                 let latency_ns = start.elapsed().as_nanos() as u64;
                 guard.publish(score, false);
                 // Baselines are free but their evaluations are real
@@ -930,11 +896,21 @@ impl<'a> ParOracle<'a> {
     }
 
     /// Materialize `jobs` and score them concurrently on up to
-    /// `num_threads` sync workers, one result per job in job order.
-    fn score_batch(&mut self, jobs: Vec<Speculation<'_>>) -> Vec<Result<Speculated>> {
+    /// `num_threads` sync workers built by `factory`, one result per
+    /// job in job order.
+    fn score_batch(
+        &mut self,
+        factory: &dyn SystemFactory,
+        jobs: Vec<Speculation<'_>>,
+    ) -> Vec<Result<Speculated>> {
         let n_jobs = jobs.len();
         let n_workers = self.num_threads.min(n_jobs);
-        self.ensure_workers(n_workers);
+        while self.workers.len() < n_workers {
+            self.workers.push(factory.build());
+        }
+        while self.sync_shards.len() < n_workers {
+            self.sync_shards.push(Arc::new(MetricsShard::default()));
+        }
         // Index-tagged pop queue (reversed so workers drain in job
         // order) and one result slot per job; plain `Mutex` state
         // keeps the crate `forbid(unsafe_code)`-clean.
@@ -984,20 +960,25 @@ impl<'a> ParOracle<'a> {
         }
         (merged.count > 0).then(|| merged.mean_ns())
     }
-}
 
-impl InterventionRuntime for ParOracle<'_> {
-    fn baseline(&mut self, df: &DataFrame) -> f64 {
-        let fp = crate::oracle::fingerprint(df);
+    /// Malfunction score of a *baseline* dataset (`D_pass`/`D_fail`
+    /// as given). Never counted as an intervention — the problem
+    /// definition assumes these two scores are known — and future
+    /// queries of the identical dataset stay free.
+    pub fn baseline(&mut self, df: &DataFrame) -> f64 {
+        let fp = fingerprint(df);
         self.free.insert(fp);
         self.baseline_queries += 1;
-        // Baselines never count toward the hit/miss split — the
-        // problem definition assumes the two baseline scores are known.
+        // Baselines never count toward the hit/miss split.
         self.query(fp, df, false)
     }
 
-    fn intervene(&mut self, df: &DataFrame) -> f64 {
-        let fp = crate::oracle::fingerprint(df);
+    /// Malfunction score of a transformed dataset: one intervention
+    /// (the system itself is only re-run when the exact dataset has
+    /// not been scored before). Re-asking a free baseline is neither
+    /// charged nor counted as a cache hit.
+    pub fn intervene(&mut self, df: &DataFrame) -> f64 {
+        let fp = fingerprint(df);
         let charged = !self.free.contains(&fp);
         if charged {
             self.interventions += 1;
@@ -1005,26 +986,35 @@ impl InterventionRuntime for ParOracle<'_> {
         self.query(fp, df, charged)
     }
 
-    fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
-        let fp = crate::oracle::fingerprint(df);
-        let known = self.free.contains(&fp) || self.cache.known(fp);
-        let settled = if known {
-            // Speculation (or a warm start) already paid — or is
-            // paying — for the exact score: consume it through the
-            // normal charged path so hit/waste accounting stays
-            // truthful.
+    /// Decide whether `df` passes at τ, charging one intervention.
+    ///
+    /// With sampling off (the default) this is exactly
+    /// [`Oracle::intervene`] plus [`Oracle::passes`], and the exact
+    /// score is always returned. Under [`OracleSampling::Bounded`],
+    /// an uncached query may instead be settled as a confident FAIL
+    /// on stratified row samples; those return `(false, None)`
+    /// without ever scoring the full dataset. Decisions that pass —
+    /// or sit inside the confidence band of τ — escalate to a full
+    /// evaluation, so a returned score is exact.
+    pub fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
+        let fp = fingerprint(df);
+        let settled = if self.free.contains(&fp) || self.cache.known(fp) {
+            // The exact score is free, or speculation (or a warm
+            // start) already paid — or is paying — for it: consume it
+            // through the normal charged path so hit/waste accounting
+            // stays truthful.
             None
         } else {
-            self.ensure_workers(1);
             let threshold = self.threshold;
-            // Disjoint field borrows: the sample probes run on the
-            // primary worker while the decider tracks the schedule.
-            let worker = &mut self.workers[0];
+            let system = self.source.primary(&mut self.workers);
             self.sampling
-                .try_settle(fp, df, threshold, &mut |d| sanitize(worker.malfunction(d)))
+                .try_settle(fp, df, threshold, &mut |d| sanitize(system.malfunction(d)))
         };
         match settled {
             Some(passes) => {
+                // The act of asking is still one intervention; the
+                // hit/miss split, score cache, and latency histogram
+                // describe full evaluations only and stay untouched.
                 self.interventions += 1;
                 (passes, None)
             }
@@ -1035,41 +1025,113 @@ impl InterventionRuntime for ParOracle<'_> {
         }
     }
 
-    fn last_sampled_query(&self) -> Option<SampledQuerySpan> {
+    /// Score a baseline and emit its [`OracleQuerySpan`].
+    pub(crate) fn baseline_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
+        let score = self.baseline(df);
+        self.emit_query(QueryKind::Baseline, score, tracer);
+        score
+    }
+
+    /// Charge one intervention and emit its [`OracleQuerySpan`].
+    pub(crate) fn intervene_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
+        let score = self.intervene(df);
+        self.emit_query(QueryKind::Intervention, score, tracer);
+        score
+    }
+
+    /// Decide one pass/fail verdict and emit its event: an
+    /// [`OracleQuerySpan`] when the decision computed an exact score,
+    /// an [`Event::SampledQuery`] when it settled on a sample.
+    pub(crate) fn decide_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> (bool, Option<f64>) {
+        let (passes, score) = self.decide(df);
+        match score {
+            Some(score) => self.emit_query(QueryKind::Intervention, score, tracer),
+            None => {
+                if let Some(span) = self.sampling.last {
+                    tracer.emit(|| Event::SampledQuery(span));
+                }
+            }
+        }
+        (passes, score)
+    }
+
+    /// Emit the [`OracleQuerySpan`] of the most recent query.
+    fn emit_query(&self, kind: QueryKind, score: f64, tracer: &Tracer) {
+        let q = self.last;
+        tracer.emit(|| {
+            Event::OracleQuery(OracleQuerySpan {
+                kind,
+                fingerprint: q.fingerprint,
+                score,
+                cached: q.cached,
+                speculative_hit: q.speculative_hit,
+                latency_ns: q.latency_ns,
+            })
+        });
+    }
+
+    /// The sampled-decision record of the most recent
+    /// [`Oracle::decide`] that settled without an exact score, for
+    /// span emission.
+    pub fn last_sampled_query(&self) -> Option<SampledQuerySpan> {
         self.sampling.last
     }
 
-    fn speculate(&mut self, jobs: Vec<Speculation<'_>>) -> Result<Vec<Speculated>> {
-        if self.num_threads <= 1 || jobs.len() <= 1 {
-            // Serial mode (or nothing to overlap): materialize only,
-            // never pre-score — identical work to the serial oracle.
-            return jobs.into_iter().map(materialize).collect();
+    /// Materialize the given candidate datasets and, at width > 1,
+    /// score them into the fingerprint cache without charging
+    /// interventions.
+    pub fn speculate(&mut self, jobs: Vec<Speculation<'_>>) -> Result<Vec<Speculated>> {
+        match self.pool_factory() {
+            Some(factory) if jobs.len() > 1 => {
+                self.speculative_issued += jobs.len() as u64;
+                self.score_batch(factory, jobs).into_iter().collect()
+            }
+            // Width 1 (or nothing to overlap): materialize only, never
+            // pre-score — exactly the work of a serial run.
+            _ => jobs.into_iter().map(materialize).collect(),
         }
-        self.speculative_issued += jobs.len() as u64;
-        self.score_batch(jobs).into_iter().collect()
     }
 
-    fn speculate_detached(&mut self, jobs: Vec<DetachedSpeculation>) {
-        if self.num_threads <= 1 || jobs.is_empty() {
+    /// Queue owned cache-warming jobs to run **asynchronously**: the
+    /// call returns immediately and worker threads materialize and
+    /// score the jobs while the caller keeps replaying its serial
+    /// decisions. A worker skips a frame that is already scored or
+    /// being scored, and a charged query of a frame a worker is still
+    /// scoring waits for that score rather than scoring it again. At
+    /// width 1 the jobs are dropped unexecuted — a serial run would
+    /// never have asked.
+    pub fn speculate_detached(&mut self, jobs: Vec<DetachedSpeculation>) {
+        let Some(factory) = self.pool_factory() else {
+            return;
+        };
+        if jobs.is_empty() {
             return;
         }
         self.speculative_issued += jobs.len() as u64;
         let budget = self.effective_budget();
-        self.ensure_pool().enqueue(jobs, budget);
+        self.ensure_pool(factory).enqueue(jobs, budget);
     }
 
+    /// Score the opening of a diagnosis as one batch: both baselines
+    /// (`[D_pass, D_fail]`, never charged) and `first`, the
+    /// algorithm's first charged frames. Returns one materialization
+    /// result per `first` job, in order. Nothing is charged: the
+    /// caller then validates the baselines and charges the frames in
+    /// serial order, and each query finds its score in the cache.
+    ///
     /// The baselines go to the detached pool as owned copies and
     /// `first` to the sync workers, so the whole opening is scored at
     /// once on the instances the runtime already owns. The opening is
-    /// never shed: the replay consumes all of it.
-    fn score_opening(
+    /// never shed: the replay consumes all of it. At width 1 this only
+    /// materializes `first`, and every query scores its own frame.
+    pub fn score_opening(
         &mut self,
         baselines: [&DataFrame; 2],
         first: Vec<Speculation<'_>>,
     ) -> Vec<Result<Speculated>> {
-        if self.num_threads <= 1 {
+        let Some(factory) = self.pool_factory() else {
             return first.into_iter().map(materialize).collect();
-        }
+        };
         let jobs: Vec<DetachedSpeculation> = baselines
             .into_iter()
             .map(|df| DetachedSpeculation {
@@ -1079,17 +1141,24 @@ impl InterventionRuntime for ParOracle<'_> {
             })
             .collect();
         self.speculative_issued += (jobs.len() + first.len()) as u64;
-        self.ensure_pool().enqueue(jobs, None);
-        self.score_batch(first)
+        self.ensure_pool(factory).enqueue(jobs, None);
+        self.score_batch(factory, first)
     }
 
-    fn speculation_width(&self) -> usize {
+    /// How many candidates per batch are worth planning ahead (1 ⇒
+    /// don't speculate: plan lazily exactly as the serial algorithm
+    /// would).
+    pub fn speculation_width(&self) -> usize {
         self.num_threads
     }
 
-    /// The adaptive controller. Reads only *observed* state — the
-    /// merged latency histograms and the live waste counters — and
-    /// picks a depth within the cap:
+    /// Decide how deep to speculate at one cold group-testing node,
+    /// given the configured cap. Never exceeds `cap`, and never
+    /// affects charged queries (the plan only steers cache warming).
+    /// In Static mode this returns the cap unchanged. In Adaptive mode
+    /// the controller reads only *observed* state — the merged latency
+    /// histograms and the live waste counters — and picks a depth
+    /// within the cap:
     ///
     /// - no latency sample yet → a conservative depth 1 (the first
     ///   cold node runs before any charged miss, but baselines have
@@ -1115,10 +1184,7 @@ impl InterventionRuntime for ParOracle<'_> {
     ///   would immediately shed the *previous* node's oldest frames —
     ///   the ones the serial replay consumes next — converting cache
     ///   warming into pure waste.
-    ///
-    /// In Static mode this returns the cap unchanged (parity with the
-    /// pre-adaptive executor).
-    fn plan_speculation_depth(&mut self, cap: usize) -> SpeculationPlan {
+    pub fn plan_speculation_depth(&mut self, cap: usize) -> SpeculationPlan {
         let budget = self.effective_budget();
         if self.speculation == SpeculationMode::Static {
             return SpeculationPlan {
@@ -1166,27 +1232,19 @@ impl InterventionRuntime for ParOracle<'_> {
         }
     }
 
-    fn passes(&self, score: f64) -> bool {
+    /// Whether a score is acceptable (`m ≤ τ`).
+    pub fn passes(&self, score: f64) -> bool {
         score <= self.threshold
     }
 
-    fn exhausted(&self) -> bool {
+    /// Whether the intervention budget is exhausted.
+    pub fn exhausted(&self) -> bool {
         self.interventions >= self.budget
     }
 
-    fn interventions(&self) -> usize {
-        self.interventions
-    }
-
-    fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        CacheStats::from_metrics(&self.run_metrics())
-    }
-
-    fn run_metrics(&self) -> RunMetrics {
+    /// Full run metrics accumulated so far, after settling background
+    /// speculation and folding in every worker shard.
+    pub fn run_metrics(&self) -> RunMetrics {
         self.settle_pool();
         let (shed, discarded, peak) = match &self.pool {
             Some(pool) => {
@@ -1219,16 +1277,23 @@ impl InterventionRuntime for ParOracle<'_> {
         metrics
     }
 
-    fn last_query(&self) -> QueryStat {
+    /// Cache behaviour of the most recent `baseline`/`intervene`
+    /// query, for span emission.
+    pub fn last_query(&self) -> QueryStat {
         self.last
     }
 
-    fn system_name(&self) -> String {
-        self.factory.name()
+    /// Name of the system under diagnosis. A factory names a probe
+    /// instance; a borrowed system names itself.
+    pub fn system_name(&self) -> String {
+        match &self.source {
+            Source::Borrowed(system) => system.name().to_string(),
+            Source::Factory(factory) => factory.name(),
+        }
     }
 }
 
-impl Drop for ParOracle<'_> {
+impl Drop for Oracle<'_> {
     fn drop(&mut self) {
         if let Some(pool) = &self.pool {
             let mut state = pool.state.lock().expect("pool lock");
@@ -1307,9 +1372,130 @@ mod tests {
     }
 
     #[test]
+    fn every_query_counts_but_computation_is_cached() {
+        let mut calls = 0usize;
+        let mut system = |_: &DataFrame| {
+            calls += 1;
+            0.5
+        };
+        let mut oracle = Oracle::new(&mut system, 0.2, 100);
+        let a = df(&[1, 2, 3]);
+        let b = df(&[4, 5, 6]);
+        assert_eq!(oracle.intervene(&a), 0.5);
+        assert_eq!(oracle.intervene(&a), 0.5, "cached result, counted query");
+        assert_eq!(oracle.intervene(&b), 0.5);
+        assert_eq!(oracle.interventions, 3);
+        let m = oracle.run_metrics();
+        assert_eq!((m.cache_hits, m.cache_misses), (1, 2));
+        assert_eq!(m.charged_queries, 3);
+        drop(oracle);
+        assert_eq!(calls, 2, "system invoked once per unique dataset");
+    }
+
+    #[test]
+    fn baselines_stay_free_on_both_sources() {
+        let mut system = |df: &DataFrame| df.n_rows() as f64 / 10.0;
+        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
+        for mut rt in [
+            Oracle::new(&mut system, 0.2, 100),
+            Oracle::parallel(&factory, 0.2, 100, 4),
+        ] {
+            let base = df(&[1]);
+            rt.baseline(&base);
+            assert_eq!(rt.interventions, 0);
+            // Re-querying the exact baseline dataset stays free, and
+            // is neither a hit nor a miss.
+            rt.intervene(&base);
+            assert_eq!(rt.interventions, 0, "baseline stays free forever");
+            rt.intervene(&df(&[1, 2, 3]));
+            rt.intervene(&df(&[1, 2, 3]));
+            assert_eq!(rt.interventions, 2, "repeat queries are each charged");
+            let m = rt.run_metrics();
+            assert_eq!(m.cache_hits + m.cache_misses, m.charged_queries);
+            assert!(rt.passes(0.2) && !rt.passes(0.21));
+            assert!(!rt.exhausted());
+        }
+    }
+
+    #[test]
+    fn cold_baseline_records_a_latency_sample() {
+        // Regression: a cold-baseline path that skips
+        // `query_latency.record` loses the first — often only —
+        // latency sample of a fresh system, and the adaptive
+        // speculation controller reaches the first cold node blind.
+        let mut system = |_: &DataFrame| 0.9;
+        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
+        for mut rt in [
+            Oracle::new(&mut system, 0.2, 100),
+            Oracle::parallel(&factory, 0.2, 100, 4),
+        ] {
+            rt.baseline(&df(&[1, 2, 3]));
+            let before = rt.run_metrics().query_latency.count;
+            assert!(before >= 1, "cold baseline must record a latency");
+            assert!(rt.last_query().latency_ns.is_some());
+            // A cached repeat adds no sample and reports no latency at
+            // all — hits must never skew the mean query cost.
+            rt.baseline(&df(&[1, 2, 3]));
+            assert_eq!(rt.run_metrics().query_latency.count, before);
+            assert_eq!(rt.last_query().latency_ns, None);
+        }
+    }
+
+    #[test]
+    fn passes_and_budget() {
+        let mut system = |_: &DataFrame| 0.1;
+        let mut oracle = Oracle::new(&mut system, 0.2, 1);
+        assert!(oracle.passes(0.2));
+        assert!(!oracle.passes(0.21));
+        assert!(!oracle.exhausted());
+        oracle.intervene(&df(&[1]));
+        assert!(oracle.exhausted());
+    }
+
+    #[test]
+    fn scores_clamped_and_nan_is_extreme() {
+        let mut system = |_: &DataFrame| 7.5;
+        let mut oracle = Oracle::new(&mut system, 0.2, 10);
+        assert_eq!(oracle.intervene(&df(&[1])), 1.0);
+        // Failure injection: a system returning NaN (crashed
+        // measurement) must read as extreme malfunction, not as a
+        // vacuous pass.
+        let mut nan_system = |_: &DataFrame| f64::NAN;
+        let mut oracle = Oracle::new(&mut nan_system, 0.2, 10);
+        let score = oracle.intervene(&df(&[2]));
+        assert_eq!(score, 1.0);
+        assert!(!oracle.passes(score));
+    }
+
+    #[test]
+    fn out_of_range_warm_seeds_are_scored_cold() {
+        // A restored snapshot or replayed trace may carry any bit
+        // pattern. Seeds the runtime could never have computed must
+        // not answer a query: a seeded −1.0 would read as a pass.
+        let mut calls = 0usize;
+        let mut system = |_: &DataFrame| {
+            calls += 1;
+            0.5
+        };
+        let (neg, nan, good) = (df(&[1]), df(&[2]), df(&[3]));
+        let mut warm = ScoreCache::new();
+        warm.insert(fingerprint(&neg), -1.0);
+        warm.insert(fingerprint(&nan), f64::NAN);
+        warm.insert(fingerprint(&good), 0.25);
+        let mut oracle = Oracle::new(&mut system, 0.2, 100).with_warm_cache(&warm);
+        assert_eq!(oracle.intervene(&neg), 0.5);
+        assert_eq!(oracle.intervene(&nan), 0.5);
+        assert_eq!(oracle.intervene(&good), 0.25);
+        let m = oracle.run_metrics();
+        assert_eq!((m.cache_hits, m.cache_misses, m.warm_hits), (1, 2, 1));
+        drop(oracle);
+        assert_eq!(calls, 2, "both bad seeds were scored by the system");
+    }
+
+    #[test]
     fn speculation_is_never_charged() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 4);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4);
         let frames: Vec<DataFrame> = (0..8).map(|i| df(&[i, i + 1])).collect();
         let jobs: Vec<Speculation<'_>> = frames
             .iter()
@@ -1318,18 +1504,17 @@ mod tests {
         let out = rt.speculate(jobs).unwrap();
         assert_eq!(out.len(), 8);
         assert_eq!(rt.interventions, 0, "speculation is free");
-        let stats = rt.cache_stats();
-        assert_eq!(stats.speculative, 8, "all eight scored by workers");
+        let m = rt.run_metrics();
+        assert_eq!(m.speculative_evaluated, 8, "all eight scored by workers");
         // A later charged query of a speculated frame is a cache hit.
         rt.intervene(&frames[3]);
         assert_eq!(rt.interventions, 1);
-        let stats = rt.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0));
+        let m = rt.run_metrics();
+        assert_eq!((m.cache_hits, m.cache_misses), (1, 0));
     }
 
     #[test]
-    fn serial_mode_materializes_without_scoring() {
-        use std::sync::Arc;
+    fn width_one_materializes_without_scoring() {
         let counter = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&counter);
         let factory = move || {
@@ -1339,57 +1524,64 @@ mod tests {
                 0.5
             }
         };
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 1);
-        let jobs = vec![
-            Speculation::Ready(df(&[1])),
-            Speculation::Ready(df(&[2])),
-            Speculation::Ready(df(&[3])),
-        ];
-        let out = rt.speculate(jobs).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(
-            counter.load(Ordering::SeqCst),
-            0,
-            "serial speculation must not run the system"
-        );
-        assert_eq!(rt.cache_stats().speculative, 0);
+        let c3 = Arc::clone(&counter);
+        let mut system = move |_: &DataFrame| {
+            c3.fetch_add(1, Ordering::SeqCst);
+            0.5
+        };
+        for mut rt in [
+            Oracle::parallel(&factory, 0.2, 100, 1),
+            Oracle::new(&mut system, 0.2, 100),
+        ] {
+            let jobs = vec![
+                Speculation::Ready(df(&[1])),
+                Speculation::Ready(df(&[2])),
+                Speculation::Ready(df(&[3])),
+            ];
+            assert_eq!(rt.speculate(jobs).unwrap().len(), 3);
+            // Detached jobs are dropped unexecuted; no pool starts.
+            rt.speculate_detached(vec![detached(&df(&[4]))]);
+            assert!(rt.pool.is_none());
+            assert_eq!(
+                counter.load(Ordering::SeqCst),
+                0,
+                "width 1 must not run the system ahead"
+            );
+            let m = rt.run_metrics();
+            assert_eq!((m.speculative_issued, m.speculative_evaluated), (0, 0));
+        }
     }
 
     #[test]
-    fn par_oracle_matches_oracle_accounting() {
-        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 4);
-        let base = df(&[1]);
-        rt.baseline(&base);
-        assert_eq!(rt.interventions, 0);
-        rt.intervene(&base);
-        assert_eq!(rt.interventions, 0, "baseline stays free forever");
-        rt.intervene(&df(&[1, 2, 3]));
-        rt.intervene(&df(&[1, 2, 3]));
-        assert_eq!(rt.interventions, 2, "repeat queries are each charged");
-        assert!(rt.passes(0.2) && !rt.passes(0.21));
-        assert!(!rt.exhausted());
+    fn a_borrowed_system_never_builds_a_probe_instance() {
+        struct Named;
+        impl System for Named {
+            fn malfunction(&mut self, _: &DataFrame) -> f64 {
+                0.0
+            }
+            fn name(&self) -> &str {
+                "named"
+            }
+        }
+        let mut system = Named;
+        let rt =
+            Oracle::new(&mut system, 0.2, 100).with_speculation(SpeculationMode::Adaptive, None);
+        assert_eq!(rt.system_name(), "named");
+        assert_eq!(rt.speculation_width(), 1);
+        assert!(rt.workers.is_empty());
     }
 
     #[test]
     fn detached_jobs_score_into_the_cache_and_count_waste() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 4);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4);
         let frames: Vec<DataFrame> = (0..4).map(|i| df(&[i, i + 1])).collect();
         // No PVTs to compose: each detached job materializes its base
         // frame unchanged and scores it in the background.
-        let jobs: Vec<DetachedSpeculation> = frames
-            .iter()
-            .map(|f| DetachedSpeculation {
-                pvts: Vec::new(),
-                base: Arc::new(f.clone()),
-                rng: StdRng::seed_from_u64(0),
-            })
-            .collect();
-        rt.speculate_detached(jobs);
+        rt.speculate_detached(frames.iter().map(detached).collect());
         assert_eq!(rt.interventions, 0, "detached speculation is free");
         // Wait for the pool to finish all four jobs before settling:
-        // cache_stats() discards still-queued jobs (by design — the
+        // run_metrics() discards still-queued jobs (by design — the
         // replay is past consuming them), which this test is not
         // about.
         for _ in 0..1000 {
@@ -1399,40 +1591,17 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let stats = rt.cache_stats();
-        assert_eq!(stats.speculative, 4);
-        assert_eq!(stats.speculative_waste, 4);
+        let m = rt.run_metrics();
+        assert_eq!(m.speculative_evaluated, 4);
+        assert_eq!(m.speculative_wasted, 4);
         // Charged queries consume two of them (hits); the other two
         // remain waste.
         rt.intervene(&frames[0]);
         rt.intervene(&frames[2]);
-        let stats = rt.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 0));
-        assert_eq!(stats.speculative_waste, 2);
+        let m = rt.run_metrics();
+        assert_eq!((m.cache_hits, m.cache_misses), (2, 0));
+        assert_eq!(m.speculative_wasted, 2);
         assert_eq!(rt.interventions, 2);
-    }
-
-    #[test]
-    fn detached_jobs_are_dropped_on_serial_runtimes() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&counter);
-        let factory = move || {
-            let c = Arc::clone(&c2);
-            move |_: &DataFrame| {
-                c.fetch_add(1, Ordering::SeqCst);
-                0.5
-            }
-        };
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 1);
-        rt.speculate_detached(vec![DetachedSpeculation {
-            pvts: Vec::new(),
-            base: Arc::new(df(&[1])),
-            rng: StdRng::seed_from_u64(0),
-        }]);
-        let stats = rt.cache_stats();
-        assert_eq!(counter.load(Ordering::SeqCst), 0, "no background scoring");
-        assert_eq!((stats.speculative, stats.speculative_waste), (0, 0));
-        drop(rt); // joins nothing; no pool was ever spawned
     }
 
     #[test]
@@ -1441,21 +1610,13 @@ mod tests {
         // must discard the unstarted tail, join cleanly, and never
         // deadlock or panic on the pending accounting.
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
-        let jobs: Vec<DetachedSpeculation> = (0..64)
-            .map(|i| DetachedSpeculation {
-                pvts: Vec::new(),
-                base: Arc::new(df(&[i, i + 1, i + 2])),
-                rng: StdRng::seed_from_u64(0),
-            })
-            .collect();
-        rt.speculate_detached(jobs);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        rt.speculate_detached((0..64).map(|i| detached(&df(&[i, i + 1, i + 2]))).collect());
         drop(rt);
     }
 
     #[test]
     fn warm_seed_serves_queries_without_reading_as_waste() {
-        use std::sync::Arc;
         let calls = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&calls);
         let factory = move || {
@@ -1468,8 +1629,8 @@ mod tests {
         let a = df(&[1]);
         let b = df(&[1, 2]);
         let mut warm = ScoreCache::new();
-        warm.insert(crate::oracle::fingerprint(&a), 0.1);
-        let mut rt = ParOracle::with_warm_cache(&factory, 0.2, 100, 4, &warm);
+        warm.insert(fingerprint(&a), 0.1);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4).with_warm_cache(&warm);
         // Seeded entry answers the charged query: no evaluation, a
         // warm hit, still one charged intervention.
         assert_eq!(rt.intervene(&a).to_bits(), 0.1f64.to_bits());
@@ -1486,7 +1647,7 @@ mod tests {
         // The export is a superset of the seed plus the new score.
         let out = rt.export_cache();
         assert_eq!(out.len(), 2);
-        assert_eq!(out.get(crate::oracle::fingerprint(&a)), Some(0.1));
+        assert_eq!(out.get(fingerprint(&a)), Some(0.1));
     }
 
     #[test]
@@ -1495,7 +1656,7 @@ mod tests {
         let frames: Vec<DataFrame> = (0..3).map(|i| df(&[i, i + 1])).collect();
         let mut cross_run = ScoreCache::new();
         {
-            let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+            let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
             for f in &frames {
                 rt.intervene(f);
             }
@@ -1503,7 +1664,7 @@ mod tests {
         }
         // Second run warm-started from the first: identical scores,
         // zero misses, all three queries warm.
-        let mut rt = ParOracle::with_warm_cache(&factory, 0.2, 100, 2, &cross_run);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2).with_warm_cache(&cross_run);
         for f in &frames {
             rt.intervene(f);
         }
@@ -1513,32 +1674,13 @@ mod tests {
     }
 
     #[test]
-    fn par_oracle_cold_baseline_records_a_latency_sample() {
-        // Regression (mirror of the serial-oracle fix): the parallel
-        // runtime's cold-baseline path must also feed the latency
-        // histogram, or a fresh system reaches the first cold node
-        // with an empty histogram and the adaptive controller flies
-        // blind.
-        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 4);
-        rt.baseline(&df(&[1, 2]));
-        let m = rt.run_metrics();
-        assert!(m.query_latency.count >= 1);
-        assert!(rt.last_query().latency_ns.is_some());
-        // A cached repeat reports no latency at all.
-        rt.baseline(&df(&[1, 2]));
-        assert_eq!(rt.last_query().latency_ns, None);
-    }
-
-    #[test]
     fn backpressure_sheds_oldest_and_bounds_inflight() {
-        use std::sync::Arc as StdArc;
         // A slow oracle: each speculative evaluation blocks long
         // enough that the enqueue bursts outpace the workers.
-        let calls = StdArc::new(AtomicUsize::new(0));
-        let c2 = StdArc::clone(&calls);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c2 = Arc::clone(&calls);
         let factory = move || {
-            let c = StdArc::clone(&c2);
+            let c = Arc::clone(&c2);
             move |df: &DataFrame| {
                 c.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_millis(20));
@@ -1546,21 +1688,18 @@ mod tests {
             }
         };
         let budget = 4usize;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2)
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2)
             .with_speculation(SpeculationMode::Adaptive, Some(budget));
         assert_eq!(rt.effective_budget(), Some(budget));
         // Three bursts of 8 jobs against a budget of 4: most of each
         // burst must be shed, and in-flight work must never exceed
         // budget + workers.
         for burst in 0..3 {
-            let jobs: Vec<DetachedSpeculation> = (0..8)
-                .map(|i| DetachedSpeculation {
-                    pvts: Vec::new(),
-                    base: Arc::new(df(&[burst * 100 + i, burst * 100 + i + 1])),
-                    rng: StdRng::seed_from_u64(0),
-                })
-                .collect();
-            rt.speculate_detached(jobs);
+            rt.speculate_detached(
+                (0..8)
+                    .map(|i| detached(&df(&[burst * 100 + i, burst * 100 + i + 1])))
+                    .collect(),
+            );
         }
         let m = rt.run_metrics();
         assert_eq!(m.speculative_issued, 24);
@@ -1585,10 +1724,10 @@ mod tests {
     #[test]
     fn static_mode_without_budget_is_unbounded() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let rt = ParOracle::new(&factory, 0.2, 100, 4);
+        let rt = Oracle::parallel(&factory, 0.2, 100, 4);
         assert_eq!(rt.effective_budget(), None);
-        let rt =
-            ParOracle::new(&factory, 0.2, 100, 4).with_speculation(SpeculationMode::Adaptive, None);
+        let rt = Oracle::parallel(&factory, 0.2, 100, 4)
+            .with_speculation(SpeculationMode::Adaptive, None);
         assert_eq!(
             rt.effective_budget(),
             Some(32),
@@ -1598,31 +1737,22 @@ mod tests {
 
     #[test]
     fn settle_after_termination_counts_discards_not_waste() {
-        use std::sync::Arc as StdArc;
-        // Satellite audit: frames still queued when the search
-        // terminates (settle) were never evaluated — they must be
-        // reported as `speculative_discarded`, never as waste, and
-        // the pending accounting must balance so settle cannot hang
-        // or underflow.
-        let calls = StdArc::new(AtomicUsize::new(0));
-        let c2 = StdArc::clone(&calls);
+        // Frames still queued when the search terminates (settle) were
+        // never evaluated — they must be reported as
+        // `speculative_discarded`, never as waste, and the pending
+        // accounting must balance so settle cannot hang or underflow.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c2 = Arc::clone(&calls);
         let factory = move || {
-            let c = StdArc::clone(&c2);
+            let c = Arc::clone(&c2);
             move |df: &DataFrame| {
                 c.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_millis(30));
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
-        let jobs: Vec<DetachedSpeculation> = (0..32)
-            .map(|i| DetachedSpeculation {
-                pvts: Vec::new(),
-                base: Arc::new(df(&[i, i + 1, i + 2])),
-                rng: StdRng::seed_from_u64(0),
-            })
-            .collect();
-        rt.speculate_detached(jobs);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        rt.speculate_detached((0..32).map(|i| detached(&df(&[i, i + 1, i + 2]))).collect());
         // Settle immediately: the two workers have started at most a
         // couple of jobs; the rest of the queue must be discarded.
         let m = rt.run_metrics();
@@ -1650,11 +1780,11 @@ mod tests {
     fn adaptive_plan_respects_cap_and_latency() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         // Static mode: the plan is always the cap.
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 4);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4);
         assert_eq!(rt.plan_speculation_depth(3).depth, 3);
         // Adaptive, no samples yet: conservative depth 1.
-        let mut rt =
-            ParOracle::new(&factory, 0.2, 100, 4).with_speculation(SpeculationMode::Adaptive, None);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4)
+            .with_speculation(SpeculationMode::Adaptive, None);
         let plan = rt.plan_speculation_depth(4);
         assert_eq!(plan.depth, 1);
         assert_eq!(plan.cap, 4);
@@ -1679,7 +1809,7 @@ mod tests {
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = ParOracle::new(&slow_factory, 0.2, 100, 4)
+        let mut rt = Oracle::parallel(&slow_factory, 0.2, 100, 4)
             .with_speculation(SpeculationMode::Adaptive, None);
         rt.baseline(&df(&[1]));
         rt.intervene(&df(&[1, 2]));
@@ -1691,7 +1821,7 @@ mod tests {
         // A tight budget override engages the headroom clamp: the
         // depth-1 frontier (6 frames) cannot fit 4 free slots, so
         // the plan steps down to depth 0.
-        let mut rt = ParOracle::new(&slow_factory, 0.2, 100, 4)
+        let mut rt = Oracle::parallel(&slow_factory, 0.2, 100, 4)
             .with_speculation(SpeculationMode::Adaptive, Some(4));
         rt.baseline(&df(&[1]));
         rt.intervene(&df(&[1, 2]));
@@ -1721,17 +1851,13 @@ mod tests {
             let evals = Arc::clone(&e2);
             let tx = tx.lock().unwrap().clone();
             move |df: &DataFrame| {
-                *evals
-                    .lock()
-                    .unwrap()
-                    .entry(crate::oracle::fingerprint(df))
-                    .or_default() += 1;
+                *evals.lock().unwrap().entry(fingerprint(df)).or_default() += 1;
                 let _ = tx.send(());
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         let frame = df(&[1, 2, 3]);
         rt.speculate_detached(vec![detached(&frame)]);
         started.recv().unwrap();
@@ -1746,7 +1872,7 @@ mod tests {
         let evals = evals.lock().unwrap();
         assert_eq!(
             *evals,
-            HashMap::from([(crate::oracle::fingerprint(&frame), 1)]),
+            HashMap::from([(fingerprint(&frame), 1)]),
             "one evaluation per fingerprint"
         );
     }
@@ -1763,7 +1889,7 @@ mod tests {
             }
         };
         let (pass, fail, probe) = (df(&[1]), df(&[1, 2, 3, 4]), df(&[1, 2]));
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe.clone())]);
         assert_eq!(opened.len(), 1);
         assert_eq!(rt.interventions, 0, "the opening is free");
@@ -1775,44 +1901,31 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 3, "each frame scored once");
         assert_eq!((m.charged_queries, m.cache_hits, m.cache_misses), (1, 1, 0));
         assert_eq!(m.speculative_wasted, 0);
-        // Serial runtimes only materialize.
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 1);
+        // Width 1 only materializes.
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 1);
         let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe)]);
         assert_eq!(opened.len(), 1);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
     }
 
     #[test]
-    fn rerunning_a_free_baseline_is_neither_hit_nor_miss() {
-        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
-        let base = df(&[1]);
-        rt.baseline(&base);
-        rt.intervene(&base);
-        rt.intervene(&df(&[1, 2]));
-        let m = rt.run_metrics();
-        assert_eq!(m.charged_queries, 1);
-        assert_eq!(m.cache_hits + m.cache_misses, m.charged_queries);
-    }
-
-    #[test]
     fn a_panicking_pool_worker_cannot_wedge_settling() {
         use std::sync::atomic::AtomicBool;
         let poison = df(&[9, 9]);
-        let poison_fp = crate::oracle::fingerprint(&poison);
+        let poison_fp = fingerprint(&poison);
         let panicked = Arc::new(AtomicBool::new(false));
         let p2 = Arc::clone(&panicked);
         let factory = move || {
             let panicked = Arc::clone(&p2);
             move |df: &DataFrame| {
-                if crate::oracle::fingerprint(df) == poison_fp {
+                if fingerprint(df) == poison_fp {
                     panicked.store(true, Ordering::SeqCst);
                     panic!("system fails on one frame");
                 }
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         rt.speculate_detached(vec![detached(&poison), detached(&df(&[1]))]);
         while !panicked.load(Ordering::SeqCst) {
             std::thread::yield_now();

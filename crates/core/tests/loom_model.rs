@@ -7,7 +7,7 @@
 //! many distinct yield schedules. The models target the pool's three
 //! delicate protocols:
 //!
-//! 1. **Settle quiescence** — `cache_stats()` discards the unstarted
+//! 1. **Settle quiescence** — `run_metrics()` discards the unstarted
 //!    queue tail and waits on the `idle` condvar until `pending == 0`;
 //!    a lost wakeup or miscounted `pending` deadlocks or underflows.
 //! 2. **Fingerprint-cache handoff** — a speculative worker scoring a
@@ -27,7 +27,7 @@
 #![cfg(loom)]
 
 use dataprism::runtime::DetachedSpeculation;
-use dataprism::{InterventionRuntime, ParOracle};
+use dataprism::Oracle;
 use dp_frame::{Column, DataFrame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,19 +54,19 @@ fn detached(frame: &DataFrame) -> DetachedSpeculation {
 fn settle_reaches_quiescence_under_perturbed_schedules() {
     loom::model(|| {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         let frames: Vec<DataFrame> = (0..6).map(|i| df(&[i, i + 1])).collect();
         rt.speculate_detached(frames.iter().map(detached).collect());
-        // cache_stats() settles the pool: drops the unstarted tail,
+        // run_metrics() settles the pool: drops the unstarted tail,
         // waits for in-flight jobs. Whatever the schedule did, the
         // counters must be read at quiescence and stay consistent.
-        let stats = rt.cache_stats();
-        assert!(stats.speculative <= frames.len());
-        assert_eq!(stats.speculative_waste, stats.speculative);
-        assert_eq!(stats.interventions, 0, "speculation is never charged");
+        let m = rt.run_metrics();
+        assert!(m.speculative_evaluated <= frames.len() as u64);
+        assert_eq!(m.speculative_wasted, m.speculative_evaluated);
+        assert_eq!(m.charged_queries, 0, "speculation is never charged");
         // A second settle with nothing queued must not deadlock.
-        let again = rt.cache_stats();
-        assert_eq!(again.speculative, stats.speculative);
+        let again = rt.run_metrics();
+        assert_eq!(again.speculative_evaluated, m.speculative_evaluated);
     });
 }
 
@@ -74,7 +74,7 @@ fn settle_reaches_quiescence_under_perturbed_schedules() {
 fn cache_handoff_agrees_on_one_score() {
     loom::model(|| {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         let frame = df(&[1, 2, 3]);
         // Race the background scoring of `frame` against a charged
         // query of the same frame on the primary thread.
@@ -82,13 +82,13 @@ fn cache_handoff_agrees_on_one_score() {
         let score = rt.intervene(&frame);
         assert_eq!(score, 0.3, "deterministic score, whoever computed it");
         assert_eq!(rt.interventions, 1);
-        let stats = rt.cache_stats();
+        let m = rt.run_metrics();
         // The charged query either hit a worker's speculative score
         // (consuming it from the waste set) or scored first itself;
         // both ends of the race must balance the books.
-        assert_eq!(stats.hits + stats.misses, 1);
-        assert!(stats.speculative_waste <= stats.speculative);
-        assert_eq!(stats.interventions, 1);
+        assert_eq!(m.cache_hits + m.cache_misses, 1);
+        assert!(m.speculative_wasted <= m.speculative_evaluated);
+        assert_eq!(m.charged_queries, 1);
         // The score is now cached for everyone: a repeat query is a
         // hit and the answer is bit-identical.
         assert_eq!(rt.intervene(&frame), 0.3);
@@ -99,7 +99,7 @@ fn cache_handoff_agrees_on_one_score() {
 fn drop_with_queued_jobs_joins_cleanly() {
     loom::model(|| {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         let jobs: Vec<DetachedSpeculation> =
             (0..16).map(|i| detached(&df(&[i, i + 1, i + 2]))).collect();
         rt.speculate_detached(jobs);
@@ -122,7 +122,7 @@ fn inflight_handoff_scores_each_frame_once_without_lost_wakeups() {
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = ParOracle::new(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
         let frame = df(&[1, 2, 3]);
         // The pool worker may claim the frame before, during or after
         // the charged query: the query then waits for the worker's
@@ -130,10 +130,10 @@ fn inflight_handoff_scores_each_frame_once_without_lost_wakeups() {
         // worker skips it.
         rt.speculate_detached(vec![detached(&frame)]);
         assert_eq!(rt.intervene(&frame), 0.3);
-        let stats = rt.cache_stats();
+        let m = rt.run_metrics();
         assert_eq!(evals.load(Ordering::SeqCst), 1, "one evaluation");
-        assert_eq!(stats.hits + stats.misses, 1);
-        assert_eq!(stats.speculative + stats.misses, 1);
-        assert_eq!(stats.speculative_waste, 0);
+        assert_eq!(m.cache_hits + m.cache_misses, 1);
+        assert_eq!(m.speculative_evaluated + m.cache_misses, 1);
+        assert_eq!(m.speculative_wasted, 0);
     });
 }

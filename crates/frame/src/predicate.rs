@@ -147,7 +147,7 @@ impl Predicate {
     ///
     /// Vectorized: combinators run word-wise over bitmaps and atomic
     /// comparisons run as typed loops over column chunks, matching
-    /// [`Predicate::matches_row`] (i.e. [`CmpOp::apply`] over
+    /// [`Predicate::matches_row`] (i.e. `CmpOp::apply` over
     /// [`Value::total_cmp`]) bit for bit.
     pub fn evaluate(&self, df: &DataFrame) -> Result<Bitmap> {
         let n = df.n_rows();

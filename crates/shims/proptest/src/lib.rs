@@ -332,7 +332,7 @@ pub mod prop {
         use rand::rngs::StdRng;
         use rand::Rng;
 
-        /// Admissible element counts for [`vec`].
+        /// Admissible element counts for [`vec()`].
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             min: usize,
@@ -372,7 +372,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

@@ -2,8 +2,8 @@
 //!
 //! Metrics are **always on** — unlike event tracing they are plain
 //! integer bumps, too cheap to gate. The main thread owns a
-//! [`RunMetrics`] directly; worker threads (the `ParOracle` scoped
-//! workers and the detached speculation pool) each own a
+//! [`RunMetrics`] directly; worker threads (the runtime's scoped
+//! sync workers and the detached speculation pool) each own a
 //! [`MetricsShard`] of relaxed atomics so the query path never takes
 //! a lock, and the runtime merges the shards in at settle.
 
@@ -138,7 +138,7 @@ pub struct QueryStat {
 pub struct RunMetrics {
     /// Baseline queries answered (never charged).
     pub baseline_queries: u64,
-    /// Charged intervention queries (= `CacheStats::interventions`).
+    /// Charged intervention queries (= `Explanation::interventions`).
     pub charged_queries: u64,
     /// Charged queries served from the fingerprint cache.
     pub cache_hits: u64,

@@ -9,7 +9,10 @@
 //! - the baselines need (often far) more interventions than GRD.
 
 use dataprism::baselines::all_candidate_pvts;
+use dataprism::baselines::anchor::{explain_anchor, AnchorConfig};
 use dataprism::baselines::bugdoc::explain_bugdoc;
+use dataprism::decision_tree_ext::explain_with_decision_tree;
+use dataprism::discovery::discriminative_pvts;
 use dataprism::{explain_greedy, explain_group_test, PartitionStrategy, PrismError};
 use dp_scenarios::{cardio, income, sentiment, Scenario};
 
@@ -170,5 +173,57 @@ fn repaired_dataset_keeps_schema() {
             "{name}: transformations must preserve the schema"
         );
         assert!(exp.repaired.n_rows() > 0);
+    }
+}
+
+#[test]
+fn baselines_conserve_charged_queries() {
+    // BugDoc, Anchor and the Appendix B decision tree charge through
+    // the same runtime as GRD and GT: every charged query is a cache
+    // hit, a miss or a sampled verdict, and the explanation's count is
+    // the runtime's.
+    for mut s in scenarios() {
+        let name = s.name;
+        let candidates = all_candidate_pvts(&s.d_pass, &s.config.discovery);
+        let discriminative = discriminative_pvts(&s.d_pass, &s.d_fail, &s.config.discovery);
+        let datasets = [s.d_pass.clone()];
+        let system = s.system.as_mut();
+        let runs = [
+            (
+                "bugdoc",
+                explain_bugdoc(system, &s.d_fail, &s.d_pass, &candidates, &s.config),
+            ),
+            (
+                "anchor",
+                explain_anchor(
+                    system,
+                    &s.d_fail,
+                    &s.d_pass,
+                    &candidates,
+                    &s.config,
+                    &AnchorConfig::default(),
+                ),
+            ),
+            (
+                "decision tree",
+                explain_with_decision_tree(
+                    system,
+                    &s.d_fail,
+                    &datasets,
+                    &discriminative,
+                    &s.config,
+                ),
+            ),
+        ];
+        for (algo, run) in runs {
+            let exp = run.unwrap_or_else(|e| panic!("{name}/{algo}: {e}"));
+            let m = &exp.metrics;
+            assert_eq!(
+                m.cache_hits + m.cache_misses + m.sampled_queries,
+                m.charged_queries,
+                "{name}/{algo}: {m:?}"
+            );
+            assert_eq!(m.charged_queries, exp.interventions as u64, "{name}/{algo}");
+        }
     }
 }

@@ -105,7 +105,7 @@ fn prune_is_bit_identical_on_every_scenario_grd() {
                 "{}: nothing prunable",
                 scenario.name
             );
-            assert_eq!(exp.cache.lint_pruned, 0);
+            assert_eq!(exp.metrics.lint_pruned, 0);
         }
         for threads in THREAD_COUNTS {
             let mut config = prune.clone();
@@ -307,9 +307,12 @@ fn prune_saves_oracle_queries_grd() {
         pruned.interventions,
         off.interventions
     );
-    assert_eq!(pruned.cache.lint_pruned, 3, "three junk candidates dropped");
+    assert_eq!(
+        pruned.metrics.lint_pruned, 3,
+        "three junk candidates dropped"
+    );
     assert_eq!(pruned.lint.pruned, vec![0, 1, 2]);
-    assert_eq!(off.cache.lint_pruned, 0);
+    assert_eq!(off.metrics.lint_pruned, 0);
     assert!(!off.lint.analyzed, "Lint::Off skips the analysis");
 }
 
@@ -341,7 +344,7 @@ fn prune_saves_oracle_queries_gt() {
         pruned.interventions,
         off.interventions
     );
-    assert_eq!(pruned.cache.lint_pruned, 3);
+    assert_eq!(pruned.metrics.lint_pruned, 3);
 }
 
 #[test]
@@ -567,8 +570,8 @@ fn subsumption_and_unreachability_save_queries_grd() {
         [3, 4].into_iter().collect::<BTreeSet<usize>>(),
         "τ-unreachability certified (L7)"
     );
-    assert_eq!(pruned.cache.lint_subsumed, 2);
-    assert_eq!(pruned.cache.lint_pruned, 2);
+    assert_eq!(pruned.metrics.lint_subsumed, 2);
+    assert_eq!(pruned.metrics.lint_pruned, 2);
     assert_eq!(pruned.metrics.lint_subsumed, 2);
     assert_eq!(pruned.metrics.lint_unreachable, 2);
 }
@@ -600,8 +603,8 @@ fn subsumption_and_unreachability_save_queries_gt() {
         pruned.interventions,
         off.interventions
     );
-    assert_eq!(pruned.cache.lint_subsumed, 2);
-    assert_eq!(pruned.cache.lint_pruned, 2);
+    assert_eq!(pruned.metrics.lint_subsumed, 2);
+    assert_eq!(pruned.metrics.lint_pruned, 2);
 }
 
 #[test]

@@ -332,9 +332,9 @@ fn parallel_runs_actually_speculate() {
     )
     .unwrap();
     assert!(
-        exp.cache.speculative > 0,
+        exp.metrics.speculative_evaluated > 0,
         "expected speculative work at 8 threads, got {:?}",
-        exp.cache
+        exp.metrics
     );
 }
 

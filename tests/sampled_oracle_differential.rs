@@ -18,7 +18,7 @@
 use dataprism::report::markdown_report;
 use dataprism::{
     explain_greedy, explain_greedy_parallel, explain_group_test, explain_group_test_parallel,
-    fingerprint, Explanation, Oracle, OracleSampling, ParOracle, PartitionStrategy, Result,
+    fingerprint, Explanation, Oracle, OracleSampling, PartitionStrategy, Result,
 };
 use dp_frame::{Column, DataFrame};
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -360,24 +360,34 @@ fn sampling_off_is_plain_intervene() {
 
 #[test]
 fn serial_and_parallel_deciders_sample_identically() {
-    // The decider's sample stream is keyed by seed ^ fingerprint, so
-    // the serial Oracle and a width-1 ParOracle must draw the same
-    // probes, touch the same rows, and settle the same verdicts.
+    // The decider's sample stream is keyed by seed ^ fingerprint, so a
+    // runtime over a borrowed system and one over a factory at width 1
+    // must draw the same probes, touch the same rows, and settle the
+    // same verdicts.
     let df = flagged_frame(4096, 3686);
     let mut system = flagged_fraction;
-    let mut serial = Oracle::new(&mut system, 0.2, 100).with_sampling(bounded(), 42);
-    let serial_out = serial.decide(&df);
-    let serial_m = serial.run_metrics();
+    let mut borrowed = Oracle::new(&mut system, 0.2, 100).with_sampling(bounded(), 42);
+    let borrowed_out = borrowed.decide(&df);
+    let borrowed_m = borrowed.run_metrics();
 
     let factory = || flagged_fraction;
-    let mut par = ParOracle::new(&factory, 0.2, 100, 1).with_sampling(bounded(), 42);
-    let par_out = dataprism::InterventionRuntime::decide(&mut par, &df);
-    let par_m = dataprism::InterventionRuntime::run_metrics(&par);
-    assert_eq!(serial_out, par_out);
-    assert_eq!(serial_m.sampled_queries, par_m.sampled_queries);
-    assert_eq!(serial_m.rows_touched, par_m.rows_touched);
+    let mut built = Oracle::parallel(&factory, 0.2, 100, 1).with_sampling(bounded(), 42);
+    let built_out = built.decide(&df);
+    let built_m = built.run_metrics();
+    assert_eq!(borrowed_out, built_out);
+    let counts = |m: &dataprism::RunMetrics| {
+        (
+            m.charged_queries,
+            m.sampled_queries,
+            m.escalations,
+            m.rows_touched,
+            m.cache_hits + m.cache_misses,
+        )
+    };
+    assert_eq!(counts(&borrowed_m), counts(&built_m));
     assert_eq!(
-        serial.last_sampled_query(),
-        dataprism::InterventionRuntime::last_sampled_query(&par)
+        borrowed_m.sampled_queries, 1,
+        "the verdict settled on a sample"
     );
+    assert_eq!(borrowed.last_sampled_query(), built.last_sampled_query());
 }

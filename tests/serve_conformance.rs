@@ -389,3 +389,41 @@ fn daemon_snapshot_restore_preserves_warmth() {
     assert!(is_ok(&client.shutdown().unwrap()));
     server.join();
 }
+
+#[test]
+fn daemon_restore_of_out_of_range_scores_diagnoses_cold() {
+    // A snapshot is a trust boundary: a corrupt or hand-edited file
+    // may carry scores no system returns, and a seeded −1.0 would read
+    // as a pass. Restoring one must leave the diagnosis unchanged:
+    // every out-of-range entry is skipped and its frame scored cold.
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    assert!(is_ok(
+        &client.register("a", "example1", None, None).unwrap()
+    ));
+    let cold = client.diagnose("a", "greedy", None).unwrap();
+    assert!(is_ok(&cold), "{cold:?}");
+
+    let scored = ScoreCache::from_snapshot(&client.snapshot("a").unwrap()).unwrap();
+    let mut poisoned = ScoreCache::new();
+    for (i, (fp, _)) in scored.iter().enumerate() {
+        poisoned.insert(fp, [-1.0, f64::NAN, 7.5][i % 3]);
+    }
+    assert!(is_ok(
+        &client.register("c", "example1", None, None).unwrap()
+    ));
+    let restored = client.restore("c", &poisoned.to_snapshot()).unwrap();
+    assert!(is_ok(&restored), "{restored:?}");
+    assert_eq!(
+        field_u64(&restored, "new_cache_entries"),
+        Some(poisoned.len() as u64)
+    );
+    let first = client.diagnose("c", "greedy", None).unwrap();
+    assert!(is_ok(&first), "{first:?}");
+    assert_eq!(field_u64(&first, "digest"), field_u64(&cold, "digest"));
+    assert_eq!(field_u64(&first, "warm_hits"), Some(0), "{first:?}");
+
+    assert!(is_ok(&client.shutdown().unwrap()));
+    server.join();
+}
