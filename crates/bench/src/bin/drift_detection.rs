@@ -233,9 +233,12 @@ fn gate(outcome: &Outcome) -> Vec<String> {
     failures
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--smoke", "--batch-rows"];
+
 fn main() {
     let smoke = arg_flag("--smoke");
-    let batch_rows = arg_value("--batch-rows", 150);
+    let batch_rows = arg_value(FLAGS, "--batch-rows", 150);
 
     let streams: Vec<Stream> = if smoke {
         vec![(

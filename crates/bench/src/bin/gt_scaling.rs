@@ -252,16 +252,24 @@ fn adaptive_smoke(threads: usize, query_cost: Duration) {
     println!("adaptive executor gate: ok");
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &[
+    "--threads",
+    "--query-cost-ms",
+    "--smoke",
+    "--adaptive-smoke",
+];
+
 fn main() {
-    let threads = arg_value("--threads", 8);
+    let threads = arg_value(FLAGS, "--threads", 8);
     if std::env::args().any(|a| a == "--adaptive-smoke") {
         // The ISSUE gate's regime: a 10 ms oracle, where deep
         // speculation pays and backpressure matters.
-        let query_cost = Duration::from_millis(arg_value("--query-cost-ms", 10) as u64);
+        let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 10) as u64);
         adaptive_smoke(threads, query_cost);
         return;
     }
-    let query_cost = Duration::from_millis(arg_value("--query-cost-ms", 25) as u64);
+    let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 25) as u64);
     if std::env::args().any(|a| a == "--smoke") {
         smoke(threads, query_cost);
         return;

@@ -152,10 +152,13 @@ fn run(
     .expect("workload diagnosis succeeds")
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--smoke", "--attrs", "--rows"];
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let attrs = arg_value("--attrs", if smoke { 6 } else { 12 });
-    let rows = arg_value("--rows", if smoke { 64 } else { 200 });
+    let attrs = arg_value(FLAGS, "--attrs", if smoke { 6 } else { 12 });
+    let rows = arg_value(FLAGS, "--rows", if smoke { 64 } else { 200 });
     let (d_pass, d_fail) = frames(attrs, rows);
     let n = candidates(attrs).len();
     println!(

@@ -85,9 +85,12 @@ fn run(
     (start.elapsed().as_secs_f64(), explanation)
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--threads", "--query-cost-ms"];
+
 fn main() {
-    let threads = arg_value("--threads", 8);
-    let query_cost = Duration::from_millis(arg_value("--query-cost-ms", 25) as u64);
+    let threads = arg_value(FLAGS, "--threads", 8);
+    let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 25) as u64);
 
     let workloads: Vec<(String, &str, SyntheticScenario)> = vec![
         ("fig8 m=200".into(), "GRD", single_cause(200, 200, 11)),

@@ -1,9 +1,10 @@
 //! Warm-vs-cold serving benchmark: what a server-resident score
 //! cache buys a repeat diagnosis.
 //!
-//! For each case-study scenario, three GRD runs through the cached
-//! entry point (`explain_greedy_parallel_cached`, the seam `dp_serve`
-//! drives):
+//! For each case-study scenario and each algorithm (GRD greedy, GT
+//! group testing), three runs through the cached entry points
+//! (`explain_greedy_parallel_cached`,
+//! `explain_group_test_parallel_cached`, the seams `dp_serve` drives):
 //!
 //! * **cold** — empty seed cache (also collects the trace);
 //! * **warm** — seeded with everything the cold run exported, i.e.
@@ -17,14 +18,19 @@
 //! As in `parallel_scaling`, each oracle query blocks for a fixed
 //! interval standing in for the external model (re)training of the
 //! paper's real systems; the wall-clock ratio is what a deployment
-//! with seconds-per-query systems sees.
+//! with seconds-per-query systems sees. The table also prints the
+//! candidate frames each cold and warm run built: a warm GT run
+//! scores its probes by intent key and builds little beyond its leaves
+//! (the exact count at one thread is pinned in
+//! `tests/intent_cache.rs`). GT refuses example1 and cardio at its A3
+//! check (the paper's NA cells); those rows print `NA`.
 //!
 //! Usage: `cargo run --release -p dp-bench --bin warm_cache
 //! [--threads N] [--query-cost-ms C]`
 
 use dataprism::{
-    explain_greedy_parallel_cached, Explanation, PrismConfig, ScoreCache, System, SystemFactory,
-    TraceConfig,
+    explain_greedy_parallel_cached, explain_group_test_parallel_cached, Explanation,
+    PartitionStrategy, PrismConfig, PrismError, ScoreCache, System, SystemFactory, TraceConfig,
 };
 use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
@@ -66,7 +72,26 @@ fn evaluations(exp: &Explanation) -> u64 {
     exp.metrics.cache_misses + exp.metrics.speculative_evaluated
 }
 
+#[derive(Clone, Copy)]
+enum Algo {
+    Greedy,
+    GroupTest,
+}
+
+impl Algo {
+    fn name(self) -> &'static str {
+        match self {
+            Algo::Greedy => "GRD",
+            Algo::GroupTest => "GT",
+        }
+    }
+}
+
+/// One diagnosis through the cached entry point; `None` for GT's A3
+/// refusal.
+#[allow(clippy::too_many_arguments)]
 fn run(
+    algo: Algo,
     factory: &BlockingFactory,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
@@ -74,21 +99,37 @@ fn run(
     threads: usize,
     collect_trace: bool,
     cache: &mut ScoreCache,
-) -> (f64, Explanation) {
+) -> Option<(f64, Explanation)> {
     let mut config = base_config.clone();
     config.num_threads = threads;
     if collect_trace {
         config.trace = TraceConfig::Collect;
     }
     let start = Instant::now();
-    let exp = explain_greedy_parallel_cached(factory, d_fail, d_pass, &config, cache)
-        .expect("case studies resolve");
-    (start.elapsed().as_secs_f64(), exp)
+    let result = match algo {
+        Algo::Greedy => explain_greedy_parallel_cached(factory, d_fail, d_pass, &config, cache),
+        Algo::GroupTest => explain_group_test_parallel_cached(
+            factory,
+            d_fail,
+            d_pass,
+            &config,
+            PartitionStrategy::MinBisection,
+            cache,
+        ),
+    };
+    match result {
+        Ok(exp) => Some((start.elapsed().as_secs_f64(), exp)),
+        Err(PrismError::AssumptionViolated(_)) if matches!(algo, Algo::GroupTest) => None,
+        Err(e) => panic!("{}: case studies resolve: {e}", algo.name()),
+    }
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--threads", "--query-cost-ms"];
+
 fn main() {
-    let threads = arg_value("--threads", 8);
-    let query_cost = Duration::from_millis(arg_value("--query-cost-ms", 10) as u64);
+    let threads = arg_value(FLAGS, "--threads", 8);
+    let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 10) as u64);
 
     let scenarios = vec![
         example1::scenario(),
@@ -97,21 +138,24 @@ fn main() {
     ];
 
     println!(
-        "Warm-vs-cold serving cache: {} ms blocking per oracle query, {threads} threads, GRD\n",
+        "Warm-vs-cold serving cache: {} ms blocking per oracle query, {threads} threads\n",
         query_cost.as_millis()
     );
-    let widths = [26, 8, 8, 8, 9, 9, 10, 9];
+    let widths = [26, 4, 8, 8, 8, 9, 9, 10, 9, 9, 8];
     println!(
         "{}",
         format_row(
             &[
                 "scenario".into(),
+                "alg".into(),
                 "cold s".into(),
                 "warm s".into(),
                 "trace s".into(),
                 "cold ev".into(),
                 "warm ev".into(),
                 "warm hits".into(),
+                "cold fr".into(),
+                "warm fr".into(),
                 "speedup".into(),
             ],
             &widths
@@ -126,76 +170,74 @@ fn main() {
             inner: scenario.factory,
             query_cost,
         };
+        for algo in [Algo::Greedy, Algo::GroupTest] {
+            let run = |collect_trace, cache: &mut ScoreCache| {
+                run(
+                    algo,
+                    &factory,
+                    &d_fail,
+                    &d_pass,
+                    &config,
+                    threads,
+                    collect_trace,
+                    cache,
+                )
+            };
+            // Cold: empty namespace; the export stays in `namespace` —
+            // exactly what a `dp_serve` system accumulates.
+            let mut namespace = ScoreCache::new();
+            let Some((cold_s, cold)) = run(true, &mut namespace) else {
+                let mut na = vec![name.to_string(), algo.name().into()];
+                na.extend(std::iter::repeat_n("NA".to_string(), widths.len() - 2));
+                println!("{}", format_row(&na, &widths));
+                continue;
+            };
+            // Warm: the second request against the same namespace.
+            let (warm_s, warm) = run(false, &mut namespace).expect("warm run resolves as cold");
+            // Trace-warmed: a fresh namespace bootstrapped from the
+            // cold run's JSONL trace.
+            let mut replayed = ScoreCache::new();
+            replayed
+                .warm_from_jsonl(&to_jsonl(&cold.trace_records))
+                .expect("own trace must replay");
+            let (trace_s, traced) = run(false, &mut replayed).expect("trace run resolves as cold");
 
-        // Cold: empty namespace; the export stays in `namespace` —
-        // exactly what a `dp_serve` system accumulates.
-        let mut namespace = ScoreCache::new();
-        let (cold_s, cold) = run(
-            &factory,
-            &d_fail,
-            &d_pass,
-            &config,
-            threads,
-            true,
-            &mut namespace,
-        );
-        // Warm: the second request against the same namespace.
-        let (warm_s, warm) = run(
-            &factory,
-            &d_fail,
-            &d_pass,
-            &config,
-            threads,
-            false,
-            &mut namespace,
-        );
-        // Trace-warmed: a fresh namespace bootstrapped from the cold
-        // run's JSONL trace.
-        let mut replayed = ScoreCache::new();
-        replayed
-            .warm_from_jsonl(&to_jsonl(&cold.trace_records))
-            .expect("own trace must replay");
-        let (trace_s, traced) = run(
-            &factory,
-            &d_fail,
-            &d_pass,
-            &config,
-            threads,
-            false,
-            &mut replayed,
-        );
+            let label = format!("{name}/{}", algo.name());
+            for (leg, exp) in [("warm", &warm), ("trace", &traced)] {
+                assert_eq!(
+                    cold.digest(),
+                    exp.digest(),
+                    "{label}/{leg}: warmth must not change the explanation"
+                );
+                assert!(
+                    evaluations(exp) < evaluations(&cold),
+                    "{label}/{leg}: warm run must re-evaluate strictly less"
+                );
+                assert!(exp.metrics.warm_hits > 0, "{label}/{leg}: no warm hits?");
+            }
 
-        for (leg, exp) in [("warm", &warm), ("trace", &traced)] {
-            assert_eq!(
-                cold.digest(),
-                exp.digest(),
-                "{name}/{leg}: warmth must not change the explanation"
+            let speedup = cold_s / warm_s;
+            best = best.max(speedup);
+            println!(
+                "{}",
+                format_row(
+                    &[
+                        name.into(),
+                        algo.name().into(),
+                        format!("{cold_s:.3}"),
+                        format!("{warm_s:.3}"),
+                        format!("{trace_s:.3}"),
+                        evaluations(&cold).to_string(),
+                        evaluations(&warm).to_string(),
+                        warm.metrics.warm_hits.to_string(),
+                        cold.metrics.frames_built.to_string(),
+                        warm.metrics.frames_built.to_string(),
+                        format!("{speedup:.2}x"),
+                    ],
+                    &widths
+                )
             );
-            assert!(
-                evaluations(exp) < evaluations(&cold),
-                "{name}/{leg}: warm run must re-evaluate strictly less"
-            );
-            assert!(exp.metrics.warm_hits > 0, "{name}/{leg}: no warm hits?");
         }
-
-        let speedup = cold_s / warm_s;
-        best = best.max(speedup);
-        println!(
-            "{}",
-            format_row(
-                &[
-                    name.into(),
-                    format!("{cold_s:.3}"),
-                    format!("{warm_s:.3}"),
-                    format!("{trace_s:.3}"),
-                    evaluations(&cold).to_string(),
-                    evaluations(&warm).to_string(),
-                    warm.metrics.warm_hits.to_string(),
-                    format!("{speedup:.2}x"),
-                ],
-                &widths
-            )
-        );
     }
 
     println!("\nbest warm-over-cold speedup: {best:.2}x");

@@ -32,11 +32,14 @@ fn config(prefilter: Prefilter) -> DiscoveryConfig {
     }
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--smoke", "--attrs", "--rows", "--repeat"];
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let attrs = arg_value("--attrs", if smoke { 60 } else { 200 });
-    let rows = arg_value("--rows", if smoke { 150 } else { 400 });
-    let repeat = arg_value("--repeat", if smoke { 1 } else { 3 });
+    let attrs = arg_value(FLAGS, "--attrs", if smoke { 60 } else { 200 });
+    let rows = arg_value(FLAGS, "--rows", if smoke { 150 } else { 400 });
+    let repeat = arg_value(FLAGS, "--repeat", if smoke { 1 } else { 3 });
 
     println!("wide-schema discovery: {attrs} attributes x {rows} rows (best of {repeat})\n");
     let w = wide_schema(attrs, rows, 2022);

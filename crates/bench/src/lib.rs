@@ -254,9 +254,27 @@ pub fn format_row(cells: &[String], widths: &[usize]) -> String {
 }
 
 /// The value of flag `name` in `args` (`name <value>`), or `default`
-/// when the flag is absent. A flag with no value after it, or a value
-/// that is not a non-negative integer, is an error naming the flag.
-pub fn parse_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+/// when the flag is absent. `flags` is the binary's whole flag list,
+/// switches included: any other argument that starts with `--` is an
+/// unknown flag, so a misspelt name is an error instead of a silent
+/// default. A flag with no value after it, or a value that is not a
+/// non-negative integer, is an error naming the flag.
+pub fn parse_flag(
+    args: &[String],
+    flags: &[&str],
+    name: &str,
+    default: usize,
+) -> Result<usize, String> {
+    if let Some(unknown) = args
+        .iter()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+    {
+        return Err(format!(
+            "unknown flag '{unknown}' (expected one of {})",
+            flags.join(", ")
+        ));
+    }
     let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(default);
     };
@@ -268,12 +286,12 @@ pub fn parse_flag(args: &[String], name: &str, default: usize) -> Result<usize, 
         .map_err(|_| format!("invalid value '{value}' for {name}"))
 }
 
-/// [`parse_flag`] over this process's command line. On a missing or
-/// unparsable value it prints the problem and exits with status 2,
-/// so a typo never silently runs the default.
-pub fn arg_value(name: &str, default: usize) -> usize {
+/// [`parse_flag`] over this process's command line. On an unknown
+/// flag or a missing or unparsable value it prints the problem and
+/// exits with status 2, so a typo never silently runs the default.
+pub fn arg_value(flags: &[&str], name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    parse_flag(&args, name, default).unwrap_or_else(|e| {
+    parse_flag(&args, flags, name, default).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     })
@@ -330,25 +348,37 @@ mod tests {
 
     #[test]
     fn flags_parse_strictly() {
-        let argv = args(&["bin", "--smoke", "--threads", "4"]);
-        assert_eq!(parse_flag(&argv, "--threads", 8), Ok(4));
-        assert_eq!(parse_flag(&argv, "--rows", 8), Ok(8), "absent flag");
+        const FLAGS: &[&str] = &["--threads", "--rows", "--smoke"];
+        let parse = |argv: &[&str], name, default| parse_flag(&args(argv), FLAGS, name, default);
+        let argv = ["bin", "--smoke", "--threads", "4"];
+        assert_eq!(parse(&argv, "--threads", 8), Ok(4));
+        assert_eq!(parse(&argv, "--rows", 8), Ok(8), "absent flag");
         assert_eq!(
-            parse_flag(&args(&["bin", "--threads", "abc"]), "--threads", 8),
+            parse(&["bin", "--threads", "abc"], "--threads", 8),
             Err("invalid value 'abc' for --threads".to_string())
         );
         assert_eq!(
-            parse_flag(&args(&["bin", "--threads", "-1"]), "--threads", 8),
+            parse(&["bin", "--threads", "-1"], "--threads", 8),
             Err("invalid value '-1' for --threads".to_string())
         );
         assert_eq!(
-            parse_flag(&args(&["bin", "--threads"]), "--threads", 8),
+            parse(&["bin", "--threads"], "--threads", 8),
             Err("--threads needs a value".to_string()),
             "trailing flag"
         );
         assert!(
-            parse_flag(&args(&["bin", "--threads", "--smoke"]), "--threads", 8).is_err(),
+            parse(&["bin", "--threads", "--smoke"], "--threads", 8).is_err(),
             "another flag is not a value"
         );
+        // A misspelt flag is refused, whichever flag is asked for.
+        for name in ["--threads", "--rows"] {
+            assert_eq!(
+                parse(&["bin", "--thread", "4"], name, 8),
+                Err(
+                    "unknown flag '--thread' (expected one of --threads, --rows, --smoke)"
+                        .to_string()
+                ),
+            );
+        }
     }
 }

@@ -30,9 +30,9 @@ use crate::discovery::{discriminative_pvts_traced, DiscoveryStats};
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::graph::PvtAttributeGraph;
-use crate::oracle::{System, SystemFactory};
+use crate::oracle::{fingerprint, System, SystemFactory};
 use crate::pvt::Pvt;
-use crate::runtime::{Oracle, Source, Speculated, Speculation};
+use crate::runtime::{Intent, Oracle, Source, Speculated, Speculation};
 use dp_frame::DataFrame;
 use dp_trace::{DiagnosisSpan, Event, Tracer};
 use rand::rngs::StdRng;
@@ -84,10 +84,13 @@ pub(crate) fn validate_inputs(
 /// and its score.
 ///
 /// Every drop-candidate reruns the remaining composition on a fresh,
-/// stream-independent RNG, so whole scan windows can be materialized
-/// and scored speculatively; interventions are still charged one by
-/// one in scan order, and a successful drop discards the rest of its
-/// window uncharged — exactly the serial consumption.
+/// fixed RNG stream, so it is an [`Intent`]: whole scan windows can be
+/// scored speculatively, and a drop whose intent the runtime already
+/// knows is decided without building its frame. Interventions are
+/// still charged one by one in scan order, and a successful drop
+/// discards the rest of its window uncharged — exactly the serial
+/// consumption. Only an accepted drop's frame is built, since it
+/// becomes the repaired frame.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn make_minimal(
     rt: &mut Oracle<'_>,
@@ -101,11 +104,12 @@ pub(crate) fn make_minimal(
 ) -> Result<(Vec<Pvt>, DataFrame, f64)> {
     let mut best = (repaired, score);
     let width = rt.speculation_width().max(1);
+    let base_fp = fingerprint(d_fail);
     let mut i = 0;
     while selected.len() > 1 && i < selected.len() {
         let window_end = (i + width).min(selected.len());
-        let jobs: Vec<Speculation<'_>> = (i..window_end)
-            .map(|j| Speculation::Apply {
+        let probes: Vec<Intent<'_>> = (i..window_end)
+            .map(|j| Intent {
                 pvts: selected
                     .iter()
                     .enumerate()
@@ -113,35 +117,37 @@ pub(crate) fn make_minimal(
                     .map(|(_, p)| p)
                     .collect(),
                 base: d_fail,
-                rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9),
+                base_fp,
+                seed: seed ^ 0x9e37_79b9,
             })
             .collect();
-        let spec = rt.speculate(jobs)?;
-        let mut dropped = false;
-        for (offset, speculated) in spec.into_iter().enumerate() {
-            let j = i + offset;
+        rt.prescore(&probes);
+        let mut accepted = None;
+        for (offset, probe) in probes.iter().enumerate() {
             // A rejected drop consumes only the verdict, never the
             // score — the one call site where a confidence-bounded
             // sampled FAIL may settle without a full evaluation.
-            let (passed, s) = rt.decide_traced(&speculated.frame, tracer);
+            let (passed, s) = rt.decide_apply_traced(probe, tracer)?;
             if passed {
                 let s = s.expect("passing decisions always carry an exact score");
+                accepted = Some((i + offset, rt.build(probe)?, s));
+                break;
+            }
+        }
+        match accepted {
+            Some((j, frame, s)) => {
                 trace.push(TraceEvent::MinimalityDropped {
                     pvt_id: selected[j].id,
                 });
                 let dropped_id = selected[j].id;
                 tracer.emit(|| Event::MinimalityDrop { pvt: dropped_id });
                 selected.remove(j);
-                best = (speculated.frame, s);
+                best = (frame, s);
                 // Restart the scan: minimality must hold for every
                 // strict subset of the final set.
                 i = 0;
-                dropped = true;
-                break;
             }
-        }
-        if !dropped {
-            i = window_end;
+            None => i = window_end,
         }
     }
     Ok((selected, best.0, best.1))
@@ -337,7 +343,8 @@ struct Window<'a> {
 /// materialized against `current` with the exact RNG state a serial
 /// run would hold: stochastic transformations consume the stream and
 /// must advance it here, on the main thread; deterministic ones never
-/// touch it and are deferred to the runtime's workers.
+/// touch it, so any stream seed names their frame, and they are
+/// deferred to the runtime's workers as intents.
 fn plan_window<'a>(
     pvts: &'a [Pvt],
     graph: &PvtAttributeGraph,
@@ -375,6 +382,7 @@ fn plan_window<'a>(
         sim_graph.remove(chosen_id);
     }
     let mut plan_rng = rng.clone();
+    let base_fp = fingerprint(current);
     let mut jobs: Vec<Speculation<'a>> = Vec::with_capacity(plan.len());
     let mut rng_states: Vec<StdRng> = Vec::with_capacity(plan.len());
     for &id in &plan {
@@ -383,11 +391,12 @@ fn plan_window<'a>(
             .find(|p| p.id == id)
             .expect("graph only holds known ids");
         if pvt.transform.is_deterministic() {
-            jobs.push(Speculation::Apply {
+            jobs.push(Speculation::Apply(Intent {
                 pvts: vec![pvt],
                 base: current,
-                rng: plan_rng.clone(),
-            });
+                base_fp,
+                seed: 0,
+            }));
         } else {
             let (frame, _) = pvt.apply(current, &mut plan_rng)?;
             jobs.push(Speculation::Ready(frame));

@@ -20,10 +20,16 @@
 //! [`PrismError::AssumptionViolated`] (the "NA" cells of the paper's
 //! Fig 7, observed on the Cardiovascular study).
 //!
-//! Every probe is charged through one [`Oracle`]. At width > 1 a cold
-//! bisection node also pre-scores its two halves and a lookahead
-//! frontier of descendant probes on the runtime's workers; the serial
-//! replay charges the same queries either way.
+//! Every probe is charged through one [`Oracle`]. A probe's frame is a
+//! pure function of the node's frame, the half's transformations and
+//! the half's derived stream seed, so each probe is an [`Intent`]: the
+//! runtime scores a probe it has seen before (in this run or a warm
+//! cache) without building its frame. Only the leaves build frames,
+//! because the frame a leaf returns is the one the search carries
+//! forward. At width > 1 a cold bisection node also pre-scores its two
+//! halves and a lookahead frontier of descendant probes on the
+//! runtime's workers; the serial replay charges the same queries
+//! either way.
 
 use crate::benefit::benefit_scores;
 use crate::bisection::{
@@ -35,13 +41,11 @@ use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::graph::PvtAttributeGraph;
 use crate::greedy::{diagnose, finish_run, make_minimal, validate_inputs};
-use crate::oracle::{System, SystemFactory};
-use crate::pvt::{apply_composition, Pvt};
-use crate::runtime::{DetachedSpeculation, Oracle, Source, Speculation};
+use crate::oracle::{fingerprint, System, SystemFactory};
+use crate::pvt::Pvt;
+use crate::runtime::{DetachedSpeculation, Intent, Oracle, Source};
 use dp_frame::DataFrame;
 use dp_trace::{BisectionNodeSpan, Event, SpeculationPlanSpan, Tracer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -253,12 +257,11 @@ fn run_group_test(
 
     // The opening: on a parallel runtime the A3 composition below is
     // scored together with the baselines.
-    let first = if rt.speculation_width() > 1 && !all_ids.is_empty() {
-        vec![apply_job(&pvts, config.seed, &all_ids, d_fail)]
-    } else {
-        Vec::new()
-    };
-    let (initial_score, mut opened) = validate_inputs(rt, d_fail, d_pass, first, &tracer)?;
+    let full = intent(&pvts, config.seed, &all_ids, d_fail, fingerprint(d_fail));
+    if !all_ids.is_empty() {
+        rt.prescore_opening([d_pass, d_fail], std::slice::from_ref(&full));
+    }
+    let (initial_score, _) = validate_inputs(rt, d_fail, d_pass, Vec::new(), &tracer)?;
     if !discovered {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -273,11 +276,7 @@ fn run_group_test(
 
     // A3 applicability check: the full composition must reduce the
     // malfunction (see module docs).
-    let full = match opened.pop() {
-        Some(speculated) => speculated?.frame,
-        None => apply_ids(&pvts, &all_ids, d_fail, config.seed)?.0,
-    };
-    let full_score = rt.intervene_traced(&full, &tracer);
+    let full_score = rt.intervene_apply_traced(&full, &tracer)?;
     trace.push(TraceEvent::Intervention {
         pvt_ids: all_ids.clone(),
         before: initial_score,
@@ -361,52 +360,29 @@ fn run_group_test(
     )
 }
 
-/// Apply the composition of the transformations of `ids` (ascending)
-/// to `d`, on the id set's own derived RNG stream.
-fn apply_ids(
-    pvts: &BTreeMap<usize, &Pvt>,
-    ids: &[usize],
-    d: &DataFrame,
-    seed: u64,
-) -> Result<(DataFrame, usize)> {
-    let mut sorted = ids.to_vec();
-    sorted.sort_unstable();
-    let mut rng = apply_rng(seed, &sorted);
-    let refs: Vec<&Pvt> = sorted
-        .iter()
-        .filter_map(|id| pvts.get(id).copied())
-        .collect();
-    apply_composition(&refs, d, &mut rng)
-}
-
-/// The RNG stream consumed when applying the composition of `ids`
-/// (which must already be sorted): a pure function of `(seed, ids)`,
-/// so serial replay and speculative workers materialize bit-identical
-/// frames for the same candidate set.
-fn apply_rng(seed: u64, sorted_ids: &[usize]) -> StdRng {
-    StdRng::seed_from_u64(stream_seed(seed, APPLY_STREAM, sorted_ids))
-}
-
-/// A synchronous materialize-and-score job for the composition of
-/// `ids` applied to `base` (the A3 composition, a node's own half
-/// probes): the job form of [`apply_ids`].
-fn apply_job<'a>(
+/// The composition of the transformations of `ids` (ascending)
+/// applied to `base` (fingerprint `base_fp`) on the id set's own
+/// derived stream: a pure function of `(seed, ids, base)`, so serial
+/// replay and speculative workers build bit-identical frames for the
+/// same candidate set, and the runtime can name the frame by intent
+/// key without building it.
+fn intent<'a>(
     pvts: &BTreeMap<usize, &'a Pvt>,
     seed: u64,
     ids: &[usize],
     base: &'a DataFrame,
-) -> Speculation<'a> {
+    base_fp: u64,
+) -> Intent<'a> {
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
-    let rng = apply_rng(seed, &sorted);
-    let refs: Vec<&'a Pvt> = sorted
-        .iter()
-        .filter_map(|id| pvts.get(id).copied())
-        .collect();
-    Speculation::Apply {
-        pvts: refs,
+    Intent {
+        pvts: sorted
+            .iter()
+            .filter_map(|id| pvts.get(id).copied())
+            .collect(),
         base,
-        rng,
+        base_fp,
+        seed: stream_seed(seed, APPLY_STREAM, &sorted),
     }
 }
 
@@ -428,6 +404,7 @@ fn plan_frontier(
     x1: &[usize],
     x2: &[usize],
     base: &Arc<DataFrame>,
+    base_fp: u64,
     depth: usize,
 ) -> Vec<DetachedSpeculation> {
     let mut jobs = Vec::new();
@@ -443,17 +420,12 @@ fn plan_frontier(
             if half.is_empty() {
                 continue;
             }
-            let mut sorted = half.clone();
-            sorted.sort_unstable();
-            let rng = apply_rng(ctx.seed, &sorted);
-            let pvts: Vec<Pvt> = sorted
-                .iter()
-                .filter_map(|id| ctx.pvts.get(id).map(|p| (*p).clone()))
-                .collect();
+            let probe = intent(ctx.pvts, ctx.seed, &half, base, base_fp);
             jobs.push(DetachedSpeculation {
-                pvts,
+                pvts: probe.pvts.into_iter().cloned().collect(),
                 base: Arc::clone(base),
-                rng,
+                base_fp,
+                seed: probe.seed,
             });
             queue.push_back((half, level + 1));
         }
@@ -478,9 +450,11 @@ fn group_test_rec(
     parent: Option<u64>,
     trace: &mut Vec<TraceEvent>,
 ) -> Result<(DataFrame, Vec<usize>)> {
-    // Lines 2–3: a single candidate is applied and reported.
+    // Lines 2–3: a single candidate is applied and reported. Its frame
+    // is the one the search carries forward, so it is built.
     if candidates.len() == 1 {
-        let (transformed, _) = apply_ids(ctx.pvts, candidates, &d, ctx.seed)?;
+        let leaf = intent(ctx.pvts, ctx.seed, candidates, &d, fingerprint(&d));
+        let transformed = ctx.rt.build(&leaf)?;
         if ctx.tracer.enabled() {
             let node = ctx.tracer.next_node_id();
             ctx.tracer.emit(|| {
@@ -541,17 +515,22 @@ fn group_test_rec(
         None => ctx.rt.intervene_traced(&d, &ctx.tracer),
     };
 
-    // On a parallel runtime, a node not covered by an ancestor's
-    // frontier fires `ctx.depth` levels of pre-bisected descendant
-    // probes as detached background jobs, then materializes and
+    // The two half probes. On a parallel runtime, a node not covered
+    // by an ancestor's frontier fires `ctx.depth` levels of
+    // pre-bisected descendant probes as detached background jobs, then
     // scores its own two halves concurrently. The detached frontier
     // keeps draining while the serial replay below charges queries
     // and recurses — covered descendants find their probes already
     // scored (cache hit) or in flight. The replay decides exactly as
     // a `num_threads = 1` run would; a wrong lookahead guess is
     // uncharged waste, never a different search.
+    let base_fp = fingerprint(&d);
+    let probes = [
+        intent(ctx.pvts, ctx.seed, &x1, &d, base_fp),
+        intent(ctx.pvts, ctx.seed, &x2, &d, base_fp),
+    ];
     let speculate_here = ctx.rt.speculation_width() > 1 && !x1.is_empty() && !x2.is_empty();
-    let (d1, x2_speculated, child_covered) = if speculate_here {
+    let child_covered = if speculate_here {
         let child_covered = if covered == 0 {
             // L8 bonus: when every candidate pair at this node
             // provably commutes, descendant probes compose in any
@@ -564,7 +543,7 @@ fn group_test_rec(
             let plan = ctx.rt.plan_speculation_depth(cap);
             let jobs = if plan.depth > 0 {
                 let base = Arc::new(d.clone());
-                plan_frontier(ctx, &x1, &x2, &base, plan.depth)
+                plan_frontier(ctx, &x1, &x2, &base, base_fp, plan.depth)
             } else {
                 Vec::new()
             };
@@ -588,22 +567,14 @@ fn group_test_rec(
         } else {
             covered - 1
         };
-        let jobs = vec![
-            apply_job(ctx.pvts, ctx.seed, &x1, &d),
-            apply_job(ctx.pvts, ctx.seed, &x2, &d),
-        ];
-        let spec = ctx.rt.speculate(jobs)?;
-        let mut frames = spec.into_iter();
-        let d1 = frames.next().expect("X1 job queued").frame;
-        let d2 = frames.next().expect("X2 job queued").frame;
-        (d1, Some(d2), child_covered)
+        ctx.rt.prescore(&probes);
+        child_covered
     } else {
-        let (d1, _) = apply_ids(ctx.pvts, &x1, &d, ctx.seed)?;
-        (d1, None, 0)
+        0
     };
 
     // Line 6: intervene with all of X1.
-    let s1 = ctx.rt.intervene_traced(&d1, &ctx.tracer);
+    let s1 = ctx.rt.intervene_apply_traced(&probes[0], &ctx.tracer)?;
     let delta1 = m - s1;
     trace.push(TraceEvent::Intervention {
         pvt_ids: x1.clone(),
@@ -625,15 +596,12 @@ fn group_test_rec(
     }
 
     // Lines 7–8: X1 insufficient → also probe X2. (If X1 passes, a
-    // speculated X2 frame is simply dropped — surplus cache warmth.)
+    // speculated X2 score is simply left unused — surplus cache
+    // warmth.)
     let mut delta2 = 0.0;
     let mut s2 = f64::INFINITY;
     if !ctx.rt.passes(s1) {
-        let d2 = match x2_speculated {
-            Some(frame) => frame,
-            None => apply_ids(ctx.pvts, &x2, &d, ctx.seed)?.0,
-        };
-        s2 = ctx.rt.intervene_traced(&d2, &ctx.tracer);
+        s2 = ctx.rt.intervene_apply_traced(&probes[1], &ctx.tracer)?;
         delta2 = m - s2;
         trace.push(TraceEvent::Intervention {
             pvt_ids: x2.clone(),
@@ -656,6 +624,7 @@ fn group_test_rec(
         }
     }
 
+    drop(probes);
     let mut current = d;
     let mut selected = Vec::new();
 

@@ -4,9 +4,11 @@
 //! (Definition 3). A [`SystemFactory`] builds independent `Send`
 //! instances of it, so worker threads can score speculative candidate
 //! datasets concurrently. [`fingerprint`] is the content hash that
-//! keys every oracle score cache. The [`crate::Oracle`] that charges
+//! keys every oracle score cache, and [`intent_key`] names the frame a
+//! composition of transformations would build, without building it. The [`crate::Oracle`] that charges
 //! interventions against a system lives in [`crate::runtime`].
 
+use crate::transform::Transform;
 use dp_frame::{Bitmap, Chunk, ColumnData, DataFrame, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -132,6 +134,35 @@ pub fn fingerprint(df: &DataFrame) -> u64 {
             chunk.cached_fingerprint(chunk_fingerprint).hash(&mut h);
         }
     }
+    h.finish()
+}
+
+/// The intent key of a composition: a hash of the base frame's
+/// [`fingerprint`], the content of the transformations in application
+/// order ([`Transform::hash_content`]) and the seed of the RNG stream
+/// the application consumes (`StdRng::seed_from_u64(seed)`).
+///
+/// [`crate::pvt::apply_composition`] is a pure function of exactly
+/// these inputs, so two compositions with equal keys build frames with
+/// equal fingerprints. The runtime maps keys to fingerprints and can
+/// then score a composition it has seen before without building it.
+/// Like [`fingerprint`], the key uses no randomly keyed hasher and no
+/// PVT id, so it is stable across processes and can be persisted in a
+/// cache snapshot.
+pub fn intent_key<'t>(
+    base: u64,
+    transforms: impl IntoIterator<Item = &'t Transform>,
+    seed: u64,
+) -> u64 {
+    let mut h = DefaultHasher::new();
+    base.hash(&mut h);
+    seed.hash(&mut h);
+    let mut n = 0usize;
+    for t in transforms {
+        t.hash_content(&mut h);
+        n += 1;
+    }
+    n.hash(&mut h);
     h.finish()
 }
 

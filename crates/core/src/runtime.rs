@@ -34,17 +34,19 @@
 //!    become cache hits. Candidates a serial run would never have
 //!    reached are simply discarded.
 //!
-//! Synchronous [`Oracle::speculate`] batches block until every job is
-//! scored — right for the handful of frames the caller consumes
-//! immediately (greedy plans, a GT node's own two halves). Deep
-//! group-testing lookahead instead queues **detached** jobs
-//! ([`Oracle::speculate_detached`]): fully owned
-//! [`DetachedSpeculation`]s drained FIFO by a persistent background
-//! pool while the serial replay keeps running. A parallel diagnosis
-//! starts with one concurrent batch, the **opening**
-//! ([`Oracle::score_opening`]): the two free baselines on the pool and
-//! the algorithm's first charged frames on the sync workers, all
-//! scored at once before the replay validates the inputs.
+//! Synchronous batches block until every job is scored — right for
+//! the handful of frames the caller consumes immediately:
+//! [`Oracle::speculate`] returns greedy's planned frames, and
+//! [`Oracle::prescore`] only scores probes (a GT node's own two
+//! halves, a Make-Minimal window). Deep group-testing lookahead
+//! instead queues **detached** jobs ([`Oracle::speculate_detached`]):
+//! fully owned [`DetachedSpeculation`]s drained FIFO by a persistent
+//! background pool while the serial replay keeps running. A parallel
+//! diagnosis starts with one concurrent batch, the **opening**
+//! ([`Oracle::score_opening`], [`Oracle::prescore_opening`]): the two
+//! free baselines on the pool and the algorithm's first charged frames
+//! on the sync workers, all scored at once before the replay validates
+//! the inputs.
 //!
 //! The shared fingerprint cache also tracks the frames being scored
 //! right now. A thread claims a fingerprint before it runs the system
@@ -56,6 +58,23 @@
 //! panic that always recurs surfaces on the caller as in a serial run.
 //! Frontier frames the search never asks for are counted as
 //! *speculative waste* ([`RunMetrics::speculative_wasted`]).
+//!
+//! A charged frame need not be built to be scored. Group-testing
+//! probes and Make-Minimal drops are [`Intent`]s: compositions of
+//! transformations applied to a base frame on a derived RNG stream,
+//! whose result is a pure function of the base's fingerprint, the
+//! transformations and the stream seed. The shared cache maps each
+//! intent key ([`crate::oracle::intent_key`]) to the fingerprint of
+//! the frame it built — recorded by the replay and by every worker,
+//! and seeded from a warm [`ScoreCache`] — so
+//! [`Oracle::intervene_apply`] and [`Oracle::decide_apply`] score a
+//! known intent whose fingerprint is scored without building its
+//! frame. The frame is built only when the intent is unknown, its
+//! fingerprint has no usable score, or sampling needs its rows.
+//! Speculation skips intents that already resolve. Charged queries,
+//! scores and trace spans are the same either way;
+//! [`RunMetrics::frames_built`] and [`RunMetrics::intent_hits`] show
+//! the work saved.
 //!
 //! Because all charging and all decisions flow through `intervene` in
 //! serial order, explanations, malfunction scores, and intervention
@@ -69,7 +88,7 @@
 use crate::cache::ScoreCache;
 use crate::config::{OracleSampling, SpeculationMode};
 use crate::error::Result;
-use crate::oracle::{fingerprint, System, SystemFactory};
+use crate::oracle::{fingerprint, intent_key, System, SystemFactory};
 use crate::pvt::{apply_composition, Pvt};
 use dp_frame::sample::stratified_sample_indices;
 use dp_frame::DataFrame;
@@ -96,24 +115,55 @@ use std::sync::{Arc, Condvar, Mutex};
 #[cfg(not(loom))]
 use std::thread as pool_thread;
 
+/// A composition a search may charge: the transformations of `pvts`,
+/// in order, applied to `base` on the RNG stream
+/// `StdRng::seed_from_u64(seed)`.
+///
+/// [`apply_composition`] is a pure function of these inputs, so the
+/// intent's [`Intent::key`] names the frame it builds. The runtime
+/// remembers the fingerprint behind every key it has built (or been
+/// seeded with), and a charged query of a known intent
+/// ([`Oracle::intervene_apply`], [`Oracle::decide_apply`]) is scored
+/// straight from the cache without building the frame.
+#[derive(Clone)]
+pub struct Intent<'a> {
+    /// Transformations to compose, in application order.
+    pub pvts: Vec<&'a Pvt>,
+    /// Dataset to transform.
+    pub base: &'a DataFrame,
+    /// [`fingerprint`] of `base`.
+    pub base_fp: u64,
+    /// Seed of the RNG stream the application consumes. Group testing
+    /// derives it from the candidate id set, Make-Minimal fixes it per
+    /// run, and a deterministic transformation never reads it.
+    pub seed: u64,
+}
+
+impl Intent<'_> {
+    /// The intent key ([`intent_key`]).
+    pub fn key(&self) -> u64 {
+        intent_key(
+            self.base_fp,
+            self.pvts.iter().map(|p| &p.transform),
+            self.seed,
+        )
+    }
+
+    /// Build the frame: apply the composition to the base.
+    pub fn build(&self) -> Result<DataFrame> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        Ok(apply_composition(&self.pvts, self.base, &mut rng)?.0)
+    }
+}
+
 /// One candidate dataset an algorithm may query soon.
 pub enum Speculation<'a> {
     /// Already materialized by the caller (e.g. because its
     /// transformation consumes the algorithm's RNG stream, which must
     /// advance on the main thread).
     Ready(DataFrame),
-    /// To be materialized by applying the composition of `pvts` (in
-    /// the given order) to `base`, consuming `rng` — a snapshot of
-    /// the exact RNG state a serial run would hold at this point, so
-    /// deferred materialization is reproducible.
-    Apply {
-        /// Transformations to compose, in application order.
-        pvts: Vec<&'a Pvt>,
-        /// Dataset to transform.
-        base: &'a DataFrame,
-        /// RNG stream snapshot to consume.
-        rng: StdRng,
-    },
+    /// To be materialized from an intent.
+    Apply(Intent<'a>),
 }
 
 /// A materialized speculation.
@@ -122,23 +172,11 @@ pub struct Speculated {
     pub frame: DataFrame,
 }
 
-fn materialize(job: Speculation<'_>) -> Result<Speculated> {
-    match job {
-        Speculation::Ready(frame) => Ok(Speculated { frame }),
-        Speculation::Apply {
-            pvts,
-            base,
-            mut rng,
-        } => {
-            let (frame, _) = apply_composition(&pvts, base, &mut rng)?;
-            Ok(Speculated { frame })
-        }
-    }
-}
-
-/// A fully owned, fire-and-forget cache-warming job: apply the
-/// composition of `pvts` to `base` consuming `rng`, then score the
-/// result into the shared fingerprint cache.
+/// A fully owned, fire-and-forget cache-warming job: the owned form of
+/// an [`Intent`]. A worker builds the frame, records its fingerprint
+/// under the intent key and scores it into the shared fingerprint
+/// cache, unless the key already names a frame that is scored or being
+/// scored.
 ///
 /// Unlike [`Speculation`], nothing is borrowed and nothing is
 /// returned: the group-testing lookahead queues whole recursion-tree
@@ -152,8 +190,30 @@ pub struct DetachedSpeculation {
     pub pvts: Vec<Pvt>,
     /// Dataset to transform.
     pub base: Arc<DataFrame>,
-    /// RNG stream to consume (derived, never shared).
-    pub rng: StdRng,
+    /// [`fingerprint`] of `base`.
+    pub base_fp: u64,
+    /// Seed of the RNG stream the application consumes.
+    pub seed: u64,
+}
+
+impl DetachedSpeculation {
+    /// The job as a borrowed [`Intent`].
+    pub fn intent(&self) -> Intent<'_> {
+        Intent {
+            pvts: self.pvts.iter().collect(),
+            base: &self.base,
+            base_fp: self.base_fp,
+            seed: self.seed,
+        }
+    }
+}
+
+/// One job of the detached pool.
+enum PoolJob {
+    /// A free baseline of the opening, scored as given.
+    Baseline(Arc<DataFrame>),
+    /// A lookahead probe.
+    Probe(DetachedSpeculation),
 }
 
 /// The speculation executor's decision for one cold bisection node:
@@ -351,6 +411,10 @@ struct CacheState {
     unconsumed: HashSet<u64>,
     /// Fingerprints a thread has claimed and is scoring right now.
     inflight: HashSet<u64>,
+    /// Intent key → fingerprint of the frame the intent builds,
+    /// recorded wherever a frame is built from an intent (the replay
+    /// and every worker) and seeded from a warm cache.
+    intents: HashMap<u64, u64>,
 }
 
 /// What a replay query finds in the [`SharedCache`].
@@ -363,6 +427,13 @@ enum Lookup {
     Claimed,
 }
 
+/// The frame behind a query: built by the caller, or still an intent
+/// the runtime builds only if no score for it exists or is coming.
+enum Frame<'q, 'a> {
+    Built(&'q DataFrame),
+    Intent(&'q Intent<'a>),
+}
+
 impl SharedCache {
     fn new() -> Self {
         SharedCache {
@@ -370,6 +441,7 @@ impl SharedCache {
                 map: HashMap::new(),
                 unconsumed: HashSet::new(),
                 inflight: HashSet::new(),
+                intents: HashMap::new(),
             }),
             settled: Condvar::new(),
         }
@@ -407,6 +479,20 @@ impl SharedCache {
     fn known(&self, fp: u64) -> bool {
         let state = self.lock();
         state.map.contains_key(&fp) || state.inflight.contains(&fp)
+    }
+
+    /// The fingerprint intent key `key` builds, when it is recorded
+    /// and that fingerprint is scored or being scored — the case in
+    /// which a query needs no frame.
+    fn resolve(&self, key: u64) -> Option<u64> {
+        let state = self.lock();
+        let fp = *state.intents.get(&key)?;
+        (state.map.contains_key(&fp) || state.inflight.contains(&fp)).then_some(fp)
+    }
+
+    /// Record that intent key `key` builds fingerprint `fp`.
+    fn register(&self, key: u64, fp: u64) {
+        self.lock().intents.insert(key, fp);
     }
 
     /// Release the claim on `fp`, recording its score if there is one
@@ -453,11 +539,17 @@ impl<'g> JobGuard<'g> {
         }
     }
 
-    /// Score `frame` on `system` into the cache as a speculative
-    /// entry, unless some thread has scored or claimed it already.
-    /// The evaluation count and latency go to the worker's `shard`.
-    fn speculate(&mut self, system: &mut dyn System, frame: &DataFrame, shard: &MetricsShard) {
-        let fp = fingerprint(frame);
+    /// Score `frame` (fingerprint `fp`) on `system` into the cache as
+    /// a speculative entry, unless some thread has scored or claimed it
+    /// already. The evaluation count and latency go to the worker's
+    /// `shard`.
+    fn speculate(
+        &mut self,
+        system: &mut dyn System,
+        fp: u64,
+        frame: &DataFrame,
+        shard: &MetricsShard,
+    ) {
         if !self.cache.try_claim(fp) {
             return;
         }
@@ -466,6 +558,30 @@ impl<'g> JobGuard<'g> {
         let score = sanitize(system.malfunction(frame));
         shard.record(start.elapsed().as_nanos() as u64);
         self.publish(score, true);
+    }
+
+    /// Worker side of one intent (key `key`): build the frame, record
+    /// its fingerprint under the key and score it as in
+    /// [`JobGuard::speculate`]. With `skip_known`, an intent whose key
+    /// already names a scored or in-flight frame is skipped and nothing
+    /// is built. Returns the frame when one was built.
+    fn speculate_intent(
+        &mut self,
+        system: &mut dyn System,
+        shard: &MetricsShard,
+        key: u64,
+        skip_known: bool,
+        build: impl FnOnce() -> Result<DataFrame>,
+    ) -> Result<Option<DataFrame>> {
+        if skip_known && self.cache.resolve(key).is_some() {
+            return Ok(None);
+        }
+        let frame = build()?;
+        shard.record_build();
+        let fp = fingerprint(&frame);
+        self.cache.register(key, fp);
+        self.speculate(system, fp, &frame, shard);
+        Ok(Some(frame))
     }
 }
 
@@ -497,7 +613,7 @@ struct Pool {
 }
 
 struct PoolState {
-    queue: VecDeque<DetachedSpeculation>,
+    queue: VecDeque<PoolJob>,
     /// Jobs enqueued or currently executing.
     pending: usize,
     shutdown: bool,
@@ -521,7 +637,7 @@ impl Pool {
     /// would, so shedding them costs the least cache warming. Jobs a
     /// worker already started cannot be shed, so `pending` is bounded
     /// by budget + worker count.
-    fn enqueue(&self, jobs: Vec<DetachedSpeculation>, budget: Option<usize>) {
+    fn enqueue(&self, jobs: Vec<PoolJob>, budget: Option<usize>) {
         let mut state = self.state.lock().expect("pool lock");
         state.pending += jobs.len();
         state.queue.extend(jobs);
@@ -538,6 +654,17 @@ impl Pool {
         drop(state);
         self.work.notify_all();
     }
+}
+
+/// The frames of a [`Oracle::score_batch`] run that kept them.
+fn kept(results: Vec<Result<Option<DataFrame>>>) -> Vec<Result<Speculated>> {
+    results
+        .into_iter()
+        .map(|out| {
+            let frame = out?.expect("a batch that keeps frames returns every one");
+            Ok(Speculated { frame })
+        })
+        .collect()
 }
 
 /// Where a runtime gets the systems it runs.
@@ -612,6 +739,11 @@ pub struct Oracle<'a> {
     baseline_queries: u64,
     speculative_issued: u64,
     speculative_used: u64,
+    /// Frames built on the calling thread ([`RunMetrics::frames_built`]).
+    frames_built: u64,
+    /// Queries whose fingerprint came from the intent index
+    /// ([`RunMetrics::intent_hits`]).
+    intent_hits: u64,
     query_latency: LatencyHistogram,
     last: QueryStat,
     /// One shard per sync-speculation worker slot (same index as
@@ -682,6 +814,8 @@ impl<'a> Oracle<'a> {
             baseline_queries: 0,
             speculative_issued: 0,
             speculative_used: 0,
+            frames_built: 0,
+            intent_hits: 0,
             query_latency: LatencyHistogram::default(),
             last: QueryStat::default(),
             sync_shards: Vec::new(),
@@ -725,7 +859,10 @@ impl<'a> Oracle<'a> {
     ///
     /// A seed outside `[0, 1]` (NaN included) cannot be a score this
     /// runtime computed, so it is skipped and its frame is scored
-    /// cold. Call before the first query; returns `self` for chaining.
+    /// cold. The cache's intent records are seeded too: a charged
+    /// query of a recorded composition whose fingerprint is scored
+    /// needs no frame. Call before the first query; returns `self` for
+    /// chaining.
     pub fn with_warm_cache(mut self, warm: &ScoreCache) -> Self {
         let mut shared = self.cache.lock();
         // One allocation for the whole seed set: growing it entry by
@@ -738,6 +875,8 @@ impl<'a> Oracle<'a> {
                 self.warm.insert(fp);
             }
         }
+        shared.intents.reserve(warm.intent_count());
+        shared.intents.extend(warm.intents());
         drop(shared);
         self
     }
@@ -756,15 +895,18 @@ impl<'a> Oracle<'a> {
     }
 
     /// Snapshot the shared fingerprint cache (seeded, charged, and
-    /// speculative entries alike) into a cross-run [`ScoreCache`],
-    /// after settling in-flight background speculation so the export
-    /// is a quiescent, complete view.
+    /// speculative entries alike) and its intent records into a
+    /// cross-run [`ScoreCache`], after settling in-flight background
+    /// speculation so the export is a quiescent, complete view.
     pub fn export_cache(&self) -> ScoreCache {
         self.settle_pool();
         let shared = self.cache.lock();
         let mut out = ScoreCache::new();
         for (&fp, &score) in &shared.map {
             out.insert(fp, score);
+        }
+        for (&key, &fp) in &shared.intents {
+            out.insert_intent(key, fp);
         }
         out
     }
@@ -781,9 +923,11 @@ impl<'a> Oracle<'a> {
 
     /// Spawn the persistent background pool on first use. Each worker
     /// owns its own [`System`] instance (built here, on the calling
-    /// thread) and loops: pop a detached job, materialize it, score
-    /// the frame into the shared cache unless some other thread has
-    /// scored or claimed it, signal idle when the queue drains.
+    /// thread) and loops: pop a detached job, skip it when its intent
+    /// already names a scored or in-flight frame, otherwise
+    /// materialize it and score the frame into the shared cache unless
+    /// some other thread has scored or claimed it; signal idle when the
+    /// queue drains.
     fn ensure_pool(&mut self, factory: &dyn SystemFactory) -> Arc<Pool> {
         if let Some(pool) = &self.pool {
             return Arc::clone(pool);
@@ -819,11 +963,25 @@ impl<'a> Oracle<'a> {
                         state = pool_ref.work.wait(state).expect("pool lock");
                     }
                 };
-                let Some(mut job) = job else { return };
+                let Some(job) = job else { return };
                 let mut guard = JobGuard::new(&cache, None, Some(&pool_ref));
-                let refs: Vec<&Pvt> = job.pvts.iter().collect();
-                if let Ok((frame, _)) = apply_composition(&refs, &job.base, &mut job.rng) {
-                    guard.speculate(system.as_mut(), &frame, &shard);
+                match job {
+                    PoolJob::Baseline(frame) => {
+                        let fp = fingerprint(&frame);
+                        guard.speculate(system.as_mut(), fp, &frame, &shard);
+                    }
+                    PoolJob::Probe(job) => {
+                        // An error is swallowed: the replay rebuilds the
+                        // frame if it needs it and surfaces the error.
+                        let intent = job.intent();
+                        let _ = guard.speculate_intent(
+                            system.as_mut(),
+                            &shard,
+                            intent.key(),
+                            true,
+                            || intent.build(),
+                        );
+                    }
                 }
             }));
         }
@@ -849,11 +1007,13 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// Score `df` (fingerprint `fp`) through the shared cache on the
-    /// primary system. A frame a worker is still scoring is waited
-    /// for, never scored twice. Only a `charged` query counts as a
-    /// cache hit or miss: re-asking a free baseline is neither.
-    fn query(&mut self, fp: u64, df: &DataFrame, charged: bool) -> f64 {
+    /// Score the frame of fingerprint `fp` through the shared cache on
+    /// the primary system. A frame a worker is still scoring is waited
+    /// for, never scored twice. An [`Frame::Intent`] is built only when
+    /// the score is neither cached nor coming. Only a `charged` query
+    /// counts as a cache hit or miss: re-asking a free baseline is
+    /// neither.
+    fn query(&mut self, fp: u64, frame: Frame<'_, '_>, charged: bool) -> Result<f64> {
         let (score, cached, speculative_hit, latency_ns) = match self.cache.lookup_or_claim(fp) {
             Lookup::Scored { score, speculative } => {
                 // Consuming a speculatively scored frame retires it
@@ -870,10 +1030,23 @@ impl<'a> Oracle<'a> {
                 (score, true, speculative, None)
             }
             Lookup::Claimed => {
+                // Dropped on an error or a panic, the guard releases
+                // the claim.
+                let mut guard = JobGuard::new(&self.cache, Some(fp), None);
+                let built;
+                let df = match frame {
+                    Frame::Built(df) => df,
+                    Frame::Intent(intent) => {
+                        // The worker that was scoring this frame died:
+                        // build it here.
+                        built = intent.build()?;
+                        self.frames_built += 1;
+                        &built
+                    }
+                };
                 if charged {
                     self.misses += 1;
                 }
-                let mut guard = JobGuard::new(&self.cache, Some(fp), None);
                 let system = self.source.primary(&mut self.workers);
                 let start = Instant::now();
                 let score = sanitize(system.malfunction(df));
@@ -892,17 +1065,56 @@ impl<'a> Oracle<'a> {
             speculative_hit,
             latency_ns,
         };
-        score
+        Ok(score)
+    }
+
+    /// Charge one query of the frame of fingerprint `fp`, unless it is
+    /// a free baseline.
+    fn charge(&mut self, fp: u64, frame: Frame<'_, '_>) -> Result<f64> {
+        let charged = !self.free.contains(&fp);
+        if charged {
+            self.interventions += 1;
+        }
+        self.query(fp, frame, charged)
+    }
+
+    /// Build the frame of `intent` on the calling thread, counted in
+    /// [`RunMetrics::frames_built`]. Searches call this for the frames
+    /// they carry forward (a group-testing leaf, an accepted
+    /// Make-Minimal drop); a query that only needs a score goes
+    /// through [`Oracle::intervene_apply`] instead.
+    pub fn build(&mut self, intent: &Intent<'_>) -> Result<DataFrame> {
+        self.frames_built += 1;
+        intent.build()
+    }
+
+    /// The fingerprint of `intent`'s frame: from the intent index when
+    /// it names a scored or in-flight fingerprint (no frame needed),
+    /// otherwise by building the frame, which is returned and its
+    /// fingerprint recorded under the intent key.
+    fn resolve(&mut self, intent: &Intent<'_>) -> Result<(u64, Option<DataFrame>)> {
+        let key = intent.key();
+        if let Some(fp) = self.cache.resolve(key) {
+            self.intent_hits += 1;
+            return Ok((fp, None));
+        }
+        let frame = self.build(intent)?;
+        let fp = fingerprint(&frame);
+        self.cache.register(key, fp);
+        Ok((fp, Some(frame)))
     }
 
     /// Materialize `jobs` and score them concurrently on up to
     /// `num_threads` sync workers built by `factory`, one result per
-    /// job in job order.
+    /// job in job order. With `keep`, every frame is returned;
+    /// without, nothing is, and an intent whose key already names a
+    /// scored or in-flight frame is not even built.
     fn score_batch(
         &mut self,
         factory: &dyn SystemFactory,
         jobs: Vec<Speculation<'_>>,
-    ) -> Vec<Result<Speculated>> {
+        keep: bool,
+    ) -> Vec<Result<Option<DataFrame>>> {
         let n_jobs = jobs.len();
         let n_workers = self.num_threads.min(n_jobs);
         while self.workers.len() < n_workers {
@@ -916,7 +1128,7 @@ impl<'a> Oracle<'a> {
         // keeps the crate `forbid(unsafe_code)`-clean.
         let queue: Mutex<Vec<(usize, Speculation<'_>)>> =
             Mutex::new(jobs.into_iter().enumerate().rev().collect());
-        let results: Vec<Mutex<Option<Result<Speculated>>>> =
+        let results: Vec<Mutex<Option<Result<Option<DataFrame>>>>> =
             (0..n_jobs).map(|_| Mutex::new(None)).collect();
         let cache = &*self.cache;
         let queue_ref = &queue;
@@ -932,10 +1144,18 @@ impl<'a> Oracle<'a> {
                     let job = queue_ref.lock().expect("queue lock").pop();
                     let Some((idx, job)) = job else { break };
                     let mut guard = JobGuard::new(cache, None, None);
-                    let out = materialize(job);
-                    if let Ok(speculated) = &out {
-                        guard.speculate(worker.as_mut(), &speculated.frame, shard);
-                    }
+                    let out = match job {
+                        Speculation::Ready(frame) => {
+                            let fp = fingerprint(&frame);
+                            guard.speculate(worker.as_mut(), fp, &frame, shard);
+                            Ok(keep.then_some(frame))
+                        }
+                        Speculation::Apply(intent) => guard
+                            .speculate_intent(worker.as_mut(), shard, intent.key(), !keep, || {
+                                intent.build()
+                            })
+                            .map(|frame| frame.filter(|_| keep)),
+                    };
                     *results_ref[idx].lock().expect("result lock") = Some(out);
                 });
             }
@@ -970,7 +1190,8 @@ impl<'a> Oracle<'a> {
         self.free.insert(fp);
         self.baseline_queries += 1;
         // Baselines never count toward the hit/miss split.
-        self.query(fp, df, false)
+        self.query(fp, Frame::Built(df), false)
+            .expect("a built frame is never rebuilt")
     }
 
     /// Malfunction score of a transformed dataset: one intervention
@@ -978,12 +1199,22 @@ impl<'a> Oracle<'a> {
     /// not been scored before). Re-asking a free baseline is neither
     /// charged nor counted as a cache hit.
     pub fn intervene(&mut self, df: &DataFrame) -> f64 {
-        let fp = fingerprint(df);
-        let charged = !self.free.contains(&fp);
-        if charged {
-            self.interventions += 1;
+        self.charge(fingerprint(df), Frame::Built(df))
+            .expect("a built frame is never rebuilt")
+    }
+
+    /// [`Oracle::intervene`] on the frame `intent` builds. When the
+    /// intent's key names a fingerprint that is already scored (or
+    /// being scored), the frame is never built; otherwise it is built
+    /// once and its fingerprint recorded under the key. Charging,
+    /// scores and the cache counters are those of
+    /// [`Oracle::intervene`] on the built frame.
+    pub fn intervene_apply(&mut self, intent: &Intent<'_>) -> Result<f64> {
+        let (fp, built) = self.resolve(intent)?;
+        match &built {
+            Some(df) => self.charge(fp, Frame::Built(df)),
+            None => self.charge(fp, Frame::Intent(intent)),
         }
-        self.query(fp, df, charged)
     }
 
     /// Decide whether `df` passes at τ, charging one intervention.
@@ -997,7 +1228,25 @@ impl<'a> Oracle<'a> {
     /// or sit inside the confidence band of τ — escalate to a full
     /// evaluation, so a returned score is exact.
     pub fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
-        let fp = fingerprint(df);
+        self.decide_built(fingerprint(df), df)
+    }
+
+    /// [`Oracle::decide`] on the frame `intent` builds. A known intent
+    /// whose fingerprint is scored or being scored needs no sampling
+    /// and no frame; any other intent is built, because sampling
+    /// scores rows of the frame.
+    pub fn decide_apply(&mut self, intent: &Intent<'_>) -> Result<(bool, Option<f64>)> {
+        match self.resolve(intent)? {
+            (fp, Some(df)) => Ok(self.decide_built(fp, &df)),
+            (fp, None) => {
+                let score = self.charge(fp, Frame::Intent(intent))?;
+                Ok((self.passes(score), Some(score)))
+            }
+        }
+    }
+
+    /// [`Oracle::decide`] on `df` of fingerprint `fp`.
+    fn decide_built(&mut self, fp: u64, df: &DataFrame) -> (bool, Option<f64>) {
         let settled = if self.free.contains(&fp) || self.cache.known(fp) {
             // The exact score is free, or speculation (or a warm
             // start) already paid — or is paying — for it: consume it
@@ -1019,7 +1268,9 @@ impl<'a> Oracle<'a> {
                 (passes, None)
             }
             None => {
-                let score = self.intervene(df);
+                let score = self
+                    .charge(fp, Frame::Built(df))
+                    .expect("a built frame is never rebuilt");
                 (self.passes(score), Some(score))
             }
         }
@@ -1039,11 +1290,27 @@ impl<'a> Oracle<'a> {
         score
     }
 
-    /// Decide one pass/fail verdict and emit its event: an
+    /// [`Oracle::intervene_apply`] and emit its [`OracleQuerySpan`].
+    pub(crate) fn intervene_apply_traced(
+        &mut self,
+        intent: &Intent<'_>,
+        tracer: &Tracer,
+    ) -> Result<f64> {
+        let score = self.intervene_apply(intent)?;
+        self.emit_query(QueryKind::Intervention, score, tracer);
+        Ok(score)
+    }
+
+    /// Decide one pass/fail verdict on `intent`'s frame
+    /// ([`Oracle::decide_apply`]) and emit its event: an
     /// [`OracleQuerySpan`] when the decision computed an exact score,
     /// an [`Event::SampledQuery`] when it settled on a sample.
-    pub(crate) fn decide_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> (bool, Option<f64>) {
-        let (passes, score) = self.decide(df);
+    pub(crate) fn decide_apply_traced(
+        &mut self,
+        intent: &Intent<'_>,
+        tracer: &Tracer,
+    ) -> Result<(bool, Option<f64>)> {
+        let (passes, score) = self.decide_apply(intent)?;
         match score {
             Some(score) => self.emit_query(QueryKind::Intervention, score, tracer),
             None => {
@@ -1052,7 +1319,7 @@ impl<'a> Oracle<'a> {
                 }
             }
         }
-        (passes, score)
+        Ok((passes, score))
     }
 
     /// Emit the [`OracleQuerySpan`] of the most recent query.
@@ -1079,23 +1346,76 @@ impl<'a> Oracle<'a> {
 
     /// Materialize the given candidate datasets and, at width > 1,
     /// score them into the fingerprint cache without charging
-    /// interventions.
+    /// interventions. Every frame is returned, for a search that
+    /// carries them forward; [`Oracle::prescore`] is the form for
+    /// probes that only need a score.
     pub fn speculate(&mut self, jobs: Vec<Speculation<'_>>) -> Result<Vec<Speculated>> {
+        self.count_ready(&jobs);
         match self.pool_factory() {
             Some(factory) if jobs.len() > 1 => {
                 self.speculative_issued += jobs.len() as u64;
-                self.score_batch(factory, jobs).into_iter().collect()
+                kept(self.score_batch(factory, jobs, true))
+                    .into_iter()
+                    .collect()
             }
             // Width 1 (or nothing to overlap): materialize only, never
             // pre-score — exactly the work of a serial run.
-            _ => jobs.into_iter().map(materialize).collect(),
+            _ => jobs.into_iter().map(|job| self.materialize(job)).collect(),
         }
+    }
+
+    /// Materialize one job on the calling thread.
+    fn materialize(&mut self, job: Speculation<'_>) -> Result<Speculated> {
+        let frame = match job {
+            Speculation::Ready(frame) => frame,
+            Speculation::Apply(intent) => self.build(&intent)?,
+        };
+        Ok(Speculated { frame })
+    }
+
+    /// Count the frames the caller built for `jobs`.
+    fn count_ready(&mut self, jobs: &[Speculation<'_>]) {
+        self.frames_built += jobs
+            .iter()
+            .filter(|job| matches!(job, Speculation::Ready(_)))
+            .count() as u64;
+    }
+
+    /// Score the frames of `probes` concurrently at width > 1, without
+    /// charging interventions and without returning them: the charged
+    /// queries that follow ([`Oracle::intervene_apply`],
+    /// [`Oracle::decide_apply`]) then find their scores by intent key.
+    /// A probe whose key already names a scored or in-flight frame is
+    /// skipped, and with fewer than two probes left there is nothing to
+    /// overlap. At width 1 this does nothing: each query builds its own
+    /// frame if it must. A materialization error is left for the
+    /// charged query to surface.
+    pub fn prescore(&mut self, probes: &[Intent<'_>]) {
+        let Some(factory) = self.pool_factory() else {
+            return;
+        };
+        let jobs = self.unresolved(probes);
+        if jobs.len() > 1 {
+            self.speculative_issued += jobs.len() as u64;
+            self.score_batch(factory, jobs, false);
+        }
+    }
+
+    /// The probes whose intent key names no scored or in-flight frame,
+    /// as jobs.
+    fn unresolved<'j>(&self, probes: &[Intent<'j>]) -> Vec<Speculation<'j>> {
+        probes
+            .iter()
+            .filter(|probe| self.cache.resolve(probe.key()).is_none())
+            .map(|probe| Speculation::Apply(probe.clone()))
+            .collect()
     }
 
     /// Queue owned cache-warming jobs to run **asynchronously**: the
     /// call returns immediately and worker threads materialize and
     /// score the jobs while the caller keeps replaying its serial
-    /// decisions. A worker skips a frame that is already scored or
+    /// decisions. A worker skips a job whose intent already names a
+    /// scored or in-flight frame, and a frame that is already scored or
     /// being scored, and a charged query of a frame a worker is still
     /// scoring waits for that score rather than scoring it again. At
     /// width 1 the jobs are dropped unexecuted — a serial run would
@@ -1109,7 +1429,24 @@ impl<'a> Oracle<'a> {
         }
         self.speculative_issued += jobs.len() as u64;
         let budget = self.effective_budget();
+        let jobs = jobs.into_iter().map(PoolJob::Probe).collect();
         self.ensure_pool(factory).enqueue(jobs, budget);
+    }
+
+    /// At width > 1, queue both baselines (`[D_pass, D_fail]`) on the
+    /// detached pool as owned copies and return the factory, so the
+    /// caller can score its first charged frames on the sync workers
+    /// while the pool scores the baselines. The opening is never shed:
+    /// the replay consumes all of it.
+    fn open(&mut self, baselines: [&DataFrame; 2]) -> Option<&'a dyn SystemFactory> {
+        let factory = self.pool_factory()?;
+        let jobs: Vec<PoolJob> = baselines
+            .into_iter()
+            .map(|df| PoolJob::Baseline(Arc::new(df.clone())))
+            .collect();
+        self.speculative_issued += jobs.len() as u64;
+        self.ensure_pool(factory).enqueue(jobs, None);
+        Some(factory)
     }
 
     /// Score the opening of a diagnosis as one batch: both baselines
@@ -1119,30 +1456,35 @@ impl<'a> Oracle<'a> {
     /// caller then validates the baselines and charges the frames in
     /// serial order, and each query finds its score in the cache.
     ///
-    /// The baselines go to the detached pool as owned copies and
-    /// `first` to the sync workers, so the whole opening is scored at
-    /// once on the instances the runtime already owns. The opening is
-    /// never shed: the replay consumes all of it. At width 1 this only
+    /// The baselines go to the detached pool and `first` to the sync
+    /// workers, so the whole opening is scored at once on the
+    /// instances the runtime already owns. At width 1 this only
     /// materializes `first`, and every query scores its own frame.
     pub fn score_opening(
         &mut self,
         baselines: [&DataFrame; 2],
         first: Vec<Speculation<'_>>,
     ) -> Vec<Result<Speculated>> {
-        let Some(factory) = self.pool_factory() else {
-            return first.into_iter().map(materialize).collect();
+        self.count_ready(&first);
+        let Some(factory) = self.open(baselines) else {
+            return first.into_iter().map(|job| self.materialize(job)).collect();
         };
-        let jobs: Vec<DetachedSpeculation> = baselines
-            .into_iter()
-            .map(|df| DetachedSpeculation {
-                pvts: Vec::new(),
-                base: Arc::new(df.clone()),
-                rng: StdRng::seed_from_u64(0),
-            })
-            .collect();
-        self.speculative_issued += (jobs.len() + first.len()) as u64;
-        self.ensure_pool(factory).enqueue(jobs, None);
-        self.score_batch(factory, first)
+        self.speculative_issued += first.len() as u64;
+        kept(self.score_batch(factory, first, true))
+    }
+
+    /// [`Oracle::score_opening`] for first probes that only need a
+    /// score ([`Oracle::prescore`]): at width > 1 the baselines and the
+    /// probes whose key names no scored frame are scored at once, and
+    /// the charged queries then find every score by intent key. At
+    /// width 1 this does nothing.
+    pub fn prescore_opening(&mut self, baselines: [&DataFrame; 2], probes: &[Intent<'_>]) {
+        let Some(factory) = self.open(baselines) else {
+            return;
+        };
+        let jobs = self.unresolved(probes);
+        self.speculative_issued += jobs.len() as u64;
+        self.score_batch(factory, jobs, false);
     }
 
     /// How many candidates per batch are worth planning ahead (1 ⇒
@@ -1268,6 +1610,8 @@ impl<'a> Oracle<'a> {
             sampled_queries: self.sampling.sampled_queries,
             escalations: self.sampling.escalations,
             rows_touched: self.sampling.rows_touched,
+            frames_built: self.frames_built,
+            intent_hits: self.intent_hits,
             query_latency: self.query_latency,
             ..RunMetrics::default()
         };
@@ -1834,7 +2178,8 @@ mod tests {
         DetachedSpeculation {
             pvts: Vec::new(),
             base: Arc::new(frame.clone()),
-            rng: StdRng::seed_from_u64(0),
+            base_fp: fingerprint(frame),
+            seed: 0,
         }
     }
 
@@ -1906,6 +2251,67 @@ mod tests {
         let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe)]);
         assert_eq!(opened.len(), 1);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
+    }
+
+    fn rescale(id: usize, lb: f64) -> Pvt {
+        Pvt {
+            id,
+            profile: crate::profile::Profile::Missing {
+                attr: "x".into(),
+                theta: 0.0,
+            },
+            transform: crate::transform::Transform::LinearRescale {
+                attr: "x".into(),
+                lb,
+                ub: lb + 1.0,
+            },
+        }
+    }
+
+    #[test]
+    fn prescored_intents_are_charged_without_building_their_frames() {
+        let factory = || |df: &DataFrame| fingerprint(df) as f64 / u64::MAX as f64;
+        let base = DataFrame::from_columns(vec![Column::from_floats(
+            "x",
+            vec![Some(1.0), Some(2.0), Some(4.0)],
+        )])
+        .unwrap();
+        let (a, b) = (rescale(0, 0.0), rescale(1, 5.0));
+        let probe = |pvt| Intent {
+            pvts: vec![pvt],
+            base: &base,
+            base_fp: fingerprint(&base),
+            seed: 7,
+        };
+        let probes = [probe(&a), probe(&b)];
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        rt.prescore(&probes);
+        let m = rt.run_metrics();
+        assert_eq!((m.speculative_issued, m.frames_built), (2, 2), "{m:?}");
+        // The workers recorded both intents: the charged queries are
+        // cache hits found by key, with no frame built.
+        for p in &probes {
+            let score = rt.intervene_apply(p).unwrap();
+            let built = fingerprint(&p.build().unwrap());
+            assert_eq!(rt.last_query().fingerprint, built);
+            assert_eq!(score.to_bits(), factory()(&p.build().unwrap()).to_bits());
+        }
+        // Probes that already resolve are not scored again.
+        rt.prescore(&probes);
+        let m = rt.run_metrics();
+        assert_eq!((m.speculative_issued, m.frames_built), (2, 2), "{m:?}");
+        assert_eq!((m.cache_hits, m.cache_misses, m.intent_hits), (2, 0, 2));
+        // The export carries the intents; a warm width-1 runtime
+        // resolves them too.
+        let warm = rt.export_cache();
+        assert_eq!(warm.intent_count(), 2);
+        let mut system = factory();
+        let mut rt = Oracle::new(&mut system, 0.2, 100).with_warm_cache(&warm);
+        for p in &probes {
+            rt.intervene_apply(p).unwrap();
+        }
+        let m = rt.run_metrics();
+        assert_eq!((m.frames_built, m.intent_hits, m.warm_hits), (0, 2, 2));
     }
 
     #[test]

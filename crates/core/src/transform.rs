@@ -26,6 +26,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// How [`Transform::ReplaceOutliers`] repairs flagged values
 /// (Fig 1 row 4's two alternatives).
@@ -451,6 +452,145 @@ impl Transform {
             }
         };
         Ok(changed)
+    }
+
+    /// Feed the transformation's full content into `h`: the variant,
+    /// every attribute name and set member in order, and every `f64`
+    /// parameter by its bit pattern. Two transformations feed equal
+    /// streams exactly when they are equal, the stream is
+    /// self-delimiting (so a sequence of transformations hashes
+    /// unambiguously), and nothing in it depends on the process: no
+    /// PVT id, no randomly keyed hasher. This is the transformation
+    /// half of [`crate::oracle::intent_key`].
+    pub fn hash_content<H: Hasher>(&self, h: &mut H) {
+        match self {
+            Transform::MapToDomain { attr, values } => {
+                0u8.hash(h);
+                attr.hash(h);
+                values.len().hash(h);
+                for v in values {
+                    v.hash(h);
+                }
+            }
+            Transform::LinearRescale { attr, lb, ub } => {
+                1u8.hash(h);
+                attr.hash(h);
+                lb.to_bits().hash(h);
+                ub.to_bits().hash(h);
+            }
+            Transform::Winsorize { attr, lb, ub } => {
+                2u8.hash(h);
+                attr.hash(h);
+                lb.to_bits().hash(h);
+                ub.to_bits().hash(h);
+            }
+            Transform::RepairText { attr, pattern } => {
+                3u8.hash(h);
+                attr.hash(h);
+                pattern.hash(h);
+            }
+            Transform::ReplaceOutliers {
+                attr,
+                detector,
+                strategy,
+            } => {
+                4u8.hash(h);
+                attr.hash(h);
+                let (tag, k) = match detector {
+                    OutlierSpec::ZScore(k) => (0u8, k),
+                    OutlierSpec::Iqr(k) => (1, k),
+                    OutlierSpec::Mad(k) => (2, k),
+                };
+                tag.hash(h);
+                k.to_bits().hash(h);
+                (*strategy as u8).hash(h);
+            }
+            Transform::Impute { attr, strategy } => {
+                5u8.hash(h);
+                attr.hash(h);
+                (*strategy as u8).hash(h);
+            }
+            Transform::ResampleSelectivity { predicate, theta } => {
+                6u8.hash(h);
+                hash_predicate(predicate, h);
+                theta.to_bits().hash(h);
+            }
+            Transform::BreakDependenceShuffle { a, b, alpha } => {
+                7u8.hash(h);
+                a.hash(h);
+                b.hash(h);
+                alpha.to_bits().hash(h);
+            }
+            Transform::DecorrelateNoise { a, b, alpha } => {
+                8u8.hash(h);
+                a.hash(h);
+                b.hash(h);
+                alpha.to_bits().hash(h);
+            }
+            Transform::Residualize { a, b } => {
+                9u8.hash(h);
+                a.hash(h);
+                b.hash(h);
+            }
+            Transform::Conditional { condition, inner } => {
+                10u8.hash(h);
+                hash_predicate(condition, h);
+                inner.hash_content(h);
+            }
+        }
+    }
+}
+
+/// [`Transform::hash_content`] for a selection predicate.
+fn hash_predicate<H: Hasher>(p: &Predicate, h: &mut H) {
+    match p {
+        Predicate::Cmp { column, op, value } => {
+            0u8.hash(h);
+            column.hash(h);
+            op.hash(h);
+            match value {
+                Value::Null => 0u8.hash(h),
+                Value::Int(v) => {
+                    1u8.hash(h);
+                    v.hash(h);
+                }
+                Value::Float(v) => {
+                    2u8.hash(h);
+                    v.to_bits().hash(h);
+                }
+                Value::Bool(v) => {
+                    3u8.hash(h);
+                    v.hash(h);
+                }
+                Value::Str(v) => {
+                    4u8.hash(h);
+                    v.hash(h);
+                }
+            }
+        }
+        Predicate::IsNull(column) => {
+            1u8.hash(h);
+            column.hash(h);
+        }
+        Predicate::IsNotNull(column) => {
+            2u8.hash(h);
+            column.hash(h);
+        }
+        Predicate::And(l, r) => {
+            3u8.hash(h);
+            hash_predicate(l, h);
+            hash_predicate(r, h);
+        }
+        Predicate::Or(l, r) => {
+            4u8.hash(h);
+            hash_predicate(l, h);
+            hash_predicate(r, h);
+        }
+        Predicate::Not(inner) => {
+            5u8.hash(h);
+            hash_predicate(inner, h);
+        }
+        Predicate::True => 6u8.hash(h),
     }
 }
 

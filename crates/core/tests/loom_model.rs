@@ -27,10 +27,8 @@
 #![cfg(loom)]
 
 use dataprism::runtime::DetachedSpeculation;
-use dataprism::Oracle;
+use dataprism::{fingerprint, Oracle};
 use dp_frame::{Column, DataFrame};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -46,7 +44,8 @@ fn detached(frame: &DataFrame) -> DetachedSpeculation {
     DetachedSpeculation {
         pvts: Vec::new(),
         base: Arc::new(frame.clone()),
-        rng: StdRng::seed_from_u64(0),
+        base_fp: fingerprint(frame),
+        seed: 0,
     }
 }
 

@@ -2,10 +2,13 @@
 //!
 //! Each registered system owns one [`LruScoreCache`] — its
 //! server-resident cache namespace. Entries are the same `(u64
-//! fingerprint, f64 score)` pairs a [`dataprism::ScoreCache`] holds,
-//! plus a recency tick; when the estimated footprint exceeds the
-//! configured byte budget, the least-recently-used entries are
-//! evicted (and counted, for the `stats` op).
+//! fingerprint, f64 score)` pairs and `(u64 intent key, u64
+//! fingerprint)` intent records a [`dataprism::ScoreCache`] holds,
+//! each with a recency tick; when the estimated footprint of both
+//! kinds together exceeds the configured byte budget, the
+//! least-recently-used entries are evicted (and counted, for the
+//! `stats` op). An intent record whose score was evicted is harmless:
+//! the runtime then builds that frame and scores it again.
 //!
 //! Recency is touched on lookup and on (re-)insertion. A diagnosis
 //! run interacts with the namespace copy-in/copy-out: the server
@@ -21,16 +24,29 @@ use std::collections::{BTreeMap, HashMap};
 /// Estimated bytes one cache entry costs across the two indexes
 /// (key + value + tick in the map, tick + key in the recency index,
 /// plus container overhead). Deliberately generous — the budget is a
-/// memory-pressure bound, not an accounting exercise.
+/// memory-pressure bound, not an accounting exercise. Scores and
+/// intent records cost the same.
 pub const ENTRY_COST_BYTES: usize = 96;
 
-/// A fingerprint → score map with LRU eviction under a byte budget.
+/// What one recency tick points at.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// A score, by fingerprint.
+    Score(u64),
+    /// An intent record, by intent key.
+    Intent(u64),
+}
+
+/// A fingerprint → score map plus intent records, with LRU eviction
+/// under one byte budget.
 #[derive(Debug)]
 pub struct LruScoreCache {
     /// fingerprint → (score, recency tick).
     map: HashMap<u64, (f64, u64)>,
-    /// recency tick → fingerprint; the first entry is the LRU victim.
-    recency: BTreeMap<u64, u64>,
+    /// intent key → (fingerprint, recency tick).
+    intents: HashMap<u64, (u64, u64)>,
+    /// recency tick → entry; the first entry is the LRU victim.
+    recency: BTreeMap<u64, Slot>,
     /// Next recency tick (monotonic; u64 never wraps in practice).
     tick: u64,
     /// Max entries derived from the byte budget (at least 1).
@@ -45,6 +61,7 @@ impl LruScoreCache {
     pub fn with_budget(budget_bytes: usize) -> LruScoreCache {
         LruScoreCache {
             map: HashMap::new(),
+            intents: HashMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
             max_entries: (budget_bytes / ENTRY_COST_BYTES).max(1),
@@ -52,14 +69,14 @@ impl LruScoreCache {
         }
     }
 
-    /// Number of resident entries.
+    /// Number of resident entries: scores and intent records.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.len() + self.intents.len()
     }
 
     /// Whether the namespace holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Entry capacity implied by the byte budget.
@@ -69,44 +86,61 @@ impl LruScoreCache {
 
     /// Estimated resident footprint in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.map.len() * ENTRY_COST_BYTES
+        self.len() * ENTRY_COST_BYTES
     }
 
-    fn touch(&mut self, fp: u64) {
-        if let Some((_, old_tick)) = self.map.get(&fp).copied() {
-            self.recency.remove(&old_tick);
-            let t = self.tick;
-            self.tick += 1;
-            self.recency.insert(t, fp);
-            self.map.get_mut(&fp).expect("entry exists").1 = t;
-        }
-    }
-
-    /// Insert (or refresh) one entry, evicting LRU entries if the
-    /// budget is exceeded.
-    pub fn insert(&mut self, fp: u64, score: f64) {
-        if self.map.contains_key(&fp) {
-            self.map.get_mut(&fp).expect("entry exists").0 = score;
-            self.touch(fp);
-            return;
-        }
+    /// A fresh recency tick for `slot`.
+    fn stamp(&mut self, slot: Slot) -> u64 {
         let t = self.tick;
         self.tick += 1;
-        self.map.insert(fp, (score, t));
-        self.recency.insert(t, fp);
-        while self.map.len() > self.max_entries {
-            let (&victim_tick, &victim_fp) =
-                self.recency.iter().next().expect("recency tracks map");
-            self.recency.remove(&victim_tick);
-            self.map.remove(&victim_fp);
+        self.recency.insert(t, slot);
+        t
+    }
+
+    /// Evict least-recently-used entries until the budget holds.
+    fn evict(&mut self) {
+        while self.len() > self.max_entries {
+            let (_, victim) = self.recency.pop_first().expect("recency tracks both maps");
+            match victim {
+                Slot::Score(fp) => {
+                    self.map.remove(&fp);
+                }
+                Slot::Intent(key) => {
+                    self.intents.remove(&key);
+                }
+            }
             self.evictions += 1;
         }
     }
 
+    /// Insert (or refresh) one score, evicting LRU entries if the
+    /// budget is exceeded.
+    pub fn insert(&mut self, fp: u64, score: f64) {
+        if let Some((_, old)) = self.map.get(&fp).copied() {
+            self.recency.remove(&old);
+        }
+        let t = self.stamp(Slot::Score(fp));
+        self.map.insert(fp, (score, t));
+        self.evict();
+    }
+
+    /// Insert (or refresh) one intent record, evicting LRU entries if
+    /// the budget is exceeded.
+    pub fn insert_intent(&mut self, key: u64, fp: u64) {
+        if let Some((_, old)) = self.intents.get(&key).copied() {
+            self.recency.remove(&old);
+        }
+        let t = self.stamp(Slot::Intent(key));
+        self.intents.insert(key, (fp, t));
+        self.evict();
+    }
+
     /// Look up a score, refreshing the entry's recency.
     pub fn get(&mut self, fp: u64) -> Option<f64> {
-        let score = self.map.get(&fp).map(|&(s, _)| s)?;
-        self.touch(fp);
+        let (score, old) = self.map.get(&fp).copied()?;
+        self.recency.remove(&old);
+        let t = self.stamp(Slot::Score(fp));
+        self.map.insert(fp, (score, t));
         Some(score)
     }
 
@@ -117,20 +151,30 @@ impl LruScoreCache {
         for (&fp, &(score, _)) in &self.map {
             out.insert(fp, score);
         }
+        for (&key, &(fp, _)) in &self.intents {
+            out.insert_intent(key, fp);
+        }
         out
     }
 
-    /// Fold a run's exported [`ScoreCache`] back in, in fingerprint
-    /// order (deterministic recency among the new entries), evicting
-    /// under the budget as usual. Returns how many entries were new.
+    /// Fold a run's exported [`ScoreCache`] back in, in key order
+    /// (deterministic recency among the new entries), evicting under
+    /// the budget as usual. Intent records go in first, so under
+    /// pressure they are evicted before the scores they point at.
+    /// Returns how many entries were new.
     pub fn absorb(&mut self, cache: &ScoreCache) -> usize {
+        let mut intents: Vec<(u64, u64)> = cache.intents().collect();
+        intents.sort_unstable();
         let mut entries: Vec<(u64, f64)> = cache.iter().collect();
         entries.sort_unstable_by_key(|&(fp, _)| fp);
-        let before = self.map.len() + self.evictions as usize;
+        let before = self.len() + self.evictions as usize;
+        for (key, fp) in intents {
+            self.insert_intent(key, fp);
+        }
         for (fp, score) in entries {
             self.insert(fp, score);
         }
-        self.map.len() + self.evictions as usize - before
+        self.len() + self.evictions as usize - before
     }
 }
 
@@ -189,6 +233,28 @@ mod tests {
         assert_eq!(other.absorb(&snap), 2);
         assert_eq!(other.absorb(&snap), 0, "re-absorb adds nothing");
         assert_eq!(other.get(20), Some(0.75));
+    }
+
+    #[test]
+    fn intent_records_share_the_budget_and_round_trip() {
+        let mut lru = LruScoreCache::with_budget(ENTRY_COST_BYTES * 3);
+        let mut run = ScoreCache::new();
+        run.insert(10, 0.5);
+        run.insert_intent(1, 10);
+        run.insert_intent(2, 20);
+        assert_eq!(lru.absorb(&run), 3);
+        assert_eq!(lru.len(), 3);
+        let copy = lru.to_score_cache();
+        assert_eq!((copy.len(), copy.intent_count()), (1, 2));
+        assert_eq!(copy.intent(2), Some(20));
+        // One more score overflows the budget: the oldest entry, an
+        // intent record, goes first.
+        lru.insert(30, 0.25);
+        assert_eq!((lru.len(), lru.evictions), (3, 1));
+        let copy = lru.to_score_cache();
+        assert_eq!(copy.intent(1), None);
+        assert_eq!(copy.get(10), Some(0.5));
+        assert_eq!(copy.intent(2), Some(20));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! pre-sorted by the caller), so it can be golden-tested byte for
 //! byte.
 
-use crate::registry::{DriftTotals, LintTotals};
+use crate::registry::{DriftTotals, FrameTotals, LintTotals};
 use dp_trace::{LatencyHistogram, LATENCY_BOUNDS_NS};
 
 /// Server-wide counters for one scrape.
@@ -43,6 +43,8 @@ pub struct NamespaceScrape {
     pub diagnoses: u64,
     /// Cumulative lint totals.
     pub lint: LintTotals,
+    /// Cumulative frame-building totals.
+    pub frames: FrameTotals,
     /// Cumulative monitoring totals.
     pub drift: DriftTotals,
     /// Whether a watcher is currently active.
@@ -214,6 +216,20 @@ pub fn render(server: &ServerScrape, namespaces: &[NamespaceScrape]) -> String {
         |ns| ns.lint.commuting_pairs,
     );
     page.per_namespace(
+        "dp_frames_built_total",
+        "counter",
+        "Candidate frames built by the namespace's diagnoses.",
+        namespaces,
+        |ns| ns.frames.built,
+    );
+    page.per_namespace(
+        "dp_intent_hits_total",
+        "counter",
+        "Queries scored by intent key without building a frame.",
+        namespaces,
+        |ns| ns.frames.intent_hits,
+    );
+    page.per_namespace(
         "dp_monitor_watching",
         "gauge",
         "Whether a watcher is active on the namespace.",
@@ -316,6 +332,10 @@ mod tests {
                     unreachable: 2,
                     commuting_pairs: 4,
                 },
+                frames: FrameTotals {
+                    built: 12,
+                    intent_hits: 30,
+                },
                 drift: DriftTotals {
                     batches_ingested: 3,
                     rows_ingested: 90,
@@ -331,6 +351,7 @@ mod tests {
                 evictions: 0,
                 diagnoses: 1,
                 lint: LintTotals::default(),
+                frames: FrameTotals::default(),
                 drift: DriftTotals::default(),
                 watching: false,
                 ingest_latency: None,
@@ -393,6 +414,14 @@ dp_lint_unreachable_total{system=\"sent \\\"q\\\"\"} 0
 # TYPE dp_lint_commuting_pairs_total counter
 dp_lint_commuting_pairs_total{system=\"inc\"} 4
 dp_lint_commuting_pairs_total{system=\"sent \\\"q\\\"\"} 0
+# HELP dp_frames_built_total Candidate frames built by the namespace's diagnoses.
+# TYPE dp_frames_built_total counter
+dp_frames_built_total{system=\"inc\"} 12
+dp_frames_built_total{system=\"sent \\\"q\\\"\"} 0
+# HELP dp_intent_hits_total Queries scored by intent key without building a frame.
+# TYPE dp_intent_hits_total counter
+dp_intent_hits_total{system=\"inc\"} 30
+dp_intent_hits_total{system=\"sent \\\"q\\\"\"} 0
 # HELP dp_monitor_watching Whether a watcher is active on the namespace.
 # TYPE dp_monitor_watching gauge
 dp_monitor_watching{system=\"inc\"} 1

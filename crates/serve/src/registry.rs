@@ -57,6 +57,9 @@ pub struct SystemEntry {
     /// Cumulative lint totals across this namespace's diagnoses
     /// (zero when the registered config runs `Lint::Off`).
     pub lint: LintTotals,
+    /// Cumulative frame-building totals across this namespace's
+    /// diagnoses.
+    pub frames: FrameTotals,
     /// The live stream watcher, installed by `watch`. `None` until a
     /// client opts in to continuous monitoring.
     pub watcher: Option<dp_monitor::Watcher>,
@@ -78,6 +81,25 @@ pub struct DriftTotals {
     pub checks: u64,
     /// Drift checks that crossed τ_drift.
     pub triggers: u64,
+}
+
+/// Running frame-building totals for one namespace, folded in from
+/// each successful diagnosis's [`dataprism::RunMetrics`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FrameTotals {
+    /// Candidate frames built ([`dataprism::RunMetrics::frames_built`]).
+    pub built: u64,
+    /// Queries scored by intent key without a frame
+    /// ([`dataprism::RunMetrics::intent_hits`]).
+    pub intent_hits: u64,
+}
+
+impl FrameTotals {
+    /// Fold one diagnosis's run metrics in.
+    pub fn fold(&mut self, metrics: &dataprism::RunMetrics) {
+        self.built += metrics.frames_built;
+        self.intent_hits += metrics.intent_hits;
+    }
 }
 
 /// Running lint-pass totals for one namespace, folded in after every
@@ -169,6 +191,7 @@ impl Registry {
                     cache: LruScoreCache::with_budget(self.budget_bytes),
                     diagnoses: 0,
                     lint: LintTotals::default(),
+                    frames: FrameTotals::default(),
                     watcher: None,
                     drift: DriftTotals::default(),
                 }))

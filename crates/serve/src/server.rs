@@ -632,6 +632,7 @@ fn handle_diagnose(
             entry.lint.subsumed += exp.lint.subsumed.len() as u64;
             entry.lint.unreachable += exp.lint.unreachable_ids().len() as u64;
             entry.lint.commuting_pairs += exp.lint.commuting.len() as u64;
+            entry.frames.fold(&exp.metrics);
         }
         (new_entries, entry.cache.len(), entry.cache.evictions)
     });
@@ -655,6 +656,8 @@ fn handle_diagnose(
                 .u64("cache_hits", exp.metrics.cache_hits)
                 .u64("cache_misses", exp.metrics.cache_misses)
                 .u64("warm_hits", exp.metrics.warm_hits)
+                .u64("frames_built", exp.metrics.frames_built)
+                .u64("intent_hits", exp.metrics.intent_hits)
                 .str("speculation", speculation.as_str())
                 .u64("speculative_shed", exp.metrics.speculative_shed)
                 .u64("peak_inflight", exp.metrics.peak_inflight)
@@ -677,12 +680,26 @@ fn handle_diagnose(
     }
 }
 
+/// The first score of `scores` outside `[0, 1]` (NaN included): no
+/// system returns one, so a payload carrying it is corrupt or
+/// hand-edited, and the namespace must not take it in.
+fn out_of_range(scores: impl IntoIterator<Item = (u64, f64)>) -> Option<String> {
+    scores
+        .into_iter()
+        .find(|&(_, score)| !(0.0..=1.0).contains(&score))
+        .map(|(fp, score)| format!("score {score} of fingerprint {fp} is outside [0, 1]"))
+}
+
 fn handle_warm(shared: &Shared, system: &str, trace: &str) -> String {
-    let mut staged = ScoreCache::new();
-    let loaded = match staged.warm_from_jsonl(trace) {
-        Ok(n) => n,
+    let replay = match dp_trace::replay_oracle_queries(trace) {
+        Ok(replay) => replay,
         Err(e) => return error_response(ErrorCode::BadTrace, &e.to_string()),
     };
+    if let Some(bad) = out_of_range(replay.queries.iter().map(|q| (q.fingerprint, q.score))) {
+        return error_response(ErrorCode::BadTrace, &bad);
+    }
+    let mut staged = ScoreCache::new();
+    let loaded = staged.absorb_spans(&replay.queries);
     match with_entry(shared, system, |entry| {
         (entry.cache.absorb(&staged), entry.cache.len())
     }) {
@@ -717,6 +734,9 @@ fn handle_restore(shared: &Shared, system: &str, snapshot: &str) -> String {
         Ok(c) => c,
         Err(e) => return error_response(ErrorCode::BadSnapshot, &e.to_string()),
     };
+    if let Some(bad) = out_of_range(staged.iter()) {
+        return error_response(ErrorCode::BadSnapshot, &bad);
+    }
     match with_entry(shared, system, |entry| {
         (entry.cache.absorb(&staged), entry.cache.len())
     }) {
@@ -913,8 +933,9 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> St
     drop(permit);
     let absorbed = with_entry(shared, system, |entry| {
         let new_entries = entry.cache.absorb(&cache);
-        if result.is_ok() {
+        if let Ok(exp) = &result {
             entry.diagnoses += 1;
+            entry.frames.fold(&exp.metrics);
         }
         (new_entries, entry.cache.len())
     });
@@ -969,6 +990,7 @@ fn handle_metrics(shared: &Shared) -> String {
             evictions: entry.cache.evictions,
             diagnoses: entry.diagnoses,
             lint: entry.lint,
+            frames: entry.frames,
             drift: entry.drift,
             watching: entry.watcher.is_some(),
             ingest_latency: entry.watcher.as_ref().map(|w| w.metrics().ingest_latency),

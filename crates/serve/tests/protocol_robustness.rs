@@ -127,6 +127,35 @@ fn bad_warm_and_restore_payloads_never_poison_the_namespace() {
     assert_eq!(error_code(&v).as_deref(), Some("bad_snapshot"));
     let v = client.restore("ex", "wrong header\n").unwrap();
     assert_eq!(error_code(&v).as_deref(), Some("bad_snapshot"));
+    // Well-formed payloads carrying scores no system returns are
+    // refused whole, and the namespace keeps exactly what it had.
+    let before = field_u64(&client.stats(Some("ex")).unwrap(), "cache_entries");
+    let v = client
+        .restore(
+            "ex",
+            &format!("dp-score-cache v1\n1 {}\n", 7.5f64.to_bits()),
+        )
+        .unwrap();
+    assert_eq!(error_code(&v).as_deref(), Some("bad_snapshot"), "{v:?}");
+    let span = |fingerprint, score| dp_trace::TraceRecord {
+        seq: 0,
+        at_ns: 0,
+        event: dp_trace::Event::OracleQuery(dp_trace::OracleQuerySpan {
+            kind: dp_trace::QueryKind::Intervention,
+            fingerprint,
+            score,
+            cached: false,
+            speculative_hit: false,
+            latency_ns: Some(1),
+        }),
+    };
+    for score in [-1.0, 1.5, f64::NAN] {
+        let trace = dp_trace::to_jsonl(&[span(2, 0.5), span(3, score)]);
+        let v = client.warm("ex", &trace).unwrap();
+        assert_eq!(error_code(&v).as_deref(), Some("bad_trace"), "{v:?}");
+    }
+    let after = field_u64(&client.stats(Some("ex")).unwrap(), "cache_entries");
+    assert_eq!(before, after, "a refused payload adds nothing");
 
     // Diagnosis after all the garbage: still identical to before.
     let after = client.diagnose("ex", "greedy", None).unwrap();

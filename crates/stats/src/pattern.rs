@@ -80,7 +80,7 @@ fn regex_escape(c: char) -> String {
 
 /// One generalized token: a character class repeated between `min`
 /// and `max` times.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Token {
     /// The class of every character in the run.
     pub class: CharClass,
@@ -93,7 +93,7 @@ pub struct Token {
 /// A learned pattern: a sequence of generalized tokens, plus global
 /// length bounds. Strings match if they tokenize into the same class
 /// sequence with run lengths inside the bounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
     tokens: Vec<Token>,
     /// Minimum total string length observed.

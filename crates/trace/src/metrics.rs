@@ -77,6 +77,7 @@ impl LatencyHistogram {
 #[derive(Debug, Default)]
 pub struct MetricsShard {
     evaluated: AtomicU64,
+    built: AtomicU64,
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -96,6 +97,16 @@ impl MetricsShard {
     /// Evaluations recorded so far.
     pub fn evaluated(&self) -> u64 {
         self.evaluated.load(Relaxed)
+    }
+
+    /// Record one frame the worker built from a composition.
+    pub fn record_build(&self) {
+        self.built.fetch_add(1, Relaxed);
+    }
+
+    /// Frames built so far.
+    pub fn built(&self) -> u64 {
+        self.built.load(Relaxed)
     }
 
     /// Snapshot the shard's histogram.
@@ -202,6 +213,16 @@ pub struct RunMetrics {
     /// Rows actually scored by settled sampled queries — the work the
     /// early exits paid instead of `sampled_queries × |D|`.
     pub rows_touched: u64,
+    /// Candidate frames built from compositions of transformations, on
+    /// the calling thread and on workers, plus frames a search handed
+    /// to speculation ready-made. A warm run whose queries all resolve
+    /// by intent key builds only the frames its search carries
+    /// forward. Searches that build their own frames outside the
+    /// runtime (BugDoc, Anchor, the Appendix B tree) count none.
+    pub frames_built: u64,
+    /// Queries that found their frame's fingerprint by intent key and
+    /// so needed no frame built.
+    pub intent_hits: u64,
     /// Latency of charged cache-miss evaluations (main thread).
     pub query_latency: LatencyHistogram,
     /// Latency of speculative evaluations (worker shards).
@@ -224,6 +245,7 @@ impl RunMetrics {
     /// Fold one worker shard in (called at settle, main thread).
     pub fn merge_worker(&mut self, shard: &MetricsShard) {
         self.speculative_evaluated += shard.evaluated();
+        self.frames_built += shard.built();
         self.speculative_latency.merge(&shard.snapshot());
     }
 

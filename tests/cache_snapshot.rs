@@ -1,12 +1,15 @@
 //! Property tests for the cache snapshot codec.
 //!
 //! The snapshot format (`dp-score-cache v1`, then one
-//! `<fingerprint> <score-bits>` decimal pair per line) must be
-//! *exact*: save → load reproduces every entry bit for bit, for any
-//! u64 fingerprint and any f64 bit pattern — including negative
-//! zero, infinities, subnormals, and NaNs with arbitrary payloads
-//! (a hand-edited NaN must survive the round trip unchanged, even
-//! though the oracle itself never caches one).
+//! `<fingerprint> <score-bits>` decimal pair per line; `dp-score-cache
+//! v2` adds `intent <key> <fingerprint>` records) must be *exact*:
+//! save → load reproduces every entry bit for bit, for any u64
+//! fingerprint and any f64 bit pattern — including negative zero,
+//! infinities, subnormals, and NaNs with arbitrary payloads (a
+//! hand-edited NaN must survive the round trip unchanged, even though
+//! the oracle itself never caches one). The loader is a trust
+//! boundary: arbitrary bytes under either header load or fail with a
+//! typed error naming a line, and never panic.
 
 use dataprism::ScoreCache;
 use proptest::prelude::*;
@@ -27,7 +30,64 @@ fn build(entries: &[(u64, u64)]) -> ScoreCache {
     cache
 }
 
+/// Canonical view of a cache's intent records: sorted
+/// `(intent key, fingerprint)` pairs.
+fn canon_intents(cache: &ScoreCache) -> Vec<(u64, u64)> {
+    let mut v: Vec<(u64, u64)> = cache.intents().collect();
+    v.sort_unstable();
+    v
+}
+
+/// Arbitrary text: printable snapshot-ish characters (digits, spaces,
+/// newlines, the intent tag's letters, signs) mixed with any bytes,
+/// decoded lossily as the daemon decodes a request.
+fn noise() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => prop::sample::select(b"0123456789 \nintent-+.x\t".to_vec()),
+            1 => 0u8..=255u8,
+        ],
+        0..96,
+    )
+    .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
 proptest! {
+    #[test]
+    fn snapshot_loader_rejects_arbitrary_bytes_with_a_line_number(
+        header in 0usize..3,
+        body in noise(),
+    ) {
+        let text = match header {
+            0 => format!("dp-score-cache v1\n{body}"),
+            1 => format!("dp-score-cache v2\n{body}"),
+            _ => body,
+        };
+        // Never panics: either a cache or a typed error on a real line.
+        if let Err(err) = ScoreCache::from_snapshot(&text) {
+            let lines = text.lines().count().max(1);
+            prop_assert!(err.line >= 1 && err.line <= lines, "{err} in {text:?}");
+        }
+    }
+
+    #[test]
+    fn snapshots_with_intent_records_round_trip_exactly(
+        entries in prop::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 0..24),
+        intents in prop::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 0..24),
+    ) {
+        let mut cache = build(&entries);
+        for &(key, fp) in &intents {
+            cache.insert_intent(key, fp);
+        }
+        let text = cache.to_snapshot();
+        let header = if intents.is_empty() { "dp-score-cache v1" } else { "dp-score-cache v2" };
+        prop_assert_eq!(text.lines().next(), Some(header));
+        let reloaded = ScoreCache::from_snapshot(&text).expect("own snapshot must load");
+        prop_assert_eq!(canon(&cache), canon(&reloaded));
+        prop_assert_eq!(canon_intents(&cache), canon_intents(&reloaded));
+        prop_assert_eq!(text, reloaded.to_snapshot());
+    }
+
     #[test]
     fn snapshot_save_load_round_trips_exactly(
         entries in prop::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 0..48)
@@ -102,7 +162,7 @@ fn single_entry_round_trips_for_awkward_bit_patterns() {
 fn corrupt_snapshots_are_rejected_with_line_numbers() {
     for (text, bad_line) in [
         ("", 1),                               // no header
-        ("dp-score-cache v2\n", 1),            // future version
+        ("dp-score-cache v3\n", 1),            // future version
         ("dp-score-cache v1\n1 2 3\n", 2),     // three fields
         ("dp-score-cache v1\n1\n", 2),         // one field
         ("dp-score-cache v1\nx 2\n", 2),       // non-decimal fp

@@ -394,8 +394,8 @@ fn daemon_snapshot_restore_preserves_warmth() {
 fn daemon_restore_of_out_of_range_scores_diagnoses_cold() {
     // A snapshot is a trust boundary: a corrupt or hand-edited file
     // may carry scores no system returns, and a seeded −1.0 would read
-    // as a pass. Restoring one must leave the diagnosis unchanged:
-    // every out-of-range entry is skipped and its frame scored cold.
+    // as a pass. Restoring one is refused with a typed error and
+    // leaves the namespace untouched, so the diagnosis runs cold.
     let server = Server::start(ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
@@ -414,11 +414,14 @@ fn daemon_restore_of_out_of_range_scores_diagnoses_cold() {
         &client.register("c", "example1", None, None).unwrap()
     ));
     let restored = client.restore("c", &poisoned.to_snapshot()).unwrap();
-    assert!(is_ok(&restored), "{restored:?}");
+    assert!(!is_ok(&restored), "{restored:?}");
     assert_eq!(
-        field_u64(&restored, "new_cache_entries"),
-        Some(poisoned.len() as u64)
+        restored.get("code").and_then(|c| c.as_str()),
+        Some("bad_snapshot"),
+        "{restored:?}"
     );
+    let stats = client.stats(Some("c")).unwrap();
+    assert_eq!(field_u64(&stats, "cache_entries"), Some(0), "{stats:?}");
     let first = client.diagnose("c", "greedy", None).unwrap();
     assert!(is_ok(&first), "{first:?}");
     assert_eq!(field_u64(&first, "digest"), field_u64(&cold, "digest"));
