@@ -6,11 +6,14 @@
 //!
 //! Usage: `cargo run --release -p dp-bench --bin fig7_table [--small]`
 
-use dp_bench::{format_row, run_case_study, Technique};
+use dp_bench::{arg_switch, format_row, run_case_study, Technique};
 use dp_scenarios::{cardio, income, sentiment, Scenario};
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--small"];
+
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    let small = arg_switch(FLAGS, "--small");
     let (n_sent, n_inc, n_card) = if small {
         (400, 300, 400)
     } else {

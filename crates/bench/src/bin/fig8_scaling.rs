@@ -9,40 +9,28 @@
 //! finishes in minutes (`--full` raises the cap to 100K).
 //!
 //! A third panel scales the *row count* to 10⁶ (10⁷ with `--full`),
-//! the regime where the copy-on-write chunked frame and the
-//! confidence-bounded sampled oracle matter.
+//! the regime where the copy-on-write chunked frame matters.
 //!
 //! Usage: `cargo run --release -p dp-bench --bin fig8_scaling
 //! [--full] [--smoke]`
 //!
-//! `--smoke` skips the sweeps and runs the CI memory + sampling gate
-//! on one 10⁶-row cell instead:
-//!
-//! - the live intervention working set (base frame + one speculated
-//!   frame per PVT, exactly what the speculation layer holds in
-//!   flight) must occupy ≥ 5× less heap after chunk deduplication
-//!   than eager full copies would;
-//! - GRD and GT under `oracle_sampling: Bounded` must produce
-//!   explanations bit-identical (same [`Explanation::digest`]) to
-//!   the full-evaluation runs, while touching strictly fewer rows.
+//! `--smoke` skips the sweeps and runs the CI memory gate on one
+//! 10⁶-row cell instead: the live intervention working set (base
+//! frame + one speculated frame per PVT, exactly what the speculation
+//! layer holds in flight) must occupy ≥ 5× less heap after chunk
+//! deduplication than eager full copies would.
 
-use dataprism::{
-    explain_greedy_with_pvts, explain_group_test_with_pvts, Explanation, OracleSampling,
-    PartitionStrategy, PrismConfig,
-};
-use dp_bench::{format_row, run_synthetic, Technique};
+use dp_bench::{arg_switch, format_row, run_synthetic, Technique};
 use dp_frame::unique_heap_bytes;
 use dp_scenarios::synthetic::{conjunctive_cause_with_rows, single_cause, single_cause_with_rows};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The CI gate: one 10⁶-row single-cause cell, checked for the CoW
-/// working-set saving and for sampled-vs-full digest equality.
+/// The CI gate: one 10⁶-row cell, checked for the CoW working-set
+/// saving.
 fn smoke() {
     let rows = 1_000_000;
-    // A 4-PVT conjunctive cause: minimality checking must drop-test
-    // non-prefix sub-compositions whose scores were never cached, so
-    // the sampled oracle gets unknown failing queries to settle.
+    // A 4-PVT conjunctive cause over 16 attributes and 8 PVTs.
     let scenario = conjunctive_cause_with_rows(16, 8, 4, rows, 11);
 
     // Memory gate. Materialize every candidate intervention the way
@@ -73,66 +61,18 @@ fn smoke() {
         "CoW working set must be >= 5x smaller than eager copies (got {factor:.2}x)"
     );
 
-    // Sampling gate: same cell, full evaluation vs confidence-bounded
-    // sampled oracle, for both techniques.
-    let sampled_config = |mut c: PrismConfig| {
-        c.oracle_sampling = OracleSampling::Bounded { confidence: 0.95 };
-        c
-    };
-    let grd = |config: &PrismConfig| -> Explanation {
-        explain_greedy_with_pvts(
-            &mut scenario.system.clone(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            scenario.pvts.clone(),
-            config,
-        )
-        .expect("greedy resolves")
-    };
-    let gt = |config: &PrismConfig| -> Explanation {
-        explain_group_test_with_pvts(
-            &mut scenario.system.clone(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            scenario.pvts.clone(),
-            config,
-            PartitionStrategy::MinBisection,
-        )
-        .expect("group test resolves")
-    };
-    for (name, run) in [
-        ("GRD", &grd as &dyn Fn(&PrismConfig) -> Explanation),
-        ("GT", &gt),
-    ] {
-        let full = run(&scenario.config);
-        let sampled = run(&sampled_config(scenario.config.clone()));
-        assert_eq!(
-            full.digest(),
-            sampled.digest(),
-            "{name}: sampled run must be bit-identical to full evaluation"
-        );
-        assert!(
-            sampled.metrics.sampled_queries > 0,
-            "{name}: the 10^6-row cell must actually settle queries on samples"
-        );
-        println!(
-            "sampling gate: {name}: digest match, {} interventions, \
-             {} settled on samples ({} escalated, {} sampled rows touched)",
-            sampled.interventions,
-            sampled.metrics.sampled_queries,
-            sampled.metrics.escalations,
-            sampled.metrics.rows_touched,
-        );
-    }
-    println!("fig8 memory + sampling gate: ok");
+    println!("fig8 memory gate: ok");
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--full", "--smoke"];
+
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
+    if arg_switch(FLAGS, "--smoke") {
         smoke();
         return;
     }
-    let full = std::env::args().any(|a| a == "--full");
+    let full = arg_switch(FLAGS, "--full");
     let seed = 11;
 
     println!(

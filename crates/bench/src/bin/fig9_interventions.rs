@@ -11,7 +11,7 @@
 //! Usage:
 //! `cargo run --release -p dp-bench --bin fig9_interventions [-- --panel a|b|c|d] [--seeds N]`
 
-use dp_bench::{format_row, run_synthetic, Technique};
+use dp_bench::{arg_choice, arg_value, format_row, run_synthetic, Technique};
 use dp_scenarios::synthetic::{
     conjunctive_cause, disjunctive_cause, single_cause, SyntheticScenario,
 };
@@ -72,20 +72,12 @@ fn run_panel(
     }
 }
 
+/// Every flag this binary takes.
+const FLAGS: &[&str] = &["--panel", "--seeds"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let panel = args
-        .iter()
-        .position(|a| a == "--panel")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".into());
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let panel = arg_choice(FLAGS, "--panel", "all", &["a", "b", "c", "d", "all"]);
+    let seeds = arg_value(FLAGS, "--seeds", 3) as u64;
 
     println!("Fig 9 — average #interventions over {seeds} seeds per point");
 

@@ -21,22 +21,22 @@
 //! where every oracle query retrains a model.
 //!
 //! Usage: `cargo run --release -p dp-bench --bin gt_scaling
-//! [--threads N] [--query-cost-ms C] [--smoke] [--adaptive-smoke]`
+//! [--threads N] [--query-cost-ms C] [--smoke] [--budget-smoke]`
 //!
 //! `--smoke` skips the full matrix and runs the CI observability
 //! gate instead: rank-54 at `--threads` width with tracing off vs
 //! with a collecting sink, asserting the off run (the `NullSink`
 //! default) is within 2% of the collecting run's wall clock.
 //!
-//! `--adaptive-smoke` runs the adaptive-executor CI gate: rank-54
-//! and the 8-PVT conjunctive cause with a 10 ms oracle, asserting
-//! the adaptive controller reproduces the serial digest bit for bit
-//! (cold and on a repeat run) and that peak in-flight speculative
-//! frames stay within the configured budget.
+//! `--budget-smoke` runs the frame-budget CI gate: rank-54 and the
+//! 8-PVT conjunctive cause with a 10 ms oracle and a binding
+//! `speculation_budget`, asserting the budgeted parallel run
+//! reproduces the serial digest bit for bit (cold and on a repeat
+//! run) and that peak in-flight speculative frames stay within the
+//! budget.
 
 use dataprism::{
-    explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, SpeculationMode, System,
-    TraceConfig,
+    explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, System, TraceConfig,
 };
 use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
@@ -66,7 +66,6 @@ fn run(
     query_cost: Duration,
     num_threads: usize,
     depth: usize,
-    mode: SpeculationMode,
     budget: Option<usize>,
     trace: &TraceConfig,
 ) -> (f64, Explanation) {
@@ -78,7 +77,6 @@ fn run(
     let mut config = scenario.config.clone();
     config.num_threads = num_threads;
     config.gt_speculation_depth = depth;
-    config.speculation = mode;
     config.speculation_budget = budget;
     config.trace = trace.clone();
     let start = Instant::now();
@@ -131,15 +129,7 @@ fn smoke(threads: usize, query_cost: Duration) {
         let mut min_s = f64::INFINITY;
         let mut last = None;
         for _ in 0..REPS {
-            let (s, exp) = run(
-                &scenario,
-                query_cost,
-                threads,
-                depth,
-                SpeculationMode::Static,
-                None,
-                trace,
-            );
+            let (s, exp) = run(&scenario, query_cost, threads, depth, None, trace);
             min_s = min_s.min(s);
             last = Some(exp);
         }
@@ -166,107 +156,69 @@ fn smoke(threads: usize, query_cost: Duration) {
     println!("NullSink overhead within 2%: ok");
 }
 
-/// The adaptive-executor CI gate: with a 10 ms oracle on the rank-54
-/// and 8-PVT conjunctive workloads, the latency-driven controller
-/// must reproduce the serial explanation digest bit for bit — cold
-/// and again on a repeat run — while peak in-flight speculative
-/// frames stay within the configured budget (plus at most one
-/// unsheddable frame already executing per worker). Wall clock
-/// against the best static depth is printed for the bench logs; the
-/// hard gate is parity and the bound.
-fn adaptive_smoke(threads: usize, query_cost: Duration) {
-    let cap = 4;
-    // The adaptive default budget, spelled out so the bound we assert
-    // is the bound the executor was actually configured with.
-    let budget = (8 * threads).max(32);
+/// The frame-budget CI gate: with a 10 ms oracle on the rank-54 and
+/// 8-PVT conjunctive workloads, deep lookahead under a budget far
+/// smaller than one node's frontier must shed frames yet reproduce
+/// the serial explanation digest bit for bit — cold and again on a
+/// repeat run — while peak in-flight speculative frames stay within
+/// the budget (plus at most one unsheddable frame already executing
+/// per worker).
+fn budget_smoke(threads: usize, query_cost: Duration) {
+    let depth = 4;
+    let budget = 4 * threads;
     let workloads: Vec<(String, SyntheticScenario)> = vec![
         ("sec5.2 rank-54".into(), adversarial_rank(54, 3)),
         ("fig9c conj-8".into(), conjunctive_cause(64, 64, 8, 7)),
     ];
     for (workload, scenario) in &workloads {
-        let (serial_s, serial) = run(
-            scenario,
-            query_cost,
-            1,
-            0,
-            SpeculationMode::Static,
-            None,
-            &TraceConfig::Off,
-        );
-        let mut best_static = f64::INFINITY;
-        let mut static_cells = String::new();
-        for depth in [0usize, 1, 2, 4] {
-            let (s, par) = run(
-                scenario,
-                query_cost,
-                threads,
-                depth,
-                SpeculationMode::Static,
-                None,
-                &TraceConfig::Off,
-            );
-            assert_conformant(workload, depth, &serial, &par);
-            static_cells.push_str(&format!(
-                " d{depth}={s:.3}s[u{}/e{}]",
-                par.metrics.speculative_used, par.metrics.speculative_evaluated
-            ));
-            best_static = best_static.min(s);
-        }
-        println!("adaptive smoke: {workload}: static{static_cells}");
-        let adaptive_cell = || {
+        let (serial_s, serial) = run(scenario, query_cost, 1, 0, None, &TraceConfig::Off);
+        let budgeted = || {
             run(
                 scenario,
                 query_cost,
                 threads,
-                cap,
-                SpeculationMode::Adaptive,
+                depth,
                 Some(budget),
                 &TraceConfig::Off,
             )
         };
-        let (adaptive_s, adaptive) = adaptive_cell();
-        assert_conformant(workload, cap, &serial, &adaptive);
+        let (par_s, par) = budgeted();
+        assert_conformant(workload, depth, &serial, &par);
         assert_eq!(
             serial.digest(),
-            adaptive.digest(),
-            "{workload}: adaptive digest diverged from serial"
+            par.digest(),
+            "{workload}: budgeted digest diverged from serial"
         );
-        let (_, again) = adaptive_cell();
+        let (_, again) = budgeted();
         assert_eq!(
-            adaptive.digest(),
+            par.digest(),
             again.digest(),
-            "{workload}: adaptive digest unstable across runs"
+            "{workload}: budgeted digest unstable across runs"
         );
-        let peak = adaptive.metrics.peak_inflight;
+        let peak = par.metrics.peak_inflight;
         assert!(
             peak <= (budget + threads) as u64,
             "{workload}: peak in-flight {peak} exceeds budget {budget} + {threads} workers"
         );
         println!(
-            "adaptive smoke: {workload}: serial {serial_s:.3}s, best static {best_static:.3}s, \
-             adaptive {adaptive_s:.3}s ({:.2}x vs best static), peak in-flight {peak} <= \
-             {budget}+{threads}",
-            best_static / adaptive_s
+            "budget smoke: {workload}: serial {serial_s:.3}s, depth {depth} under budget {budget} \
+             {par_s:.3}s, shed {}, peak in-flight {peak} <= {budget}+{threads}",
+            par.metrics.speculative_shed
         );
     }
-    println!("adaptive executor gate: ok");
+    println!("frame budget gate: ok");
 }
 
 /// Every flag this binary takes.
-const FLAGS: &[&str] = &[
-    "--threads",
-    "--query-cost-ms",
-    "--smoke",
-    "--adaptive-smoke",
-];
+const FLAGS: &[&str] = &["--threads", "--query-cost-ms", "--smoke", "--budget-smoke"];
 
 fn main() {
     let threads = arg_value(FLAGS, "--threads", 8);
-    if std::env::args().any(|a| a == "--adaptive-smoke") {
-        // The ISSUE gate's regime: a 10 ms oracle, where deep
-        // speculation pays and backpressure matters.
+    if std::env::args().any(|a| a == "--budget-smoke") {
+        // A 10 ms oracle, where deep speculation pays and
+        // backpressure matters.
         let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 10) as u64);
-        adaptive_smoke(threads, query_cost);
+        budget_smoke(threads, query_cost);
         return;
     }
     let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 25) as u64);
@@ -320,15 +272,7 @@ fn main() {
     // asks for >= 3x on at least one rank-54/wide workload.
     let mut best_deep = f64::MIN;
     for (workload, scenario) in &workloads {
-        let (serial_s, serial) = run(
-            scenario,
-            query_cost,
-            1,
-            0,
-            SpeculationMode::Static,
-            None,
-            &TraceConfig::Off,
-        );
+        let (serial_s, serial) = run(scenario, query_cost, 1, 0, None, &TraceConfig::Off);
         println!(
             "{}",
             format_row(
@@ -350,7 +294,6 @@ fn main() {
                 query_cost,
                 threads,
                 depth,
-                SpeculationMode::Static,
                 None,
                 &TraceConfig::Off,
             );

@@ -253,6 +253,34 @@ pub fn format_row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
+/// An error naming the first argument in `args` that looks like a
+/// flag (`--…`) but is not in `flags`, the binary's whole flag list.
+fn check_known(args: &[String], flags: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(format!(
+            "unknown flag '{unknown}' (expected one of {})",
+            flags.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The argument after flag `name` in `args`, `None` when the flag is
+/// absent, or an error when nothing follows it.
+fn raw_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) => Ok(Some(value)),
+        None => Err(format!("{name} needs a value")),
+    }
+}
+
 /// The value of flag `name` in `args` (`name <value>`), or `default`
 /// when the flag is absent. `flags` is the binary's whole flag list,
 /// switches included: any other argument that starts with `--` is an
@@ -265,36 +293,77 @@ pub fn parse_flag(
     name: &str,
     default: usize,
 ) -> Result<usize, String> {
-    if let Some(unknown) = args
-        .iter()
-        .skip(1)
-        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
-    {
-        return Err(format!(
-            "unknown flag '{unknown}' (expected one of {})",
-            flags.join(", ")
-        ));
+    check_known(args, flags)?;
+    match raw_value(args, name)? {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("invalid value '{value}' for {name}")),
     }
-    let Some(i) = args.iter().position(|a| a == name) else {
+}
+
+/// [`parse_flag`] for a flag whose value must be one of `choices`.
+pub fn parse_choice<'c>(
+    args: &[String],
+    flags: &[&str],
+    name: &str,
+    default: &'c str,
+    choices: &[&'c str],
+) -> Result<&'c str, String> {
+    check_known(args, flags)?;
+    let Some(value) = raw_value(args, name)? else {
         return Ok(default);
     };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{name} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid value '{value}' for {name}"))
+    choices
+        .iter()
+        .copied()
+        .find(|c| *c == value)
+        .ok_or_else(|| {
+            format!(
+                "invalid value '{value}' for {name} (expected one of {})",
+                choices.join(", ")
+            )
+        })
+}
+
+/// The command line of this process.
+fn process_args() -> Vec<String> {
+    std::env::args().collect()
+}
+
+/// `result`'s value, or exit with status 2 after printing its error,
+/// so a typo never silently runs the default.
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// [`parse_flag`] over this process's command line. On an unknown
 /// flag or a missing or unparsable value it prints the problem and
-/// exits with status 2, so a typo never silently runs the default.
+/// exits with status 2.
 pub fn arg_value(flags: &[&str], name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    parse_flag(&args, flags, name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    or_exit(parse_flag(&process_args(), flags, name, default))
+}
+
+/// [`parse_choice`] over this process's command line; exits with
+/// status 2 like [`arg_value`].
+pub fn arg_choice(
+    flags: &[&str],
+    name: &str,
+    default: &'static str,
+    choices: &[&'static str],
+) -> &'static str {
+    or_exit(parse_choice(&process_args(), flags, name, default, choices))
+}
+
+/// Whether switch `name` is on this process's command line. An
+/// unknown flag exits with status 2 like [`arg_value`].
+pub fn arg_switch(flags: &[&str], name: &str) -> bool {
+    let args = process_args();
+    or_exit(check_known(&args, flags));
+    args.iter().skip(1).any(|a| a == name)
 }
 
 #[cfg(test)]
@@ -380,5 +449,38 @@ mod tests {
                 ),
             );
         }
+        // fig9_interventions' flags: a bad seed count and an unknown
+        // panel are errors, not 3 seeds and an empty run.
+        const FIG9: &[&str] = &["--panel", "--seeds"];
+        const PANELS: &[&str] = &["a", "b", "c", "d", "all"];
+        assert_eq!(
+            parse_flag(&args(&["bin", "--seeds", "abc"]), FIG9, "--seeds", 3),
+            Err("invalid value 'abc' for --seeds".to_string())
+        );
+        let panel = |argv: &[&str]| parse_choice(&args(argv), FIG9, "--panel", "all", PANELS);
+        assert_eq!(panel(&["bin"]), Ok("all"), "absent choice");
+        assert_eq!(panel(&["bin", "--panel", "c", "--seeds", "2"]), Ok("c"));
+        assert_eq!(
+            panel(&["bin", "--panel", "z"]),
+            Err("invalid value 'z' for --panel (expected one of a, b, c, d, all)".to_string())
+        );
+        assert_eq!(
+            panel(&["bin", "--panel"]),
+            Err("--panel needs a value".to_string())
+        );
+        assert_eq!(
+            panel(&["bin", "--panle", "a"]),
+            Err("unknown flag '--panle' (expected one of --panel, --seeds)".to_string())
+        );
+        // fig7_table and fig8_scaling take switches only: a typo'd
+        // switch is refused by the same check.
+        assert_eq!(
+            check_known(&args(&["bin", "--smol"]), &["--small"]),
+            Err("unknown flag '--smol' (expected one of --small)".to_string())
+        );
+        assert_eq!(
+            check_known(&args(&["bin", "--small"]), &["--small"]),
+            Ok(())
+        );
     }
 }

@@ -147,17 +147,19 @@ impl ScoreCache {
 
     /// Absorb the fingerprint/score pairs of recorded oracle-query
     /// spans (baselines included — their scores are just as
-    /// reusable). Returns how many entries were new.
+    /// reusable). Returns how many new entries were stored.
+    ///
+    /// A score outside `[0, 1]` (NaN included) can only come from a
+    /// hand-edited stream — the oracle clamps every score it computes
+    /// — so it is skipped, exactly as
+    /// [`crate::Oracle::with_warm_cache`] would skip it as a seed.
     pub fn absorb_spans<'a, I>(&mut self, spans: I) -> usize
     where
         I: IntoIterator<Item = &'a OracleQuerySpan>,
     {
         let before = self.entries.len();
         for span in spans {
-            // A NaN score can only come from a hand-edited stream
-            // (the oracle sanitizes); refuse to cache it rather than
-            // poison the `m ≤ τ` checks of a warm run.
-            if !span.score.is_nan() {
+            if (0.0..=1.0).contains(&span.score) {
                 self.entries.insert(span.fingerprint, span.score);
             }
         }
@@ -165,8 +167,10 @@ impl ScoreCache {
     }
 
     /// Bootstrap from a prior run's JSONL trace stream (the
-    /// `--trace` output): every recorded oracle query becomes a
-    /// cache entry, bit-for-bit. Returns how many entries were new;
+    /// `--trace` output): every recorded oracle query with a score in
+    /// `[0, 1]` becomes a cache entry, bit-for-bit (see
+    /// [`ScoreCache::absorb_spans`]). Returns how many new entries
+    /// were stored;
     /// fails on malformed input or a schema version this build does
     /// not write (see [`dp_trace::replay_oracle_queries`]).
     pub fn warm_from_jsonl(&mut self, input: &str) -> Result<usize, ParseError> {

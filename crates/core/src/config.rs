@@ -14,7 +14,7 @@ use crate::profile::OutlierSpec;
 /// are ever screened) — so screening preserves the discovered
 /// profile set bit for bit; `tests/prefilter_parity.rs` asserts this
 /// on every scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prefilter {
     /// No screening: every eligible pair pays the exact test
     /// (the pre-PR-2 behavior).
@@ -22,23 +22,6 @@ pub enum Prefilter {
     /// Screen with the exact-equivalent estimates (floating-point
     /// slack only). The default.
     On,
-    /// Like `On`, but demand the numeric estimate clear significance
-    /// even after inflating it by this many standard errors — extra
-    /// caution that trades screened pairs for slack against the
-    /// estimate. `Threshold(0.0)` is equivalent to `On`.
-    Threshold(f64),
-}
-
-impl Prefilter {
-    /// The slack margin in standard-error units, or `None` when
-    /// screening is disabled.
-    pub fn margin(&self) -> Option<f64> {
-        match self {
-            Prefilter::Off => None,
-            Prefilter::On => Some(0.0),
-            Prefilter::Threshold(c) => Some(c.max(0.0)),
-        }
-    }
 }
 
 /// Which PVT classes discovery emits and with what knobs.
@@ -141,77 +124,6 @@ pub enum Lint {
     Prune,
 }
 
-/// How the speculation executor schedules lookahead work.
-///
-/// Either way the serial-replay charging discipline is untouched:
-/// speculation only warms the fingerprint cache, so explanations,
-/// scores, traces, and intervention counts are bit-identical across
-/// modes (asserted per cell by `tests/parallel_conformance.rs` and
-/// `tests/trace_parity.rs`). The mode changes *which* frames get
-/// pre-scored, never the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpeculationMode {
-    /// Every cold bisection node speculates exactly
-    /// `gt_speculation_depth` extra levels, and the detached pool
-    /// queue is unbounded unless [`PrismConfig::speculation_budget`]
-    /// says otherwise — the pre-adaptive behavior. The default.
-    #[default]
-    Static,
-    /// An adaptive controller picks the effective depth per cold
-    /// node, with `gt_speculation_depth` as the *cap*: it reads the
-    /// run's live [`dp_trace::RunMetrics`] latency histogram and
-    /// waste counters and speculates deep only when observed oracle
-    /// latency is high (deep lookahead pays off exactly when a query
-    /// costs much more than frame scoring). Also enforces a default
-    /// in-flight frame budget when none is configured, so a slow
-    /// oracle can never pile up unbounded speculative work.
-    Adaptive,
-}
-
-impl SpeculationMode {
-    /// The wire/CLI spelling (`"static"` / `"adaptive"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SpeculationMode::Static => "static",
-            SpeculationMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-/// Confidence-bounded sampled oracle queries.
-///
-/// With sampling on, an oracle query may first estimate `m_S(D)` on a
-/// stratified row sample and **early-exit once the pass/fail decision
-/// at τ is statistically settled** (a Hoeffding bound at the
-/// configured confidence), escalating to the full dataset whenever
-/// the estimate sits inside the confidence band of τ. Only queries
-/// whose exact score is never consumed downstream (Make-Minimal's
-/// rejected drop candidates) are eligible, and a confidently *passing*
-/// estimate escalates too — a pass decision feeds the explanation's
-/// score — so explanations, traces, and intervention counts stay
-/// bit-for-bit identical to `Off` (`tests/sampled_oracle_differential.rs`
-/// asserts this across every scenario × algorithm × thread count).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum OracleSampling {
-    /// Every query scores the full dataset (the pre-sampling
-    /// behavior). The default.
-    #[default]
-    Off,
-    /// Allow sampled early exits on decision-only queries.
-    Bounded {
-        /// Confidence level `1 − δ` of the Hoeffding settlement test,
-        /// e.g. `0.999`. Clamped into `[0.5, 1)` at use sites.
-        confidence: f64,
-    },
-}
-
-impl OracleSampling {
-    /// Whether sampling is enabled.
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, OracleSampling::Bounded { .. })
-    }
-}
-
 /// Top-level configuration for a diagnosis run.
 #[derive(Debug, Clone)]
 pub struct PrismConfig {
@@ -250,25 +162,19 @@ pub struct PrismConfig {
     /// into the fingerprint cache: `0` overlaps only the node's own
     /// two halves (the pre-speculation behavior), `1` adds the four
     /// grandchildren, `2` the great-grandchildren, and so on
-    /// (`2^(d+2) − 2` candidate frames per cold node). Under
-    /// [`SpeculationMode::Static`] this is the exact depth; under
-    /// [`SpeculationMode::Adaptive`] it is the **cap** the controller
-    /// may choose up to. The knob has **no effect on results** —
+    /// (`2^(d+2) − 2` candidate frames per cold node); a node whose
+    /// candidate pairs all provably commute (lint L8) speculates one
+    /// level deeper. The knob has **no effect on results** —
     /// explanations, scores, traces, and intervention counts are
     /// bit-identical at every depth and thread count — only on wall
     /// clock and the speculative cache counters
     /// ([`crate::RunMetrics`]).
     pub gt_speculation_depth: usize,
-    /// How the executor schedules speculative lookahead: fixed-depth
-    /// [`SpeculationMode::Static`] (the default) or the
-    /// latency-driven [`SpeculationMode::Adaptive`] controller.
-    pub speculation: SpeculationMode,
     /// Hard bound on in-flight speculative frames (queued + being
     /// scored) in the detached pool. When the bound is hit the
     /// oldest queued frames are shed — never the search itself — so
     /// a slow oracle cannot pile up unbounded speculative work.
-    /// `None` means unbounded in Static mode and a derived default
-    /// (`8 × num_threads`, minimum 32) in Adaptive mode.
+    /// `None` (the default) means unbounded.
     pub speculation_budget: Option<usize>,
     /// Static analysis of the candidate PVT set before any oracle
     /// query (see [`Lint`]). Defaults to [`Lint::Report`].
@@ -278,12 +184,6 @@ pub struct PrismConfig {
     /// ordered event stream — attaching one never changes the
     /// diagnosis (asserted by `tests/trace_parity.rs`).
     pub trace: dp_trace::TraceConfig,
-    /// Confidence-bounded sampled oracle queries (see
-    /// [`OracleSampling`]). Defaults to [`OracleSampling::Off`];
-    /// `Bounded` never changes the diagnosis, only how many rows
-    /// decision-only queries touch ([`dp_trace::RunMetrics`]'s
-    /// `sampled_queries` / `escalations` / `rows_touched`).
-    pub oracle_sampling: OracleSampling,
 }
 
 impl Default for PrismConfig {
@@ -300,11 +200,9 @@ impl Default for PrismConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             gt_speculation_depth: 1,
-            speculation: SpeculationMode::default(),
             speculation_budget: None,
             lint: Lint::default(),
             trace: dp_trace::TraceConfig::default(),
-            oracle_sampling: OracleSampling::default(),
         }
     }
 }
@@ -332,11 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_margins() {
-        assert_eq!(Prefilter::Off.margin(), None);
-        assert_eq!(Prefilter::On.margin(), Some(0.0));
-        assert_eq!(Prefilter::Threshold(1.5).margin(), Some(1.5));
-        assert_eq!(Prefilter::Threshold(-2.0).margin(), Some(0.0));
+    fn prefilter_defaults_on() {
         assert_eq!(DiscoveryConfig::default().prefilter, Prefilter::On);
     }
 
@@ -354,17 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn speculation_defaults_to_static_and_unbounded() {
-        let c = PrismConfig::default();
-        assert_eq!(c.speculation, SpeculationMode::Static);
-        assert_eq!(c.speculation_budget, None);
-    }
-
-    #[test]
-    fn oracle_sampling_defaults_off() {
-        let c = PrismConfig::default();
-        assert_eq!(c.oracle_sampling, OracleSampling::Off);
-        assert!(!c.oracle_sampling.is_enabled());
-        assert!(OracleSampling::Bounded { confidence: 0.999 }.is_enabled());
+    fn speculation_defaults_to_unbounded() {
+        assert_eq!(PrismConfig::default().speculation_budget, None);
     }
 }

@@ -1,7 +1,7 @@
 //! Profile discovery and discriminative-PVT computation
 //! (paper §3 / Fig 1 column "Discovery over D", and §4.1 step 1).
 
-use crate::config::DiscoveryConfig;
+use crate::config::{DiscoveryConfig, Prefilter};
 use crate::profile::{DependenceKind, Profile};
 use crate::pvt::Pvt;
 use crate::transform::{ImputeStrategy, OutlierRepair, Transform};
@@ -88,13 +88,10 @@ impl PairCounters {
 struct FrameSketches {
     numeric: Vec<Option<NumericSketch>>,
     categorical: Vec<Option<CategoricalSketch>>,
-    /// Extra caution margin in standard-error units
-    /// ([`crate::config::Prefilter::margin`]).
-    margin: f64,
 }
 
 impl FrameSketches {
-    fn build(df: &DataFrame, cfg: &DiscoveryConfig, margin: f64, num_threads: usize) -> Self {
+    fn build(df: &DataFrame, cfg: &DiscoveryConfig, num_threads: usize) -> Self {
         let schema = df.schema();
         let n_rows = df.n_rows();
         // Injective coding whenever the domain is χ²-eligible, capped
@@ -146,7 +143,6 @@ impl FrameSketches {
         FrameSketches {
             numeric,
             categorical,
-            margin,
         }
     }
 }
@@ -235,12 +231,8 @@ pub fn discover_profiles_stats(
     // extraction, coding, and the exact statistic.
     let fields = schema.fields();
     let pair_relevant = cfg.indep_chi2 || cfg.indep_pearson || cfg.indep_causal;
-    let sketches = match cfg.prefilter.margin() {
-        Some(margin) if pair_relevant && fields.len() > 1 => {
-            Some(FrameSketches::build(df, cfg, margin, num_threads))
-        }
-        _ => None,
-    };
+    let sketches = (cfg.prefilter == Prefilter::On && pair_relevant && fields.len() > 1)
+        .then(|| FrameSketches::build(df, cfg, num_threads));
     let mut pairs = Vec::new();
     for i in 0..fields.len() {
         for j in (i + 1)..fields.len() {
@@ -304,7 +296,7 @@ pub fn discover_profiles_stats(
                 let (Some(sa), Some(sb)) = (&s.numeric[i], &s.numeric[j]) else {
                     return false;
                 };
-                !sketch::pearson_upper(sa, sb, s.margin).significant(0.05)
+                !sketch::pearson_upper(sa, sb).significant(0.05)
             });
             let alpha = if screened {
                 counters.pearson_screened.fetch_add(1, Ordering::Relaxed);

@@ -124,12 +124,8 @@ pub(crate) fn make_minimal(
         rt.prescore(&probes);
         let mut accepted = None;
         for (offset, probe) in probes.iter().enumerate() {
-            // A rejected drop consumes only the verdict, never the
-            // score — the one call site where a confidence-bounded
-            // sampled FAIL may settle without a full evaluation.
-            let (passed, s) = rt.decide_apply_traced(probe, tracer)?;
-            if passed {
-                let s = s.expect("passing decisions always carry an exact score");
+            let s = rt.intervene_apply_traced(probe, tracer)?;
+            if rt.passes(s) {
                 accepted = Some((i + offset, rt.build(probe)?, s));
                 break;
             }
@@ -285,8 +281,7 @@ pub(crate) fn diagnose<'s>(
         Tracer::from_config(&config.trace).map_err(|e| PrismError::Trace(e.to_string()))?;
     let budget = config.max_interventions;
     let mut rt = Oracle::from_source(source, config.threshold, budget, config.num_threads)
-        .with_speculation(config.speculation, config.speculation_budget)
-        .with_sampling(config.oracle_sampling, config.seed);
+        .with_speculation_budget(config.speculation_budget);
     if let Some(cache) = cache.as_deref() {
         rt = rt.with_warm_cache(cache);
     }

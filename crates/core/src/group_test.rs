@@ -56,15 +56,6 @@ pub enum PartitionStrategy {
     MinBisection,
     /// Random balanced split (the GrpTest baseline \[21\]).
     Random,
-    /// Minimum bisection over the lint pass's L8 *conflict* graph:
-    /// edges connect candidate pairs **not** certified to commute, so
-    /// provably independent candidates are split apart (their probes
-    /// compose freely) while order-sensitive pairs stay in one half.
-    /// Falls back to the attribute-grouped partitioner above the
-    /// local-search limit. Without commutation facts (`Lint::Off`)
-    /// every pair counts as a conflict edge, and the local search
-    /// reduces to a balanced split of a complete graph.
-    CommuteAware,
 }
 
 struct GtCtx<'o, 'r, 'p> {
@@ -83,10 +74,9 @@ struct GtCtx<'o, 'r, 'p> {
     depth: usize,
     /// L8 fact table from the lint pass: candidate pairs `(lo, hi)`
     /// whose transformations provably commute. Drives the commute
-    /// bonus on the speculation cap and the
-    /// [`PartitionStrategy::CommuteAware`] conflict graph. Empty under
-    /// `Lint::Off` — result-invisible either way, since speculation
-    /// only warms the cache and the partition strategy is explicit.
+    /// bonus on the speculation depth. Empty under `Lint::Off` —
+    /// result-invisible either way, since speculation only warms the
+    /// cache.
     commuting: std::collections::HashSet<(usize, usize)>,
     /// Trace handle ([`dp_trace::Tracer`]); a no-op in the default
     /// off state. Node events are emitted here, on the main thread,
@@ -390,15 +380,12 @@ fn intent<'a>(
 /// the next `depth` levels of the recursion tree as **detached**
 /// cache-warming jobs, breadth-first (shallower probes are charged
 /// sooner, so they must leave the queue first) — the lookahead
-/// frontier of [`group_test_rec`]. The depth comes from the
-/// runtime's [`Oracle::plan_speculation_depth`]: the
-/// configured value under static speculation, a latency-driven
-/// choice under adaptive. Because partitioning and application both
-/// run on per-node derived streams, any descendant's candidate frame
-/// is computable here without replaying the serial decision history;
-/// whichever branches the serial order takes later find their oracle
-/// queries already warm (or in flight), and the rest is counted as
-/// speculative waste.
+/// frontier of [`group_test_rec`]. Because partitioning and
+/// application both run on per-node derived streams, any descendant's
+/// candidate frame is computable here without replaying the serial
+/// decision history; whichever branches the serial order takes later
+/// find their oracle queries already warm (or in flight), and the
+/// rest is counted as speculative waste.
 fn plan_frontier(
     ctx: &GtCtx<'_, '_, '_>,
     x1: &[usize],
@@ -490,17 +477,9 @@ fn group_test_rec(
     if ctx.tracer.enabled() {
         // The cut size is only re-derivable (and cheap) where the
         // min-bisection local search enumerated the edges.
-        let cut_edges = (candidates.len() <= LOCAL_SEARCH_LIMIT)
-            .then(|| match ctx.strategy {
-                PartitionStrategy::MinBisection => {
-                    Some(cut_size(&x1, &x2, |i, j| ctx.graph.dependent(i, j)))
-                }
-                PartitionStrategy::CommuteAware => Some(cut_size(&x1, &x2, |i, j| {
-                    !ctx.commuting.contains(&(i.min(j), i.max(j)))
-                })),
-                PartitionStrategy::Random => None,
-            })
-            .flatten();
+        let cut_edges = (ctx.strategy == PartitionStrategy::MinBisection
+            && candidates.len() <= LOCAL_SEARCH_LIMIT)
+            .then(|| cut_size(&x1, &x2, |i, j| ctx.graph.dependent(i, j)));
         ctx.tracer.emit(|| Event::BisectionPartition {
             node,
             left: x1.clone(),
@@ -535,27 +514,23 @@ fn group_test_rec(
             // L8 bonus: when every candidate pair at this node
             // provably commutes, descendant probes compose in any
             // order onto identical frames, so lookahead frames stay
-            // consumable one level deeper. The controller's headroom
-            // clamp still bounds in-flight frames by the budget, and
-            // speculation is result-invisible — only cache warmth
-            // changes.
-            let cap = ctx.depth + usize::from(all_pairs_commute(ctx, candidates));
-            let plan = ctx.rt.plan_speculation_depth(cap);
-            let jobs = if plan.depth > 0 {
+            // consumable one level deeper. Speculation is
+            // result-invisible — only cache warmth changes.
+            let depth = ctx.depth + usize::from(all_pairs_commute(ctx, candidates));
+            let jobs = if depth > 0 {
                 let base = Arc::new(d.clone());
-                plan_frontier(ctx, &x1, &x2, &base, base_fp, plan.depth)
+                plan_frontier(ctx, &x1, &x2, &base, base_fp, depth)
             } else {
                 Vec::new()
             };
             if ctx.tracer.enabled() {
                 let frames = jobs.len();
+                let budget = ctx.rt.effective_budget();
                 ctx.tracer.emit(|| {
                     Event::SpeculationPlan(SpeculationPlanSpan {
                         node,
-                        cap: plan.cap,
-                        depth: plan.depth,
-                        budget: plan.budget,
-                        mean_query_ns: plan.mean_query_ns,
+                        depth,
+                        budget,
                         frames,
                     })
                 });
@@ -563,7 +538,7 @@ fn group_test_rec(
             if !jobs.is_empty() {
                 ctx.rt.speculate_detached(jobs);
             }
-            plan.depth
+            depth
         } else {
             covered - 1
         };
@@ -710,31 +685,6 @@ fn partition(ctx: &GtCtx<'_, '_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<
             min_bisection(&ordered, &edges, &mut rng)
         }
         PartitionStrategy::MinBisection => grouped_bisection(ctx, candidates),
-        PartitionStrategy::CommuteAware if candidates.len() <= LOCAL_SEARCH_LIMIT => {
-            // Conflict graph: an edge between every pair NOT
-            // certified commuting by lint (L8). Under `Lint::Off`
-            // no pair is certified, so every pair conflicts and the
-            // local search degenerates to keeping the benefit order
-            // intact — still a valid bisection.
-            let cand: std::collections::BTreeSet<usize> = candidates.iter().copied().collect();
-            let mut edges = Vec::new();
-            for (k, &i) in candidates.iter().enumerate() {
-                for &j in &candidates[k + 1..] {
-                    let key = (i.min(j), i.max(j));
-                    if !ctx.commuting.contains(&key) {
-                        edges.push((i, j));
-                    }
-                }
-            }
-            let ordered: Vec<usize> = ctx
-                .seed_order
-                .iter()
-                .copied()
-                .filter(|id| cand.contains(id))
-                .collect();
-            min_bisection(&ordered, &edges, &mut rng)
-        }
-        PartitionStrategy::CommuteAware => grouped_bisection(ctx, candidates),
     }
 }
 
@@ -909,37 +859,6 @@ mod tests {
             Err(PrismError::AssumptionViolated(_)) => {}
             Ok(exp) => panic!("expected A3 violation, got {exp}"),
             Err(e) => panic!("unexpected error {e}"),
-        }
-    }
-
-    #[test]
-    fn commute_aware_partitioning_reaches_the_same_explanation() {
-        // CommuteAware bisects over the L8 *conflict* graph instead
-        // of G_PD, so split shapes may differ from MinBisection —
-        // but the diagnosis must still land on the same cause, and
-        // under `Lint::Off` (empty commutation table: every pair
-        // conflicts) the strategy must still terminate.
-        for lint in [crate::Lint::Report, crate::Lint::Off] {
-            let (pass, fail) = pass_fail();
-            let mut system = label_domain_system;
-            let config = PrismConfig {
-                lint,
-                ..PrismConfig::with_threshold(0.2)
-            };
-            let exp = explain_group_test(
-                &mut system,
-                &fail,
-                &pass,
-                &config,
-                PartitionStrategy::CommuteAware,
-            )
-            .unwrap();
-            assert!(exp.resolved, "{lint:?}");
-            assert!(
-                exp.contains_template("domain_cat(target)"),
-                "{lint:?}: {exp}"
-            );
-            assert_eq!(exp.final_score, 0.0);
         }
     }
 

@@ -85,12 +85,12 @@ pub mod transform;
 pub mod violation;
 
 pub use cache::{ScoreCache, SnapshotError};
-pub use config::{DiscoveryConfig, Lint, OracleSampling, Prefilter, PrismConfig, SpeculationMode};
+pub use config::{DiscoveryConfig, Lint, Prefilter, PrismConfig};
 pub use discovery::DiscoveryStats;
 pub use dp_lint::{Diagnostic, Diagnostics, RuleId, Severity};
 pub use dp_trace::{
-    Collector, Event, JsonlSink, LatencyHistogram, NullSink, QueryStat, RunMetrics,
-    SampledQuerySpan, SearchTree, TraceConfig, TraceRecord, TraceSink, Tracer,
+    Collector, Event, JsonlSink, LatencyHistogram, NullSink, QueryStat, RunMetrics, SearchTree,
+    TraceConfig, TraceRecord, TraceSink, Tracer,
 };
 pub use error::{PrismError, Result};
 pub use explanation::{Explanation, TraceEvent};
@@ -109,6 +109,6 @@ pub use lint::lint_pvts;
 pub use oracle::{fingerprint, fingerprint_reference, System, SystemFactory};
 pub use profile::{DependenceKind, OutlierSpec, Profile};
 pub use pvt::Pvt;
-pub use runtime::{par_map, Oracle, Speculated, Speculation, SpeculationPlan};
+pub use runtime::{par_map, Oracle, Speculated, Speculation};
 pub use transform::Transform;
 pub use violation::violation;

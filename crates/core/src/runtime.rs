@@ -67,12 +67,11 @@
 //! intent key ([`crate::oracle::intent_key`]) to the fingerprint of
 //! the frame it built — recorded by the replay and by every worker,
 //! and seeded from a warm [`ScoreCache`] — so
-//! [`Oracle::intervene_apply`] and [`Oracle::decide_apply`] score a
-//! known intent whose fingerprint is scored without building its
-//! frame. The frame is built only when the intent is unknown, its
-//! fingerprint has no usable score, or sampling needs its rows.
-//! Speculation skips intents that already resolve. Charged queries,
-//! scores and trace spans are the same either way;
+//! [`Oracle::intervene_apply`] scores a known intent whose
+//! fingerprint is scored without building its frame. The frame is
+//! built only when the intent is unknown or its fingerprint has no
+//! usable score. Speculation skips intents that already resolve.
+//! Charged queries, scores and trace spans are the same either way;
 //! [`RunMetrics::frames_built`] and [`RunMetrics::intent_hits`] show
 //! the work saved.
 //!
@@ -86,15 +85,13 @@
 //! `gt_speculation_depth` in {0, 1, 2, 4}.
 
 use crate::cache::ScoreCache;
-use crate::config::{OracleSampling, SpeculationMode};
 use crate::error::Result;
 use crate::oracle::{fingerprint, intent_key, System, SystemFactory};
 use crate::pvt::{apply_composition, Pvt};
-use dp_frame::sample::stratified_sample_indices;
 use dp_frame::DataFrame;
 use dp_trace::{
     Event, LatencyHistogram, MetricsShard, OracleQuerySpan, QueryKind, QueryStat, RunMetrics,
-    SampledQuerySpan, Tracer,
+    Tracer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,8 +120,8 @@ use std::thread as pool_thread;
 /// intent's [`Intent::key`] names the frame it builds. The runtime
 /// remembers the fingerprint behind every key it has built (or been
 /// seeded with), and a charged query of a known intent
-/// ([`Oracle::intervene_apply`], [`Oracle::decide_apply`]) is scored
-/// straight from the cache without building the frame.
+/// ([`Oracle::intervene_apply`]) is scored straight from the cache
+/// without building the frame.
 #[derive(Clone)]
 pub struct Intent<'a> {
     /// Transformations to compose, in application order.
@@ -216,37 +213,6 @@ enum PoolJob {
     Probe(DetachedSpeculation),
 }
 
-/// The speculation executor's decision for one cold bisection node:
-/// how many extra recursion levels to pre-score, and under what
-/// budget. Returned by [`Oracle::plan_speculation_depth`]; the
-/// group-testing recursion emits it as a `SpeculationPlan` trace
-/// event.
-///
-/// The plan only steers cache warming. Whatever depth it picks, the
-/// serial replay charges the identical query sequence, so
-/// explanations are bit-identical across plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpeculationPlan {
-    /// The configured depth cap (`gt_speculation_depth`).
-    pub cap: usize,
-    /// Effective depth chosen (≤ `cap`).
-    pub depth: usize,
-    /// In-flight frame budget in force, if any.
-    pub budget: Option<usize>,
-    /// Mean observed cold-query latency the decision was based on,
-    /// in nanoseconds (`None` when no sample existed yet).
-    pub mean_query_ns: Option<u64>,
-}
-
-/// Upper bound on the frames a depth-`d` speculative frontier plans:
-/// the full binary pre-bisection tree holds 2^(d+2) − 2 nodes (see
-/// `group_test::plan_frontier`; small candidate sets plan fewer).
-fn frontier_frames(depth: usize) -> usize {
-    1usize
-        .checked_shl(depth as u32 + 2)
-        .map_or(usize::MAX, |v| v - 2)
-}
-
 /// Clamp a malfunction score into `[0, 1]`; a NaN (a crashed or
 /// undefined measurement) is treated as extreme malfunction so it can
 /// never masquerade as "passes" (NaN comparisons are all false, which
@@ -256,140 +222,6 @@ fn sanitize(score: f64) -> f64 {
         1.0
     } else {
         score.clamp(0.0, 1.0)
-    }
-}
-
-/// Datasets smaller than this are never worth sampling: the first
-/// probe (64 rows) plus the Hoeffding band would cover most of the
-/// data anyway, so the full evaluation is both cheaper and exact.
-const MIN_SAMPLED_ROWS: usize = 128;
-
-/// First sample size of the doubling schedule.
-const INITIAL_SAMPLE_ROWS: usize = 64;
-
-/// Contiguous row-range strata the sampled oracle draws from, so a
-/// sample covers the whole index range even when rows are ordered.
-const SAMPLE_STRATA: usize = 16;
-
-/// The confidence-bounded sampled decision procedure behind
-/// [`Oracle::decide`].
-///
-/// `try_settle` estimates `m_S(D)` on growing stratified row samples
-/// and settles the pass/fail verdict at τ once a two-sided Hoeffding
-/// bound puts the estimate confidently on the FAIL side:
-/// `est − τ > ε(n)` with `ε(n) = sqrt(ln(2/δ) / 2n)`, `δ = 1 −
-/// confidence`. Only FAIL verdicts ever settle — every consumer of a
-/// *passing* decision reads the exact score (the greedy loop composes
-/// it, Make-Minimal adopts it, reports print it), so confident
-/// passes, boundary cases, and exhausted schedules all escalate to a
-/// full evaluation and stay bit-identical to an unsampled run.
-struct SampledDecider {
-    mode: OracleSampling,
-    seed: u64,
-    /// Verdicts already settled on a sample, by dataset fingerprint:
-    /// `(estimate, rows)` of the settling probe. A repeated query
-    /// reuses the verdict without re-scoring any rows.
-    settled: HashMap<u64, (f64, u64)>,
-    /// Charged queries settled on a sample.
-    sampled_queries: u64,
-    /// Eligible queries that escalated to a full evaluation.
-    escalations: u64,
-    /// Rows actually scored by sampled probes.
-    rows_touched: u64,
-    /// Record of the most recent settled decision, for span emission.
-    last: Option<SampledQuerySpan>,
-}
-
-impl SampledDecider {
-    fn new(mode: OracleSampling, seed: u64) -> Self {
-        SampledDecider {
-            mode,
-            seed,
-            settled: HashMap::new(),
-            sampled_queries: 0,
-            escalations: 0,
-            rows_touched: 0,
-            last: None,
-        }
-    }
-
-    /// The configured confidence, clamped into a usable range
-    /// (δ must stay in `(0, 0.5]` for the bound to mean anything).
-    fn confidence(&self) -> Option<f64> {
-        match self.mode {
-            OracleSampling::Off => None,
-            OracleSampling::Bounded { confidence } => Some(confidence.clamp(0.5, 1.0 - 1e-9)),
-        }
-    }
-
-    /// Try to settle `df`'s verdict at `threshold` on stratified row
-    /// samples scored by `eval`. Returns `Some(false)` for a
-    /// confident FAIL (never `Some(true)`: passing decisions must
-    /// carry exact scores); `None` means the caller must evaluate in
-    /// full — sampling off, dataset too small, or escalation.
-    fn try_settle(
-        &mut self,
-        fp: u64,
-        df: &DataFrame,
-        threshold: f64,
-        eval: &mut dyn FnMut(&DataFrame) -> f64,
-    ) -> Option<bool> {
-        let confidence = self.confidence()?;
-        let total = df.n_rows();
-        if total < MIN_SAMPLED_ROWS {
-            return None;
-        }
-        if let Some(&(estimate, rows)) = self.settled.get(&fp) {
-            self.sampled_queries += 1;
-            self.last = Some(SampledQuerySpan {
-                fingerprint: fp,
-                estimate,
-                rows,
-                total_rows: total as u64,
-                confidence,
-            });
-            return Some(false);
-        }
-        let delta = 1.0 - confidence;
-        // Deterministic per-dataset stream: the same frame samples the
-        // same rows in every run and on every runtime.
-        let mut rng = StdRng::seed_from_u64(self.seed ^ fp);
-        let mut n = INITIAL_SAMPLE_ROWS.min(total);
-        loop {
-            let idx = stratified_sample_indices(&mut rng, total, n, SAMPLE_STRATA)
-                .expect("sample size is bounded by the row count");
-            let sample = df.take(&idx).expect("sampled indices are in range");
-            let estimate = sanitize(eval(&sample));
-            self.rows_touched += n as u64;
-            let eps = ((2.0 / delta).ln() / (2.0 * n as f64)).sqrt();
-            if estimate - threshold > eps {
-                self.sampled_queries += 1;
-                self.settled.insert(fp, (estimate, n as u64));
-                self.last = Some(SampledQuerySpan {
-                    fingerprint: fp,
-                    estimate,
-                    rows: n as u64,
-                    total_rows: total as u64,
-                    confidence,
-                });
-                return Some(false);
-            }
-            if threshold - estimate > eps {
-                // Confident PASS: the verdict is settled but the
-                // exact score is consumed downstream — escalate.
-                break;
-            }
-            if n * 2 <= total {
-                n *= 2;
-            } else {
-                // The estimate still sits inside the confidence band
-                // of τ with the schedule exhausted: the boundary case
-                // sampling must never decide.
-                break;
-            }
-        }
-        self.escalations += 1;
-        None
     }
 }
 
@@ -473,12 +305,6 @@ impl SharedCache {
             }
             state = self.settled.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Whether `fp` is scored or being scored.
-    fn known(&self, fp: u64) -> bool {
-        let state = self.lock();
-        state.map.contains_key(&fp) || state.inflight.contains(&fp)
     }
 
     /// The fingerprint intent key `key` builds, when it is recorded
@@ -695,11 +521,11 @@ impl Source<'_> {
     }
 }
 
-/// The intervention runtime: charges, caches and (optionally) samples
-/// every oracle query of a diagnosis, and at width > 1 scores
-/// speculation batches on `num_threads` sync workers (one independent
-/// [`System`] instance each, built lazily from the factory) into a
-/// shared fingerprint cache. Detached lookahead jobs
+/// The intervention runtime: charges and caches every oracle query of
+/// a diagnosis, and at width > 1 scores speculation batches on
+/// `num_threads` sync workers (one independent [`System`] instance
+/// each, built lazily from the factory) into a shared fingerprint
+/// cache. Detached lookahead jobs
 /// ([`Oracle::speculate_detached`]) run on a persistent background
 /// pool of another `num_threads` workers that outlives individual
 /// calls, overlapping with the charged replay.
@@ -726,13 +552,10 @@ pub struct Oracle<'a> {
     /// [`crate::PrismError::BudgetExhausted`] in the algorithms.
     pub budget: usize,
     num_threads: usize,
-    /// How the speculation executor schedules lookahead (static
-    /// fixed-depth or the adaptive latency-driven controller).
-    speculation: SpeculationMode,
-    /// Caller-configured in-flight frame bound
-    /// (`PrismConfig::speculation_budget`); `None` falls back to the
-    /// mode's default (unbounded for Static, derived for Adaptive).
-    budget_override: Option<usize>,
+    /// In-flight frame bound of the detached pool
+    /// (`PrismConfig::speculation_budget`, at least 1); `None` is
+    /// unbounded.
+    speculation_budget: Option<usize>,
     hits: usize,
     misses: usize,
     warm_hits: u64,
@@ -758,12 +581,6 @@ pub struct Oracle<'a> {
     /// entries never enter `unconsumed`: a warm start is not
     /// speculation and must not read as speculative waste.
     warm: HashSet<u64>,
-    /// The confidence-bounded sampled decision procedure (inert under
-    /// [`OracleSampling::Off`], the default). Sample probes are
-    /// scored synchronously on the primary system; on parallel runs
-    /// speculation usually pre-scores candidate frames into the
-    /// shared cache first, making the sampler mostly a no-op there.
-    sampling: SampledDecider,
     pool: Option<Arc<Pool>>,
     pool_workers: Vec<pool_thread::JoinHandle<()>>,
 }
@@ -806,8 +623,7 @@ impl<'a> Oracle<'a> {
             interventions: 0,
             budget,
             num_threads,
-            speculation: SpeculationMode::Static,
-            budget_override: None,
+            speculation_budget: None,
             hits: 0,
             misses: 0,
             warm_hits: 0,
@@ -823,28 +639,17 @@ impl<'a> Oracle<'a> {
             cache: Arc::new(SharedCache::new()),
             free: HashSet::new(),
             warm: HashSet::new(),
-            sampling: SampledDecider::new(OracleSampling::Off, 0),
             pool: None,
             pool_workers: Vec::new(),
         }
     }
 
-    /// Configure the sampled decision procedure (see
-    /// [`crate::PrismConfig::oracle_sampling`]); `seed` keys the
-    /// per-dataset sample streams. Returns `self` for chaining.
-    pub fn with_sampling(mut self, mode: OracleSampling, seed: u64) -> Self {
-        self.sampling = SampledDecider::new(mode, seed);
-        self
-    }
-
-    /// Configure the speculation executor: the scheduling mode and an
-    /// optional in-flight frame budget (see
-    /// [`crate::PrismConfig::speculation`] and
-    /// [`crate::PrismConfig::speculation_budget`]). Call before the
-    /// first speculation; returns `self` for chaining.
-    pub fn with_speculation(mut self, mode: SpeculationMode, budget: Option<usize>) -> Self {
-        self.speculation = mode;
-        self.budget_override = budget;
+    /// Bound the detached pool's in-flight frames (see
+    /// [`crate::PrismConfig::speculation_budget`]; a bound of 0 counts
+    /// as 1). Call before the first speculation; returns `self` for
+    /// chaining.
+    pub fn with_speculation_budget(mut self, budget: Option<usize>) -> Self {
+        self.speculation_budget = budget.map(|b| b.max(1));
         self
     }
 
@@ -881,17 +686,9 @@ impl<'a> Oracle<'a> {
         self
     }
 
-    /// The in-flight frame bound actually in force: the caller's
-    /// override if set, otherwise unbounded in Static mode and
-    /// `8 × num_threads` (min 32) in Adaptive mode — enough frames to
-    /// keep every worker busy several waves ahead without letting a
-    /// slow oracle pile up unbounded work.
+    /// The in-flight frame bound in force, if any.
     pub fn effective_budget(&self) -> Option<usize> {
-        match (self.budget_override, self.speculation) {
-            (Some(b), _) => Some(b.max(1)),
-            (None, SpeculationMode::Adaptive) => Some((8 * self.num_threads).max(32)),
-            (None, SpeculationMode::Static) => None,
-        }
+        self.speculation_budget
     }
 
     /// Snapshot the shared fingerprint cache (seeded, charged, and
@@ -1053,8 +850,7 @@ impl<'a> Oracle<'a> {
                 let latency_ns = start.elapsed().as_nanos() as u64;
                 guard.publish(score, false);
                 // Baselines are free but their evaluations are real
-                // latency samples — often the only ones the adaptive
-                // controller has before the first cold node.
+                // latency samples.
                 self.query_latency.record(latency_ns);
                 (score, false, false, Some(latency_ns))
             }
@@ -1170,17 +966,6 @@ impl<'a> Oracle<'a> {
             .collect()
     }
 
-    /// Mean observed cold-query latency so far: the main thread's
-    /// charged-miss histogram merged with every worker shard's
-    /// speculative evaluations. `None` before the first sample.
-    fn observed_mean_query_ns(&self) -> Option<u64> {
-        let mut merged = self.query_latency;
-        for shard in self.sync_shards.iter().chain(self.pool_shards.iter()) {
-            merged.merge(&shard.snapshot());
-        }
-        (merged.count > 0).then(|| merged.mean_ns())
-    }
-
     /// Malfunction score of a *baseline* dataset (`D_pass`/`D_fail`
     /// as given). Never counted as an intervention — the problem
     /// definition assumes these two scores are known — and future
@@ -1217,65 +1002,6 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// Decide whether `df` passes at τ, charging one intervention.
-    ///
-    /// With sampling off (the default) this is exactly
-    /// [`Oracle::intervene`] plus [`Oracle::passes`], and the exact
-    /// score is always returned. Under [`OracleSampling::Bounded`],
-    /// an uncached query may instead be settled as a confident FAIL
-    /// on stratified row samples; those return `(false, None)`
-    /// without ever scoring the full dataset. Decisions that pass —
-    /// or sit inside the confidence band of τ — escalate to a full
-    /// evaluation, so a returned score is exact.
-    pub fn decide(&mut self, df: &DataFrame) -> (bool, Option<f64>) {
-        self.decide_built(fingerprint(df), df)
-    }
-
-    /// [`Oracle::decide`] on the frame `intent` builds. A known intent
-    /// whose fingerprint is scored or being scored needs no sampling
-    /// and no frame; any other intent is built, because sampling
-    /// scores rows of the frame.
-    pub fn decide_apply(&mut self, intent: &Intent<'_>) -> Result<(bool, Option<f64>)> {
-        match self.resolve(intent)? {
-            (fp, Some(df)) => Ok(self.decide_built(fp, &df)),
-            (fp, None) => {
-                let score = self.charge(fp, Frame::Intent(intent))?;
-                Ok((self.passes(score), Some(score)))
-            }
-        }
-    }
-
-    /// [`Oracle::decide`] on `df` of fingerprint `fp`.
-    fn decide_built(&mut self, fp: u64, df: &DataFrame) -> (bool, Option<f64>) {
-        let settled = if self.free.contains(&fp) || self.cache.known(fp) {
-            // The exact score is free, or speculation (or a warm
-            // start) already paid — or is paying — for it: consume it
-            // through the normal charged path so hit/waste accounting
-            // stays truthful.
-            None
-        } else {
-            let threshold = self.threshold;
-            let system = self.source.primary(&mut self.workers);
-            self.sampling
-                .try_settle(fp, df, threshold, &mut |d| sanitize(system.malfunction(d)))
-        };
-        match settled {
-            Some(passes) => {
-                // The act of asking is still one intervention; the
-                // hit/miss split, score cache, and latency histogram
-                // describe full evaluations only and stay untouched.
-                self.interventions += 1;
-                (passes, None)
-            }
-            None => {
-                let score = self
-                    .charge(fp, Frame::Built(df))
-                    .expect("a built frame is never rebuilt");
-                (self.passes(score), Some(score))
-            }
-        }
-    }
-
     /// Score a baseline and emit its [`OracleQuerySpan`].
     pub(crate) fn baseline_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
         let score = self.baseline(df);
@@ -1301,27 +1027,6 @@ impl<'a> Oracle<'a> {
         Ok(score)
     }
 
-    /// Decide one pass/fail verdict on `intent`'s frame
-    /// ([`Oracle::decide_apply`]) and emit its event: an
-    /// [`OracleQuerySpan`] when the decision computed an exact score,
-    /// an [`Event::SampledQuery`] when it settled on a sample.
-    pub(crate) fn decide_apply_traced(
-        &mut self,
-        intent: &Intent<'_>,
-        tracer: &Tracer,
-    ) -> Result<(bool, Option<f64>)> {
-        let (passes, score) = self.decide_apply(intent)?;
-        match score {
-            Some(score) => self.emit_query(QueryKind::Intervention, score, tracer),
-            None => {
-                if let Some(span) = self.sampling.last {
-                    tracer.emit(|| Event::SampledQuery(span));
-                }
-            }
-        }
-        Ok((passes, score))
-    }
-
     /// Emit the [`OracleQuerySpan`] of the most recent query.
     fn emit_query(&self, kind: QueryKind, score: f64, tracer: &Tracer) {
         let q = self.last;
@@ -1335,13 +1040,6 @@ impl<'a> Oracle<'a> {
                 latency_ns: q.latency_ns,
             })
         });
-    }
-
-    /// The sampled-decision record of the most recent
-    /// [`Oracle::decide`] that settled without an exact score, for
-    /// span emission.
-    pub fn last_sampled_query(&self) -> Option<SampledQuerySpan> {
-        self.sampling.last
     }
 
     /// Materialize the given candidate datasets and, at width > 1,
@@ -1383,8 +1081,8 @@ impl<'a> Oracle<'a> {
 
     /// Score the frames of `probes` concurrently at width > 1, without
     /// charging interventions and without returning them: the charged
-    /// queries that follow ([`Oracle::intervene_apply`],
-    /// [`Oracle::decide_apply`]) then find their scores by intent key.
+    /// queries that follow ([`Oracle::intervene_apply`]) then find
+    /// their scores by intent key.
     /// A probe whose key already names a scored or in-flight frame is
     /// skipped, and with fewer than two probes left there is nothing to
     /// overlap. At width 1 this does nothing: each query builds its own
@@ -1428,7 +1126,7 @@ impl<'a> Oracle<'a> {
             return;
         }
         self.speculative_issued += jobs.len() as u64;
-        let budget = self.effective_budget();
+        let budget = self.speculation_budget;
         let jobs = jobs.into_iter().map(PoolJob::Probe).collect();
         self.ensure_pool(factory).enqueue(jobs, budget);
     }
@@ -1494,86 +1192,6 @@ impl<'a> Oracle<'a> {
         self.num_threads
     }
 
-    /// Decide how deep to speculate at one cold group-testing node,
-    /// given the configured cap. Never exceeds `cap`, and never
-    /// affects charged queries (the plan only steers cache warming).
-    /// In Static mode this returns the cap unchanged. In Adaptive mode
-    /// the controller reads only *observed* state — the merged latency
-    /// histograms and the live waste counters — and picks a depth
-    /// within the cap:
-    ///
-    /// - no latency sample yet → a conservative depth 1 (the first
-    ///   cold node runs before any charged miss, but baselines have
-    ///   usually recorded by then);
-    /// - mean query < 100 µs → depth 0 (scoring overhead rivals the
-    ///   query itself; only the node's own halves overlap);
-    /// - < 1 ms → depth 1; ≥ 1 ms → depth 2. Deeper never pays: a
-    ///   depth-d frontier plans 2^(d+2)−2 frames of which the replay
-    ///   path consumes ~2 per level, and because every cold child
-    ///   re-plans its own frontier, shallow planning already keeps the
-    ///   pipeline one step ahead — extra depth only parks wasted
-    ///   frames in front of the next node's useful ones (measured:
-    ///   static depth 1–2 beats depth 4 on both gate workloads at
-    ///   10 ms/query);
-    /// - waste guard: until 16 speculative evaluations have completed
-    ///   the plan stays within depth 1 (escalate on evidence, not
-    ///   hope); after that, under two-fifths consumed backs the depth
-    ///   off one level (a fully-consumed depth-2 pipeline sits at
-    ///   ~0.43, so 0.4 fires exactly when depth 2 stops paying for
-    ///   itself);
-    /// - headroom clamp: the planned frontier (at most 2^(depth+2)−2
-    ///   frames) must fit the budget slots still free. Over-issuing
-    ///   would immediately shed the *previous* node's oldest frames —
-    ///   the ones the serial replay consumes next — converting cache
-    ///   warming into pure waste.
-    pub fn plan_speculation_depth(&mut self, cap: usize) -> SpeculationPlan {
-        let budget = self.effective_budget();
-        if self.speculation == SpeculationMode::Static {
-            return SpeculationPlan {
-                cap,
-                depth: cap,
-                budget,
-                mean_query_ns: None,
-            };
-        }
-        let mean_query_ns = self.observed_mean_query_ns();
-        let mut depth = match mean_query_ns {
-            None => cap.min(1),
-            Some(ns) if ns < 100_000 => 0,
-            Some(ns) if ns < 1_000_000 => cap.min(1),
-            Some(_) => cap.min(2),
-        };
-        let evaluated: u64 = self
-            .sync_shards
-            .iter()
-            .chain(self.pool_shards.iter())
-            .map(|s| s.evaluated())
-            .sum();
-        if evaluated < 16 {
-            // No consumption track record yet: stay within one level
-            // until the pipeline has proven shallow frames get used.
-            depth = depth.min(1);
-        } else if self.speculative_used * 5 < evaluated * 2 {
-            depth = depth.saturating_sub(1);
-        }
-        if let Some(budget) = budget {
-            let pending = match &self.pool {
-                Some(pool) => pool.state.lock().expect("pool lock").pending,
-                None => 0,
-            };
-            let headroom = budget.saturating_sub(pending);
-            while depth > 0 && frontier_frames(depth) > headroom {
-                depth -= 1;
-            }
-        }
-        SpeculationPlan {
-            cap,
-            depth,
-            budget,
-            mean_query_ns,
-        }
-    }
-
     /// Whether a score is acceptable (`m ≤ τ`).
     pub fn passes(&self, score: f64) -> bool {
         score <= self.threshold
@@ -1607,9 +1225,6 @@ impl<'a> Oracle<'a> {
             speculative_shed: shed,
             speculative_discarded: discarded,
             peak_inflight: peak,
-            sampled_queries: self.sampling.sampled_queries,
-            escalations: self.sampling.escalations,
-            rows_touched: self.sampling.rows_touched,
             frames_built: self.frames_built,
             intent_hits: self.intent_hits,
             query_latency: self.query_latency,
@@ -1765,8 +1380,7 @@ mod tests {
     fn cold_baseline_records_a_latency_sample() {
         // Regression: a cold-baseline path that skips
         // `query_latency.record` loses the first — often only —
-        // latency sample of a fresh system, and the adaptive
-        // speculation controller reaches the first cold node blind.
+        // latency sample of a fresh system.
         let mut system = |_: &DataFrame| 0.9;
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         for mut rt in [
@@ -1908,8 +1522,7 @@ mod tests {
             }
         }
         let mut system = Named;
-        let rt =
-            Oracle::new(&mut system, 0.2, 100).with_speculation(SpeculationMode::Adaptive, None);
+        let rt = Oracle::new(&mut system, 0.2, 100).with_speculation_budget(Some(4));
         assert_eq!(rt.system_name(), "named");
         assert_eq!(rt.speculation_width(), 1);
         assert!(rt.workers.is_empty());
@@ -2032,8 +1645,7 @@ mod tests {
             }
         };
         let budget = 4usize;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2)
-            .with_speculation(SpeculationMode::Adaptive, Some(budget));
+        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2).with_speculation_budget(Some(budget));
         assert_eq!(rt.effective_budget(), Some(budget));
         // Three bursts of 8 jobs against a budget of 4: most of each
         // burst must be shed, and in-flight work must never exceed
@@ -2066,17 +1678,12 @@ mod tests {
     }
 
     #[test]
-    fn static_mode_without_budget_is_unbounded() {
+    fn speculation_is_unbounded_without_a_budget() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         let rt = Oracle::parallel(&factory, 0.2, 100, 4);
         assert_eq!(rt.effective_budget(), None);
-        let rt = Oracle::parallel(&factory, 0.2, 100, 4)
-            .with_speculation(SpeculationMode::Adaptive, None);
-        assert_eq!(
-            rt.effective_budget(),
-            Some(32),
-            "adaptive mode derives a default bound"
-        );
+        let rt = Oracle::parallel(&factory, 0.2, 100, 4).with_speculation_budget(Some(0));
+        assert_eq!(rt.effective_budget(), Some(1), "a zero bound counts as 1");
     }
 
     #[test]
@@ -2118,60 +1725,6 @@ mod tests {
         // jobs, no underflow).
         let again = rt.run_metrics();
         assert_eq!(again.speculative_discarded, m.speculative_discarded);
-    }
-
-    #[test]
-    fn adaptive_plan_respects_cap_and_latency() {
-        let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        // Static mode: the plan is always the cap.
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4);
-        assert_eq!(rt.plan_speculation_depth(3).depth, 3);
-        // Adaptive, no samples yet: conservative depth 1.
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4)
-            .with_speculation(SpeculationMode::Adaptive, None);
-        let plan = rt.plan_speculation_depth(4);
-        assert_eq!(plan.depth, 1);
-        assert_eq!(plan.cap, 4);
-        assert_eq!(plan.mean_query_ns, None);
-        // After observing sub-100µs queries: depth drops to 0 (the
-        // in-process system is far cheaper than frame scoring).
-        rt.baseline(&df(&[1]));
-        rt.intervene(&df(&[1, 2]));
-        let plan = rt.plan_speculation_depth(4);
-        assert!(plan.mean_query_ns.is_some());
-        if plan.mean_query_ns.unwrap() < 100_000 {
-            assert_eq!(plan.depth, 0, "{plan:?}");
-        }
-        assert!(plan.depth <= plan.cap);
-
-        // A slow oracle (≥ 1ms/query) tiers to depth 2, but without a
-        // speculative consumption track record (< 16 evaluations) the
-        // plan stays within depth 1 — escalate on evidence, not hope.
-        let slow_factory = || {
-            |df: &DataFrame| {
-                std::thread::sleep(std::time::Duration::from_millis(11));
-                df.n_rows() as f64 / 10.0
-            }
-        };
-        let mut rt = Oracle::parallel(&slow_factory, 0.2, 100, 4)
-            .with_speculation(SpeculationMode::Adaptive, None);
-        rt.baseline(&df(&[1]));
-        rt.intervene(&df(&[1, 2]));
-        let plan = rt.plan_speculation_depth(4);
-        assert!(plan.mean_query_ns.unwrap() >= 10_000_000);
-        assert_eq!(plan.depth, 1, "no track record caps the plan at 1");
-        assert_eq!(plan.budget, Some(32));
-
-        // A tight budget override engages the headroom clamp: the
-        // depth-1 frontier (6 frames) cannot fit 4 free slots, so
-        // the plan steps down to depth 0.
-        let mut rt = Oracle::parallel(&slow_factory, 0.2, 100, 4)
-            .with_speculation(SpeculationMode::Adaptive, Some(4));
-        rt.baseline(&df(&[1]));
-        rt.intervene(&df(&[1, 2]));
-        let plan = rt.plan_speculation_depth(4);
-        assert_eq!(plan.budget, Some(4));
-        assert_eq!(plan.depth, 0, "{plan:?}");
     }
 
     fn detached(frame: &DataFrame) -> DetachedSpeculation {

@@ -56,78 +56,6 @@ pub fn bootstrap_rows<R: Rng>(rng: &mut R, df: &DataFrame, n: usize) -> Result<D
     df.take(&idx)
 }
 
-/// Stratified sample of `n` indices from `0..len` without
-/// replacement: rows are partitioned into `n_strata` contiguous
-/// equal-width row ranges and each contributes proportionally to its
-/// size (largest-remainder rounding), so the sample covers the whole
-/// index range instead of clustering — the property the sampled
-/// oracle's Hoeffding bound leans on when rows are ordered.
-///
-/// A stratum smaller than its quota contributes all of its rows and
-/// the deficit is redistributed to strata with spare capacity, so the
-/// result always has exactly `n` indices. Errors if `n > len`.
-pub fn stratified_sample_indices<R: Rng>(
-    rng: &mut R,
-    len: usize,
-    n: usize,
-    n_strata: usize,
-) -> Result<Vec<usize>> {
-    if n > len {
-        return Err(FrameError::InvalidArgument(format!(
-            "cannot sample {n} rows without replacement from {len}"
-        )));
-    }
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let n_strata = n_strata.clamp(1, len);
-    // Contiguous row ranges of near-equal width.
-    let bounds: Vec<(usize, usize)> = (0..n_strata)
-        .map(|s| (s * len / n_strata, (s + 1) * len / n_strata))
-        .collect();
-    // Proportional quotas by largest remainder, capped at the stratum
-    // size (a small stratum must not be over-drawn).
-    let mut quotas: Vec<usize> = Vec::with_capacity(n_strata);
-    let mut remainders: Vec<(usize, usize)> = Vec::with_capacity(n_strata);
-    let mut assigned = 0usize;
-    for (s, &(lo, hi)) in bounds.iter().enumerate() {
-        let size = hi - lo;
-        let exact = n * size; // quota = exact / len, remainder exact % len
-        let q = (exact / len).min(size);
-        remainders.push((exact % len, s));
-        quotas.push(q);
-        assigned += q;
-    }
-    // Hand out the rounding leftovers to the largest remainders
-    // first, then fill any residual deficit (from capped strata) from
-    // whichever strata still have spare capacity.
-    remainders.sort_unstable_by(|a, b| b.cmp(a));
-    for &(_, s) in &remainders {
-        if assigned == n {
-            break;
-        }
-        let (lo, hi) = bounds[s];
-        if quotas[s] < hi - lo {
-            quotas[s] += 1;
-            assigned += 1;
-        }
-    }
-    for (s, &(lo, hi)) in bounds.iter().enumerate() {
-        while assigned < n && quotas[s] < hi - lo {
-            quotas[s] += 1;
-            assigned += 1;
-        }
-    }
-    debug_assert_eq!(assigned, n, "quotas must cover the request exactly");
-    let mut out = Vec::with_capacity(n);
-    for (&(lo, hi), &q) in bounds.iter().zip(&quotas) {
-        let within = sample_indices_without_replacement(rng, hi - lo, q)?;
-        out.extend(within.into_iter().map(|i| lo + i));
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
 /// Split `df` into (train, test) by shuffling rows and cutting at
 /// `train_fraction`. Errors on fractions outside `(0, 1)`.
 pub fn train_test_split<R: Rng>(
@@ -206,60 +134,5 @@ mod tests {
         let d = df(10);
         let b = bootstrap_rows(&mut StdRng::seed_from_u64(3), &d, 25).unwrap();
         assert_eq!(b.n_rows(), 25);
-    }
-
-    #[test]
-    fn stratified_draws_exactly_n_unique_in_range() {
-        for (len, n, strata) in [
-            (100usize, 30usize, 8usize),
-            (97, 41, 10),
-            (64, 64, 7),
-            (1000, 1, 16),
-            (5, 5, 16), // more strata than rows
-            (10, 0, 4),
-        ] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let idx = stratified_sample_indices(&mut rng, len, n, strata).unwrap();
-            assert_eq!(idx.len(), n, "len={len} n={n} strata={strata}");
-            assert!(idx.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
-            assert!(idx.iter().all(|&i| i < len));
-        }
-        let mut rng = StdRng::seed_from_u64(11);
-        assert!(stratified_sample_indices(&mut rng, 5, 6, 2).is_err());
-    }
-
-    /// Regression: a stratum smaller than the per-stratum quota must
-    /// contribute all its rows (never over-draw) and the deficit must
-    /// be made up elsewhere (never under-draw).
-    #[test]
-    fn stratified_small_stratum_redistributes_deficit() {
-        // len 65, 16 strata → widths alternate 4 and 5; asking for 60
-        // of 65 rows forces quotas above several strata's sizes.
-        let mut rng = StdRng::seed_from_u64(3);
-        let idx = stratified_sample_indices(&mut rng, 65, 60, 16).unwrap();
-        assert_eq!(idx.len(), 60);
-        let mut dedup = idx.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 60, "no index drawn twice");
-        // Degenerate: n == len must return every index regardless of
-        // how unevenly the strata divide.
-        let mut rng = StdRng::seed_from_u64(3);
-        let all = stratified_sample_indices(&mut rng, 65, 65, 16).unwrap();
-        assert_eq!(all, (0..65).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stratified_covers_every_stratum() {
-        // 10 strata of 100 rows each; 20 draws → every stratum must
-        // contribute exactly 2 (proportional quotas, no clustering).
-        let mut rng = StdRng::seed_from_u64(9);
-        let idx = stratified_sample_indices(&mut rng, 1000, 20, 10).unwrap();
-        for s in 0..10 {
-            let in_stratum = idx
-                .iter()
-                .filter(|&&i| i >= s * 100 && i < (s + 1) * 100)
-                .count();
-            assert_eq!(in_stratum, 2, "stratum {s}");
-        }
     }
 }

@@ -344,9 +344,8 @@ pub struct CommutationResult {
 /// them), row-local (no resampling), and touch disjoint
 /// read/write footprints provably commutes —
 /// `t_b(t_a(d)) = t_a(t_b(d))` bit-for-bit on every frame. The fact
-/// table feeds the speculation planner (commuting frontiers stay
-/// useful deeper) and the commute-aware GT partitioner (conflict
-/// edges are the pairs *not* in the table).
+/// table feeds group testing's speculation depth (commuting frontiers
+/// stay useful deeper).
 pub fn check_commutation(candidates: &[CandidateFacts]) -> CommutationResult {
     fn footprint(c: &CandidateFacts) -> BTreeSet<&str> {
         c.transform_reads

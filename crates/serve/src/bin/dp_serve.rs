@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! dp_serve [--addr HOST:PORT] [--max-inflight N] [--max-queue N]
-//!          [--budget-bytes N] [--snapshot-dir DIR]
-//!          [--speculation static|adaptive] [--frame-budget N]
+//!          [--budget-bytes N] [--snapshot-dir DIR] [--frame-budget N]
 //! dp_serve --smoke
 //! ```
 //!
@@ -12,13 +11,12 @@
 //! diagnoses, and verify the second one was served warm from the
 //! server-resident cache with a bit-identical explanation.
 
-use dataprism::SpeculationMode;
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dp_serve [--addr HOST:PORT] [--max-inflight N] [--max-queue N]\n                [--budget-bytes N] [--snapshot-dir DIR]\n                [--speculation static|adaptive] [--frame-budget N] [--smoke]"
+        "usage: dp_serve [--addr HOST:PORT] [--max-inflight N] [--max-queue N]\n                [--budget-bytes N] [--snapshot-dir DIR] [--frame-budget N] [--smoke]"
     );
     std::process::exit(2);
 }
@@ -49,13 +47,6 @@ fn parse_args() -> (ServeConfig, bool) {
                 config.budget_bytes = value("--budget-bytes").parse().unwrap_or_else(|_| usage())
             }
             "--snapshot-dir" => config.snapshot_dir = Some(value("--snapshot-dir").into()),
-            "--speculation" => {
-                config.speculation = match value("--speculation").as_str() {
-                    "static" => SpeculationMode::Static,
-                    "adaptive" => SpeculationMode::Adaptive,
-                    _ => usage(),
-                }
-            }
             "--frame-budget" => {
                 config.speculation_budget =
                     Some(value("--frame-budget").parse().unwrap_or_else(|_| usage()))

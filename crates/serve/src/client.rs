@@ -88,18 +88,16 @@ impl Client {
         algo: &str,
         threads: Option<usize>,
     ) -> std::io::Result<JsonValue> {
-        self.diagnose_with(system, algo, threads, None, None)
+        self.diagnose_with(system, algo, threads, None)
     }
 
-    /// `diagnose` with executor overrides: speculation `mode`
-    /// (`"static"`/`"adaptive"`) and in-flight speculative frame
-    /// `budget` for this one diagnosis.
+    /// `diagnose` with an in-flight speculative frame `budget` for
+    /// this one diagnosis.
     pub fn diagnose_with(
         &mut self,
         system: &str,
         algo: &str,
         threads: Option<usize>,
-        mode: Option<&str>,
         budget: Option<usize>,
     ) -> std::io::Result<JsonValue> {
         let mut line = format!(
@@ -109,9 +107,6 @@ impl Client {
         );
         if let Some(threads) = threads {
             line.push_str(&format!(",\"threads\":{threads}"));
-        }
-        if let Some(mode) = mode {
-            line.push_str(&format!(",\"mode\":{}", json_escape(mode)));
         }
         if let Some(budget) = budget {
             line.push_str(&format!(",\"budget\":{budget}"));

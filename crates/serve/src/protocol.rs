@@ -19,7 +19,6 @@
 //! [`dp_trace::json_escape`], so both line formats in the workspace
 //! escape identically.
 
-use dataprism::SpeculationMode;
 use dp_trace::{json_escape, JsonValue};
 
 /// Hard cap on one request line, including the newline. Large enough
@@ -130,9 +129,6 @@ pub enum Request {
         algo: Algo,
         /// Worker-thread override (defaults to the scenario config).
         threads: Option<usize>,
-        /// Speculation-executor mode override
-        /// (`"static"`/`"adaptive"`; defaults to the server config).
-        mode: Option<SpeculationMode>,
         /// In-flight speculative frame budget override for this
         /// diagnosis (defaults to the namespace's slice of the
         /// server-wide budget).
@@ -272,22 +268,19 @@ pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
                     ))
                 }
             };
-            let mode = match value.get("mode").and_then(|v| v.as_str()) {
-                None => None,
-                Some("static") => Some(SpeculationMode::Static),
-                Some("adaptive") => Some(SpeculationMode::Adaptive),
-                Some(other) => {
-                    return Err((
-                        ErrorCode::MalformedRequest,
-                        format!("unknown mode '{other}' (static|adaptive)"),
-                    ))
-                }
-            };
+            // A `mode` field asks for a speculation policy this server
+            // does not have: refuse it rather than silently run the
+            // one policy there is.
+            if value.get("mode").is_some() {
+                return Err((
+                    ErrorCode::MalformedRequest,
+                    "field 'mode' was removed: speculation has one policy".to_string(),
+                ));
+            }
             Ok(Request::Diagnose {
                 system: field_str(&value, "system")?,
                 algo,
                 threads: field_opt_u64(&value, "threads")?.map(|v| v as usize),
-                mode,
                 budget: field_opt_u64(&value, "budget")?.map(|v| v as usize),
             })
         }
@@ -473,7 +466,6 @@ mod tests {
                 system: "inc".into(),
                 algo: Algo::Auto,
                 threads: Some(8),
-                mode: None,
                 budget: None,
             }
         );
@@ -483,20 +475,15 @@ mod tests {
                 system: "inc".into(),
                 algo: Algo::Greedy,
                 threads: None,
-                mode: None,
                 budget: None,
             }
         );
         assert_eq!(
-            parse_request(
-                "{\"op\":\"diagnose\",\"system\":\"inc\",\"mode\":\"adaptive\",\"budget\":16}"
-            )
-            .unwrap(),
+            parse_request("{\"op\":\"diagnose\",\"system\":\"inc\",\"budget\":16}").unwrap(),
             Request::Diagnose {
                 system: "inc".into(),
                 algo: Algo::Greedy,
                 threads: None,
-                mode: Some(SpeculationMode::Adaptive),
                 budget: Some(16),
             }
         );
@@ -593,10 +580,14 @@ mod tests {
         let (code, _) =
             parse_request("{\"op\":\"diagnose\",\"system\":\"s\",\"threads\":-2}").unwrap_err();
         assert_eq!(code, ErrorCode::MalformedRequest);
-        let (code, msg) =
-            parse_request("{\"op\":\"diagnose\",\"system\":\"s\",\"mode\":\"turbo\"}").unwrap_err();
-        assert_eq!(code, ErrorCode::MalformedRequest);
-        assert!(msg.contains("static|adaptive"), "{msg}");
+        // The removed speculation-mode field is refused by name, for
+        // every value a client could send (a former mode or not).
+        for mode in ["\"adaptive\"", "\"static\"", "\"turbo\"", "1"] {
+            let line = format!("{{\"op\":\"diagnose\",\"system\":\"s\",\"mode\":{mode}}}");
+            let (code, msg) = parse_request(&line).unwrap_err();
+            assert_eq!(code, ErrorCode::MalformedRequest, "{line}");
+            assert!(msg.contains("'mode' was removed"), "{msg}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::protocol::{
 use crate::registry::{lock_or_recover, Registry, SystemEntry};
 use dataprism::{
     explain_greedy_parallel_cached_with_pvts, explain_group_test_parallel_cached_with_pvts,
-    DataPrism, PartitionStrategy, ScoreCache, SpeculationMode,
+    DataPrism, PartitionStrategy, ScoreCache,
 };
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_trace::Tracer;
@@ -56,14 +56,10 @@ pub struct ServeConfig {
     pub snapshot_dir: Option<PathBuf>,
     /// Hard cap on one request line.
     pub max_line_bytes: usize,
-    /// Speculation-executor mode applied to every diagnosis (a
-    /// per-request `mode` field overrides it).
-    pub speculation: SpeculationMode,
     /// Server-wide bound on in-flight speculative frames, divided
     /// evenly across the `max_inflight` admission slots so one slow
     /// system's detached frontier cannot starve the other namespaces
-    /// of executor capacity. `None` leaves each diagnosis on the
-    /// mode's own default (unbounded Static, derived Adaptive).
+    /// of executor capacity. `None` leaves each diagnosis unbounded.
     pub speculation_budget: Option<usize>,
 }
 
@@ -76,7 +72,6 @@ impl Default for ServeConfig {
             budget_bytes: DEFAULT_BUDGET_BYTES,
             snapshot_dir: None,
             max_line_bytes: MAX_REQUEST_BYTES,
-            speculation: SpeculationMode::Static,
             speculation_budget: None,
         }
     }
@@ -472,10 +467,9 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
             system,
             algo,
             threads,
-            mode,
             budget,
         } => (
-            handle_diagnose(shared, &system, algo, threads, mode, budget),
+            handle_diagnose(shared, &system, algo, threads, budget),
             false,
         ),
         Request::Warm { system, trace } => (handle_warm(shared, &system, &trace), false),
@@ -568,7 +562,6 @@ fn handle_diagnose(
     system: &str,
     algo: Algo,
     threads: Option<usize>,
-    mode: Option<SpeculationMode>,
     budget: Option<usize>,
 ) -> String {
     let permit = match shared.admission.admit(&shared.shutting_down) {
@@ -600,8 +593,6 @@ fn handle_diagnose(
     if let Some(t) = threads {
         config.num_threads = t.clamp(1, 64);
     }
-    let speculation = mode.unwrap_or(shared.config.speculation);
-    config.speculation = speculation;
     config.speculation_budget = budget.or_else(|| namespace_budget(&shared.config));
     let prism = DataPrism::new(config);
     let result = match algo {
@@ -658,7 +649,6 @@ fn handle_diagnose(
                 .u64("warm_hits", exp.metrics.warm_hits)
                 .u64("frames_built", exp.metrics.frames_built)
                 .u64("intent_hits", exp.metrics.intent_hits)
-                .str("speculation", speculation.as_str())
                 .u64("speculative_shed", exp.metrics.speculative_shed)
                 .u64("peak_inflight", exp.metrics.peak_inflight)
                 .bool("lint_analyzed", exp.lint.analyzed)
@@ -908,7 +898,6 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> St
     };
     let candidates = pvts.len();
     let mut config = spec.config.clone();
-    config.speculation = shared.config.speculation;
     config.speculation_budget = namespace_budget(&shared.config);
     let result = match algo {
         Algo::GroupTest => explain_group_test_parallel_cached_with_pvts(
@@ -1060,7 +1049,6 @@ fn handle_stats(shared: &Shared, system: Option<&str>) -> String {
                 .usize("max_inflight", shared.config.max_inflight)
                 .usize("max_queue", shared.config.max_queue)
                 .usize("budget_bytes", shared.config.budget_bytes)
-                .str("speculation", shared.config.speculation.as_str())
                 .usize(
                     "namespace_frame_budget",
                     namespace_budget(&shared.config).unwrap_or(0),

@@ -61,6 +61,47 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn removed_speculation_mode_is_refused_on_the_wire_and_the_command_line() {
+    // Speculation has one policy. A client that still asks for a mode
+    // gets a typed refusal naming the removed field, and no diagnosis
+    // runs — it is never silently served under another policy.
+    let (server, mut client) = start_default();
+    assert!(is_ok(
+        &client.register("ex", "example1", None, None).unwrap()
+    ));
+    for mode in ["adaptive", "static"] {
+        let line = format!("{{\"op\":\"diagnose\",\"system\":\"ex\",\"mode\":\"{mode}\"}}");
+        let v = client.request(&line).unwrap();
+        assert_eq!(
+            error_code(&v).as_deref(),
+            Some("malformed_request"),
+            "{line}"
+        );
+        let msg = v.get("error").and_then(|e| e.as_str()).unwrap_or("");
+        assert!(msg.contains("'mode' was removed"), "{msg}");
+    }
+    let stats = client.stats(None).unwrap();
+    assert_eq!(field_u64(&stats, "diagnoses_ok"), Some(0), "{stats:?}");
+    assert!(stats.get("speculation").is_none(), "{stats:?}");
+    stop(server, &mut client);
+
+    // The daemon's `--speculation` flag is gone: it is an unknown
+    // argument, so the binary prints its usage and exits 2.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dp_serve"))
+        .args(["--speculation", "x"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument: --speculation"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage: dp_serve"), "{stderr}");
+    assert!(!stderr.contains("adaptive"), "{stderr}");
+}
+
+#[test]
 fn oversized_request_is_rejected_with_a_typed_error() {
     let server = Server::start(ServeConfig {
         max_line_bytes: 4096,

@@ -653,19 +653,14 @@ fn masked_estimate(a: &NumericSketch, b: &NumericSketch, xs: &[f64], ys: &[f64])
 }
 
 /// Conservative upper envelope of the exact Pearson test: the
-/// estimate's |r| inflated by a slack margin, with the matching
-/// p-value. If this is still insignificant, the exact test over the
-/// same pairs is too.
-///
-/// The numeric estimate reproduces the exact joint-pair statistics,
-/// so the margin is the floating-point floor plus `margin_se`
-/// standard errors of extra caution (`0.0` trusts the estimate to
-/// the fp floor; discovery's default is driven by
-/// `Prefilter::margin`).
-pub fn pearson_upper(a: &NumericSketch, b: &NumericSketch, margin_se: f64) -> Correlation {
+/// estimate's |r| inflated by the floating-point floor, with the
+/// matching p-value. If this is still insignificant, the exact test
+/// over the same pairs is too: the numeric estimate reproduces the
+/// exact joint-pair statistics, so the floor is the only slack it
+/// needs.
+pub fn pearson_upper(a: &NumericSketch, b: &NumericSketch) -> Correlation {
     let est = pearson_estimate(a, b);
-    let se = 1.0 / ((est.n as f64 - 3.0).max(1.0)).sqrt();
-    let r_up = (est.r.abs() + R_FP_MARGIN + margin_se * se).min(1.0);
+    let r_up = (est.r.abs() + R_FP_MARGIN).min(1.0);
     Correlation {
         r: r_up,
         p_value: p_of_r(r_up, est.n),
@@ -1118,7 +1113,7 @@ mod tests {
             .map(|(e, x)| 0.15 * x + e)
             .collect();
         let exact = pearson(&xs, &ys);
-        let up = pearson_upper(&dense_sketch(&xs), &dense_sketch(&ys), 0.0);
+        let up = pearson_upper(&dense_sketch(&xs), &dense_sketch(&ys));
         assert!(up.r >= exact.r.abs());
         assert!(up.p_value <= exact.p_value + 1e-12);
         // A significant exact test can never be screened.

@@ -19,9 +19,9 @@
 /// cache hits instead of a `0` sentinel) and the
 /// [`Event::SpeculationPlan`] controller event was added.
 ///
-/// v3: the [`Event::SampledQuery`] event was added — a
-/// confidence-bounded oracle decision settled on a stratified row
-/// sample instead of the full dataset.
+/// v3: a `SampledQuery` event was added — a confidence-bounded
+/// oracle decision settled on a stratified row sample instead of the
+/// full dataset.
 ///
 /// v4: the [`Event::LintFact`] event was added — the abstract-
 /// interpretation fact counts (L6 subsumption classes, L7
@@ -33,7 +33,13 @@
 /// per-column sketches), [`Event::DriftScore`] (one profile's drift
 /// score against the live window), and [`Event::MonitorTrigger`]
 /// (drift past τ_drift escalated to a targeted re-diagnosis).
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the sampled oracle and the adaptive speculation controller
+/// were removed. The `SampledQuery` event is gone, and
+/// [`Event::SpeculationPlan`] lost its `cap` field (always equal to
+/// `depth`) and its `mean_query_ns` field (never set without the
+/// controller).
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Whether an oracle query was a free baseline or a charged
 /// intervention.
@@ -134,43 +140,18 @@ pub struct OracleQuerySpan {
     pub latency_ns: Option<u64>,
 }
 
-/// One sampled oracle decision: a charged query whose pass/fail
-/// verdict at τ was settled on a stratified row sample at the
-/// configured confidence, without touching the full dataset. Queries
-/// that escalated to a full evaluation emit an ordinary
-/// [`Event::OracleQuery`] instead (their sample work is aggregated in
-/// `RunMetrics::escalations`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledQuerySpan {
-    /// Content fingerprint of the queried dataset.
-    pub fingerprint: u64,
-    /// Estimated malfunction score on the sample.
-    pub estimate: f64,
-    /// Rows the estimate scored.
-    pub rows: u64,
-    /// Rows of the full dataset the sample stands in for.
-    pub total_rows: u64,
-    /// Confidence level `1 − δ` of the Hoeffding settlement.
-    pub confidence: f64,
-}
-
-/// The adaptive speculation controller's decision at one cold
-/// bisection node: how deep to pre-bisect and why.
+/// The lookahead planned at one cold bisection node: how deep to
+/// pre-bisect and under what in-flight bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpeculationPlanSpan {
     /// Bisection node the plan applies to.
     pub node: u64,
-    /// Configured depth cap (`gt_speculation_depth`).
-    pub cap: usize,
-    /// Depth the controller chose (≤ `cap`; equals `cap` under
-    /// static speculation).
+    /// Extra recursion levels pre-bisected: `gt_speculation_depth`,
+    /// plus one where every candidate pair provably commutes.
     pub depth: usize,
     /// In-flight frame budget in force at plan time; `None` means
-    /// unbounded (static mode without a budget).
+    /// unbounded.
     pub budget: Option<usize>,
-    /// Mean observed cold-query latency feeding the decision, in
-    /// nanoseconds; `None` when no sample existed yet.
-    pub mean_query_ns: Option<u64>,
     /// Frames the resulting frontier enqueues.
     pub frames: usize,
 }
@@ -246,10 +227,6 @@ pub enum Event {
     LintFact(LintFactSpan),
     /// An oracle query completed.
     OracleQuery(OracleQuerySpan),
-    /// A charged oracle decision was settled on a row sample (the
-    /// confidence-bounded sampled oracle; never emitted for queries
-    /// whose exact score is consumed downstream).
-    SampledQuery(SampledQuerySpan),
     /// Greedy decided on one candidate (Alg 1 lines 12–19).
     GreedyPick {
         /// Candidate PVT id.
@@ -263,8 +240,8 @@ pub enum Event {
     },
     /// Entered a group-testing recursion node.
     BisectionNodeBegin(BisectionNodeSpan),
-    /// The speculation controller planned a lookahead frontier for a
-    /// cold bisection node (emitted before the frames are enqueued).
+    /// A lookahead frontier was planned for a cold bisection node
+    /// (emitted before the frames are enqueued).
     SpeculationPlan(SpeculationPlanSpan),
     /// The node's candidate set was bisected.
     BisectionPartition {

@@ -11,8 +11,8 @@
 
 use crate::event::{
     BisectionNodeSpan, DiagnosisSpan, DiscoverySpan, DriftScoreSpan, Event, LintFactSpan, LintSpan,
-    MonitorTriggerSpan, OracleQuerySpan, QueryKind, SampledQuerySpan, SketchMergeSpan,
-    SpeculationPlanSpan, TraceRecord, SCHEMA_VERSION,
+    MonitorTriggerSpan, OracleQuerySpan, QueryKind, SketchMergeSpan, SpeculationPlanSpan,
+    TraceRecord, SCHEMA_VERSION,
 };
 use std::fmt;
 
@@ -184,13 +184,6 @@ pub fn record_to_json(rec: &TraceRecord) -> String {
             .bool("speculative_hit", s.speculative_hit)
             .opt_u64("latency_ns", s.latency_ns)
             .finish(),
-        Event::SampledQuery(s) => Obj::new(seq, at, "sampled_query")
-            .u64("fingerprint", s.fingerprint)
-            .f64("estimate", s.estimate)
-            .u64("rows", s.rows)
-            .u64("total_rows", s.total_rows)
-            .f64("confidence", s.confidence)
-            .finish(),
         Event::GreedyPick {
             pvt,
             before,
@@ -210,10 +203,8 @@ pub fn record_to_json(rec: &TraceRecord) -> String {
             .finish(),
         Event::SpeculationPlan(s) => Obj::new(seq, at, "speculation_plan")
             .u64("node", s.node)
-            .usize("cap", s.cap)
             .usize("depth", s.depth)
             .opt_u64("budget", s.budget.map(|b| b as u64))
-            .opt_u64("mean_query_ns", s.mean_query_ns)
             .usize("frames", s.frames)
             .finish(),
         Event::BisectionPartition {
@@ -689,13 +680,6 @@ fn decode_record(line: &str) -> Result<TraceRecord, String> {
             speculative_hit: f.bool("speculative_hit")?,
             latency_ns: f.opt_u64("latency_ns")?,
         }),
-        "sampled_query" => Event::SampledQuery(SampledQuerySpan {
-            fingerprint: f.u64("fingerprint")?,
-            estimate: f.f64("estimate")?,
-            rows: f.u64("rows")?,
-            total_rows: f.u64("total_rows")?,
-            confidence: f.f64("confidence")?,
-        }),
         "greedy_pick" => Event::GreedyPick {
             pvt: f.usize("pvt")?,
             before: f.f64("before")?,
@@ -710,10 +694,8 @@ fn decode_record(line: &str) -> Result<TraceRecord, String> {
         }),
         "speculation_plan" => Event::SpeculationPlan(SpeculationPlanSpan {
             node: f.u64("node")?,
-            cap: f.usize("cap")?,
             depth: f.usize("depth")?,
             budget: f.opt_u64("budget")?.map(|b| b as usize),
-            mean_query_ns: f.opt_u64("mean_query_ns")?,
             frames: f.usize("frames")?,
         }),
         "partition" => Event::BisectionPartition {
@@ -869,10 +851,8 @@ mod tests {
                 at_ns: 650,
                 event: Event::SpeculationPlan(SpeculationPlanSpan {
                     node: 0,
-                    cap: 4,
                     depth: 2,
                     budget: Some(64),
-                    mean_query_ns: Some(12_000_000),
                     frames: 14,
                 }),
             },

@@ -44,8 +44,8 @@ pub mod tree;
 
 pub use event::{
     BisectionNodeSpan, DiagnosisSpan, DiscoverySpan, DriftScoreSpan, Event, LintFactSpan, LintSpan,
-    MonitorTriggerSpan, OracleQuerySpan, QueryKind, SampledQuerySpan, SketchMergeSpan,
-    SpeculationPlanSpan, TraceRecord, SCHEMA_VERSION,
+    MonitorTriggerSpan, OracleQuerySpan, QueryKind, SketchMergeSpan, SpeculationPlanSpan,
+    TraceRecord, SCHEMA_VERSION,
 };
 pub use json::{json_escape, parse_jsonl, to_jsonl, JsonValue, ParseError};
 pub use metrics::{LatencyHistogram, MetricsShard, QueryStat, RunMetrics, LATENCY_BOUNDS_NS};

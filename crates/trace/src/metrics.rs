@@ -138,8 +138,7 @@ pub struct QueryStat {
     pub speculative_hit: bool,
     /// Wall time of the system evaluation. `None` for cache hits:
     /// no evaluation happened, so there is no latency sample — hit
-    /// queries must never be averaged into query cost (the adaptive
-    /// speculation controller reads that mean).
+    /// queries must never be averaged into query cost.
     pub latency_ns: Option<u64>,
 }
 
@@ -202,17 +201,6 @@ pub struct RunMetrics {
     pub lint_subsumed: u64,
     /// Candidates with an L7 τ-unreachability certificate.
     pub lint_unreachable: u64,
-    /// Charged queries the sampled oracle settled on a stratified row
-    /// sample (confidence-bounded FAIL decisions that never touched
-    /// the full dataset). Zero with `oracle_sampling` off.
-    pub sampled_queries: u64,
-    /// Sampling-eligible queries whose estimate sat inside the
-    /// confidence band of τ (or confidently passed) and therefore
-    /// escalated to a full-dataset evaluation.
-    pub escalations: u64,
-    /// Rows actually scored by settled sampled queries — the work the
-    /// early exits paid instead of `sampled_queries × |D|`.
-    pub rows_touched: u64,
     /// Candidate frames built from compositions of transformations, on
     /// the calling thread and on workers, plus frames a search handed
     /// to speculation ready-made. A warm run whose queries all resolve
@@ -258,8 +246,7 @@ impl RunMetrics {
         format!(
             "queries {} (hits {}, misses {}), baselines {}, \
              speculation {}/{}/{} issued/used/wasted, \
-             prefilter {}/{} screened/exact, lint {}/{} pruned/subsumed, \
-             sampling {}/{} settled/escalated",
+             prefilter {}/{} screened/exact, lint {}/{} pruned/subsumed",
             self.charged_queries,
             self.cache_hits,
             self.cache_misses,
@@ -271,8 +258,6 @@ impl RunMetrics {
             self.prefilter_exact,
             self.lint_pruned,
             self.lint_subsumed,
-            self.sampled_queries,
-            self.escalations,
         )
     }
 }

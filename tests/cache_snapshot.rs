@@ -172,3 +172,43 @@ fn corrupt_snapshots_are_rejected_with_line_numbers() {
         assert_eq!(err.line, bad_line, "{text:?}: {err}");
     }
 }
+
+#[test]
+fn replayed_traces_keep_only_scores_in_the_unit_interval() {
+    // A trace is a trust boundary too: a hand-edited stream may carry
+    // any score, but the runtime never computes one outside [0, 1],
+    // so warming from it stores only the usable entries and counts
+    // only those.
+    let span = |fingerprint, score| dp_trace::TraceRecord {
+        seq: 0,
+        at_ns: 0,
+        event: dp_trace::Event::OracleQuery(dp_trace::OracleQuerySpan {
+            kind: dp_trace::QueryKind::Intervention,
+            fingerprint,
+            score,
+            cached: false,
+            speculative_hit: false,
+            latency_ns: Some(1),
+        }),
+    };
+    let trace = dp_trace::to_jsonl(&[
+        span(1, -1.0),
+        span(2, 7.5),
+        span(3, f64::NAN),
+        span(4, 0.25),
+        span(5, 0.0),
+        span(6, 1.0),
+    ]);
+    let mut cache = ScoreCache::new();
+    assert_eq!(cache.warm_from_jsonl(&trace).unwrap(), 3);
+    assert_eq!(
+        canon(&cache),
+        vec![
+            (4, 0.25f64.to_bits()),
+            (5, 0.0f64.to_bits()),
+            (6, 1.0f64.to_bits())
+        ]
+    );
+    // Replaying the same trace again stores nothing new.
+    assert_eq!(cache.warm_from_jsonl(&trace).unwrap(), 0);
+}

@@ -219,7 +219,7 @@ fn baselines_conserve_charged_queries() {
             let exp = run.unwrap_or_else(|e| panic!("{name}/{algo}: {e}"));
             let m = &exp.metrics;
             assert_eq!(
-                m.cache_hits + m.cache_misses + m.sampled_queries,
+                m.cache_hits + m.cache_misses,
                 m.charged_queries,
                 "{name}/{algo}: {m:?}"
             );

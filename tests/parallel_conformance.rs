@@ -18,7 +18,7 @@ use dataprism::{
     discovery::discriminative_pvts, explain_greedy, explain_greedy_parallel,
     explain_greedy_parallel_with_pvts, explain_group_test, explain_group_test_parallel,
     explain_group_test_parallel_with_pvts, fingerprint, Explanation, PartitionStrategy,
-    PrismConfig, PrismError, Result, SpeculationMode, System, SystemFactory,
+    PrismConfig, PrismError, Result, System, SystemFactory,
 };
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, synthetic, Scenario};
@@ -107,12 +107,12 @@ fn assert_identical(
     }
 }
 
-/// Every charged query is exactly one of a cache hit, a cache miss or
-/// a sampled decision; re-asking a free baseline is none of them.
+/// Every charged query is exactly one of a cache hit or a cache miss;
+/// re-asking a free baseline is neither.
 fn assert_conserved(label: &str, exp: &Explanation) {
     let m = &exp.metrics;
     assert_eq!(
-        m.cache_hits + m.cache_misses + m.sampled_queries,
+        m.cache_hits + m.cache_misses,
         m.charged_queries,
         "{label}: hit/miss conservation {m:?}"
     );
@@ -339,11 +339,11 @@ fn parallel_runs_actually_speculate() {
 }
 
 #[test]
-fn adaptive_mode_is_bit_identical_to_static() {
-    // The adaptive executor changes *which* frames are pre-scored and
-    // how many may be in flight — never the serial replay — so every
-    // adaptive cell must reproduce the serial explanation bit-for-bit,
-    // with and without a (deliberately tight) frame budget.
+fn speculation_budget_is_bit_identical_to_unbounded() {
+    // A frame budget changes how many speculative frames may be in
+    // flight — never the serial replay — so every budgeted cell must
+    // reproduce the serial explanation bit-for-bit, with and without
+    // a (deliberately tight) bound.
     for mut scenario in scenarios() {
         let serial_gt = explain_group_test(
             scenario.system.as_mut(),
@@ -363,29 +363,24 @@ fn adaptive_mode_is_bit_identical_to_static() {
                 let mut config = scenario.config.clone();
                 config.num_threads = threads;
                 config.gt_speculation_depth = 2;
-                config.speculation = SpeculationMode::Adaptive;
                 config.speculation_budget = budget;
-                let par = explain_group_test_parallel(
+                let gt = explain_group_test_parallel(
                     scenario.factory.as_ref(),
                     &scenario.d_fail,
                     &scenario.d_pass,
                     &config,
                     PartitionStrategy::MinBisection,
                 );
-                assert_identical(scenario.name, threads, &serial_gt, &par);
+                assert_identical(scenario.name, threads, &serial_gt, &gt);
+                let grd = explain_greedy_parallel(
+                    scenario.factory.as_ref(),
+                    &scenario.d_fail,
+                    &scenario.d_pass,
+                    &config,
+                );
+                assert_identical(scenario.name, threads, &serial_grd, &grd);
             }
         }
-        let mut config = scenario.config.clone();
-        config.num_threads = 8;
-        config.speculation = SpeculationMode::Adaptive;
-        config.speculation_budget = Some(4);
-        let par = explain_greedy_parallel(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &config,
-        );
-        assert_identical(scenario.name, 8, &serial_grd, &par);
     }
 }
 
@@ -444,7 +439,6 @@ fn slow_oracle_keeps_inflight_frames_within_budget() {
     let mut config = scenario.config.clone();
     config.num_threads = threads;
     config.gt_speculation_depth = 4;
-    config.speculation = SpeculationMode::Adaptive;
     config.speculation_budget = Some(budget);
     let par = explain_group_test_parallel(
         &slow,

@@ -1,7 +1,6 @@
 //! Parity suite for the sketch-based discovery pre-filter.
 //!
-//! The contract under test: [`Prefilter::On`] (and the cautious
-//! [`Prefilter::Threshold`] variant) may only *skip* exact
+//! The contract under test: [`Prefilter::On`] may only *skip* exact
 //! independence tests whose outcome is already decided — it must
 //! never change what discovery returns. For every case-study
 //! scenario and the wide synthetic schemas, profile discovery on
@@ -42,10 +41,9 @@ fn assert_parity(
     d_pass: &DataFrame,
     d_fail: &DataFrame,
     cfg: &DiscoveryConfig,
-    prefilter: Prefilter,
 ) -> usize {
     let off = with_prefilter(cfg, Prefilter::Off);
-    let on = with_prefilter(cfg, prefilter);
+    let on = with_prefilter(cfg, Prefilter::On);
     for (side, df) in [("d_pass", d_pass), ("d_fail", d_fail)] {
         let (p_off, s_off) = discover_profiles_stats(df, &off, 1);
         let (p_on, s_on) = discover_profiles_stats(df, &on, 1);
@@ -71,22 +69,6 @@ fn case_studies_prefilter_parity() {
             &scenario.d_pass,
             &scenario.d_fail,
             &scenario.config.discovery,
-            Prefilter::On,
-        );
-    }
-}
-
-#[test]
-fn case_studies_threshold_parity() {
-    // The cautious variant adds slack on top of the exact-equivalent
-    // estimates; it screens fewer pairs but must preserve parity too.
-    for scenario in scenarios() {
-        assert_parity(
-            scenario.name,
-            &scenario.d_pass,
-            &scenario.d_fail,
-            &scenario.config.discovery,
-            Prefilter::Threshold(2.0),
         );
     }
 }
@@ -100,7 +82,6 @@ fn wide_schema_parity_with_screening() {
             &w.d_pass,
             &w.d_fail,
             &DiscoveryConfig::default(),
-            Prefilter::On,
         );
         assert!(
             screened > 0,
@@ -119,7 +100,7 @@ fn wide_schema_parity_with_causal_profiles() {
         indep_causal: true,
         ..Default::default()
     };
-    let screened = assert_parity("wide-causal", &w.d_pass, &w.d_fail, &cfg, Prefilter::On);
+    let screened = assert_parity("wide-causal", &w.d_pass, &w.d_fail, &cfg);
     assert!(screened > 0, "independence tests still screen");
 }
 

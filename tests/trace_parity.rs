@@ -17,7 +17,7 @@
 
 use dataprism::{
     explain_greedy_parallel, explain_group_test, explain_group_test_parallel, fingerprint,
-    Explanation, PartitionStrategy, PrismConfig, Result, SearchTree, SpeculationMode, TraceConfig,
+    Explanation, PartitionStrategy, PrismConfig, Result, SearchTree, TraceConfig,
 };
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
 use dp_trace::{parse_jsonl, to_jsonl, Event};
@@ -173,51 +173,52 @@ fn group_test_explanations_are_sink_invariant() {
 }
 
 #[test]
-fn adaptive_mode_is_sink_invariant_and_plans_round_trip() {
-    // Adaptive cell of the parity matrix: with the adaptive executor
-    // on, every sink still returns the static off-run's explanation
-    // bit-for-bit, the collected stream carries the controller's
-    // `speculation_plan` decisions (depth never above the configured
-    // cap), and the records survive the JSONL round trip exactly.
+fn budgeted_speculation_is_sink_invariant_and_plans_round_trip() {
+    // Budgeted cell of the parity matrix: with an in-flight frame
+    // budget far below one node's frontier, every sink still returns
+    // the unbounded off-run's explanation bit-for-bit, the collected
+    // stream carries each cold node's `speculation_plan` (the
+    // configured depth, one deeper where every pair commutes, under
+    // the configured budget), and the records survive the JSONL round
+    // trip exactly.
     for scenario in [
         income::scenario_with_size(200, 7),
         sensors::scenario_with_size(150, 4),
     ] {
         for threads in [2usize, 8] {
-            let cap = 2;
+            let depth = 2;
+            let budget = 4;
             let mut config = scenario.config.clone();
             config.num_threads = threads;
-            config.gt_speculation_depth = cap;
+            config.gt_speculation_depth = depth;
             config.trace = TraceConfig::Off;
-            let static_off = run(Algo::Gt, &scenario, &config);
+            let unbounded_off = run(Algo::Gt, &scenario, &config);
 
-            config.speculation = SpeculationMode::Adaptive;
-            let adaptive_off = run(Algo::Gt, &scenario, &config);
+            config.speculation_budget = Some(budget);
+            let budgeted_off = run(Algo::Gt, &scenario, &config);
             config.trace = TraceConfig::Collect;
-            let adaptive_collected = run(Algo::Gt, &scenario, &config);
+            let budgeted_collected = run(Algo::Gt, &scenario, &config);
 
-            let label = format!("{}/adaptive@{threads}t", scenario.name);
-            assert_same_outcome(&label, &static_off, &adaptive_off);
-            assert_same_outcome(&label, &static_off, &adaptive_collected);
+            let label = format!("{}/budget {budget}@{threads}t", scenario.name);
+            assert_same_outcome(&label, &unbounded_off, &budgeted_off);
+            assert_same_outcome(&label, &unbounded_off, &budgeted_collected);
 
-            let Ok(exp) = &adaptive_collected else {
+            let Ok(exp) = &budgeted_collected else {
                 continue;
             };
             let mut plans = 0;
             for record in &exp.trace_records {
                 if let Event::SpeculationPlan(plan) = &record.event {
                     plans += 1;
-                    assert_eq!(plan.cap, cap, "{label}: plan cap");
                     assert!(
-                        plan.depth <= plan.cap,
-                        "{label}: controller chose depth {} above cap {}",
-                        plan.depth,
-                        plan.cap
+                        plan.depth == depth || plan.depth == depth + 1,
+                        "{label}: planned depth {} for configured depth {depth}",
+                        plan.depth
                     );
-                    assert!(plan.budget.is_some(), "{label}: adaptive runs are bounded");
+                    assert_eq!(plan.budget, Some(budget), "{label}: plan budget");
                 }
             }
-            assert!(plans > 0, "{label}: no controller decisions were traced");
+            assert!(plans > 0, "{label}: no speculation plans were traced");
             let text = to_jsonl(&exp.trace_records);
             assert_eq!(
                 parse_jsonl(&text).unwrap(),
