@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataprism::discovery::discriminative_pvts;
-use dataprism::{explain_greedy, explain_group_test, PartitionStrategy};
+use dataprism::{Algorithm, Diagnosis, Source};
 use dp_scenarios::{cardio, income, sentiment, Scenario};
 
 type ScenarioMaker = fn() -> Scenario;
@@ -21,13 +21,21 @@ fn scenario_factories() -> Vec<(&'static str, ScenarioMaker)> {
     ]
 }
 
-fn bench_greedy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7_greedy");
+/// Full diagnoses of `scenarios` with `algorithm`, in the group
+/// `fig7_<algorithm name>`.
+fn bench_algorithm(c: &mut Criterion, algorithm: Algorithm, scenarios: &[(&str, ScenarioMaker)]) {
+    let mut group = c.benchmark_group(format!("fig7_{}", algorithm.name()));
     group.sample_size(10);
-    for (name, make) in scenario_factories() {
+    for &(name, make) in scenarios {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter_with_setup(make, |mut s| {
-                explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config)
+                Diagnosis::new(algorithm)
+                    .run(
+                        Source::Borrowed(s.system.as_mut()),
+                        &s.d_fail,
+                        &s.d_pass,
+                        &s.config,
+                    )
                     .expect("case study resolves")
             })
         });
@@ -35,25 +43,13 @@ fn bench_greedy(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_greedy(c: &mut Criterion) {
+    bench_algorithm(c, Algorithm::Greedy, &scenario_factories());
+}
+
 fn bench_group_test(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7_group_test");
-    group.sample_size(10);
     // Cardio is NA for group testing (A3), so only the other two.
-    for (name, make) in scenario_factories().into_iter().take(2) {
-        group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter_with_setup(make, |mut s| {
-                explain_group_test(
-                    s.system.as_mut(),
-                    &s.d_fail,
-                    &s.d_pass,
-                    &s.config,
-                    PartitionStrategy::MinBisection,
-                )
-                .expect("case study resolves")
-            })
-        });
-    }
-    group.finish();
+    bench_algorithm(c, Algorithm::GroupTest, &scenario_factories()[..2]);
 }
 
 fn bench_discovery(c: &mut Criterion) {

@@ -3,85 +3,56 @@
 //! of discriminative PVTs grow (synthetic pipelines, pre-built PVTs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dataprism::{explain_greedy_with_pvts, explain_group_test_with_pvts, PartitionStrategy};
-use dp_scenarios::synthetic::single_cause;
+use dataprism::{Algorithm, Diagnosis, Source};
+use dp_scenarios::synthetic::{single_cause, SyntheticScenario};
 
-fn bench_attributes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig8_attributes");
+/// One greedy and one group-testing diagnosis per parameter value,
+/// on the pipeline `make` builds for it.
+fn bench_both(
+    c: &mut Criterion,
+    group: &str,
+    params: &[usize],
+    make: fn(usize) -> SyntheticScenario,
+) {
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
-    for m in [10usize, 50, 200] {
-        group.bench_with_input(BenchmarkId::new("greedy", m), &m, |b, &m| {
-            b.iter_with_setup(
-                || single_cause(m, m, 11),
-                |mut s| {
-                    explain_greedy_with_pvts(
-                        &mut s.system,
-                        &s.d_fail,
-                        &s.d_pass,
-                        s.pvts.clone(),
-                        &s.config,
+    for &param in params {
+        for algorithm in [Algorithm::Greedy, Algorithm::GroupTest] {
+            group.bench_with_input(
+                BenchmarkId::new(algorithm.name(), param),
+                &param,
+                |b, &param| {
+                    b.iter_with_setup(
+                        || make(param),
+                        |mut s| {
+                            Diagnosis::new(algorithm)
+                                .with_candidates(s.pvts.clone())
+                                .run(
+                                    Source::Borrowed(&mut s.system),
+                                    &s.d_fail,
+                                    &s.d_pass,
+                                    &s.config,
+                                )
+                                .expect("resolves")
+                        },
                     )
-                    .expect("resolves")
                 },
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("group_test", m), &m, |b, &m| {
-            b.iter_with_setup(
-                || single_cause(m, m, 11),
-                |mut s| {
-                    explain_group_test_with_pvts(
-                        &mut s.system,
-                        &s.d_fail,
-                        &s.d_pass,
-                        s.pvts.clone(),
-                        &s.config,
-                        PartitionStrategy::MinBisection,
-                    )
-                    .expect("resolves")
-                },
-            )
-        });
+            );
+        }
     }
     group.finish();
 }
 
+fn bench_attributes(c: &mut Criterion) {
+    bench_both(c, "fig8_attributes", &[10, 50, 200], |m| {
+        single_cause(m, m, 11)
+    });
+}
+
 fn bench_pvts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig8_pvts");
-    group.sample_size(10);
-    for k in [100usize, 1000, 5000] {
-        group.bench_with_input(BenchmarkId::new("greedy", k), &k, |b, &k| {
-            b.iter_with_setup(
-                || single_cause(k.div_ceil(2), k, 11),
-                |mut s| {
-                    explain_greedy_with_pvts(
-                        &mut s.system,
-                        &s.d_fail,
-                        &s.d_pass,
-                        s.pvts.clone(),
-                        &s.config,
-                    )
-                    .expect("resolves")
-                },
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("group_test", k), &k, |b, &k| {
-            b.iter_with_setup(
-                || single_cause(k.div_ceil(2), k, 11),
-                |mut s| {
-                    explain_group_test_with_pvts(
-                        &mut s.system,
-                        &s.d_fail,
-                        &s.d_pass,
-                        s.pvts.clone(),
-                        &s.config,
-                        PartitionStrategy::MinBisection,
-                    )
-                    .expect("resolves")
-                },
-            )
-        });
-    }
-    group.finish();
+    bench_both(c, "fig8_pvts", &[100, 1000, 5000], |k| {
+        single_cause(k.div_ceil(2), k, 11)
+    });
 }
 
 criterion_group!(benches, bench_attributes, bench_pvts);

@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release -p dp-bench --bin ablations`
 
-use dataprism::{explain_greedy_with_pvts, explain_group_test_with_pvts, PartitionStrategy};
+use dataprism::{Algorithm, Diagnosis, Source};
 use dp_scenarios::synthetic::{
     ablation_benefit, ablation_o1, conjunctive_cause, SyntheticScenario,
 };
@@ -34,14 +34,15 @@ fn greedy_mean(
         s.config.use_high_degree = use_hda;
         s.config.make_minimal = minimal;
         s.config.seed = seed; // drives the uninformed ordering too
-        let exp = explain_greedy_with_pvts(
-            &mut s.system,
-            &s.d_fail,
-            &s.d_pass,
-            s.pvts.clone(),
-            &s.config,
-        )
-        .expect("greedy must run");
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .with_candidates(s.pvts.clone())
+            .run(
+                Source::Borrowed(&mut s.system),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
+            .expect("greedy must run");
         interventions += exp.interventions;
         sizes += exp.pvts.len();
         resolved += usize::from(exp.resolved);
@@ -86,26 +87,23 @@ fn main() {
     }
 
     println!("\nAblation 4 — group-testing partitioner; 3-PVT conjunctive cause, 40 disc. PVTs\n");
-    for (label, strategy) in [
-        (
-            "min-bisection (DataPrism-GT)",
-            PartitionStrategy::MinBisection,
-        ),
-        ("random (GrpTest)", PartitionStrategy::Random),
+    for (label, algorithm) in [
+        ("min-bisection (DataPrism-GT)", Algorithm::GroupTest),
+        ("random (GrpTest)", Algorithm::GrpTest),
     ] {
         let mut interventions = 0usize;
         let mut resolved = 0usize;
         for &seed in &seeds {
             let mut s = conjunctive_cause(20, 40, 3, seed);
-            let exp = explain_group_test_with_pvts(
-                &mut s.system,
-                &s.d_fail,
-                &s.d_pass,
-                s.pvts.clone(),
-                &s.config,
-                strategy,
-            )
-            .expect("A3 holds on synthetic pipelines");
+            let exp = Diagnosis::new(algorithm)
+                .with_candidates(s.pvts.clone())
+                .run(
+                    Source::Borrowed(&mut s.system),
+                    &s.d_fail,
+                    &s.d_pass,
+                    &s.config,
+                )
+                .expect("A3 holds on synthetic pipelines");
             interventions += exp.interventions;
             resolved += usize::from(exp.resolved);
         }

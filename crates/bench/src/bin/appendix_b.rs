@@ -8,7 +8,7 @@
 //! Usage: `cargo run --release -p dp-bench --bin appendix_b`
 
 use dataprism::decision_tree_ext::explain_with_decision_tree;
-use dataprism::explain_greedy_with_pvts;
+use dataprism::{Algorithm, Diagnosis, Source};
 use dp_scenarios::synthetic::interacting_cause;
 
 fn main() {
@@ -20,14 +20,15 @@ fn main() {
     for (n_disc, size) in [(8usize, 2usize), (12, 3), (16, 4)] {
         // Greedy: no partial credit means nothing is kept.
         let mut s = interacting_cause(n_disc, size, 7);
-        let greedy = explain_greedy_with_pvts(
-            &mut s.system,
-            &s.d_fail,
-            &s.d_pass,
-            s.pvts.clone(),
-            &s.config,
-        )
-        .expect("greedy runs (but will not resolve)");
+        let greedy = Diagnosis::new(Algorithm::Greedy)
+            .with_candidates(s.pvts.clone())
+            .run(
+                Source::Borrowed(&mut s.system),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
+            .expect("greedy runs (but will not resolve)");
 
         // Algorithm 5 "leverages multiple passing and failing
         // datasets" (appendix B): besides the passing dataset, give

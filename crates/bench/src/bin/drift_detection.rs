@@ -29,9 +29,7 @@
 //! Usage: `cargo run --release -p dp-bench --bin drift_detection
 //! [--smoke] [--batch-rows N]`
 
-use dataprism::{
-    explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, ScoreCache,
-};
+use dataprism::{Algorithm, Diagnosis, Explanation, ScoreCache, Source};
 use dp_bench::{arg_value, format_row};
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_scenarios::{income, sensors, Scenario};
@@ -145,10 +143,10 @@ fn run_stream(
     let mut cache = ScoreCache::new();
     let t0 = Instant::now();
     let targeted = watcher
-        .diagnose_group_test(
+        .diagnose(
+            Algorithm::GroupTest,
             scenario.factory.as_ref(),
             &drifted,
-            PartitionStrategy::MinBisection,
             &mut cache,
             &tracer,
         )
@@ -156,27 +154,27 @@ fn run_stream(
     let targeted_secs = t0.elapsed().as_secs_f64();
 
     let window = watcher.window_frame().expect("batches were ingested");
-    let offline = explain_group_test_parallel_with_pvts(
-        scenario.factory.as_ref(),
-        &window,
-        &scenario.d_pass,
-        watcher.candidates(&drifted),
-        &scenario.config,
-        PartitionStrategy::MinBisection,
-    )
-    .expect("offline twin resolves");
+    let offline = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(watcher.candidates(&drifted))
+        .run(
+            Source::Factory(scenario.factory.as_ref()),
+            &window,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("offline twin resolves");
 
     let all: Vec<usize> = (0..profiles).collect();
     let t0 = Instant::now();
-    let full = explain_group_test_parallel_with_pvts(
-        scenario.factory.as_ref(),
-        &window,
-        &scenario.d_pass,
-        watcher.candidates(&all),
-        &scenario.config,
-        PartitionStrategy::MinBisection,
-    )
-    .expect("full-candidate run resolves");
+    let full = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(watcher.candidates(&all))
+        .run(
+            Source::Factory(scenario.factory.as_ref()),
+            &window,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("full-candidate run resolves");
     let full_secs = t0.elapsed().as_secs_f64();
 
     Outcome {

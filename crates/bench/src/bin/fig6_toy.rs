@@ -10,7 +10,8 @@
 //!
 //! Usage: `cargo run --release -p dp-bench --bin fig6_toy`
 
-use dp_bench::{run_synthetic, Technique};
+use dataprism::Algorithm;
+use dp_bench::{run_synthetic, technique_name};
 use dp_scenarios::synthetic::toy_fig6;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
         "ground truth {{X1,X6}} ∨ {{X4,X8}}; mean over {} seeds\n",
         seeds.len()
     );
-    for technique in [Technique::GroupTest, Technique::GrpTest] {
+    for technique in [Algorithm::GroupTest, Algorithm::GrpTest] {
         let mut total = 0usize;
         let mut resolved = 0usize;
         let mut found = 0usize;
@@ -35,7 +36,7 @@ fn main() {
         }
         println!(
             "{:>24}: mean {:5.1} interventions (min {}, max {}), resolved {}/{}, ground truth {}/{}",
-            technique.name(),
+            technique_name(technique),
             total as f64 / seeds.len() as f64,
             counts.iter().min().unwrap(),
             counts.iter().max().unwrap(),

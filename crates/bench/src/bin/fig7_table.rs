@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release -p dp-bench --bin fig7_table [--small]`
 
-use dp_bench::{arg_switch, format_row, run_case_study, Technique};
+use dp_bench::{arg_switch, format_row, run_case_study, technique_name, TECHNIQUES};
 use dp_scenarios::{cardio, income, sentiment, Scenario};
 
 /// Every flag this binary takes.
@@ -54,8 +54,8 @@ fn main() {
     let mut all_rows: Vec<(String, Vec<dp_bench::RunResult>)> = Vec::new();
     for (name, make) in &studies {
         let mut results = Vec::new();
-        for technique in Technique::all() {
-            eprintln!("running {} × {name} ...", technique.name());
+        for technique in TECHNIQUES {
+            eprintln!("running {} × {name} ...", technique_name(technique));
             results.push(run_case_study(make(), technique));
         }
         all_rows.push((name.to_string(), results));

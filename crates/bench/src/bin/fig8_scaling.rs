@@ -20,7 +20,8 @@
 //! layer holds in flight) must occupy ≥ 5× less heap after chunk
 //! deduplication than eager full copies would.
 
-use dp_bench::{arg_switch, format_row, run_synthetic, Technique};
+use dataprism::Algorithm;
+use dp_bench::{arg_switch, format_row, run_synthetic};
 use dp_frame::unique_heap_bytes;
 use dp_scenarios::synthetic::{conjunctive_cause_with_rows, single_cause, single_cause_with_rows};
 use rand::rngs::StdRng;
@@ -98,8 +99,8 @@ fn main() {
         &[10, 50, 100, 200, 400]
     };
     for &m in attr_points {
-        let grd = run_synthetic(single_cause(m, m, seed), Technique::Greedy);
-        let gt = run_synthetic(single_cause(m, m, seed), Technique::GroupTest);
+        let grd = run_synthetic(single_cause(m, m, seed), Algorithm::Greedy);
+        let gt = run_synthetic(single_cause(m, m, seed), Algorithm::GroupTest);
         println!(
             "{}",
             format_row(
@@ -137,8 +138,8 @@ fn main() {
     };
     for &k in pvt_points {
         let n_attrs = k.div_ceil(2);
-        let grd = run_synthetic(single_cause(n_attrs, k, seed), Technique::Greedy);
-        let gt = run_synthetic(single_cause(n_attrs, k, seed), Technique::GroupTest);
+        let grd = run_synthetic(single_cause(n_attrs, k, seed), Algorithm::Greedy);
+        let gt = run_synthetic(single_cause(n_attrs, k, seed), Algorithm::GroupTest);
         println!(
             "{}",
             format_row(
@@ -174,10 +175,10 @@ fn main() {
         &[10_000, 100_000, 1_000_000]
     };
     for &rows in row_points {
-        let grd = run_synthetic(single_cause_with_rows(16, 8, rows, seed), Technique::Greedy);
+        let grd = run_synthetic(single_cause_with_rows(16, 8, rows, seed), Algorithm::Greedy);
         let gt = run_synthetic(
             single_cause_with_rows(16, 8, rows, seed),
-            Technique::GroupTest,
+            Algorithm::GroupTest,
         );
         println!(
             "{}",

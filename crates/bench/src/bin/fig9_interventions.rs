@@ -11,14 +11,15 @@
 //! Usage:
 //! `cargo run --release -p dp-bench --bin fig9_interventions [-- --panel a|b|c|d] [--seeds N]`
 
-use dp_bench::{arg_choice, arg_value, format_row, run_synthetic, Technique};
+use dataprism::Algorithm;
+use dp_bench::{arg_choice, arg_value, format_row, run_synthetic, TECHNIQUES};
 use dp_scenarios::synthetic::{
     conjunctive_cause, disjunctive_cause, single_cause, SyntheticScenario,
 };
 
 fn mean_interventions(
     make: &dyn Fn(u64) -> SyntheticScenario,
-    technique: Technique,
+    technique: Algorithm,
     seeds: u64,
 ) -> String {
     let mut total = 0usize;
@@ -65,7 +66,7 @@ fn run_panel(
     );
     for &x in points {
         let mut cells = vec![x.to_string()];
-        for technique in Technique::all() {
+        for technique in TECHNIQUES {
             cells.push(mean_interventions(&|seed| make(x, seed), technique, seeds));
         }
         println!("{}", format_row(&cells, &widths));

@@ -35,9 +35,7 @@
 //! run) and that peak in-flight speculative frames stay within the
 //! budget.
 
-use dataprism::{
-    explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, System, TraceConfig,
-};
+use dataprism::{Algorithm, Diagnosis, Explanation, Source, System, TraceConfig};
 use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
 use dp_scenarios::synthetic::{
@@ -80,15 +78,15 @@ fn run(
     config.speculation_budget = budget;
     config.trace = trace.clone();
     let start = Instant::now();
-    let explanation = explain_group_test_parallel_with_pvts(
-        &factory,
-        &scenario.d_fail,
-        &scenario.d_pass,
-        scenario.pvts.clone(),
-        &config,
-        PartitionStrategy::MinBisection,
-    )
-    .expect("scaling workloads resolve");
+    let explanation = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(scenario.pvts.clone())
+        .run(
+            Source::Factory(&factory),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &config,
+        )
+        .expect("scaling workloads resolve");
     (start.elapsed().as_secs_f64(), explanation)
 }
 

@@ -24,8 +24,8 @@
 //! [--attrs M] [--rows N] [--smoke]`
 
 use dataprism::{
-    explain_greedy_with_pvts, explain_group_test_with_pvts, fingerprint, Explanation, Lint,
-    PartitionStrategy, PrismConfig, Profile, Pvt, Transform,
+    fingerprint, Algorithm, Diagnosis, Explanation, Lint, PrismConfig, Profile, Pvt, Source,
+    Transform,
 };
 use dp_bench::{arg_value, format_row};
 use dp_frame::{Column, DType, DataFrame};
@@ -138,18 +138,14 @@ fn run(
     };
     let mut config = PrismConfig::with_threshold(0.2);
     config.lint = lint;
-    match algo {
-        "grd" => explain_greedy_with_pvts(&mut system, d_fail, d_pass, pvts, &config),
-        _ => explain_group_test_with_pvts(
-            &mut system,
-            d_fail,
-            d_pass,
-            pvts,
-            &config,
-            PartitionStrategy::MinBisection,
-        ),
-    }
-    .expect("workload diagnosis succeeds")
+    let algorithm = match algo {
+        "grd" => Algorithm::Greedy,
+        _ => Algorithm::GroupTest,
+    };
+    Diagnosis::new(algorithm)
+        .with_candidates(pvts)
+        .run(Source::Borrowed(&mut system), d_fail, d_pass, &config)
+        .expect("workload diagnosis succeeds")
 }
 
 /// Every flag this binary takes.

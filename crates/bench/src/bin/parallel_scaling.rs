@@ -24,10 +24,7 @@
 //! Usage: `cargo run --release -p dp-bench --bin parallel_scaling
 //! [--threads N] [--query-cost-ms C]`
 
-use dataprism::{
-    explain_greedy_parallel_with_pvts, explain_group_test_parallel_with_pvts, Explanation,
-    PartitionStrategy, System,
-};
+use dataprism::{Algorithm, Diagnosis, Explanation, Source, System};
 use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
 use dp_scenarios::synthetic::{adversarial_rank, single_cause, SyntheticScenario, SyntheticSystem};
@@ -63,25 +60,20 @@ fn run(
     let mut config = scenario.config.clone();
     config.num_threads = num_threads;
     let start = Instant::now();
-    let explanation = match technique {
-        "GRD" => explain_greedy_parallel_with_pvts(
-            &factory,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            scenario.pvts.clone(),
-            &config,
-        ),
-        "GT" => explain_group_test_parallel_with_pvts(
-            &factory,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            scenario.pvts.clone(),
-            &config,
-            PartitionStrategy::MinBisection,
-        ),
+    let algorithm = match technique {
+        "GRD" => Algorithm::Greedy,
+        "GT" => Algorithm::GroupTest,
         _ => unreachable!(),
-    }
-    .expect("scaling workloads resolve");
+    };
+    let explanation = Diagnosis::new(algorithm)
+        .with_candidates(scenario.pvts.clone())
+        .run(
+            Source::Factory(&factory),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &config,
+        )
+        .expect("scaling workloads resolve");
     (start.elapsed().as_secs_f64(), explanation)
 }
 

@@ -6,17 +6,18 @@
 //!
 //! Usage: `cargo run --release -p dp-bench --bin sec52_rank54`
 
-use dp_bench::{run_synthetic, Technique};
+use dataprism::Algorithm;
+use dp_bench::{run_synthetic, technique_name};
 use dp_scenarios::synthetic::adversarial_rank;
 
 fn main() {
     const RANK: usize = 54;
     println!("§5.2 adversarial pipeline — cause benefit-ranked {RANK} of {RANK}\n");
-    for technique in [Technique::Greedy, Technique::GroupTest, Technique::GrpTest] {
+    for technique in [Algorithm::Greedy, Algorithm::GroupTest, Algorithm::GrpTest] {
         let result = run_synthetic(adversarial_rank(RANK, 3), technique);
         println!(
             "{:>24}: {:>4} interventions  (resolved: {}, ground truth: {}, {:.3}s)",
-            technique.name(),
+            technique_name(technique),
             result.interventions_cell(),
             result.resolved,
             result.found_ground_truth,

@@ -2,9 +2,8 @@
 //! cache buys a repeat diagnosis.
 //!
 //! For each case-study scenario and each algorithm (GRD greedy, GT
-//! group testing), three runs through the cached entry points
-//! (`explain_greedy_parallel_cached`,
-//! `explain_group_test_parallel_cached`, the seams `dp_serve` drives):
+//! group testing), three runs of a `Diagnosis` with a cache (the seam
+//! `dp_serve` drives):
 //!
 //! * **cold** — empty seed cache (also collects the trace);
 //! * **warm** — seeded with everything the cold run exported, i.e.
@@ -29,8 +28,8 @@
 //! [--threads N] [--query-cost-ms C]`
 
 use dataprism::{
-    explain_greedy_parallel_cached, explain_group_test_parallel_cached, Explanation,
-    PartitionStrategy, PrismConfig, PrismError, ScoreCache, System, SystemFactory, TraceConfig,
+    Algorithm, Diagnosis, Explanation, PrismConfig, PrismError, ScoreCache, Source, System,
+    SystemFactory, TraceConfig,
 };
 use dp_bench::{arg_value, format_row};
 use dp_frame::DataFrame;
@@ -72,18 +71,11 @@ fn evaluations(exp: &Explanation) -> u64 {
     exp.metrics.cache_misses + exp.metrics.speculative_evaluated
 }
 
-#[derive(Clone, Copy)]
-enum Algo {
-    Greedy,
-    GroupTest,
-}
-
-impl Algo {
-    fn name(self) -> &'static str {
-        match self {
-            Algo::Greedy => "GRD",
-            Algo::GroupTest => "GT",
-        }
+/// The table label of an algorithm.
+fn short_name(algo: Algorithm) -> &'static str {
+    match algo {
+        Algorithm::Greedy => "GRD",
+        _ => "GT",
     }
 }
 
@@ -91,7 +83,7 @@ impl Algo {
 /// refusal.
 #[allow(clippy::too_many_arguments)]
 fn run(
-    algo: Algo,
+    algo: Algorithm,
     factory: &BlockingFactory,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
@@ -106,21 +98,16 @@ fn run(
         config.trace = TraceConfig::Collect;
     }
     let start = Instant::now();
-    let result = match algo {
-        Algo::Greedy => explain_greedy_parallel_cached(factory, d_fail, d_pass, &config, cache),
-        Algo::GroupTest => explain_group_test_parallel_cached(
-            factory,
-            d_fail,
-            d_pass,
-            &config,
-            PartitionStrategy::MinBisection,
-            cache,
-        ),
-    };
+    let result = Diagnosis::new(algo).with_cache(cache).run(
+        Source::Factory(factory),
+        d_fail,
+        d_pass,
+        &config,
+    );
     match result {
         Ok(exp) => Some((start.elapsed().as_secs_f64(), exp)),
-        Err(PrismError::AssumptionViolated(_)) if matches!(algo, Algo::GroupTest) => None,
-        Err(e) => panic!("{}: case studies resolve: {e}", algo.name()),
+        Err(PrismError::AssumptionViolated(_)) if algo == Algorithm::GroupTest => None,
+        Err(e) => panic!("{}: case studies resolve: {e}", short_name(algo)),
     }
 }
 
@@ -170,7 +157,7 @@ fn main() {
             inner: scenario.factory,
             query_cost,
         };
-        for algo in [Algo::Greedy, Algo::GroupTest] {
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
             let run = |collect_trace, cache: &mut ScoreCache| {
                 run(
                     algo,
@@ -187,7 +174,7 @@ fn main() {
             // exactly what a `dp_serve` system accumulates.
             let mut namespace = ScoreCache::new();
             let Some((cold_s, cold)) = run(true, &mut namespace) else {
-                let mut na = vec![name.to_string(), algo.name().into()];
+                let mut na = vec![name.to_string(), short_name(algo).into()];
                 na.extend(std::iter::repeat_n("NA".to_string(), widths.len() - 2));
                 println!("{}", format_row(&na, &widths));
                 continue;
@@ -202,7 +189,7 @@ fn main() {
                 .expect("own trace must replay");
             let (trace_s, traced) = run(false, &mut replayed).expect("trace run resolves as cold");
 
-            let label = format!("{name}/{}", algo.name());
+            let label = format!("{name}/{}", short_name(algo));
             for (leg, exp) in [("warm", &warm), ("trace", &traced)] {
                 assert_eq!(
                     cold.digest(),
@@ -223,7 +210,7 @@ fn main() {
                 format_row(
                     &[
                         name.into(),
-                        algo.name().into(),
+                        short_name(algo).into(),
                         format!("{cold_s:.3}"),
                         format!("{warm_s:.3}"),
                         format!("{trace_s:.3}"),

@@ -18,53 +18,34 @@
 //! on one scenario and records interventions, wall-clock, resolution,
 //! and whether the ground truth was found.
 
-use dataprism::baselines::all_candidate_pvts;
-use dataprism::baselines::anchor::{explain_anchor, AnchorConfig};
-use dataprism::baselines::bugdoc::explain_bugdoc;
-use dataprism::{
-    explain_greedy, explain_greedy_with_pvts, explain_group_test, explain_group_test_with_pvts,
-    PartitionStrategy, PrismError, Pvt,
-};
+use dataprism::{Algorithm, Diagnosis, Explanation, PrismError, Source};
 use dp_scenarios::synthetic::SyntheticScenario;
 use dp_scenarios::Scenario;
 use std::time::Instant;
 
-/// The five techniques of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Technique {
-    /// DataPrism-GRD (Algorithm 1).
-    Greedy,
-    /// DataPrism-GT (Algorithms 2–3 with min-bisection).
-    GroupTest,
-    /// BugDoc adapted to PVT configurations.
-    BugDoc,
-    /// Anchor adapted to PVT perturbations.
-    Anchor,
-    /// Traditional adaptive group testing (random bisection).
-    GrpTest,
-}
+/// The five techniques of the paper's evaluation, in its column order.
+pub const TECHNIQUES: [Algorithm; 5] = [
+    Algorithm::Greedy,
+    Algorithm::GroupTest,
+    Algorithm::BugDoc,
+    Algorithm::Anchor,
+    Algorithm::GrpTest,
+];
 
-impl Technique {
-    /// All five, in the paper's column order.
-    pub fn all() -> [Technique; 5] {
-        [
-            Technique::Greedy,
-            Technique::GroupTest,
-            Technique::BugDoc,
-            Technique::Anchor,
-            Technique::GrpTest,
-        ]
-    }
-
-    /// Paper-style display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Technique::Greedy => "DataPrism-GRD",
-            Technique::GroupTest => "DataPrism-GT",
-            Technique::BugDoc => "BugDoc",
-            Technique::Anchor => "Anchor",
-            Technique::GrpTest => "GrpTest",
-        }
+/// Paper-style display name of a technique, one of [`TECHNIQUES`].
+///
+/// # Panics
+///
+/// On [`Algorithm::Auto`], which is not a technique of the paper's
+/// evaluation.
+pub fn technique_name(technique: Algorithm) -> &'static str {
+    match technique {
+        Algorithm::Greedy => "DataPrism-GRD",
+        Algorithm::GroupTest => "DataPrism-GT",
+        Algorithm::BugDoc => "BugDoc",
+        Algorithm::Anchor => "Anchor",
+        Algorithm::GrpTest => "GrpTest",
+        Algorithm::Auto => unreachable!("Auto is not a technique of Fig 7"),
     }
 }
 
@@ -72,7 +53,7 @@ impl Technique {
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Which technique ran.
-    pub technique: Technique,
+    pub technique: Algorithm,
     /// Oracle interventions (the paper's primary metric). `None` when
     /// the technique is not applicable (A3 violated — the paper's
     /// "NA" cells).
@@ -103,144 +84,68 @@ impl RunResult {
             None => "NA".to_string(),
         }
     }
-}
 
-/// Run one technique on a case-study scenario (fresh scenario each
-/// call — systems are stateful).
-pub fn run_case_study(mut scenario: Scenario, technique: Technique) -> RunResult {
-    let start = Instant::now();
-    let result = match technique {
-        Technique::Greedy => explain_greedy(
-            scenario.system.as_mut(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &scenario.config,
-        ),
-        Technique::GroupTest => explain_group_test(
-            scenario.system.as_mut(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &scenario.config,
-            PartitionStrategy::MinBisection,
-        ),
-        Technique::GrpTest => explain_group_test(
-            scenario.system.as_mut(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &scenario.config,
-            PartitionStrategy::Random,
-        ),
-        Technique::BugDoc => {
-            let candidates = all_candidate_pvts(&scenario.d_pass, &scenario.config.discovery);
-            explain_bugdoc(
-                scenario.system.as_mut(),
-                &scenario.d_fail,
-                &scenario.d_pass,
-                &candidates,
-                &scenario.config,
-            )
-        }
-        Technique::Anchor => {
-            let candidates = all_candidate_pvts(&scenario.d_pass, &scenario.config.discovery);
-            explain_anchor(
-                scenario.system.as_mut(),
-                &scenario.d_fail,
-                &scenario.d_pass,
-                &candidates,
-                &scenario.config,
-                &AnchorConfig::default(),
-            )
-        }
-    };
-    let seconds = start.elapsed().as_secs_f64();
-    match result {
-        Ok(exp) => RunResult {
-            technique,
-            interventions: Some(exp.interventions),
-            seconds,
-            resolved: exp.resolved,
-            found_ground_truth: scenario.explains_ground_truth(&exp),
-            explanation_size: exp.pvts.len(),
-        },
-        Err(PrismError::AssumptionViolated(_)) => RunResult {
-            technique,
-            interventions: None,
-            seconds,
-            resolved: false,
-            found_ground_truth: false,
-            explanation_size: 0,
-        },
-        Err(e) => panic!("{} failed on {}: {e}", technique.name(), scenario.name),
-    }
-}
-
-/// Run one technique on a synthetic scenario with pre-built PVTs.
-pub fn run_synthetic(mut scenario: SyntheticScenario, technique: Technique) -> RunResult {
-    let pvts: Vec<Pvt> = scenario.pvts.clone();
-    let start = Instant::now();
-    let result = match technique {
-        Technique::Greedy => explain_greedy_with_pvts(
-            &mut scenario.system,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            pvts,
-            &scenario.config,
-        ),
-        Technique::GroupTest => explain_group_test_with_pvts(
-            &mut scenario.system,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            pvts,
-            &scenario.config,
-            PartitionStrategy::MinBisection,
-        ),
-        Technique::GrpTest => explain_group_test_with_pvts(
-            &mut scenario.system,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            pvts,
-            &scenario.config,
-            PartitionStrategy::Random,
-        ),
-        Technique::BugDoc => explain_bugdoc(
-            &mut scenario.system,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &pvts,
-            &scenario.config,
-        ),
-        Technique::Anchor => explain_anchor(
-            &mut scenario.system,
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &pvts,
-            &scenario.config,
-            &AnchorConfig::default(),
-        ),
-    };
-    let seconds = start.elapsed().as_secs_f64();
-    match result {
-        Ok(exp) => {
-            let found = scenario.covers_cause(&exp.pvt_ids());
-            RunResult {
+    /// The row of one finished run: an A3 violation is an "NA" cell,
+    /// any other error a bug in the harness.
+    fn of(
+        technique: Algorithm,
+        result: dataprism::Result<Explanation>,
+        seconds: f64,
+        found_ground_truth: impl FnOnce(&Explanation) -> bool,
+        scenario: &str,
+    ) -> RunResult {
+        match result {
+            Ok(exp) => RunResult {
                 technique,
                 interventions: Some(exp.interventions),
                 seconds,
                 resolved: exp.resolved,
-                found_ground_truth: found,
+                found_ground_truth: found_ground_truth(&exp),
                 explanation_size: exp.pvts.len(),
-            }
+            },
+            Err(PrismError::AssumptionViolated(_)) => RunResult {
+                technique,
+                interventions: None,
+                seconds,
+                resolved: false,
+                found_ground_truth: false,
+                explanation_size: 0,
+            },
+            Err(e) => panic!("{} failed on {scenario}: {e}", technique_name(technique)),
         }
-        Err(PrismError::AssumptionViolated(_)) => RunResult {
-            technique,
-            interventions: None,
-            seconds,
-            resolved: false,
-            found_ground_truth: false,
-            explanation_size: 0,
-        },
-        Err(e) => panic!("{} failed on synthetic scenario: {e}", technique.name()),
     }
+}
+
+/// Run one technique on a case-study scenario (fresh scenario each
+/// call — systems are stateful). BugDoc and Anchor search every PVT
+/// discoverable over the passing dataset, the others the
+/// discriminative ones.
+pub fn run_case_study(mut scenario: Scenario, technique: Algorithm) -> RunResult {
+    let start = Instant::now();
+    let result = Diagnosis::new(technique).run(
+        Source::Borrowed(scenario.system.as_mut()),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &scenario.config,
+    );
+    let seconds = start.elapsed().as_secs_f64();
+    let found = |exp: &Explanation| scenario.explains_ground_truth(exp);
+    RunResult::of(technique, result, seconds, found, scenario.name)
+}
+
+/// Run one technique on a synthetic scenario with pre-built PVTs.
+pub fn run_synthetic(mut scenario: SyntheticScenario, technique: Algorithm) -> RunResult {
+    let pvts = scenario.pvts.clone();
+    let start = Instant::now();
+    let result = Diagnosis::new(technique).with_candidates(pvts).run(
+        Source::Borrowed(&mut scenario.system),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &scenario.config,
+    );
+    let seconds = start.elapsed().as_secs_f64();
+    let found = |exp: &Explanation| scenario.covers_cause(&exp.pvt_ids());
+    RunResult::of(technique, result, seconds, found, "synthetic scenario")
 }
 
 /// Render one fixed-width table row.
@@ -373,7 +278,7 @@ mod tests {
 
     #[test]
     fn runner_executes_every_technique_on_a_tiny_pipeline() {
-        for technique in Technique::all() {
+        for technique in TECHNIQUES {
             let result = run_synthetic(single_cause(6, 6, 1), technique);
             assert!(result.interventions.is_some(), "{technique:?}");
             assert!(result.resolved, "{technique:?}: {result:?}");
@@ -385,7 +290,7 @@ mod tests {
     #[test]
     fn na_cells_render() {
         let r = RunResult {
-            technique: Technique::GroupTest,
+            technique: Algorithm::GroupTest,
             interventions: None,
             seconds: 1.0,
             resolved: false,
@@ -398,7 +303,7 @@ mod tests {
 
     #[test]
     fn technique_names_are_paper_labels() {
-        let names: Vec<&str> = Technique::all().iter().map(|t| t.name()).collect();
+        let names: Vec<&str> = TECHNIQUES.into_iter().map(technique_name).collect();
         assert_eq!(
             names,
             vec![

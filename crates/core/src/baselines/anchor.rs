@@ -20,45 +20,30 @@
 //! met or the sampling budget runs out.
 
 use crate::config::PrismConfig;
+use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
-use crate::greedy::validate_inputs;
-use crate::oracle::System;
 use crate::pvt::{apply_composition, Pvt};
 use crate::runtime::Oracle;
 use dp_frame::DataFrame;
+use dp_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Tuning knobs of the Anchor adaptation.
-#[derive(Debug, Clone)]
-pub struct AnchorConfig {
-    /// Precision target for accepting an anchor.
-    pub precision_target: f64,
-    /// Samples drawn per candidate arm per round.
-    pub batch_size: usize,
-    /// Candidate extensions examined per round (beam width, counting
-    /// on- and off-assignments separately).
-    pub beam_width: usize,
-    /// Minimum samples of the final anchor before it is trusted.
-    pub min_samples: usize,
-    /// Hard cap on sampled configurations (oracle queries); the
-    /// search returns its best effort when exhausted.
-    pub max_queries: usize,
-}
-
-impl Default for AnchorConfig {
-    fn default() -> Self {
-        AnchorConfig {
-            precision_target: 0.9,
-            batch_size: 10,
-            beam_width: 6,
-            min_samples: 25,
-            max_queries: 8000,
-        }
-    }
-}
+/// Precision target for accepting an anchor.
+const PRECISION_TARGET: f64 = 0.9;
+/// Samples drawn per candidate arm per round.
+const BATCH_SIZE: usize = 10;
+/// Candidate extensions examined per round (beam width, counting on-
+/// and off-assignments separately).
+const BEAM_WIDTH: usize = 6;
+/// Minimum samples of the final anchor before it is trusted.
+const MIN_SAMPLES: usize = 25;
+/// Hard cap on sampled configurations (oracle queries), below
+/// `PrismConfig::max_interventions`; the search returns its best
+/// effort when exhausted.
+const MAX_QUERIES: usize = 8000;
 
 #[derive(Debug, Clone, Default)]
 struct ArmStats {
@@ -79,23 +64,17 @@ impl ArmStats {
 /// A partial assignment: PVT id → forced on (apply) / off (skip).
 type Assignment = BTreeMap<usize, bool>;
 
-/// Run the adapted Anchor baseline.
-pub fn explain_anchor(
-    system: &mut dyn System,
+/// Run the adapted Anchor baseline over the candidate PVTs
+/// ([`super::all_candidate_pvts`] in the paper's setting).
+pub(crate) fn run_anchor(
+    oracle: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
     candidates: &[Pvt],
     config: &PrismConfig,
-    anchor_cfg: &AnchorConfig,
+    tracer: Tracer,
 ) -> Result<Explanation> {
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions);
-    let (initial_score, _) = validate_inputs(
-        &mut oracle,
-        d_fail,
-        d_pass,
-        Vec::new(),
-        &dp_trace::Tracer::off(),
-    )?;
+    let (initial_score, _) = validate_inputs(oracle, d_fail, d_pass, Vec::new(), &tracer)?;
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -104,7 +83,7 @@ pub fn explain_anchor(
     }];
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x00A2_C407);
     let all_ids: Vec<usize> = candidates.iter().map(|p| p.id).collect();
-    let max_queries = anchor_cfg.max_queries.min(config.max_interventions);
+    let max_queries = MAX_QUERIES.min(config.max_interventions);
 
     let mut best_pass: Option<(DataFrame, f64, Vec<usize>)> = None;
     let mut queries = 0usize;
@@ -125,7 +104,7 @@ pub fn explain_anchor(
                 .filter(|p| on_ids.contains(&p.id))
                 .collect();
             let (transformed, _) = apply_composition(&refs, d_fail, &mut rng)?;
-            let score = oracle.intervene(&transformed);
+            let score = oracle.intervene_traced(&transformed, &tracer);
             queries += 1;
             let pass = oracle.passes(score);
             if pass
@@ -145,15 +124,15 @@ pub fn explain_anchor(
 
     loop {
         let done_sampling = queries >= max_queries || oracle.exhausted();
-        let precise = anchor_stats.precision() >= anchor_cfg.precision_target
-            && anchor_stats.samples >= anchor_cfg.min_samples;
+        let precise =
+            anchor_stats.precision() >= PRECISION_TARGET && anchor_stats.samples >= MIN_SAMPLES;
         if done_sampling || precise || anchor.len() == all_ids.len() {
             break;
         }
-        if anchor_stats.precision() >= anchor_cfg.precision_target {
+        if anchor_stats.precision() >= PRECISION_TARGET {
             // Precise but under-sampled: shore up the estimate
             // (KL-LUCB's confirmation sampling).
-            for _ in 0..anchor_cfg.batch_size {
+            for _ in 0..BATCH_SIZE {
                 if queries >= max_queries || oracle.exhausted() {
                     break;
                 }
@@ -171,17 +150,17 @@ pub fn explain_anchor(
             .filter(|id| !anchor.contains_key(id))
             .collect();
         let mut arms: Vec<(usize, bool)> = Vec::new();
-        for id in unassigned.iter().take(anchor_cfg.beam_width.max(2) / 2 + 1) {
+        for id in unassigned.iter().take(BEAM_WIDTH.max(2) / 2 + 1) {
             arms.push((*id, true));
             arms.push((*id, false));
         }
-        arms.truncate(anchor_cfg.beam_width.max(1));
+        arms.truncate(BEAM_WIDTH.max(1));
         let mut best_arm: Option<((usize, bool), ArmStats)> = None;
         for (id, forced) in arms {
             let mut extended = anchor.clone();
             extended.insert(id, forced);
             let mut stats = ArmStats::default();
-            for _ in 0..anchor_cfg.batch_size {
+            for _ in 0..BATCH_SIZE {
                 if queries >= max_queries || oracle.exhausted() {
                     break;
                 }
@@ -216,7 +195,7 @@ pub fn explain_anchor(
         } else {
             // No extension helped this round: sample the incumbent
             // more before retrying.
-            for _ in 0..anchor_cfg.batch_size {
+            for _ in 0..BATCH_SIZE {
                 if queries >= max_queries || oracle.exhausted() {
                     break;
                 }
@@ -238,7 +217,7 @@ pub fn explain_anchor(
         .filter(|p| on_ids.contains(&p.id))
         .collect();
     let (anchored, _) = apply_composition(&refs, d_fail, &mut rng)?;
-    let anchored_score = oracle.intervene(&anchored);
+    let anchored_score = oracle.intervene_traced(&anchored, &tracer);
     let (repaired, final_score, explaining_ids) = if oracle.passes(anchored_score) {
         (anchored, anchored_score, on_ids)
     } else if let Some((df, s, ids)) = best_pass {
@@ -252,26 +231,36 @@ pub fn explain_anchor(
         .filter(|p| explaining_ids.contains(&p.id))
         .cloned()
         .collect();
-    Ok(Explanation {
+    finish_run(
+        oracle,
+        &tracer,
+        Default::default(),
         pvts,
-        interventions: oracle.interventions,
-        discovery: Default::default(),
-        lint: Default::default(),
-        metrics: oracle.run_metrics(),
-        trace_records: Vec::new(),
         initial_score,
         final_score,
-        resolved: oracle.passes(final_score),
         repaired,
         trace,
-    })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::all_candidate_pvts;
+    use crate::{Algorithm, Diagnosis, Source, System};
     use dp_frame::{Column, DType};
+
+    fn anchor(
+        system: &mut dyn System,
+        d_fail: &DataFrame,
+        d_pass: &DataFrame,
+        candidates: &[Pvt],
+        config: &PrismConfig,
+    ) -> Result<Explanation> {
+        Diagnosis::new(Algorithm::Anchor)
+            .with_candidates(candidates.to_vec())
+            .run(Source::Borrowed(system), d_fail, d_pass, config)
+    }
 
     fn cat(name: &str, vals: &[&str]) -> Column {
         Column::from_strings(
@@ -324,18 +313,12 @@ mod tests {
         let config = PrismConfig::with_threshold(0.2);
         let candidates = all_candidate_pvts(&pass, &config.discovery);
         let mut system = label_system;
-        let exp = explain_anchor(
-            &mut system,
-            &fail,
-            &pass,
-            &candidates,
-            &config,
-            &AnchorConfig::default(),
-        )
-        .unwrap();
+        let exp = anchor(&mut system, &fail, &pass, &candidates, &config).unwrap();
         assert!(exp.resolved, "{exp}");
         let mut system2 = label_system;
-        let greedy = crate::explain_greedy(&mut system2, &fail, &pass, &config).unwrap();
+        let greedy = Diagnosis::new(Algorithm::Greedy)
+            .run(Source::Borrowed(&mut system2), &fail, &pass, &config)
+            .unwrap();
         assert!(
             exp.interventions > 3 * greedy.interventions,
             "anchor {} vs greedy {}",
@@ -356,13 +339,12 @@ mod tests {
                 0.9
             }
         };
-        let config = PrismConfig::with_threshold(0.2);
-        let candidates = all_candidate_pvts(&pass, &config.discovery);
-        let cfg = AnchorConfig {
-            max_queries: 100,
-            ..Default::default()
+        let config = PrismConfig {
+            max_interventions: 100,
+            ..PrismConfig::with_threshold(0.2)
         };
-        let exp = explain_anchor(&mut system, &fail, &pass, &candidates, &config, &cfg).unwrap();
+        let candidates = all_candidate_pvts(&pass, &config.discovery);
+        let exp = anchor(&mut system, &fail, &pass, &candidates, &config).unwrap();
         assert!(!exp.resolved);
         assert!(
             exp.interventions <= 120,
@@ -375,13 +357,12 @@ mod tests {
     fn empty_candidates_error() {
         let (pass, fail) = scenario();
         let mut system = label_system;
-        let err = explain_anchor(
+        let err = anchor(
             &mut system,
             &fail,
             &pass,
             &[],
             &PrismConfig::with_threshold(0.2),
-            &AnchorConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, PrismError::NoDiscriminativePvts));

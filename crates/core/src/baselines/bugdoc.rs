@@ -24,34 +24,28 @@
 //!    is best-effort within the budget, reproducing that behavior.
 
 use crate::config::PrismConfig;
+use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
-use crate::greedy::validate_inputs;
-use crate::oracle::System;
 use crate::pvt::{apply_composition, Pvt};
 use crate::runtime::Oracle;
 use dp_frame::DataFrame;
+use dp_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-/// Run the adapted BugDoc baseline over the candidate PVTs (use
-/// [`super::all_candidate_pvts`] for the paper's setting).
-pub fn explain_bugdoc(
-    system: &mut dyn System,
+/// Run the adapted BugDoc baseline over the candidate PVTs
+/// ([`super::all_candidate_pvts`] in the paper's setting).
+pub(crate) fn run_bugdoc(
+    oracle: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
     candidates: &[Pvt],
     config: &PrismConfig,
+    tracer: Tracer,
 ) -> Result<Explanation> {
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions);
-    let (initial_score, _) = validate_inputs(
-        &mut oracle,
-        d_fail,
-        d_pass,
-        Vec::new(),
-        &dp_trace::Tracer::off(),
-    )?;
+    let (initial_score, _) = validate_inputs(oracle, d_fail, d_pass, Vec::new(), &tracer)?;
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -106,7 +100,7 @@ pub fn explain_bugdoc(
                 .collect()
         };
         let transformed = apply(&config_ids, &mut rng)?;
-        let score = oracle.intervene(&transformed);
+        let score = oracle.intervene_traced(&transformed, &tracer);
         let passes = oracle.passes(score);
         trace.push(TraceEvent::Intervention {
             pvt_ids: config_ids.iter().copied().collect(),
@@ -129,19 +123,16 @@ pub fn explain_bugdoc(
 
     let Some((mut cause, _, _)) = best else {
         // No configuration passed within the design budget.
-        return Ok(Explanation {
-            pvts: Vec::new(),
-            interventions: oracle.interventions,
-            discovery: Default::default(),
-            lint: Default::default(),
-            metrics: oracle.run_metrics(),
-            trace_records: Vec::new(),
+        return finish_run(
+            oracle,
+            &tracer,
+            Default::default(),
+            Vec::new(),
             initial_score,
-            final_score: initial_score,
-            resolved: false,
-            repaired: d_fail.clone(),
+            initial_score,
+            d_fail.clone(),
             trace,
-        });
+        );
     };
 
     // The intersection itself may not have been evaluated as a
@@ -149,7 +140,7 @@ pub fn explain_bugdoc(
     let (mut repaired, mut final_score);
     {
         let transformed = apply(&cause, &mut rng)?;
-        let score = oracle.intervene(&transformed);
+        let score = oracle.intervene_traced(&transformed, &tracer);
         if oracle.passes(score) {
             repaired = transformed;
             final_score = score;
@@ -158,7 +149,7 @@ pub fn explain_bugdoc(
             // superset we stored) by re-running phase 2 from all_ids.
             cause = all_ids.clone();
             let transformed = apply(&cause, &mut rng)?;
-            final_score = oracle.intervene(&transformed);
+            final_score = oracle.intervene_traced(&transformed, &tracer);
             repaired = transformed;
         }
     }
@@ -181,7 +172,7 @@ pub fn explain_bugdoc(
         let mut without = cause.clone();
         without.remove(&id);
         let transformed = apply(&without, &mut rng)?;
-        let score = oracle.intervene(&transformed);
+        let score = oracle.intervene_traced(&transformed, &tracer);
         if oracle.passes(score) {
             trace.push(TraceEvent::MinimalityDropped { pvt_id: id });
             cause = without;
@@ -195,19 +186,16 @@ pub fn explain_bugdoc(
         .filter(|p| cause.contains(&p.id))
         .cloned()
         .collect();
-    Ok(Explanation {
+    finish_run(
+        oracle,
+        &tracer,
+        Default::default(),
         pvts,
-        interventions: oracle.interventions,
-        discovery: Default::default(),
-        lint: Default::default(),
-        metrics: oracle.run_metrics(),
-        trace_records: Vec::new(),
         initial_score,
         final_score,
-        resolved: oracle.passes(final_score),
         repaired,
         trace,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -215,7 +203,20 @@ mod tests {
     use super::*;
     use crate::baselines::all_candidate_pvts;
     use crate::config::PrismConfig;
+    use crate::{Algorithm, Diagnosis, Source, System};
     use dp_frame::{Column, DType};
+
+    fn bugdoc(
+        system: &mut dyn System,
+        d_fail: &DataFrame,
+        d_pass: &DataFrame,
+        candidates: &[Pvt],
+        config: &PrismConfig,
+    ) -> Result<Explanation> {
+        Diagnosis::new(Algorithm::BugDoc)
+            .with_candidates(candidates.to_vec())
+            .run(Source::Borrowed(system), d_fail, d_pass, config)
+    }
 
     fn cat(name: &str, vals: &[&str]) -> Column {
         Column::from_strings(
@@ -268,11 +269,13 @@ mod tests {
         let config = PrismConfig::with_threshold(0.2);
         let candidates = all_candidate_pvts(&pass, &config.discovery);
         let mut system = label_system;
-        let exp = explain_bugdoc(&mut system, &fail, &pass, &candidates, &config).unwrap();
+        let exp = bugdoc(&mut system, &fail, &pass, &candidates, &config).unwrap();
         assert!(exp.resolved, "{exp}");
         assert!(exp.contains_template("domain_cat(target)"), "{exp}");
         let mut system2 = label_system;
-        let greedy = crate::explain_greedy(&mut system2, &fail, &pass, &config).unwrap();
+        let greedy = Diagnosis::new(Algorithm::Greedy)
+            .run(Source::Borrowed(&mut system2), &fail, &pass, &config)
+            .unwrap();
         assert!(
             exp.interventions >= greedy.interventions,
             "bugdoc {} vs greedy {}",
@@ -285,7 +288,7 @@ mod tests {
     fn empty_candidates_error() {
         let (pass, fail) = scenario();
         let mut system = label_system;
-        let err = explain_bugdoc(
+        let err = bugdoc(
             &mut system,
             &fail,
             &pass,
@@ -309,7 +312,7 @@ mod tests {
         };
         let config = PrismConfig::with_threshold(0.2);
         let candidates = all_candidate_pvts(&pass, &config.discovery);
-        let exp = explain_bugdoc(&mut system, &fail, &pass, &candidates, &config).unwrap();
+        let exp = bugdoc(&mut system, &fail, &pass, &candidates, &config).unwrap();
         assert!(!exp.resolved);
         assert!(exp.pvts.is_empty());
     }

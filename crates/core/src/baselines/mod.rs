@@ -9,13 +9,14 @@
 //!   intervention creates a new data point to train the surrogate
 //!   model."
 //!
-//! (The third baseline, `GrpTest`, is DataPrism-GT with
-//! [`crate::PartitionStrategy::Random`] — see [`crate::group_test`].)
+//! (The third baseline, `GrpTest`, is DataPrism-GT with random
+//! partitions — [`crate::Algorithm::GrpTest`].)
 //!
 //! Unlike DataPrism, neither baseline identifies discriminative PVTs
 //! explicitly: both "consider all PVTs as candidates for
 //! intervention" (§5.1 Income), which [`all_candidate_pvts`]
-//! provides.
+//! provides. Both run through [`crate::Diagnosis`] with
+//! [`crate::Algorithm::BugDoc`] / [`crate::Algorithm::Anchor`].
 
 pub mod anchor;
 pub mod bugdoc;

@@ -181,7 +181,14 @@ fn conditional_pvts_diagnose_partial_corruption_end_to_end() {
         discovery: cfg,
         ..Default::default()
     };
-    let exp = crate::explain_greedy_with_pvts(&mut system, &corrupt, &clean, pvts.clone(), &config)
+    let exp = crate::Diagnosis::new(crate::Algorithm::Greedy)
+        .with_candidates(pvts.clone())
+        .run(
+            crate::Source::Borrowed(&mut system),
+            &corrupt,
+            &clean,
+            &config,
+        )
         .unwrap();
     assert!(exp.resolved, "{exp}");
     // The conditional PVT (or the unconditional height Domain, which

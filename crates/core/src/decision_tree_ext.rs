@@ -372,7 +372,9 @@ mod tests {
         // single intervention reduces the all-or-nothing malfunction.
         let (_, pass, fail, mut system) = interacting_scenario();
         let config = PrismConfig::with_threshold(0.2);
-        let exp = crate::explain_greedy(&mut system, &fail, &pass, &config).unwrap();
+        let exp = crate::Diagnosis::new(crate::Algorithm::Greedy)
+            .run(crate::Source::Borrowed(&mut system), &fail, &pass, &config)
+            .unwrap();
         assert!(!exp.resolved);
     }
 

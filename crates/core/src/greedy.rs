@@ -9,7 +9,7 @@
 //! post-processed by Make-Minimal (Definition 11).
 //!
 //! The algorithm charges its queries through one [`Oracle`], over the
-//! caller's own system (width 1) or a [`SystemFactory`] at
+//! caller's own system (width 1) or a [`crate::SystemFactory`] at
 //! `num_threads`. At width > 1, each round plans the next `width`
 //! serial picks (by simulating the pick sequence under the
 //! all-rejected hypothesis — a rejection only removes the candidate
@@ -18,65 +18,22 @@
 //! would consume. Results and intervention counts are identical for
 //! any thread count.
 //!
-//! This module also holds the setup every diagnosis shares
-//! (`diagnose`: tracer, runtime, discovery, warm cache) and the
-//! pieces both algorithms reuse: input validation, Make-Minimal and
-//! the run epilogue.
+//! This module also holds Make-Minimal, which group testing reuses.
 
 use crate::benefit::benefit_scores;
-use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
-use crate::discovery::{discriminative_pvts_traced, DiscoveryStats};
+use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::graph::PvtAttributeGraph;
-use crate::oracle::{fingerprint, System, SystemFactory};
+use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
-use crate::runtime::{Intent, Oracle, Source, Speculated, Speculation};
+use crate::runtime::{Intent, Oracle, Speculation};
 use dp_frame::DataFrame;
-use dp_trace::{DiagnosisSpan, Event, Tracer};
+use dp_trace::{Event, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-
-/// Validate the problem inputs (Definition 10 items 3–4): the passing
-/// dataset must pass and the failing dataset must fail. Returns the
-/// failing score.
-///
-/// `first` holds the algorithm's first charged frames, if it planned
-/// any. The runtime then scores them together with both baselines as
-/// one opening batch ([`Oracle::score_opening`]) and
-/// returns the materialized frames, one result per job, for the
-/// caller to charge in serial order — a materialization error
-/// surfaces there, after validation, as in a serial run.
-pub(crate) fn validate_inputs(
-    rt: &mut Oracle<'_>,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    first: Vec<Speculation<'_>>,
-    tracer: &Tracer,
-) -> Result<(f64, Vec<Result<Speculated>>)> {
-    let opened = if first.is_empty() {
-        Vec::new()
-    } else {
-        rt.score_opening([d_pass, d_fail], first)
-    };
-    let pass_score = rt.baseline_traced(d_pass, tracer);
-    if !rt.passes(pass_score) {
-        return Err(PrismError::BadInput(format!(
-            "passing dataset has malfunction {pass_score:.3} > τ = {:.3}",
-            rt.threshold
-        )));
-    }
-    let fail_score = rt.baseline_traced(d_fail, tracer);
-    if rt.passes(fail_score) {
-        return Err(PrismError::BadInput(format!(
-            "failing dataset has malfunction {fail_score:.3} ≤ τ = {:.3}",
-            rt.threshold
-        )));
-    }
-    Ok((fail_score, opened))
-}
 
 /// Make-Minimal (Alg 1 line 20): drop PVTs one at a time; keep the
 /// drop whenever the remaining composition still brings the
@@ -147,177 +104,6 @@ pub(crate) fn make_minimal(
         }
     }
     Ok((selected, best.0, best.1))
-}
-
-/// Run `DataPrism-GRD` (Algorithm 1).
-///
-/// Returns the (minimal, when resolved) explanation of why `system`
-/// malfunctions on `d_fail` but not on `d_pass`.
-pub fn explain_greedy(
-    system: &mut dyn System,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    config: &PrismConfig,
-) -> Result<Explanation> {
-    greedy(Source::Borrowed(system), d_fail, d_pass, None, config, None)
-}
-
-/// Algorithm 1 with a caller-supplied discriminative PVT set.
-///
-/// The synthetic-pipeline experiments (§5.2, Figs 8–9) control the
-/// number of discriminative PVTs directly; this entry point skips
-/// rediscovery and runs lines 5–21 on the given candidates.
-pub fn explain_greedy_with_pvts(
-    system: &mut dyn System,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    pvts: Vec<Pvt>,
-    config: &PrismConfig,
-) -> Result<Explanation> {
-    let source = Source::Borrowed(system);
-    greedy(source, d_fail, d_pass, Some(pvts), config, None)
-}
-
-/// [`explain_greedy`] on the parallel runtime: profile discovery
-/// fans out per attribute and candidate interventions are scored
-/// speculatively by `config.num_threads` workers. The explanation is
-/// bit-for-bit identical to the serial one.
-pub fn explain_greedy_parallel(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    config: &PrismConfig,
-) -> Result<Explanation> {
-    greedy(Source::Factory(factory), d_fail, d_pass, None, config, None)
-}
-
-/// [`explain_greedy_parallel`] warm-started from — and exporting back
-/// into — a cross-run [`crate::ScoreCache`].
-///
-/// The runtime's fingerprint cache is seeded from `cache` before any
-/// oracle query, and everything the run scored (charged and
-/// speculative alike) is absorbed back into `cache` afterwards —
-/// **including on error**, so a budget-exhausted or assumption-failed
-/// run still pays forward its evaluations. The explanation is
-/// bit-for-bit identical to a cold run; only `cache_misses` drops and
-/// [`dp_trace::RunMetrics::warm_hits`] counts the queries the warm
-/// start answered.
-pub fn explain_greedy_parallel_cached(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    config: &PrismConfig,
-    cache: &mut ScoreCache,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    greedy(source, d_fail, d_pass, None, config, Some(cache))
-}
-
-/// [`explain_greedy_parallel_cached`] with a caller-supplied
-/// candidate set: the warm-cache runtime, but discovery is skipped —
-/// the monitor's targeted re-diagnosis hands in only the drifted
-/// profiles' candidates and still reuses the namespace cache.
-pub fn explain_greedy_parallel_cached_with_pvts(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    pvts: Vec<Pvt>,
-    config: &PrismConfig,
-    cache: &mut ScoreCache,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    greedy(source, d_fail, d_pass, Some(pvts), config, Some(cache))
-}
-
-/// [`explain_greedy_with_pvts`] on the parallel runtime.
-pub fn explain_greedy_parallel_with_pvts(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    pvts: Vec<Pvt>,
-    config: &PrismConfig,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    greedy(source, d_fail, d_pass, Some(pvts), config, None)
-}
-
-/// The body of every `explain_greedy*` entry point.
-fn greedy(
-    source: Source<'_>,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    candidates: Option<Vec<Pvt>>,
-    config: &PrismConfig,
-    cache: Option<&mut ScoreCache>,
-) -> Result<Explanation> {
-    let run =
-        |rt: &mut Oracle<'_>, pvts, tracer| run_greedy(rt, d_fail, d_pass, pvts, config, tracer);
-    diagnose(
-        "greedy", source, d_fail, d_pass, candidates, config, cache, run,
-    )
-}
-
-/// The setup every diagnosis shares: build the tracer and the runtime
-/// over `source` (warm-started from `cache`), emit the opening event,
-/// discover the candidates unless they are given, `run` the
-/// algorithm, and absorb everything the run scored back into `cache`
-/// — on error too, so a failed run still pays its evaluations
-/// forward. A borrowed system runs at width 1, a factory at
-/// `config.num_threads`; discovery fans out to the same width.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn diagnose<'s>(
-    algorithm: &str,
-    source: Source<'s>,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    candidates: Option<Vec<Pvt>>,
-    config: &PrismConfig,
-    cache: Option<&mut ScoreCache>,
-    run: impl FnOnce(&mut Oracle<'s>, Vec<Pvt>, Tracer) -> Result<Explanation>,
-) -> Result<Explanation> {
-    // A sink that cannot be set up (an unwritable JSONL path) fails
-    // before any oracle query is spent.
-    let tracer =
-        Tracer::from_config(&config.trace).map_err(|e| PrismError::Trace(e.to_string()))?;
-    let budget = config.max_interventions;
-    let mut rt = Oracle::from_source(source, config.threshold, budget, config.num_threads)
-        .with_speculation_budget(config.speculation_budget);
-    if let Some(cache) = cache.as_deref() {
-        rt = rt.with_warm_cache(cache);
-    }
-    let threads = rt.speculation_width();
-    tracer.emit(|| {
-        Event::DiagnosisBegin(DiagnosisSpan {
-            algorithm: algorithm.to_string(),
-            system: rt.system_name(),
-            seed: config.seed,
-            threshold: config.threshold,
-            num_threads: threads,
-            speculation_depth: config.gt_speculation_depth,
-        })
-    });
-    let (pvts, stats) = match candidates {
-        Some(pvts) => (pvts, None),
-        None => {
-            let (pvts, stats) =
-                discriminative_pvts_traced(d_pass, d_fail, &config.discovery, threads, &tracer);
-            (pvts, Some(stats))
-        }
-    };
-    let result = run(&mut rt, pvts, tracer);
-    if let Some(cache) = cache {
-        cache.absorb(&rt.export_cache());
-    }
-    let mut exp = result?;
-    if let Some(stats) = stats {
-        // The legacy `discovery` field and the `prefilter_*` metrics
-        // report the same pass.
-        exp.metrics.prefilter_pairs = stats.pairs as u64;
-        exp.metrics.prefilter_screened = stats.screened() as u64;
-        exp.metrics.prefilter_exact = (stats.chi2_exact + stats.pearson_exact) as u64;
-        exp.discovery = stats;
-    }
-    Ok(exp)
 }
 
 /// One planned window of greedy picks: the next serial picks under
@@ -408,7 +194,7 @@ fn plan_window<'a>(
 }
 
 /// Algorithm 1 lines 5–21.
-fn run_greedy(
+pub(crate) fn run_greedy(
     rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
@@ -565,56 +351,23 @@ fn run_greedy(
     )
 }
 
-/// Shared run epilogue: emit [`Event::DiagnosisEnd`], merge worker
-/// metric shards, fold the lint counters into
-/// [`dp_trace::RunMetrics`], and drain the tracer.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_run(
-    rt: &mut Oracle<'_>,
-    tracer: &Tracer,
-    lint: dp_lint::Diagnostics,
-    selected: Vec<Pvt>,
-    initial_score: f64,
-    score: f64,
-    current: DataFrame,
-    trace: Vec<TraceEvent>,
-) -> Result<Explanation> {
-    let resolved = rt.passes(score);
-    let interventions = rt.interventions;
-    tracer.emit(|| Event::DiagnosisEnd {
-        resolved,
-        interventions,
-        final_score: score,
-    });
-    let mut metrics = rt.run_metrics();
-    metrics.lint_errors = lint.count(dp_lint::Severity::Error) as u64;
-    metrics.lint_warnings = lint.count(dp_lint::Severity::Warn) as u64;
-    metrics.lint_infos = lint.count(dp_lint::Severity::Info) as u64;
-    metrics.lint_pruned = lint.pruned.len() as u64;
-    metrics.lint_subsumed = lint.subsumed.len() as u64;
-    metrics.lint_unreachable = lint.unreachable_ids().len() as u64;
-    let trace_records = tracer.finish();
-    Ok(Explanation {
-        pvts: selected,
-        interventions,
-        initial_score,
-        final_score: score,
-        resolved,
-        repaired: current,
-        trace,
-        discovery: DiscoveryStats::default(),
-        lint,
-        metrics,
-        trace_records,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PrismConfig;
     use crate::violation::violation;
+    use crate::{Algorithm, Diagnosis, Source, System};
     use dp_frame::{Column, DType, DataFrame};
+
+    fn greedy(
+        system: &mut dyn System,
+        d_fail: &DataFrame,
+        d_pass: &DataFrame,
+        config: &PrismConfig,
+    ) -> Result<Explanation> {
+        let source = Source::Borrowed(system);
+        Diagnosis::new(Algorithm::Greedy).run(source, d_fail, d_pass, config)
+    }
 
     fn cat(name: &str, vals: &[&str]) -> Column {
         Column::from_strings(
@@ -680,7 +433,7 @@ mod tests {
         let (pass, fail) = pass_fail();
         let mut system = label_domain_system;
         let config = PrismConfig::with_threshold(0.2);
-        let exp = explain_greedy(&mut system, &fail, &pass, &config).unwrap();
+        let exp = greedy(&mut system, &fail, &pass, &config).unwrap();
         assert!(exp.resolved);
         assert_eq!(exp.pvts.len(), 1, "minimal explanation: {exp}");
         assert!(exp.contains_template("domain_cat(target)"));
@@ -700,14 +453,16 @@ mod tests {
         let (pass, fail) = pass_fail();
         let mut system = label_domain_system;
         let config = PrismConfig::with_threshold(0.2);
-        let serial = explain_greedy(&mut system, &fail, &pass, &config).unwrap();
+        let serial = greedy(&mut system, &fail, &pass, &config).unwrap();
         for threads in [1, 2, 8] {
             let cfg = PrismConfig {
                 num_threads: threads,
                 ..PrismConfig::with_threshold(0.2)
             };
             let factory = || label_domain_system;
-            let par = explain_greedy_parallel(&factory, &fail, &pass, &cfg).unwrap();
+            let par = Diagnosis::new(Algorithm::Greedy)
+                .run(Source::Factory(&factory), &fail, &pass, &cfg)
+                .unwrap();
             assert_eq!(par.pvt_ids(), serial.pvt_ids(), "{threads} threads");
             assert_eq!(par.interventions, serial.interventions);
             assert_eq!(par.final_score, serial.final_score);
@@ -725,7 +480,7 @@ mod tests {
         let mut system = label_domain_system;
         let config = PrismConfig::with_threshold(0.2);
         // Swapped inputs: "failing" dataset passes.
-        let err = explain_greedy(&mut system, &pass, &fail, &config).unwrap_err();
+        let err = greedy(&mut system, &pass, &fail, &config).unwrap_err();
         assert!(matches!(err, PrismError::BadInput(_)));
     }
 
@@ -750,8 +505,7 @@ mod tests {
         // way discovery tolerates (same profiles).
         let mut fail = pass.clone();
         fail.column_mut("len").unwrap().set(0, 101.into()).unwrap();
-        let err = explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2))
-            .unwrap_err();
+        let err = greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap_err();
         assert!(matches!(err, PrismError::NoDiscriminativePvts), "{err}");
     }
 
@@ -759,8 +513,7 @@ mod tests {
     fn trace_records_interventions() {
         let (pass, fail) = pass_fail();
         let mut system = label_domain_system;
-        let exp =
-            explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap();
+        let exp = greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap();
         assert!(matches!(exp.trace[0], TraceEvent::Discovered { n_pvts } if n_pvts > 0));
         let kept: Vec<bool> = exp
             .trace
@@ -786,8 +539,7 @@ mod tests {
                 0.9
             }
         };
-        let exp =
-            explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap();
+        let exp = greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap();
         assert!(!exp.resolved);
         assert!(exp.pvts.is_empty(), "nothing reduced the malfunction");
     }

@@ -35,15 +35,15 @@ use crate::benefit::benefit_scores;
 use crate::bisection::{
     cut_size, min_bisection, partition_rng, random_bisection, stream_seed, APPLY_STREAM,
 };
-use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
+use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::graph::PvtAttributeGraph;
-use crate::greedy::{diagnose, finish_run, make_minimal, validate_inputs};
-use crate::oracle::{fingerprint, System, SystemFactory};
+use crate::greedy::make_minimal;
+use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
-use crate::runtime::{DetachedSpeculation, Intent, Oracle, Source};
+use crate::runtime::{DetachedSpeculation, Intent, Oracle};
 use dp_frame::DataFrame;
 use dp_trace::{BisectionNodeSpan, Event, SpeculationPlanSpan, Tracer};
 use std::collections::{BTreeMap, VecDeque};
@@ -84,149 +84,8 @@ struct GtCtx<'o, 'r, 'p> {
     tracer: Tracer,
 }
 
-/// Run `DataPrism-GT` / `GrpTest` (Algorithm 2).
-pub fn explain_group_test(
-    system: &mut dyn System,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-) -> Result<Explanation> {
-    let source = Source::Borrowed(system);
-    group_test(source, d_fail, d_pass, None, config, strategy, None)
-}
-
-/// Algorithm 2 with a caller-supplied discriminative PVT set (see
-/// [`crate::greedy::explain_greedy_with_pvts`] for why).
-pub fn explain_group_test_with_pvts(
-    system: &mut dyn System,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    pvt_vec: Vec<Pvt>,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-) -> Result<Explanation> {
-    let source = Source::Borrowed(system);
-    group_test(
-        source,
-        d_fail,
-        d_pass,
-        Some(pvt_vec),
-        config,
-        strategy,
-        None,
-    )
-}
-
-/// [`explain_group_test`] on the parallel runtime: at every cold
-/// bisection node the two halves *plus*
-/// [`PrismConfig::gt_speculation_depth`] further levels of
-/// pre-bisected descendants are materialized and scored concurrently
-/// (a speculated score becomes a cache hit only if the serial
-/// decision path actually asks for it), and discovery fans out per
-/// attribute. Explanations and intervention counts are bit-for-bit
-/// identical to the serial run at every depth and thread count.
-pub fn explain_group_test_parallel(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    group_test(source, d_fail, d_pass, None, config, strategy, None)
-}
-
-/// [`explain_group_test_parallel`] warm-started from — and exporting
-/// back into — a cross-run [`crate::ScoreCache`] (see
-/// [`crate::explain_greedy_parallel_cached`] for the contract: seeded
-/// before any query, absorbed back even on error, results
-/// bit-for-bit identical to a cold run).
-pub fn explain_group_test_parallel_cached(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-    cache: &mut ScoreCache,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    group_test(source, d_fail, d_pass, None, config, strategy, Some(cache))
-}
-
-/// [`explain_group_test_parallel_cached`] with a caller-supplied
-/// candidate set: the warm-cache runtime, but discovery is skipped —
-/// the monitor's targeted re-diagnosis hands in only the drifted
-/// profiles' candidates and still reuses the namespace cache.
-pub fn explain_group_test_parallel_cached_with_pvts(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    pvt_vec: Vec<Pvt>,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-    cache: &mut ScoreCache,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    group_test(
-        source,
-        d_fail,
-        d_pass,
-        Some(pvt_vec),
-        config,
-        strategy,
-        Some(cache),
-    )
-}
-
-/// [`explain_group_test_with_pvts`] on the parallel runtime.
-pub fn explain_group_test_parallel_with_pvts(
-    factory: &dyn SystemFactory,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    pvt_vec: Vec<Pvt>,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-) -> Result<Explanation> {
-    let source = Source::Factory(factory);
-    group_test(
-        source,
-        d_fail,
-        d_pass,
-        Some(pvt_vec),
-        config,
-        strategy,
-        None,
-    )
-}
-
-/// The body of every `explain_group_test*` entry point.
-fn group_test(
-    source: Source<'_>,
-    d_fail: &DataFrame,
-    d_pass: &DataFrame,
-    candidates: Option<Vec<Pvt>>,
-    config: &PrismConfig,
-    strategy: PartitionStrategy,
-    cache: Option<&mut ScoreCache>,
-) -> Result<Explanation> {
-    let run = |rt: &mut Oracle<'_>, pvts, tracer| {
-        run_group_test(rt, d_fail, d_pass, pvts, config, strategy, tracer)
-    };
-    diagnose(
-        "group_test",
-        source,
-        d_fail,
-        d_pass,
-        candidates,
-        config,
-        cache,
-        run,
-    )
-}
-
 /// Algorithm 2.
-fn run_group_test(
+pub(crate) fn run_group_test(
     rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
@@ -742,6 +601,17 @@ fn grouped_bisection(ctx: &GtCtx<'_, '_, '_>, candidates: &[usize]) -> (Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Diagnosis, Source, System};
+
+    fn group_test(
+        system: &mut dyn System,
+        d_fail: &DataFrame,
+        d_pass: &DataFrame,
+        config: &PrismConfig,
+        algorithm: Algorithm,
+    ) -> Result<Explanation> {
+        Diagnosis::new(algorithm).run(Source::Borrowed(system), d_fail, d_pass, config)
+    }
     use crate::config::PrismConfig;
     use dp_frame::{Column, DType, DataFrame};
 
@@ -803,15 +673,15 @@ mod tests {
 
     #[test]
     fn group_testing_finds_the_domain_cause() {
-        for strategy in [PartitionStrategy::MinBisection, PartitionStrategy::Random] {
+        for algorithm in [Algorithm::GroupTest, Algorithm::GrpTest] {
             let (pass, fail) = pass_fail();
             let mut system = label_domain_system;
             let config = PrismConfig::with_threshold(0.2);
-            let exp = explain_group_test(&mut system, &fail, &pass, &config, strategy).unwrap();
-            assert!(exp.resolved, "{strategy:?}");
+            let exp = group_test(&mut system, &fail, &pass, &config, algorithm).unwrap();
+            assert!(exp.resolved, "{algorithm:?}");
             assert!(
                 exp.contains_template("domain_cat(target)"),
-                "{strategy:?}: {exp}"
+                "{algorithm:?}: {exp}"
             );
             assert_eq!(exp.final_score, 0.0);
         }
@@ -848,13 +718,7 @@ mod tests {
             }
         };
         let config = PrismConfig::with_threshold(0.2);
-        let res = explain_group_test(
-            &mut system,
-            &fail,
-            &pass,
-            &config,
-            PartitionStrategy::MinBisection,
-        );
+        let res = group_test(&mut system, &fail, &pass, &config, Algorithm::GroupTest);
         match res {
             Err(PrismError::AssumptionViolated(_)) => {}
             Ok(exp) => panic!("expected A3 violation, got {exp}"),
@@ -871,16 +735,8 @@ mod tests {
         let mut s1 = label_domain_system;
         let mut s2 = label_domain_system;
         let config = PrismConfig::with_threshold(0.2);
-        let a = explain_group_test(
-            &mut s1,
-            &fail,
-            &pass,
-            &config,
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap();
-        let b =
-            explain_group_test(&mut s2, &fail, &pass, &config, PartitionStrategy::Random).unwrap();
+        let a = group_test(&mut s1, &fail, &pass, &config, Algorithm::GroupTest).unwrap();
+        let b = group_test(&mut s2, &fail, &pass, &config, Algorithm::GrpTest).unwrap();
         assert!(a.interventions >= 1 && b.interventions >= 1);
     }
 }

@@ -13,7 +13,7 @@
 //! malfunction, the transformations are the fix.
 //!
 //! ```
-//! use dataprism::{explain_greedy, PrismConfig};
+//! use dataprism::{Algorithm, Diagnosis, PrismConfig, Source};
 //! use dp_frame::{Column, DType, DataFrame};
 //!
 //! // A system that assumes labels are "-1"/"1" (the paper's
@@ -33,9 +33,9 @@
 //!     vec![Some("0".into()), Some("4".into()), Some("4".into()), Some("0".into())],
 //! )]).unwrap();
 //!
-//! let explanation = explain_greedy(
-//!     &mut system, &fail, &pass, &PrismConfig::with_threshold(0.2),
-//! ).unwrap();
+//! let explanation = Diagnosis::new(Algorithm::Greedy)
+//!     .run(Source::Borrowed(&mut system), &fail, &pass, &PrismConfig::with_threshold(0.2))
+//!     .unwrap();
 //! assert!(explanation.resolved);
 //! assert!(explanation.contains_template("domain_cat(target)"));
 //! ```
@@ -52,6 +52,7 @@
 //! | PVT–attribute & dependency graphs (§4.2) | [`graph`] |
 //! | Benefit scores (§4.2) | [`benefit`] |
 //! | Malfunction oracle & intervention counting (Def 3) | [`oracle`], [`runtime`] |
+//! | One diagnosis request for every §5 technique (Fig 7) | [`diagnosis`] |
 //! | Algorithm 1 (greedy) | [`greedy`] |
 //! | Algorithms 2–3 (group testing) + GrpTest baseline | [`group_test`] |
 //! | Algorithm 4 (min bisection, appendix A) | [`bisection`] |
@@ -68,10 +69,10 @@ pub mod cache;
 mod conditional_tests;
 pub mod config;
 pub mod decision_tree_ext;
+pub mod diagnosis;
 pub mod discovery;
 pub mod error;
 pub mod explanation;
-pub mod facade;
 pub mod graph;
 pub mod greedy;
 pub mod group_test;
@@ -86,6 +87,11 @@ pub mod violation;
 
 pub use cache::{ScoreCache, SnapshotError};
 pub use config::{DiscoveryConfig, Lint, Prefilter, PrismConfig};
+pub use diagnosis::{
+    explain_greedy_parallel_cached, explain_greedy_parallel_with_pvts,
+    explain_group_test_parallel_cached, explain_group_test_parallel_with_pvts, Algorithm,
+    Diagnosis,
+};
 pub use discovery::DiscoveryStats;
 pub use dp_lint::{Diagnostic, Diagnostics, RuleId, Severity};
 pub use dp_trace::{
@@ -94,21 +100,11 @@ pub use dp_trace::{
 };
 pub use error::{PrismError, Result};
 pub use explanation::{Explanation, TraceEvent};
-pub use facade::DataPrism;
-pub use greedy::{
-    explain_greedy, explain_greedy_parallel, explain_greedy_parallel_cached,
-    explain_greedy_parallel_cached_with_pvts, explain_greedy_parallel_with_pvts,
-    explain_greedy_with_pvts,
-};
-pub use group_test::{
-    explain_group_test, explain_group_test_parallel, explain_group_test_parallel_cached,
-    explain_group_test_parallel_cached_with_pvts, explain_group_test_parallel_with_pvts,
-    explain_group_test_with_pvts, PartitionStrategy,
-};
+pub use group_test::PartitionStrategy;
 pub use lint::lint_pvts;
 pub use oracle::{fingerprint, fingerprint_reference, System, SystemFactory};
 pub use profile::{DependenceKind, OutlierSpec, Profile};
 pub use pvt::Pvt;
-pub use runtime::{par_map, Oracle, Speculated, Speculation};
+pub use runtime::{par_map, Oracle, Source, Speculated, Speculation};
 pub use transform::Transform;
 pub use violation::violation;

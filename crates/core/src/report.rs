@@ -203,7 +203,7 @@ pub fn markdown_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{explain_greedy, PrismConfig};
+    use crate::{Algorithm, Diagnosis, PrismConfig, Source};
     use dp_frame::{Column, DType};
 
     fn cat(name: &str, vals: &[&str]) -> Column {
@@ -227,7 +227,9 @@ mod tests {
                 / df.n_rows().max(1) as f64
         };
         let config = PrismConfig::with_threshold(0.2);
-        let exp = explain_greedy(&mut system, &fail, &pass, &config).unwrap();
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+            .unwrap();
         let report = markdown_report(&exp, &pass, &fail, 0.2, &config.discovery);
         assert!(report.contains("# DataPrism diagnosis report"));
         assert!(report.contains("## Causes and fixes"));
@@ -270,14 +272,9 @@ mod tests {
             trace: dp_trace::TraceConfig::Collect,
             ..PrismConfig::with_threshold(0.2)
         };
-        let exp = crate::explain_group_test(
-            &mut system,
-            &fail,
-            &pass,
-            &config,
-            crate::PartitionStrategy::MinBisection,
-        )
-        .unwrap();
+        let exp = Diagnosis::new(Algorithm::GroupTest)
+            .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+            .unwrap();
         assert!(!exp.trace_records.is_empty());
         let report = markdown_report(&exp, &pass, &fail, 0.2, &config.discovery);
         assert!(report.contains("## Search tree"), "{report}");

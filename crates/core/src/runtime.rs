@@ -493,8 +493,8 @@ fn kept(results: Vec<Result<Option<DataFrame>>>) -> Vec<Result<Speculated>> {
         .collect()
 }
 
-/// Where a runtime gets the systems it runs.
-pub(crate) enum Source<'a> {
+/// Where a diagnosis gets the systems it runs.
+pub enum Source<'a> {
     /// The caller's own instance. The runtime runs at width 1 on it
     /// and never builds another.
     Borrowed(&'a mut dyn System),
@@ -503,6 +503,15 @@ pub(crate) enum Source<'a> {
 }
 
 impl Source<'_> {
+    /// The same source for a shorter borrow, so one source can run two
+    /// searches in turn.
+    pub(crate) fn reborrow(&mut self) -> Source<'_> {
+        match self {
+            Source::Borrowed(system) => Source::Borrowed(&mut **system),
+            Source::Factory(factory) => Source::Factory(*factory),
+        }
+    }
+
     /// The system the calling thread scores on: the borrowed instance,
     /// or the first of the factory's sync `workers`.
     fn primary<'s>(

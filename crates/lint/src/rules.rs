@@ -389,8 +389,8 @@ pub fn check_commutation(candidates: &[CandidateFacts]) -> CommutationResult {
             attr: None,
             message: format!(
                 "{} of {} candidate pairs provably commute (disjoint deterministic \
-                 read/write footprints); the fact table steers speculation depth and \
-                 commute-aware partitioning",
+                 read/write footprints); the fact table steers group testing's \
+                 speculation depth",
                 pairs.len(),
                 total
             ),

@@ -22,9 +22,8 @@
 //! 3. When any score crosses `τ_drift`, the watcher escalates to a
 //!    **targeted re-diagnosis**: only the drifted profiles seed the
 //!    candidate set, and the run reuses the namespace's warm
-//!    [`dataprism::ScoreCache`] through
-//!    [`dataprism::explain_greedy_parallel_cached_with_pvts`] /
-//!    [`dataprism::explain_group_test_parallel_cached_with_pvts`].
+//!    [`dataprism::ScoreCache`] through one [`dataprism::Diagnosis`]
+//!    with given candidates.
 //!    Given the same candidates, the triggered diagnosis is
 //!    digest-identical to an offline run.
 //!

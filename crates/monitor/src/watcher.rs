@@ -7,9 +7,8 @@ use std::time::Instant;
 
 use dataprism::discovery::{discover_profiles, transforms_for};
 use dataprism::{
-    explain_greedy_parallel_cached_with_pvts, explain_group_test_parallel_cached_with_pvts,
-    Explanation, PartitionStrategy, PrismConfig, PrismError, Profile, Pvt, Result, ScoreCache,
-    SystemFactory,
+    Algorithm, Diagnosis, Explanation, PrismConfig, PrismError, Profile, Pvt, Result, ScoreCache,
+    Source, SystemFactory,
 };
 use dp_frame::DataFrame;
 use dp_stats::sketch::{CategoricalSketch, ColumnSummary, NumericSketch, DEFAULT_BUCKETS};
@@ -45,10 +44,9 @@ struct WindowBatch {
 /// dataset. [`ingest`](Watcher::ingest) folds row batches into the
 /// live sketches; [`check_drift`](Watcher::check_drift) scores the
 /// recent window against the baseline;
-/// [`diagnose_greedy`](Watcher::diagnose_greedy) /
-/// [`diagnose_group_test`](Watcher::diagnose_group_test) escalate a
-/// drifted window into a targeted re-diagnosis seeded with only the
-/// drifted profiles' candidates.
+/// [`diagnose`](Watcher::diagnose) escalates a drifted window into a
+/// targeted re-diagnosis seeded with only the drifted profiles'
+/// candidates.
 #[derive(Debug)]
 pub struct Watcher {
     d_pass: DataFrame,
@@ -301,50 +299,30 @@ impl Watcher {
         pvts
     }
 
-    /// Targeted greedy re-diagnosis of the current window: the
-    /// drifted profiles seed the candidate set, the window is the
+    /// Targeted re-diagnosis of the current window with `algorithm`:
+    /// the drifted profiles seed the candidate set, the window is the
     /// failing dataset, the watched `d_pass` the passing one, and
     /// `cache` (typically the namespace's resident cache) both warms
     /// the run and absorbs its scores. Emits a `monitor_trigger`
     /// event.
-    pub fn diagnose_greedy(
+    pub fn diagnose(
         &self,
+        algorithm: Algorithm,
         factory: &dyn SystemFactory,
         drifted: &[usize],
         cache: &mut ScoreCache,
         tracer: &Tracer,
     ) -> Result<Explanation> {
         let (window, pvts) = self.trigger(drifted, tracer)?;
-        explain_greedy_parallel_cached_with_pvts(
-            factory,
-            &window,
-            &self.d_pass,
-            pvts,
-            &self.config,
-            cache,
-        )
-    }
-
-    /// Targeted group-testing re-diagnosis; see
-    /// [`diagnose_greedy`](Watcher::diagnose_greedy).
-    pub fn diagnose_group_test(
-        &self,
-        factory: &dyn SystemFactory,
-        drifted: &[usize],
-        strategy: PartitionStrategy,
-        cache: &mut ScoreCache,
-        tracer: &Tracer,
-    ) -> Result<Explanation> {
-        let (window, pvts) = self.trigger(drifted, tracer)?;
-        explain_group_test_parallel_cached_with_pvts(
-            factory,
-            &window,
-            &self.d_pass,
-            pvts,
-            &self.config,
-            strategy,
-            cache,
-        )
+        Diagnosis::new(algorithm)
+            .with_candidates(pvts)
+            .with_cache(cache)
+            .run(
+                Source::Factory(factory),
+                &window,
+                &self.d_pass,
+                &self.config,
+            )
     }
 
     fn trigger(&self, drifted: &[usize], tracer: &Tracer) -> Result<(DataFrame, Vec<Pvt>)> {
@@ -531,7 +509,13 @@ mod tests {
         let mut cache = ScoreCache::new();
         let factory = || |_: &DataFrame| 0.0;
         let err = w
-            .diagnose_greedy(&factory, &[0], &mut cache, &Tracer::off())
+            .diagnose(
+                Algorithm::Greedy,
+                &factory,
+                &[0],
+                &mut cache,
+                &Tracer::off(),
+            )
             .unwrap_err();
         assert!(matches!(err, PrismError::BadInput(_)));
     }

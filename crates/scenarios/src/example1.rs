@@ -413,9 +413,16 @@ mod tests {
 
     #[test]
     fn end_to_end_diagnosis_resolves_example1() {
+        use dataprism::{Algorithm, Diagnosis, Source};
         let mut s = scenario();
-        let exp =
-            dataprism::explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config).unwrap();
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
+            .unwrap();
         assert!(exp.resolved, "{exp}");
         assert!(
             s.explains_ground_truth(&exp),

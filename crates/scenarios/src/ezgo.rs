@@ -185,7 +185,7 @@ pub fn scenario(seed: u64) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataprism::explain_greedy;
+    use dataprism::{Algorithm, Diagnosis, Source};
 
     #[test]
     fn skewed_batch_times_out() {
@@ -205,7 +205,14 @@ mod tests {
     #[test]
     fn diagnosis_blames_the_pathological_slice() {
         let mut s = scenario_with_size(600, 2);
-        let exp = explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config).unwrap();
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
+            .unwrap();
         assert!(exp.resolved, "{exp}");
         assert!(
             s.explains_ground_truth(&exp),

@@ -150,7 +150,7 @@ pub fn scenario(seed: u64) -> Scenario {
 mod tests {
     use super::*;
     use dataprism::discovery::discriminative_pvts;
-    use dataprism::explain_greedy;
+    use dataprism::{Algorithm, Diagnosis, Source};
 
     #[test]
     fn coupled_errors_hide_faults() {
@@ -181,7 +181,14 @@ mod tests {
     #[test]
     fn residualization_restores_fault_detection() {
         let mut s = scenario_with_size(600, 4);
-        let exp = explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config).unwrap();
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
+            .unwrap();
         assert!(exp.resolved, "{exp}");
         assert!(s.explains_ground_truth(&exp), "{exp}");
         assert!(

@@ -636,7 +636,19 @@ pub fn toy_fig6(seed: u64) -> SyntheticScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataprism::{explain_greedy_with_pvts, explain_group_test_with_pvts, PartitionStrategy};
+    use dataprism::{Algorithm, Diagnosis, Explanation, Source};
+
+    fn diagnose(s: &mut SyntheticScenario, algorithm: Algorithm) -> Explanation {
+        Diagnosis::new(algorithm)
+            .with_candidates(s.pvts.clone())
+            .run(
+                Source::Borrowed(&mut s.system),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
+            .unwrap()
+    }
 
     #[test]
     fn pass_and_fail_scores() {
@@ -653,14 +665,7 @@ mod tests {
     #[test]
     fn greedy_finds_single_cause_in_few_interventions() {
         let mut s = single_cause(20, 20, 2);
-        let exp = explain_greedy_with_pvts(
-            &mut s.system,
-            &s.d_fail,
-            &s.d_pass,
-            s.pvts.clone(),
-            &s.config,
-        )
-        .unwrap();
+        let exp = diagnose(&mut s, Algorithm::Greedy);
         assert!(exp.resolved);
         assert!(s.is_exact_cause(&exp.pvt_ids()), "{:?}", exp.pvt_ids());
         assert!(
@@ -673,15 +678,7 @@ mod tests {
     #[test]
     fn group_testing_finds_single_cause_logarithmically() {
         let mut s = single_cause(32, 32, 3);
-        let exp = explain_group_test_with_pvts(
-            &mut s.system,
-            &s.d_fail,
-            &s.d_pass,
-            s.pvts.clone(),
-            &s.config,
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap();
+        let exp = diagnose(&mut s, Algorithm::GroupTest);
         assert!(exp.resolved);
         assert!(s.covers_cause(&exp.pvt_ids()), "{:?}", exp.pvt_ids());
         assert!(
@@ -694,14 +691,7 @@ mod tests {
     #[test]
     fn conjunctive_cause_requires_all_members() {
         let mut s = conjunctive_cause(10, 15, 3, 4);
-        let exp = explain_greedy_with_pvts(
-            &mut s.system,
-            &s.d_fail,
-            &s.d_pass,
-            s.pvts.clone(),
-            &s.config,
-        )
-        .unwrap();
+        let exp = diagnose(&mut s, Algorithm::Greedy);
         assert!(exp.resolved);
         assert!(s.is_exact_cause(&exp.pvt_ids()), "{:?}", exp.pvt_ids());
         assert_eq!(exp.pvts.len(), 3);
@@ -710,14 +700,7 @@ mod tests {
     #[test]
     fn disjunctive_cause_needs_any_one_group() {
         let mut s = disjunctive_cause(10, 12, 4, 5);
-        let exp = explain_greedy_with_pvts(
-            &mut s.system,
-            &s.d_fail,
-            &s.d_pass,
-            s.pvts.clone(),
-            &s.config,
-        )
-        .unwrap();
+        let exp = diagnose(&mut s, Algorithm::Greedy);
         assert!(exp.resolved);
         assert!(s.covers_cause(&exp.pvt_ids()), "{:?}", exp.pvt_ids());
         assert_eq!(exp.pvts.len(), 1, "minimality: one alternative suffices");
@@ -727,29 +710,14 @@ mod tests {
     fn adversarial_rank_costs_greedy_linear_gt_log() {
         let rank = 20;
         let mut s1 = adversarial_rank(rank, 6);
-        let greedy = explain_greedy_with_pvts(
-            &mut s1.system,
-            &s1.d_fail,
-            &s1.d_pass,
-            s1.pvts.clone(),
-            &s1.config,
-        )
-        .unwrap();
+        let greedy = diagnose(&mut s1, Algorithm::Greedy);
         assert!(greedy.resolved);
         assert_eq!(
             greedy.interventions, rank,
             "the cause is benefit-ranked last"
         );
         let mut s2 = adversarial_rank(rank, 6);
-        let gt = explain_group_test_with_pvts(
-            &mut s2.system,
-            &s2.d_fail,
-            &s2.d_pass,
-            s2.pvts.clone(),
-            &s2.config,
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap();
+        let gt = diagnose(&mut s2, Algorithm::GroupTest);
         assert!(gt.resolved);
         assert!(
             gt.interventions < greedy.interventions / 2,
@@ -771,21 +739,13 @@ mod tests {
 
     #[test]
     fn toy_fig6_both_strategies_resolve() {
-        for strategy in [PartitionStrategy::MinBisection, PartitionStrategy::Random] {
+        for algorithm in [Algorithm::GroupTest, Algorithm::GrpTest] {
             let mut s = toy_fig6(8);
-            let exp = explain_group_test_with_pvts(
-                &mut s.system,
-                &s.d_fail,
-                &s.d_pass,
-                s.pvts.clone(),
-                &s.config,
-                strategy,
-            )
-            .unwrap();
-            assert!(exp.resolved, "{strategy:?}");
+            let exp = diagnose(&mut s, algorithm);
+            assert!(exp.resolved, "{algorithm:?}");
             assert!(
                 s.covers_cause(&exp.pvt_ids()),
-                "{strategy:?}: {:?}",
+                "{algorithm:?}: {:?}",
                 exp.pvt_ids()
             );
         }

@@ -65,6 +65,6 @@ pub mod server;
 
 pub use client::{field_u64, is_ok, Client};
 pub use lru::{LruScoreCache, ENTRY_COST_BYTES};
-pub use protocol::{Algo, ErrorCode, Request, MAX_REQUEST_BYTES};
+pub use protocol::{ErrorCode, Request, MAX_REQUEST_BYTES};
 pub use registry::{Registry, SCENARIOS};
 pub use server::{ServeConfig, Server, DEFAULT_BUDGET_BYTES};

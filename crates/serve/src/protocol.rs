@@ -19,6 +19,7 @@
 //! [`dp_trace::json_escape`], so both line formats in the workspace
 //! escape identically.
 
+use dataprism::Algorithm;
 use dp_trace::{json_escape, JsonValue};
 
 /// Hard cap on one request line, including the newline. Large enough
@@ -81,30 +82,6 @@ impl ErrorCode {
     }
 }
 
-/// Which algorithm a `diagnose` request runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algo {
-    /// Greedy Algorithm 1 (the default; fewest interventions in the
-    /// paper's evaluation).
-    #[default]
-    Greedy,
-    /// Group testing (Algorithms 2–3, min-bisection).
-    GroupTest,
-    /// Group testing with greedy fallback on an A3 violation.
-    Auto,
-}
-
-impl Algo {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Algo::Greedy => "greedy",
-            Algo::GroupTest => "group_test",
-            Algo::Auto => "auto",
-        }
-    }
-}
-
 /// A decoded request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -125,8 +102,9 @@ pub enum Request {
     Diagnose {
         /// Registered system name.
         system: String,
-        /// Algorithm to run.
-        algo: Algo,
+        /// Algorithm to run: `greedy` (the default), `group_test` or
+        /// `auto` on the wire.
+        algo: Algorithm,
         /// Worker-thread override (defaults to the scenario config).
         threads: Option<usize>,
         /// In-flight speculative frame budget override for this
@@ -183,8 +161,9 @@ pub enum Request {
         system: String,
         /// Run the targeted re-diagnosis when anything drifts.
         diagnose: bool,
-        /// Algorithm for the escalation (greedy/group_test).
-        algo: Algo,
+        /// Algorithm for the escalation: `greedy` (the default) or
+        /// `group_test` on the wire.
+        algo: Algorithm,
     },
     /// Server and per-system counters.
     Stats {
@@ -257,10 +236,9 @@ pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
         }),
         "diagnose" => {
             let algo = match value.get("algo").and_then(|v| v.as_str()) {
-                None => Algo::Greedy,
-                Some("greedy") => Algo::Greedy,
-                Some("group_test") => Algo::GroupTest,
-                Some("auto") => Algo::Auto,
+                None | Some("greedy") => Algorithm::Greedy,
+                Some("group_test") => Algorithm::GroupTest,
+                Some("auto") => Algorithm::Auto,
                 Some(other) => {
                     return Err((
                         ErrorCode::MalformedRequest,
@@ -306,8 +284,8 @@ pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
         }),
         "drift" => {
             let algo = match value.get("algo").and_then(|v| v.as_str()) {
-                None | Some("greedy") => Algo::Greedy,
-                Some("group_test") => Algo::GroupTest,
+                None | Some("greedy") => Algorithm::Greedy,
+                Some("group_test") => Algorithm::GroupTest,
                 Some(other) => {
                     return Err((
                         ErrorCode::MalformedRequest,
@@ -464,7 +442,7 @@ mod tests {
             .unwrap(),
             Request::Diagnose {
                 system: "inc".into(),
-                algo: Algo::Auto,
+                algo: Algorithm::Auto,
                 threads: Some(8),
                 budget: None,
             }
@@ -473,7 +451,7 @@ mod tests {
             parse_request("{\"op\":\"diagnose\",\"system\":\"inc\"}").unwrap(),
             Request::Diagnose {
                 system: "inc".into(),
-                algo: Algo::Greedy,
+                algo: Algorithm::Greedy,
                 threads: None,
                 budget: None,
             }
@@ -482,7 +460,7 @@ mod tests {
             parse_request("{\"op\":\"diagnose\",\"system\":\"inc\",\"budget\":16}").unwrap(),
             Request::Diagnose {
                 system: "inc".into(),
-                algo: Algo::Greedy,
+                algo: Algorithm::Greedy,
                 threads: None,
                 budget: Some(16),
             }
@@ -533,7 +511,7 @@ mod tests {
             Request::Drift {
                 system: "inc".into(),
                 diagnose: false,
-                algo: Algo::Greedy,
+                algo: Algorithm::Greedy,
             }
         );
         assert_eq!(
@@ -544,7 +522,7 @@ mod tests {
             Request::Drift {
                 system: "inc".into(),
                 diagnose: true,
-                algo: Algo::GroupTest,
+                algo: Algorithm::GroupTest,
             }
         );
         assert_eq!(

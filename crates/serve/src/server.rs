@@ -19,13 +19,10 @@
 
 use crate::prom::{self, NamespaceScrape, ServerScrape};
 use crate::protocol::{
-    error_response, parse_request, Algo, ErrorCode, Reply, Request, MAX_REQUEST_BYTES,
+    error_response, parse_request, ErrorCode, Reply, Request, MAX_REQUEST_BYTES,
 };
 use crate::registry::{lock_or_recover, Registry, SystemEntry};
-use dataprism::{
-    explain_greedy_parallel_cached_with_pvts, explain_group_test_parallel_cached_with_pvts,
-    DataPrism, PartitionStrategy, ScoreCache,
-};
+use dataprism::{Algorithm, Diagnosis, ScoreCache, Source};
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_trace::Tracer;
 use std::collections::HashMap;
@@ -560,7 +557,7 @@ fn namespace_budget(config: &ServeConfig) -> Option<usize> {
 fn handle_diagnose(
     shared: &Shared,
     system: &str,
-    algo: Algo,
+    algo: Algorithm,
     threads: Option<usize>,
     budget: Option<usize>,
 ) -> String {
@@ -594,24 +591,12 @@ fn handle_diagnose(
         config.num_threads = t.clamp(1, 64);
     }
     config.speculation_budget = budget.or_else(|| namespace_budget(&shared.config));
-    let prism = DataPrism::new(config);
-    let result = match algo {
-        Algo::Greedy => {
-            prism.diagnose_parallel_cached(&*spec.factory, &spec.d_fail, &spec.d_pass, &mut cache)
-        }
-        Algo::GroupTest => prism.diagnose_group_test_parallel_cached(
-            &*spec.factory,
-            &spec.d_fail,
-            &spec.d_pass,
-            &mut cache,
-        ),
-        Algo::Auto => prism.diagnose_auto_parallel_cached(
-            &*spec.factory,
-            &spec.d_fail,
-            &spec.d_pass,
-            &mut cache,
-        ),
-    };
+    let result = Diagnosis::new(algo).with_cache(&mut cache).run(
+        Source::Factory(&*spec.factory),
+        &spec.d_fail,
+        &spec.d_pass,
+        &config,
+    );
     drop(permit);
     // Copy-out: even a failed diagnosis paid for its evaluations;
     // absorb them so the next attempt is warm.
@@ -636,7 +621,7 @@ fn handle_diagnose(
             bump(shared, |s| s.diagnoses_ok += 1);
             Reply::ok("diagnose")
                 .str("system", system)
-                .str("algo", algo.as_str())
+                .str("algo", algo.name())
                 .u64("digest", exp.digest())
                 .ids("pvt_ids", &exp.pvt_ids())
                 .usize("interventions", exp.interventions)
@@ -831,7 +816,7 @@ fn not_watching(system: &str) -> String {
     )
 }
 
-fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> String {
+fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algorithm) -> String {
     // Phase 1, under the namespace lock: score the window, fold the
     // cumulative totals, and — when escalating — copy out everything
     // the re-diagnosis needs so the evaluation itself runs unlocked.
@@ -899,26 +884,15 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> St
     let candidates = pvts.len();
     let mut config = spec.config.clone();
     config.speculation_budget = namespace_budget(&shared.config);
-    let result = match algo {
-        Algo::GroupTest => explain_group_test_parallel_cached_with_pvts(
-            &*spec.factory,
+    let result = Diagnosis::new(algo)
+        .with_candidates(pvts)
+        .with_cache(&mut cache)
+        .run(
+            Source::Factory(&*spec.factory),
             &window,
             &spec.d_pass,
-            pvts,
             &config,
-            PartitionStrategy::MinBisection,
-            &mut cache,
-        ),
-        // `Algo::Auto` is rejected at parse time for drift requests.
-        _ => explain_greedy_parallel_cached_with_pvts(
-            &*spec.factory,
-            &window,
-            &spec.d_pass,
-            pvts,
-            &config,
-            &mut cache,
-        ),
-    };
+        );
     drop(permit);
     let absorbed = with_entry(shared, system, |entry| {
         let new_entries = entry.cache.absorb(&cache);
@@ -937,7 +911,7 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> St
             bump(shared, |s| s.diagnoses_ok += 1);
             reply
                 .bool("diagnosed", true)
-                .str("algo", algo.as_str())
+                .str("algo", algo.name())
                 .usize("candidates", candidates)
                 .u64("digest", exp.digest())
                 .ids("pvt_ids", &exp.pvt_ids())

@@ -123,6 +123,21 @@ fn oversized_request_is_rejected_with_a_typed_error() {
 }
 
 #[test]
+fn deeply_nested_request_is_malformed_not_a_stack_overflow() {
+    // A million `[` is well under the line limit. Parsed one
+    // recursion per level, it would overflow the connection thread's
+    // stack and abort the daemon; the parser refuses it instead.
+    let (server, mut client) = start_default();
+    let v = client.request(&"[".repeat(1_000_000)).unwrap();
+    assert_eq!(error_code(&v).as_deref(), Some("malformed_request"));
+    let msg = v.get("error").and_then(|e| e.as_str()).unwrap_or("");
+    assert!(msg.contains("nesting deeper"), "{msg}");
+    let mut fresh = Client::connect(server.local_addr()).unwrap();
+    assert!(is_ok(&fresh.ping().unwrap()));
+    stop(server, &mut client);
+}
+
+#[test]
 fn mid_request_disconnect_leaves_the_server_healthy() {
     let (server, mut client) = start_default();
     // A client that dies halfway through writing a request…

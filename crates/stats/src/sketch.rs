@@ -25,13 +25,12 @@
 //!   table's label order, and [`crate::chi2::chi_squared_counts`]
 //!   ignores empty padding rows/columns.
 //!
-//! The `*_upper` functions inflate the estimate by a slack margin
-//! before the significance check: a tiny floating-point floor when
-//! the estimate is exact-equivalent, a caller-scaled term otherwise
-//! (hashed categorical codes can only merge cells, which shrinks the
-//! χ² statistic). A pair whose *inflated* estimate is still
-//! insignificant would also fail the exact test, so discovery can
-//! skip it.
+//! Discovery skips the exact test of a pair whose estimate proves it
+//! insignificant: [`pearson_upper`] inflates the Pearson estimate by a
+//! floating-point floor first, and the χ² estimate of an
+//! order-preserving pair *is* the exact test. Hashed categorical codes
+//! can only merge cells, which shrinks the χ² statistic, so their
+//! estimate is never used to skip.
 //!
 //! # Mergeability
 //!
@@ -51,7 +50,7 @@
 
 use crate::chi2::{chi_squared_counts, Chi2Result};
 use crate::correlation::{ranks, Correlation};
-use crate::distributions::{chi2_sf, t_sf_two_sided};
+use crate::distributions::t_sf_two_sided;
 
 /// Default bucket width of the categorical co-occurrence sketch.
 /// Columns with at most this many distinct values are coded
@@ -69,13 +68,6 @@ const R_FP_MARGIN: f64 = 1e-6;
 /// distinct values than this reports no support set (the abstract
 /// domain degrades to Top rather than carrying an unbounded set).
 pub const SUPPORT_CAP: usize = 64;
-
-/// Floating-point floor on a collision-free *hashed* χ² statistic:
-/// the co-occurrence table is then a row/column permutation of the
-/// exact table, so the statistic is mathematically equal and can
-/// differ only in summation order — never by more than this relative
-/// slack.
-const CHI2_FP_MARGIN: f64 = 1e-9;
 
 /// Total-order minimum (`-0.0 < +0.0`): unlike `f64::min`, the result
 /// is uniquely determined, which makes the min/max hull folds
@@ -974,33 +966,6 @@ pub fn chi2_estimate(a: &CategoricalSketch, b: &CategoricalSketch) -> Chi2Result
     chi_squared_counts(&counts)
 }
 
-/// Conservative upper envelope of the exact χ² test.
-/// Order-preserving pairs return the estimate unchanged (it *is* the
-/// exact test, bit for bit). Hashed but collision-free pairs compute
-/// a cell permutation of the exact table — mathematically the same
-/// statistic — so only a floating-point floor is added. Colliding
-/// codes can only merge cells — which shrinks the statistic — so the
-/// statistic is inflated by `margin_sd` standard deviations of the
-/// null χ² distribution (`√(2·df)`) before the p-value is taken.
-pub fn chi2_upper(a: &CategoricalSketch, b: &CategoricalSketch, margin_sd: f64) -> Chi2Result {
-    let est = chi2_estimate(a, b);
-    if a.order_preserving && b.order_preserving {
-        return est;
-    }
-    let df = est.df.max(1);
-    let stat = if a.exact && b.exact {
-        est.statistic + CHI2_FP_MARGIN * est.statistic.max(1.0)
-    } else {
-        est.statistic + margin_sd * (2.0 * df as f64).sqrt()
-    };
-    Chi2Result {
-        statistic: stat,
-        p_value: chi2_sf(stat, df as f64),
-        df: est.df,
-        cramers_v: est.cramers_v,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1190,9 +1155,6 @@ mod tests {
         assert_eq!(est.p_value.to_bits(), exact.p_value.to_bits());
         assert_eq!(est.df, exact.df);
         assert_eq!(est.cramers_v.to_bits(), exact.cramers_v.to_bits());
-        // The upper envelope of an injective pair IS the exact test.
-        let up = chi2_upper(&sa, &sb, 1.0);
-        assert_eq!(up, est);
     }
 
     #[test]
@@ -1271,19 +1233,10 @@ mod tests {
             !t.is_exact(),
             "200 observed codes in 64 buckets must collide"
         );
-        // The collision-free upper envelope stays an upper envelope
-        // but inflates by an fp floor only, not the full margin.
+        // A narrow domain hashed into the same width stays exact.
         let other: Vec<Option<u32>> = (0..200).map(|i| Some(((i / 7) % 2) * 31)).collect();
         let o = CategoricalSketch::from_codes(&other, 100, DEFAULT_BUCKETS);
         assert!(o.is_exact());
-        let est = chi2_estimate(&s, &o);
-        let up = chi2_upper(&s, &o, 2.0);
-        assert!(up.statistic >= est.statistic);
-        assert!(up.p_value <= est.p_value);
-        assert!(
-            up.statistic - est.statistic <= 2.0 * CHI2_FP_MARGIN * est.statistic.max(1.0),
-            "collision-free pairs get the fp floor, not the √(2·df) margin"
-        );
     }
 
     #[test]
@@ -1454,19 +1407,5 @@ mod tests {
         assert!(!merged.is_order_preserving(), "10 keys exceed 6 buckets");
         let rebuilt = CategoricalSketch::from_values(&concat, 6);
         assert_eq!(merged.fingerprint(), rebuilt.fingerprint());
-    }
-
-    #[test]
-    fn hashed_chi2_upper_inflates_the_statistic() {
-        // Force hashing with a tiny bucket width.
-        let vals: Vec<Option<u32>> = (0..300).map(|i| Some(i % 12)).collect();
-        let other: Vec<Option<u32>> = (0..300).map(|i| Some((i / 25) % 12)).collect();
-        let sa = CategoricalSketch::from_codes(&vals, 12, 4);
-        let sb = CategoricalSketch::from_codes(&other, 12, 4);
-        assert!(!sa.is_exact());
-        let est = chi2_estimate(&sa, &sb);
-        let up = chi2_upper(&sa, &sb, 2.0);
-        assert!(up.statistic > est.statistic);
-        assert!(up.p_value <= est.p_value);
     }
 }

@@ -55,7 +55,10 @@ pub enum QueryKind {
 /// Attributes of the span bracketing a whole diagnosis run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisSpan {
-    /// `"greedy"` or `"group_test"`.
+    /// The search that ran: `"greedy"`, `"group_test"`, `"grp_test"`,
+    /// `"bugdoc"` or `"anchor"` (an `auto` diagnosis runs group
+    /// testing, then greedy if A3 fails; each attempt opens its own
+    /// span in the one stream).
     pub algorithm: String,
     /// Name of the system under diagnosis.
     pub system: String,

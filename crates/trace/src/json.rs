@@ -375,16 +375,26 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let one
+/// request line of `[` bytes overflow a connection thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Parser<'a> {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -415,8 +425,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -496,10 +517,12 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Multi-byte UTF-8 sequences pass through intact:
-                    // re-decode from the byte position.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // decode the one char at the byte position.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -768,6 +791,7 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceRecord>, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_records() -> Vec<TraceRecord> {
         vec![
@@ -980,5 +1004,73 @@ mod tests {
         let records = sample_records();
         let text = format!("\n{}\n\n", to_jsonl(&records));
         assert_eq!(parse_jsonl(&text).unwrap(), records);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_million_open_brackets_fail_with_a_line_number() {
+        // One recursion per level would overflow the stack long
+        // before the end of this line; the depth bound stops at 129.
+        let records = sample_records();
+        let text = format!("{}\n{}", record_to_json(&records[0]), "[".repeat(1_000_000));
+        let err = parse_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Decoding each char by validating the rest of the line made an
+        // n-byte string cost O(n²): a 400 KB `rows_csv` took 2.6 s in a
+        // release build, an 8 MiB request line about 20 minutes.
+        let line = format!("{{\"rows_csv\":\"{}\"}}", "a,é\\n".repeat(1 << 18));
+        let start = std::time::Instant::now();
+        let value = JsonValue::parse(&line).unwrap();
+        let csv = value.get("rows_csv").and_then(|s| s.as_str()).unwrap();
+        assert_eq!(csv.chars().count(), 4 << 18);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed.as_secs() < 5,
+            "{elapsed:?} for {} bytes",
+            line.len()
+        );
+    }
+
+    /// JSON-ish text: structural characters, escapes and digits mixed
+    /// with any bytes, decoded lossily as the daemon decodes a request.
+    fn json_noise() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop_oneof![
+                4 => prop::sample::select(b"{}[]\":,\\u0123456789.eE+-truefalsn \n\t".to_vec()),
+                1 => 0u8..=255u8,
+            ],
+            0..96,
+        )
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+    }
+
+    proptest! {
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(text in json_noise()) {
+            // Either a value or an error naming a byte offset.
+            if let Err(err) = JsonValue::parse(&text) {
+                prop_assert!(err.contains(" at byte "), "{err} for {text:?}");
+            }
+            let _ = parse_jsonl(&text);
+        }
     }
 }

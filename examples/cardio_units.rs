@@ -14,12 +14,12 @@
 //! blood-pressure readings outside the medically plausible range,
 //! aborting the pipeline. Composing all candidate transformations
 //! therefore *raises* the malfunction — assumption A3 is violated,
-//! and `explain_group_test` reports it instead of looping (the "NA"
+//! and group testing reports it instead of looping (the "NA"
 //! cells of the paper's Fig 7).
 //!
 //! Run: `cargo run --release --example cardio_units`
 
-use dataprism::{explain_greedy, explain_group_test, PartitionStrategy, PrismError};
+use dataprism::{Algorithm, Diagnosis, PrismError, Source};
 use dp_scenarios::cardio;
 
 fn main() {
@@ -30,13 +30,14 @@ fn main() {
     println!("1 - recall with inch heights: {fail_score:.3} (paper: 0.71)\n");
 
     println!("--- DataPrism-GRD ---");
-    let greedy = explain_greedy(
-        scenario.system.as_mut(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &scenario.config,
-    )
-    .expect("diagnosis runs");
+    let greedy = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("diagnosis runs");
     println!("{greedy}");
     println!(
         "ground truth found: {} ({} interventions; paper: 1)\n",
@@ -46,12 +47,11 @@ fn main() {
 
     println!("--- DataPrism-GT ---");
     let mut scenario2 = cardio::scenario_with_size(800, 21);
-    match explain_group_test(
-        scenario2.system.as_mut(),
+    match Diagnosis::new(Algorithm::GroupTest).run(
+        Source::Borrowed(scenario2.system.as_mut()),
         &scenario2.d_fail,
         &scenario2.d_pass,
         &scenario2.config,
-        PartitionStrategy::MinBisection,
     ) {
         Err(PrismError::AssumptionViolated(msg)) => {
             println!("not applicable, as in the paper's Fig 7 (\"NA\"):\n  {msg}");

@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run --release --example conditional_profiles`
 
-use dataprism::{explain_greedy, DiscoveryConfig, PrismConfig};
+use dataprism::{Algorithm, Diagnosis, DiscoveryConfig, PrismConfig, Source};
 use dp_frame::{Column, DType, DataFrame};
 
 fn build(n: usize, inches_for_b: bool) -> DataFrame {
@@ -62,8 +62,9 @@ fn main() {
         ..Default::default()
     };
 
-    let explanation =
-        explain_greedy(&mut system, &d_fail, &d_pass, &config).expect("diagnosis runs");
+    let explanation = Diagnosis::new(Algorithm::Greedy)
+        .run(Source::Borrowed(&mut system), &d_fail, &d_pass, &config)
+        .expect("diagnosis runs");
     println!("{explanation}");
 
     // Show that hospital A's records were untouched by the repair.

@@ -9,8 +9,8 @@
 //!
 //! Run: `cargo run --release --example ezgo_timeout`
 
-use dataprism::explain_greedy;
 use dataprism::report::markdown_report;
+use dataprism::{Algorithm, Diagnosis, Source};
 use dp_scenarios::ezgo;
 
 fn main() {
@@ -20,13 +20,14 @@ fn main() {
     println!("budget overrun, normal batch: {pass_score:.3}");
     println!("budget overrun, skewed batch: {fail_score:.3}\n");
 
-    let explanation = explain_greedy(
-        scenario.system.as_mut(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &scenario.config,
-    )
-    .expect("diagnosis runs");
+    let explanation = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("diagnosis runs");
 
     let report = markdown_report(
         &explanation,

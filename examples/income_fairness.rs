@@ -13,7 +13,7 @@
 //! Pass `--trace` to collect the GT run's structured event stream and
 //! print the reconstructed bisection search tree plus run metrics.
 
-use dataprism::{explain_greedy, explain_group_test, PartitionStrategy, SearchTree, TraceConfig};
+use dataprism::{Algorithm, Diagnosis, SearchTree, Source, TraceConfig};
 use dp_scenarios::income;
 
 fn main() {
@@ -25,13 +25,14 @@ fn main() {
     println!("normalized disparate impact, biased census:   {fail_score:.3} (paper: 0.580)\n");
 
     println!("--- DataPrism-GRD (Algorithm 1) ---");
-    let greedy = explain_greedy(
-        scenario.system.as_mut(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &scenario.config,
-    )
-    .expect("diagnosis runs");
+    let greedy = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("diagnosis runs");
     println!("{greedy}");
     println!(
         "ground truth found: {} ({} interventions; paper: 1)\n",
@@ -44,14 +45,14 @@ fn main() {
     if trace {
         scenario2.config.trace = TraceConfig::Collect;
     }
-    let gt = explain_group_test(
-        scenario2.system.as_mut(),
-        &scenario2.d_fail,
-        &scenario2.d_pass,
-        &scenario2.config,
-        PartitionStrategy::MinBisection,
-    )
-    .expect("A3 holds on the income study");
+    let gt = Diagnosis::new(Algorithm::GroupTest)
+        .run(
+            Source::Borrowed(scenario2.system.as_mut()),
+            &scenario2.d_fail,
+            &scenario2.d_pass,
+            &scenario2.config,
+        )
+        .expect("A3 holds on the income study");
     println!("{gt}");
     println!(
         "ground truth found: {} ({} interventions; paper: 8)",

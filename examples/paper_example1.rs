@@ -16,9 +16,8 @@
 //! and print the decision log plus the run-metrics summary.
 
 use dataprism::discovery::discriminative_pvts;
-use dataprism::explain_greedy;
 use dataprism::graph::PvtAttributeGraph;
-use dataprism::{Event, TraceConfig};
+use dataprism::{Algorithm, Diagnosis, Event, Source, TraceConfig};
 use dp_scenarios::example1;
 
 fn main() {
@@ -54,13 +53,14 @@ fn main() {
     }
 
     // Steps 3–6: greedy interventions + Make-Minimal.
-    let explanation = explain_greedy(
-        scenario.system.as_mut(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &scenario.config,
-    )
-    .expect("diagnosis runs");
+    let explanation = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("diagnosis runs");
     println!("\n{explanation}");
     println!(
         "matches the paper's expected causes (Indep/Selectivity on high_expenditure): {}",

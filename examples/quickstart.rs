@@ -13,7 +13,7 @@
 //! Pass `--trace` to collect the run's structured event stream and
 //! print the run-metrics summary alongside the explanation.
 
-use dataprism::{explain_greedy, PrismConfig, TraceConfig};
+use dataprism::{Algorithm, Diagnosis, PrismConfig, Source, TraceConfig};
 use dp_frame::{Column, DType, DataFrame};
 
 fn labels(values: &[&str]) -> Column {
@@ -45,8 +45,9 @@ fn main() {
     if std::env::args().any(|a| a == "--trace") {
         config.trace = TraceConfig::Collect;
     }
-    let explanation =
-        explain_greedy(&mut system, &d_fail, &d_pass, &config).expect("diagnosis runs");
+    let explanation = Diagnosis::new(Algorithm::Greedy)
+        .run(Source::Borrowed(&mut system), &d_fail, &d_pass, &config)
+        .expect("diagnosis runs");
 
     println!("{explanation}");
     println!("repaired dataset:\n{}", explanation.repaired);

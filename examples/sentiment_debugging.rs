@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run --release --example sentiment_debugging`
 
-use dataprism::explain_greedy;
+use dataprism::{Algorithm, Diagnosis, Source};
 use dp_frame::csv::write_csv_path;
 use dp_scenarios::sentiment;
 
@@ -25,13 +25,14 @@ fn main() {
     println!("malfunction on IMDb-like data:    {pass_score:.3}  (paper: 0.09)");
     println!("malfunction on twitter-like data: {fail_score:.3}  (paper: 1.00)\n");
 
-    let explanation = explain_greedy(
-        scenario.system.as_mut(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &scenario.config,
-    )
-    .expect("diagnosis runs");
+    let explanation = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &scenario.config,
+        )
+        .expect("diagnosis runs");
     println!("{explanation}");
     println!(
         "ground truth found: {}",

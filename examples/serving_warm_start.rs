@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example serving_warm_start`
 
-use dataprism::{explain_greedy_parallel, TraceConfig};
+use dataprism::{Algorithm, Diagnosis, Source, TraceConfig};
 use dp_scenarios::income;
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
 use dp_trace::to_jsonl;
@@ -50,13 +50,14 @@ fn main() -> std::io::Result<()> {
     let scenario = income::scenario_with_size(300, 7);
     let mut config = scenario.config.clone();
     config.trace = TraceConfig::Collect;
-    let traced = explain_greedy_parallel(
-        scenario.factory.as_ref(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &config,
-    )
-    .expect("income resolves");
+    let traced = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Factory(scenario.factory.as_ref()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &config,
+        )
+        .expect("income resolves");
     client.register("income-replica", "income", None, None)?;
     let loaded = client.warm("income-replica", &to_jsonl(&traced.trace_records))?;
     let first = client.diagnose("income-replica", "greedy", None)?;

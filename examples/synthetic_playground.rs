@@ -15,9 +15,7 @@
 //!
 //! Run: `cargo run --release --example synthetic_playground`
 
-use dataprism::baselines::anchor::{explain_anchor, AnchorConfig};
-use dataprism::baselines::bugdoc::explain_bugdoc;
-use dataprism::{explain_greedy_with_pvts, explain_group_test_with_pvts, PartitionStrategy};
+use dataprism::{Algorithm, Diagnosis, Source};
 use dp_scenarios::synthetic::{build, Plant, PlantKind, SyntheticSpec};
 
 fn main() {
@@ -70,76 +68,26 @@ fn main() {
         }
     };
 
-    let mut s = build(&spec);
-    let r = explain_greedy_with_pvts(
-        &mut s.system,
-        &s.d_fail,
-        &s.d_pass,
-        s.pvts.clone(),
-        &s.config,
-    );
-    let covers = r
-        .as_ref()
-        .map(|e| s.covers_cause(&e.pvt_ids()))
-        .unwrap_or(false);
-    report("DataPrism-GRD", r, covers);
-
-    let mut s = build(&spec);
-    let r = explain_group_test_with_pvts(
-        &mut s.system,
-        &s.d_fail,
-        &s.d_pass,
-        s.pvts.clone(),
-        &s.config,
-        PartitionStrategy::MinBisection,
-    );
-    let covers = r
-        .as_ref()
-        .map(|e| s.covers_cause(&e.pvt_ids()))
-        .unwrap_or(false);
-    report("DataPrism-GT", r, covers);
-
-    let mut s = build(&spec);
-    let r = explain_group_test_with_pvts(
-        &mut s.system,
-        &s.d_fail,
-        &s.d_pass,
-        s.pvts.clone(),
-        &s.config,
-        PartitionStrategy::Random,
-    );
-    let covers = r
-        .as_ref()
-        .map(|e| s.covers_cause(&e.pvt_ids()))
-        .unwrap_or(false);
-    report("GrpTest", r, covers);
-
-    let mut s = build(&spec);
-    let r = explain_bugdoc(
-        &mut s.system,
-        &s.d_fail,
-        &s.d_pass,
-        &s.pvts.clone(),
-        &s.config,
-    );
-    let covers = r
-        .as_ref()
-        .map(|e| s.covers_cause(&e.pvt_ids()))
-        .unwrap_or(false);
-    report("BugDoc", r, covers);
-
-    let mut s = build(&spec);
-    let r = explain_anchor(
-        &mut s.system,
-        &s.d_fail,
-        &s.d_pass,
-        &s.pvts.clone(),
-        &s.config,
-        &AnchorConfig::default(),
-    );
-    let covers = r
-        .as_ref()
-        .map(|e| s.covers_cause(&e.pvt_ids()))
-        .unwrap_or(false);
-    report("Anchor", r, covers);
+    for (name, algorithm) in [
+        ("DataPrism-GRD", Algorithm::Greedy),
+        ("DataPrism-GT", Algorithm::GroupTest),
+        ("GrpTest", Algorithm::GrpTest),
+        ("BugDoc", Algorithm::BugDoc),
+        ("Anchor", Algorithm::Anchor),
+    ] {
+        let mut s = build(&spec);
+        let r = Diagnosis::new(algorithm)
+            .with_candidates(s.pvts.clone())
+            .run(
+                Source::Borrowed(&mut s.system),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            );
+        let covers = r
+            .as_ref()
+            .map(|e| s.covers_cause(&e.pvt_ids()))
+            .unwrap_or(false);
+        report(name, r, covers);
+    }
 }

@@ -4,10 +4,7 @@
 //! testing (empty, singleton, disconnected dependency graph, and
 //! all-no-op compositions).
 
-use dataprism::{
-    explain_greedy, explain_group_test_parallel_with_pvts, explain_group_test_with_pvts, DataPrism,
-    PartitionStrategy, PrismConfig, PrismError, Profile, Pvt, Transform,
-};
+use dataprism::{Algorithm, Diagnosis, PrismConfig, PrismError, Profile, Pvt, Source, Transform};
 use dp_frame::{Column, DType, DataFrame, Value};
 use std::collections::BTreeSet;
 
@@ -31,7 +28,13 @@ fn single_row_datasets_diagnose() {
             .count() as f64
             / df.n_rows().max(1) as f64
     };
-    let exp = explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2))
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &PrismConfig::with_threshold(0.2),
+        )
         .expect("single-row diagnosis runs");
     assert!(exp.resolved);
     assert_eq!(
@@ -60,7 +63,13 @@ fn all_null_column_does_not_crash_discovery() {
             .count() as f64
             / df.n_rows().max(1) as f64
     };
-    let exp = explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2))
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &PrismConfig::with_threshold(0.2),
+        )
         .expect("all-NULL columns are tolerated");
     assert!(exp.resolved);
 }
@@ -86,7 +95,13 @@ fn nan_returning_system_is_treated_as_failing() {
             f64::NAN // everything else crashes
         }
     };
-    let exp = explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2))
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &PrismConfig::with_threshold(0.2),
+        )
         .expect("terminates despite NaN scores");
     assert!(!exp.resolved);
     assert!(exp.pvts.is_empty(), "no NaN-scored intervention is kept");
@@ -121,7 +136,8 @@ fn adversarial_oscillating_system_terminates() {
         }
     };
     let config = PrismConfig::with_threshold(0.2);
-    let result = explain_greedy(&mut system, &fail, &pass, &config);
+    let result =
+        Diagnosis::new(Algorithm::Greedy).run(Source::Borrowed(&mut system), &fail, &pass, &config);
     match result {
         Ok(exp) => assert!(!exp.resolved || exp.final_score <= config.threshold),
         Err(PrismError::BudgetExhausted { .. }) => {}
@@ -130,7 +146,7 @@ fn adversarial_oscillating_system_terminates() {
 }
 
 #[test]
-fn facade_rejects_swapped_inputs() {
+fn diagnosis_rejects_swapped_inputs() {
     let pass = DataFrame::from_columns(vec![cat("target", &["1", "-1"])]).unwrap();
     let fail = DataFrame::from_columns(vec![cat("target", &["4", "0"])]).unwrap();
     let mut system = |df: &DataFrame| {
@@ -141,9 +157,11 @@ fn facade_rejects_swapped_inputs() {
             .count() as f64
             / df.n_rows().max(1) as f64
     };
-    let prism = DataPrism::with_threshold(0.2);
+    let config = PrismConfig::with_threshold(0.2);
     // Swapped: "failing" passes, "passing" fails.
-    let err = prism.diagnose(&mut system, &pass, &fail).unwrap_err();
+    let err = Diagnosis::new(Algorithm::Greedy)
+        .run(Source::Borrowed(&mut system), &pass, &fail, &config)
+        .unwrap_err();
     assert!(matches!(err, PrismError::BadInput(_)), "{err}");
 }
 
@@ -177,7 +195,14 @@ fn identical_rows_with_extreme_duplication_diagnose() {
             .count() as f64
             / df.n_rows().max(1) as f64
     };
-    let exp = explain_greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap();
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &PrismConfig::with_threshold(0.2),
+        )
+        .unwrap();
     assert!(exp.resolved);
     assert_eq!(exp.repaired.n_rows(), 1000);
 }
@@ -253,15 +278,10 @@ fn group_test_rejects_empty_candidate_set() {
     let (pass, fail) = gt_pass_fail();
     let mut system = target_domain_score;
     let config = PrismConfig::with_threshold(0.2);
-    let err = explain_group_test_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        Vec::new(),
-        &config,
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap_err();
+    let err = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(Vec::new())
+        .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+        .unwrap_err();
     assert_eq!(err, PrismError::NoDiscriminativePvts);
     // Parallel runtimes report the identical error at every width
     // and lookahead depth.
@@ -271,15 +291,10 @@ fn group_test_rejects_empty_candidate_set() {
             let mut config = config.clone();
             config.num_threads = threads;
             config.gt_speculation_depth = depth;
-            let err = explain_group_test_parallel_with_pvts(
-                &factory,
-                &fail,
-                &pass,
-                Vec::new(),
-                &config,
-                PartitionStrategy::Random,
-            )
-            .unwrap_err();
+            let err = Diagnosis::new(Algorithm::GrpTest)
+                .with_candidates(Vec::new())
+                .run(Source::Factory(&factory), &fail, &pass, &config)
+                .unwrap_err();
             assert_eq!(err, PrismError::NoDiscriminativePvts, "{threads}t/d{depth}");
         }
     }
@@ -293,15 +308,10 @@ fn group_test_resolves_a_single_candidate_without_bisecting() {
     let pvts = vec![map_to_domain_pvt(0, "target", &["-1", "1"])];
     let mut system = target_domain_score;
     let config = PrismConfig::with_threshold(0.2);
-    let exp = explain_group_test_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        pvts.clone(),
-        &config,
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap();
+    let exp = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(pvts.clone())
+        .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+        .unwrap();
     assert!(exp.resolved);
     assert_eq!(exp.pvt_ids(), vec![0]);
     assert_eq!(exp.final_score, 0.0);
@@ -310,15 +320,10 @@ fn group_test_resolves_a_single_candidate_without_bisecting() {
     let mut par_config = config.clone();
     par_config.num_threads = 8;
     par_config.gt_speculation_depth = 4;
-    let par = explain_group_test_parallel_with_pvts(
-        &factory,
-        &fail,
-        &pass,
-        pvts,
-        &par_config,
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap();
+    let par = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(pvts)
+        .run(Source::Factory(&factory), &fail, &pass, &par_config)
+        .unwrap();
     assert_eq!(exp.pvt_ids(), par.pvt_ids());
     assert_eq!(exp.interventions, par.interventions);
     assert_eq!(exp.trace, par.trace);
@@ -339,15 +344,10 @@ fn group_test_handles_fully_disconnected_dependency_graph() {
     ];
     let mut system = target_domain_score;
     let config = PrismConfig::with_threshold(0.2);
-    let exp = explain_group_test_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        pvts.clone(),
-        &config,
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap();
+    let exp = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(pvts.clone())
+        .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+        .unwrap();
     assert!(exp.resolved);
     assert_eq!(exp.pvt_ids(), vec![0], "only the causal PVT is kept");
     // Thread-count and depth invariance hold on edgeless graphs too.
@@ -356,15 +356,10 @@ fn group_test_handles_fully_disconnected_dependency_graph() {
         let mut par_config = config.clone();
         par_config.num_threads = 8;
         par_config.gt_speculation_depth = depth;
-        let par = explain_group_test_parallel_with_pvts(
-            &factory,
-            &fail,
-            &pass,
-            pvts.clone(),
-            &par_config,
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap();
+        let par = Diagnosis::new(Algorithm::GroupTest)
+            .with_candidates(pvts.clone())
+            .run(Source::Factory(&factory), &fail, &pass, &par_config)
+            .unwrap();
         assert_eq!(exp.pvt_ids(), par.pvt_ids(), "depth {depth}");
         assert_eq!(exp.interventions, par.interventions, "depth {depth}");
         assert_eq!(exp.trace, par.trace, "depth {depth}");
@@ -397,14 +392,9 @@ fn group_test_reports_a3_when_every_composed_transform_is_a_noop() {
     ];
     let mut system = target_domain_score;
     let config = PrismConfig::with_threshold(0.2);
-    let res = explain_group_test_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        pvts.clone(),
-        &config,
-        PartitionStrategy::MinBisection,
-    );
+    let res = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(pvts.clone())
+        .run(Source::Borrowed(&mut system), &fail, &pass, &config);
     assert!(
         matches!(res, Err(PrismError::AssumptionViolated(_))),
         "{res:?}"
@@ -414,13 +404,8 @@ fn group_test_reports_a3_when_every_composed_transform_is_a_noop() {
     let mut par_config = config.clone();
     par_config.num_threads = 8;
     par_config.gt_speculation_depth = 2;
-    let par = explain_group_test_parallel_with_pvts(
-        &factory,
-        &fail,
-        &pass,
-        pvts,
-        &par_config,
-        PartitionStrategy::MinBisection,
-    );
+    let par = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(pvts)
+        .run(Source::Factory(&factory), &fail, &pass, &par_config);
     assert_eq!(res.unwrap_err(), par.unwrap_err());
 }

@@ -8,12 +8,9 @@
 //!   violation (not applicable) on Cardiovascular;
 //! - the baselines need (often far) more interventions than GRD.
 
-use dataprism::baselines::all_candidate_pvts;
-use dataprism::baselines::anchor::{explain_anchor, AnchorConfig};
-use dataprism::baselines::bugdoc::explain_bugdoc;
 use dataprism::decision_tree_ext::explain_with_decision_tree;
 use dataprism::discovery::discriminative_pvts;
-use dataprism::{explain_greedy, explain_group_test, PartitionStrategy, PrismError};
+use dataprism::{Algorithm, Diagnosis, PrismError, Source};
 use dp_scenarios::{cardio, income, sentiment, Scenario};
 
 fn scenarios() -> Vec<Scenario> {
@@ -47,7 +44,13 @@ fn problem_inputs_are_valid() {
 #[test]
 fn greedy_resolves_all_studies_with_few_interventions() {
     for mut s in scenarios() {
-        let exp = explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config)
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
             .unwrap_or_else(|e| panic!("{}: {e}", s.name));
         assert!(exp.resolved, "{}: {exp}", s.name);
         assert!(
@@ -74,7 +77,13 @@ fn greedy_resolves_all_studies_with_few_interventions() {
 fn greedy_explanations_are_minimal() {
     for mut s in scenarios() {
         let name = s.name;
-        let exp = explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config)
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         // Definition 11: dropping any PVT from the explanation must
         // leave the malfunction above τ. Re-check by recomputing the
@@ -112,23 +121,28 @@ fn group_testing_matches_fig7_applicability() {
         income::scenario_with_size(300, 42),
     ] {
         let name = s.name;
-        for strategy in [PartitionStrategy::MinBisection, PartitionStrategy::Random] {
-            let exp =
-                explain_group_test(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config, strategy)
-                    .unwrap_or_else(|e| panic!("{name} ({strategy:?}): {e}"));
-            assert!(exp.resolved, "{name} ({strategy:?}): {exp}");
+        for algorithm in [Algorithm::GroupTest, Algorithm::GrpTest] {
+            let exp = Diagnosis::new(algorithm)
+                .run(
+                    Source::Borrowed(s.system.as_mut()),
+                    &s.d_fail,
+                    &s.d_pass,
+                    &s.config,
+                )
+                .unwrap_or_else(|e| panic!("{name} ({algorithm:?}): {e}"));
+            assert!(exp.resolved, "{name} ({algorithm:?}): {exp}");
         }
     }
     // Cardiovascular: the A3 check must fire (Fig 7's "NA").
     let mut s = cardio::scenario_with_size(400, 42);
-    let err = explain_group_test(
-        s.system.as_mut(),
-        &s.d_fail,
-        &s.d_pass,
-        &s.config,
-        PartitionStrategy::MinBisection,
-    )
-    .expect_err("cardio violates A3");
+    let err = Diagnosis::new(Algorithm::GroupTest)
+        .run(
+            Source::Borrowed(s.system.as_mut()),
+            &s.d_fail,
+            &s.d_pass,
+            &s.config,
+        )
+        .expect_err("cardio violates A3");
     assert!(matches!(err, PrismError::AssumptionViolated(_)), "{err}");
 }
 
@@ -140,18 +154,23 @@ fn greedy_beats_bugdoc_on_interventions() {
     ] {
         let mut s = make();
         let name = s.name;
-        let greedy = explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config)
+        let greedy = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut s2 = make();
-        let candidates = all_candidate_pvts(&s2.d_pass, &s2.config.discovery);
-        let bugdoc = explain_bugdoc(
-            s2.system.as_mut(),
-            &s2.d_fail,
-            &s2.d_pass,
-            &candidates,
-            &s2.config,
-        )
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let bugdoc = Diagnosis::new(Algorithm::BugDoc)
+            .run(
+                Source::Borrowed(s2.system.as_mut()),
+                &s2.d_fail,
+                &s2.d_pass,
+                &s2.config,
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             greedy.interventions < bugdoc.interventions,
             "{name}: GRD {} vs BugDoc {}",
@@ -165,7 +184,13 @@ fn greedy_beats_bugdoc_on_interventions() {
 fn repaired_dataset_keeps_schema() {
     for mut s in scenarios() {
         let name = s.name;
-        let exp = explain_greedy(s.system.as_mut(), &s.d_fail, &s.d_pass, &s.config)
+        let exp = Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Borrowed(s.system.as_mut()),
+                &s.d_fail,
+                &s.d_pass,
+                &s.config,
+            )
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             exp.repaired.schema(),
@@ -184,24 +209,26 @@ fn baselines_conserve_charged_queries() {
     // the runtime's.
     for mut s in scenarios() {
         let name = s.name;
-        let candidates = all_candidate_pvts(&s.d_pass, &s.config.discovery);
         let discriminative = discriminative_pvts(&s.d_pass, &s.d_fail, &s.config.discovery);
         let datasets = [s.d_pass.clone()];
         let system = s.system.as_mut();
         let runs = [
             (
                 "bugdoc",
-                explain_bugdoc(system, &s.d_fail, &s.d_pass, &candidates, &s.config),
+                Diagnosis::new(Algorithm::BugDoc).run(
+                    Source::Borrowed(&mut *system),
+                    &s.d_fail,
+                    &s.d_pass,
+                    &s.config,
+                ),
             ),
             (
                 "anchor",
-                explain_anchor(
-                    system,
+                Diagnosis::new(Algorithm::Anchor).run(
+                    Source::Borrowed(&mut *system),
                     &s.d_fail,
                     &s.d_pass,
-                    &candidates,
                     &s.config,
-                    &AnchorConfig::default(),
                 ),
             ),
             (

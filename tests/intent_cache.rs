@@ -22,8 +22,8 @@ use dataprism::bisection::{stream_seed, APPLY_STREAM};
 use dataprism::discovery::discriminative_pvts;
 use dataprism::runtime::Intent;
 use dataprism::{
-    explain_greedy_parallel_cached, explain_group_test_parallel_cached, fingerprint, Explanation,
-    Oracle, PartitionStrategy, PrismError, Pvt, Result, ScoreCache, TraceEvent,
+    fingerprint, Algorithm, Diagnosis, Explanation, Oracle, PrismError, Pvt, Result, ScoreCache,
+    Source, TraceEvent,
 };
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -172,13 +172,7 @@ proptest! {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Algo {
-    Greedy,
-    GroupTest,
-}
-
-fn run(scenario: &Scenario, algo: Algo, cache: &mut ScoreCache) -> Result<Explanation> {
+fn run(scenario: &Scenario, algo: Algorithm, cache: &mut ScoreCache) -> Result<Explanation> {
     let mut config = scenario.config.clone();
     config.num_threads = 1;
     let (factory, d_fail, d_pass) = (
@@ -186,28 +180,20 @@ fn run(scenario: &Scenario, algo: Algo, cache: &mut ScoreCache) -> Result<Explan
         &scenario.d_fail,
         &scenario.d_pass,
     );
-    match algo {
-        Algo::Greedy => explain_greedy_parallel_cached(factory, d_fail, d_pass, &config, cache),
-        Algo::GroupTest => explain_group_test_parallel_cached(
-            factory,
-            d_fail,
-            d_pass,
-            &config,
-            PartitionStrategy::MinBisection,
-            cache,
-        ),
-    }
+    Diagnosis::new(algo)
+        .with_cache(cache)
+        .run(Source::Factory(factory), d_fail, d_pass, &config)
 }
 
 /// The frames a fully warm width-1 run must build: greedy builds each
 /// pick it charges, group testing each leaf (the selection before
 /// Make-Minimal), and both each accepted Make-Minimal drop.
-fn frames_a_warm_run_must_build(algo: Algo, exp: &Explanation) -> u64 {
+fn frames_a_warm_run_must_build(algo: Algorithm, exp: &Explanation) -> u64 {
     let count = |f: fn(&TraceEvent) -> bool| exp.trace.iter().filter(|e| f(e)).count() as u64;
     let dropped = count(|e| matches!(e, TraceEvent::MinimalityDropped { .. }));
     let carried = match algo {
-        Algo::Greedy => count(|e| matches!(e, TraceEvent::Intervention { .. })),
-        Algo::GroupTest => exp.pvts.len() as u64 + dropped,
+        Algorithm::Greedy => count(|e| matches!(e, TraceEvent::Intervention { .. })),
+        _ => exp.pvts.len() as u64 + dropped,
     };
     carried + dropped
 }
@@ -215,7 +201,7 @@ fn frames_a_warm_run_must_build(algo: Algo, exp: &Explanation) -> u64 {
 #[test]
 fn a_warm_width_one_diagnosis_builds_only_the_frames_it_carries() {
     for scenario in scenarios() {
-        for algo in [Algo::Greedy, Algo::GroupTest] {
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
             let label = format!("{}/{algo:?}", scenario.name);
             let mut cache = ScoreCache::new();
             let cold = run(&scenario, algo, &mut cache);
@@ -247,7 +233,7 @@ fn a_warm_width_one_diagnosis_builds_only_the_frames_it_carries() {
                 "{label}: {w:?}"
             );
             assert!(w.frames_built <= c.frames_built, "{label}");
-            if matches!(algo, Algo::GroupTest) {
+            if matches!(algo, Algorithm::GroupTest) {
                 assert!(w.intent_hits > 0, "{label}: {w:?}");
             }
         }

@@ -21,9 +21,8 @@
 
 use dataprism::report::markdown_report;
 use dataprism::{
-    explain_greedy, explain_greedy_parallel, explain_greedy_with_pvts, explain_group_test,
-    explain_group_test_parallel, explain_group_test_with_pvts, fingerprint, Explanation, Lint,
-    PartitionStrategy, PrismConfig, PrismError, Profile, Pvt, Result, Severity, Transform,
+    fingerprint, Algorithm, Diagnosis, Explanation, Lint, PrismConfig, PrismError, Profile, Pvt,
+    Result, Severity, Source, Transform,
 };
 use dp_frame::{Column, DType, DataFrame};
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -79,16 +78,16 @@ fn prune_is_bit_identical_on_every_scenario_grd() {
     for mut scenario in scenarios() {
         let mut off = scenario.config.clone();
         off.lint = Lint::Off;
-        let baseline = explain_greedy(
-            scenario.system.as_mut(),
+        let baseline = Diagnosis::new(Algorithm::Greedy).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &off,
         );
         let mut prune = scenario.config.clone();
         prune.lint = Lint::Prune;
-        let pruned = explain_greedy(
-            scenario.system.as_mut(),
+        let pruned = Diagnosis::new(Algorithm::Greedy).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &prune,
@@ -110,8 +109,8 @@ fn prune_is_bit_identical_on_every_scenario_grd() {
         for threads in THREAD_COUNTS {
             let mut config = prune.clone();
             config.num_threads = threads;
-            let par = explain_greedy_parallel(
-                scenario.factory.as_ref(),
+            let par = Diagnosis::new(Algorithm::Greedy).run(
+                Source::Factory(scenario.factory.as_ref()),
                 &scenario.d_fail,
                 &scenario.d_pass,
                 &config,
@@ -126,32 +125,29 @@ fn prune_is_bit_identical_on_every_scenario_gt() {
     for mut scenario in scenarios() {
         let mut off = scenario.config.clone();
         off.lint = Lint::Off;
-        let baseline = explain_group_test(
-            scenario.system.as_mut(),
+        let baseline = Diagnosis::new(Algorithm::GroupTest).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &off,
-            PartitionStrategy::MinBisection,
         );
         let mut prune = scenario.config.clone();
         prune.lint = Lint::Prune;
-        let pruned = explain_group_test(
-            scenario.system.as_mut(),
+        let pruned = Diagnosis::new(Algorithm::GroupTest).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &prune,
-            PartitionStrategy::MinBisection,
         );
         assert_identical(scenario.name, &baseline, &pruned);
         for threads in THREAD_COUNTS {
             let mut config = prune.clone();
             config.num_threads = threads;
-            let par = explain_group_test_parallel(
-                scenario.factory.as_ref(),
+            let par = Diagnosis::new(Algorithm::GroupTest).run(
+                Source::Factory(scenario.factory.as_ref()),
                 &scenario.d_fail,
                 &scenario.d_pass,
                 &config,
-                PartitionStrategy::MinBisection,
             );
             assert_identical(scenario.name, &baseline, &par);
         }
@@ -167,8 +163,8 @@ fn discovery_candidates_never_trip_error_rules() {
     for mut scenario in scenarios() {
         let config = scenario.config.clone(); // default Lint::Report
         assert_eq!(config.lint, Lint::Report);
-        if let Ok(exp) = explain_greedy(
-            scenario.system.as_mut(),
+        if let Ok(exp) = Diagnosis::new(Algorithm::Greedy).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &config,
@@ -283,14 +279,15 @@ fn prune_saves_oracle_queries_grd() {
     let (pass, fail) = pass_fail();
     let run = |lint: Lint| {
         let mut system = label_system;
-        explain_greedy_with_pvts(
-            &mut system,
-            &fail,
-            &pass,
-            candidates_with_junk(),
-            &config_with(lint),
-        )
-        .unwrap()
+        Diagnosis::new(Algorithm::Greedy)
+            .with_candidates(candidates_with_junk())
+            .run(
+                Source::Borrowed(&mut system),
+                &fail,
+                &pass,
+                &config_with(lint),
+            )
+            .unwrap()
     };
     let off = run(Lint::Off);
     let pruned = run(Lint::Prune);
@@ -321,15 +318,15 @@ fn prune_saves_oracle_queries_gt() {
     let (pass, fail) = pass_fail();
     let run = |lint: Lint| {
         let mut system = label_system;
-        explain_group_test_with_pvts(
-            &mut system,
-            &fail,
-            &pass,
-            candidates_with_junk(),
-            &config_with(lint),
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap()
+        Diagnosis::new(Algorithm::GroupTest)
+            .with_candidates(candidates_with_junk())
+            .run(
+                Source::Borrowed(&mut system),
+                &fail,
+                &pass,
+                &config_with(lint),
+            )
+            .unwrap()
     };
     let off = run(Lint::Off);
     let pruned = run(Lint::Prune);
@@ -352,7 +349,9 @@ fn pruned_savings_render_in_the_report() {
     let (pass, fail) = pass_fail();
     let mut system = label_system;
     let config = config_with(Lint::Prune);
-    let exp = explain_greedy_with_pvts(&mut system, &fail, &pass, candidates_with_junk(), &config)
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .with_candidates(candidates_with_junk())
+        .run(Source::Borrowed(&mut system), &fail, &pass, &config)
         .unwrap();
     let report = markdown_report(&exp, &pass, &fail, config.threshold, &config.discovery);
     assert!(report.contains("- lint: **"), "lint summary line");
@@ -371,37 +370,38 @@ fn all_error_candidate_set_exits_cleanly() {
     // Prune drops everything: both algorithms report the documented
     // no-candidates error rather than panicking.
     let mut system = label_system;
-    let err = explain_greedy_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        junk_only.clone(),
-        &config_with(Lint::Prune),
-    )
-    .unwrap_err();
+    let err = Diagnosis::new(Algorithm::Greedy)
+        .with_candidates(junk_only.clone())
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &config_with(Lint::Prune),
+        )
+        .unwrap_err();
     assert_eq!(err, PrismError::NoDiscriminativePvts);
-    let err = explain_group_test_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        junk_only.clone(),
-        &config_with(Lint::Prune),
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap_err();
+    let err = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(junk_only.clone())
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &config_with(Lint::Prune),
+        )
+        .unwrap_err();
     assert_eq!(err, PrismError::NoDiscriminativePvts);
 
     // Unpruned, GT's A3 check catches the same futility the hard way:
     // the full composition cannot reduce the malfunction.
-    let err = explain_group_test_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        junk_only,
-        &config_with(Lint::Off),
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap_err();
+    let err = Diagnosis::new(Algorithm::GroupTest)
+        .with_candidates(junk_only)
+        .run(
+            Source::Borrowed(&mut system),
+            &fail,
+            &pass,
+            &config_with(Lint::Off),
+        )
+        .unwrap_err();
     assert!(
         matches!(err, PrismError::AssumptionViolated(_)),
         "unpruned junk-only set must fail A3: {err:?}"
@@ -436,18 +436,17 @@ fn lint_mode_matrix_agrees_on_digest() {
                 let mut config = scenario.config.clone();
                 config.lint = lint;
                 let serial = match algo {
-                    "grd" => explain_greedy(
-                        scenario.system.as_mut(),
+                    "grd" => Diagnosis::new(Algorithm::Greedy).run(
+                        Source::Borrowed(scenario.system.as_mut()),
                         &scenario.d_fail,
                         &scenario.d_pass,
                         &config,
                     ),
-                    _ => explain_group_test(
-                        scenario.system.as_mut(),
+                    _ => Diagnosis::new(Algorithm::GroupTest).run(
+                        Source::Borrowed(scenario.system.as_mut()),
                         &scenario.d_fail,
                         &scenario.d_pass,
                         &config,
-                        PartitionStrategy::MinBisection,
                     ),
                 };
                 check(format!("{algo}/{lint:?}/serial"), serial);
@@ -455,18 +454,17 @@ fn lint_mode_matrix_agrees_on_digest() {
                     let mut par_config = config.clone();
                     par_config.num_threads = threads;
                     let par = match algo {
-                        "grd" => explain_greedy_parallel(
-                            scenario.factory.as_ref(),
+                        "grd" => Diagnosis::new(Algorithm::Greedy).run(
+                            Source::Factory(scenario.factory.as_ref()),
                             &scenario.d_fail,
                             &scenario.d_pass,
                             &par_config,
                         ),
-                        _ => explain_group_test_parallel(
-                            scenario.factory.as_ref(),
+                        _ => Diagnosis::new(Algorithm::GroupTest).run(
+                            Source::Factory(scenario.factory.as_ref()),
                             &scenario.d_fail,
                             &scenario.d_pass,
                             &par_config,
-                            PartitionStrategy::MinBisection,
                         ),
                     };
                     check(format!("{algo}/{lint:?}/threads={threads}"), par);
@@ -543,14 +541,15 @@ fn subsumption_and_unreachability_save_queries_grd() {
     let (pass, fail) = pass_fail();
     let run = |lint: Lint| {
         let mut system = label_system;
-        explain_greedy_with_pvts(
-            &mut system,
-            &fail,
-            &pass,
-            candidates_with_duplicates_and_unreachable(),
-            &config_with(lint),
-        )
-        .unwrap()
+        Diagnosis::new(Algorithm::Greedy)
+            .with_candidates(candidates_with_duplicates_and_unreachable())
+            .run(
+                Source::Borrowed(&mut system),
+                &fail,
+                &pass,
+                &config_with(lint),
+            )
+            .unwrap()
     };
     let off = run(Lint::Off);
     let pruned = run(Lint::Prune);
@@ -581,15 +580,15 @@ fn subsumption_and_unreachability_save_queries_gt() {
     let (pass, fail) = pass_fail();
     let run = |lint: Lint| {
         let mut system = label_system;
-        explain_group_test_with_pvts(
-            &mut system,
-            &fail,
-            &pass,
-            candidates_with_duplicates_and_unreachable(),
-            &config_with(lint),
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap()
+        Diagnosis::new(Algorithm::GroupTest)
+            .with_candidates(candidates_with_duplicates_and_unreachable())
+            .run(
+                Source::Borrowed(&mut system),
+                &fail,
+                &pass,
+                &config_with(lint),
+            )
+            .unwrap()
     };
     let off = run(Lint::Off);
     let pruned = run(Lint::Prune);
@@ -612,14 +611,10 @@ fn subsumption_savings_render_in_the_report() {
     let (pass, fail) = pass_fail();
     let mut system = label_system;
     let config = config_with(Lint::Prune);
-    let exp = explain_greedy_with_pvts(
-        &mut system,
-        &fail,
-        &pass,
-        candidates_with_duplicates_and_unreachable(),
-        &config,
-    )
-    .unwrap();
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .with_candidates(candidates_with_duplicates_and_unreachable())
+        .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+        .unwrap();
     let report = markdown_report(&exp, &pass, &fail, config.threshold, &config.discovery);
     assert!(
         report.contains("2 candidates subsumed into equivalence-class representatives"),
@@ -633,19 +628,25 @@ fn empty_candidate_set_exits_cleanly_under_every_mode() {
     let (pass, fail) = pass_fail();
     for lint in [Lint::Off, Lint::Report, Lint::Prune] {
         let mut system = label_system;
-        let err =
-            explain_greedy_with_pvts(&mut system, &fail, &pass, Vec::new(), &config_with(lint))
-                .unwrap_err();
+        let err = Diagnosis::new(Algorithm::Greedy)
+            .with_candidates(Vec::new())
+            .run(
+                Source::Borrowed(&mut system),
+                &fail,
+                &pass,
+                &config_with(lint),
+            )
+            .unwrap_err();
         assert_eq!(err, PrismError::NoDiscriminativePvts, "{lint:?}");
-        let err = explain_group_test_with_pvts(
-            &mut system,
-            &fail,
-            &pass,
-            Vec::new(),
-            &config_with(lint),
-            PartitionStrategy::MinBisection,
-        )
-        .unwrap_err();
+        let err = Diagnosis::new(Algorithm::GroupTest)
+            .with_candidates(Vec::new())
+            .run(
+                Source::Borrowed(&mut system),
+                &fail,
+                &pass,
+                &config_with(lint),
+            )
+            .unwrap_err();
         assert_eq!(err, PrismError::NoDiscriminativePvts, "{lint:?}");
     }
 }

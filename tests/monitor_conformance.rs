@@ -18,10 +18,7 @@
 //! The drift *detection* side (lag, screen rates, targeted-vs-full
 //! query cost) is measured and gated by `drift_detection --smoke`.
 
-use dataprism::{
-    explain_greedy_parallel_with_pvts, explain_group_test_parallel_with_pvts, fingerprint,
-    Explanation, PartitionStrategy, Result, ScoreCache,
-};
+use dataprism::{fingerprint, Algorithm, Diagnosis, Explanation, Result, ScoreCache, Source};
 use dp_frame::csv::write_csv;
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -77,40 +74,20 @@ fn drifted_watcher(scenario: &Scenario, threads: usize) -> (Watcher, Vec<usize>)
     (watcher, drifted)
 }
 
-#[derive(Clone, Copy)]
-enum Algo {
-    Greedy,
-    GroupTest,
-}
-
-impl Algo {
-    fn name(self) -> &'static str {
-        match self {
-            Algo::Greedy => "GRD",
-            Algo::GroupTest => "GT",
-        }
-    }
-}
-
 fn run_triggered(
     watcher: &Watcher,
     scenario: &Scenario,
-    algo: Algo,
+    algo: Algorithm,
     drifted: &[usize],
     cache: &mut ScoreCache,
 ) -> Result<Explanation> {
-    match algo {
-        Algo::Greedy => {
-            watcher.diagnose_greedy(scenario.factory.as_ref(), drifted, cache, &Tracer::off())
-        }
-        Algo::GroupTest => watcher.diagnose_group_test(
-            scenario.factory.as_ref(),
-            drifted,
-            PartitionStrategy::MinBisection,
-            cache,
-            &Tracer::off(),
-        ),
-    }
+    watcher.diagnose(
+        algo,
+        scenario.factory.as_ref(),
+        drifted,
+        cache,
+        &Tracer::off(),
+    )
 }
 
 /// The offline leg: the plain (uncached) parallel entry points handed
@@ -118,7 +95,7 @@ fn run_triggered(
 fn run_offline(
     watcher: &Watcher,
     scenario: &Scenario,
-    algo: Algo,
+    algo: Algorithm,
     drifted: &[usize],
     threads: usize,
 ) -> Result<Explanation> {
@@ -126,23 +103,12 @@ fn run_offline(
     let pvts = watcher.candidates(drifted);
     let mut config = scenario.config.clone();
     config.num_threads = threads;
-    match algo {
-        Algo::Greedy => explain_greedy_parallel_with_pvts(
-            scenario.factory.as_ref(),
-            &window,
-            &scenario.d_pass,
-            pvts,
-            &config,
-        ),
-        Algo::GroupTest => explain_group_test_parallel_with_pvts(
-            scenario.factory.as_ref(),
-            &window,
-            &scenario.d_pass,
-            pvts,
-            &config,
-            PartitionStrategy::MinBisection,
-        ),
-    }
+    Diagnosis::new(algo).with_candidates(pvts).run(
+        Source::Factory(scenario.factory.as_ref()),
+        &window,
+        &scenario.d_pass,
+        &config,
+    )
 }
 
 /// Bit-indistinguishability, cache counters excluded by design.
@@ -230,7 +196,7 @@ fn live_sketches_are_bit_identical_to_scratch_rebuilds() {
 #[test]
 fn triggered_rediagnosis_matches_offline_across_the_matrix() {
     for scenario in scenarios() {
-        for algo in [Algo::Greedy, Algo::GroupTest] {
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
             for threads in THREAD_COUNTS {
                 let label = format!("{} {}@{threads}t", scenario.name, algo.name());
                 let (watcher, drifted) = drifted_watcher(&scenario, threads);
@@ -303,7 +269,8 @@ fn daemon_drift_escalation_matches_in_process_watcher() {
     assert!(!drifted.is_empty());
     let mut cache = ScoreCache::new();
     let reference = watcher
-        .diagnose_greedy(
+        .diagnose(
+            Algorithm::Greedy,
             scenario.factory.as_ref(),
             &drifted,
             &mut cache,

@@ -15,10 +15,8 @@
 
 use dataprism::report::markdown_report;
 use dataprism::{
-    discovery::discriminative_pvts, explain_greedy, explain_greedy_parallel,
-    explain_greedy_parallel_with_pvts, explain_group_test, explain_group_test_parallel,
-    explain_group_test_parallel_with_pvts, fingerprint, Explanation, PartitionStrategy,
-    PrismConfig, PrismError, Result, System, SystemFactory,
+    discovery::discriminative_pvts, fingerprint, Algorithm, Diagnosis, Explanation, PrismConfig,
+    PrismError, Result, Source, System, SystemFactory,
 };
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, synthetic, Scenario};
@@ -124,8 +122,8 @@ fn greedy_is_runtime_invariant_on_all_case_studies() {
     // knob; the matrix verifies it is inert for greedy at every
     // width rather than assuming so.
     for mut scenario in scenarios() {
-        let serial = explain_greedy(
-            scenario.system.as_mut(),
+        let serial = Diagnosis::new(Algorithm::Greedy).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &scenario.config,
@@ -135,8 +133,8 @@ fn greedy_is_runtime_invariant_on_all_case_studies() {
                 let mut config = scenario.config.clone();
                 config.num_threads = threads;
                 config.gt_speculation_depth = depth;
-                let par = explain_greedy_parallel(
-                    scenario.factory.as_ref(),
+                let par = Diagnosis::new(Algorithm::Greedy).run(
+                    Source::Factory(scenario.factory.as_ref()),
                     &scenario.d_fail,
                     &scenario.d_pass,
                     &config,
@@ -153,12 +151,11 @@ fn group_test_is_runtime_invariant_on_all_case_studies() {
     // cell reproduces the serial explanation bit-for-bit, and the
     // rendered report matches modulo the oracle-cache counter line.
     for mut scenario in scenarios() {
-        let serial = explain_group_test(
-            scenario.system.as_mut(),
+        let serial = Diagnosis::new(Algorithm::GroupTest).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &scenario.config,
-            PartitionStrategy::MinBisection,
         );
         let serial_report = serial.as_ref().ok().map(|exp| {
             normalize_report(&markdown_report(
@@ -174,12 +171,11 @@ fn group_test_is_runtime_invariant_on_all_case_studies() {
                 let mut config = scenario.config.clone();
                 config.num_threads = threads;
                 config.gt_speculation_depth = depth;
-                let par = explain_group_test_parallel(
-                    scenario.factory.as_ref(),
+                let par = Diagnosis::new(Algorithm::GroupTest).run(
+                    Source::Factory(scenario.factory.as_ref()),
                     &scenario.d_fail,
                     &scenario.d_pass,
                     &config,
-                    PartitionStrategy::MinBisection,
                 );
                 assert_identical(scenario.name, threads, &serial, &par);
                 if let (Some(expected), Ok(exp)) = (&serial_report, &par) {
@@ -209,19 +205,17 @@ fn random_partition_group_test_is_reproducible_across_widths() {
     // paper's GrpTest comparison point — returns the same explanation
     // at every thread count and lookahead depth, and twice in a row.
     for mut scenario in scenarios() {
-        let serial = explain_group_test(
-            scenario.system.as_mut(),
+        let serial = Diagnosis::new(Algorithm::GrpTest).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &scenario.config,
-            PartitionStrategy::Random,
         );
-        let again = explain_group_test(
-            scenario.system.as_mut(),
+        let again = Diagnosis::new(Algorithm::GrpTest).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &scenario.config,
-            PartitionStrategy::Random,
         );
         assert_identical(scenario.name, 1, &serial, &again);
         for threads in THREAD_COUNTS {
@@ -229,12 +223,11 @@ fn random_partition_group_test_is_reproducible_across_widths() {
                 let mut config = scenario.config.clone();
                 config.num_threads = threads;
                 config.gt_speculation_depth = depth;
-                let par = explain_group_test_parallel(
-                    scenario.factory.as_ref(),
+                let par = Diagnosis::new(Algorithm::GrpTest).run(
+                    Source::Factory(scenario.factory.as_ref()),
                     &scenario.d_fail,
                     &scenario.d_pass,
                     &config,
-                    PartitionStrategy::Random,
                 );
                 assert_identical(scenario.name, threads, &serial, &par);
             }
@@ -250,43 +243,35 @@ fn synthetic_pipelines_are_thread_count_invariant() {
     ];
     for (name, mut sc) in cases {
         let factory = sc.factory();
-        let serial_grd = dataprism::explain_greedy_with_pvts(
-            &mut sc.system,
-            &sc.d_fail,
-            &sc.d_pass,
-            sc.pvts.clone(),
-            &sc.config,
-        );
+        let serial_grd = Diagnosis::new(Algorithm::Greedy)
+            .with_candidates(sc.pvts.clone())
+            .run(
+                Source::Borrowed(&mut sc.system),
+                &sc.d_fail,
+                &sc.d_pass,
+                &sc.config,
+            );
         let mut gt_system = sc.system.clone();
-        let serial_gt = dataprism::explain_group_test_with_pvts(
-            &mut gt_system,
-            &sc.d_fail,
-            &sc.d_pass,
-            sc.pvts.clone(),
-            &sc.config,
-            PartitionStrategy::MinBisection,
-        );
+        let serial_gt = Diagnosis::new(Algorithm::GroupTest)
+            .with_candidates(sc.pvts.clone())
+            .run(
+                Source::Borrowed(&mut gt_system),
+                &sc.d_fail,
+                &sc.d_pass,
+                &sc.config,
+            );
         for threads in THREAD_COUNTS {
             for depth in DEPTHS {
                 let mut config = sc.config.clone();
                 config.num_threads = threads;
                 config.gt_speculation_depth = depth;
-                let par_grd = dataprism::explain_greedy_parallel_with_pvts(
-                    &factory,
-                    &sc.d_fail,
-                    &sc.d_pass,
-                    sc.pvts.clone(),
-                    &config,
-                );
+                let par_grd = Diagnosis::new(Algorithm::Greedy)
+                    .with_candidates(sc.pvts.clone())
+                    .run(Source::Factory(&factory), &sc.d_fail, &sc.d_pass, &config);
                 assert_identical(name, threads, &serial_grd, &par_grd);
-                let par_gt = dataprism::explain_group_test_parallel_with_pvts(
-                    &factory,
-                    &sc.d_fail,
-                    &sc.d_pass,
-                    sc.pvts.clone(),
-                    &config,
-                    PartitionStrategy::MinBisection,
-                );
+                let par_gt = Diagnosis::new(Algorithm::GroupTest)
+                    .with_candidates(sc.pvts.clone())
+                    .run(Source::Factory(&factory), &sc.d_fail, &sc.d_pass, &config);
                 assert_identical(name, threads, &serial_gt, &par_gt);
             }
         }
@@ -294,21 +279,24 @@ fn synthetic_pipelines_are_thread_count_invariant() {
 }
 
 #[test]
-fn facade_auto_is_thread_count_invariant() {
+fn auto_is_thread_count_invariant() {
     // The auto strategy (GT, greedy fallback on A3 violation) must
     // take the same branch and return the same result at any width.
     for mut scenario in scenarios() {
-        let prism = dataprism::DataPrism::new(scenario.config.clone());
-        let serial =
-            prism.diagnose_auto(scenario.system.as_mut(), &scenario.d_fail, &scenario.d_pass);
+        let serial = Diagnosis::new(Algorithm::Auto).run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &scenario.config,
+        );
         for threads in THREAD_COUNTS {
             let mut config = scenario.config.clone();
             config.num_threads = threads;
-            let prism_par = dataprism::DataPrism::new(config);
-            let par = prism_par.diagnose_auto_parallel(
-                scenario.factory.as_ref(),
+            let par = Diagnosis::new(Algorithm::Auto).run(
+                Source::Factory(scenario.factory.as_ref()),
                 &scenario.d_fail,
                 &scenario.d_pass,
+                &config,
             );
             assert_identical(scenario.name, threads, &serial, &par);
         }
@@ -324,13 +312,14 @@ fn parallel_runs_actually_speculate() {
     let scenario = income::scenario_with_size(300, 7);
     let mut config = scenario.config.clone();
     config.num_threads = 8;
-    let exp = explain_greedy_parallel(
-        scenario.factory.as_ref(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &config,
-    )
-    .unwrap();
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Factory(scenario.factory.as_ref()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &config,
+        )
+        .unwrap();
     assert!(
         exp.metrics.speculative_evaluated > 0,
         "expected speculative work at 8 threads, got {:?}",
@@ -345,15 +334,14 @@ fn speculation_budget_is_bit_identical_to_unbounded() {
     // reproduce the serial explanation bit-for-bit, with and without
     // a (deliberately tight) bound.
     for mut scenario in scenarios() {
-        let serial_gt = explain_group_test(
-            scenario.system.as_mut(),
+        let serial_gt = Diagnosis::new(Algorithm::GroupTest).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &scenario.config,
-            PartitionStrategy::MinBisection,
         );
-        let serial_grd = explain_greedy(
-            scenario.system.as_mut(),
+        let serial_grd = Diagnosis::new(Algorithm::Greedy).run(
+            Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
             &scenario.config,
@@ -364,16 +352,15 @@ fn speculation_budget_is_bit_identical_to_unbounded() {
                 config.num_threads = threads;
                 config.gt_speculation_depth = 2;
                 config.speculation_budget = budget;
-                let gt = explain_group_test_parallel(
-                    scenario.factory.as_ref(),
+                let gt = Diagnosis::new(Algorithm::GroupTest).run(
+                    Source::Factory(scenario.factory.as_ref()),
                     &scenario.d_fail,
                     &scenario.d_pass,
                     &config,
-                    PartitionStrategy::MinBisection,
                 );
                 assert_identical(scenario.name, threads, &serial_gt, &gt);
-                let grd = explain_greedy_parallel(
-                    scenario.factory.as_ref(),
+                let grd = Diagnosis::new(Algorithm::Greedy).run(
+                    Source::Factory(scenario.factory.as_ref()),
                     &scenario.d_fail,
                     &scenario.d_pass,
                     &config,
@@ -423,12 +410,11 @@ fn slow_oracle_keeps_inflight_frames_within_budget() {
     // (income rather than example1: group testing on example1 rejects
     // A3, which would end the run before any speculation happens.)
     let mut scenario = income::scenario_with_size(200, 7);
-    let serial = explain_group_test(
-        scenario.system.as_mut(),
+    let serial = Diagnosis::new(Algorithm::GroupTest).run(
+        Source::Borrowed(scenario.system.as_mut()),
         &scenario.d_fail,
         &scenario.d_pass,
         &scenario.config,
-        PartitionStrategy::MinBisection,
     );
     let slow = SlowFactory {
         inner: scenario.factory.as_ref(),
@@ -440,12 +426,11 @@ fn slow_oracle_keeps_inflight_frames_within_budget() {
     config.num_threads = threads;
     config.gt_speculation_depth = 4;
     config.speculation_budget = Some(budget);
-    let par = explain_group_test_parallel(
-        &slow,
+    let par = Diagnosis::new(Algorithm::GroupTest).run(
+        Source::Factory(&slow),
         &scenario.d_fail,
         &scenario.d_pass,
         &config,
-        PartitionStrategy::MinBisection,
     );
     assert_identical(scenario.name, threads, &serial, &par);
     let exp = par.unwrap();
@@ -467,8 +452,8 @@ fn thread_count_does_not_leak_into_config_dependent_validation() {
     let mut errs = Vec::new();
     for threads in THREAD_COUNTS {
         config.num_threads = threads;
-        let res = explain_greedy_parallel(
-            scenario.factory.as_ref(),
+        let res = Diagnosis::new(Algorithm::Greedy).run(
+            Source::Factory(scenario.factory.as_ref()),
             &scenario.d_fail,
             &scenario.d_pass,
             &config,
@@ -501,18 +486,15 @@ fn bad_passing_dataset_is_reported_first_at_every_width() {
         let runs = [
             (
                 "grd",
-                explain_greedy_parallel_with_pvts(factory, d_fail, d_pass, pvts.clone(), &config),
+                Diagnosis::new(Algorithm::Greedy)
+                    .with_candidates(pvts.clone())
+                    .run(Source::Factory(factory), d_fail, d_pass, &config),
             ),
             (
                 "gt",
-                explain_group_test_parallel_with_pvts(
-                    factory,
-                    d_fail,
-                    d_pass,
-                    pvts.clone(),
-                    &config,
-                    PartitionStrategy::MinBisection,
-                ),
+                Diagnosis::new(Algorithm::GroupTest)
+                    .with_candidates(pvts.clone())
+                    .run(Source::Factory(factory), d_fail, d_pass, &config),
             ),
         ];
         for (algo, res) in runs {
@@ -585,12 +567,11 @@ fn group_test_opening_scores_baselines_and_a3_concurrently() {
     // the A3 composition on a sync worker: the first three evaluations
     // must all be in progress at once.
     let mut scenario = income::scenario_with_size(200, 7);
-    let serial = explain_group_test(
-        scenario.system.as_mut(),
+    let serial = Diagnosis::new(Algorithm::GroupTest).run(
+        Source::Borrowed(scenario.system.as_mut()),
         &scenario.d_fail,
         &scenario.d_pass,
         &scenario.config,
-        PartitionStrategy::MinBisection,
     );
     let gate = Arc::new(Gate {
         n: 3,
@@ -604,12 +585,11 @@ fn group_test_opening_scores_baselines_and_a3_concurrently() {
     };
     let mut config = scenario.config.clone();
     config.num_threads = 2;
-    let par = explain_group_test_parallel(
-        &gated,
+    let par = Diagnosis::new(Algorithm::GroupTest).run(
+        Source::Factory(&gated),
         &scenario.d_fail,
         &scenario.d_pass,
         &config,
-        PartitionStrategy::MinBisection,
     );
     assert!(
         !gate.gave_up.load(Ordering::SeqCst),

@@ -1,12 +1,34 @@
 //! Integration tests of the user-facing surfaces around a diagnosis:
-//! the markdown report, CSV round-trips of scenario data, the
-//! `DataPrism` facade, and the frame-description utilities — the
-//! pieces a downstream user touches right after the algorithms.
+//! the markdown report, CSV round-trips of scenario data, a
+//! [`Diagnosis`] straight from a scenario, and the frame-description
+//! utilities — the pieces a downstream user touches right after the
+//! algorithms.
 
-use dataprism::DataPrism;
+use dataprism::report::markdown_report;
+use dataprism::{Algorithm, Diagnosis, Explanation, Source};
 use dp_frame::csv::{read_csv, write_csv};
 use dp_frame::describe::{describe, describe_table, sort_by, top_k, value_histogram};
-use dp_scenarios::{example1, ezgo, sentiment};
+use dp_scenarios::{example1, ezgo, sentiment, Scenario};
+
+/// `algorithm` on the scenario's own system.
+fn diagnose(scenario: &mut Scenario, algorithm: Algorithm) -> Explanation {
+    let source = Source::Borrowed(scenario.system.as_mut());
+    Diagnosis::new(algorithm)
+        .run(source, &scenario.d_fail, &scenario.d_pass, &scenario.config)
+        .unwrap()
+}
+
+/// The markdown report of `exp` under the scenario's configuration.
+fn report(scenario: &Scenario, exp: &Explanation) -> String {
+    let config = &scenario.config;
+    markdown_report(
+        exp,
+        &scenario.d_pass,
+        &scenario.d_fail,
+        config.threshold,
+        &config.discovery,
+    )
+}
 
 /// Compare `actual` against the checked-in golden file
 /// `tests/golden/<name>`; regenerate with `UPDATE_GOLDEN=1 cargo test`.
@@ -34,11 +56,8 @@ fn greedy_report_matches_golden_file() {
     // a serial diagnosis renders byte-identical markdown (including
     // the oracle cache-stats block) on every run.
     let mut scenario = example1::scenario();
-    let prism = DataPrism::new(scenario.config.clone());
-    let exp = prism
-        .diagnose(scenario.system.as_mut(), &scenario.d_fail, &scenario.d_pass)
-        .unwrap();
-    let report = prism.report(&exp, &scenario.d_pass, &scenario.d_fail);
+    let exp = diagnose(&mut scenario, Algorithm::Greedy);
+    let report = report(&scenario, &exp);
     assert!(report.contains("- oracle cache: **"));
     assert_golden("example1_greedy_report.md", &report);
 }
@@ -46,12 +65,8 @@ fn greedy_report_matches_golden_file() {
 #[test]
 fn group_test_report_matches_golden_file() {
     let mut scenario = example1::scenario();
-    let prism = DataPrism::new(scenario.config.clone());
-    let exp = prism
-        .diagnose_auto(scenario.system.as_mut(), &scenario.d_fail, &scenario.d_pass)
-        .unwrap();
-    let report = prism.report(&exp, &scenario.d_pass, &scenario.d_fail);
-    assert_golden("example1_auto_report.md", &report);
+    let exp = diagnose(&mut scenario, Algorithm::Auto);
+    assert_golden("example1_auto_report.md", &report(&scenario, &exp));
 }
 
 #[test]
@@ -62,27 +77,23 @@ fn parallel_width_one_report_matches_serial_golden() {
     let scenario = example1::scenario();
     let mut config = scenario.config.clone();
     config.num_threads = 1;
-    let prism = DataPrism::new(config);
-    let exp = prism
-        .diagnose_parallel(
-            scenario.factory.as_ref(),
+    let exp = Diagnosis::new(Algorithm::Greedy)
+        .run(
+            Source::Factory(scenario.factory.as_ref()),
             &scenario.d_fail,
             &scenario.d_pass,
+            &config,
         )
         .unwrap();
-    let report = prism.report(&exp, &scenario.d_pass, &scenario.d_fail);
-    assert_golden("example1_greedy_report.md", &report);
+    assert_golden("example1_greedy_report.md", &report(&scenario, &exp));
 }
 
 #[test]
-fn facade_report_covers_a_real_case_study() {
+fn report_covers_a_real_case_study() {
     let mut scenario = sentiment::scenario_with_size(300, 11);
-    let prism = DataPrism::new(scenario.config.clone());
-    let exp = prism
-        .diagnose(scenario.system.as_mut(), &scenario.d_fail, &scenario.d_pass)
-        .unwrap();
+    let exp = diagnose(&mut scenario, Algorithm::Greedy);
     assert!(exp.resolved);
-    let report = prism.report(&exp, &scenario.d_pass, &scenario.d_fail);
+    let report = report(&scenario, &exp);
     assert!(report.contains("# DataPrism diagnosis report"));
     assert!(report.contains("⟨Domain, target"));
     assert!(report.contains("**yes**"), "the cause row is flagged");
@@ -92,10 +103,7 @@ fn facade_report_covers_a_real_case_study() {
 #[test]
 fn auto_strategy_resolves_case_studies() {
     let mut scenario = ezgo::scenario_with_size(600, 2);
-    let prism = DataPrism::new(scenario.config.clone());
-    let exp = prism
-        .diagnose_auto(scenario.system.as_mut(), &scenario.d_fail, &scenario.d_pass)
-        .unwrap();
+    let exp = diagnose(&mut scenario, Algorithm::Auto);
     assert!(exp.resolved, "{exp}");
 }
 

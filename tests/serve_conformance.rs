@@ -17,9 +17,7 @@
 //! bit-identity.
 
 use dataprism::{
-    explain_greedy_parallel, explain_greedy_parallel_cached, explain_group_test_parallel,
-    explain_group_test_parallel_cached, fingerprint, Explanation, PartitionStrategy, Result,
-    ScoreCache, TraceConfig,
+    fingerprint, Algorithm, Diagnosis, Explanation, Result, ScoreCache, Source, TraceConfig,
 };
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
@@ -40,26 +38,11 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-#[derive(Clone, Copy)]
-enum Algo {
-    Greedy,
-    GroupTest,
-}
-
-impl Algo {
-    fn name(self) -> &'static str {
-        match self {
-            Algo::Greedy => "GRD",
-            Algo::GroupTest => "GT",
-        }
-    }
-}
-
 /// A cold run on the parallel runtime (optionally collecting trace
 /// records, so the trace-warmed leg has something to replay).
 fn run_cold(
     scenario: &Scenario,
-    algo: Algo,
+    algo: Algorithm,
     threads: usize,
     collect_trace: bool,
 ) -> Result<Explanation> {
@@ -68,49 +51,29 @@ fn run_cold(
     if collect_trace {
         config.trace = TraceConfig::Collect;
     }
-    match algo {
-        Algo::Greedy => explain_greedy_parallel(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &config,
-        ),
-        Algo::GroupTest => explain_group_test_parallel(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &config,
-            PartitionStrategy::MinBisection,
-        ),
-    }
+    Diagnosis::new(algo).run(
+        Source::Factory(scenario.factory.as_ref()),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &config,
+    )
 }
 
 /// A run seeded from (and exporting back into) `cache`.
 fn run_cached(
     scenario: &Scenario,
-    algo: Algo,
+    algo: Algorithm,
     threads: usize,
     cache: &mut ScoreCache,
 ) -> Result<Explanation> {
     let mut config = scenario.config.clone();
     config.num_threads = threads;
-    match algo {
-        Algo::Greedy => explain_greedy_parallel_cached(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &config,
-            cache,
-        ),
-        Algo::GroupTest => explain_group_test_parallel_cached(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &config,
-            PartitionStrategy::MinBisection,
-            cache,
-        ),
-    }
+    Diagnosis::new(algo).with_cache(cache).run(
+        Source::Factory(scenario.factory.as_ref()),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &config,
+    )
 }
 
 /// Assert two diagnosis outcomes are bit-indistinguishable (cache
@@ -176,7 +139,7 @@ fn assert_warmer(label: &str, cold: &Explanation, warm: &Explanation) {
 #[test]
 fn warm_runs_are_bit_identical_across_the_matrix() {
     for scenario in scenarios() {
-        for algo in [Algo::Greedy, Algo::GroupTest] {
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
             for threads in THREAD_COUNTS {
                 let label = format!("{} {}@{threads}t", scenario.name, algo.name());
                 let cold = run_cold(&scenario, algo, threads, true);
@@ -223,11 +186,11 @@ fn warmth_does_not_leak_across_thread_widths() {
     // A cache exported at one width must serve a bit-identical run at
     // another: fingerprints are content hashes, not schedule hashes.
     let scenario = income::scenario_with_size(300, 7);
-    let cold = run_cold(&scenario, Algo::Greedy, 8, false);
+    let cold = run_cold(&scenario, Algorithm::Greedy, 8, false);
     let mut cache = ScoreCache::new();
-    let at_8 = run_cached(&scenario, Algo::Greedy, 8, &mut cache);
+    let at_8 = run_cached(&scenario, Algorithm::Greedy, 8, &mut cache);
     assert_identical("income GRD seed@8t", &cold, &at_8);
-    let at_1 = run_cached(&scenario, Algo::Greedy, 1, &mut cache);
+    let at_1 = run_cached(&scenario, Algorithm::Greedy, 1, &mut cache);
     assert_identical("income GRD 8t-warm@1t", &cold, &at_1);
     assert_warmer(
         "income GRD 8t-warm@1t",
@@ -245,8 +208,13 @@ fn daemon_round_trip_matches_in_process_diagnosis() {
     // compute the expected digest in-process and demand the wire
     // result matches it bit for bit.
     let scenario = income::scenario_with_size(300, 7);
-    let expected = run_cold(&scenario, Algo::Greedy, scenario.config.num_threads, false)
-        .expect("income resolves");
+    let expected = run_cold(
+        &scenario,
+        Algorithm::Greedy,
+        scenario.config.num_threads,
+        false,
+    )
+    .expect("income resolves");
 
     assert!(is_ok(
         &client.register("inc", "income", None, None).unwrap()
@@ -281,13 +249,14 @@ fn daemon_round_trip_matches_in_process_diagnosis() {
     let traced = {
         let mut config = scenario.config.clone();
         config.trace = TraceConfig::Collect;
-        explain_greedy_parallel(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            &config,
-        )
-        .unwrap()
+        Diagnosis::new(Algorithm::Greedy)
+            .run(
+                Source::Factory(scenario.factory.as_ref()),
+                &scenario.d_fail,
+                &scenario.d_pass,
+                &config,
+            )
+            .unwrap()
     };
     assert!(is_ok(
         &client.register("inc2", "income", None, None).unwrap()

@@ -16,8 +16,8 @@
 //! golden tree.
 
 use dataprism::{
-    explain_greedy_parallel, explain_group_test, explain_group_test_parallel, fingerprint,
-    Explanation, PartitionStrategy, PrismConfig, Result, SearchTree, TraceConfig,
+    fingerprint, Algorithm, Diagnosis, Explanation, PrismConfig, Result, SearchTree, Source,
+    TraceConfig,
 };
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
 use dp_trace::{parse_jsonl, to_jsonl, Event};
@@ -40,28 +40,13 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-#[derive(Clone, Copy)]
-enum Algo {
-    Grd,
-    Gt,
-}
-
-fn run(algo: Algo, scenario: &Scenario, config: &PrismConfig) -> Result<Explanation> {
-    match algo {
-        Algo::Grd => explain_greedy_parallel(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            config,
-        ),
-        Algo::Gt => explain_group_test_parallel(
-            scenario.factory.as_ref(),
-            &scenario.d_fail,
-            &scenario.d_pass,
-            config,
-            PartitionStrategy::MinBisection,
-        ),
-    }
+fn run(algo: Algorithm, scenario: &Scenario, config: &PrismConfig) -> Result<Explanation> {
+    Diagnosis::new(algo).run(
+        Source::Factory(scenario.factory.as_ref()),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        config,
+    )
 }
 
 /// A fresh path under the cargo-managed test temp dir.
@@ -102,7 +87,7 @@ fn assert_same_outcome(label: &str, base: &Result<Explanation>, traced: &Result<
     }
 }
 
-fn parity_matrix(algo: Algo, algo_name: &str) {
+fn parity_matrix(algo: Algorithm, algo_name: &str) {
     for scenario in scenarios() {
         for threads in THREAD_COUNTS {
             for depth in DEPTHS {
@@ -164,12 +149,12 @@ fn parity_matrix(algo: Algo, algo_name: &str) {
 
 #[test]
 fn greedy_explanations_are_sink_invariant() {
-    parity_matrix(Algo::Grd, "grd");
+    parity_matrix(Algorithm::Greedy, "grd");
 }
 
 #[test]
 fn group_test_explanations_are_sink_invariant() {
-    parity_matrix(Algo::Gt, "gt");
+    parity_matrix(Algorithm::GroupTest, "gt");
 }
 
 #[test]
@@ -192,12 +177,12 @@ fn budgeted_speculation_is_sink_invariant_and_plans_round_trip() {
             config.num_threads = threads;
             config.gt_speculation_depth = depth;
             config.trace = TraceConfig::Off;
-            let unbounded_off = run(Algo::Gt, &scenario, &config);
+            let unbounded_off = run(Algorithm::GroupTest, &scenario, &config);
 
             config.speculation_budget = Some(budget);
-            let budgeted_off = run(Algo::Gt, &scenario, &config);
+            let budgeted_off = run(Algorithm::GroupTest, &scenario, &config);
             config.trace = TraceConfig::Collect;
-            let budgeted_collected = run(Algo::Gt, &scenario, &config);
+            let budgeted_collected = run(Algorithm::GroupTest, &scenario, &config);
 
             let label = format!("{}/budget {budget}@{threads}t", scenario.name);
             assert_same_outcome(&label, &unbounded_off, &budgeted_off);
@@ -235,7 +220,7 @@ fn jsonl_round_trips_bit_for_bit_and_reconstructs_the_tree() {
     // deserialize, and reconstruct — everything must survive exactly,
     // for all scenarios × GRD/GT × threads {1, 8}.
     for scenario in scenarios() {
-        for algo in [Algo::Grd, Algo::Gt] {
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
             for threads in [1usize, 8] {
                 let mut config = scenario.config.clone();
                 config.num_threads = threads;
@@ -254,7 +239,7 @@ fn jsonl_round_trips_bit_for_bit_and_reconstructs_the_tree() {
                     "{}@{threads}t: reconstructed tree",
                     scenario.name
                 );
-                if matches!(algo, Algo::Gt) {
+                if matches!(algo, Algorithm::GroupTest) {
                     assert!(
                         live.node_count() > 0,
                         "{}@{threads}t: GT run must produce a tree",
@@ -279,11 +264,11 @@ fn jsonl_file_stream_rebuilds_the_collector_tree() {
         config.num_threads = threads;
 
         config.trace = TraceConfig::Collect;
-        let collected = run(Algo::Gt, &scenario, &config).unwrap();
+        let collected = run(Algorithm::GroupTest, &scenario, &config).unwrap();
 
         let path = temp_jsonl(&format!("file_tree_{threads}t"));
         config.trace = TraceConfig::Jsonl(path.clone());
-        let _ = run(Algo::Gt, &scenario, &config).unwrap();
+        let _ = run(Algorithm::GroupTest, &scenario, &config).unwrap();
         let raw = std::fs::read_to_string(&path).unwrap();
         let parsed = parse_jsonl(&raw).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -303,14 +288,14 @@ fn serial_gt_tree_matches_golden_rendering() {
     let mut scenario = income::scenario_with_size(200, 7);
     let mut config = scenario.config.clone();
     config.trace = TraceConfig::Collect;
-    let exp = explain_group_test(
-        scenario.system.as_mut(),
-        &scenario.d_fail,
-        &scenario.d_pass,
-        &config,
-        PartitionStrategy::MinBisection,
-    )
-    .unwrap();
+    let exp = Diagnosis::new(Algorithm::GroupTest)
+        .run(
+            Source::Borrowed(scenario.system.as_mut()),
+            &scenario.d_fail,
+            &scenario.d_pass,
+            &config,
+        )
+        .unwrap();
     let tree = SearchTree::from_records(&exp.trace_records);
     let rendered = tree.render_text(false);
 
@@ -328,4 +313,54 @@ fn serial_gt_tree_matches_golden_rendering() {
         rendered, expected,
         "tree drifted from {path:?}; run with UPDATE_GOLDEN=1 to regenerate"
     );
+}
+
+#[test]
+fn auto_fallback_keeps_the_group_testing_attempt_in_the_trace() {
+    // Example 1's group-testing attempt reports an A3 violation, so
+    // `Auto` falls back to greedy. Both attempts write to one tracer:
+    // the collected records and the JSONL file hold the group-testing
+    // attempt (its opening event and its A3 probe) ahead of the greedy
+    // run, and tracing leaves the explanation unchanged.
+    let scenario = example1::scenario();
+    let untraced = run(Algorithm::Auto, &scenario, &scenario.config).unwrap();
+    let opened = |records: &[dp_trace::TraceRecord]| -> Vec<String> {
+        records
+            .iter()
+            .filter_map(|r| match &r.event {
+                Event::DiagnosisBegin(span) => Some(span.algorithm.clone()),
+                _ => None,
+            })
+            .collect()
+    };
+    let mut config = scenario.config.clone();
+    config.trace = TraceConfig::Collect;
+    let collected = run(Algorithm::Auto, &scenario, &config).unwrap();
+    assert_eq!(collected.digest(), untraced.digest());
+    let records = &collected.trace_records;
+    assert_eq!(opened(records), ["group_test", "greedy"]);
+    let greedy_begin = records
+        .iter()
+        .rposition(|r| matches!(r.event, Event::DiagnosisBegin(_)))
+        .unwrap();
+    assert!(
+        records[..greedy_begin]
+            .iter()
+            .any(|r| matches!(r.event, Event::OracleQuery(_))),
+        "the A3 probe of the group-testing attempt is kept"
+    );
+    assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+    assert!(matches!(
+        records.last().unwrap().event,
+        Event::DiagnosisEnd { .. }
+    ));
+
+    let path = temp_jsonl("auto_fallback");
+    config.trace = TraceConfig::Jsonl(path.clone());
+    let streamed = run(Algorithm::Auto, &scenario, &config).unwrap();
+    assert_eq!(streamed.digest(), untraced.digest());
+    let parsed = parse_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(opened(&parsed), ["group_test", "greedy"]);
+    assert_eq!(parsed.len(), records.len());
 }
