@@ -19,7 +19,7 @@ use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::oracle::System;
 use crate::pvt::{apply_composition, Pvt};
-use crate::runtime::Oracle;
+use crate::runtime::{Oracle, Source};
 use dp_frame::DataFrame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,7 +170,12 @@ pub fn explain_with_decision_tree(
     if pvts.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    let mut oracle = Oracle::new(system, config.threshold, config.max_interventions);
+    let mut oracle = Oracle::new(
+        Source::Borrowed(system),
+        config.threshold,
+        config.max_interventions,
+        1,
+    );
     let initial_score = oracle.baseline(d_fail);
     let mut trace = vec![TraceEvent::Discovered { n_pvts: pvts.len() }];
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD7EE);
@@ -258,7 +263,6 @@ pub fn explain_with_decision_tree(
                 return Ok(Explanation {
                     pvts: selected,
                     interventions: oracle.interventions,
-                    discovery: Default::default(),
                     lint: Default::default(),
                     metrics: oracle.run_metrics(),
                     trace_records: Vec::new(),
@@ -288,7 +292,6 @@ pub fn explain_with_decision_tree(
     Ok(Explanation {
         pvts: Vec::new(),
         interventions: oracle.interventions,
-        discovery: Default::default(),
         lint: Default::default(),
         metrics: oracle.run_metrics(),
         trace_records: Vec::new(),

@@ -45,7 +45,7 @@
 use crate::baselines::{all_candidate_pvts, anchor, bugdoc};
 use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
-use crate::discovery::{discriminative_pvts_traced, DiscoveryStats};
+use crate::discovery::discriminative_pvts_traced;
 use crate::error::{PrismError, Result};
 use crate::explanation::{Explanation, TraceEvent};
 use crate::group_test::{run_group_test, PartitionStrategy};
@@ -220,7 +220,7 @@ fn run_one(
     tracer: Tracer,
 ) -> Result<Explanation> {
     let budget = config.max_interventions;
-    let mut rt = Oracle::from_source(source, config.threshold, budget, config.num_threads)
+    let mut rt = Oracle::new(source, config.threshold, budget, config.num_threads)
         .with_speculation_budget(config.speculation_budget);
     if let Some(cache) = cache.as_deref() {
         rt = rt.with_warm_cache(cache);
@@ -277,12 +277,10 @@ fn run_one(
     }
     let mut exp = result?;
     if let Some(stats) = stats {
-        // The legacy `discovery` field and the `prefilter_*` metrics
-        // report the same pass.
         exp.metrics.prefilter_pairs = stats.pairs as u64;
         exp.metrics.prefilter_screened = stats.screened() as u64;
+        exp.metrics.prefilter_chi2_screened = stats.chi2_screened as u64;
         exp.metrics.prefilter_exact = (stats.chi2_exact + stats.pearson_exact) as u64;
-        exp.discovery = stats;
     }
     Ok(exp)
 }
@@ -354,6 +352,7 @@ pub(crate) fn finish_run(
     metrics.lint_pruned = lint.pruned.len() as u64;
     metrics.lint_subsumed = lint.subsumed.len() as u64;
     metrics.lint_unreachable = lint.unreachable_ids().len() as u64;
+    metrics.lint_commuting_pairs = lint.commuting.len() as u64;
     let trace_records = tracer.finish();
     Ok(Explanation {
         pvts: selected,
@@ -363,7 +362,6 @@ pub(crate) fn finish_run(
         resolved,
         repaired: current,
         trace,
-        discovery: DiscoveryStats::default(),
         lint,
         metrics,
         trace_records,

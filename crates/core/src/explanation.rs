@@ -1,7 +1,6 @@
 //! Diagnosis results: the explanation of a system malfunction
 //! (Definition 10/11) plus an audit trail.
 
-use crate::discovery::DiscoveryStats;
 use crate::pvt::Pvt;
 use dp_frame::DataFrame;
 use dp_lint::Diagnostics;
@@ -58,13 +57,6 @@ pub struct Explanation {
     pub repaired: DataFrame,
     /// Ordered audit trail of the run.
     pub trace: Vec<TraceEvent>,
-    /// Pre-filter counters of the profile-discovery pairwise pass:
-    /// how many pair tests the sketches screened out before the
-    /// exact χ²/Pearson statistic ran. Zero when the run was given
-    /// its PVTs directly (the `*_with_pvts` entry points skip
-    /// discovery). Unlike the cache counters in `metrics`, these are
-    /// identical for any thread count.
-    pub discovery: DiscoveryStats,
     /// Static-analysis findings over the candidate PVT set, produced
     /// before any oracle query (rules L1–L5 of `dp_lint`; see
     /// [`crate::Lint`]). `analyzed` is false under `Lint::Off`; under
@@ -208,7 +200,6 @@ mod tests {
             resolved: true,
             repaired: DataFrame::new(),
             trace: vec![TraceEvent::Discovered { n_pvts: 4 }],
-            discovery: DiscoveryStats::default(),
             lint: Diagnostics::default(),
             metrics: RunMetrics::default(),
             trace_records: Vec::new(),

@@ -91,24 +91,20 @@ pub fn markdown_report(
     } else {
         let _ = writeln!(out, "- lint: off");
     }
-    let d = &explanation.discovery;
+    let tests = m.prefilter_screened + m.prefilter_exact;
     let _ = writeln!(
         out,
         "- discovery pre-filter: **{} of {} pair test{} screened** \
          ({} χ² / {} Pearson skipped; {} exact test{} over {} attribute pair{})\n",
-        d.screened(),
-        d.tests(),
-        if d.tests() == 1 { "" } else { "s" },
-        d.chi2_screened,
-        d.pearson_screened,
-        d.tests() - d.screened(),
-        if d.tests() - d.screened() == 1 {
-            ""
-        } else {
-            "s"
-        },
-        d.pairs,
-        if d.pairs == 1 { "" } else { "s" },
+        m.prefilter_screened,
+        tests,
+        if tests == 1 { "" } else { "s" },
+        m.prefilter_chi2_screened,
+        m.prefilter_screened - m.prefilter_chi2_screened,
+        m.prefilter_exact,
+        if m.prefilter_exact == 1 { "" } else { "s" },
+        m.prefilter_pairs,
+        if m.prefilter_pairs == 1 { "" } else { "s" },
     );
 
     let _ = writeln!(out, "## Causes and fixes\n");
@@ -293,7 +289,6 @@ mod tests {
             resolved: false,
             repaired: fail.clone(),
             trace: Vec::new(),
-            discovery: crate::discovery::DiscoveryStats::default(),
             lint: Default::default(),
             metrics: Default::default(),
             trace_records: Vec::new(),

@@ -8,10 +8,11 @@
 //! free. Identical datasets are content-fingerprinted, so a repeated
 //! query (e.g. during Make-Minimal) is charged but never re-scored.
 //!
-//! The runtime draws its systems from one of two sources. A borrowed
-//! `&mut dyn System` ([`Oracle::new`]) runs at width 1: the calling
-//! thread scores each frame when it is charged, and no worker or pool
-//! ever starts. A [`SystemFactory`] ([`Oracle::parallel`]) builds one
+//! The runtime draws its systems from one of two [`Source`]s. A
+//! borrowed `&mut dyn System` ([`Source::Borrowed`]) runs at width 1:
+//! the calling thread scores each frame when it is charged, and no
+//! worker or pool ever starts. A [`SystemFactory`]
+//! ([`Source::Factory`]) builds one
 //! instance per worker thread, and the runtime then overlaps the
 //! expensive part of a search with its serial decisions.
 //!
@@ -595,32 +596,10 @@ pub struct Oracle<'a> {
 }
 
 impl<'a> Oracle<'a> {
-    /// Wrap the caller's `system` with threshold `τ` and an
-    /// intervention budget. Runs at width 1: every frame is scored on
-    /// `system` by the calling thread when it is charged.
-    pub fn new(system: &'a mut dyn System, threshold: f64, budget: usize) -> Self {
-        Oracle::from_source(Source::Borrowed(system), threshold, budget, 1)
-    }
-
-    /// Wrap a system factory with threshold `τ`, an intervention
-    /// budget, and a worker count.
-    pub fn parallel(
-        factory: &'a dyn SystemFactory,
-        threshold: f64,
-        budget: usize,
-        num_threads: usize,
-    ) -> Self {
-        Oracle::from_source(Source::Factory(factory), threshold, budget, num_threads)
-    }
-
-    /// A runtime over `source`; a borrowed system always runs at
+    /// A runtime over `source` with threshold `τ`, an intervention
+    /// budget, and a worker count. A borrowed system always runs at
     /// width 1.
-    pub(crate) fn from_source(
-        source: Source<'a>,
-        threshold: f64,
-        budget: usize,
-        num_threads: usize,
-    ) -> Self {
+    pub fn new(source: Source<'a>, threshold: f64, budget: usize, num_threads: usize) -> Self {
         let num_threads = match source {
             Source::Borrowed(_) => 1,
             Source::Factory(_) => num_threads.max(1),
@@ -1346,7 +1325,7 @@ mod tests {
             calls += 1;
             0.5
         };
-        let mut oracle = Oracle::new(&mut system, 0.2, 100);
+        let mut oracle = Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1);
         let a = df(&[1, 2, 3]);
         let b = df(&[4, 5, 6]);
         assert_eq!(oracle.intervene(&a), 0.5);
@@ -1365,8 +1344,8 @@ mod tests {
         let mut system = |df: &DataFrame| df.n_rows() as f64 / 10.0;
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         for mut rt in [
-            Oracle::new(&mut system, 0.2, 100),
-            Oracle::parallel(&factory, 0.2, 100, 4),
+            Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1),
+            Oracle::new(Source::Factory(&factory), 0.2, 100, 4),
         ] {
             let base = df(&[1]);
             rt.baseline(&base);
@@ -1393,8 +1372,8 @@ mod tests {
         let mut system = |_: &DataFrame| 0.9;
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         for mut rt in [
-            Oracle::new(&mut system, 0.2, 100),
-            Oracle::parallel(&factory, 0.2, 100, 4),
+            Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1),
+            Oracle::new(Source::Factory(&factory), 0.2, 100, 4),
         ] {
             rt.baseline(&df(&[1, 2, 3]));
             let before = rt.run_metrics().query_latency.count;
@@ -1411,7 +1390,7 @@ mod tests {
     #[test]
     fn passes_and_budget() {
         let mut system = |_: &DataFrame| 0.1;
-        let mut oracle = Oracle::new(&mut system, 0.2, 1);
+        let mut oracle = Oracle::new(Source::Borrowed(&mut system), 0.2, 1, 1);
         assert!(oracle.passes(0.2));
         assert!(!oracle.passes(0.21));
         assert!(!oracle.exhausted());
@@ -1422,13 +1401,13 @@ mod tests {
     #[test]
     fn scores_clamped_and_nan_is_extreme() {
         let mut system = |_: &DataFrame| 7.5;
-        let mut oracle = Oracle::new(&mut system, 0.2, 10);
+        let mut oracle = Oracle::new(Source::Borrowed(&mut system), 0.2, 10, 1);
         assert_eq!(oracle.intervene(&df(&[1])), 1.0);
         // Failure injection: a system returning NaN (crashed
         // measurement) must read as extreme malfunction, not as a
         // vacuous pass.
         let mut nan_system = |_: &DataFrame| f64::NAN;
-        let mut oracle = Oracle::new(&mut nan_system, 0.2, 10);
+        let mut oracle = Oracle::new(Source::Borrowed(&mut nan_system), 0.2, 10, 1);
         let score = oracle.intervene(&df(&[2]));
         assert_eq!(score, 1.0);
         assert!(!oracle.passes(score));
@@ -1449,7 +1428,8 @@ mod tests {
         warm.insert(fingerprint(&neg), -1.0);
         warm.insert(fingerprint(&nan), f64::NAN);
         warm.insert(fingerprint(&good), 0.25);
-        let mut oracle = Oracle::new(&mut system, 0.2, 100).with_warm_cache(&warm);
+        let mut oracle =
+            Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1).with_warm_cache(&warm);
         assert_eq!(oracle.intervene(&neg), 0.5);
         assert_eq!(oracle.intervene(&nan), 0.5);
         assert_eq!(oracle.intervene(&good), 0.25);
@@ -1462,7 +1442,7 @@ mod tests {
     #[test]
     fn speculation_is_never_charged() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 4);
         let frames: Vec<DataFrame> = (0..8).map(|i| df(&[i, i + 1])).collect();
         let jobs: Vec<Speculation<'_>> = frames
             .iter()
@@ -1497,8 +1477,8 @@ mod tests {
             0.5
         };
         for mut rt in [
-            Oracle::parallel(&factory, 0.2, 100, 1),
-            Oracle::new(&mut system, 0.2, 100),
+            Oracle::new(Source::Factory(&factory), 0.2, 100, 1),
+            Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1),
         ] {
             let jobs = vec![
                 Speculation::Ready(df(&[1])),
@@ -1531,7 +1511,8 @@ mod tests {
             }
         }
         let mut system = Named;
-        let rt = Oracle::new(&mut system, 0.2, 100).with_speculation_budget(Some(4));
+        let rt = Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1)
+            .with_speculation_budget(Some(4));
         assert_eq!(rt.system_name(), "named");
         assert_eq!(rt.speculation_width(), 1);
         assert!(rt.workers.is_empty());
@@ -1540,7 +1521,7 @@ mod tests {
     #[test]
     fn detached_jobs_score_into_the_cache_and_count_waste() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 4);
         let frames: Vec<DataFrame> = (0..4).map(|i| df(&[i, i + 1])).collect();
         // No PVTs to compose: each detached job materializes its base
         // frame unchanged and scores it in the background.
@@ -1576,7 +1557,7 @@ mod tests {
         // must discard the unstarted tail, join cleanly, and never
         // deadlock or panic on the pending accounting.
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         rt.speculate_detached((0..64).map(|i| detached(&df(&[i, i + 1, i + 2]))).collect());
         drop(rt);
     }
@@ -1596,7 +1577,7 @@ mod tests {
         let b = df(&[1, 2]);
         let mut warm = ScoreCache::new();
         warm.insert(fingerprint(&a), 0.1);
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 4).with_warm_cache(&warm);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 4).with_warm_cache(&warm);
         // Seeded entry answers the charged query: no evaluation, a
         // warm hit, still one charged intervention.
         assert_eq!(rt.intervene(&a).to_bits(), 0.1f64.to_bits());
@@ -1622,7 +1603,7 @@ mod tests {
         let frames: Vec<DataFrame> = (0..3).map(|i| df(&[i, i + 1])).collect();
         let mut cross_run = ScoreCache::new();
         {
-            let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+            let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
             for f in &frames {
                 rt.intervene(f);
             }
@@ -1630,7 +1611,8 @@ mod tests {
         }
         // Second run warm-started from the first: identical scores,
         // zero misses, all three queries warm.
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2).with_warm_cache(&cross_run);
+        let mut rt =
+            Oracle::new(Source::Factory(&factory), 0.2, 100, 2).with_warm_cache(&cross_run);
         for f in &frames {
             rt.intervene(f);
         }
@@ -1654,7 +1636,8 @@ mod tests {
             }
         };
         let budget = 4usize;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2).with_speculation_budget(Some(budget));
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2)
+            .with_speculation_budget(Some(budget));
         assert_eq!(rt.effective_budget(), Some(budget));
         // Three bursts of 8 jobs against a budget of 4: most of each
         // burst must be shed, and in-flight work must never exceed
@@ -1689,9 +1672,10 @@ mod tests {
     #[test]
     fn speculation_is_unbounded_without_a_budget() {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let rt = Oracle::parallel(&factory, 0.2, 100, 4);
+        let rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 4);
         assert_eq!(rt.effective_budget(), None);
-        let rt = Oracle::parallel(&factory, 0.2, 100, 4).with_speculation_budget(Some(0));
+        let rt =
+            Oracle::new(Source::Factory(&factory), 0.2, 100, 4).with_speculation_budget(Some(0));
         assert_eq!(rt.effective_budget(), Some(1), "a zero bound counts as 1");
     }
 
@@ -1711,7 +1695,7 @@ mod tests {
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         rt.speculate_detached((0..32).map(|i| detached(&df(&[i, i + 1, i + 2]))).collect());
         // Settle immediately: the two workers have started at most a
         // couple of jobs; the rest of the queue must be discarded.
@@ -1764,7 +1748,7 @@ mod tests {
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         let frame = df(&[1, 2, 3]);
         rt.speculate_detached(vec![detached(&frame)]);
         started.recv().unwrap();
@@ -1796,7 +1780,7 @@ mod tests {
             }
         };
         let (pass, fail, probe) = (df(&[1]), df(&[1, 2, 3, 4]), df(&[1, 2]));
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe.clone())]);
         assert_eq!(opened.len(), 1);
         assert_eq!(rt.interventions, 0, "the opening is free");
@@ -1809,7 +1793,7 @@ mod tests {
         assert_eq!((m.charged_queries, m.cache_hits, m.cache_misses), (1, 1, 0));
         assert_eq!(m.speculative_wasted, 0);
         // Width 1 only materializes.
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 1);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 1);
         let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe)]);
         assert_eq!(opened.len(), 1);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
@@ -1846,7 +1830,7 @@ mod tests {
             seed: 7,
         };
         let probes = [probe(&a), probe(&b)];
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         rt.prescore(&probes);
         let m = rt.run_metrics();
         assert_eq!((m.speculative_issued, m.frames_built), (2, 2), "{m:?}");
@@ -1868,7 +1852,7 @@ mod tests {
         let warm = rt.export_cache();
         assert_eq!(warm.intent_count(), 2);
         let mut system = factory();
-        let mut rt = Oracle::new(&mut system, 0.2, 100).with_warm_cache(&warm);
+        let mut rt = Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1).with_warm_cache(&warm);
         for p in &probes {
             rt.intervene_apply(p).unwrap();
         }
@@ -1893,7 +1877,7 @@ mod tests {
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         rt.speculate_detached(vec![detached(&poison), detached(&df(&[1]))]);
         while !panicked.load(Ordering::SeqCst) {
             std::thread::yield_now();

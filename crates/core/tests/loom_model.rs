@@ -27,7 +27,7 @@
 #![cfg(loom)]
 
 use dataprism::runtime::DetachedSpeculation;
-use dataprism::{fingerprint, Oracle};
+use dataprism::{fingerprint, Oracle, Source};
 use dp_frame::{Column, DataFrame};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -53,7 +53,7 @@ fn detached(frame: &DataFrame) -> DetachedSpeculation {
 fn settle_reaches_quiescence_under_perturbed_schedules() {
     loom::model(|| {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         let frames: Vec<DataFrame> = (0..6).map(|i| df(&[i, i + 1])).collect();
         rt.speculate_detached(frames.iter().map(detached).collect());
         // run_metrics() settles the pool: drops the unstarted tail,
@@ -73,7 +73,7 @@ fn settle_reaches_quiescence_under_perturbed_schedules() {
 fn cache_handoff_agrees_on_one_score() {
     loom::model(|| {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         let frame = df(&[1, 2, 3]);
         // Race the background scoring of `frame` against a charged
         // query of the same frame on the primary thread.
@@ -98,7 +98,7 @@ fn cache_handoff_agrees_on_one_score() {
 fn drop_with_queued_jobs_joins_cleanly() {
     loom::model(|| {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         let jobs: Vec<DetachedSpeculation> =
             (0..16).map(|i| detached(&df(&[i, i + 1, i + 2]))).collect();
         rt.speculate_detached(jobs);
@@ -121,7 +121,7 @@ fn inflight_handoff_scores_each_frame_once_without_lost_wakeups() {
                 df.n_rows() as f64 / 10.0
             }
         };
-        let mut rt = Oracle::parallel(&factory, 0.2, 100, 2);
+        let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
         let frame = df(&[1, 2, 3]);
         // The pool worker may claim the frame before, during or after
         // the charged query: the query then waits for the worker's

@@ -96,20 +96,11 @@ impl Watcher {
         &self.monitor
     }
 
-    /// Ingest counters and latency accumulated so far.
+    /// Ingest and drift-check counters and the ingest latency
+    /// accumulated so far. `rows_ingested` is also the global row
+    /// offset of the next batch's sketches.
     pub fn metrics(&self) -> &RunMetrics {
         &self.metrics
-    }
-
-    /// Batches ingested so far.
-    pub fn batches(&self) -> u64 {
-        self.metrics.batches_ingested
-    }
-
-    /// Rows ingested so far (also the global row offset of the next
-    /// batch's sketches).
-    pub fn rows(&self) -> u64 {
-        self.metrics.rows_ingested
     }
 
     /// Fold one batch into the live sketches and the sliding window.
@@ -408,8 +399,8 @@ mod tests {
             whole = whole.concat(&b).unwrap();
             w.ingest(b, &tracer).unwrap();
         }
-        assert_eq!(w.batches(), 3);
-        assert_eq!(w.rows(), 24);
+        assert_eq!(w.metrics().batches_ingested, 3);
+        assert_eq!(w.metrics().rows_ingested, 24);
         for col in whole.columns() {
             let live = w.live_summary(col.name()).unwrap();
             assert_eq!(
@@ -448,7 +439,7 @@ mod tests {
         }
         // window_batches = 2 → the window holds 12 of the 30 rows.
         assert_eq!(w.window_frame().unwrap().n_rows(), 12);
-        assert_eq!(w.rows(), 30);
+        assert_eq!(w.metrics().rows_ingested, 30);
     }
 
     #[test]
@@ -500,7 +491,11 @@ mod tests {
                 .unwrap();
         let err = w.ingest(bad, &Tracer::off()).unwrap_err();
         assert!(matches!(err, PrismError::BadInput(_)));
-        assert_eq!(w.batches(), 0, "rejected batch must not count");
+        assert_eq!(
+            w.metrics().batches_ingested,
+            0,
+            "rejected batch must not count"
+        );
     }
 
     #[test]

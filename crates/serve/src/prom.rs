@@ -1,17 +1,17 @@
 //! Prometheus text-format rendering for the `metrics` op.
 //!
 //! One scrape carries three layers: server-wide request counters,
-//! per-namespace diagnosis/cache/lint totals, and the continuous-
-//! monitoring counters (ingest, drift checks/triggers, and the
-//! ingest-latency histogram) for watched namespaces. The output
-//! follows the exposition format version 0.0.4 — `# HELP`/`# TYPE`
-//! once per metric family, one sample line per namespace, label
-//! values escaped — and is deterministic for a given input (names
-//! pre-sorted by the caller), so it can be golden-tested byte for
-//! byte.
+//! per-namespace diagnosis/cache/lint/frame totals, and the
+//! continuous-monitoring counters (ingest, drift checks/triggers, and
+//! the live watcher's ingest-latency histogram). Every per-namespace
+//! counter is a field of the namespace's one [`RunMetrics`] store, the
+//! same one `stats` replies from. The output follows the exposition
+//! format version 0.0.4 — `# HELP`/`# TYPE` once per metric family,
+//! one sample line per namespace, label values escaped — and is
+//! deterministic for a given input (names pre-sorted by the caller),
+//! so it can be golden-tested byte for byte.
 
-use crate::registry::{DriftTotals, FrameTotals, LintTotals};
-use dp_trace::{LatencyHistogram, LATENCY_BOUNDS_NS};
+use dp_trace::{LatencyHistogram, RunMetrics, LATENCY_BOUNDS_NS};
 
 /// Server-wide counters for one scrape.
 #[derive(Debug, Default, Clone, Copy)]
@@ -41,12 +41,9 @@ pub struct NamespaceScrape {
     pub evictions: u64,
     /// Completed diagnoses.
     pub diagnoses: u64,
-    /// Cumulative lint totals.
-    pub lint: LintTotals,
-    /// Cumulative frame-building totals.
-    pub frames: FrameTotals,
-    /// Cumulative monitoring totals.
-    pub drift: DriftTotals,
+    /// The namespace's cumulative counters
+    /// ([`crate::registry::SystemEntry::metrics`]).
+    pub metrics: RunMetrics,
     /// Whether a watcher is currently active.
     pub watching: bool,
     /// The active watcher's ingest-latency histogram, when watching.
@@ -192,42 +189,42 @@ pub fn render(server: &ServerScrape, namespaces: &[NamespaceScrape]) -> String {
         "counter",
         "Candidates pruned by the lint pass before ranking.",
         namespaces,
-        |ns| ns.lint.pruned,
+        |ns| ns.metrics.lint_pruned,
     );
     page.per_namespace(
         "dp_lint_subsumed_total",
         "counter",
         "Candidates merged into equivalence-class representatives.",
         namespaces,
-        |ns| ns.lint.subsumed,
+        |ns| ns.metrics.lint_subsumed,
     );
     page.per_namespace(
         "dp_lint_unreachable_total",
         "counter",
         "Tau-unreachability certificates issued.",
         namespaces,
-        |ns| ns.lint.unreachable,
+        |ns| ns.metrics.lint_unreachable,
     );
     page.per_namespace(
         "dp_lint_commuting_pairs_total",
         "counter",
         "Candidate pairs certified commuting.",
         namespaces,
-        |ns| ns.lint.commuting_pairs,
+        |ns| ns.metrics.lint_commuting_pairs,
     );
     page.per_namespace(
         "dp_frames_built_total",
         "counter",
         "Candidate frames built by the namespace's diagnoses.",
         namespaces,
-        |ns| ns.frames.built,
+        |ns| ns.metrics.frames_built,
     );
     page.per_namespace(
         "dp_intent_hits_total",
         "counter",
         "Queries scored by intent key without building a frame.",
         namespaces,
-        |ns| ns.frames.intent_hits,
+        |ns| ns.metrics.intent_hits,
     );
     page.per_namespace(
         "dp_monitor_watching",
@@ -241,28 +238,28 @@ pub fn render(server: &ServerScrape, namespaces: &[NamespaceScrape]) -> String {
         "counter",
         "Row batches folded into live sketches.",
         namespaces,
-        |ns| ns.drift.batches_ingested,
+        |ns| ns.metrics.batches_ingested,
     );
     page.per_namespace(
         "dp_monitor_rows_ingested_total",
         "counter",
         "Rows across all ingested batches.",
         namespaces,
-        |ns| ns.drift.rows_ingested,
+        |ns| ns.metrics.rows_ingested,
     );
     page.per_namespace(
         "dp_monitor_drift_checks_total",
         "counter",
         "Drift checks scored against the baseline profiles.",
         namespaces,
-        |ns| ns.drift.checks,
+        |ns| ns.metrics.drift_checks,
     );
     page.per_namespace(
         "dp_monitor_drift_triggers_total",
         "counter",
         "Drift checks that crossed tau_drift.",
         namespaces,
-        |ns| ns.drift.triggers,
+        |ns| ns.metrics.drift_triggers,
     );
 
     let watched: Vec<&NamespaceScrape> = namespaces
@@ -326,21 +323,18 @@ mod tests {
                 cache_entries: 41,
                 evictions: 2,
                 diagnoses: 3,
-                lint: LintTotals {
-                    pruned: 5,
-                    subsumed: 1,
-                    unreachable: 2,
-                    commuting_pairs: 4,
-                },
-                frames: FrameTotals {
-                    built: 12,
+                metrics: RunMetrics {
+                    lint_pruned: 5,
+                    lint_subsumed: 1,
+                    lint_unreachable: 2,
+                    lint_commuting_pairs: 4,
+                    frames_built: 12,
                     intent_hits: 30,
-                },
-                drift: DriftTotals {
                     batches_ingested: 3,
                     rows_ingested: 90,
-                    checks: 3,
-                    triggers: 1,
+                    drift_checks: 3,
+                    drift_triggers: 1,
+                    ..RunMetrics::default()
                 },
                 watching: true,
                 ingest_latency: Some(hist),
@@ -350,9 +344,7 @@ mod tests {
                 cache_entries: 0,
                 evictions: 0,
                 diagnoses: 1,
-                lint: LintTotals::default(),
-                frames: FrameTotals::default(),
-                drift: DriftTotals::default(),
+                metrics: RunMetrics::default(),
                 watching: false,
                 ingest_latency: None,
             },

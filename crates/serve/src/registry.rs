@@ -8,6 +8,14 @@
 //! name share it, diagnoses against different names never touch each
 //! other's entries.
 //!
+//! Counters live in one place: an entry's `totals` is a
+//! [`RunMetrics`] that every completed diagnosis merges its
+//! explanation's metrics into, and that takes in a watcher's
+//! monitoring counters when a re-`watch` retires it.
+//! [`SystemEntry::metrics`] adds the live watcher's counters, and
+//! both the `stats` reply and the Prometheus scrape's counters render
+//! from it, so the two cannot disagree.
+//!
 //! Locking discipline: the registry map lock is held only to look up
 //! or insert an `Arc` entry; each entry has its own lock, held only
 //! to copy the cache out before a diagnosis and absorb results back
@@ -17,8 +25,9 @@
 //! state is always consistent at unlock points).
 
 use crate::lru::LruScoreCache;
-use dataprism::{PrismConfig, SystemFactory};
+use dataprism::{PrismConfig, RunMetrics, SystemFactory};
 use dp_frame::DataFrame;
+use dp_monitor::Watcher;
 use dp_scenarios::Scenario;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -54,67 +63,35 @@ pub struct SystemEntry {
     pub cache: LruScoreCache,
     /// Diagnoses completed against this system.
     pub diagnoses: u64,
-    /// Cumulative lint totals across this namespace's diagnoses
-    /// (zero when the registered config runs `Lint::Off`).
-    pub lint: LintTotals,
-    /// Cumulative frame-building totals across this namespace's
-    /// diagnoses.
-    pub frames: FrameTotals,
+    /// The counters of every completed diagnosis (both `diagnose` and
+    /// a drift-escalated one) and of every watcher a later `watch`
+    /// retired, merged. [`SystemEntry::metrics`] adds the live
+    /// watcher's.
+    pub totals: RunMetrics,
     /// The live stream watcher, installed by `watch`. `None` until a
     /// client opts in to continuous monitoring.
-    pub watcher: Option<dp_monitor::Watcher>,
-    /// Cumulative monitoring totals. Unlike the watcher's own
-    /// `RunMetrics` — which describe only the current stream — these
-    /// survive a re-`watch`, mirroring how the cache survives
-    /// re-registration.
-    pub drift: DriftTotals,
+    pub watcher: Option<Watcher>,
 }
 
-/// Running continuous-monitoring totals for one namespace.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DriftTotals {
-    /// Row batches folded into live sketches.
-    pub batches_ingested: u64,
-    /// Rows across all ingested batches.
-    pub rows_ingested: u64,
-    /// Drift checks scored against the baseline profiles.
-    pub checks: u64,
-    /// Drift checks that crossed τ_drift.
-    pub triggers: u64,
-}
-
-/// Running frame-building totals for one namespace, folded in from
-/// each successful diagnosis's [`dataprism::RunMetrics`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FrameTotals {
-    /// Candidate frames built ([`dataprism::RunMetrics::frames_built`]).
-    pub built: u64,
-    /// Queries scored by intent key without a frame
-    /// ([`dataprism::RunMetrics::intent_hits`]).
-    pub intent_hits: u64,
-}
-
-impl FrameTotals {
-    /// Fold one diagnosis's run metrics in.
-    pub fn fold(&mut self, metrics: &dataprism::RunMetrics) {
-        self.built += metrics.frames_built;
-        self.intent_hits += metrics.intent_hits;
+impl SystemEntry {
+    /// Install `watcher`. The retiring watcher's counters move into
+    /// `totals`, so the namespace's monitoring totals survive a
+    /// re-`watch`, as its cache survives re-registration.
+    pub fn watch(&mut self, watcher: Watcher) {
+        if let Some(retired) = self.watcher.replace(watcher) {
+            self.totals.merge(retired.metrics());
+        }
     }
-}
 
-/// Running lint-pass totals for one namespace, folded in after every
-/// successful diagnosis so `stats` can report how much static
-/// analysis saved without replaying traces.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LintTotals {
-    /// Error-severity candidates dropped before ranking (L1/L2/L7).
-    pub pruned: u64,
-    /// Candidates merged into equivalence-class representatives (L6).
-    pub subsumed: u64,
-    /// τ-unreachability certificates issued (L7).
-    pub unreachable: u64,
-    /// Candidate pairs certified commuting (L8).
-    pub commuting_pairs: u64,
+    /// The namespace's cumulative counters: `totals` plus the live
+    /// watcher's. `stats` and the `metrics` scrape both render these.
+    pub fn metrics(&self) -> RunMetrics {
+        let mut metrics = self.totals.clone();
+        if let Some(watcher) = &self.watcher {
+            metrics.merge(watcher.metrics());
+        }
+        metrics
+    }
 }
 
 /// Scenario keys `register` accepts.
@@ -190,10 +167,8 @@ impl Registry {
                     spec: Arc::clone(&spec),
                     cache: LruScoreCache::with_budget(self.budget_bytes),
                     diagnoses: 0,
-                    lint: LintTotals::default(),
-                    frames: FrameTotals::default(),
+                    totals: RunMetrics::default(),
                     watcher: None,
-                    drift: DriftTotals::default(),
                 }))
             })
             .clone();
@@ -256,6 +231,27 @@ mod tests {
         }
         let resident = reg.register("inc", "income", Some(60), Some(7)).unwrap();
         assert_eq!(resident, 1, "cache survives re-registration");
+    }
+
+    #[test]
+    fn every_scenario_reads_back_exactly_through_csv_ingest() {
+        // `ingest` parses a batch against the watched `d_pass` schema;
+        // a scenario's own rows written as CSV come back unchanged.
+        for key in SCENARIOS {
+            let scenario = build_scenario(key, None, None).unwrap();
+            for df in [&scenario.d_pass, &scenario.d_fail] {
+                let mut csv = Vec::new();
+                dp_frame::csv::write_csv(df, &mut csv).unwrap();
+                let fields: Vec<(&str, dp_frame::DType)> = scenario
+                    .d_pass
+                    .columns()
+                    .iter()
+                    .map(|c| (c.name(), c.dtype()))
+                    .collect();
+                let back = dp_frame::csv::read_csv_with_schema(&csv[..], &fields).unwrap();
+                assert!(&back == df, "{key}");
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::protocol::{
     error_response, parse_request, ErrorCode, Reply, Request, MAX_REQUEST_BYTES,
 };
 use crate::registry::{lock_or_recover, Registry, SystemEntry};
-use dataprism::{Algorithm, Diagnosis, ScoreCache, Source};
+use dataprism::{Algorithm, Diagnosis, Explanation, ScoreCache, Source};
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_trace::Tracer;
 use std::collections::HashMap;
@@ -543,6 +543,28 @@ fn handle_register(
         .finish()
 }
 
+/// Take a diagnosis slot, or the typed `busy`/`shutting_down` reply
+/// to send instead.
+fn admit(shared: &Shared) -> Result<Permit, String> {
+    match shared.admission.admit(&shared.shutting_down) {
+        Admit::Permit(permit) => Ok(permit),
+        Admit::Busy => {
+            bump(shared, |s| s.busy_rejections += 1);
+            Err(error_response(
+                ErrorCode::Busy,
+                &format!(
+                    "{} diagnoses in flight and {} queued; retry later",
+                    shared.config.max_inflight, shared.config.max_queue
+                ),
+            ))
+        }
+        Admit::ShuttingDown => Err(error_response(
+            ErrorCode::ShuttingDown,
+            "server is draining",
+        )),
+    }
+}
+
 /// The per-namespace slice of the server-wide speculative frame
 /// budget: every admitted diagnosis gets an equal share of the
 /// `max_inflight` slots' worth, so however slow one system's oracle
@@ -561,21 +583,9 @@ fn handle_diagnose(
     threads: Option<usize>,
     budget: Option<usize>,
 ) -> String {
-    let permit = match shared.admission.admit(&shared.shutting_down) {
-        Admit::Permit(p) => p,
-        Admit::Busy => {
-            bump(shared, |s| s.busy_rejections += 1);
-            return error_response(
-                ErrorCode::Busy,
-                &format!(
-                    "{} diagnoses in flight and {} queued; retry later",
-                    shared.config.max_inflight, shared.config.max_queue
-                ),
-            );
-        }
-        Admit::ShuttingDown => {
-            return error_response(ErrorCode::ShuttingDown, "server is draining")
-        }
+    let permit = match admit(shared) {
+        Ok(permit) => permit,
+        Err(resp) => return resp,
     };
     // Copy-in: clone the immutable spec pointer and snapshot the
     // namespace, then release the lock for the whole evaluation.
@@ -598,21 +608,7 @@ fn handle_diagnose(
         &config,
     );
     drop(permit);
-    // Copy-out: even a failed diagnosis paid for its evaluations;
-    // absorb them so the next attempt is warm.
-    let absorbed = with_entry(shared, system, |entry| {
-        let new_entries = entry.cache.absorb(&cache);
-        if let Ok(exp) = &result {
-            entry.diagnoses += 1;
-            entry.lint.pruned += exp.lint.pruned.len() as u64;
-            entry.lint.subsumed += exp.lint.subsumed.len() as u64;
-            entry.lint.unreachable += exp.lint.unreachable_ids().len() as u64;
-            entry.lint.commuting_pairs += exp.lint.commuting.len() as u64;
-            entry.frames.fold(&exp.metrics);
-        }
-        (new_entries, entry.cache.len(), entry.cache.evictions)
-    });
-    let (new_entries, resident, evictions) = match absorbed {
+    let (new_entries, resident, evictions) = match record(shared, system, &cache, &result) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
@@ -637,12 +633,12 @@ fn handle_diagnose(
                 .u64("speculative_shed", exp.metrics.speculative_shed)
                 .u64("peak_inflight", exp.metrics.peak_inflight)
                 .bool("lint_analyzed", exp.lint.analyzed)
-                .usize("lint_errors", exp.lint.count(dataprism::Severity::Error))
-                .usize("lint_warnings", exp.lint.count(dataprism::Severity::Warn))
-                .usize("lint_pruned", exp.lint.pruned.len())
-                .usize("lint_subsumed", exp.lint.subsumed.len())
-                .usize("lint_unreachable", exp.lint.unreachable_ids().len())
-                .usize("lint_commuting_pairs", exp.lint.commuting.len())
+                .u64("lint_errors", exp.metrics.lint_errors)
+                .u64("lint_warnings", exp.metrics.lint_warnings)
+                .u64("lint_pruned", exp.metrics.lint_pruned)
+                .u64("lint_subsumed", exp.metrics.lint_subsumed)
+                .u64("lint_unreachable", exp.metrics.lint_unreachable)
+                .u64("lint_commuting_pairs", exp.metrics.lint_commuting_pairs)
                 .usize("new_cache_entries", new_entries)
                 .usize("cache_entries", resident)
                 .u64("evictions", evictions)
@@ -653,6 +649,27 @@ fn handle_diagnose(
             error_response(ErrorCode::DiagnosisFailed, &e.to_string())
         }
     }
+}
+
+/// Copy-out after either diagnosis path (`diagnose` or a drift
+/// escalation): absorb everything the run scored — a failed run paid
+/// for its evaluations too, so the next attempt is warm — and count a
+/// successful run and merge its metrics into the namespace's totals.
+/// Returns the new, resident and evicted entry counts.
+fn record(
+    shared: &Shared,
+    system: &str,
+    cache: &ScoreCache,
+    result: &dataprism::Result<Explanation>,
+) -> Result<(usize, usize, u64), String> {
+    with_entry(shared, system, |entry| {
+        let new_entries = entry.cache.absorb(cache);
+        if let Ok(exp) = result {
+            entry.diagnoses += 1;
+            entry.totals.merge(&exp.metrics);
+        }
+        (new_entries, entry.cache.len(), entry.cache.evictions)
+    })
 }
 
 /// The first score of `scores` outside `[0, 1]` (NaN included): no
@@ -751,7 +768,7 @@ fn handle_watch(shared: &Shared, system: &str, tau: Option<f64>, window: Option<
         },
     );
     let profiles = watcher.profiles().len();
-    match with_entry(shared, system, |entry| entry.watcher = Some(watcher)) {
+    match with_entry(shared, system, |entry| entry.watch(watcher)) {
         Ok(()) => Reply::ok("watch")
             .str("system", system)
             .usize("profiles", profiles)
@@ -782,7 +799,6 @@ fn handle_ingest(shared: &Shared, system: &str, rows_csv: &str) -> String {
         Ok(b) => b,
         Err(e) => return error_response(ErrorCode::BadBatch, &e.to_string()),
     };
-    let batch_rows = batch.n_rows() as u64;
     let ingested = with_entry(shared, system, |entry| {
         let Some(watcher) = entry.watcher.as_mut() else {
             return Err(not_watching(system));
@@ -790,11 +806,9 @@ fn handle_ingest(shared: &Shared, system: &str, rows_csv: &str) -> String {
         watcher
             .ingest(batch, &Tracer::off())
             .map_err(|e| error_response(ErrorCode::BadBatch, &e.to_string()))?;
-        entry.drift.batches_ingested += 1;
-        entry.drift.rows_ingested += batch_rows;
         Ok((
-            watcher.batches(),
-            watcher.rows(),
+            watcher.metrics().batches_ingested,
+            watcher.metrics().rows_ingested,
             watcher.window_frame().map(|w| w.n_rows()).unwrap_or(0),
         ))
     });
@@ -817,18 +831,15 @@ fn not_watching(system: &str) -> String {
 }
 
 fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algorithm) -> String {
-    // Phase 1, under the namespace lock: score the window, fold the
-    // cumulative totals, and — when escalating — copy out everything
-    // the re-diagnosis needs so the evaluation itself runs unlocked.
+    // Phase 1, under the namespace lock: score the window (the
+    // watcher counts the check) and — when escalating — copy out
+    // everything the re-diagnosis needs so the evaluation itself runs
+    // unlocked.
     let checked = with_entry(shared, system, |entry| {
         let Some(watcher) = entry.watcher.as_mut() else {
             return Err(not_watching(system));
         };
         let report = watcher.check_drift(&Tracer::off());
-        entry.drift.checks += 1;
-        if report.any_drifted() {
-            entry.drift.triggers += 1;
-        }
         let escalation = if diagnose && report.any_drifted() {
             let drifted = report.drifted();
             let pvts = watcher.candidates(&drifted);
@@ -865,21 +876,9 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algorithm) 
     };
     // Phase 2: the targeted re-diagnosis is a full system evaluation,
     // so it pays the same admission toll as `diagnose`.
-    let permit = match shared.admission.admit(&shared.shutting_down) {
-        Admit::Permit(p) => p,
-        Admit::Busy => {
-            bump(shared, |s| s.busy_rejections += 1);
-            return error_response(
-                ErrorCode::Busy,
-                &format!(
-                    "{} diagnoses in flight and {} queued; retry later",
-                    shared.config.max_inflight, shared.config.max_queue
-                ),
-            );
-        }
-        Admit::ShuttingDown => {
-            return error_response(ErrorCode::ShuttingDown, "server is draining")
-        }
+    let permit = match admit(shared) {
+        Ok(permit) => permit,
+        Err(resp) => return resp,
     };
     let candidates = pvts.len();
     let mut config = spec.config.clone();
@@ -894,15 +893,7 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algorithm) 
             &config,
         );
     drop(permit);
-    let absorbed = with_entry(shared, system, |entry| {
-        let new_entries = entry.cache.absorb(&cache);
-        if let Ok(exp) = &result {
-            entry.diagnoses += 1;
-            entry.frames.fold(&exp.metrics);
-        }
-        (new_entries, entry.cache.len())
-    });
-    let (new_entries, resident) = match absorbed {
+    let (new_entries, resident, _) = match record(shared, system, &cache, &result) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
@@ -952,9 +943,7 @@ fn handle_metrics(shared: &Shared) -> String {
             cache_entries: entry.cache.len(),
             evictions: entry.cache.evictions,
             diagnoses: entry.diagnoses,
-            lint: entry.lint,
-            frames: entry.frames,
-            drift: entry.drift,
+            metrics: entry.metrics(),
             watching: entry.watcher.is_some(),
             ingest_latency: entry.watcher.as_ref().map(|w| w.metrics().ingest_latency),
         });
@@ -980,39 +969,30 @@ fn handle_stats(shared: &Shared, system: Option<&str>) -> String {
                 entry.cache.footprint_bytes(),
                 entry.cache.evictions,
                 entry.diagnoses,
-                entry.lint,
                 entry.watcher.is_some(),
-                entry.drift,
+                entry.metrics(),
             )
         }) {
-            Ok((
-                scenario,
-                resident,
-                capacity,
-                footprint,
-                evictions,
-                diagnoses,
-                lint,
-                watching,
-                drift,
-            )) => Reply::ok("stats")
-                .str("system", name)
-                .str("scenario", &scenario)
-                .usize("cache_entries", resident)
-                .usize("cache_capacity", capacity)
-                .usize("footprint_bytes", footprint)
-                .u64("evictions", evictions)
-                .u64("diagnoses", diagnoses)
-                .u64("lint_pruned_total", lint.pruned)
-                .u64("lint_subsumed_total", lint.subsumed)
-                .u64("lint_unreachable_total", lint.unreachable)
-                .u64("lint_commuting_pairs_total", lint.commuting_pairs)
-                .bool("watching", watching)
-                .u64("batches_ingested_total", drift.batches_ingested)
-                .u64("rows_ingested_total", drift.rows_ingested)
-                .u64("drift_checks_total", drift.checks)
-                .u64("drift_triggers_total", drift.triggers)
-                .finish(),
+            Ok((scenario, resident, capacity, footprint, evictions, diagnoses, watching, m)) => {
+                Reply::ok("stats")
+                    .str("system", name)
+                    .str("scenario", &scenario)
+                    .usize("cache_entries", resident)
+                    .usize("cache_capacity", capacity)
+                    .usize("footprint_bytes", footprint)
+                    .u64("evictions", evictions)
+                    .u64("diagnoses", diagnoses)
+                    .u64("lint_pruned_total", m.lint_pruned)
+                    .u64("lint_subsumed_total", m.lint_subsumed)
+                    .u64("lint_unreachable_total", m.lint_unreachable)
+                    .u64("lint_commuting_pairs_total", m.lint_commuting_pairs)
+                    .bool("watching", watching)
+                    .u64("batches_ingested_total", m.batches_ingested)
+                    .u64("rows_ingested_total", m.rows_ingested)
+                    .u64("drift_checks_total", m.drift_checks)
+                    .u64("drift_triggers_total", m.drift_triggers)
+                    .finish()
+            }
             Err(resp) => resp,
         },
         None => {

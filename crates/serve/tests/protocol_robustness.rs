@@ -163,6 +163,52 @@ fn mid_request_disconnect_leaves_the_server_healthy() {
 }
 
 #[test]
+fn malformed_csv_batches_get_bad_batch_and_the_connection_survives() {
+    let (server, mut client) = start_default();
+    assert!(is_ok(
+        &client.register("ex", "example1", None, None).unwrap()
+    ));
+    assert!(is_ok(&client.watch("ex", None, None).unwrap()));
+    // A header that repeats a name is refused before any row is read.
+    let v = client.ingest("ex", "age,age\n1,2\n").unwrap();
+    assert_eq!(error_code(&v).as_deref(), Some("bad_batch"), "{v:?}");
+    let msg = v.get("error").and_then(|e| e.as_str()).unwrap_or("");
+    assert!(msg.contains("duplicate column"), "{msg}");
+    assert!(is_ok(&client.ping().unwrap()), "the connection survives");
+
+    // A cell that does not parse as its column's numeric dtype is
+    // refused, not read as NULL.
+    let scenario = dp_serve::registry::build_scenario("example1", None, None).unwrap();
+    let columns = scenario.d_pass.columns();
+    let header: Vec<&str> = columns.iter().map(|c| c.name()).collect();
+    let row: Vec<&str> = columns
+        .iter()
+        .map(|c| match c.dtype() {
+            dp_frame::DType::Int | dp_frame::DType::Float => "abc",
+            dp_frame::DType::Bool => "true",
+            dp_frame::DType::Categorical | dp_frame::DType::Text => "x",
+        })
+        .collect();
+    assert!(row.contains(&"abc"), "example1 has a numeric column");
+    let batch = format!("{}\n{}\n", header.join(","), row.join(","));
+    let v = client.ingest("ex", &batch).unwrap();
+    assert_eq!(error_code(&v).as_deref(), Some("bad_batch"), "{v:?}");
+    let msg = v.get("error").and_then(|e| e.as_str()).unwrap_or("");
+    assert!(msg.contains("abc"), "{msg}");
+
+    // Neither refusal counted as an ingest; a well-formed batch still
+    // goes through.
+    let mut csv = Vec::new();
+    dp_frame::csv::write_csv(&scenario.d_fail, &mut csv).unwrap();
+    let v = client
+        .ingest("ex", std::str::from_utf8(&csv).unwrap())
+        .unwrap();
+    assert!(is_ok(&v), "{v:?}");
+    assert_eq!(field_u64(&v, "batches"), Some(1));
+    stop(server, &mut client);
+}
+
+#[test]
 fn bad_warm_and_restore_payloads_never_poison_the_namespace() {
     let (server, mut client) = start_default();
     assert!(is_ok(

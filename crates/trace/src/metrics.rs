@@ -143,7 +143,9 @@ pub struct QueryStat {
 }
 
 /// All counters and histograms of one diagnosis run, merged across
-/// workers. Surfaced as `Explanation::metrics`.
+/// workers. Surfaced as `Explanation::metrics`, as a watcher's
+/// monitoring counters, and — summed with [`RunMetrics::merge`] — as
+/// a `dp_serve` namespace's running totals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Baseline queries answered (never charged).
@@ -185,6 +187,9 @@ pub struct RunMetrics {
     pub prefilter_pairs: u64,
     /// Pair tests the sketch pre-filter screened out.
     pub prefilter_screened: u64,
+    /// The χ² share of `prefilter_screened`; the rest are Pearson
+    /// tests.
+    pub prefilter_chi2_screened: u64,
     /// Exact χ²/Pearson tests actually run.
     pub prefilter_exact: u64,
     /// Error-level lint findings.
@@ -201,6 +206,8 @@ pub struct RunMetrics {
     pub lint_subsumed: u64,
     /// Candidates with an L7 τ-unreachability certificate.
     pub lint_unreachable: u64,
+    /// Candidate pairs the L8 rule certified commuting.
+    pub lint_commuting_pairs: u64,
     /// Candidate frames built from compositions of transformations, on
     /// the calling thread and on workers, plus frames a search handed
     /// to speculation ready-made. A warm run whose queries all resolve
@@ -235,6 +242,83 @@ impl RunMetrics {
         self.speculative_evaluated += shard.evaluated();
         self.frames_built += shard.built();
         self.speculative_latency.merge(&shard.snapshot());
+    }
+
+    /// Fold another run in: every counter adds, `peak_inflight` keeps
+    /// the larger high-water mark, and every histogram merges.
+    pub fn merge(&mut self, other: &RunMetrics) {
+        // Destructured without `..`, so a field added to the struct
+        // does not compile until it is merged here.
+        let RunMetrics {
+            baseline_queries,
+            charged_queries,
+            cache_hits,
+            cache_misses,
+            warm_hits,
+            speculative_issued,
+            speculative_evaluated,
+            speculative_used,
+            speculative_wasted,
+            speculative_shed,
+            speculative_discarded,
+            peak_inflight,
+            prefilter_pairs,
+            prefilter_screened,
+            prefilter_chi2_screened,
+            prefilter_exact,
+            lint_errors,
+            lint_warnings,
+            lint_infos,
+            lint_pruned,
+            lint_subsumed,
+            lint_unreachable,
+            lint_commuting_pairs,
+            frames_built,
+            intent_hits,
+            query_latency,
+            speculative_latency,
+            batches_ingested,
+            rows_ingested,
+            drift_checks,
+            drift_triggers,
+            ingest_latency,
+        } = other;
+        for (total, add) in [
+            (&mut self.baseline_queries, baseline_queries),
+            (&mut self.charged_queries, charged_queries),
+            (&mut self.cache_hits, cache_hits),
+            (&mut self.cache_misses, cache_misses),
+            (&mut self.warm_hits, warm_hits),
+            (&mut self.speculative_issued, speculative_issued),
+            (&mut self.speculative_evaluated, speculative_evaluated),
+            (&mut self.speculative_used, speculative_used),
+            (&mut self.speculative_wasted, speculative_wasted),
+            (&mut self.speculative_shed, speculative_shed),
+            (&mut self.speculative_discarded, speculative_discarded),
+            (&mut self.prefilter_pairs, prefilter_pairs),
+            (&mut self.prefilter_screened, prefilter_screened),
+            (&mut self.prefilter_chi2_screened, prefilter_chi2_screened),
+            (&mut self.prefilter_exact, prefilter_exact),
+            (&mut self.lint_errors, lint_errors),
+            (&mut self.lint_warnings, lint_warnings),
+            (&mut self.lint_infos, lint_infos),
+            (&mut self.lint_pruned, lint_pruned),
+            (&mut self.lint_subsumed, lint_subsumed),
+            (&mut self.lint_unreachable, lint_unreachable),
+            (&mut self.lint_commuting_pairs, lint_commuting_pairs),
+            (&mut self.frames_built, frames_built),
+            (&mut self.intent_hits, intent_hits),
+            (&mut self.batches_ingested, batches_ingested),
+            (&mut self.rows_ingested, rows_ingested),
+            (&mut self.drift_checks, drift_checks),
+            (&mut self.drift_triggers, drift_triggers),
+        ] {
+            *total += add;
+        }
+        self.peak_inflight = self.peak_inflight.max(*peak_inflight);
+        self.query_latency.merge(query_latency);
+        self.speculative_latency.merge(speculative_latency);
+        self.ingest_latency.merge(ingest_latency);
     }
 
     /// One-line counts-only summary for the markdown report.
@@ -321,6 +405,65 @@ mod tests {
         m.merge_worker(&shard);
         assert_eq!(m.speculative_evaluated, 2);
         assert_eq!(m.speculative_latency.count, 2);
+    }
+
+    /// A store whose every counter reads `scale` times a distinct
+    /// base, whose histograms hold `scale` samples each, and whose
+    /// high-water mark is `peak`. Written without `..`, so a new field
+    /// must be given a value here too.
+    fn filled(scale: u64, peak: u64) -> RunMetrics {
+        let hist = |ns: u64| {
+            let mut h = LatencyHistogram::default();
+            for _ in 0..scale {
+                h.record(ns);
+            }
+            h
+        };
+        RunMetrics {
+            baseline_queries: 2 * scale,
+            charged_queries: 3 * scale,
+            cache_hits: 4 * scale,
+            cache_misses: 5 * scale,
+            warm_hits: 6 * scale,
+            speculative_issued: 7 * scale,
+            speculative_evaluated: 8 * scale,
+            speculative_used: 9 * scale,
+            speculative_wasted: 10 * scale,
+            speculative_shed: 11 * scale,
+            speculative_discarded: 12 * scale,
+            prefilter_pairs: 13 * scale,
+            prefilter_screened: 14 * scale,
+            prefilter_chi2_screened: 15 * scale,
+            prefilter_exact: 16 * scale,
+            lint_errors: 17 * scale,
+            lint_warnings: 18 * scale,
+            lint_infos: 19 * scale,
+            lint_pruned: 20 * scale,
+            lint_subsumed: 21 * scale,
+            lint_unreachable: 22 * scale,
+            lint_commuting_pairs: 23 * scale,
+            frames_built: 24 * scale,
+            intent_hits: 25 * scale,
+            batches_ingested: 26 * scale,
+            rows_ingested: 27 * scale,
+            drift_checks: 28 * scale,
+            drift_triggers: 29 * scale,
+            peak_inflight: peak,
+            query_latency: hist(2_000),
+            speculative_latency: hist(300_000),
+            ingest_latency: hist(40_000_000),
+        }
+    }
+
+    #[test]
+    fn merge_adds_counters_maxes_peak_and_merges_histograms() {
+        let mut m = RunMetrics::default();
+        m.merge(&filled(1, 5));
+        assert_eq!(m, filled(1, 5), "merging into an empty store copies");
+        m.merge(&filled(2, 3));
+        assert_eq!(m, filled(3, 5), "counters add, the peak is a max");
+        m.merge(&filled(0, 9));
+        assert_eq!(m, filled(3, 9));
     }
 
     #[test]

@@ -143,7 +143,7 @@ proptest! {
         // Within one run: the first query of each job builds its frame,
         // the second resolves it by key.
         let mut cold_system = system;
-        let mut cold = Oracle::new(&mut cold_system, 0.5, 1_000);
+        let mut cold = Oracle::new(Source::Borrowed(&mut cold_system), 0.5, 1_000, 1);
         for round in 0..2 {
             for (job, &fp) in jobs.iter().zip(&built) {
                 cold.intervene_apply(job).expect("built above");
@@ -158,7 +158,7 @@ proptest! {
         // From a warm cache: every query resolves by key, the first
         // ask and the repeat alike, and no frame is built.
         let mut warm_system = system;
-        let mut warm = Oracle::new(&mut warm_system, 0.5, 1_000).with_warm_cache(&exported);
+        let mut warm = Oracle::new(Source::Borrowed(&mut warm_system), 0.5, 1_000, 1).with_warm_cache(&exported);
         for (job, &fp) in jobs.iter().zip(&built).rev() {
             for _ in 0..2 {
                 warm.intervene_apply(job).expect("resolved by key");

@@ -354,11 +354,111 @@ fn daemon_drift_escalation_matches_in_process_watcher() {
         "{body}"
     );
 
-    // Per-system stats carry the cumulative totals.
+    // Per-system stats carry the cumulative totals: the lint counts
+    // of the `diagnose` request and of the drift-escalated diagnosis
+    // alike.
+    let diagnosed = client.diagnose("inc", "greedy", None).unwrap();
+    assert!(is_ok(&diagnosed), "{diagnosed:?}");
+    let escalated_pairs = reference.metrics.lint_commuting_pairs;
     let stats = client.stats(Some("inc")).unwrap();
     assert_eq!(stats.get("watching").and_then(|b| b.as_bool()), Some(true));
+    assert_eq!(field_u64(&stats, "diagnoses"), Some(2));
+    assert_eq!(
+        field_u64(&stats, "lint_commuting_pairs_total"),
+        Some(field_u64(&diagnosed, "lint_commuting_pairs").unwrap() + escalated_pairs),
+        "{stats:?}"
+    );
     assert_eq!(field_u64(&stats, "drift_checks_total"), Some(1));
     assert_eq!(field_u64(&stats, "drift_triggers_total"), Some(1));
+
+    // A re-`watch` starts a new stream, but the namespace's totals keep
+    // counting; the ingest-latency histogram is the live watcher's own.
+    let rewatch = client.watch("inc", Some(TAU_DRIFT), Some(2)).unwrap();
+    assert!(is_ok(&rewatch), "{rewatch:?}");
+    let ingest = client
+        .ingest("inc", std::str::from_utf8(&csv).unwrap())
+        .unwrap();
+    assert_eq!(field_u64(&ingest, "batches"), Some(1), "{ingest:?}");
+    let stats = client.stats(Some("inc")).unwrap();
+    assert_eq!(field_u64(&stats, "batches_ingested_total"), Some(2));
+    assert_eq!(
+        field_u64(&stats, "rows_ingested_total"),
+        Some(2 * scenario.d_fail.n_rows() as u64)
+    );
+    assert_eq!(field_u64(&stats, "drift_checks_total"), Some(1));
+    let body = client.metrics().unwrap();
+    for line in [
+        "dp_monitor_batches_ingested_total{system=\"inc\"} 2",
+        "dp_monitor_drift_checks_total{system=\"inc\"} 1",
+        "dp_monitor_ingest_latency_seconds_count{system=\"inc\"} 1",
+    ] {
+        assert!(body.contains(line), "{line} missing from {body}");
+    }
+
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// The namespace's lint totals count the drift-escalated diagnosis
+/// too. Example 1's escalation certifies commuting pairs, and its
+/// zip codes (`01004`) must reach the watcher as text, unchanged, for
+/// the daemon's run to match the in-process one.
+#[test]
+fn daemon_lint_totals_include_the_drift_escalated_diagnosis() {
+    let scenario = example1::scenario();
+    let mut watcher = Watcher::new(
+        scenario.d_pass.clone(),
+        scenario.config.clone(),
+        monitor_config(),
+    );
+    watcher
+        .ingest(scenario.d_fail.clone(), &Tracer::off())
+        .unwrap();
+    let drifted = watcher.check_drift(&Tracer::off()).drifted();
+    let reference = watcher
+        .diagnose(
+            Algorithm::Greedy,
+            scenario.factory.as_ref(),
+            &drifted,
+            &mut ScoreCache::new(),
+            &Tracer::off(),
+        )
+        .expect("reference escalation");
+    let escalated_pairs = reference.metrics.lint_commuting_pairs;
+    assert!(escalated_pairs > 0, "the escalated run certifies pairs");
+
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(is_ok(
+        &client.register("ex", "example1", None, None).unwrap()
+    ));
+    assert!(is_ok(
+        &client.watch("ex", Some(TAU_DRIFT), Some(2)).unwrap()
+    ));
+    let mut csv = Vec::new();
+    write_csv(&scenario.d_fail, &mut csv).unwrap();
+    let ingest = client
+        .ingest("ex", std::str::from_utf8(&csv).unwrap())
+        .unwrap();
+    assert!(is_ok(&ingest), "{ingest:?}");
+    let drift = client.drift("ex", true, "greedy").unwrap();
+    assert_eq!(drift.get("diagnosed").and_then(|b| b.as_bool()), Some(true));
+    assert_eq!(field_u64(&drift, "digest"), Some(reference.digest()));
+
+    let diagnosed = client.diagnose("ex", "greedy", None).unwrap();
+    assert!(is_ok(&diagnosed), "{diagnosed:?}");
+    let stats = client.stats(Some("ex")).unwrap();
+    assert_eq!(
+        field_u64(&stats, "lint_commuting_pairs_total"),
+        Some(field_u64(&diagnosed, "lint_commuting_pairs").unwrap() + escalated_pairs),
+        "{stats:?}"
+    );
+    let body = client.metrics().unwrap();
+    let line = format!(
+        "dp_lint_commuting_pairs_total{{system=\"ex\"}} {}",
+        field_u64(&stats, "lint_commuting_pairs_total").unwrap()
+    );
+    assert!(body.contains(&line), "{line} missing from {body}");
 
     client.shutdown().unwrap();
     server.join();

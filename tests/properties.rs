@@ -191,7 +191,7 @@ proptest! {
             i += 1;
             s
         };
-        let mut oracle = dataprism::Oracle::new(&mut system, 0.5, 10_000);
+        let mut oracle = dataprism::Oracle::new(dataprism::Source::Borrowed(&mut system), 0.5, 10_000, 1);
         let base = DataFrame::from_columns(vec![Column::from_ints("x", vec![Some(-1)])]).unwrap();
         oracle.baseline(&base);
         for k in 0..scores.len() {
