@@ -11,17 +11,22 @@
 //! `d + 1` levels instead of `2 (d + 1)` sequential queries.
 //!
 //! The conformance contract makes the comparison meaningful: every
-//! (threads, depth) cell is asserted byte-identical to the
+//! (threads, depth) cell is asserted identical to the
 //! `num_threads = 1` run — same interventions, same explanation, same
-//! trace, same repaired frame — so the speedup is pure cache warming,
-//! never a different search. Only the speculative/waste counters move.
+//! decision digest — so the speedup is pure cache warming, never a
+//! different search. Only the speculative/waste counters move.
 //!
-//! As in `parallel_scaling`, the system under diagnosis blocks for a
-//! fixed interval per malfunction query, modeling the paper's setting
-//! where every oracle query retrains a model.
+//! The system under diagnosis blocks for a fixed interval per
+//! malfunction query, modeling the paper's setting where every oracle
+//! query retrains a model; overlapping those waits is the speedup a
+//! real deployment sees, even on a single-core host.
 //!
 //! Usage: `cargo run --release -p dp-bench --bin gt_scaling
-//! [--threads N] [--query-cost-ms C] [--smoke] [--budget-smoke]`
+//! [--threads N] [--query-cost-ms C] [--smoke] [--budget-smoke]
+//! [--runtime-smoke]`
+//!
+//! `--runtime-smoke` runs the parallel-runtime CI gate (see
+//! `runtime_smoke`).
 //!
 //! `--smoke` skips the full matrix and runs the CI observability
 //! gate instead: rank-54 at `--threads` width with tracing off vs
@@ -45,7 +50,7 @@ use dp_scenarios::synthetic::{
 use std::time::{Duration, Instant};
 
 /// A [`SyntheticSystem`] that blocks for a fixed interval per
-/// malfunction query (see `parallel_scaling`).
+/// malfunction query (see the module docs).
 #[derive(Clone)]
 struct BlockingSystem {
     inner: SyntheticSystem,
@@ -59,13 +64,15 @@ impl System for BlockingSystem {
     }
 }
 
+/// One diagnosis of `scenario` under its own config at `num_threads`
+/// and lookahead `depth`, against a system blocking `query_cost` per
+/// query; returns the wall time and the explanation.
 fn run(
     scenario: &SyntheticScenario,
+    algorithm: Algorithm,
     query_cost: Duration,
     num_threads: usize,
     depth: usize,
-    budget: Option<usize>,
-    trace: &TraceConfig,
 ) -> (f64, Explanation) {
     let base = BlockingSystem {
         inner: scenario.system.clone(),
@@ -75,10 +82,8 @@ fn run(
     let mut config = scenario.config.clone();
     config.num_threads = num_threads;
     config.gt_speculation_depth = depth;
-    config.speculation_budget = budget;
-    config.trace = trace.clone();
     let start = Instant::now();
-    let explanation = Diagnosis::new(Algorithm::GroupTest)
+    let explanation = Diagnosis::new(algorithm)
         .with_candidates(scenario.pvts.clone())
         .run(
             Source::Factory(&factory),
@@ -90,24 +95,18 @@ fn run(
     (start.elapsed().as_secs_f64(), explanation)
 }
 
+/// The digest covers the explanation, the scores and every charged
+/// decision; the intervention count is checked first for a clearer
+/// message on the paper's measure.
 fn assert_conformant(workload: &str, depth: usize, serial: &Explanation, par: &Explanation) {
     assert_eq!(
         serial.interventions, par.interventions,
         "{workload} depth={depth}: speculation must not change the intervention count"
     );
     assert_eq!(
-        serial.pvt_ids(),
-        par.pvt_ids(),
-        "{workload} depth={depth}: speculation must not change the explanation"
-    );
-    assert_eq!(
-        serial.trace, par.trace,
-        "{workload} depth={depth}: speculation must not change the trace"
-    );
-    assert_eq!(
-        serial.final_score.to_bits(),
-        par.final_score.to_bits(),
-        "{workload} depth={depth}: speculation must not change the final score"
+        serial.digest(),
+        par.digest(),
+        "{workload} depth={depth}: speculation must not change the decisions"
     );
 }
 
@@ -121,20 +120,21 @@ fn assert_conformant(workload: &str, depth: usize, serial: &Explanation, par: &E
 /// outcome (the trace-parity contract).
 fn smoke(threads: usize, query_cost: Duration) {
     const REPS: usize = 3;
-    let scenario = adversarial_rank(54, 3);
+    let mut scenario = adversarial_rank(54, 3);
     let depth = 2;
-    let best = |trace: &TraceConfig| -> (f64, Explanation) {
+    let mut best = |trace: TraceConfig| -> (f64, Explanation) {
+        scenario.config.trace = trace;
         let mut min_s = f64::INFINITY;
         let mut last = None;
         for _ in 0..REPS {
-            let (s, exp) = run(&scenario, query_cost, threads, depth, None, trace);
+            let (s, exp) = run(&scenario, Algorithm::GroupTest, query_cost, threads, depth);
             min_s = min_s.min(s);
             last = Some(exp);
         }
         (min_s, last.expect("REPS > 0"))
     };
-    let (off_s, off) = best(&TraceConfig::Off);
-    let (collect_s, collected) = best(&TraceConfig::Collect);
+    let (off_s, off) = best(TraceConfig::Off);
+    let (collect_s, collected) = best(TraceConfig::Collect);
     assert_conformant("sec5.2 rank-54 (traced)", depth, &off, &collected);
     assert!(
         off.trace_records.is_empty() && !collected.trace_records.is_empty(),
@@ -164,29 +164,16 @@ fn smoke(threads: usize, query_cost: Duration) {
 fn budget_smoke(threads: usize, query_cost: Duration) {
     let depth = 4;
     let budget = 4 * threads;
-    let workloads: Vec<(String, SyntheticScenario)> = vec![
+    let mut workloads: Vec<(String, SyntheticScenario)> = vec![
         ("sec5.2 rank-54".into(), adversarial_rank(54, 3)),
         ("fig9c conj-8".into(), conjunctive_cause(64, 64, 8, 7)),
     ];
-    for (workload, scenario) in &workloads {
-        let (serial_s, serial) = run(scenario, query_cost, 1, 0, None, &TraceConfig::Off);
-        let budgeted = || {
-            run(
-                scenario,
-                query_cost,
-                threads,
-                depth,
-                Some(budget),
-                &TraceConfig::Off,
-            )
-        };
+    for (workload, scenario) in &mut workloads {
+        let (serial_s, serial) = run(scenario, Algorithm::GroupTest, query_cost, 1, 0);
+        scenario.config.speculation_budget = Some(budget);
+        let budgeted = || run(scenario, Algorithm::GroupTest, query_cost, threads, depth);
         let (par_s, par) = budgeted();
         assert_conformant(workload, depth, &serial, &par);
-        assert_eq!(
-            serial.digest(),
-            par.digest(),
-            "{workload}: budgeted digest diverged from serial"
-        );
         let (_, again) = budgeted();
         assert_eq!(
             par.digest(),
@@ -207,8 +194,49 @@ fn budget_smoke(threads: usize, query_cost: Duration) {
     println!("frame budget gate: ok");
 }
 
+/// The parallel-runtime CI gate: greedy and group testing on the
+/// Fig 8 m=200 suite and rank-54, at the scenario's own speculation
+/// depth, one thread vs `threads`. Both runs must make identical
+/// decisions, and at 8 threads or more the best speedup must reach
+/// 2x (narrower widths legitimately top out lower).
+fn runtime_smoke(threads: usize, query_cost: Duration) {
+    let workloads = [
+        ("fig8 m=200", single_cause(200, 200, 11)),
+        ("sec5.2 rank-54", adversarial_rank(54, 3)),
+    ];
+    let mut best = f64::MIN;
+    for (workload, scenario) in &workloads {
+        let depth = scenario.config.gt_speculation_depth;
+        for (technique, algorithm) in [("GRD", Algorithm::Greedy), ("GT", Algorithm::GroupTest)] {
+            let cell = |n| run(scenario, algorithm, query_cost, n, depth);
+            let ((serial_s, serial), (par_s, par)) = (cell(1), cell(threads));
+            assert_conformant(&format!("{workload}/{technique}"), depth, &serial, &par);
+            let speedup = serial_s / par_s;
+            best = best.max(speedup);
+            println!(
+                "runtime smoke: {workload}/{technique}: serial {serial_s:.3}s, \
+                 {threads} threads {par_s:.3}s ({speedup:.2}x), {} interventions",
+                serial.interventions
+            );
+        }
+    }
+    println!("best speedup at {threads} threads: {best:.2}x");
+    if threads >= 8 {
+        assert!(
+            best >= 2.0,
+            "parallel runtime must reach >= 2x at {threads} threads (got {best:.2}x)"
+        );
+    }
+}
+
 /// Every flag this binary takes.
-const FLAGS: &[&str] = &["--threads", "--query-cost-ms", "--smoke", "--budget-smoke"];
+const FLAGS: &[&str] = &[
+    "--threads",
+    "--query-cost-ms",
+    "--smoke",
+    "--budget-smoke",
+    "--runtime-smoke",
+];
 
 fn main() {
     let threads = arg_value(FLAGS, "--threads", 8);
@@ -222,6 +250,10 @@ fn main() {
     let query_cost = Duration::from_millis(arg_value(FLAGS, "--query-cost-ms", 25) as u64);
     if std::env::args().any(|a| a == "--smoke") {
         smoke(threads, query_cost);
+        return;
+    }
+    if std::env::args().any(|a| a == "--runtime-smoke") {
+        runtime_smoke(threads, query_cost);
         return;
     }
     let depths = [0usize, 1, 2, 4];
@@ -270,7 +302,7 @@ fn main() {
     // asks for >= 3x on at least one rank-54/wide workload.
     let mut best_deep = f64::MIN;
     for (workload, scenario) in &workloads {
-        let (serial_s, serial) = run(scenario, query_cost, 1, 0, None, &TraceConfig::Off);
+        let (serial_s, serial) = run(scenario, Algorithm::GroupTest, query_cost, 1, 0);
         println!(
             "{}",
             format_row(
@@ -287,14 +319,7 @@ fn main() {
             )
         );
         for &depth in &depths {
-            let (par_s, par) = run(
-                scenario,
-                query_cost,
-                threads,
-                depth,
-                None,
-                &TraceConfig::Off,
-            );
+            let (par_s, par) = run(scenario, Algorithm::GroupTest, query_cost, threads, depth);
             assert_conformant(workload, depth, &serial, &par);
             let speedup = serial_s / par_s;
             if depth >= 2 {

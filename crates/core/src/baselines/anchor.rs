@@ -22,7 +22,7 @@
 use crate::config::PrismConfig;
 use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::pvt::{apply_composition, Pvt};
 use crate::runtime::Oracle;
 use dp_frame::DataFrame;
@@ -78,9 +78,7 @@ pub(crate) fn run_anchor(
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    let mut trace = vec![TraceEvent::Discovered {
-        n_pvts: candidates.len(),
-    }];
+    tracer.candidates(candidates.len());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x00A2_C407);
     let all_ids: Vec<usize> = candidates.iter().map(|p| p.id).collect();
     let max_queries = MAX_QUERIES.min(config.max_interventions);
@@ -168,16 +166,17 @@ pub(crate) fn run_anchor(
                 stats.samples += 1;
                 stats.passes += usize::from(pass);
             }
-            trace.push(TraceEvent::Intervention {
-                pvt_ids: extended
-                    .iter()
-                    .filter(|(_, &on)| on)
-                    .map(|(&i, _)| i)
-                    .collect(),
-                before: initial_score,
-                after: 1.0 - stats.precision(),
-                kept: stats.precision() > anchor_stats.precision(),
-            });
+            let ids: Vec<usize> = extended
+                .iter()
+                .filter(|(_, &on)| on)
+                .map(|(&i, _)| i)
+                .collect();
+            tracer.intervention(
+                &ids,
+                initial_score,
+                1.0 - stats.precision(),
+                stats.precision() > anchor_stats.precision(),
+            );
             if best_arm
                 .as_ref()
                 .map(|(_, s)| stats.precision() > s.precision())
@@ -239,7 +238,6 @@ pub(crate) fn run_anchor(
         initial_score,
         final_score,
         repaired,
-        trace,
     )
 }
 

@@ -26,7 +26,7 @@
 use crate::config::PrismConfig;
 use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::pvt::{apply_composition, Pvt};
 use crate::runtime::Oracle;
 use dp_frame::DataFrame;
@@ -49,9 +49,7 @@ pub(crate) fn run_bugdoc(
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    let mut trace = vec![TraceEvent::Discovered {
-        n_pvts: candidates.len(),
-    }];
+    tracer.candidates(candidates.len());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x00B0_6D0C);
 
     let apply = |ids: &BTreeSet<usize>, rng: &mut StdRng| -> Result<DataFrame> {
@@ -102,12 +100,8 @@ pub(crate) fn run_bugdoc(
         let transformed = apply(&config_ids, &mut rng)?;
         let score = oracle.intervene_traced(&transformed, &tracer);
         let passes = oracle.passes(score);
-        trace.push(TraceEvent::Intervention {
-            pvt_ids: config_ids.iter().copied().collect(),
-            before: initial_score,
-            after: score,
-            kept: passes,
-        });
+        let ids: Vec<usize> = config_ids.iter().copied().collect();
+        tracer.intervention(&ids, initial_score, score, passes);
         if passes {
             hits += 1;
             candidate_cause = candidate_cause.intersection(&config_ids).copied().collect();
@@ -131,7 +125,6 @@ pub(crate) fn run_bugdoc(
             initial_score,
             initial_score,
             d_fail.clone(),
-            trace,
         );
     };
 
@@ -174,7 +167,7 @@ pub(crate) fn run_bugdoc(
         let transformed = apply(&without, &mut rng)?;
         let score = oracle.intervene_traced(&transformed, &tracer);
         if oracle.passes(score) {
-            trace.push(TraceEvent::MinimalityDropped { pvt_id: id });
+            tracer.minimality_drop(id);
             cause = without;
             repaired = transformed;
             final_score = score;
@@ -194,7 +187,6 @@ pub(crate) fn run_bugdoc(
         initial_score,
         final_score,
         repaired,
-        trace,
     )
 }
 

@@ -16,11 +16,12 @@
 
 use crate::config::PrismConfig;
 use crate::error::{PrismError, Result};
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::oracle::System;
 use crate::pvt::{apply_composition, Pvt};
 use crate::runtime::{Oracle, Source};
 use dp_frame::DataFrame;
+use dp_trace::{DiagnosisSpan, Event, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -170,14 +171,32 @@ pub fn explain_with_decision_tree(
     if pvts.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
+    let tracer =
+        Tracer::from_config(&config.trace).map_err(|e| PrismError::Trace(e.to_string()))?;
     let mut oracle = Oracle::new(
         Source::Borrowed(system),
         config.threshold,
         config.max_interventions,
         1,
     );
+    tracer.begin(|| DiagnosisSpan {
+        algorithm: "decision_tree".into(),
+        system: oracle.system_name(),
+        seed: config.seed,
+        threshold: config.threshold,
+        num_threads: 1,
+        speculation_depth: 0,
+    });
+    let end = |resolved, interventions, final_score| {
+        tracer.emit(|| Event::DiagnosisEnd {
+            resolved,
+            interventions,
+            final_score,
+        });
+        tracer.finish()
+    };
     let initial_score = oracle.baseline(d_fail);
-    let mut trace = vec![TraceEvent::Discovered { n_pvts: pvts.len() }];
+    tracer.candidates(pvts.len());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD7EE);
 
     // Seed training instances from the provided datasets (these are
@@ -241,12 +260,7 @@ pub fn explain_with_decision_tree(
             let (transformed, _) = apply_composition(&refs, d_fail, &mut rng)?;
             let score = oracle.intervene(&transformed);
             let pass = oracle.passes(score);
-            trace.push(TraceEvent::Intervention {
-                pvt_ids: conj.clone(),
-                before: initial_score,
-                after: score,
-                kept: pass,
-            });
+            tracer.intervention(&conj, initial_score, score, pass);
             if pass {
                 // Found: minimize and report.
                 let selected: Vec<Pvt> = conj.iter().map(|&f| pvts[f].clone()).collect();
@@ -257,20 +271,19 @@ pub fn explain_with_decision_tree(
                     transformed,
                     score,
                     config.seed,
-                    &mut trace,
-                    &dp_trace::Tracer::off(),
+                    &tracer,
                 )?;
                 return Ok(Explanation {
                     pvts: selected,
                     interventions: oracle.interventions,
                     lint: Default::default(),
                     metrics: oracle.run_metrics(),
-                    trace_records: Vec::new(),
+                    trace_records: end(true, oracle.interventions, final_score),
                     initial_score,
                     final_score,
                     resolved: true,
                     repaired,
-                    trace,
+                    decisions: tracer.digest(),
                 });
             }
             // Line 10: feed the failed attempt back into the tree.
@@ -294,12 +307,12 @@ pub fn explain_with_decision_tree(
         interventions: oracle.interventions,
         lint: Default::default(),
         metrics: oracle.run_metrics(),
-        trace_records: Vec::new(),
+        trace_records: end(false, oracle.interventions, initial_score),
         initial_score,
         final_score: initial_score,
         resolved: false,
         repaired: d_fail.clone(),
-        trace,
+        decisions: tracer.digest(),
     })
 }
 
@@ -367,6 +380,31 @@ mod tests {
         assert!(exp.resolved, "{exp}");
         assert_eq!(exp.pvt_ids(), vec![0, 1], "both PVTs required");
         assert_eq!(exp.final_score, 0.0);
+    }
+
+    #[test]
+    fn a_collected_run_emits_its_interventions_and_digests_like_an_untraced_one() {
+        let (pvts, pass, fail, mut system) = interacting_scenario();
+        let mut config = PrismConfig::with_threshold(0.2);
+        let observed = [pass];
+        let off =
+            explain_with_decision_tree(&mut system, &fail, &observed, &pvts, &config).unwrap();
+        assert!(off.trace_records.is_empty());
+        config.trace = dp_trace::TraceConfig::Collect;
+        let on = explain_with_decision_tree(&mut system, &fail, &observed, &pvts, &config).unwrap();
+        assert_eq!(on.digest(), off.digest());
+        let events: Vec<&Event> = on.trace_records.iter().map(|r| &r.event).collect();
+        assert!(matches!(events[0], Event::DiagnosisBegin(s) if s.algorithm == "decision_tree"));
+        assert!(events.contains(&&Event::Candidates { n: 2 }));
+        let kept = events
+            .iter()
+            .filter(|e| matches!(e, Event::Intervention { kept: true, .. }))
+            .count();
+        assert_eq!(kept, 1, "{events:?}");
+        assert!(matches!(
+            events.last(),
+            Some(Event::DiagnosisEnd { resolved: true, .. })
+        ));
     }
 
     #[test]

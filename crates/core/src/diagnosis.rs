@@ -47,7 +47,7 @@ use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
 use crate::discovery::discriminative_pvts_traced;
 use crate::error::{PrismError, Result};
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::group_test::{run_group_test, PartitionStrategy};
 use crate::oracle::SystemFactory;
 use crate::pvt::Pvt;
@@ -226,15 +226,13 @@ fn run_one(
         rt = rt.with_warm_cache(cache);
     }
     let threads = rt.speculation_width();
-    tracer.emit(|| {
-        Event::DiagnosisBegin(DiagnosisSpan {
-            algorithm: algorithm.name().to_string(),
-            system: rt.system_name(),
-            seed: config.seed,
-            threshold: config.threshold,
-            num_threads: threads,
-            speculation_depth: config.gt_speculation_depth,
-        })
+    tracer.begin(|| DiagnosisSpan {
+        algorithm: algorithm.name().to_string(),
+        system: rt.system_name(),
+        seed: config.seed,
+        threshold: config.threshold,
+        num_threads: threads,
+        speculation_depth: config.gt_speculation_depth,
     });
     let baseline = matches!(algorithm, Algorithm::BugDoc | Algorithm::Anchor);
     let (pvts, stats) = match candidates {
@@ -326,8 +324,8 @@ pub(crate) fn validate_inputs(
 
 /// Shared run epilogue: emit [`Event::DiagnosisEnd`], merge worker
 /// metric shards, fold the lint counters into
-/// [`dp_trace::RunMetrics`], and drain the tracer.
-#[allow(clippy::too_many_arguments)]
+/// [`dp_trace::RunMetrics`], and drain the tracer and its decision
+/// digest.
 pub(crate) fn finish_run(
     rt: &mut Oracle<'_>,
     tracer: &Tracer,
@@ -336,7 +334,6 @@ pub(crate) fn finish_run(
     initial_score: f64,
     score: f64,
     current: DataFrame,
-    trace: Vec<TraceEvent>,
 ) -> Result<Explanation> {
     let resolved = rt.passes(score);
     let interventions = rt.interventions;
@@ -361,10 +358,10 @@ pub(crate) fn finish_run(
         final_score: score,
         resolved,
         repaired: current,
-        trace,
         lint,
         metrics,
         trace_records,
+        decisions: tracer.digest(),
     })
 }
 

@@ -1,39 +1,12 @@
 //! Diagnosis results: the explanation of a system malfunction
-//! (Definition 10/11) plus an audit trail.
+//! (Definition 10/11), with the digest of the decisions behind it.
 
 use crate::pvt::Pvt;
 use dp_frame::DataFrame;
 use dp_lint::Diagnostics;
-use dp_trace::{RunMetrics, TraceRecord};
+use dp_trace::{RunMetrics, SipHasher13, TraceRecord};
 use std::fmt;
-
-/// One event of the diagnosis trace.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// Discovery finished with this many discriminative PVTs.
-    Discovered {
-        /// Number of discriminative PVTs.
-        n_pvts: usize,
-    },
-    /// An intervention was performed.
-    Intervention {
-        /// Ids of the PVTs whose transformations were applied
-        /// (singleton for the greedy algorithm, a partition for group
-        /// testing).
-        pvt_ids: Vec<usize>,
-        /// Malfunction score before.
-        before: f64,
-        /// Malfunction score after.
-        after: f64,
-        /// Whether the intervention was kept (reduced malfunction).
-        kept: bool,
-    },
-    /// Make-Minimal dropped a redundant PVT.
-    MinimalityDropped {
-        /// Id of the dropped PVT.
-        pvt_id: usize,
-    },
-}
+use std::hash::{Hash, Hasher};
 
 /// The output of a diagnosis: the minimal explanation (causes and
 /// fixes), the interventions spent finding it, and the repaired
@@ -55,8 +28,6 @@ pub struct Explanation {
     /// The repaired failing dataset
     /// `(∘_{X ∈ X*} X_T)(D_fail)`.
     pub repaired: DataFrame,
-    /// Ordered audit trail of the run.
-    pub trace: Vec<TraceEvent>,
     /// Static-analysis findings over the candidate PVT set, produced
     /// before any oracle query (rules L1–L5 of `dp_lint`; see
     /// [`crate::Lint`]). `analyzed` is false under `Lint::Off`; under
@@ -71,9 +42,14 @@ pub struct Explanation {
     pub metrics: RunMetrics,
     /// The structured event stream of the run, when
     /// `PrismConfig::trace` was [`dp_trace::TraceConfig::Collect`]
-    /// (empty otherwise — JSONL streams go to their file). Feed to
-    /// [`dp_trace::SearchTree::from_records`] for the recursion tree.
+    /// (empty otherwise — JSONL streams go to their file). It is the
+    /// run's audit trail: every charged intervention and Make-Minimal
+    /// drop, in order. Feed to [`dp_trace::SearchTree::from_records`]
+    /// for the recursion tree.
     pub trace_records: Vec<TraceRecord>,
+    /// [`dp_trace::Tracer::digest`] of the run's decisions, folded as
+    /// they were made whether or not a sink was attached.
+    pub(crate) decisions: u64,
 }
 
 impl Explanation {
@@ -96,20 +72,21 @@ impl Explanation {
     /// Content digest of the *result* of the diagnosis: the PVT ids
     /// (in explanation order), intervention count, exact bit patterns
     /// of the initial and final malfunction scores, resolution flag,
-    /// audit trail, and the content fingerprint of the repaired
-    /// dataset.
+    /// the digest of the charged decisions (candidate count, each
+    /// intervention's ids, scores and verdict, each Make-Minimal drop,
+    /// in order), and the content fingerprint of the repaired dataset.
     ///
     /// Two explanations digest equal iff the diagnosis reached the
     /// same conclusion through the same charged decisions — which is
     /// exactly what is invariant under thread count, speculation
-    /// depth, and cache warm-starts. Scheduling-dependent observability
-    /// (cache/metrics counters, latencies, trace-record timestamps) is
-    /// deliberately excluded, so `dp_serve` clients can assert warm
-    /// vs cold bit-identity over the wire with one `u64`.
+    /// depth, trace sink, and cache warm-starts. Scheduling-dependent
+    /// observability (cache/metrics counters, latencies, trace-record
+    /// timestamps) is deliberately excluded, so `dp_serve` clients can
+    /// assert warm vs cold bit-identity over the wire with one `u64`.
+    /// The hash is [`SipHasher13`], so the value is the same on every
+    /// toolchain.
     pub fn digest(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
+        let mut h = SipHasher13::new();
         self.pvts.len().hash(&mut h);
         for pvt in &self.pvts {
             pvt.id.hash(&mut h);
@@ -120,31 +97,7 @@ impl Explanation {
         self.initial_score.to_bits().hash(&mut h);
         self.final_score.to_bits().hash(&mut h);
         self.resolved.hash(&mut h);
-        self.trace.len().hash(&mut h);
-        for event in &self.trace {
-            match event {
-                TraceEvent::Discovered { n_pvts } => {
-                    0u8.hash(&mut h);
-                    n_pvts.hash(&mut h);
-                }
-                TraceEvent::Intervention {
-                    pvt_ids,
-                    before,
-                    after,
-                    kept,
-                } => {
-                    1u8.hash(&mut h);
-                    pvt_ids.hash(&mut h);
-                    before.to_bits().hash(&mut h);
-                    after.to_bits().hash(&mut h);
-                    kept.hash(&mut h);
-                }
-                TraceEvent::MinimalityDropped { pvt_id } => {
-                    2u8.hash(&mut h);
-                    pvt_id.hash(&mut h);
-                }
-            }
-        }
+        self.decisions.hash(&mut h);
         crate::oracle::fingerprint(&self.repaired).hash(&mut h);
         h.finish()
     }
@@ -199,10 +152,10 @@ mod tests {
             final_score: 0.15,
             resolved: true,
             repaired: DataFrame::new(),
-            trace: vec![TraceEvent::Discovered { n_pvts: 4 }],
             lint: Diagnostics::default(),
             metrics: RunMetrics::default(),
             trace_records: Vec::new(),
+            decisions: 4,
         }
     }
 
@@ -230,6 +183,9 @@ mod tests {
         let mut d = dummy();
         d.interventions = 3;
         assert_ne!(a.digest(), d.digest());
+        let mut e = dummy();
+        e.decisions = 5;
+        assert_ne!(a.digest(), e.digest());
     }
 
     #[test]

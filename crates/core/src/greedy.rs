@@ -24,13 +24,13 @@ use crate::benefit::benefit_scores;
 use crate::config::PrismConfig;
 use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::graph::PvtAttributeGraph;
 use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
 use crate::runtime::{Intent, Oracle, Speculation};
 use dp_frame::DataFrame;
-use dp_trace::{Event, Tracer};
+use dp_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -56,7 +56,6 @@ pub(crate) fn make_minimal(
     repaired: DataFrame,
     score: f64,
     seed: u64,
-    trace: &mut Vec<TraceEvent>,
     tracer: &Tracer,
 ) -> Result<(Vec<Pvt>, DataFrame, f64)> {
     let mut best = (repaired, score);
@@ -89,11 +88,7 @@ pub(crate) fn make_minimal(
         }
         match accepted {
             Some((j, frame, s)) => {
-                trace.push(TraceEvent::MinimalityDropped {
-                    pvt_id: selected[j].id,
-                });
-                let dropped_id = selected[j].id;
-                tracer.emit(|| Event::MinimalityDrop { pvt: dropped_id });
+                tracer.minimality_drop(selected[j].id);
                 selected.remove(j);
                 best = (frame, s);
                 // Restart the scan: minimality must hold for every
@@ -234,7 +229,7 @@ pub(crate) fn run_greedy(
     if pvts.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    let mut trace = vec![TraceEvent::Discovered { n_pvts: pvts.len() }];
+    tracer.candidates(pvts.len());
 
     // Lines 7–8.
     let mut selected: Vec<Pvt> = Vec::new();
@@ -281,18 +276,7 @@ pub(crate) fn run_greedy(
             // Line 13: mark explored.
             graph.remove(chosen_id);
             benefits.remove(&chosen_id);
-            trace.push(TraceEvent::Intervention {
-                pvt_ids: vec![chosen_id],
-                before: score,
-                after: new_score,
-                kept: delta > 0.0,
-            });
-            tracer.emit(|| Event::GreedyPick {
-                pvt: chosen_id,
-                before: score,
-                after: new_score,
-                kept: delta > 0.0,
-            });
+            tracer.intervention(&[chosen_id], score, new_score, delta > 0.0);
             rng = rng_states[i].clone();
 
             // Lines 14–19.
@@ -318,16 +302,7 @@ pub(crate) fn run_greedy(
 
     // Line 20: Make-Minimal.
     let (selected, current, score) = if resolved_before_minimal && config.make_minimal {
-        make_minimal(
-            rt,
-            d_fail,
-            selected,
-            current,
-            score,
-            config.seed,
-            &mut trace,
-            &tracer,
-        )?
+        make_minimal(rt, d_fail, selected, current, score, config.seed, &tracer)?
     } else {
         (selected, current, score)
     };
@@ -339,16 +314,7 @@ pub(crate) fn run_greedy(
         });
     }
 
-    finish_run(
-        rt,
-        &tracer,
-        lint,
-        selected,
-        initial_score,
-        score,
-        current,
-        trace,
-    )
+    finish_run(rt, &tracer, lint, selected, initial_score, score, current)
 }
 
 #[cfg(test)]
@@ -466,7 +432,7 @@ mod tests {
             assert_eq!(par.pvt_ids(), serial.pvt_ids(), "{threads} threads");
             assert_eq!(par.interventions, serial.interventions);
             assert_eq!(par.final_score, serial.final_score);
-            assert_eq!(par.trace, serial.trace);
+            assert_eq!(par.digest(), serial.digest());
             assert_eq!(
                 crate::oracle::fingerprint(&par.repaired),
                 crate::oracle::fingerprint(&serial.repaired)
@@ -511,19 +477,34 @@ mod tests {
 
     #[test]
     fn trace_records_interventions() {
+        use dp_trace::{Event, TraceConfig};
         let (pass, fail) = pass_fail();
         let mut system = label_domain_system;
-        let exp = greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2)).unwrap();
-        assert!(matches!(exp.trace[0], TraceEvent::Discovered { n_pvts } if n_pvts > 0));
-        let kept: Vec<bool> = exp
-            .trace
+        let config = PrismConfig {
+            trace: TraceConfig::Collect,
+            ..PrismConfig::with_threshold(0.2)
+        };
+        let exp = greedy(&mut system, &fail, &pass, &config).unwrap();
+        let events: Vec<&Event> = exp.trace_records.iter().map(|r| &r.event).collect();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::Discovery(s) if s.n_pvts > 0)));
+        let picks: Vec<(usize, bool)> = events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Intervention { kept, .. } => Some(*kept),
+                Event::Intervention { ids, kept, .. } => Some((ids.len(), *kept)),
                 _ => None,
             })
             .collect();
-        assert!(kept.iter().any(|&k| k), "at least one kept intervention");
+        assert_eq!(picks.len(), exp.interventions, "one event per charged pick");
+        assert!(picks.iter().all(|&(n, _)| n == 1), "greedy picks one PVT");
+        assert!(
+            picks.iter().any(|&(_, k)| k),
+            "at least one kept intervention"
+        );
+        // Collecting the trail does not move the digest.
+        let untraced = greedy(&mut system, &fail, &pass, &PrismConfig::with_threshold(0.2));
+        assert_eq!(untraced.unwrap().digest(), exp.digest());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::bisection::{
 use crate::config::PrismConfig;
 use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::graph::PvtAttributeGraph;
 use crate::greedy::make_minimal;
 use crate::oracle::fingerprint;
@@ -118,20 +118,18 @@ pub(crate) fn run_group_test(
     if pvt_vec.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    let mut trace = vec![TraceEvent::Discovered {
-        n_pvts: pvt_vec.len(),
-    }];
+    tracer.candidates(pvt_vec.len());
     let graph = PvtAttributeGraph::new(&pvt_vec);
 
     // A3 applicability check: the full composition must reduce the
     // malfunction (see module docs).
     let full_score = rt.intervene_apply_traced(&full, &tracer)?;
-    trace.push(TraceEvent::Intervention {
-        pvt_ids: all_ids.clone(),
-        before: initial_score,
-        after: full_score,
-        kept: full_score < initial_score,
-    });
+    tracer.intervention(
+        &all_ids,
+        initial_score,
+        full_score,
+        full_score < initial_score,
+    );
     if full_score >= initial_score {
         return Err(PrismError::AssumptionViolated(format!(
             "composing all {} candidate transformations raised the malfunction \
@@ -165,7 +163,6 @@ pub(crate) fn run_group_test(
         Some(initial_score),
         0,
         None,
-        &mut trace,
     )?;
     let score = ctx.rt.intervene_traced(&repaired, &tracer);
 
@@ -176,16 +173,7 @@ pub(crate) fn run_group_test(
 
     // Line 7 of Alg 2: Make-Minimal.
     let (selected, repaired, score) = if rt.passes(score) && config.make_minimal {
-        make_minimal(
-            rt,
-            d_fail,
-            selected,
-            repaired,
-            score,
-            config.seed,
-            &mut trace,
-            &tracer,
-        )?
+        make_minimal(rt, d_fail, selected, repaired, score, config.seed, &tracer)?
     } else {
         (selected, repaired, score)
     };
@@ -197,16 +185,7 @@ pub(crate) fn run_group_test(
         });
     }
 
-    finish_run(
-        rt,
-        &tracer,
-        lint,
-        selected,
-        initial_score,
-        score,
-        repaired,
-        trace,
-    )
+    finish_run(rt, &tracer, lint, selected, initial_score, score, repaired)
 }
 
 /// The composition of the transformations of `ids` (ascending)
@@ -294,7 +273,6 @@ fn group_test_rec(
     score: Option<f64>,
     covered: usize,
     parent: Option<u64>,
-    trace: &mut Vec<TraceEvent>,
 ) -> Result<(DataFrame, Vec<usize>)> {
     // Lines 2–3: a single candidate is applied and reported. Its frame
     // is the one the search carries forward, so it is built.
@@ -410,24 +388,10 @@ fn group_test_rec(
     // Line 6: intervene with all of X1.
     let s1 = ctx.rt.intervene_apply_traced(&probes[0], &ctx.tracer)?;
     let delta1 = m - s1;
-    trace.push(TraceEvent::Intervention {
-        pvt_ids: x1.clone(),
-        before: m,
-        after: s1,
-        kept: delta1 > 0.0,
+    let rt = &ctx.rt;
+    ctx.tracer.probe(node, 1, &x1, m, s1, delta1 > 0.0, || {
+        rt.last_query().speculative_hit
     });
-    if ctx.tracer.enabled() {
-        let speculative_hit = ctx.rt.last_query().speculative_hit;
-        ctx.tracer.emit(|| Event::BisectionProbe {
-            node,
-            half: 1,
-            ids: x1.clone(),
-            before: m,
-            after: s1,
-            kept: delta1 > 0.0,
-            speculative_hit,
-        });
-    }
 
     // Lines 7–8: X1 insufficient → also probe X2. (If X1 passes, a
     // speculated X2 score is simply left unused — surplus cache
@@ -437,25 +401,10 @@ fn group_test_rec(
     if !ctx.rt.passes(s1) {
         s2 = ctx.rt.intervene_apply_traced(&probes[1], &ctx.tracer)?;
         delta2 = m - s2;
-        trace.push(TraceEvent::Intervention {
-            pvt_ids: x2.clone(),
-            before: m,
-            after: s2,
-            kept: delta2 > 0.0,
+        let rt = &ctx.rt;
+        ctx.tracer.probe(node, 2, &x2, m, s2, delta2 > 0.0, || {
+            rt.last_query().speculative_hit
         });
-        if ctx.tracer.enabled() {
-            let speculative_hit = ctx.rt.last_query().speculative_hit;
-            let (after, kept) = (s2, delta2 > 0.0);
-            ctx.tracer.emit(|| Event::BisectionProbe {
-                node,
-                half: 2,
-                ids: x2.clone(),
-                before: m,
-                after,
-                kept,
-                speculative_hit,
-            });
-        }
     }
 
     drop(probes);
@@ -466,7 +415,7 @@ fn group_test_rec(
     // when it helps and X2 alone is insufficient.
     if ctx.rt.passes(s1) || (delta1 > 0.0 && !ctx.rt.passes(s2)) {
         let (d_next, mut found) =
-            group_test_rec(ctx, &x1, current, Some(m), child_covered, Some(node), trace)?;
+            group_test_rec(ctx, &x1, current, Some(m), child_covered, Some(node))?;
         current = d_next;
         selected.append(&mut found);
         if ctx.rt.passes(s1) {
@@ -490,7 +439,7 @@ fn group_test_rec(
         } else {
             (None, 0)
         };
-        let (d_next, mut found) = group_test_rec(ctx, &x2, current, hint, cov, Some(node), trace)?;
+        let (d_next, mut found) = group_test_rec(ctx, &x2, current, hint, cov, Some(node))?;
         current = d_next;
         selected.append(&mut found);
     }

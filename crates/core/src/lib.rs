@@ -99,7 +99,7 @@ pub use dp_trace::{
     TraceConfig, TraceRecord, TraceSink, Tracer,
 };
 pub use error::{PrismError, Result};
-pub use explanation::{Explanation, TraceEvent};
+pub use explanation::Explanation;
 pub use group_test::PartitionStrategy;
 pub use lint::lint_pvts;
 pub use oracle::{fingerprint, fingerprint_reference, System, SystemFactory};

@@ -10,7 +10,7 @@
 
 use crate::transform::Transform;
 use dp_frame::{Bitmap, Chunk, ColumnData, DataFrame, Value};
-use std::collections::hash_map::DefaultHasher;
+use dp_trace::SipHasher13;
 use std::hash::{Hash, Hasher};
 
 /// A (possibly stateful) data-driven system with a malfunction score.
@@ -64,7 +64,7 @@ where
     }
 }
 
-fn hash_valid_slots<T: Hash>(h: &mut DefaultHasher, tag: u8, values: &[T], validity: &Bitmap) {
+fn hash_valid_slots<T: Hash>(h: &mut SipHasher13, tag: u8, values: &[T], validity: &Bitmap) {
     tag.hash(h);
     if validity.count_zeros() == 0 {
         // Fast path: no NULLs, the buffer is canonical as-is.
@@ -86,7 +86,7 @@ fn hash_valid_slots<T: Hash>(h: &mut DefaultHasher, tag: u8, values: &[T], valid
 /// `compute` half of [`Chunk::cached_fingerprint`] — the hash policy
 /// lives here with the oracle, the cache lives with the storage.
 fn chunk_fingerprint(chunk: &Chunk) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = SipHasher13::new();
     // The bitmap's tail bits past `len` are canonically zero, so the
     // word slice is safe to hash directly; it distinguishes NULL
     // layouts that the value stream alone cannot.
@@ -117,7 +117,9 @@ fn chunk_fingerprint(chunk: &Chunk) -> u64 {
 /// buffers and validity bitmaps directly — no per-cell [`Value`]
 /// boxing or string formatting. Collisions would only merge two
 /// intervention cache entries, never corrupt correctness-critical
-/// state.
+/// state. The hash is [`SipHasher13`] over an explicit byte stream, so
+/// a fingerprint persisted in a cache snapshot keeps its value across
+/// toolchains.
 ///
 /// Per-chunk hashes are memoized on the chunks themselves
 /// ([`Chunk::cached_fingerprint`]), so fingerprinting a transformed
@@ -125,10 +127,12 @@ fn chunk_fingerprint(chunk: &Chunk) -> u64 {
 /// — every chunk still shared with an already-fingerprinted frame is
 /// a single cached `u64` read.
 pub fn fingerprint(df: &DataFrame) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = SipHasher13::new();
     for col in df.columns() {
         col.name().hash(&mut h);
-        col.dtype().hash(&mut h);
+        // The dtype's declaration index as the `isize` a derived
+        // `Hash` fed, so fingerprints kept their values.
+        (col.dtype() as isize).hash(&mut h);
         col.len().hash(&mut h);
         for chunk in col.chunks() {
             chunk.cached_fingerprint(chunk_fingerprint).hash(&mut h);
@@ -146,15 +150,15 @@ pub fn fingerprint(df: &DataFrame) -> u64 {
 /// these inputs, so two compositions with equal keys build frames with
 /// equal fingerprints. The runtime maps keys to fingerprints and can
 /// then score a composition it has seen before without building it.
-/// Like [`fingerprint`], the key uses no randomly keyed hasher and no
-/// PVT id, so it is stable across processes and can be persisted in a
-/// cache snapshot.
+/// Like [`fingerprint`], the key is [`SipHasher13`] over no PVT id, so
+/// it is stable across processes and toolchains and can be persisted
+/// in a cache snapshot.
 pub fn intent_key<'t>(
     base: u64,
     transforms: impl IntoIterator<Item = &'t Transform>,
     seed: u64,
 ) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = SipHasher13::new();
     base.hash(&mut h);
     seed.hash(&mut h);
     let mut n = 0usize;
@@ -171,7 +175,7 @@ pub fn intent_key<'t>(
 /// logical content, so they must agree on equality/inequality of any
 /// two frames (the hash values themselves differ).
 pub fn fingerprint_reference(df: &DataFrame) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = SipHasher13::new();
     for col in df.columns() {
         col.name().hash(&mut h);
         format!("{:?}", col.dtype()).hash(&mut h);

@@ -3,20 +3,25 @@
 //! Renders an [`Explanation`] — together with the datasets it was
 //! derived from — as a markdown document: the malfunction summary,
 //! the cause/fix table, a Fig 5-style discriminative-profile listing
-//! with per-dataset parameters, and the intervention trace.
+//! with per-dataset parameters, and the intervention trail (from the
+//! collected trace records).
 
 use crate::discovery::discriminative_pvts;
-use crate::explanation::{Explanation, TraceEvent};
+use crate::explanation::Explanation;
 use crate::violation::violation;
 use crate::DiscoveryConfig;
 use dp_frame::DataFrame;
+use dp_trace::Event;
 use std::fmt::Write as _;
 
 /// Render a full markdown report of a diagnosis.
 ///
 /// `threshold` is the τ the diagnosis ran with; `discovery` the
 /// config used (so the Fig 5-style table lists the same profiles the
-/// algorithms saw).
+/// algorithms saw). The intervention trail and the search tree render
+/// from [`Explanation::trace_records`] of the last attempt (after the
+/// last `DiagnosisBegin`, so an `Auto` fallback shows its greedy run);
+/// without collected records the trail is one line on how to get it.
 pub fn markdown_report(
     explanation: &Explanation,
     d_pass: &DataFrame,
@@ -149,45 +154,56 @@ pub fn markdown_report(
     let _ = writeln!(out);
 
     let _ = writeln!(out, "## Intervention trace\n");
-    for event in &explanation.trace {
-        match event {
-            TraceEvent::Discovered { n_pvts } => {
-                let _ = writeln!(out, "- discovered {n_pvts} discriminative PVTs");
-            }
-            TraceEvent::Intervention {
-                pvt_ids,
+    let records = &explanation.trace_records;
+    let last_begin = records
+        .iter()
+        .rposition(|r| matches!(r.event, Event::DiagnosisBegin(_)));
+    let records = &records[last_begin.unwrap_or(0)..];
+    if records.is_empty() {
+        let _ = writeln!(
+            out,
+            "_Not collected: run with `PrismConfig::trace = TraceConfig::Collect` \
+             to record the intervention trail._"
+        );
+    }
+    for record in records {
+        let line = match &record.event {
+            Event::Candidates { n } => format!("discovered {n} discriminative PVTs"),
+            Event::MinimalityDrop { pvt } => format!("Make-Minimal dropped PVT {pvt}"),
+            Event::Intervention {
+                ids,
                 before,
                 after,
                 kept,
-            } => {
-                let ids = if pvt_ids.len() > 8 {
-                    format!("{} PVTs", pvt_ids.len())
+            }
+            | Event::BisectionProbe {
+                ids,
+                before,
+                after,
+                kept,
+                ..
+            } => format!(
+                "intervened on {}: {before:.3} → {after:.3} ({})",
+                if ids.len() > 8 {
+                    format!("{} PVTs", ids.len())
                 } else {
-                    format!("{pvt_ids:?}")
-                };
-                let _ = writeln!(
-                    out,
-                    "- intervened on {ids}: {before:.3} → {after:.3} ({})",
-                    if *kept { "kept" } else { "discarded" }
-                );
-            }
-            TraceEvent::MinimalityDropped { pvt_id } => {
-                let _ = writeln!(out, "- Make-Minimal dropped PVT {pvt_id}");
-            }
-        }
+                    format!("{ids:?}")
+                },
+                if *kept { "kept" } else { "discarded" }
+            ),
+            _ => continue,
+        };
+        let _ = writeln!(out, "- {line}");
     }
 
-    // Opt-in: the group-testing recursion tree, reconstructed from
-    // the structured trace. Only present when the run collected one
-    // (`PrismConfig::trace = TraceConfig::Collect`) and actually
-    // bisected. Rendered without wall times so the report stays
+    // The group-testing recursion tree, when the run bisected.
+    // Rendered without wall times so the report stays
     // byte-deterministic.
-    if explanation
-        .trace_records
+    if records
         .iter()
-        .any(|r| matches!(r.event, dp_trace::Event::BisectionNodeBegin(_)))
+        .any(|r| matches!(r.event, Event::BisectionNodeBegin(_)))
     {
-        let tree = dp_trace::SearchTree::from_records(&explanation.trace_records);
+        let tree = dp_trace::SearchTree::from_records(records);
         let _ = writeln!(out, "\n## Search tree\n");
         let _ = writeln!(out, "```");
         let _ = write!(out, "{}", tree.render_text(false));
@@ -232,6 +248,10 @@ mod tests {
         assert!(report.contains("⟨Domain, target"));
         assert!(report.contains("## Discriminative profiles"));
         assert!(report.contains("## Intervention trace"));
+        assert!(
+            report.contains("_Not collected: run with `PrismConfig::trace"),
+            "an untraced run says how to collect the trail"
+        );
         assert!(report.contains("- oracle cache: **"));
         assert!(report.contains("- run metrics: **"));
         assert!(
@@ -274,6 +294,10 @@ mod tests {
         assert!(!exp.trace_records.is_empty());
         let report = markdown_report(&exp, &pass, &fail, 0.2, &config.discovery);
         assert!(report.contains("## Search tree"), "{report}");
+        assert!(
+            report.contains("- intervened on [0, 2]: 1.000 → 0.000 (kept)"),
+            "{report}"
+        );
         assert!(report.contains("node 0"), "{report}");
     }
 
@@ -288,10 +312,10 @@ mod tests {
             final_score: 1.0,
             resolved: false,
             repaired: fail.clone(),
-            trace: Vec::new(),
             lint: Default::default(),
             metrics: Default::default(),
             trace_records: Vec::new(),
+            decisions: 0,
         };
         let report = markdown_report(&exp, &pass, &fail, 0.2, &DiscoveryConfig::default());
         assert!(report.contains("UNRESOLVED"));

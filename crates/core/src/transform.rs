@@ -547,7 +547,9 @@ fn hash_predicate<H: Hasher>(p: &Predicate, h: &mut H) {
         Predicate::Cmp { column, op, value } => {
             0u8.hash(h);
             column.hash(h);
-            op.hash(h);
+            // The operator's declaration index as the `isize` a
+            // derived `Hash` fed, so intent keys kept their values.
+            (*op as isize).hash(h);
             match value {
                 Value::Null => 0u8.hash(h),
                 Value::Int(v) => {

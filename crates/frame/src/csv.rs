@@ -3,60 +3,73 @@
 //! Examples write generated scenario datasets to disk so users can
 //! inspect the passing/failing data the framework reasons about, and
 //! read datasets back in. The dialect is RFC-4180-ish: comma
-//! separator, double-quote quoting with `""` escapes, `\n`/`\r\n`
-//! records; empty fields are NULL.
+//! separator, double-quote quoting with `""` escapes (a quoted field
+//! may span lines), `\n`/`\r\n` records; empty fields are NULL.
 
 use crate::builder::DataFrameBuilder;
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
 use crate::value::Value;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
-/// Split one CSV record into fields, honoring quotes.
-fn split_record(line: &str, line_no: usize) -> Result<Vec<String>> {
+/// Split a CSV document into records of fields, honoring quotes: a
+/// quoted field may hold separators, `""` escapes and line breaks.
+/// Each record comes with the 1-based line it starts on. Blank lines
+/// are skipped but still counted, so a line number always points at
+/// the line of the document.
+fn split_records(text: &str) -> Result<Vec<(usize, Vec<String>)>> {
+    let err = |line: usize, msg: &str| FrameError::Csv(format!("line {line}: {msg}"));
+    let mut records = Vec::new();
     let mut fields = Vec::new();
     let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
+    let (mut line, mut start) = (1, 1);
+    let (mut in_quotes, mut blank) = (false, true);
+    let mut chars = text.chars().peekable();
     while let Some(c) = chars.next() {
         if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
+            match c {
+                '"' if chars.peek() == Some(&'"') => {
                     cur.push('"');
                     chars.next();
-                } else {
-                    in_quotes = false;
                 }
-            } else {
-                cur.push(c);
-            }
-        } else {
-            match c {
-                '"' => {
-                    if cur.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err(FrameError::Csv(format!(
-                            "line {line_no}: quote inside unquoted field"
-                        )));
-                    }
-                }
-                ',' => fields.push(std::mem::take(&mut cur)),
+                '"' => in_quotes = false,
                 _ => cur.push(c),
             }
+            line += usize::from(c == '\n');
+            continue;
         }
+        match c {
+            '\r' if chars.peek() == Some(&'\n') => continue,
+            '\n' => {
+                if !blank {
+                    fields.push(std::mem::take(&mut cur));
+                    records.push((start, std::mem::take(&mut fields)));
+                }
+                line += 1;
+                (start, blank) = (line, true);
+                continue;
+            }
+            '"' if cur.is_empty() => in_quotes = true,
+            '"' => return Err(err(line, "quote inside unquoted field")),
+            ',' => fields.push(std::mem::take(&mut cur)),
+            _ => cur.push(c),
+        }
+        blank = false;
     }
     if in_quotes {
-        return Err(FrameError::Csv(format!("line {line_no}: unclosed quote")));
+        return Err(err(start, "unclosed quote"));
     }
-    fields.push(cur);
-    Ok(fields)
+    if !blank {
+        fields.push(cur);
+        records.push((start, fields));
+    }
+    Ok(records)
 }
 
 fn quote_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
+    if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
@@ -131,62 +144,55 @@ fn parse_value(raw: Option<&str>, dtype: DType, column: &str) -> Result<Value> {
     }
 }
 
-/// A header and its raw records.
-type Records = (Vec<String>, Vec<Vec<Option<String>>>);
+/// A header and its raw records, each with the line it starts on.
+type Records = (Vec<String>, Vec<(usize, Vec<Option<String>>)>);
 
-/// Split a CSV document into its header and raw records: empty lines
+/// Split a CSV document into its header and raw records: blank lines
 /// skipped, empty fields as `None`, every record as wide as the
 /// header, and no header name repeated.
-fn read_records<R: Read>(reader: R) -> Result<Records> {
-    let buf = BufReader::new(reader);
-    let mut lines = Vec::new();
-    for line in buf.lines() {
-        let line = line?;
-        if !line.is_empty() {
-            lines.push(line);
-        }
-    }
-    if lines.is_empty() {
+fn read_records<R: Read>(mut reader: R) -> Result<Records> {
+    let mut text = String::new();
+    reader.read_to_string(&mut text)?;
+    let mut records = split_records(&text)?.into_iter();
+    let Some((_, header)) = records.next() else {
         return Err(FrameError::Csv("empty document".into()));
-    }
-    let header = split_record(&lines[0], 1)?;
+    };
     let mut seen = std::collections::HashSet::new();
     if let Some(repeated) = header.iter().find(|h| !seen.insert(h.as_str())) {
         return Err(FrameError::DuplicateColumn(repeated.clone()));
     }
     let n_cols = header.len();
-    let mut rows: Vec<Vec<Option<String>>> = Vec::with_capacity(lines.len() - 1);
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let fields = split_record(line, i + 1)?;
+    let mut rows = Vec::with_capacity(records.len());
+    for (line, fields) in records {
         if fields.len() != n_cols {
             return Err(FrameError::Csv(format!(
-                "line {}: expected {} fields, found {}",
-                i + 1,
-                n_cols,
+                "line {line}: expected {n_cols} fields, found {}",
                 fields.len()
             )));
         }
-        rows.push(
-            fields
-                .into_iter()
-                .map(|f| if f.is_empty() { None } else { Some(f) })
-                .collect(),
-        );
+        let cells = fields
+            .into_iter()
+            .map(|f| if f.is_empty() { None } else { Some(f) })
+            .collect();
+        rows.push((line, cells));
     }
     Ok((header, rows))
 }
 
 /// Build a frame of `fields` from raw records, parsing each cell as
 /// its column's dtype.
-fn build_frame(fields: &[(&str, DType)], rows: &[Vec<Option<String>>]) -> Result<DataFrame> {
+fn build_frame(
+    fields: &[(&str, DType)],
+    rows: &[(usize, Vec<Option<String>>)],
+) -> Result<DataFrame> {
     let mut builder = DataFrameBuilder::with_fields(fields);
-    for (i, raw) in rows.iter().enumerate() {
+    for (line, raw) in rows {
         let row = raw
             .iter()
             .zip(fields)
             .map(|(cell, (name, dtype))| {
                 parse_value(cell.as_deref(), *dtype, name)
-                    .map_err(|e| FrameError::Csv(format!("line {}: {e}", i + 2)))
+                    .map_err(|e| FrameError::Csv(format!("line {line}: {e}")))
             })
             .collect::<Result<Vec<Value>>>()?;
         builder.push_row(row)?;
@@ -203,7 +209,7 @@ pub fn read_csv<R: Read>(reader: R) -> Result<DataFrame> {
         .iter()
         .enumerate()
         .map(|(j, name)| {
-            let cells: Vec<Option<&str>> = rows.iter().map(|r| r[j].as_deref()).collect();
+            let cells: Vec<Option<&str>> = rows.iter().map(|(_, r)| r[j].as_deref()).collect();
             (name.as_str(), infer_dtype(&cells))
         })
         .collect();
@@ -219,7 +225,8 @@ pub fn read_csv_path<P: AsRef<Path>>(path: P) -> Result<DataFrame> {
 /// Write a frame as CSV (header + rows; NULL as empty field).
 /// [`read_csv_with_schema`] under the frame's own schema reads the
 /// text back equal to `df`, as long as no string cell is empty (an
-/// empty field reads as NULL) or holds a line break.
+/// empty field reads as NULL). A cell holding a separator, quote or
+/// line break is quoted.
 pub fn write_csv<W: Write>(df: &DataFrame, mut writer: W) -> Result<()> {
     let names: Vec<String> = df.columns().iter().map(|c| quote_field(c.name())).collect();
     writeln!(writer, "{}", names.join(","))?;
@@ -407,6 +414,54 @@ mod tests {
     }
 
     #[test]
+    fn a_quoted_line_break_round_trips() {
+        let df = DataFrame::from_columns(vec![
+            Column::from_strings(
+                "t",
+                DType::Text,
+                vec![Some("a\nb".into()), Some("c".into())],
+            ),
+            Column::from_ints("n", vec![Some(1), Some(2)]),
+        ])
+        .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&df, &mut buf).unwrap();
+        assert_eq!(String::from_utf8_lossy(&buf), "t,n\n\"a\nb\",1\nc,2\n");
+        let schema = [("t", DType::Text), ("n", DType::Int)];
+        assert_eq!(read_csv_with_schema(&buf[..], &schema).unwrap(), df);
+        let inferred = read_csv(&buf[..]).unwrap();
+        assert_eq!(inferred.cell(0, "t").unwrap(), Value::Str("a\nb".into()));
+    }
+
+    #[test]
+    fn crlf_blank_lines_are_skipped_like_lf_ones() {
+        for lf in ["a,b\n1,2\n\n", "a\n1\n\n2\n"] {
+            let crlf = lf.replace('\n', "\r\n");
+            let want = read_csv(lf.as_bytes()).unwrap();
+            assert_eq!(read_csv(crlf.as_bytes()).unwrap(), want, "{crlf:?}");
+        }
+        assert_eq!(
+            read_csv("a\r\n1\r\n\r\n2\r\n".as_bytes()).unwrap().n_rows(),
+            2
+        );
+    }
+
+    #[test]
+    fn errors_name_the_line_of_the_document() {
+        // Blank lines count: the bad cell is on line 5.
+        let err = read_csv_with_schema("a\n\n\n1\nx\n".as_bytes(), &[("a", DType::Int)]);
+        assert!(
+            matches!(&err, Err(FrameError::Csv(m)) if m.starts_with("line 5:")),
+            "{err:?}"
+        );
+        // A quoted line break moves every later record down a line.
+        let err = read_csv("a,b\n\"x\ny\",1\n2\n".as_bytes()).unwrap_err();
+        assert_eq!(err.to_string().matches("line 4:").count(), 1, "{err}");
+        let err = read_csv("a\n1\n\"open\n\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 3: unclosed quote"), "{err}");
+    }
+
+    #[test]
     fn path_roundtrip() {
         let dir = std::env::temp_dir().join("dp_frame_csv_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -443,6 +498,11 @@ mod tests {
                     "0[0-9]{1,4}",
                     "[0-9]{1,2}\\.[0-9]{0,2}0",
                     "[a-z0-9 ,\".-]{1,8}",
+                    (
+                        "[a-z\"]{0,3}",
+                        prop::sample::select(vec!["\n", "\r\n", "\r", "\n\n"])
+                    )
+                        .prop_map(|(text, brk)| format!("{text}{brk}{text}")),
                 ],
             ),
             0u8..4,
@@ -451,7 +511,7 @@ mod tests {
 
     /// The cell a seed makes in a `dtype` column: NULL one time in
     /// four; strings are non-empty, often look numeric (`"01004"`,
-    /// `"1.50"`), and carry separators and quotes but no line break.
+    /// `"1.50"`), and carry separators, quotes and line breaks.
     fn cell(dtype: DType, seed: CellSeed) -> Value {
         let ((int, float), (boolean, text), null) = seed;
         if null == 0 {

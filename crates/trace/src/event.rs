@@ -39,7 +39,11 @@
 /// [`Event::SpeculationPlan`] lost its `cap` field (always equal to
 /// `depth`) and its `mean_query_ns` field (never set without the
 /// controller).
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// v7: `GreedyPick` became [`Event::Intervention`], which every charged
+/// intervention that is not a bisection probe emits, and
+/// [`Event::Candidates`] records the count each search starts from.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Whether an oracle query was a free baseline or a charged
 /// intervention.
@@ -230,15 +234,24 @@ pub enum Event {
     LintFact(LintFactSpan),
     /// An oracle query completed.
     OracleQuery(OracleQuerySpan),
-    /// Greedy decided on one candidate (Alg 1 lines 12–19).
-    GreedyPick {
-        /// Candidate PVT id.
-        pvt: usize,
+    /// The number of candidate PVTs the search starts from, after
+    /// discovery or the caller's candidate set and after any lint
+    /// pruning (v7).
+    Candidates {
+        /// Candidate PVTs.
+        n: usize,
+    },
+    /// A charged intervention that is not a bisection probe (v7): a
+    /// greedy pick, the A3 composition, or a baseline's configuration.
+    Intervention {
+        /// Ids of the PVTs whose transformations were applied.
+        ids: Vec<usize>,
         /// Malfunction score before the intervention.
         before: f64,
         /// Malfunction score after.
         after: f64,
-        /// Whether the candidate was kept (reduced the malfunction).
+        /// The algorithm's verdict (greedy and GT: the malfunction
+        /// dropped; the baselines: the score passed).
         kept: bool,
     },
     /// Entered a group-testing recursion node.

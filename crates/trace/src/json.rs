@@ -184,13 +184,14 @@ pub fn record_to_json(rec: &TraceRecord) -> String {
             .bool("speculative_hit", s.speculative_hit)
             .opt_u64("latency_ns", s.latency_ns)
             .finish(),
-        Event::GreedyPick {
-            pvt,
+        Event::Candidates { n } => Obj::new(seq, at, "candidates").usize("n", *n).finish(),
+        Event::Intervention {
+            ids,
             before,
             after,
             kept,
-        } => Obj::new(seq, at, "greedy_pick")
-            .usize("pvt", *pvt)
+        } => Obj::new(seq, at, "intervention")
+            .ids("ids", ids)
             .f64("before", *before)
             .f64("after", *after)
             .bool("kept", *kept)
@@ -703,8 +704,9 @@ fn decode_record(line: &str) -> Result<TraceRecord, String> {
             speculative_hit: f.bool("speculative_hit")?,
             latency_ns: f.opt_u64("latency_ns")?,
         }),
-        "greedy_pick" => Event::GreedyPick {
-            pvt: f.usize("pvt")?,
+        "candidates" => Event::Candidates { n: f.usize("n")? },
+        "intervention" => Event::Intervention {
+            ids: f.ids("ids")?,
             before: f.f64("before")?,
             after: f.f64("after")?,
             kept: f.bool("kept")?,
@@ -1063,7 +1065,209 @@ mod tests {
         .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
     }
 
+    #[test]
+    fn a_v6_stream_is_refused_with_the_typed_version_error() {
+        let v6 = "{\"v\":6,\"seq\":3,\"at_ns\":9,\"ev\":\"greedy_pick\",\"pvt\":28,\
+                  \"before\":0.743,\"after\":0.1,\"kept\":true}\n";
+        let err = parse_jsonl(v6).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert_eq!(err.message, "schema version 6 (this parser reads v7)");
+        // The v6-only event is gone from v7 too.
+        let err = parse_jsonl(&v6.replace("\"v\":6", "\"v\":7")).unwrap_err();
+        assert!(err.message.contains("unknown event 'greedy_pick'"), "{err}");
+    }
+
+    /// A finite `f64` from raw bits (subnormals and negative zero
+    /// included); JSON has no NaN or infinity.
+    fn finite(bits: u64) -> f64 {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            (bits >> 11) as f64
+        }
+    }
+
+    /// The event of variant `kind` (numbered as [`variant`] numbers
+    /// them), its fields drawn from the words `w` and `text`.
+    fn event(kind: u8, w: &[u64], text: &str) -> Event {
+        let ids =
+            |k: u64| -> Vec<usize> { w[..(k % 5) as usize].iter().map(|&x| x as usize).collect() };
+        let opt = |x: u64| x.is_multiple_of(2).then_some(x >> 1);
+        let flag = |x: u64| x.is_multiple_of(2);
+        let n = |x: u64| x as usize;
+        match kind {
+            0 => Event::DiagnosisBegin(DiagnosisSpan {
+                algorithm: text.into(),
+                system: text.chars().rev().collect(),
+                seed: w[0],
+                threshold: finite(w[1]),
+                num_threads: n(w[2]),
+                speculation_depth: n(w[3]),
+            }),
+            1 => Event::Discovery(DiscoverySpan {
+                n_pvts: n(w[0]),
+                pairs: w[1],
+                screened: w[2],
+                exact: w[3],
+                elapsed_ns: w[4],
+            }),
+            2 => Event::Lint(LintSpan {
+                analyzed: flag(w[0]),
+                errors: n(w[1]),
+                warnings: n(w[2]),
+                infos: n(w[3]),
+                pruned: n(w[4]),
+            }),
+            3 => Event::LintFact(LintFactSpan {
+                subsumption_classes: n(w[0]),
+                subsumed: n(w[1]),
+                unreachable: n(w[2]),
+                commuting_pairs: n(w[3]),
+                noop_certified: n(w[4]),
+            }),
+            4 => Event::OracleQuery(OracleQuerySpan {
+                kind: if flag(w[0]) {
+                    QueryKind::Baseline
+                } else {
+                    QueryKind::Intervention
+                },
+                fingerprint: w[1],
+                score: finite(w[2]),
+                cached: flag(w[3]),
+                speculative_hit: flag(w[4]),
+                latency_ns: opt(w[5]),
+            }),
+            5 => Event::Intervention {
+                ids: ids(w[5]),
+                before: finite(w[0]),
+                after: finite(w[1]),
+                kept: flag(w[2]),
+            },
+            6 => Event::BisectionNodeBegin(BisectionNodeSpan {
+                node: w[0],
+                parent: opt(w[1]),
+                candidates: ids(w[2]),
+                covered: n(w[3]),
+            }),
+            7 => Event::SpeculationPlan(SpeculationPlanSpan {
+                node: w[0],
+                depth: n(w[1]),
+                budget: opt(w[2]).map(n),
+                frames: n(w[3]),
+            }),
+            8 => Event::BisectionPartition {
+                node: w[0],
+                left: ids(w[1]),
+                right: ids(w[2]),
+                cut_edges: opt(w[3]).map(n),
+            },
+            9 => Event::BisectionProbe {
+                node: w[0],
+                half: w[1] as u8,
+                ids: ids(w[2]),
+                before: finite(w[3]),
+                after: finite(w[4]),
+                kept: flag(w[5]),
+                speculative_hit: flag(w[6]),
+            },
+            10 => Event::BisectionNodeEnd {
+                node: w[0],
+                selected: ids(w[1]),
+            },
+            11 => Event::MinimalityDrop { pvt: n(w[0]) },
+            12 => Event::SketchMerge(SketchMergeSpan {
+                columns: n(w[0]),
+                batch_rows: w[1],
+                total_rows: w[2],
+                batches: w[3],
+            }),
+            13 => Event::DriftScore(DriftScoreSpan {
+                profile: n(w[0]),
+                score: finite(w[1]),
+                threshold: finite(w[2]),
+                drifted: flag(w[3]),
+                screened: flag(w[4]),
+            }),
+            14 => Event::MonitorTrigger(MonitorTriggerSpan {
+                drifted: ids(w[0]),
+                candidates: n(w[1]),
+                window_rows: w[2],
+            }),
+            15 => Event::DiagnosisEnd {
+                resolved: flag(w[0]),
+                interventions: n(w[1]),
+                final_score: finite(w[2]),
+            },
+            _ => Event::Candidates { n: n(w[0]) },
+        }
+    }
+
+    /// The variant's number. Exhaustive, so a new variant does not
+    /// compile until [`event`] can build it.
+    fn variant(event: &Event) -> u8 {
+        match event {
+            Event::DiagnosisBegin(_) => 0,
+            Event::Discovery(_) => 1,
+            Event::Lint(_) => 2,
+            Event::LintFact(_) => 3,
+            Event::OracleQuery(_) => 4,
+            Event::Intervention { .. } => 5,
+            Event::BisectionNodeBegin(_) => 6,
+            Event::SpeculationPlan(_) => 7,
+            Event::BisectionPartition { .. } => 8,
+            Event::BisectionProbe { .. } => 9,
+            Event::BisectionNodeEnd { .. } => 10,
+            Event::MinimalityDrop { .. } => 11,
+            Event::SketchMerge(_) => 12,
+            Event::DriftScore(_) => 13,
+            Event::MonitorTrigger(_) => 14,
+            Event::DiagnosisEnd { .. } => 15,
+            Event::Candidates { .. } => 16,
+        }
+    }
+
+    /// Short strings full of characters JSON must escape.
+    fn text() -> impl Strategy<Value = String> {
+        let chars = vec![
+            'a', 'Z', ' ', '"', '\\', '\n', '\t', '\u{1}', '/', 'é', '😀',
+        ];
+        prop::collection::vec(prop::sample::select(chars), 0..8)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
     proptest! {
+        #[test]
+        fn arbitrary_records_round_trip_and_v6_streams_are_refused(
+            raw in prop::collection::vec(
+                (0u8..17, prop::collection::vec(0u64..=u64::MAX, 8), text()),
+                0..12,
+            ),
+        ) {
+            let mut records = Vec::new();
+            for (kind, w, text) in &raw {
+                let event = event(*kind, w, text);
+                prop_assert_eq!(variant(&event), *kind);
+                records.push(TraceRecord { seq: w[6], at_ns: w[7], event });
+            }
+            let text = to_jsonl(&records);
+            let back = parse_jsonl(&text).map_err(|e| e.to_string());
+            prop_assert_eq!(&back, &Ok(records.clone()));
+            // Bit-exact: re-encoding reproduces every byte, so negative
+            // zero and every score bit survive.
+            prop_assert_eq!(to_jsonl(&back.unwrap()), text.clone());
+            // The same stream stamped v6 is a typed error on its first
+            // line.
+            if !records.is_empty() {
+                let v6 = text.replace(&format!("{{\"v\":{SCHEMA_VERSION},"), "{\"v\":6,");
+                let err = parse_jsonl(&v6);
+                prop_assert!(
+                    matches!(&err, Err(e) if e.line == 1 && e.message.contains("schema version 6")),
+                    "{err:?}"
+                );
+            }
+        }
+
         #[test]
         fn parse_never_panics_on_arbitrary_text(text in json_noise()) {
             // Either a value or an error naming a byte offset.

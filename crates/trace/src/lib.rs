@@ -13,7 +13,9 @@
 //!    a no-op before any event is even constructed), the in-memory
 //!    [`Collector`], and the buffered [`JsonlSink`] writing one JSON
 //!    object per line under the stable, versioned schema
-//!    ([`SCHEMA_VERSION`], [`json`]).
+//!    ([`SCHEMA_VERSION`], [`json`]). The stream is the run's one
+//!    audit trail: the [`Tracer`] folds every charged decision into a
+//!    rolling digest as it is made, sink or not.
 //! 2. **Metrics** ([`metrics`]): monotonic counters and fixed-bucket
 //!    latency histograms, always on. Worker threads record into
 //!    per-worker [`MetricsShard`]s (atomics, no locks on the query
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod replay;
@@ -47,6 +50,7 @@ pub use event::{
     MonitorTriggerSpan, OracleQuerySpan, QueryKind, SketchMergeSpan, SpeculationPlanSpan,
     TraceRecord, SCHEMA_VERSION,
 };
+pub use hash::SipHasher13;
 pub use json::{json_escape, parse_jsonl, to_jsonl, JsonValue, ParseError};
 pub use metrics::{LatencyHistogram, MetricsShard, QueryStat, RunMetrics, LATENCY_BOUNDS_NS};
 pub use replay::{replay_oracle_queries, replay_records, Replay};

@@ -1,9 +1,11 @@
 //! The emitting handle the diagnosis algorithms carry.
 
-use crate::event::{Event, TraceRecord};
+use crate::event::{DiagnosisSpan, Event, TraceRecord};
+use crate::hash::SipHasher13;
 use crate::sink::{Collector, JsonlSink, TraceSink};
 use crate::TraceConfig;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::rc::Rc;
@@ -22,10 +24,15 @@ struct TracerCore {
 }
 
 /// A cheap, cloneable handle the diagnosis code threads through its
-/// call graph. In the default off state it holds nothing: `emit`
+/// call graph. In the default off state it holds no sink: `emit`
 /// returns before the event closure runs, `now_ns`/`next_node_id`
 /// return 0, and no clock is read — the zero-cost-when-off
 /// guarantee.
+///
+/// Sink or not, the tracer is the run's audit trail: it folds every
+/// charged decision into a rolling digest ([`Tracer::digest`]) as it
+/// is made — a fixed-size state, never a buffer of decisions — and
+/// emits it as an event when a sink is attached.
 ///
 /// A tracer is single-threaded by construction (`Rc`): events are
 /// only ever emitted from the main diagnosis thread, in the serial
@@ -34,6 +41,7 @@ struct TracerCore {
 /// [`crate::MetricsShard`]s instead.
 #[derive(Clone, Default)]
 pub struct Tracer {
+    trail: Rc<Cell<SipHasher13>>,
     inner: Option<Rc<RefCell<TracerCore>>>,
 }
 
@@ -46,9 +54,10 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// The no-op tracer (same as `Tracer::default()`).
+    /// The tracer with no sink (same as `Tracer::default()`): it only
+    /// keeps the decision digest.
     pub fn off() -> Tracer {
-        Tracer { inner: None }
+        Tracer::default()
     }
 
     /// A tracer collecting records in memory; retrieve them with
@@ -79,6 +88,7 @@ impl Tracer {
 
     fn with_active(sink: ActiveSink) -> Tracer {
         Tracer {
+            trail: Rc::default(),
             inner: Some(Rc::new(RefCell::new(TracerCore {
                 sink,
                 seq: 0,
@@ -112,6 +122,81 @@ impl Tracer {
             ActiveSink::Collect(c) => c.record(&record),
             ActiveSink::Custom(s) => s.record(&record),
         }
+    }
+
+    /// Open a diagnosis attempt: restart the decision digest and emit
+    /// [`Event::DiagnosisBegin`]. An attempt's digest covers only its
+    /// own decisions, so a fallback run digests like a fresh one.
+    pub fn begin(&self, span: impl FnOnce() -> DiagnosisSpan) {
+        self.trail.set(SipHasher13::new());
+        self.emit(|| Event::DiagnosisBegin(span()));
+    }
+
+    /// Fold one decision into the digest. A leading tag keeps the
+    /// decision kinds apart; id lists hash length-prefixed.
+    fn fold(&self, decision: impl Hash) {
+        let mut h = self.trail.get();
+        decision.hash(&mut h);
+        self.trail.set(h);
+    }
+
+    /// Record the number of candidate PVTs the search starts from,
+    /// and emit it as [`Event::Candidates`].
+    pub fn candidates(&self, n: usize) {
+        self.fold((0u8, n));
+        self.emit(|| Event::Candidates { n });
+    }
+
+    /// Record one charged intervention on `ids` and its verdict, and
+    /// emit it as [`Event::Intervention`].
+    pub fn intervention(&self, ids: &[usize], before: f64, after: f64, kept: bool) {
+        self.fold((1u8, ids, before.to_bits(), after.to_bits(), kept));
+        self.emit(|| Event::Intervention {
+            ids: ids.to_vec(),
+            before,
+            after,
+            kept,
+        });
+    }
+
+    /// Record one charged bisection probe — digested exactly like an
+    /// intervention — and emit it as [`Event::BisectionProbe`] of
+    /// `node`'s `half`. `speculative_hit` is only read with a sink.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe(
+        &self,
+        node: u64,
+        half: u8,
+        ids: &[usize],
+        before: f64,
+        after: f64,
+        kept: bool,
+        speculative_hit: impl FnOnce() -> bool,
+    ) {
+        self.fold((1u8, ids, before.to_bits(), after.to_bits(), kept));
+        self.emit(|| Event::BisectionProbe {
+            node,
+            half,
+            ids: ids.to_vec(),
+            before,
+            after,
+            kept,
+            speculative_hit: speculative_hit(),
+        });
+    }
+
+    /// Record that Make-Minimal dropped `pvt`, and emit
+    /// [`Event::MinimalityDrop`].
+    pub fn minimality_drop(&self, pvt: usize) {
+        self.fold((2u8, pvt));
+        self.emit(|| Event::MinimalityDrop { pvt });
+    }
+
+    /// Digest of the decisions recorded since the last
+    /// [`Tracer::begin`], in order. Equal digests mean the same
+    /// decisions with the same score bits.
+    pub fn digest(&self) -> u64 {
+        self.trail.get().finish()
     }
 
     /// Allocate the next bisection-node id (visit order). Returns 0
@@ -193,6 +278,77 @@ mod tests {
         let records = t.finish();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].seq, 1);
+    }
+
+    #[test]
+    fn the_digest_folds_decisions_with_or_without_a_sink() {
+        let record = |t: &Tracer| {
+            t.begin(|| panic!("never read here"));
+            t.candidates(3);
+            t.intervention(&[1, 2], 0.75, 0.5, true);
+            t.probe(0, 1, &[1], 0.5, 0.5, false, || true);
+            t.minimality_drop(2);
+            t.digest()
+        };
+        // Off, no closure runs (`begin`'s would panic).
+        let digest = record(&Tracer::off());
+        let on = Tracer::collect();
+        on.emit(|| Event::MinimalityDrop { pvt: 9 });
+        let span = || crate::event::DiagnosisSpan {
+            algorithm: "greedy".into(),
+            system: "s".into(),
+            seed: 0,
+            threshold: 0.2,
+            num_threads: 1,
+            speculation_depth: 0,
+        };
+        on.begin(span);
+        on.candidates(3);
+        on.intervention(&[1, 2], 0.75, 0.5, true);
+        on.probe(0, 1, &[1], 0.5, 0.5, false, || true);
+        on.minimality_drop(2);
+        // `begin` restarted the digest: the event before it is not in it.
+        assert_eq!(on.digest(), digest);
+        let kinds: Vec<&str> = on
+            .finish()
+            .iter()
+            .map(|r| match r.event {
+                Event::DiagnosisBegin(_) => "begin",
+                Event::Candidates { n: 3 } => "candidates",
+                Event::Intervention { .. } => "intervention",
+                Event::BisectionProbe {
+                    speculative_hit: true,
+                    ..
+                } => "probe",
+                Event::MinimalityDrop { .. } => "drop",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "drop",
+                "begin",
+                "candidates",
+                "intervention",
+                "probe",
+                "drop"
+            ]
+        );
+        // Every field of a decision moves the digest.
+        let base = Tracer::off();
+        base.intervention(&[1], 0.5, 0.25, true);
+        for variant in [
+            |t: &Tracer| t.intervention(&[2], 0.5, 0.25, true),
+            |t: &Tracer| t.intervention(&[1], 0.5, 0.25000000000000006, true),
+            |t: &Tracer| t.intervention(&[1], 0.5, 0.25, false),
+            |t: &Tracer| t.minimality_drop(1),
+            |t: &Tracer| t.candidates(1),
+        ] {
+            let t = Tracer::off();
+            variant(&t);
+            assert_ne!(t.digest(), base.digest());
+        }
     }
 
     #[test]

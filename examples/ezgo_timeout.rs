@@ -10,7 +10,7 @@
 //! Run: `cargo run --release --example ezgo_timeout`
 
 use dataprism::report::markdown_report;
-use dataprism::{Algorithm, Diagnosis, Source};
+use dataprism::{Algorithm, Diagnosis, Source, TraceConfig};
 use dp_scenarios::ezgo;
 
 fn main() {
@@ -20,12 +20,16 @@ fn main() {
     println!("budget overrun, normal batch: {pass_score:.3}");
     println!("budget overrun, skewed batch: {fail_score:.3}\n");
 
+    // The report renders its intervention trail from collected trace
+    // records.
+    let mut config = scenario.config.clone();
+    config.trace = TraceConfig::Collect;
     let explanation = Diagnosis::new(Algorithm::Greedy)
         .run(
             Source::Borrowed(scenario.system.as_mut()),
             &scenario.d_fail,
             &scenario.d_pass,
-            &scenario.config,
+            &config,
         )
         .expect("diagnosis runs");
 

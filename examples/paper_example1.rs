@@ -75,13 +75,13 @@ fn main() {
         );
         for record in &explanation.trace_records {
             match &record.event {
-                Event::GreedyPick {
-                    pvt,
+                Event::Intervention {
+                    ids,
                     before,
                     after,
                     kept,
                 } => println!(
-                    "  pick PVT {pvt}: {before:.3} -> {after:.3} ({})",
+                    "  pick PVT {ids:?}: {before:.3} -> {after:.3} ({})",
                     if *kept { "kept" } else { "reverted" }
                 ),
                 Event::MinimalityDrop { pvt } => {

@@ -326,7 +326,7 @@ fn group_test_resolves_a_single_candidate_without_bisecting() {
         .unwrap();
     assert_eq!(exp.pvt_ids(), par.pvt_ids());
     assert_eq!(exp.interventions, par.interventions);
-    assert_eq!(exp.trace, par.trace);
+    assert_eq!(exp.digest(), par.digest());
 }
 
 #[test]
@@ -362,7 +362,7 @@ fn group_test_handles_fully_disconnected_dependency_graph() {
             .unwrap();
         assert_eq!(exp.pvt_ids(), par.pvt_ids(), "depth {depth}");
         assert_eq!(exp.interventions, par.interventions, "depth {depth}");
-        assert_eq!(exp.trace, par.trace, "depth {depth}");
+        assert_eq!(exp.digest(), par.digest(), "depth {depth}");
     }
 }
 

@@ -22,8 +22,8 @@ use dataprism::bisection::{stream_seed, APPLY_STREAM};
 use dataprism::discovery::discriminative_pvts;
 use dataprism::runtime::Intent;
 use dataprism::{
-    fingerprint, Algorithm, Diagnosis, Explanation, Oracle, PrismError, Pvt, Result, ScoreCache,
-    Source, TraceEvent,
+    fingerprint, Algorithm, Diagnosis, Event, Explanation, Oracle, PrismError, Pvt, Result,
+    ScoreCache, Source, TraceConfig,
 };
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -175,6 +175,7 @@ proptest! {
 fn run(scenario: &Scenario, algo: Algorithm, cache: &mut ScoreCache) -> Result<Explanation> {
     let mut config = scenario.config.clone();
     config.num_threads = 1;
+    config.trace = TraceConfig::Collect;
     let (factory, d_fail, d_pass) = (
         scenario.factory.as_ref(),
         &scenario.d_fail,
@@ -187,12 +188,14 @@ fn run(scenario: &Scenario, algo: Algorithm, cache: &mut ScoreCache) -> Result<E
 
 /// The frames a fully warm width-1 run must build: greedy builds each
 /// pick it charges, group testing each leaf (the selection before
-/// Make-Minimal), and both each accepted Make-Minimal drop.
+/// Make-Minimal), and both each accepted Make-Minimal drop. Counted
+/// from the collected trail.
 fn frames_a_warm_run_must_build(algo: Algorithm, exp: &Explanation) -> u64 {
-    let count = |f: fn(&TraceEvent) -> bool| exp.trace.iter().filter(|e| f(e)).count() as u64;
-    let dropped = count(|e| matches!(e, TraceEvent::MinimalityDropped { .. }));
+    let count =
+        |f: fn(&Event) -> bool| exp.trace_records.iter().filter(|r| f(&r.event)).count() as u64;
+    let dropped = count(|e| matches!(e, Event::MinimalityDrop { .. }));
     let carried = match algo {
-        Algorithm::Greedy => count(|e| matches!(e, TraceEvent::Intervention { .. })),
+        Algorithm::Greedy => count(|e| matches!(e, Event::Intervention { .. })),
         _ => exp.pvts.len() as u64 + dropped,
     };
     carried + dropped

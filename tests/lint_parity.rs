@@ -22,7 +22,7 @@
 use dataprism::report::markdown_report;
 use dataprism::{
     fingerprint, Algorithm, Diagnosis, Explanation, Lint, PrismConfig, PrismError, Profile, Pvt,
-    Result, Severity, Source, Transform,
+    Result, Severity, Source, TraceConfig, Transform,
 };
 use dp_frame::{Column, DType, DataFrame};
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -61,7 +61,7 @@ fn assert_identical(name: &str, serial: &Result<Explanation>, other: &Result<Exp
                 "{name}: final score"
             );
             assert_eq!(s.resolved, p.resolved, "{name}: resolved flag");
-            assert_eq!(s.trace, p.trace, "{name}: trace");
+            assert_eq!(s.digest(), p.digest(), "{name}: digest");
             assert_eq!(
                 fingerprint(&s.repaired),
                 fingerprint(&p.repaired),
@@ -360,6 +360,37 @@ fn pruned_savings_render_in_the_report() {
         "pruning savings surfaced: {report}"
     );
     assert!(report.contains("[L2/error]"), "the findings are itemized");
+}
+
+#[test]
+fn the_report_trail_counts_the_candidates_the_search_starts_from() {
+    // Supplied candidates skip discovery, and pruning shrinks the set:
+    // the trail's count is the one the search ran on, for every
+    // algorithm that reports a trail.
+    let (pass, fail) = pass_fail();
+    let n = candidates_with_junk().len();
+    for (algorithm, lint, expected) in [
+        (Algorithm::Greedy, Lint::Report, n),
+        (Algorithm::Greedy, Lint::Prune, n - 3),
+        (Algorithm::GroupTest, Lint::Prune, n - 3),
+        (Algorithm::BugDoc, Lint::Report, n),
+        (Algorithm::Anchor, Lint::Report, n),
+    ] {
+        let mut config = config_with(lint);
+        config.trace = TraceConfig::Collect;
+        let mut system = label_system;
+        let exp = Diagnosis::new(algorithm)
+            .with_candidates(candidates_with_junk())
+            .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+            .unwrap();
+        let report = markdown_report(&exp, &pass, &fail, config.threshold, &config.discovery);
+        let line = format!("- discovered {expected} discriminative PVTs\n");
+        assert_eq!(
+            report.matches(&line).count(),
+            1,
+            "{algorithm:?} under {lint:?}: {report}"
+        );
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! running on the parallel runtime at any `num_threads` produces an
 //! explanation **bit-for-bit identical** to the serial oracle — same
 //! PVTs, same malfunction scores, same intervention count (the
-//! paper's Fig 7 currency), same trace, same repaired dataset — at
-//! every `num_threads` in {1, 2, 8} crossed with every
+//! paper's Fig 7 currency), same decision digest, same repaired
+//! dataset — at every `num_threads` in {1, 2, 8} crossed with every
 //! `gt_speculation_depth` in {0, 1, 2, 4}. Only the cache counters
 //! may differ, because scheduling decides which queries become hits
 //! and how much lookahead goes to waste; the rendered markdown
@@ -87,7 +87,7 @@ fn assert_identical(
                 "{name}@{threads}: final score"
             );
             assert_eq!(s.resolved, p.resolved, "{name}@{threads}: resolved flag");
-            assert_eq!(s.trace, p.trace, "{name}@{threads}: trace");
+            assert_eq!(s.digest(), p.digest(), "{name}@{threads}: digest");
             assert_eq!(
                 fingerprint(&s.repaired),
                 fingerprint(&p.repaired),
@@ -274,6 +274,34 @@ fn synthetic_pipelines_are_thread_count_invariant() {
                     .run(Source::Factory(&factory), &sc.d_fail, &sc.d_pass, &config);
                 assert_identical(name, threads, &serial_gt, &par_gt);
             }
+        }
+    }
+}
+
+/// The wall-clock workloads of `gt_scaling --runtime-smoke` (the
+/// Fig 8 m=200 suite and the §5.2 rank-54 pipeline), at one thread
+/// vs eight with the scenario's own speculation depth: both
+/// algorithms make identical decisions.
+#[test]
+fn fig8_and_rank54_workloads_are_thread_count_invariant() {
+    let cases = [
+        ("fig8 m=200", synthetic::single_cause(200, 200, 11)),
+        ("rank-54", synthetic::adversarial_rank(54, 3)),
+    ];
+    for (name, sc) in cases {
+        let factory = sc.factory();
+        for algorithm in [Algorithm::Greedy, Algorithm::GroupTest] {
+            let run = |threads| {
+                let config = PrismConfig {
+                    num_threads: threads,
+                    ..sc.config.clone()
+                };
+                Diagnosis::new(algorithm)
+                    .with_candidates(sc.pvts.clone())
+                    .run(Source::Factory(&factory), &sc.d_fail, &sc.d_pass, &config)
+            };
+            let label = format!("{name}/{algorithm:?}");
+            assert_identical(&label, 8, &run(1), &run(8));
         }
     }
 }

@@ -5,16 +5,19 @@
 //! algorithms.
 
 use dataprism::report::markdown_report;
-use dataprism::{Algorithm, Diagnosis, Explanation, Source};
+use dataprism::{Algorithm, Diagnosis, Explanation, Source, TraceConfig};
 use dp_frame::csv::{read_csv, write_csv};
 use dp_frame::describe::{describe, describe_table, sort_by, top_k, value_histogram};
 use dp_scenarios::{example1, ezgo, sentiment, Scenario};
 
-/// `algorithm` on the scenario's own system.
+/// `algorithm` on the scenario's own system, collecting the trace the
+/// report renders its intervention trail from.
 fn diagnose(scenario: &mut Scenario, algorithm: Algorithm) -> Explanation {
+    let mut config = scenario.config.clone();
+    config.trace = TraceConfig::Collect;
     let source = Source::Borrowed(scenario.system.as_mut());
     Diagnosis::new(algorithm)
-        .run(source, &scenario.d_fail, &scenario.d_pass, &scenario.config)
+        .run(source, &scenario.d_fail, &scenario.d_pass, &config)
         .unwrap()
 }
 
@@ -77,6 +80,7 @@ fn parallel_width_one_report_matches_serial_golden() {
     let scenario = example1::scenario();
     let mut config = scenario.config.clone();
     config.num_threads = 1;
+    config.trace = TraceConfig::Collect;
     let exp = Diagnosis::new(Algorithm::Greedy)
         .run(
             Source::Factory(scenario.factory.as_ref()),
@@ -98,6 +102,7 @@ fn report_covers_a_real_case_study() {
     assert!(report.contains("⟨Domain, target"));
     assert!(report.contains("**yes**"), "the cause row is flagged");
     assert!(report.contains("Intervention trace"));
+    assert!(report.contains("- intervened on "));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! [`ScoreCache`] — whether populated by a previous request or
 //! bootstrapped from a prior run's JSONL trace — changes **nothing**
 //! about the explanation. Same PVTs, same bit-patterns in every
-//! score, same trace, same repaired dataset, same digest, same
+//! score, same repaired dataset, same decision digest, same
 //! charged-query count; only the cache counters (`cache_misses`,
 //! `warm_hits`) reflect that the warm run re-evaluated the system
 //! strictly less. Pinned across every case-study scenario × both
@@ -94,7 +94,6 @@ fn assert_identical(label: &str, cold: &Result<Explanation>, warm: &Result<Expla
                 "{label}: final score"
             );
             assert_eq!(c.resolved, w.resolved, "{label}: resolved flag");
-            assert_eq!(c.trace, w.trace, "{label}: trace");
             assert_eq!(
                 fingerprint(&c.repaired),
                 fingerprint(&w.repaired),

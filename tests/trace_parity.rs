@@ -5,7 +5,7 @@
 //! observation**. With the in-memory `Collector` or the buffered
 //! JSONL writer, a diagnosis returns the bit-identical explanation a
 //! `NullSink` (trace off) run returns — same PVTs, scores,
-//! intervention counts, audit trail, and repaired-dataset fingerprint
+//! intervention counts, decision digest, and repaired-dataset fingerprint
 //! — at every `num_threads` in {1, 2, 8} crossed with every
 //! `gt_speculation_depth` in {0, 1, 2}, for both GRD and GT.
 //!
@@ -75,7 +75,7 @@ fn assert_same_outcome(label: &str, base: &Result<Explanation>, traced: &Result<
                 "{label}: final score"
             );
             assert_eq!(b.resolved, t.resolved, "{label}: resolved");
-            assert_eq!(b.trace, t.trace, "{label}: audit trail");
+            assert_eq!(b.digest(), t.digest(), "{label}: decision digest");
             assert_eq!(
                 fingerprint(&b.repaired),
                 fingerprint(&t.repaired),
