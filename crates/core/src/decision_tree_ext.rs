@@ -14,6 +14,7 @@
 //! violation indicators (violated / not violated), which is all
 //! Algorithm 5 requires.
 
+use crate::cache::ScoreCache;
 use crate::config::PrismConfig;
 use crate::error::{PrismError, Result};
 use crate::explanation::Explanation;
@@ -168,6 +169,19 @@ pub fn explain_with_decision_tree(
     pvts: &[Pvt],
     config: &PrismConfig,
 ) -> Result<Explanation> {
+    decision_tree(system, d_fail, datasets, pvts, config, None)
+}
+
+/// [`explain_with_decision_tree`] with the oracle warm-started from
+/// `warm`.
+fn decision_tree(
+    system: &mut dyn System,
+    d_fail: &DataFrame,
+    datasets: &[DataFrame],
+    pvts: &[Pvt],
+    config: &PrismConfig,
+    warm: Option<&ScoreCache>,
+) -> Result<Explanation> {
     if pvts.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -179,6 +193,9 @@ pub fn explain_with_decision_tree(
         config.max_interventions,
         1,
     );
+    if let Some(warm) = warm {
+        oracle = oracle.with_warm_cache(warm);
+    }
     tracer.begin(|| DiagnosisSpan {
         algorithm: "decision_tree".into(),
         system: oracle.system_name(),
@@ -195,7 +212,7 @@ pub fn explain_with_decision_tree(
         });
         tracer.finish()
     };
-    let initial_score = oracle.baseline(d_fail);
+    let initial_score = oracle.baseline_traced(d_fail, &tracer);
     tracer.candidates(pvts.len());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD7EE);
 
@@ -203,7 +220,7 @@ pub fn explain_with_decision_tree(
     // observations, not interventions).
     let mut instances: Vec<Instance> = Vec::new();
     for df in datasets {
-        let score = oracle.baseline(df);
+        let score = oracle.baseline_traced(df, &tracer);
         instances.push(Instance {
             violated: violation_vector(df, pvts),
             pass: oracle.passes(score),
@@ -258,7 +275,7 @@ pub fn explain_with_decision_tree(
             }
             let refs: Vec<&Pvt> = conj.iter().map(|&f| &pvts[f]).collect();
             let (transformed, _) = apply_composition(&refs, d_fail, &mut rng)?;
-            let score = oracle.intervene(&transformed);
+            let score = oracle.intervene_traced(&transformed, &tracer);
             let pass = oracle.passes(score);
             tracer.intervention(&conj, initial_score, score, pass);
             if pass {
@@ -405,6 +422,37 @@ mod tests {
             events.last(),
             Some(Event::DiagnosisEnd { resolved: true, .. })
         ));
+    }
+
+    #[test]
+    fn a_collected_trail_replays_its_scores_and_warms_a_rerun_fully() {
+        let (pvts, pass, fail, mut system) = interacting_scenario();
+        let mut config = PrismConfig::with_threshold(0.2);
+        config.trace = dp_trace::TraceConfig::Collect;
+        let observed = [pass];
+        let cold =
+            explain_with_decision_tree(&mut system, &fail, &observed, &pvts, &config).unwrap();
+        assert!(cold.metrics.cache_misses > 0, "{:?}", cold.metrics);
+        let replay =
+            dp_trace::replay_oracle_queries(&dp_trace::to_jsonl(&cold.trace_records)).unwrap();
+        let scores: Vec<f64> = replay.queries.iter().map(|q| q.score).collect();
+        // Two baselines (the failing and the observed passing
+        // dataset), then one query per charged intervention, the
+        // Make-Minimal drops included.
+        assert_eq!(
+            scores.len() as u64,
+            cold.metrics.baseline_queries + cold.metrics.charged_queries,
+            "{scores:?}"
+        );
+        assert_eq!(scores[0], cold.initial_score);
+        assert!(scores.contains(&cold.final_score), "{scores:?}");
+        let mut cache = ScoreCache::new();
+        cache.absorb_spans(&replay.queries);
+        let warm =
+            decision_tree(&mut system, &fail, &observed, &pvts, &config, Some(&cache)).unwrap();
+        assert_eq!(warm.digest(), cold.digest());
+        assert_eq!(warm.metrics.cache_misses, 0, "{:?}", warm.metrics);
+        assert_eq!(warm.metrics.warm_hits, warm.metrics.charged_queries);
     }
 
     #[test]

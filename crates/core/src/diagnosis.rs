@@ -275,10 +275,7 @@ fn run_one(
     }
     let mut exp = result?;
     if let Some(stats) = stats {
-        exp.metrics.prefilter_pairs = stats.pairs as u64;
-        exp.metrics.prefilter_screened = stats.screened() as u64;
-        exp.metrics.prefilter_chi2_screened = stats.chi2_screened as u64;
-        exp.metrics.prefilter_exact = (stats.chi2_exact + stats.pearson_exact) as u64;
+        stats.count_into(&mut exp.metrics);
     }
     Ok(exp)
 }

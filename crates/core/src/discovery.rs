@@ -43,6 +43,16 @@ impl DiscoveryStats {
         self.screened() + self.chi2_exact + self.pearson_exact
     }
 
+    /// Add these counters to the `prefilter_*` fields of `metrics`:
+    /// the one place a discovery pass's counts enter a
+    /// [`dp_trace::RunMetrics`].
+    pub fn count_into(&self, metrics: &mut dp_trace::RunMetrics) {
+        metrics.prefilter_pairs += self.pairs as u64;
+        metrics.prefilter_screened += self.screened() as u64;
+        metrics.prefilter_chi2_screened += self.chi2_screened as u64;
+        metrics.prefilter_exact += (self.chi2_exact + self.pearson_exact) as u64;
+    }
+
     /// Accumulate another run's counters (e.g. the second dataset of
     /// a discriminative-PVT discovery).
     pub fn merge(&mut self, other: &DiscoveryStats) {

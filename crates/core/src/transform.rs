@@ -487,7 +487,7 @@ impl Transform {
             Transform::RepairText { attr, pattern } => {
                 3u8.hash(h);
                 attr.hash(h);
-                pattern.hash(h);
+                pattern.hash_content(h);
             }
             Transform::ReplaceOutliers {
                 attr,

@@ -9,7 +9,9 @@
 //! `--smoke` runs an end-to-end self-check instead of serving:
 //! start on an ephemeral port, register the income scenario, run two
 //! diagnoses, and verify the second one was served warm from the
-//! server-resident cache with a bit-identical explanation.
+//! server-resident cache with a bit-identical explanation and left
+//! the namespace's `prefilter_pairs_total` unchanged (discovery runs
+//! once, at `register`).
 
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
 use std::process::ExitCode;
@@ -90,11 +92,19 @@ fn smoke_test() -> Result<(), String> {
     if !is_ok(&cold) {
         return Err(format!("cold diagnosis failed: {cold:?}"));
     }
+    let pairs_before = prefilter_pairs_total(&mut client)?;
     let warm = client
         .diagnose("income", "greedy", None)
         .map_err(|e| format!("diagnose (warm): {e}"))?;
     if !is_ok(&warm) {
         return Err(format!("warm diagnosis failed: {warm:?}"));
+    }
+    // Discovery ran once, at `register`: a diagnosis tests no pair.
+    let pairs_after = prefilter_pairs_total(&mut client)?;
+    if pairs_before == 0 || pairs_after != pairs_before {
+        return Err(format!(
+            "prefilter_pairs_total went from {pairs_before} to {pairs_after} over a warm diagnosis"
+        ));
     }
 
     let cold_digest = field_u64(&cold, "digest").ok_or("cold digest missing")?;
@@ -119,13 +129,22 @@ fn smoke_test() -> Result<(), String> {
         ));
     }
     println!(
-        "dp_serve smoke: digest {cold_digest:#018x} identical; warm run {warm_hits} warm hits, {warm_misses} misses (cold: {cold_misses})"
+        "dp_serve smoke: digest {cold_digest:#018x} identical; warm run {warm_hits} warm hits, {warm_misses} misses (cold: {cold_misses}); {pairs_after} discovery pairs, all at register"
     );
 
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     server.join();
     println!("dp_serve smoke: OK");
     Ok(())
+}
+
+/// The `income` namespace's `prefilter_pairs_total` from `stats`.
+fn prefilter_pairs_total(client: &mut Client) -> Result<u64, String> {
+    let stats = client
+        .stats(Some("income"))
+        .map_err(|e| format!("stats: {e}"))?;
+    field_u64(&stats, "prefilter_pairs_total")
+        .ok_or_else(|| format!("stats lacks prefilter_pairs_total: {stats:?}"))
 }
 
 fn main() -> ExitCode {

@@ -8,9 +8,17 @@
 //! name share it, diagnoses against different names never touch each
 //! other's entries.
 //!
+//! Discovery runs once per spec. Step 1 of the paper's §4.1 depends
+//! only on the two datasets and the discovery configuration, all of
+//! which a [`SystemSpec`] fixes, so `register` computes the
+//! discriminative candidates and every `diagnose` searches them. The
+//! one discovery's pre-filter counters are counted at `register`, and
+//! a re-`register` builds a new spec and so discovers again.
+//!
 //! Counters live in one place: an entry's `totals` is a
 //! [`RunMetrics`] that every completed diagnosis merges its
-//! explanation's metrics into, and that takes in a watcher's
+//! explanation's metrics into, that takes in each spec's discovery
+//! counters at `register`, and that takes in a watcher's
 //! monitoring counters when a re-`watch` retires it.
 //! [`SystemEntry::metrics`] adds the live watcher's counters, and
 //! both the `stats` reply and the Prometheus scrape's counters render
@@ -25,7 +33,8 @@
 //! state is always consistent at unlock points).
 
 use crate::lru::LruScoreCache;
-use dataprism::{PrismConfig, RunMetrics, SystemFactory};
+use dataprism::discovery::discriminative_pvts_stats;
+use dataprism::{PrismConfig, Pvt, RunMetrics, SystemFactory};
 use dp_frame::DataFrame;
 use dp_monitor::Watcher;
 use dp_scenarios::Scenario;
@@ -53,6 +62,10 @@ pub struct SystemSpec {
     pub config: PrismConfig,
     /// Builds fresh system instances for the parallel runtime.
     pub factory: Box<dyn SystemFactory + Send + Sync>,
+    /// The discriminative PVTs of `d_pass` and `d_fail` under
+    /// `config.discovery`, discovered once at `register`; every
+    /// `diagnose` of this spec searches them.
+    pub candidates: Vec<Pvt>,
 }
 
 /// Mutable per-system state guarded by the namespace lock.
@@ -63,10 +76,10 @@ pub struct SystemEntry {
     pub cache: LruScoreCache,
     /// Diagnoses completed against this system.
     pub diagnoses: u64,
-    /// The counters of every completed diagnosis (both `diagnose` and
-    /// a drift-escalated one) and of every watcher a later `watch`
-    /// retired, merged. [`SystemEntry::metrics`] adds the live
-    /// watcher's.
+    /// The counters of every spec's discovery, of every completed
+    /// diagnosis (both `diagnose` and a drift-escalated one) and of
+    /// every watcher a later `watch` retired, merged.
+    /// [`SystemEntry::metrics`] adds the live watcher's.
     pub totals: RunMetrics,
     /// The live stream watcher, installed by `watch`. `None` until a
     /// client opts in to continuous monitoring.
@@ -139,11 +152,12 @@ impl Registry {
     }
 
     /// Register (or re-register) `name` as an instance of scenario
-    /// `key`. Re-registering replaces the spec but **keeps** the
-    /// existing cache namespace — same scenario key, rows, and seed
-    /// produce the same system, and a changed spec changes the
-    /// fingerprints anyway, so stale entries are merely unused.
-    /// Returns `None` if the scenario key is unknown.
+    /// `key`, discovering its candidates outside every lock.
+    /// Re-registering replaces the spec, and so discovers again, but
+    /// **keeps** the existing cache namespace — same scenario key,
+    /// rows, and seed produce the same system, and a changed spec
+    /// changes the fingerprints anyway, so stale entries are merely
+    /// unused. Returns `None` if the scenario key is unknown.
     pub fn register(
         &self,
         name: &str,
@@ -152,12 +166,19 @@ impl Registry {
         seed: Option<u64>,
     ) -> Option<usize> {
         let scenario = build_scenario(key, rows, seed)?;
+        let (candidates, stats) = discriminative_pvts_stats(
+            &scenario.d_pass,
+            &scenario.d_fail,
+            &scenario.config.discovery,
+            1,
+        );
         let spec = Arc::new(SystemSpec {
             scenario: key.to_string(),
             d_pass: scenario.d_pass,
             d_fail: scenario.d_fail,
             config: scenario.config,
             factory: scenario.factory,
+            candidates,
         });
         let mut systems = lock_or_recover(&self.systems);
         let entry = systems
@@ -175,6 +196,7 @@ impl Registry {
         drop(systems);
         let mut entry = lock_or_recover(&entry);
         entry.spec = spec;
+        stats.count_into(&mut entry.totals);
         Some(entry.cache.len())
     }
 

@@ -601,12 +601,17 @@ fn handle_diagnose(
         config.num_threads = t.clamp(1, 64);
     }
     config.speculation_budget = budget.or_else(|| namespace_budget(&shared.config));
-    let result = Diagnosis::new(algo).with_cache(&mut cache).run(
-        Source::Factory(&*spec.factory),
-        &spec.d_fail,
-        &spec.d_pass,
-        &config,
-    );
+    // The spec's candidates were discovered at `register`; a request
+    // runs lint, the dependency graph and the search over them.
+    let result = Diagnosis::new(algo)
+        .with_candidates(spec.candidates.clone())
+        .with_cache(&mut cache)
+        .run(
+            Source::Factory(&*spec.factory),
+            &spec.d_fail,
+            &spec.d_pass,
+            &config,
+        );
     drop(permit);
     let (new_entries, resident, evictions) = match record(shared, system, &cache, &result) {
         Ok(v) => v,
@@ -982,6 +987,9 @@ fn handle_stats(shared: &Shared, system: Option<&str>) -> String {
                     .usize("footprint_bytes", footprint)
                     .u64("evictions", evictions)
                     .u64("diagnoses", diagnoses)
+                    .u64("prefilter_pairs_total", m.prefilter_pairs)
+                    .u64("prefilter_screened_total", m.prefilter_screened)
+                    .u64("prefilter_exact_total", m.prefilter_exact)
                     .u64("lint_pruned_total", m.lint_pruned)
                     .u64("lint_subsumed_total", m.lint_subsumed)
                     .u64("lint_unreachable_total", m.lint_unreachable)

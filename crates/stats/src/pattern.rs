@@ -11,9 +11,10 @@
 //! transformation).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A character class recognized by the tokenizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CharClass {
     /// ASCII digits `0-9`.
     Digit,
@@ -80,7 +81,7 @@ fn regex_escape(c: char) -> String {
 
 /// One generalized token: a character class repeated between `min`
 /// and `max` times.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// The class of every character in the run.
     pub class: CharClass,
@@ -93,7 +94,7 @@ pub struct Token {
 /// A learned pattern: a sequence of generalized tokens, plus global
 /// length bounds. Strings match if they tokenize into the same class
 /// sequence with run lengths inside the bounds.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {
     tokens: Vec<Token>,
     /// Minimum total string length observed.
@@ -169,6 +170,32 @@ impl Pattern {
             min_len,
             max_len,
         })
+    }
+
+    /// Feed the pattern's full content into `h`, field by field: the
+    /// token count; per token its class tag (0 digit, 1 letter,
+    /// 2 space, 3 literal followed by the character) and run-length
+    /// bounds; then the length bounds. The stream is part of persisted
+    /// intent keys, so the tags are fixed here rather than derived;
+    /// they reproduce the stream a derived `Hash` fed.
+    pub fn hash_content<H: Hasher>(&self, h: &mut H) {
+        self.tokens.len().hash(h);
+        for t in &self.tokens {
+            let tag: isize = match t.class {
+                CharClass::Digit => 0,
+                CharClass::Alpha => 1,
+                CharClass::Space => 2,
+                CharClass::Literal(_) => 3,
+            };
+            tag.hash(h);
+            if let CharClass::Literal(c) = t.class {
+                c.hash(h);
+            }
+            t.min.hash(h);
+            t.max.hash(h);
+        }
+        self.min_len.hash(h);
+        self.max_len.hash(h);
     }
 
     /// Whether this pattern constrains structure (vs length only).

@@ -16,6 +16,7 @@ use dataprism::transform::ImputeStrategy;
 use dataprism::{fingerprint, Algorithm, Diagnosis, ScoreCache, Source, Transform};
 use dp_frame::{CmpOp, Column, DType, DataFrame, Predicate, Value};
 use dp_scenarios::{example1, income};
+use dp_stats::Pattern;
 
 /// One column of every dtype, each holding a NULL: Int, Float (with
 /// negative zero and infinity), Bool, Text and Categorical.
@@ -116,4 +117,20 @@ fn a_snapshot_written_before_the_switch_restores_fully_warm() {
     assert_eq!(m.cache_misses, 0, "{m:?}");
     assert_eq!(m.warm_hits, m.charged_queries, "{m:?}");
     assert!(m.intent_hits > 0, "{m:?}");
+}
+
+/// A `RepairText` intent key: the learned pattern holds a token of
+/// every character class (letters, a literal `-`, digits, a space),
+/// so each class's tag and the literal's character are in the hashed
+/// stream. Computed when the pattern still fed a derived `Hash`.
+#[test]
+fn the_intent_key_of_a_text_repair_is_pinned() {
+    let pattern = Pattern::learn(&["ab-12 x", "abc-123 y"]).unwrap();
+    assert_eq!(pattern.to_string(), r"[a-zA-Z]{2,3}-\d{2,3}\s[a-zA-Z]");
+    let transforms = [Transform::RepairText {
+        attr: "t".into(),
+        pattern,
+    }];
+    let key = intent_key(fingerprint(&pinned_frame()), &transforms, 7);
+    assert_eq!(key, 0x8afa_3d62_c36e_ea32);
 }

@@ -14,14 +14,18 @@
 //! The final tests run the same property end-to-end through an
 //! in-process `dp_serve` daemon over real TCP: server-resident
 //! namespaces, the wire `warm` op, and snapshot/restore all preserve
-//! bit-identity.
+//! bit-identity. The daemon discovers a system's candidates once, at
+//! `register`, and searches them on every `diagnose`: its replies
+//! must equal in-process runs that discover for themselves, and its
+//! pre-filter counters must count one discovery per `register`.
 
 use dataprism::{
     fingerprint, Algorithm, Diagnosis, Explanation, Result, ScoreCache, Source, TraceConfig,
 };
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
-use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
-use dp_trace::to_jsonl;
+use dp_serve::registry::build_scenario;
+use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server, SCENARIOS};
+use dp_trace::{to_jsonl, JsonValue};
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 
@@ -385,6 +389,132 @@ fn daemon_restore_of_out_of_range_scores_diagnoses_cold() {
     assert!(is_ok(&first), "{first:?}");
     assert_eq!(field_u64(&first, "digest"), field_u64(&cold, "digest"));
     assert_eq!(field_u64(&first, "warm_hits"), Some(0), "{first:?}");
+
+    assert!(is_ok(&client.shutdown().unwrap()));
+    server.join();
+}
+
+/// Assert a daemon `diagnose` reply equals an in-process diagnosis
+/// (which discovered its own candidates): the same digest, explanation
+/// set, intervention count and exact final score, or the same error.
+fn assert_reply_matches(label: &str, reply: &JsonValue, expected: &Result<Explanation>) {
+    match expected {
+        Ok(exp) => {
+            assert!(is_ok(reply), "{label}: {reply:?}");
+            assert_eq!(
+                field_u64(reply, "digest"),
+                Some(exp.digest()),
+                "{label}: digest"
+            );
+            let ids: Vec<usize> = match reply.get("pvt_ids") {
+                Some(JsonValue::Arr(items)) => items
+                    .iter()
+                    .map(|v| v.as_u64().expect("an id") as usize)
+                    .collect(),
+                other => panic!("{label}: pvt_ids is {other:?}"),
+            };
+            assert_eq!(ids, exp.pvt_ids(), "{label}: explanation set");
+            assert_eq!(
+                field_u64(reply, "interventions"),
+                Some(exp.interventions as u64),
+                "{label}: interventions"
+            );
+            assert_eq!(
+                field_u64(reply, "final_score_bits"),
+                Some(exp.final_score.to_bits()),
+                "{label}: final score"
+            );
+        }
+        Err(e) => {
+            assert!(!is_ok(reply), "{label}: daemon resolved, in-process {e}");
+            assert_eq!(
+                reply.get("error").and_then(|v| v.as_str()),
+                Some(e.to_string().as_str()),
+                "{label}: error"
+            );
+        }
+    }
+}
+
+#[test]
+fn daemon_diagnoses_search_the_candidates_discovered_at_register() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for key in SCENARIOS {
+        assert!(is_ok(&client.register(key, key, None, None).unwrap()));
+        let scenario = build_scenario(key, None, None).unwrap();
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest, Algorithm::Auto] {
+            for threads in [1, 2] {
+                let expected = run_cold(&scenario, algo, threads, false);
+                for warmth in ["cold", "warm"] {
+                    let label = format!("{key} {}@{threads}t {warmth}", algo.name());
+                    let reply = client.diagnose(key, algo.name(), Some(threads)).unwrap();
+                    assert_reply_matches(&label, &reply, &expected);
+                }
+            }
+        }
+    }
+
+    // A re-`register` at another size and seed builds a new spec, so
+    // the next reply is that spec's own discovering run.
+    let other = build_scenario("income", Some(200), Some(3)).unwrap();
+    assert!(is_ok(
+        &client
+            .register("income", "income", Some(200), Some(3))
+            .unwrap()
+    ));
+    for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
+        let expected = run_cold(&other, algo, 1, false);
+        assert!(expected.is_ok(), "{expected:?}");
+        let reply = client.diagnose("income", algo.name(), Some(1)).unwrap();
+        assert_reply_matches(&format!("income 200/3 {}", algo.name()), &reply, &expected);
+    }
+
+    assert!(is_ok(&client.shutdown().unwrap()));
+    server.join();
+}
+
+#[test]
+fn the_prefilter_totals_count_one_discovery_per_register() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let scenario = income::scenario_with_size(300, 7);
+    let (_, once) = dataprism::discovery::discriminative_pvts_stats(
+        &scenario.d_pass,
+        &scenario.d_fail,
+        &scenario.config.discovery,
+        1,
+    );
+    assert!(once.pairs > 0 && once.screened() > 0, "{once:?}");
+    let totals = |client: &mut Client| {
+        let stats = client.stats(Some("inc")).unwrap();
+        assert!(is_ok(&stats), "{stats:?}");
+        ["pairs", "screened", "exact"]
+            .map(|name| field_u64(&stats, &format!("prefilter_{name}_total")).expect(name))
+    };
+    let expected = |registers: u64| {
+        [
+            once.pairs as u64,
+            once.screened() as u64,
+            (once.chi2_exact + once.pearson_exact) as u64,
+        ]
+        .map(|n| registers * n)
+    };
+
+    assert!(is_ok(
+        &client.register("inc", "income", None, None).unwrap()
+    ));
+    assert_eq!(totals(&mut client), expected(1), "after register");
+    for (algo, threads) in [("greedy", 1), ("group_test", 2), ("auto", 1)] {
+        assert!(is_ok(&client.diagnose("inc", algo, Some(threads)).unwrap()));
+    }
+    assert_eq!(totals(&mut client), expected(1), "after three diagnoses");
+
+    assert!(is_ok(
+        &client.register("inc", "income", None, None).unwrap()
+    ));
+    assert!(is_ok(&client.diagnose("inc", "greedy", Some(1)).unwrap()));
+    assert_eq!(totals(&mut client), expected(2), "after a re-register");
 
     assert!(is_ok(&client.shutdown().unwrap()));
     server.join();
