@@ -18,17 +18,19 @@
 //! interval standing in for the external model (re)training of the
 //! paper's real systems; the wall-clock ratio is what a deployment
 //! with seconds-per-query systems sees. The table also prints the
-//! candidate frames each cold and warm run built: a warm GT run
-//! scores its probes by intent key and builds little beyond its leaves
-//! (the exact count at one thread is pinned in
-//! `tests/intent_cache.rs`). GT refuses example1 and cardio at its A3
-//! check (the paper's NA cells); those rows print `NA`.
+//! candidate frames each cold and warm run built: a warm run scores
+//! its charged compositions by intent key, so a warm GT run builds
+//! little beyond its leaves (the exact count at one thread is pinned
+//! in `tests/intent_cache.rs`) and a warm GRD run builds exactly the
+//! picks it keeps and the Make-Minimal drops it accepts, which is
+//! asserted here. GT refuses example1 and cardio at its A3 check (the
+//! paper's NA cells); those rows print `NA`.
 //!
 //! Usage: `cargo run --release -p dp-bench --bin warm_cache
 //! [--threads N] [--query-cost-ms C]`
 
 use dataprism::{
-    Algorithm, Diagnosis, Explanation, PrismConfig, PrismError, ScoreCache, Source, System,
+    Algorithm, Diagnosis, Event, Explanation, PrismConfig, PrismError, ScoreCache, Source, System,
     SystemFactory, TraceConfig,
 };
 use dp_bench::{arg_value, format_row};
@@ -201,6 +203,24 @@ fn main() {
                     "{label}/{leg}: warm run must re-evaluate strictly less"
                 );
                 assert!(exp.metrics.warm_hits > 0, "{label}/{leg}: no warm hits?");
+            }
+            if algo == Algorithm::Greedy {
+                // The frames a warm greedy run carries forward, read off
+                // the cold run's trail (the same decisions).
+                let carried = cold
+                    .trace_records
+                    .iter()
+                    .filter(|r| {
+                        matches!(
+                            r.event,
+                            Event::Intervention { kept: true, .. } | Event::MinimalityDrop { .. }
+                        )
+                    })
+                    .count() as u64;
+                assert_eq!(
+                    warm.metrics.frames_built, carried,
+                    "{label}/warm: a warm greedy run builds only the picks it keeps and the drops it accepts"
+                );
             }
 
             let speedup = cold_s / warm_s;

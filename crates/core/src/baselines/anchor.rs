@@ -74,7 +74,7 @@ pub(crate) fn run_anchor(
     config: &PrismConfig,
     tracer: Tracer,
 ) -> Result<Explanation> {
-    let (initial_score, _) = validate_inputs(oracle, d_fail, d_pass, Vec::new(), &tracer)?;
+    let initial_score = validate_inputs(oracle, d_fail, d_pass, &[], &tracer)?;
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -102,7 +102,7 @@ pub(crate) fn run_anchor(
                 .filter(|p| on_ids.contains(&p.id))
                 .collect();
             let (transformed, _) = apply_composition(&refs, d_fail, &mut rng)?;
-            let score = oracle.intervene_traced(&transformed, &tracer);
+            let score = oracle.intervene(&transformed, &tracer);
             queries += 1;
             let pass = oracle.passes(score);
             if pass
@@ -216,7 +216,7 @@ pub(crate) fn run_anchor(
         .filter(|p| on_ids.contains(&p.id))
         .collect();
     let (anchored, _) = apply_composition(&refs, d_fail, &mut rng)?;
-    let anchored_score = oracle.intervene_traced(&anchored, &tracer);
+    let anchored_score = oracle.intervene(&anchored, &tracer);
     let (repaired, final_score, explaining_ids) = if oracle.passes(anchored_score) {
         (anchored, anchored_score, on_ids)
     } else if let Some((df, s, ids)) = best_pass {

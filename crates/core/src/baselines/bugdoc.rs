@@ -45,7 +45,7 @@ pub(crate) fn run_bugdoc(
     config: &PrismConfig,
     tracer: Tracer,
 ) -> Result<Explanation> {
-    let (initial_score, _) = validate_inputs(oracle, d_fail, d_pass, Vec::new(), &tracer)?;
+    let initial_score = validate_inputs(oracle, d_fail, d_pass, &[], &tracer)?;
     if candidates.is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -98,7 +98,7 @@ pub(crate) fn run_bugdoc(
                 .collect()
         };
         let transformed = apply(&config_ids, &mut rng)?;
-        let score = oracle.intervene_traced(&transformed, &tracer);
+        let score = oracle.intervene(&transformed, &tracer);
         let passes = oracle.passes(score);
         let ids: Vec<usize> = config_ids.iter().copied().collect();
         tracer.intervention(&ids, initial_score, score, passes);
@@ -133,7 +133,7 @@ pub(crate) fn run_bugdoc(
     let (mut repaired, mut final_score);
     {
         let transformed = apply(&cause, &mut rng)?;
-        let score = oracle.intervene_traced(&transformed, &tracer);
+        let score = oracle.intervene(&transformed, &tracer);
         if oracle.passes(score) {
             repaired = transformed;
             final_score = score;
@@ -142,7 +142,7 @@ pub(crate) fn run_bugdoc(
             // superset we stored) by re-running phase 2 from all_ids.
             cause = all_ids.clone();
             let transformed = apply(&cause, &mut rng)?;
-            final_score = oracle.intervene_traced(&transformed, &tracer);
+            final_score = oracle.intervene(&transformed, &tracer);
             repaired = transformed;
         }
     }
@@ -165,7 +165,7 @@ pub(crate) fn run_bugdoc(
         let mut without = cause.clone();
         without.remove(&id);
         let transformed = apply(&without, &mut rng)?;
-        let score = oracle.intervene_traced(&transformed, &tracer);
+        let score = oracle.intervene(&transformed, &tracer);
         if oracle.passes(score) {
             tracer.minimality_drop(id);
             cause = without;

@@ -212,7 +212,7 @@ fn decision_tree(
         });
         tracer.finish()
     };
-    let initial_score = oracle.baseline_traced(d_fail, &tracer);
+    let initial_score = oracle.baseline(d_fail, &tracer);
     tracer.candidates(pvts.len());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD7EE);
 
@@ -220,7 +220,7 @@ fn decision_tree(
     // observations, not interventions).
     let mut instances: Vec<Instance> = Vec::new();
     for df in datasets {
-        let score = oracle.baseline_traced(df, &tracer);
+        let score = oracle.baseline(df, &tracer);
         instances.push(Instance {
             violated: violation_vector(df, pvts),
             pass: oracle.passes(score),
@@ -275,7 +275,7 @@ fn decision_tree(
             }
             let refs: Vec<&Pvt> = conj.iter().map(|&f| &pvts[f]).collect();
             let (transformed, _) = apply_composition(&refs, d_fail, &mut rng)?;
-            let score = oracle.intervene_traced(&transformed, &tracer);
+            let score = oracle.intervene(&transformed, &tracer);
             let pass = oracle.passes(score);
             tracer.intervention(&conj, initial_score, score, pass);
             if pass {

@@ -51,7 +51,7 @@ use crate::explanation::Explanation;
 use crate::group_test::{run_group_test, PartitionStrategy};
 use crate::oracle::SystemFactory;
 use crate::pvt::Pvt;
-use crate::runtime::{Oracle, Source, Speculated, Speculation};
+use crate::runtime::{Intent, Oracle, Source};
 use dp_frame::DataFrame;
 use dp_trace::{DiagnosisSpan, Event, Tracer};
 
@@ -284,39 +284,34 @@ fn run_one(
 /// dataset must pass and the failing dataset must fail. Returns the
 /// failing score.
 ///
-/// `first` holds the algorithm's first charged frames, if it planned
-/// any. The runtime then scores them together with both baselines as
-/// one opening batch ([`Oracle::score_opening`]) and
-/// returns the materialized frames, one result per job, for the
-/// caller to charge in serial order — a materialization error
-/// surfaces there, after validation, as in a serial run.
+/// `first` holds the algorithm's first charged intents, if it planned
+/// any. The runtime scores them together with both baselines as one
+/// opening batch ([`Oracle::open`]); the caller then charges them in
+/// serial order, and a build error surfaces there, after validation,
+/// as in a serial run.
 pub(crate) fn validate_inputs(
     rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
-    first: Vec<Speculation<'_>>,
+    first: &[Intent<'_>],
     tracer: &Tracer,
-) -> Result<(f64, Vec<Result<Speculated>>)> {
-    let opened = if first.is_empty() {
-        Vec::new()
-    } else {
-        rt.score_opening([d_pass, d_fail], first)
-    };
-    let pass_score = rt.baseline_traced(d_pass, tracer);
+) -> Result<f64> {
+    rt.open([d_pass, d_fail], first);
+    let pass_score = rt.baseline(d_pass, tracer);
     if !rt.passes(pass_score) {
         return Err(PrismError::BadInput(format!(
             "passing dataset has malfunction {pass_score:.3} > τ = {:.3}",
             rt.threshold
         )));
     }
-    let fail_score = rt.baseline_traced(d_fail, tracer);
+    let fail_score = rt.baseline(d_fail, tracer);
     if rt.passes(fail_score) {
         return Err(PrismError::BadInput(format!(
             "failing dataset has malfunction {fail_score:.3} ≤ τ = {:.3}",
             rt.threshold
         )));
     }
-    Ok((fail_score, opened))
+    Ok(fail_score)
 }
 
 /// Shared run epilogue: emit [`Event::DiagnosisEnd`], merge worker

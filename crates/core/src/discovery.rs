@@ -164,23 +164,14 @@ impl FrameSketches {
 /// requirement `X_V(D_pass, X_P) = 0` when called on the passing
 /// dataset.
 pub fn discover_profiles(df: &DataFrame, cfg: &DiscoveryConfig) -> Vec<Profile> {
-    discover_profiles_par(df, cfg, 1)
+    discover_profiles_stats(df, cfg, 1).0
 }
 
 /// [`discover_profiles`] with per-attribute (and per-attribute-pair)
-/// fan-out over up to `num_threads` scoped worker threads. Results
-/// are collected in schema order, so the output is identical for any
-/// thread count.
-pub fn discover_profiles_par(
-    df: &DataFrame,
-    cfg: &DiscoveryConfig,
-    num_threads: usize,
-) -> Vec<Profile> {
-    discover_profiles_stats(df, cfg, num_threads).0
-}
-
-/// [`discover_profiles_par`] returning the pre-filter counters of the
-/// pairwise pass alongside the profiles.
+/// fan-out over up to `num_threads` scoped worker threads, returning
+/// the pre-filter counters of the pairwise pass alongside the
+/// profiles. Results are collected in schema order, so the output is
+/// identical for any thread count.
 pub fn discover_profiles_stats(
     df: &DataFrame,
     cfg: &DiscoveryConfig,
@@ -592,19 +583,7 @@ pub fn discriminative_pvts(
     d_fail: &DataFrame,
     cfg: &DiscoveryConfig,
 ) -> Vec<Pvt> {
-    discriminative_pvts_par(d_pass, d_fail, cfg, 1)
-}
-
-/// [`discriminative_pvts`] with profile discovery fanned out over up
-/// to `num_threads` worker threads (both datasets concurrently, each
-/// per attribute). Output is identical for any thread count.
-pub fn discriminative_pvts_par(
-    d_pass: &DataFrame,
-    d_fail: &DataFrame,
-    cfg: &DiscoveryConfig,
-    num_threads: usize,
-) -> Vec<Pvt> {
-    discriminative_pvts_stats(d_pass, d_fail, cfg, num_threads).0
+    discriminative_pvts_stats(d_pass, d_fail, cfg, 1).0
 }
 
 /// [`discriminative_pvts_stats`] emitting a
@@ -632,8 +611,11 @@ pub(crate) fn discriminative_pvts_traced(
     (pvts, stats)
 }
 
-/// [`discriminative_pvts_par`] returning the pre-filter counters
-/// (merged over both datasets) alongside the PVTs.
+/// [`discriminative_pvts`] with profile discovery fanned out over up
+/// to `num_threads` worker threads (both datasets concurrently, each
+/// per attribute), returning the pre-filter counters (merged over
+/// both datasets) alongside the PVTs. Output is identical for any
+/// thread count.
 pub fn discriminative_pvts_stats(
     d_pass: &DataFrame,
     d_fail: &DataFrame,

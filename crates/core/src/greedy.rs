@@ -8,6 +8,12 @@
 //! score are kept and composed; the accumulated explanation is
 //! post-processed by Make-Minimal (Definition 11).
 //!
+//! Each pick is an [`Intent`]: its transformation applied to the
+//! current dataset on the pick's own derived RNG stream
+//! (`stream_seed(seed, APPLY_STREAM, &[id])`, the stream group testing
+//! gives a singleton candidate set), so its frame is a pure function
+//! of the pick and the current dataset.
+//!
 //! The algorithm charges its queries through one [`Oracle`], over the
 //! caller's own system (width 1) or a [`crate::SystemFactory`] at
 //! `num_threads`. At width > 1, each round plans the next `width`
@@ -16,11 +22,13 @@
 //! from the graph), scores them concurrently as cache warming, and
 //! then charges interventions for exactly the prefix a serial run
 //! would consume. Results and intervention counts are identical for
-//! any thread count.
+//! any thread count, and only a kept pick's frame is built on the
+//! calling thread.
 //!
 //! This module also holds Make-Minimal, which group testing reuses.
 
 use crate::benefit::benefit_scores;
+use crate::bisection::{stream_seed, APPLY_STREAM};
 use crate::config::PrismConfig;
 use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
@@ -28,11 +36,9 @@ use crate::explanation::Explanation;
 use crate::graph::PvtAttributeGraph;
 use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
-use crate::runtime::{Intent, Oracle, Speculation};
+use crate::runtime::{Intent, Oracle};
 use dp_frame::DataFrame;
 use dp_trace::Tracer;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Make-Minimal (Alg 1 line 20): drop PVTs one at a time; keep the
@@ -80,7 +86,7 @@ pub(crate) fn make_minimal(
         rt.prescore(&probes);
         let mut accepted = None;
         for (offset, probe) in probes.iter().enumerate() {
-            let s = rt.intervene_apply_traced(probe, tracer)?;
+            let s = rt.intervene_apply(probe, tracer)?;
             if rt.passes(s) {
                 accepted = Some((i + offset, rt.build(probe)?, s));
                 break;
@@ -101,35 +107,22 @@ pub(crate) fn make_minimal(
     Ok((selected, best.0, best.1))
 }
 
-/// One planned window of greedy picks: the next serial picks under
-/// the all-rejected hypothesis, their candidate datasets, and the RNG
-/// state a serial run holds once each pick is processed.
-struct Window<'a> {
-    plan: Vec<usize>,
-    jobs: Vec<Speculation<'a>>,
-    rng_states: Vec<StdRng>,
-}
-
 /// Lines 10–12, planned `width` picks ahead. The pick sequence is
 /// simulated under the hypothesis that every candidate is rejected —
 /// a rejection removes the pick from the graph but changes neither
 /// the dataset, the score, nor the benefit map, so removals on a
 /// clone reproduce the serial choices (including high-degree
-/// re-ranking and `max_by` tie-breaking) exactly. Each candidate is
-/// materialized against `current` with the exact RNG state a serial
-/// run would hold: stochastic transformations consume the stream and
-/// must advance it here, on the main thread; deterministic ones never
-/// touch it, so any stream seed names their frame, and they are
-/// deferred to the runtime's workers as intents.
+/// re-ranking and `max_by` tie-breaking) exactly. Each pick is an
+/// intent over `current` on the pick's own derived stream, the one a
+/// serial run applies it on, so the runtime's workers can build it.
 fn plan_window<'a>(
     pvts: &'a [Pvt],
     graph: &PvtAttributeGraph,
     benefits: &BTreeMap<usize, f64>,
     current: &'a DataFrame,
-    rng: &StdRng,
     width: usize,
     config: &PrismConfig,
-) -> Result<Window<'a>> {
+) -> Vec<Intent<'a>> {
     let key = |id: usize| -> f64 {
         if config.use_benefit {
             benefits.get(&id).copied().unwrap_or(0.0)
@@ -144,8 +137,9 @@ fn plan_window<'a>(
         }
     };
     let mut sim_graph = graph.clone();
-    let mut plan: Vec<usize> = Vec::new();
-    while plan.len() < width && !sim_graph.is_empty() {
+    let mut window = Vec::new();
+    let base_fp = fingerprint(current);
+    while window.len() < width && !sim_graph.is_empty() {
         let hda = if config.use_high_degree {
             sim_graph.high_degree_pvts()
         } else {
@@ -154,38 +148,19 @@ fn plan_window<'a>(
         let Some(&chosen_id) = hda.iter().max_by(|&&a, &&b| key(a).total_cmp(&key(b))) else {
             break;
         };
-        plan.push(chosen_id);
         sim_graph.remove(chosen_id);
-    }
-    let mut plan_rng = rng.clone();
-    let base_fp = fingerprint(current);
-    let mut jobs: Vec<Speculation<'a>> = Vec::with_capacity(plan.len());
-    let mut rng_states: Vec<StdRng> = Vec::with_capacity(plan.len());
-    for &id in &plan {
         let pvt = pvts
             .iter()
-            .find(|p| p.id == id)
+            .find(|p| p.id == chosen_id)
             .expect("graph only holds known ids");
-        if pvt.transform.is_deterministic() {
-            jobs.push(Speculation::Apply(Intent {
-                pvts: vec![pvt],
-                base: current,
-                base_fp,
-                seed: 0,
-            }));
-        } else {
-            let (frame, _) = pvt.apply(current, &mut plan_rng)?;
-            jobs.push(Speculation::Ready(frame));
-        }
-        // RNG state after applying candidates 0..=i — the state the
-        // serial run holds once candidate i is processed, kept or not.
-        rng_states.push(plan_rng.clone());
+        window.push(Intent {
+            pvts: vec![pvt],
+            base: current,
+            base_fp,
+            seed: stream_seed(config.seed, APPLY_STREAM, &[chosen_id]),
+        });
     }
-    Ok(Window {
-        plan,
-        jobs,
-        rng_states,
-    })
+    window
 }
 
 /// Algorithm 1 lines 5–21.
@@ -205,23 +180,12 @@ pub(crate) fn run_greedy(
     // Lines 5–6: PVT–attribute graph and benefit scores.
     let mut graph = PvtAttributeGraph::new(&pvts);
     let mut benefits = benefit_scores(&pvts, d_fail);
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let width = rt.speculation_width().max(1);
 
     // The opening: on a parallel runtime the first window of picks is
-    // scored together with the baselines. A window that fails to
-    // plan is left to the loop, which re-plans it and surfaces the
-    // error in its serial place.
-    let first = (width > 1 && !graph.is_empty())
-        .then(|| plan_window(&pvts, &graph, &benefits, d_fail, &rng, width, config).ok())
-        .flatten()
-        .filter(|w| !w.plan.is_empty());
-    let (first_jobs, first) = match first {
-        Some(w) => (w.jobs, Some((w.plan, w.rng_states))),
-        None => (Vec::new(), None),
-    };
-    let (initial_score, opened) = validate_inputs(rt, d_fail, d_pass, first_jobs, &tracer)?;
-    let mut opening = first.map(|(plan, rng_states)| (plan, opened, rng_states));
+    // scored together with the baselines.
+    let first = plan_window(&pvts, &graph, &benefits, d_fail, width, config);
+    let initial_score = validate_inputs(rt, d_fail, d_pass, &first, &tracer)?;
     if !discovered {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -235,66 +199,56 @@ pub(crate) fn run_greedy(
     let mut selected: Vec<Pvt> = Vec::new();
     let mut current = d_fail.clone();
     let mut score = initial_score;
+    let mut opening = Some(first);
 
     // Line 9: intervene until acceptable.
     while !rt.passes(score) && !graph.is_empty() && !rt.exhausted() {
-        // Lines 10–12, batched: the opening already holds the first
-        // window's frames; later windows are scored here as cache
-        // warming.
-        let (plan, spec, rng_states) = match opening.take() {
-            Some((plan, opened, rng_states)) => (
-                plan,
-                opened.into_iter().collect::<Result<Vec<_>>>()?,
-                rng_states,
-            ),
+        // Lines 10–12, batched: the opening already scored the first
+        // window; later windows are scored here as cache warming.
+        let window = match opening.take() {
+            Some(window) => window,
             None => {
-                let Window {
-                    plan,
-                    jobs,
-                    rng_states,
-                } = plan_window(&pvts, &graph, &benefits, &current, &rng, width, config)?;
-                if plan.is_empty() {
-                    break;
-                }
-                (plan, rt.speculate(jobs)?, rng_states)
+                let window = plan_window(&pvts, &graph, &benefits, &current, width, config);
+                rt.prescore(&window);
+                window
             }
         };
+        if window.is_empty() {
+            break;
+        }
 
         // Decision pass: replay the serial loop, charging exactly the
-        // prefix a serial run would consume. A kept candidate changes
-        // the dataset and the benefit map, so the rest of the batch
-        // is discarded unscored and uncharged.
-        for (i, speculated) in spec.into_iter().enumerate() {
+        // prefix a serial run would consume. A kept pick changes the
+        // dataset and the benefit map, so the rest of the window is
+        // discarded unscored and uncharged.
+        let mut kept = None;
+        for (i, pick) in window.iter().enumerate() {
             if i > 0 && rt.exhausted() {
                 break;
             }
-            let chosen_id = plan[i];
-            let transformed = speculated.frame;
-            let new_score = rt.intervene_traced(&transformed, &tracer);
+            let chosen = pick.pvts[0];
+            let new_score = rt.intervene_apply(pick, &tracer)?;
             let delta = score - new_score;
 
             // Line 13: mark explored.
-            graph.remove(chosen_id);
-            benefits.remove(&chosen_id);
-            tracer.intervention(&[chosen_id], score, new_score, delta > 0.0);
-            rng = rng_states[i].clone();
+            graph.remove(chosen.id);
+            benefits.remove(&chosen.id);
+            tracer.intervention(&[chosen.id], score, new_score, delta > 0.0);
 
-            // Lines 14–19.
             if delta > 0.0 {
-                current = transformed;
-                score = new_score;
-                selected.push(
-                    pvts.iter()
-                        .find(|p| p.id == chosen_id)
-                        .expect("graph only holds known ids")
-                        .clone(),
-                );
-                // Line 17: refresh benefits against the updated
-                // dataset.
-                let live = graph.pvt_ids();
-                crate::benefit::update_benefits(&mut benefits, &pvts, &live, &current);
+                kept = Some((chosen.clone(), rt.build(pick)?, new_score));
                 break;
             }
+        }
+
+        // Lines 14–19.
+        if let Some((pvt, transformed, new_score)) = kept {
+            current = transformed;
+            score = new_score;
+            selected.push(pvt);
+            // Line 17: refresh benefits against the updated dataset.
+            let live = graph.pvt_ids();
+            crate::benefit::update_benefits(&mut benefits, &pvts, &live, &current);
         }
     }
 

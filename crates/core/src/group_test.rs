@@ -107,10 +107,7 @@ pub(crate) fn run_group_test(
     // The opening: on a parallel runtime the A3 composition below is
     // scored together with the baselines.
     let full = intent(&pvts, config.seed, &all_ids, d_fail, fingerprint(d_fail));
-    if !all_ids.is_empty() {
-        rt.prescore_opening([d_pass, d_fail], std::slice::from_ref(&full));
-    }
-    let (initial_score, _) = validate_inputs(rt, d_fail, d_pass, Vec::new(), &tracer)?;
+    let initial_score = validate_inputs(rt, d_fail, d_pass, std::slice::from_ref(&full), &tracer)?;
     if !discovered {
         return Err(PrismError::NoDiscriminativePvts);
     }
@@ -123,7 +120,7 @@ pub(crate) fn run_group_test(
 
     // A3 applicability check: the full composition must reduce the
     // malfunction (see module docs).
-    let full_score = rt.intervene_apply_traced(&full, &tracer)?;
+    let full_score = rt.intervene_apply(&full, &tracer)?;
     tracer.intervention(
         &all_ids,
         initial_score,
@@ -164,7 +161,7 @@ pub(crate) fn run_group_test(
         0,
         None,
     )?;
-    let score = ctx.rt.intervene_traced(&repaired, &tracer);
+    let score = ctx.rt.intervene(&repaired, &tracer);
 
     let selected: Vec<Pvt> = selected_ids
         .iter()
@@ -328,7 +325,7 @@ fn group_test_rec(
     // Line 5: current malfunction.
     let m = match score {
         Some(s) => s,
-        None => ctx.rt.intervene_traced(&d, &ctx.tracer),
+        None => ctx.rt.intervene(&d, &ctx.tracer),
     };
 
     // The two half probes. On a parallel runtime, a node not covered
@@ -386,7 +383,7 @@ fn group_test_rec(
     };
 
     // Line 6: intervene with all of X1.
-    let s1 = ctx.rt.intervene_apply_traced(&probes[0], &ctx.tracer)?;
+    let s1 = ctx.rt.intervene_apply(&probes[0], &ctx.tracer)?;
     let delta1 = m - s1;
     let rt = &ctx.rt;
     ctx.tracer.probe(node, 1, &x1, m, s1, delta1 > 0.0, || {
@@ -399,7 +396,7 @@ fn group_test_rec(
     let mut delta2 = 0.0;
     let mut s2 = f64::INFINITY;
     if !ctx.rt.passes(s1) {
-        s2 = ctx.rt.intervene_apply_traced(&probes[1], &ctx.tracer)?;
+        s2 = ctx.rt.intervene_apply(&probes[1], &ctx.tracer)?;
         delta2 = m - s2;
         let rt = &ctx.rt;
         ctx.tracer.probe(node, 2, &x2, m, s2, delta2 > 0.0, || {

@@ -22,32 +22,34 @@
 //! candidate datasets and running the system on them. The runtime
 //! exploits that split with **speculation as cache warming**:
 //!
-//! 1. An algorithm plans the next few candidate datasets a serial run
-//!    *might* query (under explicit hypotheses about its own
-//!    decisions) and hands them to [`Oracle::speculate`].
-//! 2. At width > 1 the runtime materializes and scores them on worker
+//! 1. An algorithm plans the next few compositions a serial run
+//!    *might* charge (under explicit hypotheses about its own
+//!    decisions) as [`Intent`]s: transformations applied to a base
+//!    frame on a derived RNG stream, whose result is a pure function
+//!    of the base's fingerprint, the transformations and the stream
+//!    seed.
+//! 2. At width > 1 the runtime builds and scores them on worker
 //!    threads, each holding its own [`System`] instance, into a
 //!    shared, lock-guarded fingerprint cache. **No interventions are
-//!    charged.** At width 1 it only materializes them.
+//!    charged**, and no frame is handed back. At width 1 nothing runs
+//!    ahead.
 //! 3. The algorithm then replays its decisions exactly as a serial
 //!    run would, charging interventions one by one through
-//!    [`Oracle::intervene`]; queries the speculation guessed right
-//!    become cache hits. Candidates a serial run would never have
-//!    reached are simply discarded.
+//!    [`Oracle::intervene_apply`]; queries the speculation guessed
+//!    right become cache hits. Candidates a serial run would never
+//!    have reached are simply discarded.
 //!
-//! Synchronous batches block until every job is scored — right for
-//! the handful of frames the caller consumes immediately:
-//! [`Oracle::speculate`] returns greedy's planned frames, and
-//! [`Oracle::prescore`] only scores probes (a GT node's own two
-//! halves, a Make-Minimal window). Deep group-testing lookahead
+//! Speculation has three entry points. A diagnosis starts with one
+//! concurrent batch, the **opening** ([`Oracle::open`]): the two free
+//! baselines on the detached pool and the algorithm's first charged
+//! intents on the sync workers, all scored at once before the replay
+//! validates the inputs. [`Oracle::prescore`] is the synchronous batch
+//! for the handful of intents the caller charges next (a greedy
+//! window, a group-testing node's two halves, a Make-Minimal window):
+//! it blocks until every one is scored. Deep group-testing lookahead
 //! instead queues **detached** jobs ([`Oracle::speculate_detached`]):
 //! fully owned [`DetachedSpeculation`]s drained FIFO by a persistent
-//! background pool while the serial replay keeps running. A parallel
-//! diagnosis starts with one concurrent batch, the **opening**
-//! ([`Oracle::score_opening`], [`Oracle::prescore_opening`]): the two
-//! free baselines on the pool and the algorithm's first charged frames
-//! on the sync workers, all scored at once before the replay validates
-//! the inputs.
+//! background pool while the serial replay keeps running.
 //!
 //! The shared fingerprint cache also tracks the frames being scored
 //! right now. A thread claims a fingerprint before it runs the system
@@ -60,28 +62,25 @@
 //! Frontier frames the search never asks for are counted as
 //! *speculative waste* ([`RunMetrics::speculative_wasted`]).
 //!
-//! A charged frame need not be built to be scored. Group-testing
-//! probes and Make-Minimal drops are [`Intent`]s: compositions of
-//! transformations applied to a base frame on a derived RNG stream,
-//! whose result is a pure function of the base's fingerprint, the
-//! transformations and the stream seed. The shared cache maps each
-//! intent key ([`crate::oracle::intent_key`]) to the fingerprint of
-//! the frame it built — recorded by the replay and by every worker,
-//! and seeded from a warm [`ScoreCache`] — so
+//! A charged intent need not be built to be scored. The shared cache
+//! maps each intent key ([`crate::oracle::intent_key`]) to the
+//! fingerprint of the frame it built — recorded by the replay and by
+//! every worker, and seeded from a warm [`ScoreCache`] — so
 //! [`Oracle::intervene_apply`] scores a known intent whose
 //! fingerprint is scored without building its frame. The frame is
 //! built only when the intent is unknown or its fingerprint has no
-//! usable score. Speculation skips intents that already resolve.
-//! Charged queries, scores and trace spans are the same either way;
-//! [`RunMetrics::frames_built`] and [`RunMetrics::intent_hits`] show
-//! the work saved.
+//! usable score, and speculation skips intents that already resolve.
+//! A search builds on the calling thread ([`Oracle::build`]) only the
+//! frames it carries forward. Charged queries, scores and trace spans
+//! are the same either way; [`RunMetrics::frames_built`] and
+//! [`RunMetrics::intent_hits`] show the work saved.
 //!
-//! Because all charging and all decisions flow through `intervene` in
-//! serial order, explanations, malfunction scores, and intervention
-//! counts are **bit-for-bit identical for any thread count and any
-//! lookahead depth** (the paper's Fig 7/Fig 9 numbers are preserved);
-//! only wall-clock time and the cache hit/miss/speculation counters
-//! change. `tests/parallel_conformance.rs` pins this invariant across
+//! Because all charging and all decisions flow through the charged
+//! queries in serial order, explanations, malfunction scores, and
+//! intervention counts are **bit-for-bit identical for any thread
+//! count and any lookahead depth** (the paper's Fig 7/Fig 9 numbers
+//! are preserved); only wall-clock time and the cache
+//! hit/miss/speculation counters change. `tests/parallel_conformance.rs` pins this invariant across
 //! every bundled scenario, `num_threads` in {1, 2, 8}, and
 //! `gt_speculation_depth` in {0, 1, 2, 4}.
 
@@ -132,8 +131,9 @@ pub struct Intent<'a> {
     /// [`fingerprint`] of `base`.
     pub base_fp: u64,
     /// Seed of the RNG stream the application consumes. Group testing
-    /// derives it from the candidate id set, Make-Minimal fixes it per
-    /// run, and a deterministic transformation never reads it.
+    /// and greedy derive it from the candidate id set, Make-Minimal
+    /// fixes it per run, and a deterministic transformation never
+    /// reads it.
     pub seed: u64,
 }
 
@@ -154,35 +154,19 @@ impl Intent<'_> {
     }
 }
 
-/// One candidate dataset an algorithm may query soon.
-pub enum Speculation<'a> {
-    /// Already materialized by the caller (e.g. because its
-    /// transformation consumes the algorithm's RNG stream, which must
-    /// advance on the main thread).
-    Ready(DataFrame),
-    /// To be materialized from an intent.
-    Apply(Intent<'a>),
-}
-
-/// A materialized speculation.
-pub struct Speculated {
-    /// The candidate dataset.
-    pub frame: DataFrame,
-}
-
 /// A fully owned, fire-and-forget cache-warming job: the owned form of
 /// an [`Intent`]. A worker builds the frame, records its fingerprint
 /// under the intent key and scores it into the shared fingerprint
 /// cache, unless the key already names a frame that is scored or being
 /// scored.
 ///
-/// Unlike [`Speculation`], nothing is borrowed and nothing is
-/// returned: the group-testing lookahead queues whole recursion-tree
-/// frontiers this way ([`Oracle::speculate_detached`]) and keeps
-/// replaying while the pool drains them in the background.
-/// A materialization error in a detached job is swallowed — if the
-/// serial decision path ever needs that frame, it re-materializes it
-/// on the main thread and surfaces the same deterministic error.
+/// Unlike an [`Intent`], nothing is borrowed: the group-testing
+/// lookahead queues whole recursion-tree frontiers this way
+/// ([`Oracle::speculate_detached`]) and keeps replaying while the pool
+/// drains them in the background. A materialization error in a
+/// detached job is swallowed — if the serial decision path ever needs
+/// that frame, it re-materializes it on the main thread and surfaces
+/// the same deterministic error.
 pub struct DetachedSpeculation {
     /// Transformations to compose, in application order.
     pub pvts: Vec<Pvt>,
@@ -387,28 +371,28 @@ impl<'g> JobGuard<'g> {
         self.publish(score, true);
     }
 
-    /// Worker side of one intent (key `key`): build the frame, record
-    /// its fingerprint under the key and score it as in
-    /// [`JobGuard::speculate`]. With `skip_known`, an intent whose key
-    /// already names a scored or in-flight frame is skipped and nothing
-    /// is built. Returns the frame when one was built.
+    /// Worker side of one intent: unless its key already names a
+    /// scored or in-flight frame, build the frame, record its
+    /// fingerprint under the key and score it as in
+    /// [`JobGuard::speculate`]. A build error is swallowed: the replay
+    /// rebuilds the frame if it charges it and surfaces the error there.
     fn speculate_intent(
         &mut self,
         system: &mut dyn System,
         shard: &MetricsShard,
-        key: u64,
-        skip_known: bool,
-        build: impl FnOnce() -> Result<DataFrame>,
-    ) -> Result<Option<DataFrame>> {
-        if skip_known && self.cache.resolve(key).is_some() {
-            return Ok(None);
+        intent: &Intent<'_>,
+    ) {
+        let key = intent.key();
+        if self.cache.resolve(key).is_some() {
+            return;
         }
-        let frame = build()?;
+        let Ok(frame) = intent.build() else {
+            return;
+        };
         shard.record_build();
         let fp = fingerprint(&frame);
         self.cache.register(key, fp);
         self.speculate(system, fp, &frame, shard);
-        Ok(Some(frame))
     }
 }
 
@@ -483,17 +467,6 @@ impl Pool {
     }
 }
 
-/// The frames of a [`Oracle::score_batch`] run that kept them.
-fn kept(results: Vec<Result<Option<DataFrame>>>) -> Vec<Result<Speculated>> {
-    results
-        .into_iter()
-        .map(|out| {
-            let frame = out?.expect("a batch that keeps frames returns every one");
-            Ok(Speculated { frame })
-        })
-        .collect()
-}
-
 /// Where a diagnosis gets the systems it runs.
 pub enum Source<'a> {
     /// The caller's own instance. The runtime runs at width 1 on it
@@ -541,8 +514,8 @@ impl Source<'_> {
 /// calls, overlapping with the charged replay.
 ///
 /// At width 1 — a borrowed system, or a factory with
-/// `num_threads ≤ 1` — speculation degenerates to serial
-/// materialization with no pre-scoring and no pool: a true serial
+/// `num_threads ≤ 1` — speculation does nothing and no pool starts:
+/// each charged query builds and scores its own frame, a true serial
 /// run.
 pub struct Oracle<'a> {
     source: Source<'a>,
@@ -697,8 +670,8 @@ impl<'a> Oracle<'a> {
     }
 
     /// The factory, when this runtime scores frames ahead on more than
-    /// one thread. `None` means width 1: frames are only materialized,
-    /// and each is scored when it is charged.
+    /// one thread. `None` means width 1: each frame is built and scored
+    /// when it is charged.
     fn pool_factory(&self) -> Option<&'a dyn SystemFactory> {
         match self.source {
             Source::Factory(factory) if self.num_threads > 1 => Some(factory),
@@ -756,16 +729,7 @@ impl<'a> Oracle<'a> {
                         guard.speculate(system.as_mut(), fp, &frame, &shard);
                     }
                     PoolJob::Probe(job) => {
-                        // An error is swallowed: the replay rebuilds the
-                        // frame if it needs it and surfaces the error.
-                        let intent = job.intent();
-                        let _ = guard.speculate_intent(
-                            system.as_mut(),
-                            &shard,
-                            intent.key(),
-                            true,
-                            || intent.build(),
-                        );
+                        guard.speculate_intent(system.as_mut(), &shard, &job.intent());
                     }
                 }
             }));
@@ -864,8 +828,8 @@ impl<'a> Oracle<'a> {
 
     /// Build the frame of `intent` on the calling thread, counted in
     /// [`RunMetrics::frames_built`]. Searches call this for the frames
-    /// they carry forward (a group-testing leaf, an accepted
-    /// Make-Minimal drop); a query that only needs a score goes
+    /// they carry forward (a kept greedy pick, a group-testing leaf, an
+    /// accepted Make-Minimal drop); a query that only needs a score goes
     /// through [`Oracle::intervene_apply`] instead.
     pub fn build(&mut self, intent: &Intent<'_>) -> Result<DataFrame> {
         self.frames_built += 1;
@@ -888,35 +852,21 @@ impl<'a> Oracle<'a> {
         Ok((fp, Some(frame)))
     }
 
-    /// Materialize `jobs` and score them concurrently on up to
-    /// `num_threads` sync workers built by `factory`, one result per
-    /// job in job order. With `keep`, every frame is returned;
-    /// without, nothing is, and an intent whose key already names a
-    /// scored or in-flight frame is not even built.
-    fn score_batch(
-        &mut self,
-        factory: &dyn SystemFactory,
-        jobs: Vec<Speculation<'_>>,
-        keep: bool,
-    ) -> Vec<Result<Option<DataFrame>>> {
-        let n_jobs = jobs.len();
-        let n_workers = self.num_threads.min(n_jobs);
+    /// Build and score `jobs` concurrently on up to `num_threads` sync
+    /// workers built by `factory`, returning once every job is done.
+    fn score_batch(&mut self, factory: &dyn SystemFactory, jobs: Vec<Intent<'_>>) {
+        let n_workers = self.num_threads.min(jobs.len());
         while self.workers.len() < n_workers {
             self.workers.push(factory.build());
         }
         while self.sync_shards.len() < n_workers {
             self.sync_shards.push(Arc::new(MetricsShard::default()));
         }
-        // Index-tagged pop queue (reversed so workers drain in job
-        // order) and one result slot per job; plain `Mutex` state
-        // keeps the crate `forbid(unsafe_code)`-clean.
-        let queue: Mutex<Vec<(usize, Speculation<'_>)>> =
-            Mutex::new(jobs.into_iter().enumerate().rev().collect());
-        let results: Vec<Mutex<Option<Result<Option<DataFrame>>>>> =
-            (0..n_jobs).map(|_| Mutex::new(None)).collect();
+        // A pop queue, reversed so workers drain in job order; plain
+        // `Mutex` state keeps the crate `forbid(unsafe_code)`-clean.
+        let queue: Mutex<Vec<Intent<'_>>> = Mutex::new(jobs.into_iter().rev().collect());
         let cache = &*self.cache;
         let queue_ref = &queue;
-        let results_ref = &results;
         std::thread::scope(|scope| {
             for (worker, shard) in self
                 .workers
@@ -926,91 +876,59 @@ impl<'a> Oracle<'a> {
             {
                 scope.spawn(move || loop {
                     let job = queue_ref.lock().expect("queue lock").pop();
-                    let Some((idx, job)) = job else { break };
-                    let mut guard = JobGuard::new(cache, None, None);
-                    let out = match job {
-                        Speculation::Ready(frame) => {
-                            let fp = fingerprint(&frame);
-                            guard.speculate(worker.as_mut(), fp, &frame, shard);
-                            Ok(keep.then_some(frame))
-                        }
-                        Speculation::Apply(intent) => guard
-                            .speculate_intent(worker.as_mut(), shard, intent.key(), !keep, || {
-                                intent.build()
-                            })
-                            .map(|frame| frame.filter(|_| keep)),
-                    };
-                    *results_ref[idx].lock().expect("result lock") = Some(out);
+                    let Some(intent) = job else { break };
+                    JobGuard::new(cache, None, None).speculate_intent(
+                        worker.as_mut(),
+                        shard,
+                        &intent,
+                    );
                 });
             }
         });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result lock")
-                    .expect("every queued job produces a result")
-            })
-            .collect()
     }
 
     /// Malfunction score of a *baseline* dataset (`D_pass`/`D_fail`
-    /// as given). Never counted as an intervention — the problem
-    /// definition assumes these two scores are known — and future
-    /// queries of the identical dataset stay free.
-    pub fn baseline(&mut self, df: &DataFrame) -> f64 {
+    /// as given), with its [`OracleQuerySpan`] emitted on `tracer`.
+    /// Never counted as an intervention — the problem definition
+    /// assumes these two scores are known — and future queries of the
+    /// identical dataset stay free.
+    pub fn baseline(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
         let fp = fingerprint(df);
         self.free.insert(fp);
         self.baseline_queries += 1;
         // Baselines never count toward the hit/miss split.
-        self.query(fp, Frame::Built(df), false)
-            .expect("a built frame is never rebuilt")
+        let score = self
+            .query(fp, Frame::Built(df), false)
+            .expect("a built frame is never rebuilt");
+        self.emit_query(QueryKind::Baseline, score, tracer);
+        score
     }
 
     /// Malfunction score of a transformed dataset: one intervention
     /// (the system itself is only re-run when the exact dataset has
-    /// not been scored before). Re-asking a free baseline is neither
-    /// charged nor counted as a cache hit.
-    pub fn intervene(&mut self, df: &DataFrame) -> f64 {
-        self.charge(fingerprint(df), Frame::Built(df))
-            .expect("a built frame is never rebuilt")
+    /// not been scored before), with its [`OracleQuerySpan`] emitted
+    /// on `tracer`. Re-asking a free baseline is neither charged nor
+    /// counted as a cache hit.
+    pub fn intervene(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
+        let score = self
+            .charge(fingerprint(df), Frame::Built(df))
+            .expect("a built frame is never rebuilt");
+        self.emit_query(QueryKind::Intervention, score, tracer);
+        score
     }
 
     /// [`Oracle::intervene`] on the frame `intent` builds. When the
     /// intent's key names a fingerprint that is already scored (or
     /// being scored), the frame is never built; otherwise it is built
     /// once and its fingerprint recorded under the key. Charging,
-    /// scores and the cache counters are those of
+    /// scores, the cache counters and the span are those of
     /// [`Oracle::intervene`] on the built frame.
-    pub fn intervene_apply(&mut self, intent: &Intent<'_>) -> Result<f64> {
+    pub fn intervene_apply(&mut self, intent: &Intent<'_>, tracer: &Tracer) -> Result<f64> {
         let (fp, built) = self.resolve(intent)?;
-        match &built {
+        let score = match &built {
             Some(df) => self.charge(fp, Frame::Built(df)),
             None => self.charge(fp, Frame::Intent(intent)),
-        }
-    }
-
-    /// Score a baseline and emit its [`OracleQuerySpan`].
-    pub(crate) fn baseline_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
-        let score = self.baseline(df);
-        self.emit_query(QueryKind::Baseline, score, tracer);
-        score
-    }
-
-    /// Charge one intervention and emit its [`OracleQuerySpan`].
-    pub(crate) fn intervene_traced(&mut self, df: &DataFrame, tracer: &Tracer) -> f64 {
-        let score = self.intervene(df);
-        self.emit_query(QueryKind::Intervention, score, tracer);
-        score
-    }
-
-    /// [`Oracle::intervene_apply`] and emit its [`OracleQuerySpan`].
-    pub(crate) fn intervene_apply_traced(
-        &mut self,
-        intent: &Intent<'_>,
-        tracer: &Tracer,
-    ) -> Result<f64> {
-        let score = self.intervene_apply(intent)?;
+        }?;
         self.emit_query(QueryKind::Intervention, score, tracer);
         Ok(score)
     }
@@ -1030,43 +948,6 @@ impl<'a> Oracle<'a> {
         });
     }
 
-    /// Materialize the given candidate datasets and, at width > 1,
-    /// score them into the fingerprint cache without charging
-    /// interventions. Every frame is returned, for a search that
-    /// carries them forward; [`Oracle::prescore`] is the form for
-    /// probes that only need a score.
-    pub fn speculate(&mut self, jobs: Vec<Speculation<'_>>) -> Result<Vec<Speculated>> {
-        self.count_ready(&jobs);
-        match self.pool_factory() {
-            Some(factory) if jobs.len() > 1 => {
-                self.speculative_issued += jobs.len() as u64;
-                kept(self.score_batch(factory, jobs, true))
-                    .into_iter()
-                    .collect()
-            }
-            // Width 1 (or nothing to overlap): materialize only, never
-            // pre-score — exactly the work of a serial run.
-            _ => jobs.into_iter().map(|job| self.materialize(job)).collect(),
-        }
-    }
-
-    /// Materialize one job on the calling thread.
-    fn materialize(&mut self, job: Speculation<'_>) -> Result<Speculated> {
-        let frame = match job {
-            Speculation::Ready(frame) => frame,
-            Speculation::Apply(intent) => self.build(&intent)?,
-        };
-        Ok(Speculated { frame })
-    }
-
-    /// Count the frames the caller built for `jobs`.
-    fn count_ready(&mut self, jobs: &[Speculation<'_>]) {
-        self.frames_built += jobs
-            .iter()
-            .filter(|job| matches!(job, Speculation::Ready(_)))
-            .count() as u64;
-    }
-
     /// Score the frames of `probes` concurrently at width > 1, without
     /// charging interventions and without returning them: the charged
     /// queries that follow ([`Oracle::intervene_apply`]) then find
@@ -1083,17 +964,16 @@ impl<'a> Oracle<'a> {
         let jobs = self.unresolved(probes);
         if jobs.len() > 1 {
             self.speculative_issued += jobs.len() as u64;
-            self.score_batch(factory, jobs, false);
+            self.score_batch(factory, jobs);
         }
     }
 
-    /// The probes whose intent key names no scored or in-flight frame,
-    /// as jobs.
-    fn unresolved<'j>(&self, probes: &[Intent<'j>]) -> Vec<Speculation<'j>> {
+    /// The probes whose intent key names no scored or in-flight frame.
+    fn unresolved<'j>(&self, probes: &[Intent<'j>]) -> Vec<Intent<'j>> {
         probes
             .iter()
             .filter(|probe| self.cache.resolve(probe.key()).is_none())
-            .map(|probe| Speculation::Apply(probe.clone()))
+            .cloned()
             .collect()
     }
 
@@ -1119,58 +999,34 @@ impl<'a> Oracle<'a> {
         self.ensure_pool(factory).enqueue(jobs, budget);
     }
 
-    /// At width > 1, queue both baselines (`[D_pass, D_fail]`) on the
-    /// detached pool as owned copies and return the factory, so the
-    /// caller can score its first charged frames on the sync workers
-    /// while the pool scores the baselines. The opening is never shed:
-    /// the replay consumes all of it.
-    fn open(&mut self, baselines: [&DataFrame; 2]) -> Option<&'a dyn SystemFactory> {
-        let factory = self.pool_factory()?;
+    /// Score the opening of a diagnosis as one batch, without charging
+    /// anything: both baselines (`[D_pass, D_fail]`) and `first`, the
+    /// algorithm's first charged intents. The caller then validates
+    /// the baselines and charges the intents in serial order, and each
+    /// query finds its score in the cache.
+    ///
+    /// At width > 1 the baselines go to the detached pool as owned
+    /// copies (never shed: the replay consumes all of them) and the
+    /// intents whose key names no scored frame to the sync workers, so
+    /// the whole opening is scored at once on the instances the
+    /// runtime already owns. At width 1, or with no `first` intents to
+    /// overlap the baselines with, this does nothing.
+    pub fn open(&mut self, baselines: [&DataFrame; 2], first: &[Intent<'_>]) {
+        let Some(factory) = self.pool_factory() else {
+            return;
+        };
+        if first.is_empty() {
+            return;
+        }
         let jobs: Vec<PoolJob> = baselines
             .into_iter()
             .map(|df| PoolJob::Baseline(Arc::new(df.clone())))
             .collect();
         self.speculative_issued += jobs.len() as u64;
         self.ensure_pool(factory).enqueue(jobs, None);
-        Some(factory)
-    }
-
-    /// Score the opening of a diagnosis as one batch: both baselines
-    /// (`[D_pass, D_fail]`, never charged) and `first`, the
-    /// algorithm's first charged frames. Returns one materialization
-    /// result per `first` job, in order. Nothing is charged: the
-    /// caller then validates the baselines and charges the frames in
-    /// serial order, and each query finds its score in the cache.
-    ///
-    /// The baselines go to the detached pool and `first` to the sync
-    /// workers, so the whole opening is scored at once on the
-    /// instances the runtime already owns. At width 1 this only
-    /// materializes `first`, and every query scores its own frame.
-    pub fn score_opening(
-        &mut self,
-        baselines: [&DataFrame; 2],
-        first: Vec<Speculation<'_>>,
-    ) -> Vec<Result<Speculated>> {
-        self.count_ready(&first);
-        let Some(factory) = self.open(baselines) else {
-            return first.into_iter().map(|job| self.materialize(job)).collect();
-        };
-        self.speculative_issued += first.len() as u64;
-        kept(self.score_batch(factory, first, true))
-    }
-
-    /// [`Oracle::score_opening`] for first probes that only need a
-    /// score ([`Oracle::prescore`]): at width > 1 the baselines and the
-    /// probes whose key names no scored frame are scored at once, and
-    /// the charged queries then find every score by intent key. At
-    /// width 1 this does nothing.
-    pub fn prescore_opening(&mut self, baselines: [&DataFrame; 2], probes: &[Intent<'_>]) {
-        let Some(factory) = self.open(baselines) else {
-            return;
-        };
-        let jobs = self.unresolved(probes);
+        let jobs = self.unresolved(first);
         self.speculative_issued += jobs.len() as u64;
-        self.score_batch(factory, jobs, false);
+        self.score_batch(factory, jobs);
     }
 
     /// How many candidates per batch are worth planning ahead (1 ⇒
@@ -1328,9 +1184,13 @@ mod tests {
         let mut oracle = Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1);
         let a = df(&[1, 2, 3]);
         let b = df(&[4, 5, 6]);
-        assert_eq!(oracle.intervene(&a), 0.5);
-        assert_eq!(oracle.intervene(&a), 0.5, "cached result, counted query");
-        assert_eq!(oracle.intervene(&b), 0.5);
+        assert_eq!(oracle.intervene(&a, &Tracer::off()), 0.5);
+        assert_eq!(
+            oracle.intervene(&a, &Tracer::off()),
+            0.5,
+            "cached result, counted query"
+        );
+        assert_eq!(oracle.intervene(&b, &Tracer::off()), 0.5);
         assert_eq!(oracle.interventions, 3);
         let m = oracle.run_metrics();
         assert_eq!((m.cache_hits, m.cache_misses), (1, 2));
@@ -1348,14 +1208,14 @@ mod tests {
             Oracle::new(Source::Factory(&factory), 0.2, 100, 4),
         ] {
             let base = df(&[1]);
-            rt.baseline(&base);
+            rt.baseline(&base, &Tracer::off());
             assert_eq!(rt.interventions, 0);
             // Re-querying the exact baseline dataset stays free, and
             // is neither a hit nor a miss.
-            rt.intervene(&base);
+            rt.intervene(&base, &Tracer::off());
             assert_eq!(rt.interventions, 0, "baseline stays free forever");
-            rt.intervene(&df(&[1, 2, 3]));
-            rt.intervene(&df(&[1, 2, 3]));
+            rt.intervene(&df(&[1, 2, 3]), &Tracer::off());
+            rt.intervene(&df(&[1, 2, 3]), &Tracer::off());
             assert_eq!(rt.interventions, 2, "repeat queries are each charged");
             let m = rt.run_metrics();
             assert_eq!(m.cache_hits + m.cache_misses, m.charged_queries);
@@ -1375,13 +1235,13 @@ mod tests {
             Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1),
             Oracle::new(Source::Factory(&factory), 0.2, 100, 4),
         ] {
-            rt.baseline(&df(&[1, 2, 3]));
+            rt.baseline(&df(&[1, 2, 3]), &Tracer::off());
             let before = rt.run_metrics().query_latency.count;
             assert!(before >= 1, "cold baseline must record a latency");
             assert!(rt.last_query().latency_ns.is_some());
             // A cached repeat adds no sample and reports no latency at
             // all — hits must never skew the mean query cost.
-            rt.baseline(&df(&[1, 2, 3]));
+            rt.baseline(&df(&[1, 2, 3]), &Tracer::off());
             assert_eq!(rt.run_metrics().query_latency.count, before);
             assert_eq!(rt.last_query().latency_ns, None);
         }
@@ -1394,7 +1254,7 @@ mod tests {
         assert!(oracle.passes(0.2));
         assert!(!oracle.passes(0.21));
         assert!(!oracle.exhausted());
-        oracle.intervene(&df(&[1]));
+        oracle.intervene(&df(&[1]), &Tracer::off());
         assert!(oracle.exhausted());
     }
 
@@ -1402,13 +1262,13 @@ mod tests {
     fn scores_clamped_and_nan_is_extreme() {
         let mut system = |_: &DataFrame| 7.5;
         let mut oracle = Oracle::new(Source::Borrowed(&mut system), 0.2, 10, 1);
-        assert_eq!(oracle.intervene(&df(&[1])), 1.0);
+        assert_eq!(oracle.intervene(&df(&[1]), &Tracer::off()), 1.0);
         // Failure injection: a system returning NaN (crashed
         // measurement) must read as extreme malfunction, not as a
         // vacuous pass.
         let mut nan_system = |_: &DataFrame| f64::NAN;
         let mut oracle = Oracle::new(Source::Borrowed(&mut nan_system), 0.2, 10, 1);
-        let score = oracle.intervene(&df(&[2]));
+        let score = oracle.intervene(&df(&[2]), &Tracer::off());
         assert_eq!(score, 1.0);
         assert!(!oracle.passes(score));
     }
@@ -1430,13 +1290,23 @@ mod tests {
         warm.insert(fingerprint(&good), 0.25);
         let mut oracle =
             Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1).with_warm_cache(&warm);
-        assert_eq!(oracle.intervene(&neg), 0.5);
-        assert_eq!(oracle.intervene(&nan), 0.5);
-        assert_eq!(oracle.intervene(&good), 0.25);
+        assert_eq!(oracle.intervene(&neg, &Tracer::off()), 0.5);
+        assert_eq!(oracle.intervene(&nan, &Tracer::off()), 0.5);
+        assert_eq!(oracle.intervene(&good, &Tracer::off()), 0.25);
         let m = oracle.run_metrics();
         assert_eq!((m.cache_hits, m.cache_misses, m.warm_hits), (1, 2, 1));
         drop(oracle);
         assert_eq!(calls, 2, "both bad seeds were scored by the system");
+    }
+
+    /// An intent with no transformations: it builds `frame` unchanged.
+    fn unchanged(frame: &DataFrame) -> Intent<'_> {
+        Intent {
+            pvts: Vec::new(),
+            base: frame,
+            base_fp: fingerprint(frame),
+            seed: 0,
+        }
     }
 
     #[test]
@@ -1444,24 +1314,20 @@ mod tests {
         let factory = || |df: &DataFrame| df.n_rows() as f64 / 10.0;
         let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 4);
         let frames: Vec<DataFrame> = (0..8).map(|i| df(&[i, i + 1])).collect();
-        let jobs: Vec<Speculation<'_>> = frames
-            .iter()
-            .map(|f| Speculation::Ready(f.clone()))
-            .collect();
-        let out = rt.speculate(jobs).unwrap();
-        assert_eq!(out.len(), 8);
+        let probes: Vec<Intent<'_>> = frames.iter().map(unchanged).collect();
+        rt.prescore(&probes);
         assert_eq!(rt.interventions, 0, "speculation is free");
         let m = rt.run_metrics();
         assert_eq!(m.speculative_evaluated, 8, "all eight scored by workers");
         // A later charged query of a speculated frame is a cache hit.
-        rt.intervene(&frames[3]);
+        rt.intervene(&frames[3], &Tracer::off());
         assert_eq!(rt.interventions, 1);
         let m = rt.run_metrics();
         assert_eq!((m.cache_hits, m.cache_misses), (1, 0));
     }
 
     #[test]
-    fn width_one_materializes_without_scoring() {
+    fn width_one_never_scores_ahead() {
         let counter = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&counter);
         let factory = move || {
@@ -1480,12 +1346,10 @@ mod tests {
             Oracle::new(Source::Factory(&factory), 0.2, 100, 1),
             Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1),
         ] {
-            let jobs = vec![
-                Speculation::Ready(df(&[1])),
-                Speculation::Ready(df(&[2])),
-                Speculation::Ready(df(&[3])),
-            ];
-            assert_eq!(rt.speculate(jobs).unwrap().len(), 3);
+            let frames = [df(&[1]), df(&[2]), df(&[3])];
+            let probes: Vec<Intent<'_>> = frames.iter().map(unchanged).collect();
+            rt.open([&frames[0], &frames[1]], &probes);
+            rt.prescore(&probes);
             // Detached jobs are dropped unexecuted; no pool starts.
             rt.speculate_detached(vec![detached(&df(&[4]))]);
             assert!(rt.pool.is_none());
@@ -1495,7 +1359,14 @@ mod tests {
                 "width 1 must not run the system ahead"
             );
             let m = rt.run_metrics();
-            assert_eq!((m.speculative_issued, m.speculative_evaluated), (0, 0));
+            assert_eq!(
+                (
+                    m.speculative_issued,
+                    m.speculative_evaluated,
+                    m.frames_built
+                ),
+                (0, 0, 0)
+            );
         }
     }
 
@@ -1543,8 +1414,8 @@ mod tests {
         assert_eq!(m.speculative_wasted, 4);
         // Charged queries consume two of them (hits); the other two
         // remain waste.
-        rt.intervene(&frames[0]);
-        rt.intervene(&frames[2]);
+        rt.intervene(&frames[0], &Tracer::off());
+        rt.intervene(&frames[2], &Tracer::off());
         let m = rt.run_metrics();
         assert_eq!((m.cache_hits, m.cache_misses), (2, 0));
         assert_eq!(m.speculative_wasted, 2);
@@ -1580,10 +1451,10 @@ mod tests {
         let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 4).with_warm_cache(&warm);
         // Seeded entry answers the charged query: no evaluation, a
         // warm hit, still one charged intervention.
-        assert_eq!(rt.intervene(&a).to_bits(), 0.1f64.to_bits());
+        assert_eq!(rt.intervene(&a, &Tracer::off()).to_bits(), 0.1f64.to_bits());
         assert_eq!(calls.load(Ordering::SeqCst), 0);
         assert_eq!(rt.interventions, 1);
-        rt.intervene(&b);
+        rt.intervene(&b, &Tracer::off());
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         let m = rt.run_metrics();
         assert_eq!((m.cache_hits, m.cache_misses, m.warm_hits), (1, 1, 1));
@@ -1605,7 +1476,7 @@ mod tests {
         {
             let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
             for f in &frames {
-                rt.intervene(f);
+                rt.intervene(f, &Tracer::off());
             }
             cross_run.absorb(&rt.export_cache());
         }
@@ -1614,7 +1485,7 @@ mod tests {
         let mut rt =
             Oracle::new(Source::Factory(&factory), 0.2, 100, 2).with_warm_cache(&cross_run);
         for f in &frames {
-            rt.intervene(f);
+            rt.intervene(f, &Tracer::off());
         }
         let m = rt.run_metrics();
         assert_eq!((m.cache_hits, m.cache_misses, m.warm_hits), (3, 0, 3));
@@ -1754,7 +1625,10 @@ mod tests {
         started.recv().unwrap();
         // The pool worker holds the frame: the charged query takes its
         // score instead of evaluating the frame a second time.
-        assert_eq!(rt.intervene(&frame).to_bits(), 0.3f64.to_bits());
+        assert_eq!(
+            rt.intervene(&frame, &Tracer::off()).to_bits(),
+            0.3f64.to_bits()
+        );
         let q = rt.last_query();
         assert!(q.cached && q.speculative_hit, "{q:?}");
         let m = rt.run_metrics();
@@ -1780,22 +1654,21 @@ mod tests {
             }
         };
         let (pass, fail, probe) = (df(&[1]), df(&[1, 2, 3, 4]), df(&[1, 2]));
+        let off = Tracer::off();
         let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 2);
-        let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe.clone())]);
-        assert_eq!(opened.len(), 1);
+        rt.open([&pass, &fail], &[unchanged(&probe)]);
         assert_eq!(rt.interventions, 0, "the opening is free");
-        // The replay finds every score in the cache.
-        assert_eq!(rt.baseline(&pass).to_bits(), 0.1f64.to_bits());
-        assert_eq!(rt.baseline(&fail).to_bits(), 0.4f64.to_bits());
-        rt.intervene(&opened[0].as_ref().unwrap().frame);
+        // The replay finds every score in the cache, the intent by key.
+        assert_eq!(rt.baseline(&pass, &off).to_bits(), 0.1f64.to_bits());
+        assert_eq!(rt.baseline(&fail, &off).to_bits(), 0.4f64.to_bits());
+        rt.intervene_apply(&unchanged(&probe), &off).unwrap();
         let m = rt.run_metrics();
         assert_eq!(calls.load(Ordering::SeqCst), 3, "each frame scored once");
         assert_eq!((m.charged_queries, m.cache_hits, m.cache_misses), (1, 1, 0));
-        assert_eq!(m.speculative_wasted, 0);
-        // Width 1 only materializes.
+        assert_eq!((m.intent_hits, m.speculative_wasted), (1, 0));
+        // Width 1 scores nothing ahead.
         let mut rt = Oracle::new(Source::Factory(&factory), 0.2, 100, 1);
-        let opened = rt.score_opening([&pass, &fail], vec![Speculation::Ready(probe)]);
-        assert_eq!(opened.len(), 1);
+        rt.open([&pass, &fail], &[unchanged(&probe)]);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
     }
 
@@ -1837,7 +1710,7 @@ mod tests {
         // The workers recorded both intents: the charged queries are
         // cache hits found by key, with no frame built.
         for p in &probes {
-            let score = rt.intervene_apply(p).unwrap();
+            let score = rt.intervene_apply(p, &Tracer::off()).unwrap();
             let built = fingerprint(&p.build().unwrap());
             assert_eq!(rt.last_query().fingerprint, built);
             assert_eq!(score.to_bits(), factory()(&p.build().unwrap()).to_bits());
@@ -1854,7 +1727,7 @@ mod tests {
         let mut system = factory();
         let mut rt = Oracle::new(Source::Borrowed(&mut system), 0.2, 100, 1).with_warm_cache(&warm);
         for p in &probes {
-            rt.intervene_apply(p).unwrap();
+            rt.intervene_apply(p, &Tracer::off()).unwrap();
         }
         let m = rt.run_metrics();
         assert_eq!((m.frames_built, m.intent_hits, m.warm_hits), (0, 2, 2));
@@ -1887,8 +1760,9 @@ mod tests {
         assert!(m.speculative_evaluated <= 1, "{m:?}");
         // A later query scores the frame itself, and the panic recurs
         // on the caller as it would in a serial run.
-        let again =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.intervene(&poison)));
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.intervene(&poison, &Tracer::off())
+        }));
         assert!(again.is_err());
     }
 

@@ -27,7 +27,7 @@
 #![cfg(loom)]
 
 use dataprism::runtime::DetachedSpeculation;
-use dataprism::{fingerprint, Oracle, Source};
+use dataprism::{fingerprint, Oracle, Source, Tracer};
 use dp_frame::{Column, DataFrame};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -78,7 +78,7 @@ fn cache_handoff_agrees_on_one_score() {
         // Race the background scoring of `frame` against a charged
         // query of the same frame on the primary thread.
         rt.speculate_detached(vec![detached(&frame), detached(&df(&[7]))]);
-        let score = rt.intervene(&frame);
+        let score = rt.intervene(&frame, &Tracer::off());
         assert_eq!(score, 0.3, "deterministic score, whoever computed it");
         assert_eq!(rt.interventions, 1);
         let m = rt.run_metrics();
@@ -90,7 +90,7 @@ fn cache_handoff_agrees_on_one_score() {
         assert_eq!(m.charged_queries, 1);
         // The score is now cached for everyone: a repeat query is a
         // hit and the answer is bit-identical.
-        assert_eq!(rt.intervene(&frame), 0.3);
+        assert_eq!(rt.intervene(&frame, &Tracer::off()), 0.3);
     });
 }
 
@@ -128,7 +128,7 @@ fn inflight_handoff_scores_each_frame_once_without_lost_wakeups() {
         // score, finds it, or scores the frame itself while the
         // worker skips it.
         rt.speculate_detached(vec![detached(&frame)]);
-        assert_eq!(rt.intervene(&frame), 0.3);
+        assert_eq!(rt.intervene(&frame, &Tracer::off()), 0.3);
         let m = rt.run_metrics();
         assert_eq!(evals.load(Ordering::SeqCst), 1, "one evaluation");
         assert_eq!(m.cache_hits + m.cache_misses, 1);

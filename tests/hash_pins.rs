@@ -79,7 +79,7 @@ fn the_example1_digest_is_pinned() {
             &s.config,
         )
         .unwrap();
-    assert_eq!(exp.digest(), 0x4425_83be_7a1f_9a88);
+    assert_eq!(exp.digest(), 0xf518_d204_579c_a68c);
 }
 
 /// `tests/golden/income_gt_v2.snapshot` was written by a group-testing

@@ -13,17 +13,16 @@
 //!    failing frame and on a transformed one) and Make-Minimal drops
 //!    (the fixed Make-Minimal seed).
 //! 2. A fully warm diagnosis at width 1 builds exactly the frames its
-//!    search carries forward: group testing's leaf applications and
-//!    each accepted Make-Minimal drop (greedy also builds each pick it
-//!    charges), while its digest and charged queries equal the cold
-//!    run's.
+//!    search carries forward: each pick greedy keeps, group testing's
+//!    leaf applications and each accepted Make-Minimal drop, while its
+//!    digest and charged queries equal the cold run's.
 
 use dataprism::bisection::{stream_seed, APPLY_STREAM};
 use dataprism::discovery::discriminative_pvts;
 use dataprism::runtime::Intent;
 use dataprism::{
     fingerprint, Algorithm, Diagnosis, Event, Explanation, Oracle, PrismError, Pvt, Result,
-    ScoreCache, Source, TraceConfig,
+    ScoreCache, Source, TraceConfig, Tracer,
 };
 use dp_frame::DataFrame;
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
@@ -146,7 +145,7 @@ proptest! {
         let mut cold = Oracle::new(Source::Borrowed(&mut cold_system), 0.5, 1_000, 1);
         for round in 0..2 {
             for (job, &fp) in jobs.iter().zip(&built) {
-                cold.intervene_apply(job).expect("built above");
+                cold.intervene_apply(job, &Tracer::off()).expect("built above");
                 prop_assert_eq!(cold.last_query().fingerprint, fp, "round {}", round);
             }
         }
@@ -161,7 +160,7 @@ proptest! {
         let mut warm = Oracle::new(Source::Borrowed(&mut warm_system), 0.5, 1_000, 1).with_warm_cache(&exported);
         for (job, &fp) in jobs.iter().zip(&built).rev() {
             for _ in 0..2 {
-                warm.intervene_apply(job).expect("resolved by key");
+                warm.intervene_apply(job, &Tracer::off()).expect("resolved by key");
                 prop_assert_eq!(warm.last_query().fingerprint, fp);
             }
         }
@@ -187,7 +186,7 @@ fn run(scenario: &Scenario, algo: Algorithm, cache: &mut ScoreCache) -> Result<E
 }
 
 /// The frames a fully warm width-1 run must build: greedy builds each
-/// pick it charges, group testing each leaf (the selection before
+/// pick it keeps, group testing each leaf (the selection before
 /// Make-Minimal), and both each accepted Make-Minimal drop. Counted
 /// from the collected trail.
 fn frames_a_warm_run_must_build(algo: Algorithm, exp: &Explanation) -> u64 {
@@ -195,7 +194,7 @@ fn frames_a_warm_run_must_build(algo: Algorithm, exp: &Explanation) -> u64 {
         |f: fn(&Event) -> bool| exp.trace_records.iter().filter(|r| f(&r.event)).count() as u64;
     let dropped = count(|e| matches!(e, Event::MinimalityDrop { .. }));
     let carried = match algo {
-        Algorithm::Greedy => count(|e| matches!(e, Event::Intervention { .. })),
+        Algorithm::Greedy => count(|e| matches!(e, Event::Intervention { kept: true, .. })),
         _ => exp.pvts.len() as u64 + dropped,
     };
     carried + dropped

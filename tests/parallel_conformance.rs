@@ -13,12 +13,14 @@
 //! report is likewise identical modulo that one documented
 //! `- oracle cache:` counter line.
 
+use dataprism::profile::Profile;
 use dataprism::report::markdown_report;
+use dataprism::transform::{ImputeStrategy, Transform};
 use dataprism::{
     discovery::discriminative_pvts, fingerprint, Algorithm, Diagnosis, Explanation, PrismConfig,
-    PrismError, Result, Source, System, SystemFactory,
+    PrismError, Pvt, Result, Source, System, SystemFactory,
 };
-use dp_frame::DataFrame;
+use dp_frame::{CmpOp, Column, DType, DataFrame, Predicate};
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, synthetic, Scenario};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -534,6 +536,96 @@ fn bad_passing_dataset_is_reported_first_at_every_width() {
                 other => panic!("{algo}@{threads}: expected the D_pass BadInput, got {other:?}"),
             }
         }
+    }
+}
+
+/// Malfunction of the label-domain toy: the fraction of `target`
+/// labels outside `{-1, 1}`.
+fn label_domain_system(df: &DataFrame) -> f64 {
+    let col = df.column("target").unwrap();
+    let bad = col
+        .str_values()
+        .iter()
+        .filter(|(_, s)| *s != "-1" && *s != "1")
+        .count();
+    bad as f64 / df.n_rows().max(1) as f64
+}
+
+#[test]
+fn a_pick_the_serial_run_never_reaches_cannot_fail_a_wider_run() {
+    // Greedy's first pick maps `target` into its domain and resolves
+    // the malfunction; the second reads a column the frames do not
+    // have, so building it fails. A width-2 window plans both picks,
+    // and speculating the second must not surface an error the
+    // serial run never meets — for a stochastic and a deterministic
+    // transformation alike.
+    let frame = |labels: [&str; 4], len: [i64; 4]| {
+        DataFrame::from_columns(vec![
+            Column::from_strings(
+                "target",
+                DType::Categorical,
+                labels.iter().map(|s| Some(s.to_string())).collect(),
+            ),
+            // D_fail's lengths differ from D_pass's, so the fixed frame
+            // is not the free baseline and the fix is charged.
+            Column::from_ints("len", len.iter().map(|&v| Some(v)).collect()),
+        ])
+        .unwrap()
+    };
+    let d_pass = frame(["-1", "1", "1", "-1"], [100, 150, 120, 90]);
+    let d_fail = frame(["0", "4", "4", "0"], [20, 25, 22, 18]);
+    let fix = Pvt {
+        id: 0,
+        profile: Profile::DomainCategorical {
+            attr: "target".into(),
+            values: ["-1", "1"].iter().map(|s| s.to_string()).collect(),
+        },
+        transform: Transform::MapToDomain {
+            attr: "target".into(),
+            values: ["-1", "1"].iter().map(|s| s.to_string()).collect(),
+        },
+    };
+    let impute_zip = Pvt {
+        id: 1,
+        profile: Profile::Missing {
+            attr: "zip".into(),
+            theta: 0.0,
+        },
+        transform: Transform::Impute {
+            attr: "zip".into(),
+            strategy: ImputeStrategy::Mode,
+        },
+    };
+    // A stochastic transformation that reads the missing column. (A
+    // dependence repair into it would not do: dependence on a missing
+    // column measures 0, so the repair is an identity and never fails.)
+    let resample_zip = Pvt {
+        id: 1,
+        profile: Profile::Selectivity {
+            predicate: Predicate::cmp("zip", CmpOp::Eq, "01004"),
+            theta: 0.5,
+        },
+        transform: Transform::ResampleSelectivity {
+            predicate: Predicate::cmp("zip", CmpOp::Eq, "01004"),
+            theta: 0.5,
+        },
+    };
+    let factory = || label_domain_system;
+    for missing in [resample_zip, impute_zip] {
+        let label = format!("{:?}", missing.transform);
+        let [serial, par] = [1, 2].map(|threads| {
+            let config = PrismConfig {
+                num_threads: threads,
+                ..PrismConfig::with_threshold(0.2)
+            };
+            Diagnosis::new(Algorithm::Greedy)
+                .with_candidates(vec![fix.clone(), missing.clone()])
+                .run(Source::Factory(&factory), &d_fail, &d_pass, &config)
+        });
+        let exp = serial.as_ref().expect("the serial run resolves");
+        assert!(exp.resolved, "{label}");
+        assert_eq!((exp.pvt_ids(), exp.interventions), (vec![0], 1), "{label}");
+        assert_identical(&label, 2, &serial, &par);
     }
 }
 

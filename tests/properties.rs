@@ -14,7 +14,7 @@
 use dataprism::profile::{OutlierSpec, Profile};
 use dataprism::transform::{ImputeStrategy, OutlierRepair, Transform};
 use dataprism::violation::violation;
-use dataprism::{fingerprint, fingerprint_reference};
+use dataprism::{fingerprint, fingerprint_reference, Tracer};
 use dp_frame::{Column, DType, DataFrame, Value};
 use dp_stats::Pattern;
 use proptest::prelude::*;
@@ -193,16 +193,16 @@ proptest! {
         };
         let mut oracle = dataprism::Oracle::new(dataprism::Source::Borrowed(&mut system), 0.5, 10_000, 1);
         let base = DataFrame::from_columns(vec![Column::from_ints("x", vec![Some(-1)])]).unwrap();
-        oracle.baseline(&base);
+        oracle.baseline(&base, &Tracer::off());
         for k in 0..scores.len() {
             let df = DataFrame::from_columns(vec![Column::from_ints(
                 "x",
                 vec![Some(k as i64)],
             )])
             .unwrap();
-            oracle.intervene(&df);
+            oracle.intervene(&df, &Tracer::off());
         }
-        oracle.intervene(&base); // baseline re-query: free
+        oracle.intervene(&base, &Tracer::off()); // baseline re-query: free
         prop_assert_eq!(oracle.interventions, scores.len());
     }
 }
