@@ -1,10 +1,13 @@
 //! Micro-benchmarks of the substrate hot paths: violation scoring,
 //! the χ² and Pearson statistics, min-bisection, transformation
 //! application, and model training — the pieces every intervention
-//! pays for.
+//! pays for — plus the pre-query lint pass every diagnosis runs
+//! before its first intervention.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataprism::bisection::min_bisection;
+use dataprism::discovery::discriminative_pvts;
+use dataprism::lint_pvts;
 use dataprism::profile::{DependenceKind, Profile};
 use dataprism::transform::Transform;
 use dataprism::violation::violation;
@@ -178,8 +181,32 @@ fn bench_models(c: &mut Criterion) {
     group.finish();
 }
 
+/// `lint_pvts` on the candidate sets a warm `dp_serve` diagnosis
+/// lints: Income (300 rows, seed 7; 39 discovered candidates), and a
+/// 5 000-PVT Fig 8 right-panel set (`single_cause(2500, 5000, 11)`).
+fn bench_lint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lint_pvts");
+    let income = dp_scenarios::income::scenario_with_size(300, 7);
+    let pvts = discriminative_pvts(&income.d_pass, &income.d_fail, &income.config.discovery);
+    let tau = income.config.threshold;
+    group.bench_with_input(
+        BenchmarkId::new("income", pvts.len()),
+        &pvts,
+        |bench, pvts| bench.iter(|| lint_pvts(pvts, &income.d_fail, tau)),
+    );
+    let fig8 = dp_scenarios::synthetic::single_cause(2500, 5000, 11);
+    let tau = fig8.config.threshold;
+    group.bench_with_input(
+        BenchmarkId::new("fig8", fig8.pvts.len()),
+        &fig8.pvts,
+        |bench, pvts| bench.iter(|| lint_pvts(pvts, &fig8.d_fail, tau)),
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_lint,
     bench_violation,
     bench_stats,
     bench_min_bisection,

@@ -12,7 +12,12 @@
 //! the regime where the copy-on-write chunked frame matters.
 //!
 //! Usage: `cargo run --release -p dp-bench --bin fig8_scaling
-//! [--full] [--smoke]`
+//! [--full] [--paper] [--panel all|attributes|pvts|rows] [--lint-off]
+//! [--smoke]`
+//!
+//! `--panel` runs one panel only; `--paper` adds the paper's 300K
+//! point to the PVT panel; `--lint-off` runs every diagnosis with
+//! `Lint::Off`, to split the pre-query lint pass from the search.
 //!
 //! `--smoke` skips the sweeps and runs the CI memory gate on one
 //! 10⁶-row cell instead: the live intervention working set (base
@@ -20,10 +25,12 @@
 //! layer holds in flight) must occupy ≥ 5× less heap after chunk
 //! deduplication than eager full copies would.
 
-use dataprism::Algorithm;
-use dp_bench::{arg_switch, format_row, run_synthetic};
+use dataprism::{Algorithm, Lint};
+use dp_bench::{arg_choice, arg_switch, format_row, run_synthetic, RunResult};
 use dp_frame::unique_heap_bytes;
-use dp_scenarios::synthetic::{conjunctive_cause_with_rows, single_cause, single_cause_with_rows};
+use dp_scenarios::synthetic::{
+    conjunctive_cause_with_rows, single_cause, single_cause_with_rows, SyntheticScenario,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,7 +73,7 @@ fn smoke() {
 }
 
 /// Every flag this binary takes.
-const FLAGS: &[&str] = &["--full", "--smoke"];
+const FLAGS: &[&str] = &["--full", "--paper", "--panel", "--lint-off", "--smoke"];
 
 fn main() {
     if arg_switch(FLAGS, "--smoke") {
@@ -74,127 +81,124 @@ fn main() {
         return;
     }
     let full = arg_switch(FLAGS, "--full");
-    let seed = 11;
-
-    println!(
-        "Fig 8 (left) — execution time vs #attributes (one discriminative PVT per attribute)\n"
+    let paper = arg_switch(FLAGS, "--paper");
+    let panel = arg_choice(
+        FLAGS,
+        "--panel",
+        "all",
+        &["all", "attributes", "pvts", "rows"],
     );
-    let widths = [12, 14, 14, 13, 13];
+    let lint = if arg_switch(FLAGS, "--lint-off") {
+        Lint::Off
+    } else {
+        Lint::default()
+    };
+    let run = |mut scenario: SyntheticScenario, algorithm| -> RunResult {
+        scenario.config.lint = lint;
+        run_synthetic(scenario, algorithm)
+    };
+    let seed = 11;
+    if matches!(panel, "all" | "attributes") {
+        attributes_panel(&run, full, seed);
+    }
+    if matches!(panel, "all" | "pvts") {
+        pvts_panel(&run, full, paper, seed);
+    }
+    if matches!(panel, "all" | "rows") {
+        rows_panel(&run, full, seed);
+    }
+    println!("\npaper reference: both curves grow sub-linearly (their Fig 8, log-log)");
+}
+
+/// Column widths of every panel's table.
+const WIDTHS: [usize; 5] = [12, 14, 14, 13, 13];
+
+/// One table row: the x value, then GRD and GT seconds and
+/// interventions.
+fn print_row(x: usize, grd: &RunResult, gt: &RunResult) {
     println!(
         "{}",
         format_row(
             &[
-                "#attributes".into(),
+                x.to_string(),
+                format!("{:.3}", grd.seconds),
+                format!("{:.3}", gt.seconds),
+                grd.interventions_cell(),
+                gt.interventions_cell(),
+            ],
+            &WIDTHS
+        )
+    );
+    assert!(grd.resolved && gt.resolved, "scaling runs must resolve");
+}
+
+fn header(x: &str) {
+    println!(
+        "{}",
+        format_row(
+            &[
+                x.into(),
                 "GRD seconds".into(),
                 "GT seconds".into(),
                 "GRD intervs".into(),
                 "GT intervs".into()
             ],
-            &widths
+            &WIDTHS
         )
     );
+}
+
+type Runner<'a> = dyn Fn(SyntheticScenario, Algorithm) -> RunResult + 'a;
+
+fn attributes_panel(run: &Runner<'_>, full: bool, seed: u64) {
+    println!(
+        "Fig 8 (left) — execution time vs #attributes (one discriminative PVT per attribute)\n"
+    );
+    header("#attributes");
     let attr_points: &[usize] = if full {
         &[10, 50, 100, 200, 400, 800]
     } else {
         &[10, 50, 100, 200, 400]
     };
     for &m in attr_points {
-        let grd = run_synthetic(single_cause(m, m, seed), Algorithm::Greedy);
-        let gt = run_synthetic(single_cause(m, m, seed), Algorithm::GroupTest);
-        println!(
-            "{}",
-            format_row(
-                &[
-                    m.to_string(),
-                    format!("{:.3}", grd.seconds),
-                    format!("{:.3}", gt.seconds),
-                    grd.interventions_cell(),
-                    gt.interventions_cell(),
-                ],
-                &widths
-            )
-        );
-        assert!(grd.resolved && gt.resolved, "scaling runs must resolve");
+        let grd = run(single_cause(m, m, seed), Algorithm::Greedy);
+        let gt = run(single_cause(m, m, seed), Algorithm::GroupTest);
+        print_row(m, &grd, &gt);
     }
+}
 
+fn pvts_panel(run: &Runner<'_>, full: bool, paper: bool, seed: u64) {
     println!("\nFig 8 (right) — execution time vs #discriminative PVTs (2 PVTs per attribute)\n");
-    println!(
-        "{}",
-        format_row(
-            &[
-                "#disc PVTs".into(),
-                "GRD seconds".into(),
-                "GT seconds".into(),
-                "GRD intervs".into(),
-                "GT intervs".into()
-            ],
-            &widths
-        )
-    );
-    let pvt_points: &[usize] = if full {
-        &[10, 100, 1000, 5000, 20_000, 100_000]
-    } else {
-        &[10, 100, 1000, 5000, 20_000]
-    };
-    for &k in pvt_points {
-        let n_attrs = k.div_ceil(2);
-        let grd = run_synthetic(single_cause(n_attrs, k, seed), Algorithm::Greedy);
-        let gt = run_synthetic(single_cause(n_attrs, k, seed), Algorithm::GroupTest);
-        println!(
-            "{}",
-            format_row(
-                &[
-                    k.to_string(),
-                    format!("{:.3}", grd.seconds),
-                    format!("{:.3}", gt.seconds),
-                    grd.interventions_cell(),
-                    gt.interventions_cell(),
-                ],
-                &widths
-            )
-        );
-        assert!(grd.resolved && gt.resolved, "scaling runs must resolve");
+    header("#disc PVTs");
+    let mut pvt_points: Vec<usize> = vec![10, 100, 1000, 5000, 20_000];
+    if full {
+        pvt_points.push(100_000);
     }
+    if paper {
+        pvt_points.push(300_000);
+    }
+    for k in pvt_points {
+        let n_attrs = k.div_ceil(2);
+        let grd = run(single_cause(n_attrs, k, seed), Algorithm::Greedy);
+        let gt = run(single_cause(n_attrs, k, seed), Algorithm::GroupTest);
+        print_row(k, &grd, &gt);
+    }
+}
+
+fn rows_panel(run: &Runner<'_>, full: bool, seed: u64) {
     println!("\nFig 8 (rows) — execution time vs #rows (16 attributes, 8 discriminative PVTs)\n");
-    println!(
-        "{}",
-        format_row(
-            &[
-                "#rows".into(),
-                "GRD seconds".into(),
-                "GT seconds".into(),
-                "GRD intervs".into(),
-                "GT intervs".into()
-            ],
-            &widths
-        )
-    );
+    header("#rows");
     let row_points: &[usize] = if full {
         &[10_000, 100_000, 1_000_000, 10_000_000]
     } else {
         &[10_000, 100_000, 1_000_000]
     };
     for &rows in row_points {
-        let grd = run_synthetic(single_cause_with_rows(16, 8, rows, seed), Algorithm::Greedy);
-        let gt = run_synthetic(
+        let grd = run(single_cause_with_rows(16, 8, rows, seed), Algorithm::Greedy);
+        let gt = run(
             single_cause_with_rows(16, 8, rows, seed),
             Algorithm::GroupTest,
         );
-        println!(
-            "{}",
-            format_row(
-                &[
-                    rows.to_string(),
-                    format!("{:.3}", grd.seconds),
-                    format!("{:.3}", gt.seconds),
-                    grd.interventions_cell(),
-                    gt.interventions_cell(),
-                ],
-                &widths
-            )
-        );
-        assert!(grd.resolved && gt.resolved, "scaling runs must resolve");
+        print_row(rows, &grd, &gt);
     }
-
-    println!("\npaper reference: both curves grow sub-linearly (their Fig 8, log-log)");
 }

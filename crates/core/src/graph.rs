@@ -9,7 +9,7 @@
 //! attribute; group testing partitions along its minimum bisection.
 
 use crate::pvt::Pvt;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The bipartite PVT–attribute graph over the *live* (not yet
 /// explored) discriminative PVTs.
@@ -79,17 +79,34 @@ impl PvtAttributeGraph {
     }
 
     /// Edges of the PVT-dependency graph `G_PD`: unordered PVT pairs
-    /// sharing at least one attribute.
+    /// sharing at least one attribute, each once as `(i, j)` with
+    /// `i < j`, ascending. Read off per-attribute buckets, so the cost
+    /// grows with the edges found rather than with all n²/2 pairs.
     pub fn dependency_edges(&self) -> Vec<(usize, usize)> {
-        let ids: Vec<usize> = self.pvt_ids();
+        let ids = self.pvt_ids();
+        // Each attribute's PVTs, as ascending indices into `ids`.
+        let mut buckets: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (k, attrs) in self.adjacency.values().enumerate() {
+            for a in attrs {
+                buckets.entry(a.as_str()).or_default().push(k);
+            }
+        }
+        let mut seen = vec![usize::MAX; ids.len()];
+        let mut later = Vec::new();
         let mut edges = Vec::new();
-        for (k, &i) in ids.iter().enumerate() {
-            let ai: BTreeSet<&String> = self.adjacency[&i].iter().collect();
-            for &j in &ids[k + 1..] {
-                if self.adjacency[&j].iter().any(|a| ai.contains(a)) {
-                    edges.push((i, j));
+        for (k, attrs) in self.adjacency.values().enumerate() {
+            later.clear();
+            for a in attrs {
+                let bucket = &buckets[a.as_str()];
+                for &j in &bucket[bucket.partition_point(|&j| j <= k)..] {
+                    if seen[j] != k {
+                        seen[j] = k;
+                        later.push(j);
+                    }
                 }
             }
+            later.sort_unstable();
+            edges.extend(later.iter().map(|&j| (ids[k], ids[j])));
         }
         edges
     }

@@ -22,12 +22,12 @@
 //! from the graph), scores them concurrently as cache warming, and
 //! then charges interventions for exactly the prefix a serial run
 //! would consume. Results and intervention counts are identical for
-//! any thread count, and only a kept pick's frame is built on the
-//! calling thread.
+//! any thread count. On the calling thread a pick's frame is built
+//! once at most: by its charged query when its intent is unknown, or
+//! else, for a kept pick only, to carry it forward.
 //!
 //! This module also holds Make-Minimal, which group testing reuses.
 
-use crate::benefit::benefit_scores;
 use crate::bisection::{stream_seed, APPLY_STREAM};
 use crate::config::PrismConfig;
 use crate::diagnosis::{finish_run, validate_inputs};
@@ -52,8 +52,9 @@ use std::collections::BTreeMap;
 /// knows is decided without building its frame. Interventions are
 /// still charged one by one in scan order, and a successful drop
 /// discards the rest of its window uncharged — exactly the serial
-/// consumption. Only an accepted drop's frame is built, since it
-/// becomes the repaired frame.
+/// consumption. Beyond what the charged queries build, only an
+/// accepted drop's frame is built (when its query was a key hit),
+/// since it becomes the repaired frame.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn make_minimal(
     rt: &mut Oracle<'_>,
@@ -86,9 +87,10 @@ pub(crate) fn make_minimal(
         rt.prescore(&probes);
         let mut accepted = None;
         for (offset, probe) in probes.iter().enumerate() {
-            let s = rt.intervene_apply(probe, tracer)?;
-            if rt.passes(s) {
-                accepted = Some((i + offset, rt.build(probe)?, s));
+            let applied = rt.intervene_apply(probe, tracer)?;
+            if rt.passes(applied.score) {
+                let frame = applied.built.map_or_else(|| rt.build(probe), Ok)?;
+                accepted = Some((i + offset, frame, applied.score));
                 break;
             }
         }
@@ -175,11 +177,14 @@ pub(crate) fn run_greedy(
     let discovered = !pvts.is_empty();
     // Static L1–L9 analysis of the candidate set, before any oracle
     // query; `Lint::Prune` drops provably futile candidates here.
-    let (lint, pvts) = crate::lint::lint_and_prune(pvts, d_fail, config.lint, config.threshold);
-
-    // Lines 5–6: PVT–attribute graph and benefit scores.
-    let mut graph = PvtAttributeGraph::new(&pvts);
-    let mut benefits = benefit_scores(&pvts, d_fail);
+    // Lines 5–6: PVT–attribute graph and benefit scores, in the same
+    // pass.
+    let crate::lint::Ranked {
+        lint,
+        pvts,
+        mut graph,
+        mut benefits,
+    } = crate::lint::lint_and_rank(pvts, d_fail, config.lint, config.threshold);
     let width = rt.speculation_width().max(1);
 
     // The opening: on a parallel runtime the first window of picks is
@@ -227,7 +232,8 @@ pub(crate) fn run_greedy(
                 break;
             }
             let chosen = pick.pvts[0];
-            let new_score = rt.intervene_apply(pick, &tracer)?;
+            let applied = rt.intervene_apply(pick, &tracer)?;
+            let new_score = applied.score;
             let delta = score - new_score;
 
             // Line 13: mark explored.
@@ -236,7 +242,8 @@ pub(crate) fn run_greedy(
             tracer.intervention(&[chosen.id], score, new_score, delta > 0.0);
 
             if delta > 0.0 {
-                kept = Some((chosen.clone(), rt.build(pick)?, new_score));
+                let frame = applied.built.map_or_else(|| rt.build(pick), Ok)?;
+                kept = Some((chosen.clone(), frame, new_score));
                 break;
             }
         }

@@ -31,7 +31,6 @@
 //! runtime's workers; the serial replay charges the same queries
 //! either way.
 
-use crate::benefit::benefit_scores;
 use crate::bisection::{
     cut_size, min_bisection, partition_rng, random_bisection, stream_seed, APPLY_STREAM,
 };
@@ -45,6 +44,7 @@ use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
 use crate::runtime::{DetachedSpeculation, Intent, Oracle};
 use dp_frame::DataFrame;
+use dp_lint::Commuting;
 use dp_trace::{BisectionNodeSpan, Event, SpeculationPlanSpan, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -72,12 +72,11 @@ struct GtCtx<'o, 'r, 'p> {
     /// of the recursion tree each cold node pre-bisects and scores
     /// speculatively.
     depth: usize,
-    /// L8 fact table from the lint pass: candidate pairs `(lo, hi)`
-    /// whose transformations provably commute. Drives the commute
-    /// bonus on the speculation depth. Empty under `Lint::Off` —
-    /// result-invisible either way, since speculation only warms the
-    /// cache.
-    commuting: std::collections::HashSet<(usize, usize)>,
+    /// L8 fact table from the lint pass: which candidate pairs
+    /// provably commute. Drives the commute bonus on the speculation
+    /// depth. Empty under `Lint::Off` — result-invisible either way,
+    /// since speculation only warms the cache.
+    commuting: &'p Commuting,
     /// Trace handle ([`dp_trace::Tracer`]); a no-op in the default
     /// off state. Node events are emitted here, on the main thread,
     /// in serial recursion order.
@@ -99,8 +98,12 @@ pub(crate) fn run_group_test(
     // query; `Lint::Prune` drops provably futile candidates here
     // (each one would otherwise inflate the A3 composition and every
     // bisection probe containing it).
-    let (lint, pvt_vec) =
-        crate::lint::lint_and_prune(pvt_vec, d_fail, config.lint, config.threshold);
+    let crate::lint::Ranked {
+        lint,
+        pvts: pvt_vec,
+        graph,
+        benefits,
+    } = crate::lint::lint_and_rank(pvt_vec, d_fail, config.lint, config.threshold);
     let pvts: BTreeMap<usize, &Pvt> = pvt_vec.iter().map(|p| (p.id, p)).collect();
     let all_ids: Vec<usize> = pvts.keys().copied().collect();
 
@@ -116,11 +119,10 @@ pub(crate) fn run_group_test(
         return Err(PrismError::NoDiscriminativePvts);
     }
     tracer.candidates(pvt_vec.len());
-    let graph = PvtAttributeGraph::new(&pvt_vec);
 
     // A3 applicability check: the full composition must reduce the
     // malfunction (see module docs).
-    let full_score = rt.intervene_apply(&full, &tracer)?;
+    let full_score = rt.intervene_apply(&full, &tracer)?.score;
     tracer.intervention(
         &all_ids,
         initial_score,
@@ -137,7 +139,6 @@ pub(crate) fn run_group_test(
 
     // Benefit-ordered ids seed deterministic tie-breaking inside the
     // partitioner (helps reproducibility across runs).
-    let benefits = benefit_scores(&pvt_vec, d_fail);
     let mut seed_order = all_ids.clone();
     seed_order.sort_by(|a, b| benefits[b].total_cmp(&benefits[a]));
 
@@ -150,7 +151,7 @@ pub(crate) fn run_group_test(
         seed_order,
         seed: config.seed,
         depth: config.gt_speculation_depth,
-        commuting: lint.commuting.iter().copied().collect(),
+        commuting: &lint.commuting,
         tracer: tracer.clone(),
     };
     let (repaired, selected_ids) = group_test_rec(
@@ -383,7 +384,7 @@ fn group_test_rec(
     };
 
     // Line 6: intervene with all of X1.
-    let s1 = ctx.rt.intervene_apply(&probes[0], &ctx.tracer)?;
+    let s1 = ctx.rt.intervene_apply(&probes[0], &ctx.tracer)?.score;
     let delta1 = m - s1;
     let rt = &ctx.rt;
     ctx.tracer.probe(node, 1, &x1, m, s1, delta1 > 0.0, || {
@@ -396,7 +397,7 @@ fn group_test_rec(
     let mut delta2 = 0.0;
     let mut s2 = f64::INFINITY;
     if !ctx.rt.passes(s1) {
-        s2 = ctx.rt.intervene_apply(&probes[1], &ctx.tracer)?;
+        s2 = ctx.rt.intervene_apply(&probes[1], &ctx.tracer)?.score;
         delta2 = m - s2;
         let rt = &ctx.rt;
         ctx.tracer.probe(node, 2, &x2, m, s2, delta2 > 0.0, || {
@@ -504,7 +505,7 @@ fn all_pairs_commute(ctx: &GtCtx<'_, '_, '_>, candidates: &[usize]) -> bool {
     candidates.iter().enumerate().all(|(k, &i)| {
         candidates[k + 1..]
             .iter()
-            .all(|&j| ctx.commuting.contains(&(i.min(j), i.max(j))))
+            .all(|&j| ctx.commuting.commutes(i, j))
     })
 }
 

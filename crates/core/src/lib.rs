@@ -105,6 +105,6 @@ pub use lint::lint_pvts;
 pub use oracle::{fingerprint, fingerprint_reference, System, SystemFactory};
 pub use profile::{DependenceKind, OutlierSpec, Profile};
 pub use pvt::Pvt;
-pub use runtime::{par_map, Oracle, Source};
+pub use runtime::{par_map, Applied, Oracle, Source};
 pub use transform::Transform;
 pub use violation::violation;

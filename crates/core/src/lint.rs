@@ -17,6 +17,7 @@
 //! pruned candidate could never have changed the explanation — only
 //! cost interventions. `tests/lint_parity.rs` asserts this end to end.
 
+use crate::benefit::benefit_scores;
 use crate::config::Lint;
 use crate::graph::PvtAttributeGraph;
 use crate::profile::Profile;
@@ -27,6 +28,7 @@ use dp_lint::absint::{TransferOp, ValueRegion};
 use dp_lint::domains::{AbsCol, AbsState, Interval, SupportDom};
 use dp_lint::{AttrRequirement, CandidateFacts, Diagnostics, TypeClass, WriteTarget};
 use dp_stats::sketch::ColumnSummary;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Typed attribute reads a profile performs when its violation is
 /// evaluated.
@@ -300,12 +302,82 @@ pub fn candidate_facts(pvt: &Pvt, d_fail: &DataFrame) -> CandidateFacts {
 /// the L7 unreachability certificate must clear.
 pub fn lint_pvts(pvts: &[Pvt], d_fail: &DataFrame, tau: f64) -> Diagnostics {
     let facts: Vec<CandidateFacts> = pvts.iter().map(|p| candidate_facts(p, d_fail)).collect();
-    let edges = PvtAttributeGraph::new(pvts).dependency_edges();
-    let state = seed_state(d_fail);
-    dp_lint::analyze(&d_fail.schema(), &state, tau, &facts, &edges)
+    analyze(&facts, &PvtAttributeGraph::new(pvts), d_fail, tau)
 }
 
-/// Emit the [`dp_trace::LintSpan`] event of a [`lint_and_prune`] pass
+/// [`dp_lint::analyze`] over lowered facts and the candidates' graph.
+fn analyze(
+    facts: &[CandidateFacts],
+    graph: &PvtAttributeGraph,
+    d_fail: &DataFrame,
+    tau: f64,
+) -> Diagnostics {
+    let state = seed_state(d_fail);
+    dp_lint::analyze(
+        &d_fail.schema(),
+        &state,
+        tau,
+        facts,
+        &graph.dependency_edges(),
+    )
+}
+
+/// What the pre-query stage hands a search: the lint verdict, the
+/// candidates that survive it, their PVT–attribute graph and their
+/// initial benefit scores (Alg 1 lines 5–6).
+pub(crate) struct Ranked {
+    pub(crate) lint: Diagnostics,
+    pub(crate) pvts: Vec<Pvt>,
+    pub(crate) graph: PvtAttributeGraph,
+    pub(crate) benefits: BTreeMap<usize, f64>,
+}
+
+/// The pre-query stage in one pass: apply the configured lint policy
+/// (under `Prune`, [`prune`]'s drops), then rank the survivors.
+/// Each candidate's violation and coverage on `D_fail` are computed
+/// once, for the lint facts and the benefit scores alike, and the one
+/// PVT–attribute graph gives lint its dependency edges before the
+/// dropped candidates leave it. Under `Lint::Off` only the benefits
+/// are computed.
+pub(crate) fn lint_and_rank(pvts: Vec<Pvt>, d_fail: &DataFrame, mode: Lint, tau: f64) -> Ranked {
+    let mut graph = PvtAttributeGraph::new(&pvts);
+    if mode == Lint::Off {
+        return Ranked {
+            lint: Diagnostics::default(),
+            benefits: benefit_scores(&pvts, d_fail),
+            pvts,
+            graph,
+        };
+    }
+    let facts: Vec<CandidateFacts> = pvts.iter().map(|p| candidate_facts(p, d_fail)).collect();
+    let mut lint = analyze(&facts, &graph, d_fail, tau);
+    let dropped = if mode == Lint::Prune {
+        prune(&mut lint)
+    } else {
+        BTreeSet::new()
+    };
+    for &id in &dropped {
+        graph.remove(id);
+    }
+    // The benefit operands of `benefit::benefit`, in its order.
+    let benefits = facts
+        .iter()
+        .filter(|f| !dropped.contains(&f.id))
+        .map(|f| (f.id, f.profile_violation_on_fail * f.coverage_on_fail))
+        .collect();
+    let pvts = pvts
+        .into_iter()
+        .filter(|p| !dropped.contains(&p.id))
+        .collect();
+    Ranked {
+        lint,
+        pvts,
+        graph,
+        benefits,
+    }
+}
+
+/// Emit the [`dp_trace::LintSpan`] event of a [`lint_and_rank`] pass
 /// with the verdict counts (always emitted, `analyzed = false` under
 /// `Lint::Off`, so a trace records that the pass was skipped),
 /// followed by a [`dp_trace::LintFactSpan`] when the pass analyzed.
@@ -338,53 +410,32 @@ pub(crate) fn emit_lint(diag: &Diagnostics, tracer: &dp_trace::Tracer) {
     }
 }
 
-/// Apply the configured lint policy: analyze (unless `Off`) and, under
-/// `Prune`, drop the Error-level candidates before ranking (recording
-/// their ids in [`Diagnostics::pruned`]) plus the non-representative
-/// members of each L6 equivalence class (recorded in
-/// [`Diagnostics::subsumed`]): the class applies one bit-identical
-/// pure function, so the lowest-id representative's query answers for
-/// every sibling — one oracle charge per class instead of one per
-/// member, with the explanation unchanged.
-pub(crate) fn lint_and_prune(
-    pvts: Vec<Pvt>,
-    d_fail: &DataFrame,
-    mode: Lint,
-    tau: f64,
-) -> (Diagnostics, Vec<Pvt>) {
-    match mode {
-        Lint::Off => (Diagnostics::default(), pvts),
-        Lint::Report => (lint_pvts(&pvts, d_fail, tau), pvts),
-        Lint::Prune => {
-            let mut diag = lint_pvts(&pvts, d_fail, tau);
-            let errors = diag.error_pvt_ids();
-            // The carrying representative is each class's lowest
-            // *surviving* member; when every member is an Error the
-            // whole class is pruned and nothing is subsumed.
-            let subsumed: std::collections::BTreeSet<usize> = diag
-                .equivalence
+/// The `Lint::Prune` drops: the Error-level candidates (recorded in
+/// [`Diagnostics::pruned`]) plus the non-representative members of
+/// each L6 equivalence class (recorded in [`Diagnostics::subsumed`]):
+/// the class applies one bit-identical pure function, so the
+/// lowest-id representative's query answers for every sibling — one
+/// oracle charge per class instead of one per member, with the
+/// explanation unchanged. Returns every dropped id.
+fn prune(diag: &mut Diagnostics) -> BTreeSet<usize> {
+    let errors = diag.error_pvt_ids();
+    // The carrying representative is each class's lowest *surviving*
+    // member; when every member is an Error the whole class is pruned
+    // and nothing is subsumed.
+    let subsumed: BTreeSet<usize> = diag
+        .equivalence
+        .iter()
+        .flat_map(|class| {
+            class
                 .iter()
-                .flat_map(|class| {
-                    class
-                        .iter()
-                        .copied()
-                        .filter(|id| !errors.contains(id))
-                        .skip(1)
-                })
-                .collect();
-            let (dropped, kept): (Vec<Pvt>, Vec<Pvt>) = pvts
-                .into_iter()
-                .partition(|p| errors.contains(&p.id) || subsumed.contains(&p.id));
-            diag.pruned = dropped
-                .iter()
-                .map(|p| p.id)
-                .filter(|id| errors.contains(id))
-                .collect();
-            diag.pruned.sort_unstable();
-            diag.subsumed = subsumed.into_iter().collect();
-            (diag, kept)
-        }
-    }
+                .copied()
+                .filter(|id| !errors.contains(id))
+                .skip(1)
+        })
+        .collect();
+    diag.pruned = errors.iter().copied().collect();
+    diag.subsumed = subsumed.iter().copied().collect();
+    errors.into_iter().chain(subsumed).collect()
 }
 
 #[cfg(test)]
@@ -420,6 +471,17 @@ mod tests {
                 values,
             },
         }
+    }
+
+    /// [`lint_and_rank`]'s verdict and surviving candidates.
+    fn lint_and_prune(
+        pvts: Vec<Pvt>,
+        d_fail: &DataFrame,
+        mode: Lint,
+        tau: f64,
+    ) -> (Diagnostics, Vec<Pvt>) {
+        let ranked = lint_and_rank(pvts, d_fail, mode, tau);
+        (ranked.lint, ranked.pvts)
     }
 
     /// [`lint_pvts`] at the default τ, the margin the existing L1–L5
@@ -617,6 +679,56 @@ mod tests {
     }
 
     #[test]
+    fn ranking_matches_benefit_scores_and_graph_of_the_survivors() {
+        let noop = Pvt {
+            id: 1,
+            profile: Profile::DomainNumeric {
+                attr: "len".into(),
+                lb: 0.0,
+                ub: 100.0,
+            },
+            transform: Transform::Winsorize {
+                attr: "len".into(),
+                lb: 0.0,
+                ub: 100.0,
+            },
+        };
+        let clamp = Pvt {
+            id: 4,
+            profile: Profile::DomainNumeric {
+                attr: "len".into(),
+                lb: 0.0,
+                ub: 10.0,
+            },
+            transform: Transform::Winsorize {
+                attr: "len".into(),
+                lb: 0.0,
+                ub: 10.0,
+            },
+        };
+        let pvts = vec![domain_pvt(0), noop, domain_pvt(2), clamp];
+        for mode in [Lint::Off, Lint::Report, Lint::Prune] {
+            let ranked = lint_and_rank(pvts.clone(), &d_fail(), mode, 0.2);
+            let fresh = PvtAttributeGraph::new(&ranked.pvts);
+            assert_eq!(ranked.graph.pvt_ids(), fresh.pvt_ids(), "{mode:?}");
+            assert_eq!(
+                ranked.graph.dependency_edges(),
+                fresh.dependency_edges(),
+                "{mode:?}"
+            );
+            let scores = benefit_scores(&ranked.pvts, &d_fail());
+            assert_eq!(ranked.benefits.len(), scores.len(), "{mode:?}");
+            for (id, b) in &scores {
+                assert_eq!(ranked.benefits[id].to_bits(), b.to_bits(), "{mode:?}");
+            }
+        }
+        let pruned = lint_and_rank(pvts, &d_fail(), Lint::Prune, 0.2);
+        assert_eq!(pruned.lint.pruned, vec![1]);
+        assert_eq!(pruned.lint.subsumed, vec![2]);
+        assert_eq!(pruned.graph.pvt_ids(), vec![0, 4]);
+    }
+
+    #[test]
     fn off_and_report_keep_everything() {
         let pvts = vec![domain_pvt(0)];
         let (diag, kept) = lint_and_prune(pvts.clone(), &d_fail(), Lint::Off, 0.2);
@@ -796,7 +908,9 @@ mod tests {
             },
         };
         let diag = lint_pvts_t(&[domain_pvt(0), other], &d_fail());
-        assert_eq!(diag.commuting, vec![(0, 3)]);
+        assert_eq!(diag.commuting.pairs().collect::<Vec<_>>(), vec![(0, 3)]);
+        assert_eq!(diag.commuting.len(), 1);
+        assert!(diag.commuting.commutes(3, 0));
     }
 
     #[test]

@@ -71,7 +71,9 @@
 //! built only when the intent is unknown or its fingerprint has no
 //! usable score, and speculation skips intents that already resolve.
 //! A search builds on the calling thread ([`Oracle::build`]) only the
-//! frames it carries forward. Charged queries, scores and trace spans
+//! frames it carries forward, and a charged query that had to build
+//! its frame hands it back ([`Applied::built`]), so no frame is built
+//! twice. Charged queries, scores and trace spans
 //! are the same either way; [`RunMetrics::frames_built`] and
 //! [`RunMetrics::intent_hits`] show the work saved.
 //!
@@ -111,6 +113,16 @@ use loom::thread as pool_thread;
 use std::sync::{Arc, Condvar, Mutex};
 #[cfg(not(loom))]
 use std::thread as pool_thread;
+
+/// The outcome of a charged [`Oracle::intervene_apply`].
+#[derive(Debug)]
+pub struct Applied {
+    /// The frame's malfunction score.
+    pub score: f64,
+    /// The frame, when the query had to build it (its intent was not
+    /// known to the runtime); `None` when it was scored by intent key.
+    pub built: Option<DataFrame>,
+}
 
 /// A composition a search may charge: the transformations of `pvts`,
 /// in order, applied to `base` on the RNG stream
@@ -828,9 +840,11 @@ impl<'a> Oracle<'a> {
 
     /// Build the frame of `intent` on the calling thread, counted in
     /// [`RunMetrics::frames_built`]. Searches call this for the frames
-    /// they carry forward (a kept greedy pick, a group-testing leaf, an
-    /// accepted Make-Minimal drop); a query that only needs a score goes
-    /// through [`Oracle::intervene_apply`] instead.
+    /// they carry forward and no charged query built (a group-testing
+    /// leaf, or a kept greedy pick or accepted Make-Minimal drop whose
+    /// query was a key hit); a query
+    /// that only needs a score goes through [`Oracle::intervene_apply`]
+    /// instead.
     pub fn build(&mut self, intent: &Intent<'_>) -> Result<DataFrame> {
         self.frames_built += 1;
         intent.build()
@@ -920,17 +934,19 @@ impl<'a> Oracle<'a> {
     /// [`Oracle::intervene`] on the frame `intent` builds. When the
     /// intent's key names a fingerprint that is already scored (or
     /// being scored), the frame is never built; otherwise it is built
-    /// once and its fingerprint recorded under the key. Charging,
-    /// scores, the cache counters and the span are those of
+    /// once, its fingerprint recorded under the key, and the frame
+    /// handed back in [`Applied::built`] so a search that keeps it
+    /// need not build it again. Charging, scores,
+    /// the cache counters and the span are those of
     /// [`Oracle::intervene`] on the built frame.
-    pub fn intervene_apply(&mut self, intent: &Intent<'_>, tracer: &Tracer) -> Result<f64> {
+    pub fn intervene_apply(&mut self, intent: &Intent<'_>, tracer: &Tracer) -> Result<Applied> {
         let (fp, built) = self.resolve(intent)?;
         let score = match &built {
             Some(df) => self.charge(fp, Frame::Built(df)),
             None => self.charge(fp, Frame::Intent(intent)),
         }?;
         self.emit_query(QueryKind::Intervention, score, tracer);
-        Ok(score)
+        Ok(Applied { score, built })
     }
 
     /// Emit the [`OracleQuerySpan`] of the most recent query.
@@ -1710,7 +1726,7 @@ mod tests {
         // The workers recorded both intents: the charged queries are
         // cache hits found by key, with no frame built.
         for p in &probes {
-            let score = rt.intervene_apply(p, &Tracer::off()).unwrap();
+            let score = rt.intervene_apply(p, &Tracer::off()).unwrap().score;
             let built = fingerprint(&p.build().unwrap());
             assert_eq!(rt.last_query().fingerprint, built);
             assert_eq!(score.to_bits(), factory()(&p.build().unwrap()).to_bits());

@@ -13,6 +13,7 @@ use crate::bitmap::Bitmap;
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
 use crate::value::Value;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Rows per storage chunk. A multiple of 64 so chunk validity bitmaps
@@ -153,6 +154,40 @@ impl Chunk {
     /// Approximate heap bytes held by this chunk's buffers.
     pub fn heap_bytes(&self) -> usize {
         self.data.heap_bytes() + self.validity.words().len() * 8
+    }
+
+    /// Append `src`'s rows `rows` (same storage type), writing the
+    /// placeholder [`Column::push`] writes into each NULL slot.
+    fn extend_from(&mut self, src: &Chunk, rows: Range<usize>) {
+        fn copy<T: Clone>(
+            dst: &mut Vec<T>,
+            src: &[T],
+            valid: &Bitmap,
+            rows: Range<usize>,
+            null: T,
+        ) {
+            dst.extend(rows.map(|i| {
+                if valid.get(i) {
+                    src[i].clone()
+                } else {
+                    null.clone()
+                }
+            }));
+        }
+        let valid = &src.validity;
+        match (&mut self.data, &src.data) {
+            (ColumnData::Int(d), ColumnData::Int(s)) => copy(d, s, valid, rows.clone(), 0),
+            (ColumnData::Float(d), ColumnData::Float(s)) => copy(d, s, valid, rows.clone(), 0.0),
+            (ColumnData::Bool(d), ColumnData::Bool(s)) => copy(d, s, valid, rows.clone(), false),
+            (ColumnData::Str(d), ColumnData::Str(s)) => {
+                copy(d, s, valid, rows.clone(), String::new())
+            }
+            _ => unreachable!("append checks the dtypes match"),
+        }
+        for i in rows {
+            self.validity.push(valid.get(i));
+        }
+        self.fp.take();
     }
 }
 
@@ -445,6 +480,38 @@ impl Column {
             _ => unreachable!("admits() already filtered mismatches"),
         }
         self.len += 1;
+        Ok(())
+    }
+
+    /// Append every row of `other`, which must have the same dtype,
+    /// copying typed chunk buffers instead of boxing each cell through
+    /// [`Value`]. A NULL slot receives the placeholder
+    /// [`push`](Self::push) writes, so the result equals pushing
+    /// `other.iter()` value by value.
+    pub fn append(&mut self, other: &Column) -> Result<()> {
+        if self.dtype != other.dtype {
+            return Err(FrameError::TypeMismatch {
+                column: self.name.clone(),
+                expected: self.dtype.to_string(),
+                found: other.dtype.to_string(),
+            });
+        }
+        for src in &other.chunks {
+            let mut off = 0;
+            while off < src.len() {
+                if self.chunks.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
+                    self.chunks.push(Arc::new(Chunk::new(
+                        ColumnData::empty(self.dtype),
+                        Bitmap::new(),
+                    )));
+                }
+                let dst = Arc::make_mut(self.chunks.last_mut().expect("chunk pushed above"));
+                let n = (CHUNK_ROWS - dst.len()).min(src.len() - off);
+                dst.extend_from(src, off..off + n);
+                off += n;
+            }
+        }
+        self.len += other.len;
         Ok(())
     }
 
@@ -886,6 +953,60 @@ mod tests {
         let col = Column::from_bools("b", vec![Some(true), None, Some(false)]);
         let vals = col.f64_values();
         assert_eq!(vals, vec![(0, 1.0), (2, 0.0)]);
+    }
+
+    /// The value-by-value append that [`Column::append`] replaces.
+    fn push_all(mut col: Column, other: &Column) -> Column {
+        for v in other.iter() {
+            col.push(v).unwrap();
+        }
+        col
+    }
+
+    #[test]
+    fn append_equals_pushing_every_value() {
+        let floats = |n: usize, offset: f64| {
+            Column::from_floats(
+                "x",
+                (0..n)
+                    .map(|i| (i % 5 != 0).then_some(i as f64 + offset))
+                    .collect(),
+            )
+        };
+        let strings = |n: usize| {
+            Column::from_strings(
+                "s",
+                DType::Text,
+                (0..n)
+                    .map(|i| (i % 3 != 0).then(|| format!("v{i}")))
+                    .collect(),
+            )
+        };
+        // Straddle chunk boundaries from both sides: a partial last
+        // chunk filled up, and a source longer than one chunk.
+        for (a, b) in [(3, 4), (CHUNK_ROWS - 2, 5), (7, CHUNK_ROWS + 9), (0, 3)] {
+            let mut appended = floats(a, 0.5);
+            appended.append(&floats(b, 100.0)).unwrap();
+            assert_eq!(
+                appended,
+                push_all(floats(a, 0.5), &floats(b, 100.0)),
+                "{a}+{b}"
+            );
+            let mut appended = strings(a);
+            appended.append(&strings(b)).unwrap();
+            assert_eq!(appended, push_all(strings(a), &strings(b)), "{a}+{b}");
+        }
+        // A slot set to NULL after construction still holds its old
+        // value in the buffer; the appended copy holds the placeholder.
+        let mut src = Column::from_ints("n", vec![Some(1), Some(2), Some(3)]);
+        src.set(1, Value::Null).unwrap();
+        let mut appended = Column::from_ints("n", vec![Some(9)]);
+        appended.append(&src).unwrap();
+        assert_eq!(
+            appended,
+            push_all(Column::from_ints("n", vec![Some(9)]), &src)
+        );
+        assert!(appended.append(&strings(2)).is_err(), "dtype mismatch");
     }
 
     // ------------------------------------------------------------

@@ -229,9 +229,7 @@ impl DataFrame {
         }
         let mut out = self.clone();
         for (col, other_col) in out.columns.iter_mut().zip(other.columns.iter()) {
-            for v in other_col.iter() {
-                col.push(v)?;
-            }
+            col.append(other_col)?;
         }
         Ok(out)
     }

@@ -25,8 +25,9 @@
 //! All three only ever answer `true` on evidence; `Top` components
 //! certify nothing.
 
-use crate::domains::{AbsState, Interval, SupportDom};
-use std::collections::BTreeSet;
+use crate::domains::{AbsCol, AbsState, Interval, SupportDom};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The region of values a profile declares admissible for its
 /// attribute, lowered from the core `Profile` parameters.
@@ -147,11 +148,12 @@ impl TransferOp {
     }
 }
 
-/// Apply one op to `state` in place.
-pub fn transfer(state: &mut AbsState, op: &TransferOp) {
+/// The effect of a column-local `op` on the column it writes.
+/// `ResampleRows` and `Guarded` are not column-local; the state-level
+/// transfers handle them.
+fn transfer_col(col: &mut AbsCol, op: &TransferOp) {
     match op {
-        TransferOp::Clamp { attr, lb, ub } => {
-            let col = state.col_mut(attr);
+        TransferOp::Clamp { lb, ub, .. } => {
             col.interval = match col.interval {
                 Interval::Empty => Interval::Empty,
                 // clamp maps any input into [lb, ub]; values already
@@ -163,8 +165,7 @@ pub fn transfer(state: &mut AbsState, op: &TransferOp) {
                 Interval::Top => Interval::range(*lb, *ub),
             };
         }
-        TransferOp::AffineToRange { attr, lb, ub } => {
-            let col = state.col_mut(attr);
+        TransferOp::AffineToRange { lb, ub, .. } => {
             col.interval = match col.interval {
                 Interval::Empty => Interval::Empty,
                 // The map sends observed min→lb and max→ub
@@ -173,8 +174,7 @@ pub fn transfer(state: &mut AbsState, op: &TransferOp) {
                 _ => Interval::range(*lb, *ub),
             };
         }
-        TransferOp::MapIntoDomain { attr, values } => {
-            let col = state.col_mut(attr);
+        TransferOp::MapIntoDomain { values, .. } => {
             col.support = match &col.support {
                 SupportDom::Set(s) if s.is_empty() => SupportDom::Set(BTreeSet::new()),
                 // In-domain values stay; foreign values land on
@@ -188,8 +188,7 @@ pub fn transfer(state: &mut AbsState, op: &TransferOp) {
                 SupportDom::Top => SupportDom::Top,
             };
         }
-        TransferOp::FillNulls { attr } => {
-            let col = state.col_mut(attr);
+        TransferOp::FillNulls { .. } => {
             if col.null_hi <= 0.0 || col.null_lo >= 1.0 {
                 // Nothing to fill, or certainly nothing to fill
                 // *with* (the concrete kernel no-ops on an all-null
@@ -209,34 +208,45 @@ pub fn transfer(state: &mut AbsState, op: &TransferOp) {
             // (inside the hull; Int rounding stays inside an integral
             // hull) or the mode (a member of the support).
         }
-        TransferOp::BoundOutliers { .. } => {
-            // Clamping to refit detector bounds or replacing with a
-            // central statistic of the inliers keeps every value
-            // inside the observed hull (Int rounding stays inside an
-            // integral hull): interval, support, and nulls survive.
+        TransferOp::RepairPattern { .. } => col.support = SupportDom::Top,
+        TransferOp::Perturb { .. } => col.interval = Interval::Top,
+        // Clamping to refit detector bounds or replacing with a
+        // central statistic of the inliers keeps every value inside
+        // the observed hull (Int rounding stays inside an integral
+        // hull), and a permutation preserves the value multiset:
+        // interval, support, and null fraction all survive.
+        TransferOp::BoundOutliers { .. } | TransferOp::PermuteValues { .. } => {}
+        TransferOp::ResampleRows | TransferOp::Guarded(_) => {
+            unreachable!("not a column-local op")
         }
-        TransferOp::RepairPattern { attr } => {
-            state.col_mut(attr).support = SupportDom::Top;
-        }
-        TransferOp::PermuteValues { .. } => {
-            // Multiset-preserving: interval, support, and null
-            // fraction all survive.
-        }
-        TransferOp::Perturb { attr } => {
-            let col = state.col_mut(attr);
-            col.interval = Interval::Top;
-        }
+    }
+}
+
+/// Whether `op` changes nothing at all (no column is even touched).
+fn is_inert(op: &TransferOp) -> bool {
+    matches!(
+        op,
+        TransferOp::BoundOutliers { .. } | TransferOp::PermuteValues { .. }
+    )
+}
+
+/// `ResampleRows` on one column: values come from existing rows, so
+/// interval and support are preserved — but the null *fraction*
+/// depends on which rows survive.
+fn widen_nulls(col: &mut AbsCol) {
+    if col.null_hi > 0.0 {
+        col.null_lo = 0.0;
+        col.null_hi = 1.0;
+    }
+}
+
+/// Apply one op to `state` in place.
+pub fn transfer(state: &mut AbsState, op: &TransferOp) {
+    match op {
         TransferOp::ResampleRows => {
             let attrs: Vec<String> = state.attrs().map(str::to_string).collect();
             for attr in attrs {
-                let col = state.col_mut(&attr);
-                // Values come from existing rows, so interval and
-                // support are preserved — but the null *fraction*
-                // depends on which rows survive.
-                if col.null_hi > 0.0 {
-                    col.null_lo = 0.0;
-                    col.null_hi = 1.0;
-                }
+                widen_nulls(state.col_mut(&attr));
             }
         }
         TransferOp::Guarded(inner) => {
@@ -254,10 +264,19 @@ pub fn transfer(state: &mut AbsState, op: &TransferOp) {
                 }
             }
         }
+        op if is_inert(op) => {}
+        op => {
+            let attr = op
+                .written_attr()
+                .expect("column-local ops write one attribute");
+            transfer_col(state.col_mut(attr), op);
+        }
     }
 }
 
-/// Run a whole chain, returning the post-state.
+/// Run a whole chain on a full copy of `seed`, returning the
+/// post-state. [`Overlay::apply`] computes the same post-state while
+/// copying only the columns the chain writes.
 pub fn apply_chain(seed: &AbsState, ops: &[TransferOp]) -> AbsState {
     let mut state = seed.clone();
     for op in ops {
@@ -266,23 +285,126 @@ pub fn apply_chain(seed: &AbsState, ops: &[TransferOp]) -> AbsState {
     state
 }
 
+/// The column `attr` of `state`, borrowed when it is bound.
+fn read<'a>(state: &'a AbsState, attr: &str) -> Cow<'a, AbsCol> {
+    match state.get(attr) {
+        Some(col) => Cow::Borrowed(col),
+        None => Cow::Owned(AbsCol::top()),
+    }
+}
+
+/// The post-state of a transformation chain as a sparse overlay on
+/// the seed state: only the columns the chain writes are copied, and
+/// every other column reads through to the seed. `ResampleRows`
+/// rewrites every column, so the overlay records that it ran and
+/// widens a seed column's null band when the column is read. Every
+/// read returns what [`apply_chain`]'s full post-state holds for the
+/// same column; only a guarded `ResampleRows` copies the whole seed,
+/// because its join reaches every column.
+#[derive(Debug, Clone)]
+pub struct Overlay<'s> {
+    seed: &'s AbsState,
+    written: BTreeMap<String, AbsCol>,
+    /// A `ResampleRows` ran: seed columns not in `written` read with
+    /// their null band widened.
+    resampled: bool,
+}
+
+impl<'s> Overlay<'s> {
+    /// Run `ops` over `seed`.
+    pub fn apply(seed: &'s AbsState, ops: &[TransferOp]) -> Self {
+        let mut overlay = Overlay {
+            seed,
+            written: BTreeMap::new(),
+            resampled: false,
+        };
+        for op in ops {
+            overlay.transfer(op);
+        }
+        overlay
+    }
+
+    /// The post-state's abstract column for `attr` (`Top` when
+    /// neither written nor seeded).
+    pub fn col(&self, attr: &str) -> Cow<'_, AbsCol> {
+        if let Some(col) = self.written.get(attr) {
+            return Cow::Borrowed(col);
+        }
+        match self.seed.get(attr) {
+            Some(col) if self.resampled && col.null_hi > 0.0 => {
+                let mut col = col.clone();
+                widen_nulls(&mut col);
+                Cow::Owned(col)
+            }
+            Some(col) => Cow::Borrowed(col),
+            None => Cow::Owned(AbsCol::top()),
+        }
+    }
+
+    fn col_mut(&mut self, attr: &str) -> &mut AbsCol {
+        if !self.written.contains_key(attr) {
+            let col = self.col(attr).into_owned();
+            self.written.insert(attr.to_string(), col);
+        }
+        self.written.get_mut(attr).expect("inserted above")
+    }
+
+    fn transfer(&mut self, op: &TransferOp) {
+        match op {
+            TransferOp::ResampleRows => {
+                self.resampled = true;
+                self.written.values_mut().for_each(widen_nulls);
+            }
+            TransferOp::Guarded(inner) => match inner.written_attr() {
+                Some(attr) => {
+                    let pre = self.col(attr).into_owned();
+                    self.transfer(inner);
+                    let joined = pre.join(&self.col(attr));
+                    self.written.insert(attr.to_string(), joined);
+                }
+                None => {
+                    // A global inner op under a guard joins every
+                    // column with its pre-state: copy the seed in.
+                    let seeded: Vec<String> = self.seed.attrs().map(str::to_string).collect();
+                    for attr in &seeded {
+                        self.col_mut(attr);
+                    }
+                    let pre = self.written.clone();
+                    self.transfer(inner);
+                    for (attr, pre_col) in pre {
+                        let joined = pre_col.join(&self.col(&attr));
+                        self.written.insert(attr, joined);
+                    }
+                }
+            },
+            op if is_inert(op) => {}
+            op => {
+                let attr = op
+                    .written_attr()
+                    .expect("column-local ops write one attribute");
+                transfer_col(self.col_mut(attr), op);
+            }
+        }
+    }
+}
+
 /// Is `op` provably the identity on every concrete frame `state`
 /// admits? Monotone in the abstraction: widening any component can
 /// only flip `true` to `false`.
 fn op_is_identity(state: &AbsState, op: &TransferOp) -> bool {
     match op {
-        TransferOp::Clamp { attr, lb, ub } => state.col(attr).interval.within(*lb, *ub),
+        TransferOp::Clamp { attr, lb, ub } => read(state, attr).interval.within(*lb, *ub),
         // A rescale recomputes every value through an affine map;
         // even when the target range equals the observed range the
         // round-trip is not bit-exact.
         TransferOp::AffineToRange { .. } => false,
-        TransferOp::MapIntoDomain { attr, values } => match &state.col(attr).support {
+        TransferOp::MapIntoDomain { attr, values } => match &read(state, attr).support {
             // The order-preserving map rewrites only foreign values.
             SupportDom::Set(s) => s.is_subset(values),
             SupportDom::Top => false,
         },
         TransferOp::FillNulls { attr } => {
-            let col = state.col(attr);
+            let col = read(state, attr);
             // Nothing to fill — or nothing to fill with.
             col.null_hi <= 0.0 || col.null_lo >= 1.0
         }
@@ -332,7 +454,7 @@ pub fn chains_pointwise_equal(state: &AbsState, a: &[TransferOp], b: &[TransferO
     if aa != ba {
         return false;
     }
-    let Interval::Range { lo, hi } = state.col(aa).interval else {
+    let Interval::Range { lo, hi } = read(state, aa).interval else {
         return false;
     };
     // clamp(x, l1, u1) == clamp(x, l2, u2) for every x in [lo, hi]
@@ -356,7 +478,12 @@ pub fn chains_pointwise_equal(state: &AbsState, a: &[TransferOp], b: &[TransferO
 ///   `(f − θ)/(1 − θ)`, so a null floor above `θ` pins it at
 ///   ≥ `(null_lo − θ)/(1 − θ)`.
 pub fn violation_unreachable(post: &AbsState, attr: &str, region: &ValueRegion, tau: f64) -> bool {
-    let col = post.col(attr);
+    region_unreachable(&read(post, attr), region, tau)
+}
+
+/// [`violation_unreachable`] on the post-state column of the
+/// profile's attribute.
+pub(crate) fn region_unreachable(col: &AbsCol, region: &ValueRegion, tau: f64) -> bool {
     match region {
         ValueRegion::Range { lb, ub } => {
             col.interval.disjoint_from(*lb, *ub) && 1.0 - col.null_hi > tau
@@ -376,7 +503,6 @@ pub fn violation_unreachable(post: &AbsState, attr: &str, region: &ValueRegion, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domains::AbsCol;
 
     fn seeded(interval: Interval, null: f64, support: SupportDom) -> AbsState {
         let mut s = AbsState::new();

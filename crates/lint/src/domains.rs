@@ -189,6 +189,12 @@ impl AbsState {
         self.cols.get(attr).cloned().unwrap_or_else(AbsCol::top)
     }
 
+    /// The bound abstract column for `attr`, borrowed; `None` when
+    /// unseeded (read as `Top`).
+    pub fn get(&self, attr: &str) -> Option<&AbsCol> {
+        self.cols.get(attr)
+    }
+
     /// Mutable access, inserting `Top` on first touch.
     pub fn col_mut(&mut self, attr: &str) -> &mut AbsCol {
         self.cols

@@ -9,25 +9,24 @@
 //! independent components could be diagnosed separately.
 
 use crate::{Diagnostic, RuleId, Severity};
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Union–find over candidate ids (path-halving, union by attachment).
+/// Union–find over node indices `0..n` (path halving; the lower root
+/// absorbs the higher, so a component's root is its lowest index).
 struct DisjointSet {
-    parent: BTreeMap<usize, usize>,
+    parent: Vec<usize>,
 }
 
 impl DisjointSet {
-    fn new(ids: &[usize]) -> Self {
+    fn new(n: usize) -> Self {
         DisjointSet {
-            parent: ids.iter().map(|&i| (i, i)).collect(),
+            parent: (0..n).collect(),
         }
     }
 
     fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[&x] != x {
-            let grandparent = self.parent[&self.parent[&x]];
-            self.parent.insert(x, grandparent);
-            x = grandparent;
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
         x
     }
@@ -35,7 +34,7 @@ impl DisjointSet {
     fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent.insert(ra.max(rb), ra.min(rb));
+            self.parent[ra.max(rb)] = ra.min(rb);
         }
     }
 }
@@ -44,12 +43,15 @@ impl DisjointSet {
 /// edges. Emitted diagnostics are deterministic: ids and edges are
 /// canonicalized before any traversal.
 pub fn check_graph(ids: &[usize], edges: &[(usize, usize)]) -> Vec<Diagnostic> {
-    let nodes: BTreeSet<usize> = ids.iter().copied().collect();
+    let mut nodes = ids.to_vec();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let index = |id: usize| nodes.binary_search(&id).ok();
     let mut out = Vec::new();
 
-    // Canonicalize: dedupe undirected edges, split off self-loops and
-    // edges mentioning unknown candidates.
-    let mut canonical: BTreeSet<(usize, usize)> = BTreeSet::new();
+    // Canonicalize: dedupe undirected edges (as node-index pairs),
+    // split off self-loops and edges mentioning unknown candidates.
+    let mut canonical: Vec<(usize, usize)> = Vec::with_capacity(edges.len());
     for &(a, b) in edges {
         if a == b {
             out.push(Diagnostic {
@@ -61,7 +63,7 @@ pub fn check_graph(ids: &[usize], edges: &[(usize, usize)]) -> Vec<Diagnostic> {
             });
             continue;
         }
-        if !nodes.contains(&a) || !nodes.contains(&b) {
+        let (Some(ia), Some(ib)) = (index(a), index(b)) else {
             let mut pair = vec![a, b];
             pair.sort_unstable();
             out.push(Diagnostic {
@@ -74,50 +76,51 @@ pub fn check_graph(ids: &[usize], edges: &[(usize, usize)]) -> Vec<Diagnostic> {
                 ),
             });
             continue;
-        }
-        canonical.insert((a.min(b), a.max(b)));
+        };
+        canonical.push((ia.min(ib), ia.max(ib)));
     }
+    canonical.sort_unstable();
+    canonical.dedup();
 
-    // Components and per-component edge counts.
-    let id_vec: Vec<usize> = nodes.iter().copied().collect();
-    let mut dsu = DisjointSet::new(&id_vec);
+    // Components (keyed by their root, the lowest index) and
+    // per-component edge counts.
+    let mut dsu = DisjointSet::new(nodes.len());
     for &(a, b) in &canonical {
         dsu.union(a, b);
     }
-    let mut components: BTreeMap<usize, (Vec<usize>, usize)> = BTreeMap::new();
-    for &id in &id_vec {
-        let root = dsu.find(id);
-        components.entry(root).or_default().0.push(id);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    let mut n_edges = vec![0usize; nodes.len()];
+    for (i, &id) in nodes.iter().enumerate() {
+        members[dsu.find(i)].push(id);
     }
     for &(a, _) in &canonical {
-        let root = dsu.find(a);
-        components.entry(root).or_default().1 += 1;
+        n_edges[dsu.find(a)] += 1;
     }
+    let components = members.iter().filter(|m| !m.is_empty()).count();
 
-    if components.len() > 1 {
+    if components > 1 {
         out.push(Diagnostic {
             rule: RuleId::GraphSanity,
             severity: Severity::Info,
             pvt_ids: Vec::new(),
             attr: None,
             message: format!(
-                "dependency graph splits into {} independent components; \
-                 they could be diagnosed separately",
-                components.len()
+                "dependency graph splits into {components} independent components; \
+                 they could be diagnosed separately"
             ),
         });
     }
 
     // An undirected component has a cycle iff it has at least as many
     // edges as nodes (a tree has n − 1).
-    for (members, n_edges) in components.values() {
-        if *n_edges >= members.len() && !members.is_empty() {
+    for (members, n_edges) in members.into_iter().zip(n_edges) {
+        if n_edges >= members.len() && !members.is_empty() {
             let preview: Vec<String> = members.iter().take(8).map(|i| i.to_string()).collect();
             let ellipsis = if members.len() > 8 { ", …" } else { "" };
             out.push(Diagnostic {
                 rule: RuleId::GraphSanity,
                 severity: Severity::Info,
-                pvt_ids: members.clone(),
+                pvt_ids: members,
                 attr: None,
                 message: format!(
                     "candidates {{{}{}}} form a dependency cycle; partitioning cannot \

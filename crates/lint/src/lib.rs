@@ -54,8 +54,8 @@ pub use rules::{
     SubsumptionResult,
 };
 
-use dp_frame::Schema;
-use std::collections::BTreeSet;
+use dp_frame::{DType, Schema};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// How bad a diagnostic is. The `Ord` order (Error < Warn < Info) is
@@ -188,9 +188,69 @@ pub struct Diagnostics {
     /// carries their oracle charge (`Lint::Prune` only), ascending.
     /// Disjoint from `pruned` (which holds the `Error`-level drops).
     pub subsumed: Vec<usize>,
-    /// L8 fact table: every certified commuting candidate pair,
-    /// `(low id, high id)`, sorted.
-    pub commuting: Vec<(usize, usize)>,
+    /// L8 fact table: which candidate pairs provably commute.
+    pub commuting: Commuting,
+}
+
+/// The L8 fact table, stored as the candidates eligible to commute
+/// (deterministic, row-local transformations) plus the eligible pairs
+/// whose read/write footprints conflict; every other pair of eligible
+/// candidates provably commutes. The storage grows with the candidates
+/// and the conflicts, not with the Θ(n²) commuting pairs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Commuting {
+    /// Eligible candidate ids, ascending and distinct.
+    eligible: Vec<usize>,
+    /// Conflicting eligible pairs `(low id, high id)`, ascending and
+    /// distinct.
+    conflicts: Vec<(usize, usize)>,
+}
+
+impl Commuting {
+    /// The table over `eligible` ids with `conflicts` among them (in
+    /// any order, duplicates allowed; each pair `(low id, high id)`).
+    pub fn new(mut eligible: Vec<usize>, mut conflicts: Vec<(usize, usize)>) -> Self {
+        eligible.sort_unstable();
+        eligible.dedup();
+        conflicts.sort_unstable();
+        conflicts.dedup();
+        Commuting {
+            eligible,
+            conflicts,
+        }
+    }
+
+    /// Number of certified commuting pairs.
+    pub fn len(&self) -> usize {
+        let n = self.eligible.len();
+        n * n.saturating_sub(1) / 2 - self.conflicts.len()
+    }
+
+    /// No pair commutes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether candidates `i` and `j` (in either order) provably
+    /// commute.
+    pub fn commutes(&self, i: usize, j: usize) -> bool {
+        i != j
+            && self.eligible.binary_search(&i).is_ok()
+            && self.eligible.binary_search(&j).is_ok()
+            && self.conflicts.binary_search(&(i.min(j), i.max(j))).is_err()
+    }
+
+    /// Every certified commuting pair `(low id, high id)`, ascending.
+    /// Enumerates all eligible pairs: for reports and tests, not for
+    /// hot paths.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.eligible.iter().enumerate().flat_map(move |(k, &i)| {
+            self.eligible[k + 1..]
+                .iter()
+                .map(move |&j| (i, j))
+                .filter(|pair| self.conflicts.binary_search(pair).is_err())
+        })
+    }
 }
 
 impl Diagnostics {
@@ -268,18 +328,28 @@ pub fn analyze(
     candidates: &[CandidateFacts],
     edges: &[(usize, usize)],
 ) -> Diagnostics {
+    let dtypes: HashMap<&str, DType> = schema
+        .fields()
+        .iter()
+        .map(|f| (f.name.as_str(), f.dtype))
+        .collect();
     let mut diagnostics = Vec::new();
     for c in candidates {
-        diagnostics.extend(rules::check_schema_typing(schema, c));
+        diagnostics.extend(rules::schema_typing(
+            schema,
+            |attr| dtypes.get(attr).copied(),
+            c,
+        ));
         diagnostics.extend(rules::check_transform_consistency(c));
         diagnostics.extend(rules::check_noop(c));
     }
     diagnostics.extend(rules::check_write_conflicts(candidates));
     let ids: Vec<usize> = candidates.iter().map(|c| c.id).collect();
     diagnostics.extend(graph::check_graph(&ids, edges));
-    let subsumption = rules::check_subsumption(state, candidates);
+    let posts = rules::post_states(state, candidates);
+    let subsumption = rules::subsumption(state, candidates, &posts);
     diagnostics.extend(subsumption.diagnostics);
-    diagnostics.extend(rules::check_tau_unreachable(state, tau, candidates));
+    diagnostics.extend(rules::tau_unreachable(tau, candidates, &posts));
     let commutation = rules::check_commutation(candidates);
     diagnostics.extend(commutation.diagnostics);
     diagnostics.extend(rules::check_abstract_noop(state, candidates));
@@ -291,14 +361,14 @@ pub fn analyze(
         pruned: Vec::new(),
         equivalence: subsumption.classes,
         subsumed: Vec::new(),
-        commuting: commutation.pairs,
+        commuting: commutation.commuting,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_frame::{DType, Field};
+    use dp_frame::Field;
 
     fn schema() -> Schema {
         Schema::new(vec![

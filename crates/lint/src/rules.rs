@@ -5,32 +5,42 @@
 //! diagnostics it found; [`crate::analyze`] composes them and imposes
 //! the deterministic global ordering.
 
-use crate::absint::{
-    apply_chain, chain_is_identity, chains_pointwise_equal, violation_unreachable,
-};
-use crate::domains::AbsState;
+use crate::absint::{chain_is_identity, chains_pointwise_equal, region_unreachable, Overlay};
+use crate::domains::{AbsCol, AbsState, Interval, SupportDom};
 use crate::facts::CandidateFacts;
-use crate::{Diagnostic, RuleId, Severity};
-use dp_frame::Schema;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use crate::{Commuting, Diagnostic, RuleId, Severity};
+use dp_frame::{DType, Schema};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// L1 — schema typing: every attribute the candidate reads or writes
 /// must exist in the schema, and its declared dtype must admit the
 /// access's type class. Violations are `Error`s: the transformation
 /// would fail (missing column) or act on data it cannot interpret.
 pub fn check_schema_typing(schema: &Schema, c: &CandidateFacts) -> Vec<Diagnostic> {
+    schema_typing(schema, |attr| schema.dtype_of(attr), c)
+}
+
+/// [`check_schema_typing`] with the schema's dtypes looked up through
+/// `dtype_of` (an index built once per analysis: `Schema::field` scans
+/// every field, which made L1 O(candidates × columns)).
+pub(crate) fn schema_typing(
+    schema: &Schema,
+    dtype_of: impl Fn(&str) -> Option<DType>,
+    c: &CandidateFacts,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (kind, reqs) in [("reads", &c.reads), ("writes", &c.writes)] {
         for req in reqs {
-            let message = match schema.field(&req.attr) {
+            let message = match dtype_of(&req.attr) {
                 None => format!(
                     "{} ({kind} `{}`): attribute is not in the schema {}",
                     c.label, req.attr, schema
                 ),
-                Some(field) if !req.ty.admits(field.dtype) => format!(
+                Some(dtype) if !req.ty.admits(dtype) => format!(
                     "{} ({kind} `{}`): declared dtype {} does not admit the required {} access",
-                    c.label, req.attr, field.dtype, req.ty
+                    c.label, req.attr, dtype, req.ty
                 ),
                 Some(_) => continue,
             };
@@ -182,6 +192,73 @@ pub struct SubsumptionResult {
     pub classes: Vec<Vec<usize>>,
 }
 
+/// L6's grouping key: a candidate's profile attributes and its
+/// post-state projected onto them. Two keys are equal exactly when
+/// their `Debug` renderings are — floats compare by bits, with every
+/// NaN alike — so the partition is the one grouping by the rendered
+/// text gives, without rendering it.
+struct GroupKey<'p> {
+    attrs: &'p [String],
+    cols: Vec<Cow<'p, AbsCol>>,
+}
+
+/// An `f64` as its `Debug` rendering distinguishes it.
+fn float_key(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+fn interval_key(i: &Interval) -> (u8, u64, u64) {
+    match *i {
+        Interval::Empty => (0, 0, 0),
+        Interval::Range { lo, hi } => (1, float_key(lo), float_key(hi)),
+        Interval::Top => (2, 0, 0),
+    }
+}
+
+/// A column's grouping components: interval, null band, support
+/// (`None` for `Top`).
+type ColKey<'c> = ((u8, u64, u64), u64, u64, Option<&'c BTreeSet<String>>);
+
+fn col_key(c: &AbsCol) -> ColKey<'_> {
+    let support = match &c.support {
+        SupportDom::Top => None,
+        SupportDom::Set(s) => Some(s),
+    };
+    (
+        interval_key(&c.interval),
+        float_key(c.null_lo),
+        float_key(c.null_hi),
+        support,
+    )
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.attrs == other.attrs
+            && self.cols.len() == other.cols.len()
+            && self
+                .cols
+                .iter()
+                .zip(&other.cols)
+                .all(|(a, b)| col_key(a) == col_key(b))
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.attrs.hash(state);
+        for col in &self.cols {
+            col_key(col).hash(state);
+        }
+    }
+}
+
 /// L6 — subsumption/equivalence: candidates that provably apply the
 /// bit-identical repair are merged into one oracle charge per class.
 ///
@@ -205,25 +282,56 @@ pub struct SubsumptionResult {
 /// Severity is `Info` throughout: duplicates are not futile — one
 /// member of each class still deserves its oracle query.
 pub fn check_subsumption(state: &AbsState, candidates: &[CandidateFacts]) -> SubsumptionResult {
+    subsumption(state, candidates, &post_states(state, candidates))
+}
+
+/// Each candidate's abstract post-state, its transfer chain run once
+/// over a sparse [`Overlay`] of `state`: the one input L6 and L7 share.
+/// `None` for a candidate neither rule reads (an empty chain, or no
+/// profile attributes and no profile region).
+pub(crate) fn post_states<'s>(
+    state: &'s AbsState,
+    candidates: &[CandidateFacts],
+) -> Vec<Option<Overlay<'s>>> {
+    candidates
+        .iter()
+        .map(|c| {
+            let read = !c.profile_attributes.is_empty() || c.profile_region.is_some();
+            (read && !c.transfer.is_empty()).then(|| Overlay::apply(state, &c.transfer))
+        })
+        .collect()
+}
+
+/// [`check_subsumption`] over precomputed [`post_states`].
+pub(crate) fn subsumption(
+    state: &AbsState,
+    candidates: &[CandidateFacts],
+    posts: &[Option<Overlay<'_>>],
+) -> SubsumptionResult {
     // Cheap grouping filter: profile read-set + abstract post-state
     // projected onto it must coincide before any certificate runs.
-    let mut groups: BTreeMap<String, Vec<&CandidateFacts>> = BTreeMap::new();
-    for c in candidates {
+    let mut index: HashMap<GroupKey<'_>, usize> = HashMap::new();
+    let mut groups: Vec<Vec<&CandidateFacts>> = Vec::new();
+    for (c, post) in candidates.iter().zip(posts) {
         if c.transfer.is_empty() || c.profile_attributes.is_empty() {
             continue;
         }
-        let post = apply_chain(state, &c.transfer);
-        let key = format!(
-            "{:?}|{:?}",
-            c.profile_attributes,
-            post.project(&c.profile_attributes)
-        );
-        groups.entry(key).or_default().push(c);
+        let post = post.as_ref().expect("post-state of a lowered candidate");
+        let key = GroupKey {
+            attrs: &c.profile_attributes,
+            cols: c.profile_attributes.iter().map(|a| post.col(a)).collect(),
+        };
+        let next = groups.len();
+        let slot = *index.entry(key).or_insert(next);
+        if slot == next {
+            groups.push(Vec::new());
+        }
+        groups[slot].push(c);
     }
 
     let mut diagnostics = Vec::new();
     let mut classes: Vec<Vec<usize>> = Vec::new();
-    for members in groups.values() {
+    for members in &groups {
         if members.len() < 2 {
             continue;
         }
@@ -303,16 +411,25 @@ pub fn check_tau_unreachable(
     tau: f64,
     candidates: &[CandidateFacts],
 ) -> Vec<Diagnostic> {
+    tau_unreachable(tau, candidates, &post_states(state, candidates))
+}
+
+/// [`check_tau_unreachable`] over precomputed [`post_states`].
+pub(crate) fn tau_unreachable(
+    tau: f64,
+    candidates: &[CandidateFacts],
+    posts: &[Option<Overlay<'_>>],
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for c in candidates {
+    for (c, post) in candidates.iter().zip(posts) {
         let Some((attr, region)) = &c.profile_region else {
             continue;
         };
         if c.transfer.is_empty() {
             continue;
         }
-        let post = apply_chain(state, &c.transfer);
-        if violation_unreachable(&post, attr, region, tau) {
+        let post = post.as_ref().expect("post-state of a lowered candidate");
+        if region_unreachable(&post.col(attr), region, tau) {
             out.push(Diagnostic {
                 rule: RuleId::TauUnreachable,
                 severity: Severity::Error,
@@ -331,12 +448,12 @@ pub fn check_tau_unreachable(
 }
 
 /// The result of the L8 commutation pass: one summary diagnostic (to
-/// avoid O(m²) report flooding) plus the full fact table.
+/// avoid O(m²) report flooding) plus the fact table.
 pub struct CommutationResult {
     /// At most one `Info` diagnostic summarizing the fact table.
     pub diagnostics: Vec<Diagnostic>,
-    /// All certified commuting pairs, `(low id, high id)` sorted.
-    pub pairs: Vec<(usize, usize)>,
+    /// Which candidate pairs provably commute.
+    pub commuting: Commuting,
 }
 
 /// L8 — commutation/independence: a candidate pair whose
@@ -346,39 +463,42 @@ pub struct CommutationResult {
 /// `t_b(t_a(d)) = t_a(t_b(d))` bit-for-bit on every frame. The fact
 /// table feeds group testing's speculation depth (commuting frontiers
 /// stay useful deeper).
+///
+/// Only a pair sharing an attribute can conflict, so conflicts are
+/// read off per-attribute buckets — the writers of each attribute
+/// against every candidate whose footprint holds it — and the table
+/// stores the eligible candidates plus those conflicting pairs. The
+/// cost is linear in the candidates plus the conflicts, never in all
+/// n²/2 pairs. Candidate ids are assumed distinct.
 pub fn check_commutation(candidates: &[CandidateFacts]) -> CommutationResult {
-    fn footprint(c: &CandidateFacts) -> BTreeSet<&str> {
-        c.transform_reads
-            .iter()
-            .map(String::as_str)
-            .chain(c.writes.iter().map(|w| w.attr.as_str()))
-            .collect()
-    }
-    let mut pairs = Vec::new();
-    for (i, a) in candidates.iter().enumerate() {
-        if a.transform_key.is_none() || a.rewrites_all_attributes {
+    let mut eligible = Vec::new();
+    let mut writers: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut touchers: HashMap<&str, Vec<usize>> = HashMap::new();
+    for c in candidates {
+        if c.transform_key.is_none() || c.rewrites_all_attributes {
             continue;
         }
-        let fa = footprint(a);
-        let wa: BTreeSet<&str> = a.writes.iter().map(|w| w.attr.as_str()).collect();
-        for b in candidates.iter().skip(i + 1) {
-            if b.transform_key.is_none() || b.rewrites_all_attributes {
-                continue;
-            }
-            let fb = footprint(b);
-            let wb: BTreeSet<&str> = b.writes.iter().map(|w| w.attr.as_str()).collect();
-            if wa.is_disjoint(&fb) && wb.is_disjoint(&fa) {
-                let (lo, hi) = if a.id < b.id {
-                    (a.id, b.id)
-                } else {
-                    (b.id, a.id)
-                };
-                pairs.push((lo, hi));
+        eligible.push(c.id);
+        let writes = c.writes.iter().map(|w| w.attr.as_str());
+        for attr in writes.clone() {
+            writers.entry(attr).or_default().push(c.id);
+        }
+        for attr in c.transform_reads.iter().map(String::as_str).chain(writes) {
+            touchers.entry(attr).or_default().push(c.id);
+        }
+    }
+    let mut conflicts = Vec::new();
+    for (attr, ws) in &writers {
+        for &w in ws {
+            for &t in &touchers[attr] {
+                if w != t {
+                    conflicts.push((w.min(t), w.max(t)));
+                }
             }
         }
     }
-    pairs.sort_unstable();
-    let diagnostics = if pairs.is_empty() {
+    let commuting = Commuting::new(eligible, conflicts);
+    let diagnostics = if commuting.is_empty() {
         Vec::new()
     } else {
         let total = candidates.len() * candidates.len().saturating_sub(1) / 2;
@@ -391,12 +511,15 @@ pub fn check_commutation(candidates: &[CandidateFacts]) -> CommutationResult {
                 "{} of {} candidate pairs provably commute (disjoint deterministic \
                  read/write footprints); the fact table steers group testing's \
                  speculation depth",
-                pairs.len(),
+                commuting.len(),
                 total
             ),
         }]
     };
-    CommutationResult { diagnostics, pairs }
+    CommutationResult {
+        diagnostics,
+        commuting,
+    }
 }
 
 /// L9 — abstract no-op: fixpoint detection over the seeded state. A
@@ -720,7 +843,14 @@ mod tests {
         let mut resample = clamp_candidate(4, "fifth", 0.0, 5.0, Some("r"));
         resample.rewrites_all_attributes = true;
         let result = check_commutation(&[a, b, c, shuffled, resample]);
-        assert_eq!(result.pairs, vec![(0, 1), (1, 2)]);
+        assert_eq!(
+            result.commuting.pairs().collect::<Vec<_>>(),
+            vec![(0, 1), (1, 2)]
+        );
+        assert_eq!(result.commuting.len(), 2);
+        assert!(result.commuting.commutes(2, 1));
+        assert!(!result.commuting.commutes(0, 2), "shared attribute");
+        assert!(!result.commuting.commutes(1, 3), "nondeterministic");
         assert_eq!(result.diagnostics.len(), 1, "one summary, not O(m²)");
         assert_eq!(result.diagnostics[0].severity, Severity::Info);
         assert!(result.diagnostics[0].message.contains("2 of 10"));

@@ -55,6 +55,8 @@ pub struct Watcher {
     scorer: DriftScorer,
     live: Vec<LiveColumn>,
     window: VecDeque<WindowBatch>,
+    /// Rows held in `window`.
+    window_rows: usize,
     metrics: RunMetrics,
 }
 
@@ -76,6 +78,7 @@ impl Watcher {
             monitor,
             live,
             window: VecDeque::new(),
+            window_rows: 0,
             metrics: RunMetrics::default(),
         }
     }
@@ -149,8 +152,11 @@ impl Watcher {
             frame: batch,
             summaries,
         });
+        self.window_rows += batch_rows;
         while self.window.len() > self.monitor.window_batches.max(1) {
-            self.window.pop_front();
+            if let Some(old) = self.window.pop_front() {
+                self.window_rows -= old.frame.n_rows();
+            }
         }
         self.metrics.batches_ingested += 1;
         self.metrics.rows_ingested += batch_rows as u64;
@@ -216,6 +222,12 @@ impl Watcher {
             .iter()
             .position(|c| c.name() == column)
             .map(|i| &self.live[i])
+    }
+
+    /// Rows in the current scoring window (the most recent
+    /// `window_batches` batches), without assembling it.
+    pub fn window_rows(&self) -> usize {
+        self.window_rows
     }
 
     /// The current scoring window as one frame (the most recent
@@ -439,6 +451,7 @@ mod tests {
         }
         // window_batches = 2 → the window holds 12 of the 30 rows.
         assert_eq!(w.window_frame().unwrap().n_rows(), 12);
+        assert_eq!(w.window_rows(), 12);
         assert_eq!(w.metrics().rows_ingested, 30);
     }
 

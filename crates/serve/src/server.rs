@@ -814,7 +814,7 @@ fn handle_ingest(shared: &Shared, system: &str, rows_csv: &str) -> String {
         Ok((
             watcher.metrics().batches_ingested,
             watcher.metrics().rows_ingested,
-            watcher.window_frame().map(|w| w.n_rows()).unwrap_or(0),
+            watcher.window_rows(),
         ))
     });
     match ingested {

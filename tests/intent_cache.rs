@@ -241,3 +241,26 @@ fn a_warm_width_one_diagnosis_builds_only_the_frames_it_carries() {
         }
     }
 }
+
+/// A charged query that has to build its frame hands it back, so a
+/// cold width-1 greedy run builds no frame twice: a kept pick (or an
+/// accepted Make-Minimal drop) is carried forward from the query that
+/// scored it. Example 1 charges one pick and keeps it: one frame.
+#[test]
+fn a_cold_greedy_run_builds_each_charged_frame_at_most_once() {
+    for scenario in scenarios() {
+        let label = scenario.name.to_string();
+        let exp = run(&scenario, Algorithm::Greedy, &mut ScoreCache::new())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let m = &exp.metrics;
+        assert!(
+            m.frames_built <= m.charged_queries,
+            "{label}: {} frames for {} charged queries",
+            m.frames_built,
+            m.charged_queries
+        );
+        if scenario.name == example1::scenario().name {
+            assert_eq!((exp.interventions, m.frames_built), (1, 1), "{label}");
+        }
+    }
+}
