@@ -7,6 +7,7 @@
 //! of its transformation, i.e. the fraction of tuples it would modify
 //! (observation O3).
 
+use crate::lint::Ranked;
 use crate::pvt::Pvt;
 use dp_frame::DataFrame;
 use std::collections::BTreeMap;
@@ -23,17 +24,17 @@ pub fn benefit_scores(pvts: &[Pvt], d_fail: &DataFrame) -> BTreeMap<usize, f64> 
     pvts.iter().map(|p| (p.id, benefit(p, d_fail))).collect()
 }
 
-/// Recompute benefits for the PVTs whose ids are listed (Alg 1
-/// line 17's incremental update after an intervention changes the
-/// dataset).
+/// Recompute benefits for the PVTs of `ranked` whose ids are listed
+/// (Alg 1 line 17's incremental update after an intervention changes
+/// the dataset), each found by id in constant time.
 pub fn update_benefits(
     scores: &mut BTreeMap<usize, f64>,
-    pvts: &[Pvt],
+    ranked: &Ranked,
     ids: &[usize],
     d_fail: &DataFrame,
 ) {
     for &id in ids {
-        if let Some(pvt) = pvts.iter().find(|p| p.id == id) {
+        if let Some(pvt) = ranked.pvt(id) {
             scores.insert(id, benefit(pvt, d_fail));
         }
     }
@@ -113,13 +114,15 @@ mod tests {
         let df = frame();
         let pvts = vec![domain_pvt(), missing_pvt()];
         let mut scores = benefit_scores(&pvts, &df);
+        let config = crate::PrismConfig::default();
+        let ranked = Ranked::new(pvts.clone(), &df, &config, &mut Default::default());
         // Repair the missing values, then update only PVT 1.
         let fixed = {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(0);
             pvts[1].apply(&df, &mut rng).unwrap().0
         };
-        update_benefits(&mut scores, &pvts, &[1], &fixed);
+        update_benefits(&mut scores, &ranked, &[1], &fixed);
         assert_eq!(scores[&1], 0.0, "no missing values remain");
         assert!(scores[&0] > 0.0, "untouched PVT keeps its old score");
     }

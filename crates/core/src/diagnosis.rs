@@ -49,11 +49,13 @@ use crate::discovery::discriminative_pvts_traced;
 use crate::error::{PrismError, Result};
 use crate::explanation::Explanation;
 use crate::group_test::{run_group_test, PartitionStrategy};
+use crate::lint::Ranked;
 use crate::oracle::SystemFactory;
 use crate::pvt::Pvt;
 use crate::runtime::{Intent, Oracle, Source};
 use dp_frame::DataFrame;
-use dp_trace::{DiagnosisSpan, Event, Tracer};
+use dp_trace::{DiagnosisSpan, Event, RunMetrics, Tracer};
+use std::sync::Arc;
 
 /// Which search a [`Diagnosis`] runs: the rows of the paper's Fig 7,
 /// plus the group-testing-then-greedy fallback.
@@ -107,12 +109,23 @@ impl Algorithm {
 /// PVT discoverable over the passing dataset
 /// ([`all_candidate_pvts`], their setting in §5). Given candidates
 /// skip both; the synthetic pipelines of §5.2 and the monitor's
-/// targeted re-diagnosis hand theirs in.
+/// targeted re-diagnosis hand theirs in. Candidates prepared ahead
+/// ([`Diagnosis::with_ranked`]) also skip the lint-and-rank pass.
 #[derive(Debug)]
 pub struct Diagnosis<'c> {
     algorithm: Algorithm,
-    candidates: Option<Vec<Pvt>>,
+    candidates: Candidates,
     cache: Option<&'c mut ScoreCache>,
+}
+
+/// Where a run's candidates come from. A DataPrism search turns the
+/// first two into `Prepared` once, so `Auto`'s fallback searches the
+/// record its group-testing attempt prepared.
+#[derive(Debug)]
+enum Candidates {
+    Discover,
+    Given(Vec<Pvt>),
+    Prepared(Arc<Ranked>),
 }
 
 impl<'c> Diagnosis<'c> {
@@ -121,14 +134,25 @@ impl<'c> Diagnosis<'c> {
     pub fn new(algorithm: Algorithm) -> Self {
         Diagnosis {
             algorithm,
-            candidates: None,
+            candidates: Candidates::Discover,
             cache: None,
         }
     }
 
     /// Search `pvts` instead of discovering candidates.
     pub fn with_candidates(mut self, pvts: Vec<Pvt>) -> Self {
-        self.candidates = Some(pvts);
+        self.candidates = Candidates::Given(pvts);
+        self
+    }
+
+    /// Search the candidates of a prepared [`Ranked`] record, whose
+    /// lint verdict, graph and benefits the run reads instead of
+    /// computing them. BugDoc and Anchor search all of the record's
+    /// candidates. The run fails with [`PrismError::BadInput`], before
+    /// any oracle query, unless the record was prepared against this
+    /// run's failing dataset, lint mode and τ.
+    pub fn with_ranked(mut self, ranked: Arc<Ranked>) -> Self {
+        self.candidates = Candidates::Prepared(ranked);
         self
     }
 
@@ -164,57 +188,72 @@ impl<'c> Diagnosis<'c> {
     ) -> Result<Explanation> {
         let Diagnosis {
             algorithm,
-            candidates,
+            mut candidates,
             mut cache,
         } = self;
+        if let Candidates::Prepared(ranked) = &candidates {
+            ranked.check(d_fail, config)?;
+        }
         // A sink that cannot be set up (an unwritable JSONL path) fails
         // before any oracle query is spent.
         let tracer =
             Tracer::from_config(&config.trace).map_err(|e| PrismError::Trace(e.to_string()))?;
-        if algorithm != Algorithm::Auto {
-            return run_one(
-                algorithm, source, d_fail, d_pass, candidates, config, cache, tracer,
-            );
-        }
-        // Both attempts write to the one tracer, so a fallback's trace
-        // keeps the group-testing attempt's records ahead of its own.
-        let attempt = run_one(
-            Algorithm::GroupTest,
+        // The discovery and preparation this request paid for, counted
+        // once on the explanation it returns. Both attempts of `Auto`
+        // write to the one tracer, so a fallback's trace keeps the
+        // group-testing attempt's records ahead of its own, and the
+        // fallback searches the candidates the first attempt prepared.
+        let mut work = RunMetrics::default();
+        let auto = algorithm == Algorithm::Auto;
+        let first = if auto {
+            Algorithm::GroupTest
+        } else {
+            algorithm
+        };
+        let mut result = run_one(
+            first,
             source.reborrow(),
             d_fail,
             d_pass,
-            candidates.clone(),
+            &mut candidates,
+            &mut work,
             config,
             cache.as_deref_mut(),
             tracer.clone(),
         );
-        match attempt {
-            Err(PrismError::AssumptionViolated(_)) => run_one(
+        if auto && matches!(result, Err(PrismError::AssumptionViolated(_))) {
+            result = run_one(
                 Algorithm::Greedy,
                 source,
                 d_fail,
                 d_pass,
-                candidates,
+                &mut candidates,
+                &mut work,
                 config,
                 cache,
                 tracer,
-            ),
-            other => other,
+            );
         }
+        result.map(|mut exp| {
+            exp.metrics.merge(&work);
+            exp
+        })
     }
 }
 
 /// One search with the setup every diagnosis shares: build the runtime
 /// over `source` (warm-started from `cache`), emit the opening event,
-/// resolve the candidates, run the search, and absorb everything the
-/// run scored back into `cache` — on error too.
+/// resolve the candidates (counting the work into `work`), run the
+/// search, and absorb everything the run scored back into `cache` — on
+/// error too.
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     algorithm: Algorithm,
     source: Source<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
-    candidates: Option<Vec<Pvt>>,
+    candidates: &mut Candidates,
+    work: &mut RunMetrics,
     config: &PrismConfig,
     cache: Option<&mut ScoreCache>,
     tracer: Tracer,
@@ -234,50 +273,73 @@ fn run_one(
         num_threads: threads,
         speculation_depth: config.gt_speculation_depth,
     });
-    let baseline = matches!(algorithm, Algorithm::BugDoc | Algorithm::Anchor);
-    let (pvts, stats) = match candidates {
-        Some(pvts) => (pvts, None),
-        None if baseline => (all_candidate_pvts(d_pass, &config.discovery), None),
-        None => {
-            let (pvts, stats) =
-                discriminative_pvts_traced(d_pass, d_fail, &config.discovery, threads, &tracer);
-            (pvts, Some(stats))
-        }
-    };
     let result = match algorithm {
-        Algorithm::Greedy => {
-            crate::greedy::run_greedy(&mut rt, d_fail, d_pass, pvts, config, tracer)
+        Algorithm::BugDoc | Algorithm::Anchor => {
+            let discovered;
+            let pvts = match candidates {
+                Candidates::Prepared(ranked) => ranked.candidates(),
+                Candidates::Given(pvts) => pvts,
+                Candidates::Discover => {
+                    discovered = all_candidate_pvts(d_pass, &config.discovery);
+                    &discovered
+                }
+            };
+            if algorithm == Algorithm::BugDoc {
+                bugdoc::run_bugdoc(&mut rt, d_fail, d_pass, pvts, config, tracer)
+            } else {
+                anchor::run_anchor(&mut rt, d_fail, d_pass, pvts, config, tracer)
+            }
         }
-        Algorithm::GroupTest => run_group_test(
-            &mut rt,
-            d_fail,
-            d_pass,
-            pvts,
-            config,
-            PartitionStrategy::MinBisection,
-            tracer,
-        ),
-        Algorithm::GrpTest => run_group_test(
-            &mut rt,
-            d_fail,
-            d_pass,
-            pvts,
-            config,
-            PartitionStrategy::Random,
-            tracer,
-        ),
-        Algorithm::BugDoc => bugdoc::run_bugdoc(&mut rt, d_fail, d_pass, &pvts, config, tracer),
-        Algorithm::Anchor => anchor::run_anchor(&mut rt, d_fail, d_pass, &pvts, config, tracer),
-        Algorithm::Auto => unreachable!("Auto runs as GroupTest, then Greedy"),
+        _ => {
+            let ranked = prepare(candidates, work, d_fail, d_pass, config, threads, &tracer);
+            match algorithm {
+                Algorithm::Greedy => {
+                    crate::greedy::run_greedy(&mut rt, d_fail, d_pass, &ranked, config, tracer)
+                }
+                _ => {
+                    let strategy = match algorithm {
+                        Algorithm::GrpTest => PartitionStrategy::Random,
+                        _ => PartitionStrategy::MinBisection,
+                    };
+                    run_group_test(&mut rt, d_fail, d_pass, &ranked, config, strategy, tracer)
+                }
+            }
+        }
     };
     if let Some(cache) = cache {
         cache.absorb(&rt.export_cache());
     }
-    let mut exp = result?;
-    if let Some(stats) = stats {
-        stats.count_into(&mut exp.metrics);
+    result
+}
+
+/// The prepared record of a DataPrism search: `candidates` as given or
+/// discovered (§4.1 step 1, at width `threads`), linted and ranked
+/// once. `candidates` holds the record afterwards, and `work` counts
+/// the discovery and the preparation.
+fn prepare(
+    candidates: &mut Candidates,
+    work: &mut RunMetrics,
+    d_fail: &DataFrame,
+    d_pass: &DataFrame,
+    config: &PrismConfig,
+    threads: usize,
+    tracer: &Tracer,
+) -> Arc<Ranked> {
+    if let Candidates::Prepared(ranked) = candidates {
+        return Arc::clone(ranked);
     }
-    Ok(exp)
+    let pvts = match std::mem::replace(candidates, Candidates::Discover) {
+        Candidates::Given(pvts) => pvts,
+        _ => {
+            let (pvts, stats) =
+                discriminative_pvts_traced(d_pass, d_fail, &config.discovery, threads, tracer);
+            stats.count_into(work);
+            pvts
+        }
+    };
+    let ranked = Arc::new(Ranked::new(pvts, d_fail, config, work));
+    *candidates = Candidates::Prepared(Arc::clone(&ranked));
+    ranked
 }
 
 /// Validate the problem inputs (Definition 10 items 3–4): the passing

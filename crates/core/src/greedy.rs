@@ -34,6 +34,7 @@ use crate::diagnosis::{finish_run, validate_inputs};
 use crate::error::{PrismError, Result};
 use crate::explanation::Explanation;
 use crate::graph::PvtAttributeGraph;
+use crate::lint::Ranked;
 use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
 use crate::runtime::{Intent, Oracle};
@@ -118,7 +119,7 @@ pub(crate) fn make_minimal(
 /// intent over `current` on the pick's own derived stream, the one a
 /// serial run applies it on, so the runtime's workers can build it.
 fn plan_window<'a>(
-    pvts: &'a [Pvt],
+    ranked: &'a Ranked,
     graph: &PvtAttributeGraph,
     benefits: &BTreeMap<usize, f64>,
     current: &'a DataFrame,
@@ -151,10 +152,7 @@ fn plan_window<'a>(
             break;
         };
         sim_graph.remove(chosen_id);
-        let pvt = pvts
-            .iter()
-            .find(|p| p.id == chosen_id)
-            .expect("graph only holds known ids");
+        let pvt = ranked.pvt(chosen_id).expect("graph only holds known ids");
         window.push(Intent {
             pvts: vec![pvt],
             base: current,
@@ -165,40 +163,34 @@ fn plan_window<'a>(
     window
 }
 
-/// Algorithm 1 lines 5–21.
+/// Algorithm 1 lines 5–21 over the prepared candidates: the lint
+/// verdict and lines 5–6 (PVT–attribute graph, benefit scores) come
+/// from `ranked`, whose graph and benefits the search copies to
+/// mutate.
 pub(crate) fn run_greedy(
     rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
-    pvts: Vec<Pvt>,
+    ranked: &Ranked,
     config: &PrismConfig,
     tracer: Tracer,
 ) -> Result<Explanation> {
-    let discovered = !pvts.is_empty();
-    // Static L1–L9 analysis of the candidate set, before any oracle
-    // query; `Lint::Prune` drops provably futile candidates here.
-    // Lines 5–6: PVT–attribute graph and benefit scores, in the same
-    // pass.
-    let crate::lint::Ranked {
-        lint,
-        pvts,
-        mut graph,
-        mut benefits,
-    } = crate::lint::lint_and_rank(pvts, d_fail, config.lint, config.threshold);
+    let mut graph = ranked.graph().clone();
+    let mut benefits = ranked.benefits().clone();
     let width = rt.speculation_width().max(1);
 
     // The opening: on a parallel runtime the first window of picks is
     // scored together with the baselines.
-    let first = plan_window(&pvts, &graph, &benefits, d_fail, width, config);
+    let first = plan_window(ranked, &graph, &benefits, d_fail, width, config);
     let initial_score = validate_inputs(rt, d_fail, d_pass, &first, &tracer)?;
-    if !discovered {
+    if ranked.candidates().is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    crate::lint::emit_lint(&lint, &tracer);
-    if pvts.is_empty() {
+    crate::lint::emit_lint(ranked.lint(), &tracer);
+    if ranked.pvts().len() == 0 {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    tracer.candidates(pvts.len());
+    tracer.candidates(ranked.pvts().len());
 
     // Lines 7–8.
     let mut selected: Vec<Pvt> = Vec::new();
@@ -213,7 +205,7 @@ pub(crate) fn run_greedy(
         let window = match opening.take() {
             Some(window) => window,
             None => {
-                let window = plan_window(&pvts, &graph, &benefits, &current, width, config);
+                let window = plan_window(ranked, &graph, &benefits, &current, width, config);
                 rt.prescore(&window);
                 window
             }
@@ -255,7 +247,7 @@ pub(crate) fn run_greedy(
             selected.push(pvt);
             // Line 17: refresh benefits against the updated dataset.
             let live = graph.pvt_ids();
-            crate::benefit::update_benefits(&mut benefits, &pvts, &live, &current);
+            crate::benefit::update_benefits(&mut benefits, ranked, &live, &current);
         }
     }
 
@@ -275,7 +267,15 @@ pub(crate) fn run_greedy(
         });
     }
 
-    finish_run(rt, &tracer, lint, selected, initial_score, score, current)
+    finish_run(
+        rt,
+        &tracer,
+        ranked.lint().clone(),
+        selected,
+        initial_score,
+        score,
+        current,
+    )
 }
 
 #[cfg(test)]

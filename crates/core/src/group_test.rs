@@ -40,6 +40,7 @@ use crate::error::{PrismError, Result};
 use crate::explanation::Explanation;
 use crate::graph::PvtAttributeGraph;
 use crate::greedy::make_minimal;
+use crate::lint::Ranked;
 use crate::oracle::fingerprint;
 use crate::pvt::Pvt;
 use crate::runtime::{DetachedSpeculation, Intent, Oracle};
@@ -83,42 +84,35 @@ struct GtCtx<'o, 'r, 'p> {
     tracer: Tracer,
 }
 
-/// Algorithm 2.
+/// Algorithm 2 over the prepared candidates: the survivors of
+/// `ranked`'s lint verdict (under `Lint::Prune` a provably futile
+/// candidate would otherwise inflate the A3 composition and every
+/// bisection probe containing it), their dependency graph and their
+/// benefit order.
 pub(crate) fn run_group_test(
     rt: &mut Oracle<'_>,
     d_fail: &DataFrame,
     d_pass: &DataFrame,
-    pvt_vec: Vec<Pvt>,
+    ranked: &Ranked,
     config: &PrismConfig,
     strategy: PartitionStrategy,
     tracer: Tracer,
 ) -> Result<Explanation> {
-    let discovered = !pvt_vec.is_empty();
-    // Static L1–L9 analysis of the candidate set, before any oracle
-    // query; `Lint::Prune` drops provably futile candidates here
-    // (each one would otherwise inflate the A3 composition and every
-    // bisection probe containing it).
-    let crate::lint::Ranked {
-        lint,
-        pvts: pvt_vec,
-        graph,
-        benefits,
-    } = crate::lint::lint_and_rank(pvt_vec, d_fail, config.lint, config.threshold);
-    let pvts: BTreeMap<usize, &Pvt> = pvt_vec.iter().map(|p| (p.id, p)).collect();
+    let pvts: BTreeMap<usize, &Pvt> = ranked.pvts().map(|p| (p.id, p)).collect();
     let all_ids: Vec<usize> = pvts.keys().copied().collect();
 
     // The opening: on a parallel runtime the A3 composition below is
     // scored together with the baselines.
     let full = intent(&pvts, config.seed, &all_ids, d_fail, fingerprint(d_fail));
     let initial_score = validate_inputs(rt, d_fail, d_pass, std::slice::from_ref(&full), &tracer)?;
-    if !discovered {
+    if ranked.candidates().is_empty() {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    crate::lint::emit_lint(&lint, &tracer);
-    if pvt_vec.is_empty() {
+    crate::lint::emit_lint(ranked.lint(), &tracer);
+    if ranked.pvts().len() == 0 {
         return Err(PrismError::NoDiscriminativePvts);
     }
-    tracer.candidates(pvt_vec.len());
+    tracer.candidates(ranked.pvts().len());
 
     // A3 applicability check: the full composition must reduce the
     // malfunction (see module docs).
@@ -139,19 +133,20 @@ pub(crate) fn run_group_test(
 
     // Benefit-ordered ids seed deterministic tie-breaking inside the
     // partitioner (helps reproducibility across runs).
+    let benefits = ranked.benefits();
     let mut seed_order = all_ids.clone();
     seed_order.sort_by(|a, b| benefits[b].total_cmp(&benefits[a]));
 
     // Line 6 of Alg 2: recursive group testing.
     let mut ctx = GtCtx {
         pvts: &pvts,
-        graph: &graph,
+        graph: ranked.graph(),
         rt: &mut *rt,
         strategy,
         seed_order,
         seed: config.seed,
         depth: config.gt_speculation_depth,
-        commuting: &lint.commuting,
+        commuting: &ranked.lint().commuting,
         tracer: tracer.clone(),
     };
     let (repaired, selected_ids) = group_test_rec(
@@ -183,7 +178,15 @@ pub(crate) fn run_group_test(
         });
     }
 
-    finish_run(rt, &tracer, lint, selected, initial_score, score, repaired)
+    finish_run(
+        rt,
+        &tracer,
+        ranked.lint().clone(),
+        selected,
+        initial_score,
+        score,
+        repaired,
+    )
 }
 
 /// The composition of the transformations of `ids` (ascending)

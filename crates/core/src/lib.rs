@@ -101,7 +101,7 @@ pub use dp_trace::{
 pub use error::{PrismError, Result};
 pub use explanation::Explanation;
 pub use group_test::PartitionStrategy;
-pub use lint::lint_pvts;
+pub use lint::{lint_pvts, Ranked};
 pub use oracle::{fingerprint, fingerprint_reference, System, SystemFactory};
 pub use profile::{DependenceKind, OutlierSpec, Profile};
 pub use pvt::Pvt;

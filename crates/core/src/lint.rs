@@ -18,8 +18,10 @@
 //! cost interventions. `tests/lint_parity.rs` asserts this end to end.
 
 use crate::benefit::benefit_scores;
-use crate::config::Lint;
+use crate::config::{Lint, PrismConfig};
+use crate::error::{PrismError, Result};
 use crate::graph::PvtAttributeGraph;
+use crate::oracle::fingerprint;
 use crate::profile::Profile;
 use crate::pvt::Pvt;
 use crate::transform::Transform;
@@ -28,7 +30,8 @@ use dp_lint::absint::{TransferOp, ValueRegion};
 use dp_lint::domains::{AbsCol, AbsState, Interval, SupportDom};
 use dp_lint::{AttrRequirement, CandidateFacts, Diagnostics, TypeClass, WriteTarget};
 use dp_stats::sketch::ColumnSummary;
-use std::collections::{BTreeMap, BTreeSet};
+use dp_trace::RunMetrics;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Typed attribute reads a profile performs when its violation is
 /// evaluated.
@@ -322,67 +325,153 @@ fn analyze(
     )
 }
 
-/// What the pre-query stage hands a search: the lint verdict, the
-/// candidates that survive it, their PVT–attribute graph and their
-/// initial benefit scores (Alg 1 lines 5–6).
-pub(crate) struct Ranked {
-    pub(crate) lint: Diagnostics,
-    pub(crate) pvts: Vec<Pvt>,
-    pub(crate) graph: PvtAttributeGraph,
-    pub(crate) benefits: BTreeMap<usize, f64>,
+/// The pre-query stage of a candidate set, prepared once and shared:
+/// the lint verdict, the candidates that survive it, their
+/// PVT–attribute graph and their initial benefit scores (Alg 1
+/// lines 5–6). The record depends only on the candidates, `D_fail`,
+/// the lint mode and τ, and records the last three, so a search over
+/// it needs no pass of its own: [`crate::Diagnosis::with_ranked`]
+/// hands one to any number of runs (a `dp_serve` spec holds one per
+/// `register`), and `Ranked::check` refuses a run whose inputs it
+/// was not prepared for. Searches only read it; greedy clones the
+/// graph and the benefit map it mutates.
+#[derive(Debug)]
+pub struct Ranked {
+    lint: Diagnostics,
+    /// Every candidate, in the order given.
+    candidates: Vec<Pvt>,
+    /// Positions in `candidates` of the survivors, ascending.
+    survivors: Vec<usize>,
+    /// Id → position in `candidates` of its first candidate.
+    index: HashMap<usize, usize>,
+    graph: PvtAttributeGraph,
+    benefits: BTreeMap<usize, f64>,
+    fail_fingerprint: u64,
+    mode: Lint,
+    tau: f64,
 }
 
-/// The pre-query stage in one pass: apply the configured lint policy
-/// (under `Prune`, [`prune`]'s drops), then rank the survivors.
-/// Each candidate's violation and coverage on `D_fail` are computed
-/// once, for the lint facts and the benefit scores alike, and the one
-/// PVT–attribute graph gives lint its dependency edges before the
-/// dropped candidates leave it. Under `Lint::Off` only the benefits
-/// are computed.
-pub(crate) fn lint_and_rank(pvts: Vec<Pvt>, d_fail: &DataFrame, mode: Lint, tau: f64) -> Ranked {
-    let mut graph = PvtAttributeGraph::new(&pvts);
-    if mode == Lint::Off {
-        return Ranked {
-            lint: Diagnostics::default(),
-            benefits: benefit_scores(&pvts, d_fail),
-            pvts,
-            graph,
+impl Ranked {
+    /// Prepare `candidates` against `d_fail` under `config`'s lint mode
+    /// and τ in one pass: apply the lint policy (under `Prune`,
+    /// `prune`'s drops), then rank the survivors. Each candidate's
+    /// violation and coverage on `D_fail` are computed once, for the
+    /// lint facts and the benefit scores alike, and the one
+    /// PVT–attribute graph gives lint its dependency edges before the
+    /// dropped candidates leave it. Under `Lint::Off` only the
+    /// benefits are computed. The pass is counted into `metrics`
+    /// ([`RunMetrics::candidates_prepared`]).
+    pub fn new(
+        candidates: Vec<Pvt>,
+        d_fail: &DataFrame,
+        config: &PrismConfig,
+        metrics: &mut RunMetrics,
+    ) -> Ranked {
+        metrics.candidates_prepared += candidates.len() as u64;
+        let (mode, tau) = (config.lint, config.threshold);
+        let mut graph = PvtAttributeGraph::new(&candidates);
+        let (lint, dropped, benefits) = if mode == Lint::Off {
+            let benefits = benefit_scores(&candidates, d_fail);
+            (Diagnostics::default(), BTreeSet::new(), benefits)
+        } else {
+            let facts: Vec<CandidateFacts> = candidates
+                .iter()
+                .map(|p| candidate_facts(p, d_fail))
+                .collect();
+            let mut lint = analyze(&facts, &graph, d_fail, tau);
+            let dropped = if mode == Lint::Prune {
+                prune(&mut lint)
+            } else {
+                BTreeSet::new()
+            };
+            for &id in &dropped {
+                graph.remove(id);
+            }
+            // The benefit operands of `benefit::benefit`, in its order.
+            let benefits = facts
+                .iter()
+                .filter(|f| !dropped.contains(&f.id))
+                .map(|f| (f.id, f.profile_violation_on_fail * f.coverage_on_fail))
+                .collect();
+            (lint, dropped, benefits)
         };
+        let survivors = (0..candidates.len())
+            .filter(|&i| !dropped.contains(&candidates[i].id))
+            .collect();
+        let mut index = HashMap::with_capacity(candidates.len());
+        for (i, p) in candidates.iter().enumerate() {
+            index.entry(p.id).or_insert(i);
+        }
+        Ranked {
+            lint,
+            candidates,
+            survivors,
+            index,
+            graph,
+            benefits,
+            fail_fingerprint: fingerprint(d_fail),
+            mode,
+            tau,
+        }
     }
-    let facts: Vec<CandidateFacts> = pvts.iter().map(|p| candidate_facts(p, d_fail)).collect();
-    let mut lint = analyze(&facts, &graph, d_fail, tau);
-    let dropped = if mode == Lint::Prune {
-        prune(&mut lint)
-    } else {
-        BTreeSet::new()
-    };
-    for &id in &dropped {
-        graph.remove(id);
+
+    /// Refuse a run over `d_fail` under `config` unless the record was
+    /// prepared for that failing dataset (by fingerprint), lint mode
+    /// and τ: the verdict, the survivors and the benefits would be
+    /// another problem's.
+    pub(crate) fn check(&self, d_fail: &DataFrame, config: &PrismConfig) -> Result<()> {
+        let what = if config.lint != self.mode {
+            format!("under lint mode {:?}, not {:?}", self.mode, config.lint)
+        } else if config.threshold.to_bits() != self.tau.to_bits() {
+            format!("at τ = {}, not {}", self.tau, config.threshold)
+        } else if fingerprint(d_fail) != self.fail_fingerprint {
+            "against another failing dataset".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(PrismError::BadInput(format!(
+            "prepared candidates were ranked {what}"
+        )))
     }
-    // The benefit operands of `benefit::benefit`, in its order.
-    let benefits = facts
-        .iter()
-        .filter(|f| !dropped.contains(&f.id))
-        .map(|f| (f.id, f.profile_violation_on_fail * f.coverage_on_fail))
-        .collect();
-    let pvts = pvts
-        .into_iter()
-        .filter(|p| !dropped.contains(&p.id))
-        .collect();
-    Ranked {
-        lint,
-        pvts,
-        graph,
-        benefits,
+
+    /// The lint verdict.
+    pub(crate) fn lint(&self) -> &Diagnostics {
+        &self.lint
+    }
+
+    /// Every candidate, in the order given, pruned ones included: the
+    /// set BugDoc and Anchor search.
+    pub(crate) fn candidates(&self) -> &[Pvt] {
+        &self.candidates
+    }
+
+    /// The candidates that survive the lint policy, in the order given.
+    pub(crate) fn pvts(&self) -> impl ExactSizeIterator<Item = &Pvt> {
+        self.survivors.iter().map(|&i| &self.candidates[i])
+    }
+
+    /// The first candidate with id `id`.
+    pub(crate) fn pvt(&self, id: usize) -> Option<&Pvt> {
+        self.index.get(&id).map(|&i| &self.candidates[i])
+    }
+
+    /// The survivors' PVT–attribute graph.
+    pub(crate) fn graph(&self) -> &PvtAttributeGraph {
+        &self.graph
+    }
+
+    /// The survivors' initial benefit scores, by id.
+    pub(crate) fn benefits(&self) -> &BTreeMap<usize, f64> {
+        &self.benefits
     }
 }
 
-/// Emit the [`dp_trace::LintSpan`] event of a [`lint_and_rank`] pass
+/// Emit the [`dp_trace::LintSpan`] event of a [`Ranked`] record's verdict
 /// with the verdict counts (always emitted, `analyzed = false` under
 /// `Lint::Off`, so a trace records that the pass was skipped),
 /// followed by a [`dp_trace::LintFactSpan`] when the pass analyzed.
-/// Split from the pass itself so a run can lint before its opening
-/// batch and still emit the events after validating its inputs.
+/// Split from the preparation, which can serve many runs, so each run
+/// emits the events after validating its inputs.
 pub(crate) fn emit_lint(diag: &Diagnostics, tracer: &dp_trace::Tracer) {
     tracer.emit(|| {
         dp_trace::Event::Lint(dp_trace::LintSpan {
@@ -473,15 +562,25 @@ mod tests {
         }
     }
 
-    /// [`lint_and_rank`]'s verdict and surviving candidates.
+    /// A [`Ranked`] record of `pvts` under `mode` at τ = `tau`.
+    fn ranked(pvts: Vec<Pvt>, d_fail: &DataFrame, mode: Lint, tau: f64) -> Ranked {
+        let config = PrismConfig {
+            lint: mode,
+            ..PrismConfig::with_threshold(tau)
+        };
+        Ranked::new(pvts, d_fail, &config, &mut RunMetrics::default())
+    }
+
+    /// [`Ranked`]'s verdict and surviving candidates.
     fn lint_and_prune(
         pvts: Vec<Pvt>,
         d_fail: &DataFrame,
         mode: Lint,
         tau: f64,
     ) -> (Diagnostics, Vec<Pvt>) {
-        let ranked = lint_and_rank(pvts, d_fail, mode, tau);
-        (ranked.lint, ranked.pvts)
+        let ranked = ranked(pvts, d_fail, mode, tau);
+        let kept = ranked.pvts().cloned().collect();
+        (ranked.lint, kept)
     }
 
     /// [`lint_pvts`] at the default τ, the margin the existing L1–L5
@@ -708,21 +807,23 @@ mod tests {
         };
         let pvts = vec![domain_pvt(0), noop, domain_pvt(2), clamp];
         for mode in [Lint::Off, Lint::Report, Lint::Prune] {
-            let ranked = lint_and_rank(pvts.clone(), &d_fail(), mode, 0.2);
-            let fresh = PvtAttributeGraph::new(&ranked.pvts);
+            let ranked = ranked(pvts.clone(), &d_fail(), mode, 0.2);
+            let survivors: Vec<Pvt> = ranked.pvts().cloned().collect();
+            assert_eq!(ranked.candidates().len(), pvts.len(), "{mode:?}");
+            let fresh = PvtAttributeGraph::new(&survivors);
             assert_eq!(ranked.graph.pvt_ids(), fresh.pvt_ids(), "{mode:?}");
             assert_eq!(
                 ranked.graph.dependency_edges(),
                 fresh.dependency_edges(),
                 "{mode:?}"
             );
-            let scores = benefit_scores(&ranked.pvts, &d_fail());
+            let scores = benefit_scores(&survivors, &d_fail());
             assert_eq!(ranked.benefits.len(), scores.len(), "{mode:?}");
             for (id, b) in &scores {
                 assert_eq!(ranked.benefits[id].to_bits(), b.to_bits(), "{mode:?}");
             }
         }
-        let pruned = lint_and_rank(pvts, &d_fail(), Lint::Prune, 0.2);
+        let pruned = ranked(pvts, &d_fail(), Lint::Prune, 0.2);
         assert_eq!(pruned.lint.pruned, vec![1]);
         assert_eq!(pruned.lint.subsumed, vec![2]);
         assert_eq!(pruned.graph.pvt_ids(), vec![0, 4]);

@@ -10,8 +10,9 @@
 //! start on an ephemeral port, register the income scenario, run two
 //! diagnoses, and verify the second one was served warm from the
 //! server-resident cache with a bit-identical explanation and left
-//! the namespace's `prefilter_pairs_total` unchanged (discovery runs
-//! once, at `register`).
+//! the namespace's `prefilter_pairs_total` and
+//! `candidates_prepared_total` unchanged (discovery and the
+//! lint-and-rank pass run once, at `register`).
 
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
 use std::process::ExitCode;
@@ -92,20 +93,24 @@ fn smoke_test() -> Result<(), String> {
     if !is_ok(&cold) {
         return Err(format!("cold diagnosis failed: {cold:?}"));
     }
-    let pairs_before = prefilter_pairs_total(&mut client)?;
+    let before = work_totals(&mut client)?;
     let warm = client
         .diagnose("income", "greedy", None)
         .map_err(|e| format!("diagnose (warm): {e}"))?;
     if !is_ok(&warm) {
         return Err(format!("warm diagnosis failed: {warm:?}"));
     }
-    // Discovery ran once, at `register`: a diagnosis tests no pair.
-    let pairs_after = prefilter_pairs_total(&mut client)?;
-    if pairs_before == 0 || pairs_after != pairs_before {
-        return Err(format!(
-            "prefilter_pairs_total went from {pairs_before} to {pairs_after} over a warm diagnosis"
-        ));
+    // Discovery and preparation ran once, at `register`: a diagnosis
+    // tests no pair and lints no candidate.
+    let after = work_totals(&mut client)?;
+    for ((name, was), (_, is)) in before.iter().zip(&after) {
+        if *was == 0 || is != was {
+            return Err(format!(
+                "{name} went from {was} to {is} over a warm diagnosis"
+            ));
+        }
     }
+    let [(_, pairs_after), (_, prepared)] = after;
 
     let cold_digest = field_u64(&cold, "digest").ok_or("cold digest missing")?;
     let warm_digest = field_u64(&warm, "digest").ok_or("warm digest missing")?;
@@ -129,7 +134,7 @@ fn smoke_test() -> Result<(), String> {
         ));
     }
     println!(
-        "dp_serve smoke: digest {cold_digest:#018x} identical; warm run {warm_hits} warm hits, {warm_misses} misses (cold: {cold_misses}); {pairs_after} discovery pairs, all at register"
+        "dp_serve smoke: digest {cold_digest:#018x} identical; warm run {warm_hits} warm hits, {warm_misses} misses (cold: {cold_misses}); {pairs_after} discovery pairs and {prepared} prepared candidates, all at register"
     );
 
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
@@ -138,13 +143,21 @@ fn smoke_test() -> Result<(), String> {
     Ok(())
 }
 
-/// The `income` namespace's `prefilter_pairs_total` from `stats`.
-fn prefilter_pairs_total(client: &mut Client) -> Result<u64, String> {
+/// The `income` namespace's `prefilter_pairs_total` and
+/// `candidates_prepared_total` from `stats`.
+fn work_totals(client: &mut Client) -> Result<[(&'static str, u64); 2], String> {
     let stats = client
         .stats(Some("income"))
         .map_err(|e| format!("stats: {e}"))?;
-    field_u64(&stats, "prefilter_pairs_total")
-        .ok_or_else(|| format!("stats lacks prefilter_pairs_total: {stats:?}"))
+    let total = |name: &'static str| {
+        field_u64(&stats, name)
+            .map(|n| (name, n))
+            .ok_or_else(|| format!("stats lacks {name}: {stats:?}"))
+    };
+    Ok([
+        total("prefilter_pairs_total")?,
+        total("candidates_prepared_total")?,
+    ])
 }
 
 fn main() -> ExitCode {

@@ -185,6 +185,13 @@ pub fn render(server: &ServerScrape, namespaces: &[NamespaceScrape]) -> String {
         |ns| ns.diagnoses,
     );
     page.per_namespace(
+        "dp_candidates_prepared_total",
+        "counter",
+        "Candidates linted and ranked: once per register, and per drift-escalated diagnosis.",
+        namespaces,
+        |ns| ns.metrics.candidates_prepared,
+    );
+    page.per_namespace(
         "dp_lint_pruned_total",
         "counter",
         "Candidates pruned by the lint pass before ranking.",
@@ -324,6 +331,7 @@ mod tests {
                 evictions: 2,
                 diagnoses: 3,
                 metrics: RunMetrics {
+                    candidates_prepared: 78,
                     lint_pruned: 5,
                     lint_subsumed: 1,
                     lint_unreachable: 2,
@@ -390,6 +398,10 @@ dp_cache_evictions_total{system=\"sent \\\"q\\\"\"} 0
 # TYPE dp_diagnoses_total counter
 dp_diagnoses_total{system=\"inc\"} 3
 dp_diagnoses_total{system=\"sent \\\"q\\\"\"} 1
+# HELP dp_candidates_prepared_total Candidates linted and ranked: once per register, and per drift-escalated diagnosis.
+# TYPE dp_candidates_prepared_total counter
+dp_candidates_prepared_total{system=\"inc\"} 78
+dp_candidates_prepared_total{system=\"sent \\\"q\\\"\"} 0
 # HELP dp_lint_pruned_total Candidates pruned by the lint pass before ranking.
 # TYPE dp_lint_pruned_total counter
 dp_lint_pruned_total{system=\"inc\"} 5

@@ -58,6 +58,10 @@ pub enum ErrorCode {
     /// budget exhausted, bad inputs). Deterministic: warm or cold,
     /// the same request fails the same way.
     DiagnosisFailed,
+    /// The system panicked during the diagnosis. The namespace's
+    /// cache and counters are left as they were, and the server keeps
+    /// serving.
+    SystemPanicked,
     /// The server is draining; no new work is admitted.
     ShuttingDown,
 }
@@ -77,6 +81,7 @@ impl ErrorCode {
             ErrorCode::BadBatch => "bad_batch",
             ErrorCode::NotWatching => "not_watching",
             ErrorCode::DiagnosisFailed => "diagnosis_failed",
+            ErrorCode::SystemPanicked => "system_panicked",
             ErrorCode::ShuttingDown => "shutting_down",
         }
     }

@@ -8,17 +8,22 @@
 //! name share it, diagnoses against different names never touch each
 //! other's entries.
 //!
-//! Discovery runs once per spec. Step 1 of the paper's §4.1 depends
-//! only on the two datasets and the discovery configuration, all of
-//! which a [`SystemSpec`] fixes, so `register` computes the
-//! discriminative candidates and every `diagnose` searches them. The
-//! one discovery's pre-filter counters are counted at `register`, and
-//! a re-`register` builds a new spec and so discovers again.
+//! The pre-query stage runs once per spec. Step 1 of the paper's §4.1
+//! depends only on the two datasets and the discovery configuration,
+//! and the lint verdict, dependency graph and benefit ranking of the
+//! candidates only on them, `D_fail`, the lint mode and τ, all of
+//! which a [`SystemSpec`] fixes. So `register` discovers the
+//! discriminative candidates and prepares them into a [`Ranked`]
+//! record, and every `diagnose` searches that record. The one
+//! discovery's pre-filter counters and the one preparation's
+//! `candidates_prepared` are counted at `register`, and a
+//! re-`register` builds a new spec and so discovers and prepares
+//! again.
 //!
 //! Counters live in one place: an entry's `totals` is a
 //! [`RunMetrics`] that every completed diagnosis merges its
 //! explanation's metrics into, that takes in each spec's discovery
-//! counters at `register`, and that takes in a watcher's
+//! and preparation counters at `register`, and that takes in a watcher's
 //! monitoring counters when a re-`watch` retires it.
 //! [`SystemEntry::metrics`] adds the live watcher's counters, and
 //! both the `stats` reply and the Prometheus scrape's counters render
@@ -34,7 +39,7 @@
 
 use crate::lru::LruScoreCache;
 use dataprism::discovery::discriminative_pvts_stats;
-use dataprism::{PrismConfig, Pvt, RunMetrics, SystemFactory};
+use dataprism::{PrismConfig, Ranked, RunMetrics, SystemFactory};
 use dp_frame::DataFrame;
 use dp_monitor::Watcher;
 use dp_scenarios::Scenario;
@@ -63,9 +68,9 @@ pub struct SystemSpec {
     /// Builds fresh system instances for the parallel runtime.
     pub factory: Box<dyn SystemFactory + Send + Sync>,
     /// The discriminative PVTs of `d_pass` and `d_fail` under
-    /// `config.discovery`, discovered once at `register`; every
-    /// `diagnose` of this spec searches them.
-    pub candidates: Vec<Pvt>,
+    /// `config.discovery`, discovered and prepared once at `register`;
+    /// every `diagnose` of this spec searches them.
+    pub ranked: Arc<Ranked>,
 }
 
 /// Mutable per-system state guarded by the namespace lock.
@@ -76,9 +81,9 @@ pub struct SystemEntry {
     pub cache: LruScoreCache,
     /// Diagnoses completed against this system.
     pub diagnoses: u64,
-    /// The counters of every spec's discovery, of every completed
-    /// diagnosis (both `diagnose` and a drift-escalated one) and of
-    /// every watcher a later `watch` retired, merged.
+    /// The counters of every spec's discovery and preparation, of
+    /// every completed diagnosis (both `diagnose` and a drift-escalated
+    /// one) and of every watcher a later `watch` retired, merged.
     /// [`SystemEntry::metrics`] adds the live watcher's.
     pub totals: RunMetrics,
     /// The live stream watcher, installed by `watch`. `None` until a
@@ -152,12 +157,8 @@ impl Registry {
     }
 
     /// Register (or re-register) `name` as an instance of scenario
-    /// `key`, discovering its candidates outside every lock.
-    /// Re-registering replaces the spec, and so discovers again, but
-    /// **keeps** the existing cache namespace — same scenario key,
-    /// rows, and seed produce the same system, and a changed spec
-    /// changes the fingerprints anyway, so stale entries are merely
-    /// unused. Returns `None` if the scenario key is unknown.
+    /// `key` ([`build_scenario`]). Returns `None` if the scenario key
+    /// is unknown, else [`Registry::register_scenario`]'s count.
     pub fn register(
         &self,
         name: &str,
@@ -166,19 +167,33 @@ impl Registry {
         seed: Option<u64>,
     ) -> Option<usize> {
         let scenario = build_scenario(key, rows, seed)?;
+        Some(self.register_scenario(name, key, scenario))
+    }
+
+    /// Register (or re-register) `name` as `scenario`, labelled `key`,
+    /// discovering and preparing its candidates outside every lock.
+    /// Re-registering replaces the spec, and so prepares again, but
+    /// **keeps** the existing cache namespace — same scenario key,
+    /// rows, and seed produce the same system, and a changed spec
+    /// changes the fingerprints anyway, so stale entries are merely
+    /// unused. Returns the namespace's resident cache entries.
+    pub fn register_scenario(&self, name: &str, key: &str, scenario: Scenario) -> usize {
         let (candidates, stats) = discriminative_pvts_stats(
             &scenario.d_pass,
             &scenario.d_fail,
             &scenario.config.discovery,
             1,
         );
+        let mut work = RunMetrics::default();
+        stats.count_into(&mut work);
+        let ranked = Ranked::new(candidates, &scenario.d_fail, &scenario.config, &mut work);
         let spec = Arc::new(SystemSpec {
             scenario: key.to_string(),
             d_pass: scenario.d_pass,
             d_fail: scenario.d_fail,
             config: scenario.config,
             factory: scenario.factory,
-            candidates,
+            ranked: Arc::new(ranked),
         });
         let mut systems = lock_or_recover(&self.systems);
         let entry = systems
@@ -195,9 +210,9 @@ impl Registry {
             .clone();
         drop(systems);
         let mut entry = lock_or_recover(&entry);
+        entry.totals.merge(&work);
         entry.spec = spec;
-        stats.count_into(&mut entry.totals);
-        Some(entry.cache.len())
+        entry.cache.len()
     }
 
     /// Look up a registered system's entry.

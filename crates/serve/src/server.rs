@@ -28,6 +28,7 @@ use dp_trace::Tracer;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -221,6 +222,13 @@ impl Server {
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.local_addr
+    }
+
+    /// The daemon's registry. An embedding process can register a
+    /// system the bundled scenarios do not cover
+    /// ([`Registry::register_scenario`]).
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// Trigger a graceful shutdown from the owning process (the wire
@@ -601,17 +609,22 @@ fn handle_diagnose(
         config.num_threads = t.clamp(1, 64);
     }
     config.speculation_budget = budget.or_else(|| namespace_budget(&shared.config));
-    // The spec's candidates were discovered at `register`; a request
-    // runs lint, the dependency graph and the search over them.
-    let result = Diagnosis::new(algo)
-        .with_candidates(spec.candidates.clone())
-        .with_cache(&mut cache)
-        .run(
-            Source::Factory(&*spec.factory),
-            &spec.d_fail,
-            &spec.d_pass,
-            &config,
-        );
+    // The spec's candidates were discovered, linted and ranked at
+    // `register`; a request runs only the search over them.
+    let result = match contained(shared, || {
+        Diagnosis::new(algo)
+            .with_ranked(Arc::clone(&spec.ranked))
+            .with_cache(&mut cache)
+            .run(
+                Source::Factory(&*spec.factory),
+                &spec.d_fail,
+                &spec.d_pass,
+                &config,
+            )
+    }) {
+        Ok(result) => result,
+        Err(resp) => return resp,
+    };
     drop(permit);
     let (new_entries, resident, evictions) = match record(shared, system, &cache, &result) {
         Ok(v) => v,
@@ -654,6 +667,26 @@ fn handle_diagnose(
             error_response(ErrorCode::DiagnosisFailed, &e.to_string())
         }
     }
+}
+
+/// Run a diagnosis with the system's panics contained: a panic is
+/// counted as a failed diagnosis and becomes the typed
+/// `system_panicked` reply to send instead. The caller has copied the
+/// namespace's cache out and absorbs it back only after a run returns,
+/// so a panicking run leaves the namespace as it was.
+fn contained<T>(shared: &Shared, run: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(run)).map_err(|payload| {
+        bump(shared, |s| s.diagnoses_err += 1);
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        error_response(
+            ErrorCode::SystemPanicked,
+            &format!("the system panicked: {message}"),
+        )
+    })
 }
 
 /// Copy-out after either diagnosis path (`diagnose` or a drift
@@ -888,15 +921,20 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algorithm) 
     let candidates = pvts.len();
     let mut config = spec.config.clone();
     config.speculation_budget = namespace_budget(&shared.config);
-    let result = Diagnosis::new(algo)
-        .with_candidates(pvts)
-        .with_cache(&mut cache)
-        .run(
-            Source::Factory(&*spec.factory),
-            &window,
-            &spec.d_pass,
-            &config,
-        );
+    let result = match contained(shared, || {
+        Diagnosis::new(algo)
+            .with_candidates(pvts)
+            .with_cache(&mut cache)
+            .run(
+                Source::Factory(&*spec.factory),
+                &window,
+                &spec.d_pass,
+                &config,
+            )
+    }) {
+        Ok(result) => result,
+        Err(resp) => return resp,
+    };
     drop(permit);
     let (new_entries, resident, _) = match record(shared, system, &cache, &result) {
         Ok(v) => v,
@@ -990,6 +1028,7 @@ fn handle_stats(shared: &Shared, system: Option<&str>) -> String {
                     .u64("prefilter_pairs_total", m.prefilter_pairs)
                     .u64("prefilter_screened_total", m.prefilter_screened)
                     .u64("prefilter_exact_total", m.prefilter_exact)
+                    .u64("candidates_prepared_total", m.candidates_prepared)
                     .u64("lint_pruned_total", m.lint_pruned)
                     .u64("lint_subsumed_total", m.lint_subsumed)
                     .u64("lint_unreachable_total", m.lint_unreachable)

@@ -1,10 +1,12 @@
 //! Abuse-the-wire tests: malformed and truncated requests, oversized
 //! lines, mid-request disconnects, racing clients, admission limits,
-//! and shutdown persistence. The invariants: every failure is a
-//! *typed* error response, the server never panics or wedges, and a
-//! misbehaving client can never poison another client's cache
-//! namespace.
+//! shutdown persistence and a panicking system. The invariants: every
+//! failure is a *typed* error response, the server never panics or
+//! wedges, and a misbehaving client or system can never poison a
+//! cache namespace.
 
+use dp_frame::DataFrame;
+use dp_serve::registry::build_scenario;
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
 use dp_trace::JsonValue;
 use std::io::Write;
@@ -462,4 +464,78 @@ fn draining_server_rejects_new_work_with_a_typed_error() {
         ),
     }
     server.join();
+}
+
+#[test]
+fn a_panicking_system_gets_a_typed_reply_and_leaves_the_namespace_as_it_was() {
+    // A test-only system: the income scenario's datasets and
+    // configuration, judged by a system that panics on every frame.
+    // Neither a diagnosis nor a drift-escalated one reaches the
+    // client as a closed connection: each answers `system_panicked`,
+    // leaves the namespace's cache and counters as they were, and the
+    // daemon keeps serving its other namespaces bit for bit.
+    let (server, mut client) = start_default();
+    let mut scenario = build_scenario("income", None, None).unwrap();
+    let d_fail = scenario.d_fail.clone();
+    scenario.factory =
+        Box::new(|| |_: &DataFrame| -> f64 { panic!("the system under test panics") });
+    server
+        .registry()
+        .register_scenario("boom", "income", scenario);
+    assert!(is_ok(
+        &client.register("inc", "income", None, None).unwrap()
+    ));
+    let healthy = client.diagnose("inc", "greedy", Some(1)).unwrap();
+    assert!(is_ok(&healthy), "{healthy:?}");
+
+    let namespace = |client: &mut Client| {
+        let stats = client.stats(Some("boom")).unwrap();
+        assert!(is_ok(&stats), "{stats:?}");
+        [
+            "cache_entries",
+            "diagnoses",
+            "prefilter_pairs_total",
+            "candidates_prepared_total",
+            "lint_pruned_total",
+            "lint_commuting_pairs_total",
+        ]
+        .map(|name| field_u64(&stats, name).expect(name))
+    };
+    let before = namespace(&mut client);
+    assert!(
+        before[3] > 0,
+        "register prepared the candidates: {before:?}"
+    );
+    for threads in [1, 2] {
+        for algo in ["greedy", "group_test", "auto"] {
+            let reply = client.diagnose("boom", algo, Some(threads)).unwrap();
+            assert_eq!(
+                error_code(&reply).as_deref(),
+                Some("system_panicked"),
+                "{algo}@{threads}t: {reply:?}"
+            );
+        }
+    }
+    assert_eq!(namespace(&mut client), before, "after diagnoses");
+
+    assert!(is_ok(&client.watch("boom", Some(0.05), Some(2)).unwrap()));
+    let mut csv = Vec::new();
+    dp_frame::csv::write_csv(&d_fail, &mut csv).unwrap();
+    let ingest = client
+        .ingest("boom", std::str::from_utf8(&csv).unwrap())
+        .unwrap();
+    assert!(is_ok(&ingest), "{ingest:?}");
+    let drift = client.drift("boom", true, "greedy").unwrap();
+    assert_eq!(
+        error_code(&drift).as_deref(),
+        Some("system_panicked"),
+        "{drift:?}"
+    );
+    assert_eq!(namespace(&mut client), before, "after a drift escalation");
+
+    let again = client.diagnose("inc", "greedy", Some(1)).unwrap();
+    assert!(is_ok(&again), "{again:?}");
+    assert_eq!(field_u64(&again, "digest"), field_u64(&healthy, "digest"));
+    assert!(is_ok(&client.ping().unwrap()));
+    stop(server, &mut client);
 }

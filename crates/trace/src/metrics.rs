@@ -192,6 +192,11 @@ pub struct RunMetrics {
     pub prefilter_chi2_screened: u64,
     /// Exact χ²/Pearson tests actually run.
     pub prefilter_exact: u64,
+    /// Candidates linted and ranked by the pre-query stage, counted
+    /// where a candidate set is prepared. A search over an
+    /// already-prepared set (a `dp_serve` diagnose, `Auto`'s fallback)
+    /// prepares none.
+    pub candidates_prepared: u64,
     /// Error-level lint findings.
     pub lint_errors: u64,
     /// Warn-level lint findings.
@@ -266,6 +271,7 @@ impl RunMetrics {
             prefilter_screened,
             prefilter_chi2_screened,
             prefilter_exact,
+            candidates_prepared,
             lint_errors,
             lint_warnings,
             lint_infos,
@@ -299,6 +305,7 @@ impl RunMetrics {
             (&mut self.prefilter_screened, prefilter_screened),
             (&mut self.prefilter_chi2_screened, prefilter_chi2_screened),
             (&mut self.prefilter_exact, prefilter_exact),
+            (&mut self.candidates_prepared, candidates_prepared),
             (&mut self.lint_errors, lint_errors),
             (&mut self.lint_warnings, lint_warnings),
             (&mut self.lint_infos, lint_infos),
@@ -448,6 +455,7 @@ mod tests {
             rows_ingested: 27 * scale,
             drift_checks: 28 * scale,
             drift_triggers: 29 * scale,
+            candidates_prepared: 30 * scale,
             peak_inflight: peak,
             query_latency: hist(2_000),
             speculative_latency: hist(300_000),

@@ -4,9 +4,14 @@
 //! testing (empty, singleton, disconnected dependency graph, and
 //! all-no-op compositions).
 
-use dataprism::{Algorithm, Diagnosis, PrismConfig, PrismError, Profile, Pvt, Source, Transform};
+use dataprism::{
+    Algorithm, Diagnosis, Lint, PrismConfig, PrismError, Profile, Pvt, Ranked, RunMetrics, Source,
+    Transform,
+};
 use dp_frame::{Column, DType, DataFrame, Value};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn cat(name: &str, vals: &[&str]) -> Column {
     Column::from_strings(
@@ -408,4 +413,102 @@ fn group_test_reports_a3_when_every_composed_transform_is_a_noop() {
         .with_candidates(pvts)
         .run(Source::Factory(&factory), &fail, &pass, &par_config);
     assert_eq!(res.unwrap_err(), par.unwrap_err());
+}
+
+#[test]
+fn a_prepared_record_refuses_another_failing_dataset_lint_mode_or_tau() {
+    // A `Ranked` record holds a lint verdict and benefits of one
+    // failing dataset under one lint mode and τ. A run over another
+    // of any of the three is refused with a typed error before the
+    // system is evaluated even once; over its own, it equals a run
+    // that prepares the same candidates itself.
+    let (pass, fail) = gt_pass_fail();
+    let pvts = vec![
+        map_to_domain_pvt(0, "target", &["-1", "1"]),
+        rescale_pvt(1, "a"),
+        rescale_pvt(2, "b"),
+    ];
+    let config = PrismConfig::with_threshold(0.2);
+    let ranked = Arc::new(Ranked::new(
+        pvts.clone(),
+        &fail,
+        &config,
+        &mut RunMetrics::default(),
+    ));
+    let evaluations = AtomicUsize::new(0);
+    let mut system = |df: &DataFrame| {
+        evaluations.fetch_add(1, Ordering::SeqCst);
+        target_domain_score(df)
+    };
+    let mut other_fail = fail.clone();
+    other_fail
+        .column_mut("a")
+        .unwrap()
+        .set(0, 7.into())
+        .unwrap();
+    let cases = [
+        (
+            "failing dataset",
+            other_fail,
+            config.clone(),
+            "another failing dataset",
+        ),
+        (
+            "lint mode",
+            fail.clone(),
+            PrismConfig {
+                lint: Lint::Prune,
+                ..config.clone()
+            },
+            "lint mode",
+        ),
+        (
+            "tau",
+            fail.clone(),
+            PrismConfig::with_threshold(0.25),
+            "τ = 0.2",
+        ),
+    ];
+    for (label, d_fail, run_config, names) in cases {
+        for algo in [Algorithm::Greedy, Algorithm::GroupTest, Algorithm::Auto] {
+            let err = Diagnosis::new(algo)
+                .with_ranked(Arc::clone(&ranked))
+                .run(Source::Borrowed(&mut system), &d_fail, &pass, &run_config)
+                .unwrap_err();
+            match &err {
+                PrismError::BadInput(msg) => assert!(msg.contains(names), "{label}: {msg}"),
+                other => panic!("{label}: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(evaluations.load(Ordering::SeqCst), 0, "no oracle query");
+
+    // Every algorithm, BugDoc and Anchor over all of the record's
+    // candidates included, explains the same over the record as over
+    // the candidates it was prepared from.
+    for algo in [
+        Algorithm::Greedy,
+        Algorithm::GroupTest,
+        Algorithm::GrpTest,
+        Algorithm::BugDoc,
+        Algorithm::Anchor,
+        Algorithm::Auto,
+    ] {
+        let prepared = Diagnosis::new(algo)
+            .with_ranked(Arc::clone(&ranked))
+            .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+            .unwrap();
+        let given = Diagnosis::new(algo)
+            .with_candidates(pvts.clone())
+            .run(Source::Borrowed(&mut system), &fail, &pass, &config)
+            .unwrap();
+        assert_eq!(prepared.digest(), given.digest(), "{}", algo.name());
+        assert_eq!(prepared.pvt_ids(), given.pvt_ids(), "{}", algo.name());
+        // BugDoc and Anchor prepare nothing; a DataPrism search over
+        // given candidates prepares them once.
+        let baseline = matches!(algo, Algorithm::BugDoc | Algorithm::Anchor);
+        let once = if baseline { 0 } else { pvts.len() as u64 };
+        assert_eq!(prepared.metrics.candidates_prepared, 0);
+        assert_eq!(given.metrics.candidates_prepared, once, "{}", algo.name());
+    }
 }

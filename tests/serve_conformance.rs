@@ -14,18 +14,22 @@
 //! The final tests run the same property end-to-end through an
 //! in-process `dp_serve` daemon over real TCP: server-resident
 //! namespaces, the wire `warm` op, and snapshot/restore all preserve
-//! bit-identity. The daemon discovers a system's candidates once, at
-//! `register`, and searches them on every `diagnose`: its replies
-//! must equal in-process runs that discover for themselves, and its
-//! pre-filter counters must count one discovery per `register`.
+//! bit-identity. The daemon discovers a system's candidates and
+//! prepares them (lint verdict, graph, benefits) once, at `register`,
+//! and searches that record on every `diagnose`: its replies must equal
+//! in-process runs that prepare the same candidates themselves, and
+//! its pre-filter and `candidates_prepared` totals must count one
+//! discovery and one preparation per `register`.
 
 use dataprism::{
-    fingerprint, Algorithm, Diagnosis, Explanation, Result, ScoreCache, Source, TraceConfig,
+    fingerprint, Algorithm, Diagnosis, Explanation, Ranked, Result, RunMetrics, ScoreCache, Source,
+    TraceConfig,
 };
 use dp_scenarios::{cardio, example1, ezgo, income, sensors, sentiment, Scenario};
 use dp_serve::registry::build_scenario;
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server, SCENARIOS};
 use dp_trace::{to_jsonl, JsonValue};
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 
@@ -436,38 +440,124 @@ fn assert_reply_matches(label: &str, reply: &JsonValue, expected: &Result<Explan
     }
 }
 
+/// Every algorithm a `diagnose` request can name.
+const SERVED: [Algorithm; 3] = [Algorithm::Greedy, Algorithm::GroupTest, Algorithm::Auto];
+
+/// The candidates `register` discovers for `scenario`.
+fn registered_candidates(scenario: &Scenario) -> Vec<dataprism::Pvt> {
+    let (pvts, _) = dataprism::discovery::discriminative_pvts_stats(
+        &scenario.d_pass,
+        &scenario.d_fail,
+        &scenario.config.discovery,
+        1,
+    );
+    pvts
+}
+
+/// An in-process run over `pvts`, preparing them itself.
+fn run_given(
+    scenario: &Scenario,
+    pvts: &[dataprism::Pvt],
+    algo: Algorithm,
+    threads: usize,
+) -> Result<Explanation> {
+    run_on(
+        scenario,
+        Diagnosis::new(algo).with_candidates(pvts.to_vec()),
+        threads,
+    )
+}
+
+/// An in-process run of `request` on `scenario` at `threads`.
+fn run_on(scenario: &Scenario, request: Diagnosis<'_>, threads: usize) -> Result<Explanation> {
+    let mut config = scenario.config.clone();
+    config.num_threads = threads;
+    request.run(
+        Source::Factory(scenario.factory.as_ref()),
+        &scenario.d_fail,
+        &scenario.d_pass,
+        &config,
+    )
+}
+
 #[test]
 fn daemon_diagnoses_search_the_candidates_discovered_at_register() {
+    // `register` discovers a spec's candidates and prepares them once
+    // (lint verdict, graph, benefits); every `diagnose` searches that
+    // record. Its replies must equal in-process runs that prepare the
+    // same candidates themselves, for every served algorithm at widths
+    // 1 and 2, cold and warm, and again after a re-`register`; in
+    // process, a run over the prepared record equals both, and a run
+    // that discovers for itself equals them at width 1.
     let server = Server::start(ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     for key in SCENARIOS {
         assert!(is_ok(&client.register(key, key, None, None).unwrap()));
         let scenario = build_scenario(key, None, None).unwrap();
-        for algo in [Algorithm::Greedy, Algorithm::GroupTest, Algorithm::Auto] {
+        let pvts = registered_candidates(&scenario);
+        let ranked = Arc::new(Ranked::new(
+            pvts.clone(),
+            &scenario.d_fail,
+            &scenario.config,
+            &mut RunMetrics::default(),
+        ));
+        for algo in SERVED {
             for threads in [1, 2] {
-                let expected = run_cold(&scenario, algo, threads, false);
+                let label = format!("{key} {}@{threads}t", algo.name());
+                let expected = run_given(&scenario, &pvts, algo, threads);
+                let prepared = run_on(
+                    &scenario,
+                    Diagnosis::new(algo).with_ranked(Arc::clone(&ranked)),
+                    threads,
+                );
+                assert_identical(&format!("{label} prepared"), &expected, &prepared);
+                if threads == 1 {
+                    // A search over given candidates equals the one
+                    // that discovers them.
+                    let discovered = run_cold(&scenario, algo, 1, false);
+                    assert_identical(&format!("{label} discovered"), &expected, &discovered);
+                }
                 for warmth in ["cold", "warm"] {
-                    let label = format!("{key} {}@{threads}t {warmth}", algo.name());
                     let reply = client.diagnose(key, algo.name(), Some(threads)).unwrap();
-                    assert_reply_matches(&label, &reply, &expected);
+                    assert_reply_matches(&format!("{label} {warmth}"), &reply, &expected);
                 }
             }
         }
     }
 
-    // A re-`register` at another size and seed builds a new spec, so
-    // the next reply is that spec's own discovering run.
+    // A re-`register` at another size and seed builds and prepares a
+    // new spec, so the next replies are that spec's own runs.
     let other = build_scenario("income", Some(200), Some(3)).unwrap();
+    let pvts = registered_candidates(&other);
+    let prepared = |client: &mut Client| {
+        let stats = client.stats(Some("income")).unwrap();
+        field_u64(&stats, "candidates_prepared_total").expect("candidates_prepared_total")
+    };
+    let before = prepared(&mut client);
     assert!(is_ok(
         &client
             .register("income", "income", Some(200), Some(3))
             .unwrap()
     ));
-    for algo in [Algorithm::Greedy, Algorithm::GroupTest] {
-        let expected = run_cold(&other, algo, 1, false);
-        assert!(expected.is_ok(), "{expected:?}");
-        let reply = client.diagnose("income", algo.name(), Some(1)).unwrap();
-        assert_reply_matches(&format!("income 200/3 {}", algo.name()), &reply, &expected);
+    assert_eq!(
+        prepared(&mut client),
+        before + pvts.len() as u64,
+        "a re-register prepares again"
+    );
+    for algo in SERVED {
+        for threads in [1, 2] {
+            let expected = run_given(&other, &pvts, algo, threads);
+            if matches!(algo, Algorithm::Greedy | Algorithm::GroupTest) {
+                assert!(expected.is_ok(), "{expected:?}");
+            }
+            for warmth in ["cold", "warm"] {
+                let label = format!("income 200/3 {}@{threads}t {warmth}", algo.name());
+                let reply = client
+                    .diagnose("income", algo.name(), Some(threads))
+                    .unwrap();
+                assert_reply_matches(&label, &reply, &expected);
+            }
+        }
     }
 
     assert!(is_ok(&client.shutdown().unwrap()));
@@ -476,27 +566,38 @@ fn daemon_diagnoses_search_the_candidates_discovered_at_register() {
 
 #[test]
 fn the_prefilter_totals_count_one_discovery_per_register() {
+    // Discovery and preparation are counted where they happen: at
+    // `register`, once per spec. A diagnosis over the spec's prepared
+    // record, `Auto`'s fallback included, moves neither the pre-filter
+    // totals nor `candidates_prepared_total`.
     let server = Server::start(ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let scenario = income::scenario_with_size(300, 7);
-    let (_, once) = dataprism::discovery::discriminative_pvts_stats(
+    let (pvts, once) = dataprism::discovery::discriminative_pvts_stats(
         &scenario.d_pass,
         &scenario.d_fail,
         &scenario.config.discovery,
         1,
     );
     assert!(once.pairs > 0 && once.screened() > 0, "{once:?}");
+    assert!(!pvts.is_empty());
     let totals = |client: &mut Client| {
         let stats = client.stats(Some("inc")).unwrap();
         assert!(is_ok(&stats), "{stats:?}");
-        ["pairs", "screened", "exact"]
-            .map(|name| field_u64(&stats, &format!("prefilter_{name}_total")).expect(name))
+        [
+            "prefilter_pairs_total",
+            "prefilter_screened_total",
+            "prefilter_exact_total",
+            "candidates_prepared_total",
+        ]
+        .map(|name| field_u64(&stats, name).expect(name))
     };
     let expected = |registers: u64| {
         [
             once.pairs as u64,
             once.screened() as u64,
             (once.chi2_exact + once.pearson_exact) as u64,
+            pvts.len() as u64,
         ]
         .map(|n| registers * n)
     };

@@ -320,10 +320,27 @@ fn auto_fallback_keeps_the_group_testing_attempt_in_the_trace() {
     // Example 1's group-testing attempt reports an A3 violation, so
     // `Auto` falls back to greedy. Both attempts write to one tracer:
     // the collected records and the JSONL file hold the group-testing
-    // attempt (its opening event and its A3 probe) ahead of the greedy
-    // run, and tracing leaves the explanation unchanged.
+    // attempt (its opening event, its one discovery and its A3 probe)
+    // ahead of the greedy run, which searches the candidates the first
+    // attempt prepared. Tracing leaves the explanation unchanged, and
+    // the explanation counts one discovery and one preparation, as a
+    // greedy run of its own does.
     let scenario = example1::scenario();
     let untraced = run(Algorithm::Auto, &scenario, &scenario.config).unwrap();
+    let greedy = run(Algorithm::Greedy, &scenario, &scenario.config).unwrap();
+    assert_eq!(untraced.digest(), greedy.digest());
+    assert_eq!(untraced.lint, greedy.lint);
+    let work = |m: &dataprism::RunMetrics| {
+        [
+            m.prefilter_pairs,
+            m.prefilter_screened,
+            m.prefilter_chi2_screened,
+            m.prefilter_exact,
+            m.candidates_prepared,
+        ]
+    };
+    assert_eq!(work(&untraced.metrics), work(&greedy.metrics));
+    assert!(greedy.metrics.candidates_prepared > 0);
     let opened = |records: &[dp_trace::TraceRecord]| -> Vec<String> {
         records
             .iter()
@@ -349,6 +366,14 @@ fn auto_fallback_keeps_the_group_testing_attempt_in_the_trace() {
             .any(|r| matches!(r.event, Event::OracleQuery(_))),
         "the A3 probe of the group-testing attempt is kept"
     );
+    let discoveries: Vec<usize> = records
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| matches!(r.event, Event::Discovery(_)))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(discoveries.len(), 1, "the fallback does not rediscover");
+    assert!(discoveries[0] < greedy_begin);
     assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
     assert!(matches!(
         records.last().unwrap().event,
